@@ -577,7 +577,7 @@ let fleet_totals (s : Setup.slices) =
    seconds over the whole run, between set-ups, makes the figures less
    sensitive to a stretch of seconds in which a shared machine runs
    slow. *)
-let rounds = 6
+let rounds = 4
 
 type round = {
   setup_s : float;

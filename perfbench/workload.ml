@@ -30,9 +30,9 @@ let pairs =
     ("DNA", "Interaction");
   ]
 
-(* The SQL method takes 0.3-18 s per query at this scale against
-   0.02-8 ms for the other eight; one SQL request would outweigh a
-   thousand others, so it stays in [bench table2]. *)
+(* The SQL method recomputes pair topologies from base data for every
+   probe; one SQL request would outweigh thousands of others, so it
+   stays in [bench table2]. *)
 let methods = List.filter (fun m -> m <> Methods.Sql) Engine.all_methods
 (* Full-Top and Fast-Top ignore scheme and k. *)
 let unranked_methods = [ Methods.Full_top; Methods.Fast_top ]
