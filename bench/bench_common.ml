@@ -8,6 +8,7 @@
    experiment does not pay for the other build. *)
 
 module Engine = Topo_core.Engine
+module Request = Topo_core.Request
 module Query = Topo_core.Query
 module Ranking = Topo_core.Ranking
 module Store = Topo_core.Store
@@ -124,7 +125,8 @@ let grid_query cat ~protein_sel ~interaction_sel =
 let time_method ?(runs = 0) engine q ~method_ ~scheme ~k =
   let runs = if runs = 0 then config.runs else runs in
   let _, median =
-    Topo_util.Timer.repeat_median ~runs (fun () -> Engine.run engine q ~method_ ~scheme ~k ())
+    Topo_util.Timer.repeat_median ~runs (fun () ->
+        Request.get_done (Engine.run_request engine (Request.make ~scheme ~k method_ q)))
   in
   median *. 1000.0
 

@@ -87,8 +87,9 @@ let dgj_grid () =
                 let impls = [ fact; d1; d2 ] in
                 let _, median =
                   Topo_util.Timer.repeat_median ~runs:config.runs (fun () ->
-                      Engine.run engine q ~method_:Engine.Fast_top_k_et ~scheme:Ranking.Freq ~k:10
-                        ~impls ())
+                      let ctx = engine.Engine.ctx in
+                      Topo_core.Methods.fast_top_k_et ctx (Topo_core.Methods.align ctx q)
+                        ~scheme:Ranking.Freq ~k:10 ~impls ())
                 in
                 [ String.concat "" (List.map impl_name impls); ms (median *. 1000.0) ])
               [ `I; `H ])

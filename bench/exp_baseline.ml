@@ -23,8 +23,8 @@ let run () =
       Printf.printf "  %s\n"
         (String.concat " - " (Array.to_list (Array.map string_of_int p.Topo_core.Baseline.nodes))))
     baseline.Topo_core.Baseline.paths;
-  let topo = Engine.run engine q ~method_:Engine.Full_top () in
-  Printf.printf "vs %d topology results (Figure 5's T1..T4)\n" (List.length topo.Engine.ranked);
+  let topo = Request.get_done (Engine.run_request engine (Request.make Engine.Full_top q)) in
+  Printf.printf "vs %d topology results (Figure 5's T1..T4)\n" (List.length topo.Request.ranked);
   (* The synthetic instance at scale. *)
   print_newline ();
   let engine, _ = engine_l3 () in
@@ -37,8 +37,8 @@ let run () =
           (fun (isel, iname) ->
             let q = grid_query big_cat ~protein_sel:psel ~interaction_sel:isel in
             let b = Topo_core.Baseline.isolated_paths ctx q () in
-            let t = Engine.run engine q ~method_:Engine.Full_top () in
-            let n_topos = List.length t.Engine.ranked in
+            let t = Request.get_done (Engine.run_request engine (Request.make Engine.Full_top q)) in
+            let n_topos = List.length t.Request.ranked in
             [
               pname ^ "/" ^ iname;
               string_of_int b.Topo_core.Baseline.total;

@@ -46,14 +46,17 @@ let run () =
       let q = Query.make (Query.endpoint cat "Protein") (Query.endpoint cat "DNA") in
       List.iter
         (fun scheme ->
-          let r = Engine.run engine q ~method_:Engine.Full_top_k ~scheme ~k:100000 () in
+          let r =
+            Request.get_done
+              (Engine.run_request engine (Request.make ~scheme ~k:100000 Engine.Full_top_k q))
+          in
           let rank =
-            match List.find_index (fun (t', _) -> t' = tid) r.Engine.ranked with
+            match List.find_index (fun (t', _) -> t' = tid) r.Request.ranked with
             | Some i -> string_of_int (i + 1)
             | None -> "-"
           in
           Printf.printf "rank under %-6s: %s of %d\n" (Ranking.name scheme) rank
-            (List.length r.Engine.ranked))
+            (List.length r.Request.ranked))
         Ranking.all;
       (* One concrete instance. *)
       (match Topo_core.Instances.pairs_of_topology ctx store ~tid with

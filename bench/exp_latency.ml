@@ -58,7 +58,7 @@ let base_workload engine =
   List.concat_map
     (fun method_ ->
       List.mapi
-        (fun i q -> Serve.request ~scheme:(List.nth schemes (i mod 3)) ~k:10 method_ q)
+        (fun i q -> Request.make ~scheme:(List.nth schemes (i mod 3)) ~k:10 method_ q)
         queries)
     Engine.all_methods
 
@@ -131,7 +131,7 @@ let run () =
         let h = Hdr.create () in
         List.iter
           (fun (t : Serve.timed) ->
-            match Topo_core.Request.answered t.Serve.timed_outcome.Serve.result with
+            match Topo_core.Request.answered t.Serve.timed_outcome.Request.result with
             | Some _ -> Hdr.record h (int_of_float (t.Serve.latency_s *. 1e9))
             | None -> ())
           timed;

@@ -60,13 +60,17 @@ let tests () =
              ~b:Biozon.Paper_db.d215 ~l:3 ~caps:Topo_core.Compute.default_caps));
     (* table2: the two competing online strategies. *)
     Test.make ~name:"table2_full_top"
-      (Staged.stage (fun () -> Topo_core.Engine.run engine q_pd ~method_:Topo_core.Engine.Full_top ()));
+      (Staged.stage (fun () ->
+           Topo_core.(
+             Request.get_done (Engine.run_request engine (Request.make Engine.Full_top q_pd)))));
     Test.make ~name:"table2_fast_top_k"
       (Staged.stage (fun () ->
-           Topo_core.Engine.run engine q_pi ~method_:Topo_core.Engine.Fast_top_k ~k:10 ()));
+           Topo_core.(
+             Request.get_done (Engine.run_request engine (Request.make ~k:10 Engine.Fast_top_k q_pi)))));
     Test.make ~name:"table2_fast_top_k_et"
       (Staged.stage (fun () ->
-           Topo_core.Engine.run engine q_pi ~method_:Topo_core.Engine.Fast_top_k_et ~k:10 ()));
+           Topo_core.(
+             Request.get_done (Engine.run_request engine (Request.make ~k:10 Engine.Fast_top_k_et q_pi)))));
     (* table3/fig17: weak-path classification. *)
     Test.make ~name:"fig17_weak_classification"
       (Staged.stage (fun () ->

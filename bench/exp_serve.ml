@@ -50,7 +50,7 @@ let mixed_workload engine =
     (fun method_ ->
       List.mapi
         (fun i q ->
-          Serve.request ~scheme:(List.nth schemes (i mod 3)) ~k:10 method_ q)
+          Request.make ~scheme:(List.nth schemes (i mod 3)) ~k:10 method_ q)
         queries)
     Engine.all_methods
 

@@ -35,7 +35,7 @@ let workload (engine : Engine.t) =
     (fun (t1, t2) ->
       List.mapi
         (fun i method_ ->
-          Serve.request
+          Request.make
             ~scheme:(List.nth schemes (i mod 3))
             ~k:10 method_
             (Query.make (Query.endpoint catalog t1) (Query.endpoint catalog t2)))
@@ -94,8 +94,8 @@ let run_point engine requests ~baseline_fp ~shards =
                      "shard: %d-shard routed batch fingerprint %s differs from single-process %s"
                      shards fp baseline_fp);
               List.iter
-                (fun (o : Serve.outcome) ->
-                  match o.Serve.result with
+                (fun (o : Request.outcome) ->
+                  match o.Request.result with
                   | Topo_core.Request.Failed _ ->
                       failwith "shard: routed batch contains a Failed outcome"
                   | _ -> ())

@@ -79,7 +79,9 @@ let run () =
                          let t_h =
                            let _, median =
                              Topo_util.Timer.repeat_median ~runs:config.runs (fun () ->
-                                 Engine.run engine q ~method_:m ~scheme ~k ~impls:[ `I; `H; `H ] ())
+                                 let ctx = engine.Engine.ctx in
+                                 Topo_core.Methods.dispatch m ~impls:[ `I; `H; `H ] ctx
+                                   (Topo_core.Methods.align ctx q) ~scheme ~k)
                            in
                            median *. 1000.0
                          in
@@ -99,9 +101,12 @@ let run () =
       let q = grid_query cat ~protein_sel:sel ~interaction_sel:sel in
       List.iter
         (fun scheme ->
-          let r = Engine.run engine q ~method_:Engine.Fast_top_k_opt ~scheme ~k () in
+          let r =
+            Request.get_done
+              (Engine.run_request engine (Request.make ~scheme ~k Engine.Fast_top_k_opt q))
+          in
           let choice =
-            match r.Engine.strategy with
+            match r.Request.strategy with
             | Some Topo_sql.Optimizer.Regular -> "regular (Fast-Top-k)"
             | Some Topo_sql.Optimizer.Early_termination -> "DGJ stack (Fast-Top-k-ET)"
             | None -> "?"

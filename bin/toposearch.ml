@@ -16,6 +16,7 @@
 
 open Cmdliner
 module Engine = Topo_core.Engine
+module Request = Topo_core.Request
 module Query = Topo_core.Query
 module Ranking = Topo_core.Ranking
 module Nquery = Topo_core.Nquery
@@ -90,10 +91,10 @@ let demo () =
   let q = Query.q1 catalog in
   Printf.printf "database: Figure 3 of the paper (4 proteins, 3 DNAs, 4 Unigene clusters)\n";
   Printf.printf "query: %s\n\n" (Query.to_string q);
-  let r = Engine.run engine q ~method_:Engine.Full_top () in
+  let r = Request.get_done (Engine.run_request engine (Request.make Engine.Full_top q)) in
   List.iter
     (fun (tid, _) -> Printf.printf "TID %d: %s\n" tid (Engine.describe engine tid))
-    r.Engine.ranked;
+    r.Request.ranked;
   Printf.printf "\n(these are the paper's four results T1-T4: the encodes path, the P-U-D path,\n";
   Printf.printf "and the two complex topologies of the pair (78, 215))\n";
   0
@@ -238,25 +239,16 @@ let query_run scale seed l threshold t1 t2 kw1 kw2 dna_type method_ scheme k ins
   let q = Query.make (endpoint t1 kw1 None) (endpoint t2 kw2 dna_type) in
   Printf.printf "query: %s\nmethod: %s, scheme: %s, k: %d\n\n" (Query.to_string q)
     (Engine.method_name method_) (Ranking.name scheme) k;
-  (* The canonical request/outcome path: same machinery the serving tier
-     uses, one request at a time. *)
-  let outcome = Engine.run_request engine (Topo_core.Request.make ~scheme ~k method_ q) in
-  let r =
-    match outcome.Topo_core.Request.result with
-    | Topo_core.Request.Done r | Topo_core.Request.Partial r -> r
-    | Topo_core.Request.Failed e -> raise e
-    | Topo_core.Request.Rejected rj ->
-        failwith ("request rejected: " ^ Topo_core.Request.rejection_name rj)
-  in
+  let r = Request.get_done (Engine.run_request engine (Request.make ~scheme ~k method_ q)) in
   if instances then Topo_core.Report.print engine q r ()
   else
     List.iteri
       (fun i (tid, score) ->
         let score_str = match score with Some s -> Printf.sprintf " [score %.3g]" s | None -> "" in
         Printf.printf "%2d. TID %d%s\n    %s\n" (i + 1) tid score_str (Engine.describe engine tid))
-      r.Engine.ranked;
-  Printf.printf "\n%d result(s) in %.1fms\n" (List.length r.Engine.ranked) (r.Engine.elapsed_s *. 1000.0);
-  (match r.Engine.strategy with
+      r.Request.ranked;
+  Printf.printf "\n%d result(s) in %.1fms\n" (List.length r.Request.ranked) (r.Request.elapsed_s *. 1000.0);
+  (match r.Request.strategy with
   | Some Topo_sql.Optimizer.Regular -> print_endline "optimizer chose: regular plan"
   | Some Topo_sql.Optimizer.Early_termination -> print_endline "optimizer chose: DGJ early-termination plan"
   | None -> ());
@@ -546,10 +538,10 @@ let profile_run scale seed l threshold t1 t2 kw1 kw2 method_ scheme k json_out =
   let q = Query.make (endpoint t1 kw1) (endpoint t2 kw2) in
   Printf.printf "query: %s\nmethod: %s, scheme: %s, k: %d\n\n" (Query.to_string q)
     (Engine.method_name method_) (Ranking.name scheme) k;
-  let trace = Obs.Trace.create () in
-  let r = Engine.run engine q ~method_ ~scheme ~k ~trace () in
+  let outcome = Engine.run_request engine ~traces:true (Request.make ~scheme ~k method_ q) in
+  let r = Request.get_done outcome and trace = Option.get outcome.Request.trace in
   print_string (Obs.Trace.to_text trace);
-  Printf.printf "\n%d result(s) in %.1fms\n" (List.length r.Engine.ranked) (r.Engine.elapsed_s *. 1000.0);
+  Printf.printf "\n%d result(s) in %.1fms\n" (List.length r.Request.ranked) (r.Request.elapsed_s *. 1000.0);
   (match json_out with
   | Some path ->
       write_file path (Obs.Json.to_string ~pretty:true (Obs.Trace.to_json trace));
@@ -616,7 +608,7 @@ let parse_workload_line catalog ~t1 ~t2 lineno line =
                     else Query.keyword catalog entity ~col:"desc" ~kw
                   in
                   `Request
-                    (Serve.request ~scheme ~k method_
+                    (Request.make ~scheme ~k method_
                        (Query.make (ep t1 (get 2)) (ep t2 (get 3)))))))
 
 (* Returns the parsed requests plus the count of malformed lines skipped. *)
@@ -650,7 +642,7 @@ let default_workload catalog ~t1 ~t2 =
         (fun i kw1 ->
           let e1 = if kw1 = "" then Query.endpoint catalog t1 else Query.keyword catalog t1 ~col:"desc" ~kw:kw1 in
           let e2 = Query.endpoint catalog t2 in
-          Serve.request ~scheme:schemes.(i mod 3) ~k:10 method_ (Query.make e1 e2))
+          Request.make ~scheme:schemes.(i mod 3) ~k:10 method_ (Query.make e1 e2))
         [ "kinase"; "enzyme"; "" ])
     Engine.all_methods
 
@@ -675,10 +667,10 @@ let serve_open engine ~jobs ~traces ~cache ~max_queue ~deadline_s ~rate requests
   let hdr = Topo_util.Hdr.create () in
   List.iter
     (fun (t : Serve.timed) ->
-      match t.Serve.timed_outcome.Serve.result with
-      | Topo_core.Request.Done _ | Topo_core.Request.Partial _ ->
+      match t.Serve.timed_outcome.Request.result with
+      | Request.Done _ | Request.Partial _ ->
           Topo_util.Hdr.record hdr (int_of_float (t.Serve.latency_s *. 1e9))
-      | Topo_core.Request.Rejected _ | Topo_core.Request.Failed _ -> ())
+      | Request.Rejected _ | Request.Failed _ -> ())
     timed;
   Printf.printf "open loop: offered %d request(s) at %.1f/s target, queue bound %d, %d worker(s)\n"
     n rate max_queue stats.Serve.open_jobs;
@@ -736,40 +728,40 @@ let serve_run scale seed l threshold t1 t2 snapshot jobs file repeat traces chec
     | Some d ->
         let cutoff = Unix.gettimeofday () +. d in
         List.map
-          (fun (rq : Serve.request) -> { rq with Serve.deadline = Some (Topo_core.Budget.Wall cutoff) })
+          (fun (rq : Request.t) -> { rq with Request.deadline = Some (Topo_core.Budget.Wall cutoff) })
           requests
   in
   let served = Serve.exec (Serve.config ?jobs ~traces ?cache ()) engine requests in
   let outcomes = served.Serve.outcomes and stats = served.Serve.stats in
   List.iteri
-    (fun i (o : Serve.outcome) ->
+    (fun i (o : Request.outcome) ->
       if i < List.length base then
-        match o.Serve.result with
-        | Topo_core.Request.Done r | Topo_core.Request.Partial r ->
+        match o.Request.result with
+        | Request.Done r | Request.Partial r ->
             Printf.printf "%3d. %-14s %2d result(s)%s  [tuples %d, probes %d, scanned %d]\n" (i + 1)
-              (Engine.method_name o.Serve.request.Serve.method_)
-              (List.length r.Engine.ranked)
-              (match o.Serve.result with Topo_core.Request.Partial _ -> " (partial)" | _ -> "")
-              o.Serve.counters.Topo_sql.Iterator.Counters.tuples
-              o.Serve.counters.Topo_sql.Iterator.Counters.index_probes
-              o.Serve.counters.Topo_sql.Iterator.Counters.rows_scanned
-        | Topo_core.Request.Rejected rj ->
+              (Engine.method_name o.Request.request.Request.method_)
+              (List.length r.Request.ranked)
+              (match o.Request.result with Request.Partial _ -> " (partial)" | _ -> "")
+              o.Request.counters.Topo_sql.Iterator.Counters.tuples
+              o.Request.counters.Topo_sql.Iterator.Counters.index_probes
+              o.Request.counters.Topo_sql.Iterator.Counters.rows_scanned
+        | Request.Rejected rj ->
             Printf.printf "%3d. %-14s REJECTED (%s)\n" (i + 1)
-              (Engine.method_name o.Serve.request.Serve.method_)
-              (Topo_core.Request.rejection_name rj)
-        | Topo_core.Request.Failed e ->
+              (Engine.method_name o.Request.request.Request.method_)
+              (Request.rejection_name rj)
+        | Request.Failed e ->
             Printf.printf "%3d. %-14s ERROR %s\n" (i + 1)
-              (Engine.method_name o.Serve.request.Serve.method_)
+              (Engine.method_name o.Request.request.Request.method_)
               (Printexc.to_string e))
     outcomes;
   if traces then begin
     print_newline ();
     List.iteri
-      (fun i (o : Serve.outcome) ->
-        match o.Serve.trace with
+      (fun i (o : Request.outcome) ->
+        match o.Request.trace with
         | Some tr when i < List.length base ->
             Printf.printf "-- query %d (%s), %d span(s)\n%s" (i + 1)
-              (Engine.method_name o.Serve.request.Serve.method_)
+              (Engine.method_name o.Request.request.Request.method_)
               (Obs.Trace.span_count tr) (Obs.Trace.to_text tr)
         | Some _ | None -> ())
       outcomes
@@ -902,7 +894,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Evaluate a batch of topology queries concurrently across OCaml domains (the online \
-          serving tier): shared read-only stores, per-domain engine handles, per-query counters \
+          serving tier): shared read-only stores, per-query counters \
           and traces, optional shared result/plan cache, deterministic input-order results; \
           open-loop mode (--rate) with admission control and deadlines.")
     Term.(
@@ -1064,16 +1056,16 @@ let route_run manifest_dir sockets t1 t2 file repeat check_snapshot timeout_ms r
       let elapsed = Unix.gettimeofday () -. t0 in
       Router.close router;
       let count p = List.length (List.filter p outcomes) in
-      let done_ = count (fun o -> match o.Serve.result with Topo_core.Request.Done _ -> true | _ -> false) in
-      let partial = count (fun o -> match o.Serve.result with Topo_core.Request.Partial _ -> true | _ -> false) in
-      let rejected = count (fun o -> match o.Serve.result with Topo_core.Request.Rejected _ -> true | _ -> false) in
-      let failed = count (fun o -> match o.Serve.result with Topo_core.Request.Failed _ -> true | _ -> false) in
+      let done_ = count (fun o -> match o.Request.result with Request.Done _ -> true | _ -> false) in
+      let partial = count (fun o -> match o.Request.result with Request.Partial _ -> true | _ -> false) in
+      let rejected = count (fun o -> match o.Request.result with Request.Rejected _ -> true | _ -> false) in
+      let failed = count (fun o -> match o.Request.result with Request.Failed _ -> true | _ -> false) in
       List.iteri
-        (fun i (o : Serve.outcome) ->
-          match o.Serve.result with
-          | Topo_core.Request.Failed e ->
+        (fun i (o : Request.outcome) ->
+          match o.Request.result with
+          | Request.Failed e ->
               Printf.printf "%3d. %-14s ERROR %s\n" (i + 1)
-                (Engine.method_name o.Serve.request.Serve.method_)
+                (Engine.method_name o.Request.request.Request.method_)
                 (Printexc.to_string e)
           | _ -> ())
         outcomes;

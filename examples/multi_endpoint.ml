@@ -41,7 +41,8 @@ let () =
         (Query.keyword catalog "Protein" ~col:"desc" ~kw)
         (Query.equals catalog "DNA" ~col:"type" ~value:(Topo_sql.Value.Str "mRNA"))
     in
-    List.map fst (Engine.run engine q ~method_:Engine.Full_top ()).Engine.ranked
+    List.map fst
+      (Request.get_done (Engine.run_request engine (Request.make Engine.Full_top q))).Request.ranked
   in
   let enzyme = run_q "enzyme" and mms2 = run_q "MMS2" in
   let d = Compare.diff ~left:enzyme ~right:mms2 in

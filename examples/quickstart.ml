@@ -31,12 +31,12 @@ let () =
      3-Topology(Q, G) = {T1, T2, T3, T4}). *)
   List.iter
     (fun m ->
-      let r = Engine.run engine q ~method_:m () in
-      Printf.printf "%-16s -> %d topologies\n" (Engine.method_name m) (List.length r.Engine.ranked))
+      let r = Request.get_done (Engine.run_request engine (Request.make m q)) in
+      Printf.printf "%-16s -> %d topologies\n" (Engine.method_name m) (List.length r.Request.ranked))
     Engine.all_methods;
 
   (* 5. The topologies themselves, with their instance pairs. *)
-  let r = Engine.run engine q ~method_:Engine.Full_top () in
+  let r = Request.get_done (Engine.run_request engine (Request.make Engine.Full_top q)) in
   let store = Engine.store engine ~t1:"Protein" ~t2:"DNA" in
   let ctx = engine.Engine.ctx in
   print_endline "\ntopology results:";
@@ -54,7 +54,7 @@ let () =
                         (Topo_graph.Lgraph.node_count g) (Topo_graph.Lgraph.edge_count g)
           | None -> print_newline ())
         pairs)
-    r.Engine.ranked;
+    r.Request.ranked;
 
   (* 6. The famous exception: (78, 215) satisfies the P-U-D path condition
      but is related by the more complex T3/T4, so after pruning it lives in

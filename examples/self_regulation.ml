@@ -53,9 +53,12 @@ let () =
         pairs;
       (* How does the Domain ranking treat it? *)
       let q = Query.make (Query.endpoint catalog "Protein") (Query.endpoint catalog "DNA") in
-      let all = Engine.run engine q ~method_:Engine.Full_top_k ~scheme:Ranking.Domain ~k:100000 () in
-      (match List.find_index (fun (t', _) -> t' = tid) all.Engine.ranked with
+      let all =
+        Request.get_done
+          (Engine.run_request engine (Request.make ~scheme:Ranking.Domain ~k:100000 Engine.Full_top_k q))
+      in
+      (match List.find_index (fun (t', _) -> t' = tid) all.Request.ranked with
       | Some i ->
           Printf.printf "\nDomain-significance rank: %d of %d topologies\n" (i + 1)
-            (List.length all.Engine.ranked)
+            (List.length all.Request.ranked)
       | None -> ())

@@ -28,12 +28,15 @@ let () =
   Printf.printf "\nquery: %s\n" (Query.to_string q);
 
   (* Full topology result: the schema-level summary. *)
-  let r = Engine.run engine q ~method_:Engine.Fast_top () in
-  Printf.printf "\n%d topologies relate 'factor' proteins to mRNAs:\n" (List.length r.Engine.ranked);
+  let r = Request.get_done (Engine.run_request engine (Request.make Engine.Fast_top q)) in
+  Printf.printf "\n%d topologies relate 'factor' proteins to mRNAs:\n" (List.length r.Request.ranked);
 
   (* Rank by biological significance and show the top five with one
      instance each. *)
-  let top = Engine.run engine q ~method_:Engine.Fast_top_k_opt ~scheme:Ranking.Domain ~k:5 () in
+  let top =
+    Request.get_done
+      (Engine.run_request engine (Request.make ~scheme:Ranking.Domain ~k:5 Engine.Fast_top_k_opt q))
+  in
   let store = Engine.store engine ~t1:"Protein" ~t2:"DNA" in
   let ctx = engine.Engine.ctx in
   List.iteri
@@ -49,8 +52,8 @@ let () =
           in
           Printf.printf "   e.g. Protein %d (%s) - DNA %d\n" a protein_desc b
       | [] -> ())
-    top.Engine.ranked;
-  match top.Engine.strategy with
+    top.Request.ranked;
+  match top.Request.strategy with
   | Some strategy ->
       Printf.printf "\n(optimizer chose the %s plan)\n"
         (match strategy with

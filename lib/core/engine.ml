@@ -118,23 +118,15 @@ let build catalog ~pairs ?(l = 3) ?(caps = Compute.default_caps) ?(pruning_thres
       in
       { ctx; build_stats; jobs = Pool.jobs pool })
 
-type result = Request.result = {
-  ranked : (int * float option) list;
-  elapsed_s : float;
-  method_ : method_;
-  strategy : Topo_sql.Optimizer.strategy option;
-}
-
 let cache ?results ?plans t = Cache.create ?results ?plans t.ctx.Context.registry
 
 (* The raw evaluation: dispatch the method, time it, trace it.  Counters
-   accumulate in whatever scope is installed on the calling domain;
-   exceptions propagate.  Both [run] and [run_request] bottom out here. *)
-let eval t (req : Request.t) ?impls ?(verify_plans = false) ?cache ?trace ?budget () =
+   accumulate in the scope [run_request] installs; exceptions propagate. *)
+let eval t (req : Request.t) ~verify_plans ?cache ?trace ?budget () =
   let aligned = Methods.align t.ctx req.Request.query in
   let evaluate ?trace () =
-    Methods.dispatch req.Request.method_ ~check:verify_plans ?trace ?impls ?cache ?budget t.ctx
-      aligned ~scheme:req.Request.scheme ~k:req.Request.k
+    Methods.dispatch req.Request.method_ ~check:verify_plans ?trace ?cache ?budget t.ctx aligned
+      ~scheme:req.Request.scheme ~k:req.Request.k
   in
   let start = Unix.gettimeofday () in
   let ranked, strategy =
@@ -147,42 +139,7 @@ let eval t (req : Request.t) ?impls ?(verify_plans = false) ?cache ?trace ?budge
           (fun () -> evaluate ?trace ())
   in
   let elapsed_s = Unix.gettimeofday () -. start in
-  { ranked; elapsed_s; method_ = req.Request.method_; strategy }
-
-(* [run] predates [run_request] and stays as the sequential convenience
-   wrapper: counters land in the ambient scope (a cache hit replays the
-   stored work there, so counter-based tests see identical numbers with
-   and without a cache) and exceptions propagate to the caller. *)
-let run t query ~method_ ?scheme ?k ?impls ?(verify_plans = false) ?cache ?trace () =
-  let req = Request.make ?scheme ?k method_ query in
-  match cache with
-  | Some c when not verify_plans -> (
-      let key = Request.key req in
-      match Cache.find_result c ~key with
-      | Some p ->
-          Counters.add_tuples p.Cache.counters.Counters.tuples;
-          Counters.add_probes p.Cache.counters.Counters.index_probes;
-          Counters.add_scanned p.Cache.counters.Counters.rows_scanned;
-          (match trace with
-          | Some tr -> Topo_obs.Trace.with_span tr "cache_hit" ~tags:[ ("key", key) ] (fun () -> ())
-          | None -> ());
-          {
-            ranked = p.Cache.ranked;
-            elapsed_s = 0.0;
-            method_ = req.Request.method_;
-            strategy = p.Cache.strategy;
-          }
-      | None ->
-          let stamp = Cache.stamp c in
-          (* [with_reset]: captures this query's own work for the cache
-             while still crediting it to the surrounding scope. *)
-          let r, counters =
-            Counters.with_reset (fun () -> eval t req ?impls ~verify_plans ~cache:c ?trace ())
-          in
-          Cache.add_result c ~key ~stamp
-            { Cache.ranked = r.ranked; strategy = r.strategy; counters };
-          r)
-  | Some _ | None -> eval t req ?impls ~verify_plans ?cache ?trace ()
+  { Request.ranked; elapsed_s; method_ = req.Request.method_; strategy }
 
 (* All-zero counter snapshot for outcomes that never evaluated. *)
 let no_work = { Counters.tuples = 0; index_probes = 0; rows_scanned = 0 }

@@ -3,8 +3,8 @@
     [build] runs the offline phase over a Biozon-schema catalog: it
     materializes the instance graph, runs Topology Computation for each
     requested entity-set pair, prunes with the given threshold, and
-    registers the derived tables.  [run] evaluates a query online with any
-    of the nine methods. *)
+    registers the derived tables.  [run_request] evaluates one query online
+    with any of the nine methods; {!Serve.exec} evaluates a batch. *)
 
 type t = {
   ctx : Context.t;
@@ -59,24 +59,18 @@ val build :
   unit ->
   t
 
-(** The historical result record, now an alias of {!Request.result}. *)
-type result = Request.result = {
-  ranked : (int * float option) list;  (** TIDs with scores for top-k methods *)
-  elapsed_s : float;
-  method_ : method_;
-  strategy : Topo_sql.Optimizer.strategy option;  (** what an -Opt method chose *)
-}
-
 (** [cache ?results ?plans t] is a fresh {!Cache.t} tied to this engine's
     topology registry (capacities as in {!Cache.create}).  Share one cache
     per engine; it is safe for concurrent domains. *)
 val cache : ?results:int -> ?plans:int -> t -> Cache.t
 
-(** [run_request t ?cache ?verify_plans ?traces request] is the canonical
+(** [run_request t ?cache ?verify_plans ?traces request] is the
     single-query entry point: it evaluates [request] under a fresh private
     counter scope and returns the full {!Request.outcome} — the four-way
     {!Request.outcome_result}, isolated counters, serving domain,
-    optional private trace, and cache status.
+    optional private trace, and cache status.  A raised exception becomes
+    a [Failed] outcome; {!Request.get_done} turns it back into a raise
+    for sequential callers.
 
     Deadlines: a request whose {!Budget.deadline} has already passed
     short-circuits to [Rejected Expired] {e before} the cache lookup and
@@ -94,45 +88,16 @@ val cache : ?results:int -> ?plans:int -> t -> Cache.t
     the topology-registry generation observed before evaluation.  Only
     [Done] outcomes are memoized — failures re-raise deterministically
     and partials are deadline-shaped prefixes, not answers.
-    [verify_plans] bypasses caching entirely (a hit would skip the
+    [verify_plans] (default false) checks every physical plan the method
+    builds with {!Topo_sql.Plan_check} before executing it — a malformed
+    plan fails the request with {!Topo_sql.Plan_check.Plan_error} — and
+    runs -ET iterator trees under the {!Topo_sql.Iterator_check}
+    protocol checker; it bypasses the result tier (a hit would skip the
     verification the caller asked for).  [traces] (default false)
-    attaches a private {!Topo_obs.Trace.t}. *)
+    attaches a private {!Topo_obs.Trace.t} whose root span is named
+    after the method and tagged with scheme and k. *)
 val run_request :
   t -> ?cache:Cache.t -> ?verify_plans:bool -> ?traces:bool -> Request.t -> Request.outcome
-
-(** [run t query ~method_ ?scheme ?k ?impls ?verify_plans ()] evaluates.
-    A thin wrapper over the {!Request} machinery kept for sequential
-    callers: unlike {!run_request} it lets exceptions propagate and
-    accumulates counters in the {e ambient}
-    {!Topo_sql.Iterator.Counters} scope (on a cache hit the stored
-    counters are replayed into that scope, so counter-observing callers
-    see identical numbers with and without a cache).  Not for concurrent
-    use — domains sharing the global counter scope would interleave;
-    concurrent callers go through {!Serve.exec} / {!run_request}.
-
-    [scheme] defaults to [Freq], [k] to 10; both are ignored by non-top-k
-    methods.  [impls] pins DGJ implementations for the -ET methods.
-    [verify_plans] (default false) checks every physical plan the method
-    builds with {!Topo_sql.Plan_check} before executing it — raising
-    {!Topo_sql.Plan_check.Plan_error} on a malformed plan — and runs -ET
-    iterator trees under the {!Topo_sql.Iterator_check} protocol
-    checker.  [cache], when given (and verification is off), memoizes
-    results and optimizer pricing exactly as in {!run_request}.  [trace],
-    when given, records a span tree of the evaluation phases (root span
-    named after the method, tagged with scheme and k) into the supplied
-    {!Topo_obs.Trace}. *)
-val run :
-  t ->
-  Query.t ->
-  method_:method_ ->
-  ?scheme:Ranking.scheme ->
-  ?k:int ->
-  ?impls:[ `I | `H ] list ->
-  ?verify_plans:bool ->
-  ?cache:Cache.t ->
-  ?trace:Topo_obs.Trace.t ->
-  unit ->
-  result
 
 (** [fingerprint t] digests the full observable output of the offline
     phase: every registered topology's (TID, canonical key,

@@ -8,7 +8,7 @@ let entity_line catalog id =
       Printf.sprintf "%s %d (%s)" table id (Topo_sql.Value.to_string tuple.(1))
   | None -> Printf.sprintf "entity %d" id
 
-let render (engine : Engine.t) (q : Query.t) (result : Engine.result) ?(options = default_options) () =
+let render (engine : Engine.t) (q : Query.t) (result : Request.result) ?(options = default_options) () =
   let buf = Buffer.create 1024 in
   let ctx = engine.Engine.ctx in
   let catalog = ctx.Context.catalog in
@@ -17,9 +17,9 @@ let render (engine : Engine.t) (q : Query.t) (result : Engine.result) ?(options 
   Buffer.add_string buf (Printf.sprintf "query: %s\n" (Query.to_string q));
   Buffer.add_string buf
     (Printf.sprintf "method: %s  (%d topology result(s), %.1fms)\n"
-       (Engine.method_name result.Engine.method_)
-       (List.length result.Engine.ranked)
-       (result.Engine.elapsed_s *. 1000.0));
+       (Engine.method_name result.Request.method_)
+       (List.length result.Request.ranked)
+       (result.Request.elapsed_s *. 1000.0));
   List.iteri
     (fun i (tid, score) ->
       let score_str = match score with Some s -> Printf.sprintf ", score %.3g" s | None -> "" in
@@ -45,7 +45,7 @@ let render (engine : Engine.t) (q : Query.t) (result : Engine.result) ?(options 
         shown;
       let hidden = List.length pairs - List.length shown in
       if hidden > 0 then Buffer.add_string buf (Printf.sprintf "   ... and %d more instance pair(s)\n" hidden))
-    result.Engine.ranked;
+    result.Request.ranked;
   Buffer.contents buf
 
 let print engine q result ?options () = print_string (render engine q result ?options ())

@@ -14,10 +14,10 @@ type options = {
 
 val default_options : options
 
-(** [render engine query result ?options ()] renders an {!Engine.result}
+(** [render engine query result ?options ()] renders an {!Request.result}
     produced for [query].  Topologies keep the result's order (rank order
     for top-k methods). *)
-val render : Engine.t -> Query.t -> Engine.result -> ?options:options -> unit -> string
+val render : Engine.t -> Query.t -> Request.result -> ?options:options -> unit -> string
 
 (** [print engine query result ?options ()] renders to stdout. *)
-val print : Engine.t -> Query.t -> Engine.result -> ?options:options -> unit -> unit
+val print : Engine.t -> Query.t -> Request.result -> ?options:options -> unit -> unit

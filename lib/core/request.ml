@@ -5,8 +5,8 @@
    observable about evaluating it: how it ended (the four-way
    [outcome_result]), the isolated work counters, the domain that served
    it, its private trace, and whether the answer came from the cache.
-   [Engine.run_request] is the canonical evaluator; the serving tier,
-   the CLI and the benchmarks all speak this type.
+   [Engine.run_request] evaluates one request and [Serve.exec] a batch;
+   the CLI and the benchmarks speak these types too.
 
    Outcome state machine (see DESIGN.md "Overload control"):
 
@@ -86,6 +86,13 @@ type outcome = {
   trace : Topo_obs.Trace.t option;
   cache : cache_status;
 }
+
+let get_done o =
+  match o.result with
+  | Done r -> r
+  | Failed e -> raise e
+  | (Partial _ | Rejected _) as res ->
+      invalid_arg ("Request.get_done: outcome is " ^ outcome_result_name res)
 
 let endpoint_key (e : Query.endpoint) =
   e.Query.entity ^ "["

@@ -2,10 +2,9 @@
 
     A {!t} is one unit of online work — (method, query, scheme, k) plus
     an optional {!Budget.deadline} — and an {!outcome} is everything
-    observable about evaluating it.  {!Engine.run_request} is the
-    canonical evaluator; {!Serve}, [toposearch] and the benchmarks all
-    speak these types ({!Serve} re-exports them under its historical
-    names).
+    observable about evaluating it.  {!Engine.run_request} evaluates one
+    request and {!Serve.exec} a batch; [toposearch] and the benchmarks
+    speak these types too.
 
     How a request can end ({!outcome_result}):
     - [Done r] — evaluated to completion.
@@ -81,6 +80,12 @@ type outcome = {
   trace : Topo_obs.Trace.t option;  (** the query's private span tree, when requested *)
   cache : cache_status;
 }
+
+(** [get_done o] is the answer of a [Done] outcome, for sequential
+    callers that treat anything else as an error: it re-raises the
+    exception of a [Failed] outcome.
+    @raise Invalid_argument on a [Partial] or [Rejected] outcome. *)
+val get_done : outcome -> result
 
 (** [key r] is the canonical result-cache key.  Orientation is normalized
     (the two endpoint renderings are sorted when the entity sets differ —

@@ -1,17 +1,17 @@
 (* The online serving tier: batch-evaluate topology queries concurrently
-   across OCaml 5 domains, closed-loop or open-loop.
+   across OCaml 5 domains, closed-loop or open-loop, through one entry
+   point, [exec].
 
    Each query keeps its single-coordinator evaluation (the paper's online
    phase is inherently one plan per query); what parallelizes is the
-   *batch* — one pool task per query, one query per domain at a time.
-   Every domain works through a [handle]: the shared, read-only engine
-   (catalog, stores, topology registry, interner, data graph — all frozen
-   after the offline build) plus per-domain scratch state.  Evaluation
-   itself is [Engine.run_request] — the canonical single-query entry
-   point — which isolates each query in a fresh [Iterator.Counters]
-   scope, attaches a private [Trace.t] on demand, consults the optional
-   shared [Cache.t], and enforces the request's deadline (admission-time
-   expiry, mid-evaluation [Partial] truncation).
+   *batch* — one pool task per query, one query per domain at a time,
+   every domain reading the shared engine (catalog, stores, topology
+   registry, interner, data graph — all frozen after the offline build).
+   Evaluation itself is [Engine.run_request], which isolates each query
+   in a fresh [Iterator.Counters] scope, attaches a private [Trace.t] on
+   demand, consults the optional shared [Cache.t], and enforces the
+   request's deadline (admission-time expiry, mid-evaluation [Partial]
+   truncation).
 
    The cache is per engine and shared across the serving domains: lookups
    are lock-free snapshot reads, inserts serialize on the cache's own
@@ -21,13 +21,13 @@
    deterministic evaluation — ranked list, strategy, counters — caching
    does not perturb the determinism contract:
 
-   [run ~jobs:n] returns outcomes bit-identical to [run ~jobs:1] (and to
-   a plain sequential [Engine.run] loop), in input order, whether the
-   cache is cold, warm, or absent.  A query that raises yields [Failed]
-   in its own slot and leaves the rest of the batch untouched; failures
-   are never memoized.
+   closed-mode [exec] with [jobs = n] returns outcomes bit-identical to
+   [jobs = 1] (and to a plain sequential [Engine.run_request] loop), in
+   input order, whether the cache is cold, warm, or absent.  A query that
+   raises yields [Failed] in its own slot and leaves the rest of the
+   batch untouched; failures are never memoized.
 
-   [run_open] is the open-loop mode ("millions of users"): requests
+   Open mode is the open-loop workload ("millions of users"): requests
    arrive at externally-dictated instants, a bounded admission queue
    turns the excess away with a fast [Rejected Overloaded] outcome
    instead of letting the queue (and every queued request's latency)
@@ -39,27 +39,6 @@
 
 module Pool = Topo_util.Pool
 module Counters = Topo_sql.Iterator.Counters
-module Trace = Topo_obs.Trace
-
-(* Historical names, now aliases of the shared [Request] vocabulary. *)
-type request = Request.t = {
-  method_ : Engine.method_;
-  query : Query.t;
-  scheme : Ranking.scheme;
-  k : int;
-  deadline : Budget.deadline option;
-}
-
-type outcome = Request.outcome = {
-  request : request;
-  result : Request.outcome_result;
-  counters : Counters.snapshot;
-  served_by : int;
-  trace : Trace.t option;
-  cache : Request.cache_status;
-}
-
-let request = Request.make
 
 type stats = {
   jobs : int;
@@ -73,108 +52,8 @@ type stats = {
   cache : Cache.totals option;  (* this batch's cache activity, when caching *)
 }
 
-(* ------------------------------------------------------------------ *)
-(* Per-domain engine handles                                           *)
-
-type handle = {
-  h_domain : int;
-  mutable h_served : int;  (* queries evaluated through this handle *)
-}
-
-(* One handle per (domain, engine): lazily created the first time a domain
-   picks up a query for a given engine, reused for the rest of the batch
-   (and across batches when the caller keeps a pool alive).  The DLS slot
-   holds a small assoc keyed by engine so a domain serving several engines
-   keeps every handle's h_served intact — and the key is a weak pointer
-   ([Topo_core]'s own [Weak] module shadows the stdlib one, hence
-   [Stdlib.Weak]), so a retired engine is not pinned in domain-local
-   storage forever: its entry is dropped the next time the slot is
-   updated after collection. *)
-let handle_slot : (Engine.t Stdlib.Weak.t * handle) list Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> [])
-
-let handle_for engine =
-  let entries = Domain.DLS.get handle_slot in
-  let holds w = match Stdlib.Weak.get w 0 with Some e -> e == engine | None -> false in
-  match List.find_opt (fun (w, _) -> holds w) entries with
-  | Some (_, h) -> h
-  | None ->
-      let w = Stdlib.Weak.create 1 in
-      Stdlib.Weak.set w 0 (Some engine);
-      let h = { h_domain = (Domain.self () :> int); h_served = 0 } in
-      let live = List.filter (fun (w', _) -> Stdlib.Weak.check w' 0) entries in
-      Domain.DLS.set handle_slot ((w, h) :: live);
-      h
-
-(* ------------------------------------------------------------------ *)
-(* Evaluation                                                          *)
-
-let evaluate ~traces ?cache engine handle req =
-  handle.h_served <- handle.h_served + 1;
-  Engine.run_request engine ?cache ~traces req
-
-let classify outcomes =
-  List.fold_left
-    (fun (errors, rejected, partials) o ->
-      match o.result with
-      | Request.Failed _ -> (errors + 1, rejected, partials)
-      | Request.Rejected _ -> (errors, rejected + 1, partials)
-      | Request.Partial _ -> (errors, rejected, partials + 1)
-      | Request.Done _ -> (errors, rejected, partials))
-    (0, 0, 0) outcomes
-
-let serve_on pool ~traces ?cache engine requests =
-  let input = Array.of_list requests in
-  let before = Option.map Cache.totals cache in
-  let t0 = Unix.gettimeofday () in
-  let outcomes =
-    Pool.parallel_map pool input ~f:(fun req -> evaluate ~traces ?cache engine (handle_for engine) req)
-  in
-  let elapsed_s = Unix.gettimeofday () -. t0 in
-  let outcomes = Array.to_list outcomes in
-  let domains = List.sort_uniq compare (List.map (fun o -> o.served_by) outcomes) in
-  let errors, rejected, partials = classify outcomes in
-  let queries = List.length outcomes in
-  let cache_delta =
-    match (cache, before) with
-    | Some c, Some b -> Some (Cache.diff ~before:b ~after:(Cache.totals c))
-    | _ -> None
-  in
-  ( outcomes,
-    {
-      jobs = Pool.jobs pool;
-      queries;
-      errors;
-      rejected;
-      partials;
-      elapsed_s;
-      (* A sub-resolution batch (warm cache, coarse clock) has no
-         measurable throughput; reporting 0.0 would read as a collapse. *)
-      throughput_qps = (if elapsed_s > 0.0 then Some (float_of_int queries /. elapsed_s) else None);
-      domains_used = List.length domains;
-      cache = cache_delta;
-    } )
-
-let run ?pool ?jobs ?(traces = false) ?cache engine requests =
-  match pool with
-  | Some pool -> serve_on pool ~traces ?cache engine requests
-  | None ->
-      (* Never oversubscribe: domains beyond the hardware's recommended
-         count only add cross-domain GC synchronization on a serving
-         workload.  Results are jobs-invariant anyway; callers who really
-         want more domains than cores (stress tests) can pass [?pool].
-         This is the only cap — [Pool.default_jobs]'s additional clamp to 8
-         applies just when [?jobs] is omitted entirely. *)
-      let jobs = Option.map (fun j -> max 1 (min j (Domain.recommended_domain_count ()))) jobs in
-      Pool.with_pool ?jobs (fun pool -> serve_on pool ~traces ?cache engine requests)
-
-(* ------------------------------------------------------------------ *)
-(* Open-loop serving                                                   *)
-
-type arrival = { at : float; arrival_request : request }
-
 type timed = {
-  timed_outcome : outcome;
+  timed_outcome : Request.outcome;
   intended_s : float;
   started_s : float;
   finished_s : float;
@@ -194,157 +73,6 @@ type open_stats = {
   offered_rate : float option;
   achieved_rate : float option;
 }
-
-let with_lock m f = Mutex.lock m; Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
-(* An outcome manufactured on the coordinator for a request the admission
-   queue turned away: no evaluation, no counters, no cache traffic. *)
-let overloaded_outcome req =
-  {
-    request = req;
-    result = Request.Rejected Request.Overloaded;
-    counters = { Counters.tuples = 0; index_probes = 0; rows_scanned = 0 };
-    served_by = (Domain.self () :> int);
-    trace = None;
-    cache = Request.Uncached;
-  }
-
-let run_open ?jobs ?(max_queue = 64) ?deadline_s ?(traces = false) ?cache engine arrivals =
-  let jobs =
-    let recommended = Domain.recommended_domain_count () in
-    max 1 (min (Option.value jobs ~default:recommended) recommended)
-  in
-  let arrivals =
-    List.stable_sort (fun a b -> Float.compare a.at b.at) arrivals |> Array.of_list
-  in
-  let n = Array.length arrivals in
-  let slots : timed option array = Array.make n None in
-  let lock = Mutex.create () in
-  let work = Condition.create () in
-  let pending : (int * request) Queue.t = Queue.create () in
-  let closed = ref false in
-  let t0 = Unix.gettimeofday () in
-  let now () = Unix.gettimeofday () -. t0 in
-  (* Stamp the configured per-request deadline, measured from the
-     request's intended arrival instant (not its admission instant): a
-     request that waited in the queue has already spent part of its
-     deadline waiting. *)
-  let stamp at req =
-    match (req.deadline, deadline_s) with
-    | None, Some d -> { req with deadline = Some (Budget.Wall (t0 +. at +. d)) }
-    | _ -> req
-  in
-  let record idx outcome ~started ~finished =
-    let intended = arrivals.(idx).at in
-    slots.(idx) <-
-      Some
-        {
-          timed_outcome = outcome;
-          intended_s = intended;
-          started_s = started;
-          finished_s = finished;
-          (* Coordinated-omission correction: latency is charged from the
-             intended arrival, so queueing delay (and rejection delay)
-             counts against the server. *)
-          latency_s = finished -. intended;
-        }
-  in
-  let worker () =
-    let rec loop () =
-      let job =
-        with_lock lock (fun () ->
-            while Queue.is_empty pending && not !closed do
-              Condition.wait work lock
-            done;
-            if Queue.is_empty pending then None else Some (Queue.pop pending))
-      in
-      match job with
-      | None -> ()
-      | Some (idx, req) ->
-          let started = now () in
-          let o = evaluate ~traces ?cache engine (handle_for engine) req in
-          record idx o ~started ~finished:(now ());
-          loop ()
-    in
-    loop ()
-  in
-  let workers = Array.init jobs (fun _ -> Domain.spawn worker) in
-  (* The coordinator paces admissions at the arrival schedule.  Each slot
-     is written exactly once — here for overload rejections, by exactly
-     one worker otherwise — and Domain.join publishes the workers'
-     writes before aggregation reads them. *)
-  Array.iteri
-    (fun idx a ->
-      let wait = a.at -. now () in
-      if wait > 0.0 then Unix.sleepf wait;
-      let admitted =
-        with_lock lock (fun () ->
-            if Queue.length pending >= max_queue then false
-            else begin
-              Queue.add (idx, stamp a.at a.arrival_request) pending;
-              Condition.signal work;
-              true
-            end)
-      in
-      if not admitted then begin
-        let t = now () in
-        record idx (overloaded_outcome a.arrival_request) ~started:t ~finished:t
-      end)
-    arrivals;
-  with_lock lock (fun () ->
-      closed := true;
-      Condition.broadcast work);
-  Array.iter Domain.join workers;
-  let wall_s = now () in
-  let timed =
-    Array.to_list
-      (Array.mapi
-         (fun idx slot ->
-           match slot with
-           | Some t -> t
-           | None ->
-               (* Unreachable: every index is either rejected by the
-                  coordinator or evaluated by a worker before join. *)
-               failwith (Printf.sprintf "Serve.run_open: slot %d never served" idx))
-         slots)
-  in
-  let count p = List.length (List.filter p timed) in
-  let rejected_overload =
-    count (fun t -> match t.timed_outcome.result with Request.Rejected Request.Overloaded -> true | _ -> false)
-  in
-  let expired =
-    count (fun t -> match t.timed_outcome.result with Request.Rejected Request.Expired -> true | _ -> false)
-  in
-  let completed = count (fun t -> match t.timed_outcome.result with Request.Done _ -> true | _ -> false) in
-  let partial = count (fun t -> match t.timed_outcome.result with Request.Partial _ -> true | _ -> false) in
-  let failed = count (fun t -> match t.timed_outcome.result with Request.Failed _ -> true | _ -> false) in
-  let rate c = if wall_s > 0.0 then Some (float_of_int c /. wall_s) else None in
-  ( timed,
-    {
-      open_jobs = jobs;
-      offered = n;
-      admitted = n - rejected_overload;
-      rejected_overload;
-      expired;
-      completed;
-      partial;
-      failed;
-      wall_s;
-      offered_rate = rate n;
-      achieved_rate = rate (completed + partial);
-    } )
-
-(* ------------------------------------------------------------------ *)
-(* The unified entry point
-
-   [exec] subsumes the historical [run]/[run_open] pair: one [config]
-   record names the execution resources (pool or jobs, traces, cache)
-   and one [mode] picks closed- or open-loop.  The shard server and the
-   router consume the same record, so "how a batch executes" is spelled
-   the same way in-process, behind a socket, and in the benchmarks.
-   [run]/[run_open] survive one release as deprecated wrappers (the
-   deprecation lives on their mli signatures; this file may still call
-   them). *)
 
 type open_config = {
   max_queue : int;
@@ -371,49 +99,233 @@ let config ?pool ?jobs ?(traces = false) ?cache ?(mode = Closed) () =
 let default = config ()
 
 type result = {
-  outcomes : outcome list;
+  outcomes : Request.outcome list;
   stats : stats;
   timed : timed list option;
   open_stats : open_stats option;
 }
 
+let evaluate cfg engine req = Engine.run_request engine ?cache:cfg.cache ~traces:cfg.traces req
+
+let count p outcomes =
+  List.length (List.filter (fun (o : Request.outcome) -> p o.Request.result) outcomes)
+
+let domains_used outcomes =
+  List.length (List.sort_uniq compare (List.map (fun (o : Request.outcome) -> o.Request.served_by) outcomes))
+
+let cache_delta cfg before =
+  match (cfg.cache, before) with
+  | Some c, Some b -> Some (Cache.diff ~before:b ~after:(Cache.totals c))
+  | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Closed-loop serving                                                 *)
+
+let serve_on pool cfg engine requests =
+  let input = Array.of_list requests in
+  let before = Option.map Cache.totals cfg.cache in
+  let t0 = Unix.gettimeofday () in
+  let outcomes = Array.to_list (Pool.parallel_map pool input ~f:(evaluate cfg engine)) in
+  let elapsed_s = Unix.gettimeofday () -. t0 in
+  let queries = List.length outcomes in
+  let stats =
+    {
+      jobs = Pool.jobs pool;
+      queries;
+      errors = count (function Request.Failed _ -> true | _ -> false) outcomes;
+      rejected = count (function Request.Rejected _ -> true | _ -> false) outcomes;
+      partials = count (function Request.Partial _ -> true | _ -> false) outcomes;
+      elapsed_s;
+      (* A sub-resolution batch (warm cache, coarse clock) has no
+         measurable throughput; reporting 0.0 would read as a collapse. *)
+      throughput_qps = (if elapsed_s > 0.0 then Some (float_of_int queries /. elapsed_s) else None);
+      domains_used = domains_used outcomes;
+      cache = cache_delta cfg before;
+    }
+  in
+  { outcomes; stats; timed = None; open_stats = None }
+
+let exec_closed cfg engine requests =
+  match cfg.pool with
+  | Some pool -> serve_on pool cfg engine requests
+  | None ->
+      (* Never oversubscribe: domains beyond the hardware's recommended
+         count only add cross-domain GC synchronization on a serving
+         workload.  Results are jobs-invariant anyway; callers who really
+         want more domains than cores (stress tests) can pass a pool.
+         This is the only cap — [Pool.default_jobs]'s additional clamp to 8
+         applies just when [jobs] is omitted entirely. *)
+      let jobs = Option.map (fun j -> max 1 (min j (Domain.recommended_domain_count ()))) cfg.jobs in
+      Pool.with_pool ?jobs (fun pool -> serve_on pool cfg engine requests)
+
+(* ------------------------------------------------------------------ *)
+(* Open-loop serving                                                   *)
+
+let with_lock m f = Mutex.lock m; Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+
+(* An outcome manufactured on the coordinator for a request the admission
+   queue turned away: no evaluation, no counters, no cache traffic. *)
+let overloaded_outcome req =
+  {
+    Request.request = req;
+    result = Request.Rejected Request.Overloaded;
+    counters = { Counters.tuples = 0; index_probes = 0; rows_scanned = 0 };
+    served_by = (Domain.self () :> int);
+    trace = None;
+    cache = Request.Uncached;
+  }
+
+let exec_open cfg oc engine requests =
+  let jobs =
+    let recommended = Domain.recommended_domain_count () in
+    max 1 (min (Option.value cfg.jobs ~default:recommended) recommended)
+  in
+  let before = Option.map Cache.totals cfg.cache in
+  let arrivals =
+    List.mapi (fun i req -> (oc.schedule i, req)) requests
+    |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
+    |> Array.of_list
+  in
+  let n = Array.length arrivals in
+  let slots : timed option array = Array.make n None in
+  let lock = Mutex.create () in
+  let work = Condition.create () in
+  let pending : (int * Request.t) Queue.t = Queue.create () in
+  let closed = ref false in
+  let t0 = Unix.gettimeofday () in
+  let now () = Unix.gettimeofday () -. t0 in
+  (* Stamp the configured per-request deadline, measured from the
+     request's intended arrival instant (not its admission instant): a
+     request that waited in the queue has already spent part of its
+     deadline waiting. *)
+  let stamp at (req : Request.t) =
+    match (req.Request.deadline, oc.deadline_s) with
+    | None, Some d -> { req with Request.deadline = Some (Budget.Wall (t0 +. at +. d)) }
+    | _ -> req
+  in
+  let record idx outcome ~started ~finished =
+    let intended = fst arrivals.(idx) in
+    slots.(idx) <-
+      Some
+        {
+          timed_outcome = outcome;
+          intended_s = intended;
+          started_s = started;
+          finished_s = finished;
+          (* Coordinated-omission correction: latency is charged from the
+             intended arrival, so queueing delay (and rejection delay)
+             counts against the server. *)
+          latency_s = finished -. intended;
+        }
+  in
+  let worker () =
+    let rec loop () =
+      let job =
+        with_lock lock (fun () ->
+            while Queue.is_empty pending && not !closed do
+              Condition.wait work lock
+            done;
+            if Queue.is_empty pending then None else Some (Queue.pop pending))
+      in
+      match job with
+      | None -> ()
+      | Some (idx, req) ->
+          let started = now () in
+          let o = evaluate cfg engine req in
+          record idx o ~started ~finished:(now ());
+          loop ()
+    in
+    loop ()
+  in
+  let workers = Array.init jobs (fun _ -> Domain.spawn worker) in
+  (* The coordinator paces admissions at the arrival schedule.  Each slot
+     is written exactly once — here for overload rejections, by exactly
+     one worker otherwise — and Domain.join publishes the workers'
+     writes before aggregation reads them. *)
+  Array.iteri
+    (fun idx (at, req) ->
+      let wait = at -. now () in
+      if wait > 0.0 then Unix.sleepf wait;
+      let admitted =
+        with_lock lock (fun () ->
+            if Queue.length pending >= oc.max_queue then false
+            else begin
+              Queue.add (idx, stamp at req) pending;
+              Condition.signal work;
+              true
+            end)
+      in
+      if not admitted then begin
+        let t = now () in
+        record idx (overloaded_outcome req) ~started:t ~finished:t
+      end)
+    arrivals;
+  with_lock lock (fun () ->
+      closed := true;
+      Condition.broadcast work);
+  Array.iter Domain.join workers;
+  let wall_s = now () in
+  let timed =
+    Array.to_list
+      (Array.mapi
+         (fun idx slot ->
+           match slot with
+           | Some t -> t
+           | None ->
+               (* Unreachable: every index is either rejected by the
+                  coordinator or evaluated by a worker before join. *)
+               failwith (Printf.sprintf "Serve.exec: open-loop slot %d never served" idx))
+         slots)
+  in
+  let outcomes = List.map (fun t -> t.timed_outcome) timed in
+  let count p = count p outcomes in
+  let rejected_overload = count (function Request.Rejected Request.Overloaded -> true | _ -> false) in
+  let expired = count (function Request.Rejected Request.Expired -> true | _ -> false) in
+  let completed = count (function Request.Done _ -> true | _ -> false) in
+  let partial = count (function Request.Partial _ -> true | _ -> false) in
+  let failed = count (function Request.Failed _ -> true | _ -> false) in
+  let rate c = if wall_s > 0.0 then Some (float_of_int c /. wall_s) else None in
+  let os =
+    {
+      open_jobs = jobs;
+      offered = n;
+      admitted = n - rejected_overload;
+      rejected_overload;
+      expired;
+      completed;
+      partial;
+      failed;
+      wall_s;
+      offered_rate = rate n;
+      achieved_rate = rate (completed + partial);
+    }
+  in
+  let stats =
+    {
+      jobs;
+      queries = n;
+      errors = failed;
+      rejected = rejected_overload + expired;
+      partials = partial;
+      elapsed_s = wall_s;
+      throughput_qps = os.achieved_rate;
+      domains_used = domains_used outcomes;
+      cache = cache_delta cfg before;
+    }
+  in
+  { outcomes; stats; timed = Some timed; open_stats = Some os }
+
+(* ------------------------------------------------------------------ *)
+(* The entry point                                                     *)
+
 let exec cfg engine requests =
   match cfg.mode with
-  | Closed ->
-      let outcomes, stats =
-        run ?pool:cfg.pool ?jobs:cfg.jobs ~traces:cfg.traces ?cache:cfg.cache engine requests
-      in
-      { outcomes; stats; timed = None; open_stats = None }
-  | Open oc ->
-      let arrivals =
-        List.mapi (fun i req -> { at = oc.schedule i; arrival_request = req }) requests
-      in
-      let before = Option.map Cache.totals cfg.cache in
-      let timed, os =
-        run_open ?jobs:cfg.jobs ~max_queue:oc.max_queue ?deadline_s:oc.deadline_s
-          ~traces:cfg.traces ?cache:cfg.cache engine arrivals
-      in
-      let outcomes = List.map (fun t -> t.timed_outcome) timed in
-      let domains = List.sort_uniq compare (List.map (fun (o : outcome) -> o.served_by) outcomes) in
-      let cache_delta =
-        match (cfg.cache, before) with
-        | Some c, Some b -> Some (Cache.diff ~before:b ~after:(Cache.totals c))
-        | _ -> None
-      in
-      let stats =
-        {
-          jobs = os.open_jobs;
-          queries = os.offered;
-          errors = os.failed;
-          rejected = os.rejected_overload + os.expired;
-          partials = os.partial;
-          elapsed_s = os.wall_s;
-          throughput_qps = os.achieved_rate;
-          domains_used = List.length domains;
-          cache = cache_delta;
-        }
-      in
-      { outcomes; stats; timed = Some timed; open_stats = Some os }
+  | Closed -> exec_closed cfg engine requests
+  | Open _ when cfg.pool <> None ->
+      invalid_arg
+        "Serve.exec: config.pool is only used when config.mode = Closed; open mode spawns its \
+         own worker domains (set pool = None or mode = Closed)"
+  | Open oc -> exec_open cfg oc engine requests
 
 (* ------------------------------------------------------------------ *)
 (* Determinism fingerprint                                             *)
@@ -424,18 +336,19 @@ let exec cfg engine requests =
    the rejection kind, or the raised exception.  Wall-clock fields are
    deliberately excluded — and so is the per-outcome cache status: which
    occurrence of a repeated query populates the cache depends on domain
-   scheduling, but the *values* served do not.  [run ~jobs:n] must
-   fingerprint identically for every n, cold or warm; a [Ticks]-deadline
-   batch must fingerprint identically on every run. *)
+   scheduling, but the *values* served do not.  A closed-mode batch must
+   fingerprint identically for every jobs value, cold or warm; a
+   [Ticks]-deadline batch must fingerprint identically on every run. *)
 let fingerprint outcomes =
   let buf = Buffer.create 4096 in
   List.iteri
-    (fun i o ->
+    (fun i (o : Request.outcome) ->
+      let req = o.Request.request in
       Buffer.add_string buf
         (Printf.sprintf "Q%d %s %s k=%d: " i
-           (Engine.method_name o.request.method_)
-           (Ranking.name o.request.scheme) o.request.k);
-      (match o.result with
+           (Engine.method_name req.Request.method_)
+           (Ranking.name req.Request.scheme) req.Request.k);
+      (match o.Request.result with
       | Request.Done r | Request.Partial r ->
           List.iter
             (fun (tid, score) ->
@@ -443,19 +356,19 @@ let fingerprint outcomes =
                 (match score with
                 | Some s -> Printf.sprintf "%d=%.17g;" tid s
                 | None -> Printf.sprintf "%d;" tid))
-            r.Engine.ranked;
+            r.Request.ranked;
           Buffer.add_string buf
-            (match r.Engine.strategy with
+            (match r.Request.strategy with
             | Some Topo_sql.Optimizer.Regular -> " regular"
             | Some Topo_sql.Optimizer.Early_termination -> " et"
             | None -> "");
-          (match o.result with
+          (match o.Request.result with
           | Request.Partial _ -> Buffer.add_string buf " partial"
           | _ -> ())
       | Request.Rejected rj -> Buffer.add_string buf ("rejected " ^ Request.rejection_name rj)
       | Request.Failed e -> Buffer.add_string buf ("error " ^ Printexc.to_string e));
       Buffer.add_string buf
-        (Printf.sprintf " [t=%d p=%d s=%d]\n" o.counters.Counters.tuples
-           o.counters.Counters.index_probes o.counters.Counters.rows_scanned))
+        (Printf.sprintf " [t=%d p=%d s=%d]\n" o.Request.counters.Counters.tuples
+           o.Request.counters.Counters.index_probes o.Request.counters.Counters.rows_scanned))
     outcomes;
   Buffer.contents buf

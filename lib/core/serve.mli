@@ -1,52 +1,25 @@
 (** The online serving tier: evaluate a batch of topology queries
-    concurrently across OCaml 5 domains — closed-loop ({!run}) or
-    open-loop with admission control and deadlines ({!run_open}).
+    concurrently across OCaml 5 domains — closed-loop, or open-loop with
+    admission control and deadlines — through one entry point, {!exec}.
 
     Each query keeps its single-coordinator evaluation; the {e batch} is
     what parallelizes — one {!Topo_util.Pool} task per query, one query per
-    domain at a time.  Domains work through a per-domain {e engine handle}:
-    the shared read-only engine state (catalog, stores, topology registry,
-    interner, data graph — frozen after the offline build) plus per-domain
-    scratch.  Each query is evaluated by {!Engine.run_request}: a fresh
-    {!Topo_sql.Iterator.Counters} scope, a private trace sink when tracing
-    is requested, the optional shared {!Cache.t}, and the request's
-    deadline enforced (admission-time expiry, mid-evaluation [Partial]
-    truncation).
+    domain at a time, every domain reading the shared engine (catalog,
+    stores, topology registry, interner, data graph — frozen after the
+    offline build).  Each query is evaluated by {!Engine.run_request}: a
+    fresh {!Topo_sql.Iterator.Counters} scope, a private trace sink when
+    tracing is requested, the optional shared {!Cache.t}, and the
+    request's deadline enforced (admission-time expiry, mid-evaluation
+    [Partial] truncation).
 
-    Determinism contract: [run ~jobs:n] returns outcomes bit-identical to
-    [run ~jobs:1] — and to a sequential {!Engine.run} loop — in input
-    order, whether the cache is cold, warm, or absent.  A query that
-    raises yields [Failed] in its own slot; the rest of the batch still
-    completes, and failures are never memoized.  [Ticks]-deadline
-    batches extend the contract: the same tick budget produces the same
-    [Partial] prefix on every run and jobs value. *)
-
-(** The historical request type, now an alias of {!Request.t}. *)
-type request = Request.t = {
-  method_ : Engine.method_;
-  query : Query.t;
-  scheme : Ranking.scheme;
-  k : int;
-  deadline : Budget.deadline option;
-}
-
-(** [request ?scheme ?k ?deadline method_ query] is {!Request.make}. *)
-val request :
-  ?scheme:Ranking.scheme -> ?k:int -> ?deadline:Budget.deadline -> Engine.method_ -> Query.t -> request
-
-(** The historical outcome type, now an alias of {!Request.outcome}. *)
-type outcome = Request.outcome = {
-  request : request;
-  result : Request.outcome_result;
-  counters : Topo_sql.Iterator.Counters.snapshot;
-      (** operator work performed by this query alone — concurrent queries
-          never contribute to each other's counts; on a cache hit, the
-          stored snapshot of the original evaluation; all-zero for
-          rejections *)
-  served_by : int;  (** id of the domain that evaluated (or rejected) the query *)
-  trace : Topo_obs.Trace.t option;  (** the query's private span tree, when requested *)
-  cache : Request.cache_status;  (** how the result cache participated *)
-}
+    Determinism contract: closed-mode {!exec} with [jobs = n] returns
+    outcomes bit-identical to [jobs = 1] — and to a sequential
+    {!Engine.run_request} loop — in input order, whether the cache is
+    cold, warm, or absent.  A query that raises yields [Failed] in its
+    own slot; the rest of the batch still completes, and failures are
+    never memoized.  [Ticks]-deadline batches extend the contract: the
+    same tick budget produces the same [Partial] prefix on every run and
+    jobs value. *)
 
 type stats = {
   jobs : int;  (** parallelism degree actually used *)
@@ -65,24 +38,7 @@ type stats = {
           {!Cache.diff}); [None] when no cache was attached *)
 }
 
-(** [run ?pool ?jobs ?traces ?cache engine requests] is the historical
-    closed-loop entry point.
-    @deprecated Use {!exec} with the default (closed) {!config}. *)
-val run :
-  ?pool:Topo_util.Pool.t ->
-  ?jobs:int ->
-  ?traces:bool ->
-  ?cache:Cache.t ->
-  Engine.t ->
-  request list ->
-  outcome list * stats
-[@@ocaml.deprecated "Use Serve.exec: Serve.exec (Serve.config ...) engine requests."]
-
-(** {1 Open-loop serving} *)
-
-(** One scheduled request: [at] is its intended arrival instant in
-    seconds from the start of the run. *)
-type arrival = { at : float; arrival_request : request }
+(** {1 Open-loop accounting} *)
 
 (** An outcome with its open-loop timing.  All instants are seconds from
     the start of the run; [latency_s = finished_s -. intended_s] — the
@@ -90,7 +46,7 @@ type arrival = { at : float; arrival_request : request }
     request {e should} have arrived, so queueing delay counts against
     the server rather than vanishing from the histogram. *)
 type timed = {
-  timed_outcome : outcome;
+  timed_outcome : Request.outcome;
   intended_s : float;  (** the arrival schedule's instant for this request *)
   started_s : float;  (** when a worker picked it up (= rejection instant for overloads) *)
   finished_s : float;
@@ -111,32 +67,10 @@ type open_stats = {
   achieved_rate : float option;  (** answered ([completed + partial]) per second *)
 }
 
-(** [run_open ?jobs ?max_queue ?deadline_s ?traces ?cache engine arrivals]
-    is the historical open-loop entry point.
-    @deprecated Use {!exec} with [mode = Open _]. *)
-val run_open :
-  ?jobs:int ->
-  ?max_queue:int ->
-  ?deadline_s:float ->
-  ?traces:bool ->
-  ?cache:Cache.t ->
-  Engine.t ->
-  arrival list ->
-  timed list * open_stats
-[@@ocaml.deprecated
-  "Use Serve.exec: Serve.exec (Serve.config ~mode:(Serve.Open ...) ()) engine requests."]
-
-(** {1 The unified entry point}
-
-    {!exec} subsumes [run]/[run_open]: one {!config} record names the
-    execution resources and one {!mode} picks closed- or open-loop, so
-    "how a batch executes" is spelled the same way in-process, in the
-    shard server behind a socket, and in the benchmarks. *)
-
 (** Open-loop parameters.  [schedule i] is the intended arrival instant
-    of the i-th request, in seconds from the start of the run — the
-    open-loop analogue of {!arrival.at}, kept positional so {!exec}'s
-    request list stays the single source of what runs. *)
+    of the i-th request, in seconds from the start of the run, kept
+    positional so {!exec}'s request list stays the single source of what
+    runs. *)
 type open_config = {
   max_queue : int;  (** admission-queue bound; excess is [Rejected Overloaded] *)
   deadline_s : float option;
@@ -156,8 +90,9 @@ type mode =
 
 type config = {
   pool : Topo_util.Pool.t option;
-      (** closed mode: serve on the caller's long-lived pool; ignored in
-          open mode, which paces its own worker domains *)
+      (** closed mode only: serve on the caller's long-lived pool.  Open
+          mode paces its own worker domains, and {!exec} rejects a pool
+          there *)
   jobs : int option;
       (** domain count when no pool is given; capped at the machine's
           recommended count *)
@@ -189,7 +124,7 @@ val default : config
     [rejected = rejected_overload + expired], [elapsed_s = wall_s],
     [throughput_qps = achieved_rate]. *)
 type result = {
-  outcomes : outcome list;
+  outcomes : Request.outcome list;
   stats : stats;
   timed : timed list option;
   open_stats : open_stats option;
@@ -198,9 +133,11 @@ type result = {
 (** [exec config engine requests] evaluates the batch under [config] and
     returns outcomes in input order (open mode: in intended-arrival
     order, which is input order whenever the schedule is monotone).
-    Closed mode inherits {!run}'s determinism contract — bit-identical
-    outcomes for every jobs value, cold or warm cache. *)
-val exec : config -> Engine.t -> request list -> result
+    Closed mode keeps the determinism contract above — bit-identical
+    outcomes for every jobs value, cold or warm cache.
+    @raise Invalid_argument when [config.pool] is set with
+    [config.mode = Open _]. *)
+val exec : config -> Engine.t -> Request.t list -> result
 
 (** [fingerprint outcomes] renders the batch's full observable output —
     ranked lists with scores (flagged when deadline-truncated), strategy
@@ -211,4 +148,4 @@ val exec : config -> Engine.t -> request list -> result
     values and across cold/warm/no-cache runs, and — for [Ticks]
     deadlines — across repeated runs of the same truncated batch; the
     benchmark and CI gate compare these digests. *)
-val fingerprint : outcome list -> string
+val fingerprint : Request.outcome list -> string

@@ -9,11 +9,10 @@ type t = {
 
 module Counters = struct
   (* Counter cells are resolved through a domain-local scope: by default
-     every domain shares one global cell set (so counts survive concurrent
-     bumps from worker domains, as the offline build relies on), but a
-     domain can install a private cell set with [with_scope] — the serving
-     tier gives each in-flight query its own, so concurrent queries never
-     see each other's work.  Increments within a cell set are [Atomic]. *)
+     every domain shares one global cell set that nobody reads, and
+     [with_scope] installs a private one — every query runs under its
+     own, so concurrent queries never see each other's work.  Increments
+     within a cell set are [Atomic]. *)
   type cells = { tuples_c : int Atomic.t; probes_c : int Atomic.t; scanned_c : int Atomic.t }
 
   let make_cells () = { tuples_c = Atomic.make 0; probes_c = Atomic.make 0; scanned_c = Atomic.make 0 }
@@ -23,18 +22,6 @@ module Counters = struct
   let scope : cells Domain.DLS.key = Domain.DLS.new_key (fun () -> global_cells)
 
   let cells () = Domain.DLS.get scope
-
-  let reset () =
-    let c = cells () in
-    Atomic.set c.tuples_c 0;
-    Atomic.set c.probes_c 0;
-    Atomic.set c.scanned_c 0
-
-  let tuples () = Atomic.get (cells ()).tuples_c
-
-  let index_probes () = Atomic.get (cells ()).probes_c
-
-  let rows_scanned () = Atomic.get (cells ()).scanned_c
 
   let add_tuples n = ignore (Atomic.fetch_and_add (cells ()).tuples_c n)
 
@@ -66,27 +53,6 @@ module Counters = struct
       (fun () ->
         let result = f () in
         (result, current ()))
-
-  (* Additive scope within the current domain's cell set: the save/zero/
-     restore sequence is not atomic across domains, so exactly one domain
-     may [with_reset] a given cell set at a time.  Under the default
-     shared scope that is the classic single-coordinator assumption;
-     increments from other domains sharing the cells land in whichever
-     scope is open.  Overlapping calls must nest, never interleave. *)
-  let with_reset f =
-    let c = cells () in
-    let saved = current () in
-    reset ();
-    let scoped = ref { tuples = 0; index_probes = 0; rows_scanned = 0 } in
-    let restore () =
-      let did = current () in
-      Atomic.set c.tuples_c (saved.tuples + did.tuples);
-      Atomic.set c.probes_c (saved.index_probes + did.index_probes);
-      Atomic.set c.scanned_c (saved.rows_scanned + did.rows_scanned);
-      scoped := did
-    in
-    let result = Fun.protect ~finally:restore f in
-    (result, !scoped)
 end
 
 let ungrouped ~schema ~open_ ~next ~close =

@@ -13,8 +13,8 @@
       so the next [next ()] starts the following group.  On ungrouped
       operators it is a no-op.
 
-    Operators also bump the global {!Counters} so tests and benchmarks can
-    observe how much work early termination saves. *)
+    Operators also bump {!Counters} so tests and benchmarks can observe
+    how much work early termination saves. *)
 
 type t = {
   schema : Schema.t;
@@ -25,44 +25,21 @@ type t = {
   last_group : unit -> int;
 }
 
-(** Work counters, reset per query by the harness.  Counter cells resolve
-    through a {e domain-local scope}: every domain shares one global cell
-    set by default (increments are atomic, so operators running on worker
-    domains never lose counts), but a domain can install a private cell
-    set with [with_scope] — the serving tier gives each in-flight query
-    its own, isolating concurrent queries' counts from one another.
-    [reset]/[with_reset] act on the current domain's cell set and assume a
-    {e single scoper} per cell set: [with_reset] calls nest but must never
-    interleave across domains sharing cells. *)
+(** Work counters.  Counter cells resolve through a {e domain-local
+    scope}: [with_scope] installs a private cell set on the calling
+    domain, and every query runs under its own, isolating concurrent
+    queries' counts from one another.  Increments outside any scope land
+    in a shared cell set that nothing reads. *)
 module Counters : sig
-  val reset : unit -> unit
-
-  (** A reading of all counters (each read individually atomic). *)
+  (** A reading of all counters: tuples returned by any operator's
+      [next], index probes performed, rows visited by sequential scans. *)
   type snapshot = { tuples : int; index_probes : int; rows_scanned : int }
 
   (** [with_scope f] runs [f] against a {e fresh, private} cell set
       installed on the calling domain, returning [f]'s result and the work
-      it performed.  Unlike {!with_reset}, nothing is added back to the
-      surrounding scope — the two are fully isolated, which is what the
-      concurrent serving tier needs for per-query counters.  The previous
-      scope is restored even when [f] raises. *)
+      it performed.  Nothing is added to the surrounding scope.  The
+      previous scope is restored even when [f] raises. *)
   val with_scope : (unit -> 'a) -> 'a * snapshot
-
-  (** [with_reset f] runs [f] against zeroed counters and returns its result
-      together with the work it performed.  The counts accumulated before
-      the call are restored afterwards — with [f]'s work added on top, so an
-      enclosing [with_reset] still observes everything.  Exception-safe
-      ([Fun.protect]): prior values are restored even when [f] raises. *)
-  val with_reset : (unit -> 'a) -> 'a * snapshot
-
-  (** Tuples returned by any operator's [next]. *)
-  val tuples : unit -> int
-
-  (** Index probes performed. *)
-  val index_probes : unit -> int
-
-  (** Rows visited by sequential scans. *)
-  val rows_scanned : unit -> int
 
   (**/**)
 

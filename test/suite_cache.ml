@@ -250,7 +250,7 @@ let prop_cold_warm_uncached_identical =
           (fun method_ ->
             List.map
               (fun scheme ->
-                Serve.request ~scheme ~k:10 method_
+                Request.make ~scheme ~k:10 method_
                   (Query.make (Query.endpoint catalog "Protein") (Query.endpoint catalog "DNA")))
               [ Ranking.Freq; Ranking.Rare ])
           Engine.all_methods
@@ -274,7 +274,7 @@ let test_concurrent_hits_across_domains () =
     List.concat_map
       (fun method_ ->
         List.map
-          (fun scheme -> Serve.request ~scheme ~k:10 method_ (Query.q1 catalog))
+          (fun scheme -> Request.make ~scheme ~k:10 method_ (Query.q1 catalog))
           [ Ranking.Freq; Ranking.Rare; Ranking.Domain ])
       Engine.all_methods
   in

@@ -103,9 +103,9 @@ let test_unrelated_pair_empty () =
 let test_q1_returns_four_topologies () =
   let cat, engine = paper_engine () in
   let q = Query.q1 cat in
-  let r = Engine.run engine q ~method_:Engine.Full_top () in
+  let r = Request.get_done (Engine.run_request engine (Request.make Engine.Full_top q)) in
   (* "3-Topology(Q,G) = {T1, T2, T3, T4}". *)
-  Alcotest.(check int) "four topologies" 4 (List.length r.Engine.ranked);
+  Alcotest.(check int) "four topologies" 4 (List.length r.Request.ranked);
   ignore (tid_of_description engine ~contains:[])
 
 let test_q1_excludes_triangle_of_34_215 () =
@@ -120,16 +120,18 @@ let test_q1_excludes_triangle_of_34_215 () =
   Alcotest.(check int) "triangle pair" 1 (List.length row.Compute.tids);
   let triangle = List.hd row.Compute.tids in
   let q = Query.q1 cat in
-  let r = Engine.run engine q ~method_:Engine.Full_top () in
+  let r = Request.get_done (Engine.run_request engine (Request.make Engine.Full_top q)) in
   Alcotest.(check bool) "triangle excluded" false
-    (List.exists (fun (tid, _) -> tid = triangle) r.Engine.ranked)
+    (List.exists (fun (tid, _) -> tid = triangle) r.Request.ranked)
 
 let test_l_bounds_results () =
   (* With l = 1 only the direct encodes path remains. *)
   let cat = Biozon.Paper_db.catalog () in
   let engine = Engine.build cat ~pairs:[ ("Protein", "DNA") ] ~l:1 () in
-  let r = Engine.run engine (Query.q1 cat) ~method_:Engine.Full_top () in
-  Alcotest.(check int) "only T1" 1 (List.length r.Engine.ranked)
+  let r =
+    Request.get_done (Engine.run_request engine (Request.make Engine.Full_top (Query.q1 cat)))
+  in
+  Alcotest.(check int) "only T1" 1 (List.length r.Request.ranked)
 
 (* --- pruning and the exception table ------------------------------------- *)
 
@@ -174,9 +176,9 @@ let test_excptops_contains_78_215_for_pud () =
 let test_fast_top_equals_full_top_under_heavy_pruning () =
   let cat, engine = paper_engine ~pruning_threshold:0 () in
   let q = Query.q1 cat in
-  let full = Engine.run engine q ~method_:Engine.Full_top () in
-  let fast = Engine.run engine q ~method_:Engine.Fast_top () in
-  let tids r = List.map fst r.Engine.ranked in
+  let full = Request.get_done (Engine.run_request engine (Request.make Engine.Full_top q)) in
+  let fast = Request.get_done (Engine.run_request engine (Request.make Engine.Fast_top q)) in
+  let tids r = List.map fst r.Request.ranked in
   Alcotest.(check (list int)) "same answer with everything pruned" (tids full) (tids fast)
 
 let test_pruned_check_respects_predicates () =
@@ -187,8 +189,8 @@ let test_pruned_check_respects_predicates () =
       (Query.keyword cat "Protein" ~col:"desc" ~kw:"nonexistentword")
       (Query.equals cat "DNA" ~col:"type" ~value:(Value.Str "mRNA"))
   in
-  let fast = Engine.run engine q ~method_:Engine.Fast_top () in
-  Alcotest.(check int) "empty" 0 (List.length fast.Engine.ranked)
+  let fast = Request.get_done (Engine.run_request engine (Request.make Engine.Fast_top q)) in
+  Alcotest.(check int) "empty" 0 (List.length fast.Request.ranked)
 
 (* --- method agreement on the synthetic database --------------------------- *)
 
@@ -231,7 +233,10 @@ let test_sql_full_fast_agree () =
   let cat, engine = Lazy.force synthetic_engine in
   List.iteri
     (fun i q ->
-      let tids m = List.map fst (Engine.run engine q ~method_:m ()).Engine.ranked in
+      let tids m =
+        List.map fst
+          (Request.get_done (Engine.run_request engine (Request.make m q))).Request.ranked
+      in
       let full = tids Engine.Full_top in
       Alcotest.(check (list int)) (Printf.sprintf "fast=full q%d" i) full (tids Engine.Fast_top);
       if i < 2 then
@@ -246,7 +251,11 @@ let test_topk_methods_agree () =
     (fun i q ->
       List.iter
         (fun scheme ->
-          let run m = (Engine.run engine q ~method_:m ~scheme ~k ()).Engine.ranked in
+          let run m =
+            (Request.get_done
+               (Engine.run_request engine (Request.make ~scheme ~k m q)))
+              .Request.ranked
+          in
           let scores r = List.map (fun (_, s) -> match s with Some s -> s | None -> nan) r in
           let full = run Engine.Full_top_k in
           List.iter
@@ -264,8 +273,16 @@ let test_topk_methods_agree () =
 let test_topk_prefix_of_full_ranking () =
   let cat, engine = Lazy.force synthetic_engine in
   let q = List.hd (synthetic_queries cat) in
-  let all = (Engine.run engine q ~method_:Engine.Full_top_k ~scheme:Ranking.Freq ~k:1000 ()).Engine.ranked in
-  let top3 = (Engine.run engine q ~method_:Engine.Full_top_k ~scheme:Ranking.Freq ~k:3 ()).Engine.ranked in
+  let all =
+    (Request.get_done
+       (Engine.run_request engine (Request.make ~scheme:Ranking.Freq ~k:1000 Engine.Full_top_k q)))
+      .Request.ranked
+  in
+  let top3 =
+    (Request.get_done
+       (Engine.run_request engine (Request.make ~scheme:Ranking.Freq ~k:3 Engine.Full_top_k q)))
+      .Request.ranked
+  in
   let scores r = List.map (fun (_, s) -> Option.get s) r in
   Alcotest.(check (list (float 1e-9)))
     "top-3 scores are the 3 best"
@@ -276,10 +293,11 @@ let test_et_impls_equivalent () =
   (* IDGJ-only and HDGJ-only plans must return the same answers. *)
   let cat, engine = Lazy.force synthetic_engine in
   let q = List.hd (synthetic_queries cat) in
+  let aligned = Methods.align engine.Engine.ctx q in
   let run impls =
-    (Engine.run engine q ~method_:Engine.Fast_top_k_et ~scheme:Ranking.Domain ~k:5 ~impls ()).Engine.ranked
+    Methods.fast_top_k_et engine.Engine.ctx aligned ~scheme:Ranking.Domain ~k:5 ~impls ()
   in
-  let scores r = List.map (fun (_, s) -> Option.get s) r in
+  let scores r = List.map snd r in
   Alcotest.(check (list (float 1e-9))) "I vs H" (scores (run [ `I; `I; `I ])) (scores (run [ `H; `H; `H ]))
 
 let test_counters_show_early_termination () =
@@ -288,16 +306,12 @@ let test_counters_show_early_termination () =
      exactly the optimizer's reason to exist. *)
   let cat, engine = Lazy.force synthetic_engine in
   let q = Query.make (Query.endpoint cat "Protein") (Query.endpoint cat "DNA") in
-  let _, regular_work =
-    Topo_sql.Iterator.Counters.with_reset (fun () ->
-        Engine.run engine q ~method_:Engine.Full_top_k ~scheme:Ranking.Freq ~k:3 ())
+  let tuples m =
+    let o = Engine.run_request engine (Request.make ~scheme:Ranking.Freq ~k:3 m q) in
+    ignore (Request.get_done o);
+    o.Request.counters.Topo_sql.Iterator.Counters.tuples
   in
-  let regular_tuples = regular_work.Topo_sql.Iterator.Counters.tuples in
-  let _, et_work =
-    Topo_sql.Iterator.Counters.with_reset (fun () ->
-        Engine.run engine q ~method_:Engine.Full_top_k_et ~scheme:Ranking.Freq ~k:3 ())
-  in
-  let et_tuples = et_work.Topo_sql.Iterator.Counters.tuples in
+  let regular_tuples = tuples Engine.Full_top_k and et_tuples = tuples Engine.Full_top_k_et in
   Alcotest.(check bool)
     (Printf.sprintf "ET touches fewer tuples (%d < %d)" et_tuples regular_tuples)
     true (et_tuples < regular_tuples)
@@ -468,9 +482,11 @@ let test_reliability_filter_build () =
      accordingly, but the engine still answers queries. *)
   let cat = Biozon.Paper_db.catalog () in
   let engine = Engine.build cat ~pairs:[ ("Protein", "DNA") ] ~min_reliability:0.9 () in
-  let r = Engine.run engine (Query.q1 cat) ~method_:Engine.Full_top () in
+  let r =
+    Request.get_done (Engine.run_request engine (Request.make Engine.Full_top (Query.q1 cat)))
+  in
   (* Only the encodes path (reliability 0.95) survives a 0.9 threshold. *)
-  Alcotest.(check int) "only the direct topology" 1 (List.length r.Engine.ranked)
+  Alcotest.(check int) "only the direct topology" 1 (List.length r.Request.ranked)
 
 (* --- engine odds and ends --------------------------------------------------------- *)
 
@@ -491,10 +507,10 @@ let test_swapped_query_orientation () =
   let cat, engine = paper_engine () in
   let q = Query.q1 cat in
   let swapped = Query.make q.Query.e2 q.Query.e1 in
-  let tids r = List.map fst r.Engine.ranked in
+  let tids r = List.map fst r.Request.ranked in
   Alcotest.(check (list int)) "orientation independent"
-    (tids (Engine.run engine q ~method_:Engine.Full_top ()))
-    (tids (Engine.run engine swapped ~method_:Engine.Full_top ()))
+    (tids (Request.get_done (Engine.run_request engine (Request.make Engine.Full_top q))))
+    (tids (Request.get_done (Engine.run_request engine (Request.make Engine.Full_top swapped))))
 
 let test_analysis_zipf_on_synthetic () =
   let _, engine = Lazy.force synthetic_engine in

@@ -29,7 +29,10 @@ let test_method_agreement_across_seeds () =
       let cat, engine = engine_for seed in
       List.iteri
         (fun qi q ->
-          let tids m = List.map fst (Engine.run engine q ~method_:m ()).Engine.ranked in
+          let tids m =
+            List.map fst
+              (Request.get_done (Engine.run_request engine (Request.make m q))).Request.ranked
+          in
           let full = tids Engine.Full_top in
           Alcotest.(check (list int))
             (Printf.sprintf "seed %d q%d fast=full" seed qi)
@@ -50,7 +53,9 @@ let test_topk_scores_agree_across_seeds () =
           let scores m =
             List.map
               (fun (_, s) -> Option.get s)
-              (Engine.run engine q ~method_:m ~scheme ~k:5 ()).Engine.ranked
+              (Request.get_done
+                 (Engine.run_request engine (Request.make ~scheme ~k:5 m q)))
+                .Request.ranked
             |> List.sort compare
           in
           let reference = scores Engine.Full_top_k in
@@ -70,7 +75,10 @@ let test_pruning_threshold_invariance () =
   let _, e_inf = engine_for ~pruning_threshold:max_int 7 in
   List.iteri
     (fun qi q ->
-      let tids e = List.map fst (Engine.run e q ~method_:Engine.Fast_top ()).Engine.ranked in
+      let tids e =
+        List.map fst
+          (Request.get_done (Engine.run_request e (Request.make Engine.Fast_top q))).Request.ranked
+      in
       let reference = tids e_inf in
       Alcotest.(check (list int)) (Printf.sprintf "q%d threshold 0" qi) reference (tids e0);
       Alcotest.(check (list int)) (Printf.sprintf "q%d threshold 20" qi) reference (tids e_mid))

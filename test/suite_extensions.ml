@@ -23,9 +23,9 @@ let test_nquery_two_endpoints_matches_pairwise () =
   let ctx = engine.Engine.ctx in
   let q = Query.q1 cat in
   let r = Nquery.run ctx ~endpoints:[ q.Query.e1; q.Query.e2 ] () in
-  let pairwise = Engine.run engine q ~method_:Engine.Full_top () in
+  let pairwise = Request.get_done (Engine.run_request engine (Request.make Engine.Full_top q)) in
   Alcotest.(check (list int)) "same topology set"
-    (List.map fst pairwise.Engine.ranked |> List.sort compare)
+    (List.map fst pairwise.Request.ranked |> List.sort compare)
     r.Nquery.topologies
 
 let test_nquery_triple_on_paper_db () =
@@ -95,8 +95,8 @@ let test_compare_subsumption_on_paper_topologies () =
   let cat, engine = paper_engine () in
   let registry = engine.Engine.ctx.Context.registry in
   let q = Query.q1 cat in
-  let r = Engine.run engine q ~method_:Engine.Full_top () in
-  let tids = List.map fst r.Engine.ranked in
+  let r = Request.get_done (Engine.run_request engine (Request.make Engine.Full_top q)) in
+  let tids = List.map fst r.Request.ranked in
   (* T3 (the P-U-D + P-U-P-D union sharing the Unigene) subsumes the plain
      P-U-D path T2. *)
   let find p = List.find p (List.map (Engine.topology engine) tids) in
@@ -113,8 +113,8 @@ let test_compare_maximal () =
   let cat, engine = paper_engine () in
   let registry = engine.Engine.ctx.Context.registry in
   let q = Query.q1 cat in
-  let r = Engine.run engine q ~method_:Engine.Full_top () in
-  let tids = List.map fst r.Engine.ranked in
+  let r = Request.get_done (Engine.run_request engine (Request.make Engine.Full_top q)) in
+  let tids = List.map fst r.Request.ranked in
   let maximal = Compare.maximal registry tids in
   (* T2 (P-U-D) is subsumed by T3 and T4, T1 (P-D) by nothing in the result
      set. *)
@@ -136,8 +136,8 @@ let test_compare_similarity () =
   let cat, engine = paper_engine () in
   let registry = engine.Engine.ctx.Context.registry in
   let q = Query.q1 cat in
-  let r = Engine.run engine q ~method_:Engine.Full_top () in
-  let tids = List.map fst r.Engine.ranked in
+  let r = Request.get_done (Engine.run_request engine (Request.make Engine.Full_top q)) in
+  let tids = List.map fst r.Request.ranked in
   List.iter
     (fun tid -> Alcotest.(check (float 1e-9)) "self similarity" 1.0 (Compare.similarity registry tid tid))
     tids;
@@ -216,8 +216,11 @@ let test_dump_engine_on_loaded_catalog () =
       Topo_sql.Dump.save (Biozon.Paper_db.catalog ()) ~dir;
       let catalog = Topo_sql.Dump.load ~dir in
       let engine = Engine.build catalog ~pairs:[ ("Protein", "DNA") ] ~pruning_threshold:50 () in
-      let r = Engine.run engine (Query.q1 catalog) ~method_:Engine.Fast_top () in
-      Alcotest.(check int) "four topologies" 4 (List.length r.Engine.ranked))
+      let r =
+        Request.get_done
+          (Engine.run_request engine (Request.make Engine.Fast_top (Query.q1 catalog)))
+      in
+      Alcotest.(check int) "four topologies" 4 (List.length r.Request.ranked))
 
 let test_dump_malformed_rejected () =
   with_temp_dir (fun dir ->

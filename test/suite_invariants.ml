@@ -48,7 +48,8 @@ let prop_nquery_two_ary_matches_pairwise =
           (Query.equals cat "DNA" ~col:"type" ~value:(Value.Str "mRNA"))
       in
       let pairwise =
-        List.map fst (Engine.run engine q ~method_:Engine.Full_top ()).Engine.ranked
+        List.map fst
+          (Request.get_done (Engine.run_request engine (Request.make Engine.Full_top q))).Request.ranked
       in
       let nary =
         (Nquery.run engine.Engine.ctx ~endpoints:[ q.Query.e1; q.Query.e2 ] ~max_tuples:20000 ()).Nquery.topologies

@@ -9,6 +9,7 @@
 open Topo_sql
 module Engine = Topo_core.Engine
 module Serve = Topo_core.Serve
+module Request = Topo_core.Request
 module Query = Topo_core.Query
 module Ranking = Topo_core.Ranking
 module Context = Topo_core.Context
@@ -324,7 +325,7 @@ let serve_fp (engine : Engine.t) =
   let requests =
     List.mapi
       (fun i method_ ->
-        Serve.request
+        Request.make
           ~scheme:(List.nth schemes (i mod 3))
           ~k:10 method_
           (Query.make (Query.endpoint catalog "Protein") (Query.endpoint catalog "DNA")))

@@ -1,6 +1,7 @@
 (* The open-loop latency machinery: Hdr's exact-count contract, deadline
    rejection before any cache or counter activity, admission-control
-   rejection under a zero-capacity queue, the determinism of [Ticks]
+   rejection under a zero-capacity queue, open mode refusing a pool it
+   would not use, the determinism of [Ticks]
    deadline truncation (same budget => same Partial prefix, a subset of
    the full answer), and the open-loop accounting invariants
    (admitted + rejected_overload = offered;
@@ -80,11 +81,13 @@ let prop_hdr_quantile_error =
 let test_expired_rejected_before_cache () =
   let engine = Lazy.force paper_engine in
   let cache = Engine.cache engine in
-  Counters.reset ();
-  Counters.add_tuples 7 (* sentinel *);
   (* Ticks 0 is expired at admission, with no wall-clock flakiness *)
   let req = Request.make ~deadline:(Budget.Ticks 0) Engine.Fast_top_k (q1 engine) in
-  let o = Engine.run_request engine ~cache req in
+  let o, outer =
+    Counters.with_scope (fun () ->
+        Counters.add_tuples 7 (* sentinel *);
+        Engine.run_request engine ~cache req)
+  in
   (match o.Request.result with
   | Request.Rejected Request.Expired -> ()
   | other -> Alcotest.failf "expected rejected-expired, got %s" (Request.outcome_result_name other));
@@ -97,8 +100,9 @@ let test_expired_rejected_before_cache () =
   let s = Cache.result_stats cache in
   Alcotest.(check (pair int int)) "no cache lookup, no insertion" (0, 0)
     (s.Cache.hits + s.Cache.misses, s.Cache.insertions);
-  Alcotest.(check int) "ambient counters untouched" 7 (Counters.tuples ());
-  Counters.reset ();
+  Alcotest.(check (triple int int int))
+    "surrounding counter scope untouched" (7, 0, 0)
+    (outer.Counters.tuples, outer.Counters.index_probes, outer.Counters.rows_scanned);
   (* a Wall deadline in the past behaves identically *)
   let req = Request.make ~deadline:(Budget.Wall 1.0) Engine.Fast_top_k (q1 engine) in
   match (Engine.run_request engine req).Request.result with
@@ -110,7 +114,7 @@ let test_expired_rejected_before_cache () =
 let test_zero_capacity_rejects_everything () =
   let engine = Lazy.force paper_engine in
   let cache = Engine.cache engine in
-  let requests = List.init 5 (fun _ -> Serve.request Engine.Fast_top_k (q1 engine)) in
+  let requests = List.init 5 (fun _ -> Request.make Engine.Fast_top_k (q1 engine)) in
   let r =
     Serve.exec
       (Serve.config ~jobs:2 ~cache
@@ -128,7 +132,7 @@ let test_zero_capacity_rejects_everything () =
   Alcotest.(check int) "none admitted" 0 stats.Serve.admitted;
   List.iter
     (fun (t : Serve.timed) ->
-      match t.Serve.timed_outcome.Serve.result with
+      match t.Serve.timed_outcome.Request.result with
       | Request.Rejected Request.Overloaded -> ()
       | other ->
           Alcotest.failf "expected rejected-overloaded, got %s"
@@ -179,7 +183,7 @@ let prop_open_accounting =
       let methods = [| Engine.Fast_top_k; Engine.Full_top_k; Engine.Fast_top_k_et |] in
       let n = 12 + Topo_util.Prng.int rng 12 in
       let requests =
-        List.init n (fun _ -> Serve.request ~k:10 (Topo_util.Prng.choose rng methods) (q1 engine))
+        List.init n (fun _ -> Request.make ~k:10 (Topo_util.Prng.choose rng methods) (q1 engine))
       in
       let r =
         Serve.exec
@@ -201,6 +205,27 @@ let prop_open_accounting =
       && stats.Serve.failed = 0
       && List.for_all (fun (t : Serve.timed) -> t.Serve.latency_s >= 0.0) timed)
 
+(* A pool only drives closed mode; open mode spawns its own workers, so a
+   pool there is a configuration error, not something to ignore. *)
+let test_open_mode_rejects_pool () =
+  let engine = Lazy.force paper_engine in
+  let requests = [ Request.make Engine.Fast_top_k (q1 engine) ] in
+  Topo_util.Pool.with_pool ~jobs:1 (fun pool ->
+      let cfg = Serve.config ~pool ~mode:(Serve.Open (Serve.open_config ())) () in
+      match Serve.exec cfg engine requests with
+      | _ -> Alcotest.fail "open mode with a pool was accepted"
+      | exception Invalid_argument msg ->
+          let mentions field =
+            let n = String.length field in
+            let rec at i =
+              i + n <= String.length msg && (String.sub msg i n = field || at (i + 1))
+            in
+            at 0
+          in
+          Alcotest.(check (pair bool bool))
+            "message names config.pool and config.mode" (true, true)
+            (mentions "config.pool", mentions "config.mode"))
+
 let suites =
   [
     ( "latency.hdr",
@@ -219,6 +244,7 @@ let suites =
       [
         Alcotest.test_case "zero-capacity queue rejects everything" `Quick
           test_zero_capacity_rejects_everything;
+        Alcotest.test_case "open mode rejects a pool" `Quick test_open_mode_rejects_pool;
         QCheck_alcotest.to_alcotest prop_open_accounting;
       ] );
   ]

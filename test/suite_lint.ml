@@ -92,8 +92,6 @@ let test_hot_path () =
   check_fires "stdout printing in a hot module" "hot-path"
     (analyze ~hot:true "let f () = Printf.printf \"x\"");
   check_fires "Sys.time in a hot module" "hot-path" (analyze ~hot:true "let f () = Sys.time ()");
-  check_fires "ambient Counters.with_reset in a hot module" "hot-path"
-    (analyze ~hot:true "let f g = Counters.with_reset g");
   check_silent "the same calls in a cold module"
     (analyze ~file:"bench/fixture.ml" ~hot:false
        "let f () = Random.int 3\nlet g () = Printf.printf \"x\"");

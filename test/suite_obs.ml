@@ -164,16 +164,18 @@ let test_misestimate_flag () =
       Alcotest.(check bool) "flagged nodes really off by 10x" true off)
     flagged
 
-(* Engine.run ?trace records a span tree rooted at the method name. *)
+(* Engine.run_request ~traces:true records a span tree rooted at the
+   method name. *)
 let test_engine_trace () =
   let cat = Biozon.Paper_db.catalog () in
   let engine = Topo_core.Engine.build cat ~pairs:[ ("Protein", "DNA") ] ~pruning_threshold:0 () in
   let q = Topo_core.Query.q1 cat in
-  let trace = Obs.Trace.create () in
-  let r =
-    Topo_core.Engine.run engine q ~method_:Topo_core.Engine.Fast_top_k ~k:5 ~trace ()
+  let o =
+    Topo_core.Engine.run_request engine ~traces:true
+      (Topo_core.Request.make ~k:5 Topo_core.Engine.Fast_top_k q)
   in
-  Alcotest.(check bool) "query returned results" true (r.Topo_core.Engine.ranked <> []);
+  let r = Topo_core.Request.get_done o and trace = Option.get o.Topo_core.Request.trace in
+  Alcotest.(check bool) "query returned results" true (r.Topo_core.Request.ranked <> []);
   match Obs.Trace.roots trace with
   | [ root ] ->
       Alcotest.(check string) "root span is the method" "Fast-Top-k" (Obs.Trace.name root);

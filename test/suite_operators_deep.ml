@@ -125,9 +125,9 @@ let test_dgj_group_ids_monotone impl () =
 let test_hdgj_rescans_inner () =
   (* HDGJ's inner re-scan is observable through the scan counter. *)
   let cat = gap_catalog () in
-  let _, h_work = Iterator.Counters.with_reset (fun () -> Iterator.to_list (gap_stack cat `H)) in
+  let _, h_work = Iterator.Counters.with_scope (fun () -> Iterator.to_list (gap_stack cat `H)) in
   let h_scans = h_work.Iterator.Counters.rows_scanned in
-  let _, i_work = Iterator.Counters.with_reset (fun () -> Iterator.to_list (gap_stack cat `I)) in
+  let _, i_work = Iterator.Counters.with_scope (fun () -> Iterator.to_list (gap_stack cat `I)) in
   let i_scans = i_work.Iterator.Counters.rows_scanned in
   Alcotest.(check bool)
     (Printf.sprintf "HDGJ scans more rows (%d > %d)" h_scans i_scans)
@@ -285,7 +285,9 @@ let test_report_renders_everything () =
   let cat = Biozon.Paper_db.catalog () in
   let engine = Topo_core.Engine.build cat ~pairs:[ ("Protein", "DNA") ] ~pruning_threshold:50 () in
   let q = Topo_core.Query.q1 cat in
-  let result = Topo_core.Engine.run engine q ~method_:Topo_core.Engine.Full_top () in
+  let result =
+    Topo_core.(Request.get_done (Engine.run_request engine (Request.make Engine.Full_top q)))
+  in
   let text = Topo_core.Report.render engine q result () in
   let contains needle =
     let rec find i =
@@ -302,7 +304,9 @@ let test_report_caps_instances () =
   let cat = Biozon.Paper_db.catalog () in
   let engine = Topo_core.Engine.build cat ~pairs:[ ("Protein", "DNA") ] ~pruning_threshold:50 () in
   let q = Topo_core.Query.make (Topo_core.Query.endpoint cat "Protein") (Topo_core.Query.endpoint cat "DNA") in
-  let result = Topo_core.Engine.run engine q ~method_:Topo_core.Engine.Full_top () in
+  let result =
+    Topo_core.(Request.get_done (Engine.run_request engine (Request.make Engine.Full_top q)))
+  in
   let text =
     Topo_core.Report.render engine q result
       ~options:{ Topo_core.Report.max_instances = 0; show_witness = false }

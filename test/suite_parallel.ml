@@ -78,32 +78,30 @@ let test_one_job_inline () =
 (* --- atomic work counters ----------------------------------------------- *)
 
 let test_counters_atomic_across_domains () =
-  Counters.reset ();
+  (* Scoped domains count while an unscoped one hammers the shared default
+     cells: every scope sees exactly its own increments, none lost and
+     none leaked in from the other domains. *)
   let per_domain = 25_000 in
-  let domains =
-    List.init 4 (fun _ ->
-        Domain.spawn (fun () ->
-            for _ = 1 to per_domain do
-              Counters.add_tuples 1;
-              Counters.add_probes 2
-            done))
+  let bump n =
+    for _ = 1 to n do
+      Counters.add_tuples 1;
+      Counters.add_probes 2
+    done
   in
-  List.iter Domain.join domains;
-  Alcotest.(check int) "no lost tuple increments" (4 * per_domain) (Counters.tuples ());
-  Alcotest.(check int) "no lost probe increments" (8 * per_domain) (Counters.index_probes ());
-  Counters.reset ()
-
-let test_with_reset_exception_safe () =
-  Counters.reset ();
-  Counters.add_tuples 5;
-  (try
-     ignore
-       (Counters.with_reset (fun () ->
-            Counters.add_tuples 3;
-            failwith "boom"))
-   with Failure _ -> ());
-  Alcotest.(check int) "outer scope restored plus inner work" 8 (Counters.tuples ());
-  Counters.reset ()
+  let noise = Domain.spawn (fun () -> bump (4 * per_domain)) in
+  let scoped =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () -> snd (Counters.with_scope (fun () -> bump (per_domain + d)))))
+  in
+  List.iteri
+    (fun d dom ->
+      let s = Domain.join dom in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "domain %d: no lost or leaked increments" d)
+        (per_domain + d, 2 * (per_domain + d))
+        (s.Counters.tuples, s.Counters.index_probes))
+    scoped;
+  Domain.join noise
 
 (* --- Table.rows snapshot cache ------------------------------------------ *)
 
@@ -217,7 +215,9 @@ let test_paper_build_jobs_identical () =
   let answers e =
     let q = Query.q1 e.Engine.ctx.Context.catalog in
     List.map
-      (fun m -> (Engine.method_name m, (Engine.run e q ~method_:m ~k:10 ()).Engine.ranked))
+      (fun m ->
+        let r = Request.get_done (Engine.run_request e (Request.make ~k:10 m q)) in
+        (Engine.method_name m, r.Request.ranked))
       Engine.all_methods
   in
   let base_answers = answers base in
@@ -261,7 +261,6 @@ let suites =
     ( "par.safety",
       [
         Alcotest.test_case "counters atomic across domains" `Quick test_counters_atomic_across_domains;
-        Alcotest.test_case "with_reset exception-safe" `Quick test_with_reset_exception_safe;
         Alcotest.test_case "Table.rows snapshot cache" `Quick test_rows_snapshot_cache;
         Alcotest.test_case "Topology.absorb remap" `Quick test_absorb_remap;
         Alcotest.test_case "Topology.absorb idempotent" `Quick test_absorb_idempotent;

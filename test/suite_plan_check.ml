@@ -4,6 +4,7 @@
 
 open Topo_sql
 module Engine = Topo_core.Engine
+module Request = Topo_core.Request
 module Query = Topo_core.Query
 
 (* --- fixture ------------------------------------------------------------- *)
@@ -323,11 +324,14 @@ let test_all_methods_verify_on_paper_db () =
   let q = Query.make (Query.endpoint cat "Protein") (Query.endpoint cat "DNA") in
   List.iter
     (fun method_ ->
-      let r = Engine.run engine q ~method_ ~k:4 ~verify_plans:true () in
+      let r =
+        Request.get_done
+          (Engine.run_request engine ~verify_plans:true (Request.make ~k:4 method_ q))
+      in
       Alcotest.(check bool)
         (Engine.method_name method_ ^ " returns results under verification")
         true
-        (r.Engine.ranked <> []))
+        (r.Request.ranked <> []))
     Engine.all_methods
 
 (* --- SQL pipeline ---------------------------------------------------------- *)
@@ -418,35 +422,6 @@ let test_lower_checked_matches_lower () =
   Alcotest.(check int) "same cardinality" (List.length expected) (List.length got);
   Alcotest.(check bool) "same rows" true (expected = got)
 
-(* --- Counters.with_reset ---------------------------------------------------- *)
-
-let test_with_reset_scopes_and_accumulates () =
-  Iterator.Counters.reset ();
-  Iterator.Counters.add_tuples 2;
-  let result, work =
-    Iterator.Counters.with_reset (fun () ->
-        Iterator.Counters.add_tuples 5;
-        Iterator.Counters.add_probes 3;
-        "done")
-  in
-  Alcotest.(check string) "result" "done" result;
-  Alcotest.(check int) "scoped tuples" 5 work.Iterator.Counters.tuples;
-  Alcotest.(check int) "scoped probes" 3 work.Iterator.Counters.index_probes;
-  (* Outer totals keep the pre-existing counts plus the scoped work. *)
-  Alcotest.(check int) "outer tuples" 7 (Iterator.Counters.tuples ());
-  Alcotest.(check int) "outer probes" 3 (Iterator.Counters.index_probes ())
-
-let test_with_reset_exception_safe () =
-  Iterator.Counters.reset ();
-  Iterator.Counters.add_scanned 4;
-  (try
-     ignore
-       (Iterator.Counters.with_reset (fun () ->
-            Iterator.Counters.add_scanned 6;
-            failwith "boom"))
-   with Failure _ -> ());
-  Alcotest.(check int) "restored plus scoped work" 10 (Iterator.Counters.rows_scanned ())
-
 let suites =
   [
     ( "check.static",
@@ -474,10 +449,5 @@ let suites =
         Alcotest.test_case "reopen and double close ok" `Quick test_protocol_allows_reopen_and_double_close;
         Alcotest.test_case "group monotonicity" `Quick test_group_monotonicity_enforced;
         Alcotest.test_case "lower_checked matches lower" `Quick test_lower_checked_matches_lower;
-      ] );
-    ( "check.counters",
-      [
-        Alcotest.test_case "with_reset scopes and accumulates" `Quick test_with_reset_scopes_and_accumulates;
-        Alcotest.test_case "with_reset exception safe" `Quick test_with_reset_exception_safe;
       ] );
   ]

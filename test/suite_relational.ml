@@ -385,11 +385,11 @@ let test_dgj_k_limits_groups impl () =
 let test_idgj_saves_probes_vs_full_drain () =
   let cat = dgj_catalog () in
   let _, full_work =
-    Iterator.Counters.with_reset (fun () -> Iterator.to_list (dgj_stack cat ~impl:`I))
+    Iterator.Counters.with_scope (fun () -> Iterator.to_list (dgj_stack cat ~impl:`I))
   in
   let full = full_work.Iterator.Counters.index_probes in
   let _, early_work =
-    Iterator.Counters.with_reset (fun () -> Op_dgj.first_match_per_group (dgj_stack cat ~impl:`I) ~k:1)
+    Iterator.Counters.with_scope (fun () -> Op_dgj.first_match_per_group (dgj_stack cat ~impl:`I) ~k:1)
   in
   let early = early_work.Iterator.Counters.index_probes in
   Alcotest.(check bool) "early termination probes fewer" true (early < full)

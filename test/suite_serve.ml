@@ -1,6 +1,7 @@
-(* The online serving tier: sequential-vs-concurrent result equality on
-   the paper database and on a generated instance (all nine methods),
-   per-query counter isolation, error containment — one poisoned query
+(* The online serving tier: equality with a sequential
+   [Engine.run_request] loop on the paper database (jobs 1 and 4, cold and
+   warm cache) and jobs-invariance on a generated instance (all nine
+   methods), per-query counter isolation, error containment — one poisoned query
    must not take down the rest of the batch — and the pool's queueing of
    concurrent batch submitters.
 
@@ -37,51 +38,43 @@ let paper_workload (engine : Engine.t) =
   List.concat_map
     (fun method_ ->
       List.mapi
-        (fun i q -> Serve.request ~scheme:(List.nth schemes (i mod 3)) ~k:10 method_ q)
+        (fun i q -> Request.make ~scheme:(List.nth schemes (i mod 3)) ~k:10 method_ q)
         queries)
     Engine.all_methods
 
-let serve_forced ~jobs ?(traces = false) engine requests =
+let serve_forced ~jobs ?(traces = false) ?cache engine requests =
   Pool.with_pool ~jobs (fun pool ->
-      let r = Serve.exec (Serve.config ~pool ~traces ()) engine requests in
+      let r = Serve.exec (Serve.config ~pool ~traces ?cache ()) engine requests in
       (r.Serve.outcomes, r.Serve.stats))
-
-let ranked = Alcotest.(list (pair int (option (float 1e-9))))
 
 (* --- sequential vs concurrent ------------------------------------------- *)
 
 let test_paper_serve_matches_sequential () =
   let engine = Lazy.force paper_engine in
   let requests = paper_workload engine in
-  (* ground truth: a plain sequential Engine.run loop, no serving tier *)
-  let expected =
-    List.map
-      (fun (r : Serve.request) ->
-        (Engine.run engine r.Serve.query ~method_:r.Serve.method_ ~scheme:r.Serve.scheme
-           ~k:r.Serve.k ())
-          .Engine.ranked)
-      requests
-  in
-  let outcomes, stats = serve_forced ~jobs:4 engine requests in
-  Alcotest.(check int) "all queries served" (List.length requests) stats.Serve.queries;
-  Alcotest.(check int) "no errors" 0 stats.Serve.errors;
-  List.iteri
-    (fun i (o : Serve.outcome) ->
-      match o.Serve.result with
-      | Request.Done r ->
-          Alcotest.check ranked
-            (Printf.sprintf "query %d (%s) ranked list" i
-               (Engine.method_name o.Serve.request.Serve.method_))
-            (List.nth expected i) r.Engine.ranked
-      | Request.Failed e -> Alcotest.failf "query %d raised %s" i (Printexc.to_string e)
-      | other ->
-          Alcotest.failf "query %d unexpectedly %s" i (Request.outcome_result_name other))
-    outcomes;
-  (* and the full fingerprint — scores, strategies, counters — matches a
-     one-domain serve of the same batch *)
-  let seq_outcomes, _ = serve_forced ~jobs:1 engine requests in
-  Alcotest.(check string) "jobs=4 fingerprint = jobs=1"
-    (Serve.fingerprint seq_outcomes) (Serve.fingerprint outcomes)
+  (* ground truth: a plain sequential Engine.run_request loop, no serving
+     tier, no cache *)
+  let expected = List.map (Engine.run_request engine) requests in
+  List.iter (fun o -> ignore (Request.get_done o)) expected;
+  let a = Engine.cache engine and b = Engine.cache engine in
+  List.iter
+    (fun (label, jobs, cache) ->
+      let outcomes, stats = serve_forced ~jobs ?cache engine requests in
+      Alcotest.(check (pair int int))
+        (label ^ ": all served, no errors")
+        (List.length requests, 0)
+        (stats.Serve.queries, stats.Serve.errors);
+      Alcotest.(check string)
+        (label ^ ": fingerprint = sequential loop")
+        (Serve.fingerprint expected) (Serve.fingerprint outcomes))
+    [
+      ("jobs=1", 1, None);
+      ("jobs=4", 4, None);
+      ("jobs=1 cold", 1, Some a);
+      ("jobs=4 warm", 4, Some a);
+      ("jobs=4 cold", 4, Some b);
+      ("jobs=1 warm", 1, Some b);
+    ]
 
 let prop_generated_serve_jobs_identical =
   QCheck.Test.make ~name:"generated instance: serve fingerprint invariant across jobs" ~count:3
@@ -100,7 +93,7 @@ let prop_generated_serve_jobs_identical =
       let requests =
         List.map
           (fun method_ ->
-            Serve.request ~k:10 method_
+            Request.make ~k:10 method_
               (Query.make (Query.endpoint catalog "Protein") (Query.endpoint catalog "DNA")))
           Engine.all_methods
       in
@@ -112,42 +105,53 @@ let prop_generated_serve_jobs_identical =
 let test_counter_isolation () =
   let engine = Lazy.force paper_engine in
   let requests = paper_workload engine in
-  Counters.reset ();
-  Counters.add_tuples 7 (* sentinel: serving must not disturb the ambient scope *);
-  let outcomes, _ = serve_forced ~jobs:4 engine requests in
-  Alcotest.(check int) "ambient counters untouched by the batch" 7 (Counters.tuples ());
-  Counters.reset ();
+  (* sentinel: serving must not disturb the caller's counter scope *)
+  let outcomes, outer =
+    Counters.with_scope (fun () ->
+        Counters.add_tuples 7;
+        fst (serve_forced ~jobs:4 engine requests))
+  in
+  Alcotest.(check (triple int int int))
+    "surrounding scope untouched by the batch" (7, 0, 0)
+    (outer.Counters.tuples, outer.Counters.index_probes, outer.Counters.rows_scanned);
   (* each outcome's counters equal the query's solo cost — nothing leaked
      in from neighbours that ran concurrently on other domains *)
   List.iteri
-    (fun i (o : Serve.outcome) ->
-      let r = o.Serve.request in
-      let (_ : Engine.result), solo =
-        Counters.with_scope (fun () ->
-            Engine.run engine r.Serve.query ~method_:r.Serve.method_ ~scheme:r.Serve.scheme
-              ~k:r.Serve.k ())
-      in
+    (fun i (o : Request.outcome) ->
+      let solo = (Engine.run_request engine o.Request.request).Request.counters in
       Alcotest.(check (triple int int int))
         (Printf.sprintf "query %d counters = solo run" i)
         (solo.Counters.tuples, solo.Counters.index_probes, solo.Counters.rows_scanned)
-        ( o.Serve.counters.Counters.tuples,
-          o.Serve.counters.Counters.index_probes,
-          o.Serve.counters.Counters.rows_scanned ))
+        ( o.Request.counters.Counters.tuples,
+          o.Request.counters.Counters.index_probes,
+          o.Request.counters.Counters.rows_scanned ))
     outcomes
 
 let test_with_scope_isolation () =
-  Counters.reset ();
-  Counters.add_tuples 5;
-  let result, inner =
+  let (result, inner), outer =
     Counters.with_scope (fun () ->
-        Alcotest.(check int) "fresh scope starts at zero" 0 (Counters.tuples ());
-        Counters.add_tuples 3;
-        "done")
+        Counters.add_tuples 5 (* sentinel *);
+        let scoped =
+          Counters.with_scope (fun () ->
+              Counters.add_tuples 3;
+              "done")
+        in
+        (* a raising inner scope still restores this one *)
+        (try
+           ignore
+             (Counters.with_scope (fun () ->
+                  Counters.add_scanned 11;
+                  failwith "boom"))
+         with Failure _ -> ());
+        scoped)
   in
   Alcotest.(check string) "result threaded through" "done" result;
-  Alcotest.(check int) "inner snapshot sees only inner work" 3 inner.Counters.tuples;
-  Alcotest.(check int) "outer scope never saw inner work" 5 (Counters.tuples ());
-  Counters.reset ()
+  Alcotest.(check (triple int int int))
+    "inner snapshot starts at zero, sees only inner work" (3, 0, 0)
+    (inner.Counters.tuples, inner.Counters.index_probes, inner.Counters.rows_scanned);
+  Alcotest.(check (triple int int int))
+    "outer scope never saw inner work" (5, 0, 0)
+    (outer.Counters.tuples, outer.Counters.index_probes, outer.Counters.rows_scanned)
 
 (* --- error containment ---------------------------------------------------- *)
 
@@ -156,7 +160,7 @@ let test_error_isolated () =
   let catalog = engine.Engine.ctx.Context.catalog in
   (* Protein-Protein was never built: Context.store_for raises Not_found *)
   let poison =
-    Serve.request Engine.Full_top
+    Request.make Engine.Full_top
       (Query.make (Query.endpoint catalog "Protein") (Query.endpoint catalog "Protein"))
   in
   let good = paper_workload engine in
@@ -164,7 +168,7 @@ let test_error_isolated () =
   let outcomes, stats = serve_forced ~jobs:4 engine requests in
   Alcotest.(check int) "exactly one error" 1 stats.Serve.errors;
   Alcotest.(check int) "whole batch completed" (List.length requests) stats.Serve.queries;
-  (match (List.nth outcomes 1).Serve.result with
+  (match (List.nth outcomes 1).Request.result with
   | Request.Failed Not_found -> ()
   | Request.Failed e ->
       Alcotest.failf "poison query raised %s, expected Not_found" (Printexc.to_string e)
@@ -179,13 +183,13 @@ let test_error_isolated () =
 
 let test_traces_attached () =
   let engine = Lazy.force paper_engine in
-  let requests = [ Serve.request Engine.Fast_top (Query.q1 engine.Engine.ctx.Context.catalog) ] in
+  let requests = [ Request.make Engine.Fast_top (Query.q1 engine.Engine.ctx.Context.catalog) ] in
   let with_traces, _ = serve_forced ~jobs:2 ~traces:true engine requests in
-  (match (List.hd with_traces).Serve.trace with
+  (match (List.hd with_traces).Request.trace with
   | Some tr -> Alcotest.(check bool) "trace has spans" true (Trace.span_count tr > 0)
   | None -> Alcotest.fail "traces requested but absent");
   let without, _ = serve_forced ~jobs:2 engine requests in
-  Alcotest.(check bool) "no trace unless requested" true ((List.hd without).Serve.trace = None)
+  Alcotest.(check bool) "no trace unless requested" true ((List.hd without).Request.trace = None)
 
 (* --- pool: concurrent batch submitters ------------------------------------ *)
 

@@ -33,7 +33,7 @@ let serve_fp (engine : Engine.t) =
   let requests =
     List.mapi
       (fun i method_ ->
-        Serve.request
+        Request.make
           ~scheme:(List.nth schemes (i mod 3))
           ~k:10 method_
           (Query.make (Query.endpoint catalog "Protein") (Query.endpoint catalog "DNA")))

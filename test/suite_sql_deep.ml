@@ -338,7 +338,9 @@ let test_generated_catalog_dump_roundtrip () =
       let run cat =
         let engine = Topo_core.Engine.build cat ~pairs:[ ("Protein", "DNA") ] ~pruning_threshold:10 () in
         let q = Topo_core.Query.q1 cat in
-        List.length (Topo_core.Engine.run engine q ~method_:Topo_core.Engine.Full_top ()).Topo_core.Engine.ranked
+        Topo_core.(
+          List.length
+            (Request.get_done (Engine.run_request engine (Request.make Engine.Full_top q))).Request.ranked)
       in
       Alcotest.(check int) "same topology count" (run original) (run loaded))
 

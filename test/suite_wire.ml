@@ -270,7 +270,7 @@ let mixed_requests (engine : Engine.t) =
     (fun t2 ->
       List.mapi
         (fun i method_ ->
-          Serve.request ~scheme:schemes.(i mod 3) ~k:10 method_
+          Request.make ~scheme:schemes.(i mod 3) ~k:10 method_
             (Query.make (Query.endpoint catalog "Protein") (Query.endpoint catalog t2)))
         Engine.all_methods)
     [ "DNA"; "Interaction" ]
@@ -385,10 +385,10 @@ let test_router_survives_killed_shard () =
               Alcotest.(check int)
                 "no outcome lost" (List.length requests) (List.length degraded);
               List.iter2
-                (fun (h : Serve.outcome) (d : Serve.outcome) ->
-                  let t2 = d.Serve.request.Request.query.Query.e2.Query.entity in
+                (fun (h : Request.outcome) (d : Request.outcome) ->
+                  let t2 = d.Request.request.Request.query.Query.e2.Query.entity in
                   if Snapshot.manifest_shard manifest ~t1:"Protein" ~t2 = Some dead then
-                    match d.Serve.result with
+                    match d.Request.result with
                     | Request.Failed (Request.Remote_failure _) -> ()
                     | _ -> Alcotest.fail "dead shard's request must fail with Remote_failure"
                   else

@@ -1,6 +1,6 @@
 (* Module dependency graph over the scanned sources, for the hot-path
    rule: a module is HOT when it is reachable from one of the roots
-   (Engine.run_request / Serve.run live in lib/core/engine.ml and
+   (Engine.run_request / Serve.exec live in lib/core/engine.ml and
    lib/core/serve.ml) by following module references.
 
    References are collected purely syntactically: every capitalized

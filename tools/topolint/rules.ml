@@ -11,9 +11,8 @@
      ~finally, or a matching Mutex.unlock in every branch), and no
      blocking call (Pool.parallel_map/fold, Domain.join, an iterator's
      .next field) may appear while the lock is syntactically held.
-   - hot-path (modules reachable from Engine.run_request / Serve.run):
-     no Random.*, Sys.time, stdout printing, or ambient-counter scope
-     clobbering (Counters.reset / Counters.with_reset); and no unbounded
+   - hot-path (modules reachable from Engine.run_request / Serve.exec):
+     no Random.*, Sys.time or stdout printing; and no unbounded
      queue growth — a Queue.add/Queue.push must sit under an enclosing
      [if] whose condition consults Queue.length (the admission-control
      idiom), or carry a reasoned lint.allow entry.  An unguarded add in
@@ -284,8 +283,6 @@ let hot_denied p =
   | [ "Printf"; "printf" ] | [ "Format"; "printf" ] | [ "Format"; "print_string" ]
   | [ "Format"; "print_newline" ] ->
       Some "stdout printing in a hot-path module"
-  | [ "Counters"; ("reset" | "with_reset") ] | [ _; "Counters"; ("reset" | "with_reset") ] ->
-      Some "ambient Counters scope mutation outside with_scope in a hot-path module"
   | _ -> None
 
 (* Queue growth (hot-path rule): Queue.add/Queue.push must be depth-
