@@ -47,14 +47,14 @@ let ranks = function
   | Full_top_k | Fast_top_k | Full_top_k_et | Fast_top_k_et | Full_top_k_opt | Fast_top_k_opt ->
       true
 
-type aligned = { store : Store.t; ea : Query.endpoint; eb : Query.endpoint }
+type aligned = { store : Store.t; ea : Query.endpoint; eb : Query.endpoint; a_ids : int array Lazy.t }
 
 let align (ctx : Context.t) (q : Query.t) =
   let store, straight =
     Context.store_for ctx ~t1:q.Query.e1.Query.entity ~t2:q.Query.e2.Query.entity
   in
-  if straight then { store; ea = q.Query.e1; eb = q.Query.e2 }
-  else { store; ea = q.Query.e2; eb = q.Query.e1 }
+  let ea, eb = if straight then (q.Query.e1, q.Query.e2) else (q.Query.e2, q.Query.e1) in
+  { store; ea; eb; a_ids = lazy (Context.satisfying_ids ctx ea) }
 
 (* Span helper: a no-op when no trace is threaded through. *)
 let sp ?trace ?tags name f =
@@ -106,48 +106,56 @@ let run_tids ?(check = false) ?trace ctx plan =
 (* ------------------------------------------------------------------ *)
 (* Pruned-topology base-data checks                                    *)
 
-exception Found_pair of int * int
+exception Found
 
-(* Enumerate candidate partners of [a] through the class [key]
-   (handling same-endpoint-type reversals), calling [f b]. *)
-let iter_class_partners ctx key ~a ~f =
-  let p = Context.class_path ctx key in
-  let last (ids : int array) = ids.(Array.length ids - 1) in
-  Dg.iter_instance_paths_from ctx.Context.dg p ~source:a ~f:(fun ids -> f (last ids));
+(* A path class resolved once per check: its schema path compiled, plus
+   the reversed reading when both ends have the same type and the path is
+   not its own reverse. *)
+let class_walker (ctx : Context.t) key =
+  let dg = ctx.Context.dg and p = Context.class_path ctx key in
   let rev = Sg.reverse p in
   if p.Sg.types.(0) = p.Sg.types.(Array.length p.Sg.types - 1) && rev <> p then
-    Dg.iter_instance_paths_from ctx.Context.dg rev ~source:a ~f:(fun ids -> f (last ids))
+    [ Dg.compile dg p; Dg.compile dg rev ]
+  else [ Dg.compile dg p ]
+
+(* Calls [f b] at the far end of every instance path of the class from [a]. *)
+let iter_partners (ctx : Context.t) walker ~a ~f =
+  List.iter (fun c -> Dg.iter_ends ctx.Context.dg c ~source:a ~f) walker
+
+let connects ctx walker ~a ~b =
+  try
+    iter_partners ctx walker ~a ~f:(fun b' -> if b' = b then raise Found);
+    false
+  with Found -> true
 
 (* The bottom sub-query of SQL1: does a qualifying pair satisfy the pruned
-   topology's path condition (under any of its derivations) without being
+   topology's path condition (under this derivation) without being
    excepted? *)
 let pruned_find_one (ctx : Context.t) aligned (p : Topology.t) decomposition =
-  match decomposition with
-  | [] -> None
-  | first_class :: other_classes -> (
-      let a_ids = Context.satisfying_ids ctx aligned.ea in
-      let checked = Hashtbl.create 64 in
+  match List.map (class_walker ctx) decomposition with
+  | [] -> false
+  | first :: others -> (
+      let checked = Hashtbl.create 16 in
       try
         Array.iter
           (fun a ->
-            iter_class_partners ctx first_class ~a ~f:(fun b ->
-                if not (Hashtbl.mem checked (a, b)) then begin
-                  Hashtbl.add checked (a, b) ();
+            Hashtbl.clear checked;
+            iter_partners ctx first ~a ~f:(fun b ->
+                if not (Hashtbl.mem checked b) then begin
+                  Hashtbl.add checked b ();
                   if
                     Context.satisfies ctx aligned.eb b
-                    && List.for_all (fun key -> Context.class_exists_between ctx key ~a ~b) other_classes
+                    && List.for_all (fun w -> connects ctx w ~a ~b) others
                     && not
                          (Store.is_excepted aligned.store ctx.Context.catalog ~a ~b ~tid:p.Topology.tid)
-                  then raise (Found_pair (a, b))
+                  then raise Found
                 end))
-          a_ids;
-        None
-      with Found_pair (a, b) -> Some (a, b))
+          (Lazy.force aligned.a_ids);
+        false
+      with Found -> true)
 
-let pruned_find ctx aligned (p : Topology.t) =
-  List.find_map (fun d -> pruned_find_one ctx aligned p d) (Atomic.get p.Topology.decompositions)
-
-let pruned_check ctx aligned p = Option.is_some (pruned_find ctx aligned p)
+let pruned_check ctx aligned (p : Topology.t) =
+  List.exists (pruned_find_one ctx aligned p) (Atomic.get p.Topology.decompositions)
 
 (* ------------------------------------------------------------------ *)
 (* Non-top-k methods                                                   *)
@@ -186,7 +194,7 @@ let sql_method ?(check = false) ?trace (ctx : Context.t) aligned =
   let topinfo = Catalog.find ctx.Context.catalog aligned.store.Store.topinfo in
   let observed = ref [] in
   Table.iter (fun _ tuple -> observed := Value.as_int tuple.(0) :: !observed) topinfo;
-  let a_ids = Context.satisfying_ids ctx aligned.ea in
+  let a_ids = Lazy.force aligned.a_ids in
   let t1 = aligned.store.Store.t1 and t2 = aligned.store.Store.t2 in
   let check tid =
     let p = Topology.find ctx.Context.registry tid in
@@ -200,9 +208,10 @@ let sql_method ?(check = false) ?trace (ctx : Context.t) aligned =
     try
       List.iter
         (fun first_class ->
+          let walker = class_walker ctx first_class in
           Array.iter
             (fun a ->
-              iter_class_partners ctx first_class ~a ~f:(fun b ->
+              iter_partners ctx walker ~a ~f:(fun b ->
                   if not (Hashtbl.mem checked (a, b)) then begin
                     Hashtbl.add checked (a, b) ();
                     if Context.satisfies ctx aligned.eb b then begin
@@ -210,13 +219,13 @@ let sql_method ?(check = false) ?trace (ctx : Context.t) aligned =
                         Compute.pair_topologies ctx.Context.dg ctx.Context.schema ctx.Context.registry
                           ~t1 ~t2 ~a ~b ~l:ctx.Context.l ~caps:ctx.Context.caps
                       in
-                      if List.mem tid row.Compute.tids then raise (Found_pair (a, b))
+                      if List.mem tid row.Compute.tids then raise Found
                     end
                   end))
             a_ids)
         first_classes;
       false
-    with Found_pair _ -> true
+    with Found -> true
   in
   sp ?trace "existence_probes"
     ~tags:[ ("observed", string_of_int (List.length !observed)) ]
@@ -270,7 +279,7 @@ let budget_stop = function Some b -> Budget.tick b | None -> false
    pruned topologies, keeping global descending-score order, stopping at
    k results (or when the deadline budget trips — the results so far are
    the deterministic prefix of the full answer's merge order). *)
-let merge_with_pruned ?budget ctx aligned ~scheme ~k ~next_witness =
+let merge_with_pruned ?trace ?budget ctx aligned ~scheme ~k ~next_witness =
   let pruned =
     List.map
       (fun (p : Topology.t) ->
@@ -284,6 +293,7 @@ let merge_with_pruned ?budget ctx aligned ~scheme ~k ~next_witness =
     results := (tid, score) :: !results;
     incr count
   in
+  let check p = sp ?trace "pruned_checks" (fun () -> pruned_check ctx aligned p) in
   let rec loop pending pruned_left =
     if !count >= k then ()
     else if budget_stop budget then ()
@@ -292,13 +302,13 @@ let merge_with_pruned ?budget ctx aligned ~scheme ~k ~next_witness =
       match (pending, pruned_left) with
       | None, [] -> ()
       | Some (tid, score), ((p : Topology.t), pscore) :: rest when pscore > score ->
-          if pruned_check ctx aligned p then add p.Topology.tid pscore;
+          if check p then add p.Topology.tid pscore;
           loop (Some (tid, score)) rest
       | Some (tid, score), _ ->
           add tid score;
           loop None pruned_left
       | None, (p, pscore) :: rest ->
-          if pruned_check ctx aligned p then add p.Topology.tid pscore;
+          if check p then add p.Topology.tid pscore;
           loop None rest
     end
   in
@@ -355,7 +365,7 @@ let fast_top_k_et ?check ?trace ?budget ctx aligned ~scheme ~k ?(impls = default
     et_witness_stream ?check ?trace ctx aligned ~fact:aligned.store.Store.lefttops ~scheme ~impls
   in
   sp ?trace "merge_with_pruned" (fun () ->
-      merge_with_pruned ?budget ctx aligned ~scheme ~k ~next_witness:next)
+      merge_with_pruned ?trace ?budget ctx aligned ~scheme ~k ~next_witness:next)
 
 (* Plan-tier memoization of the optimizer's pricing searches.  The tier
    stays active under [~check:true]: a [Regular_plan] hit is re-run

@@ -45,6 +45,9 @@ type aligned = {
   store : Store.t;
   ea : Query.endpoint;  (** the endpoint on the store's E1 side *)
   eb : Query.endpoint;  (** the E2 side *)
+  a_ids : int array Lazy.t;
+      (** ids satisfying [ea], ascending: per-query state the pruned-topology
+          checks force on first use *)
 }
 
 (** [align ctx query] resolves the query's entity pair to its store,

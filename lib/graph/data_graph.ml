@@ -72,68 +72,66 @@ let node_type_label t id =
 
 let interner t = t.pool
 
-let intern_path_labels t (p : Schema_graph.path) =
-  Array.iter (fun ty -> ignore (node_label_of t ty)) p.Schema_graph.types;
-  Array.iter (fun rel -> ignore (edge_label_of t rel)) p.Schema_graph.rels
+type compiled = { type_labels : int array; rel_labels : int array }
+
+let compile t (p : Schema_graph.path) =
+  {
+    type_labels = Array.map (node_label_of t) p.Schema_graph.types;
+    rel_labels = Array.map (edge_label_of t) p.Schema_graph.rels;
+  }
+
+let intern_path_labels t p = ignore (compile t p)
 
 let is_palindromic (p : Schema_graph.path) = p = Schema_graph.reverse p
 
-(* Walk the schema path from [source], position by position, keeping the
-   visited set for simplicity.  [target] optionally pins the final node. *)
-let iter_from t (p : Schema_graph.path) ~source ?target ~f () =
-  let l = Schema_graph.path_length p in
-  let type_labels = Array.map (fun ty -> node_label_of t ty) p.Schema_graph.types in
-  let rel_labels = Array.map (fun rel -> edge_label_of t rel) p.Schema_graph.rels in
+(* The one traversal: depth-first along [c] from [source], calling [f] with
+   the node ids of each simple instance path.  [f] gets the walk's own
+   buffer, valid only during the call.  A path holds at most l + 1 nodes,
+   so the visited test is a scan of the positions already filled. *)
+let walk t c ~source ~f =
+  let l = Array.length c.rel_labels in
   match Hashtbl.find_opt t.node_type source with
-  | Some label when label = type_labels.(0) ->
-      let current = Array.make (l + 1) 0 in
-      current.(0) <- source;
-      let visited = Hashtbl.create 16 in
-      Hashtbl.add visited source ();
+  | Some label when label = c.type_labels.(0) ->
+      let current = Array.make (l + 1) source in
+      let rec on_path id i = i >= 0 && (current.(i) = id || on_path id (i - 1)) in
       let rec step pos =
-        if pos = l then begin
-          match target with
-          | Some tgt when current.(l) <> tgt -> ()
-          | Some _ | None -> f (Array.copy current)
-        end
+        if pos = l then f current
         else begin
-          let want_rel = rel_labels.(pos) and want_ty = type_labels.(pos + 1) in
-          let nbrs = Hashtbl.find t.adj current.(pos) in
+          let want_rel = c.rel_labels.(pos) and want_ty = c.type_labels.(pos + 1) in
           Dyn.iter
             (fun (rel, other) ->
-              if
-                rel = want_rel
-                && (not (Hashtbl.mem visited other))
-                && Hashtbl.find t.node_type other = want_ty
+              if rel = want_rel && (not (on_path other pos)) && Hashtbl.find t.node_type other = want_ty
               then begin
-                Hashtbl.add visited other ();
                 current.(pos + 1) <- other;
-                step (pos + 1);
-                Hashtbl.remove visited other
+                step (pos + 1)
               end)
-            nbrs
+            (Hashtbl.find t.adj current.(pos))
         end
       in
       step 0
   | Some _ | None -> ()
 
+let iter_ends t c ~source ~f =
+  let l = Array.length c.rel_labels in
+  walk t c ~source ~f:(fun ids -> f ids.(l))
+
 let iter_instance_paths t p ~f =
   let palindromic = is_palindromic p in
-  let sources = entities_of_type t p.Schema_graph.types.(0) in
+  let c = compile t p in
   let l = Schema_graph.path_length p in
   Array.iter
     (fun source ->
-      iter_from t p ~source
-        ~f:(fun ids ->
+      walk t c ~source ~f:(fun ids ->
           (* A palindromic path is discovered from both endpoints; keep the
              traversal from the smaller id. *)
-          if (not palindromic) || ids.(0) < ids.(l) then f ids)
-        ())
-    sources
+          if (not palindromic) || ids.(0) < ids.(l) then f (Array.copy ids)))
+    (entities_of_type t p.Schema_graph.types.(0))
 
-let iter_instance_paths_between t p ~a ~b ~f = iter_from t p ~source:a ~target:b ~f ()
+let iter_instance_paths_between t p ~a ~b ~f =
+  let l = Schema_graph.path_length p in
+  walk t (compile t p) ~source:a ~f:(fun ids -> if ids.(l) = b then f (Array.copy ids))
 
-let iter_instance_paths_from t p ~source ~f = iter_from t p ~source ~f ()
+let iter_instance_paths_from t p ~source ~f = walk t (compile t p) ~source ~f:(fun ids -> f (Array.copy ids))
 
 let path_subgraph t (p : Schema_graph.path) ~ids =
   let g = Lgraph.empty () in

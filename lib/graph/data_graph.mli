@@ -45,6 +45,21 @@ val interner : t -> Topo_util.Interner.t
     the shared intern pool, so concurrent traversals are safe. *)
 val intern_path_labels : t -> Schema_graph.path -> unit
 
+(** A schema path resolved to the graph's interned labels.  Compile a
+    path once and walk it from many sources: a walk then compares integers
+    only. *)
+type compiled
+
+(** [compile t path] interns the path's labels (see
+    {!intern_path_labels} for the concurrency contract). *)
+val compile : t -> Schema_graph.path -> compiled
+
+(** [iter_ends t c ~source ~f] calls [f] with the last node id of every
+    simple instance path of [c] that starts at [source], in the order
+    {!iter_instance_paths_from} yields those paths, without copying them.
+    [f] may raise to stop early. *)
+val iter_ends : t -> compiled -> source:int -> f:(int -> unit) -> unit
+
 (** [iter_instance_paths t path ~f] calls [f] with the node-id array of
     every simple instance path realizing the schema [path] (oriented as
     given), each instance exactly once: for a palindromic label sequence

@@ -192,6 +192,76 @@ let test_pruned_check_respects_predicates () =
   let fast = Request.get_done (Engine.run_request engine (Request.make Engine.Fast_top q)) in
   Alcotest.(check int) "empty" 0 (List.length fast.Request.ranked)
 
+(* --- pruned-topology check against a brute-force oracle -------------------- *)
+
+let oracle_pairs = [ ("Protein", "DNA"); ("Protein", "Interaction"); ("Protein", "Protein") ]
+
+(* A low threshold prunes most topologies; the same-type pair exercises
+   classes that also read reversed. *)
+let oracle_engine =
+  lazy
+    (let cat = Biozon.Generator.generate (Biozon.Generator.scale 0.05 Biozon.Generator.default) in
+     (cat, Engine.build cat ~pairs:oracle_pairs ~pruning_threshold:3 ()))
+
+(* No constraint, a [desc] keyword (calibrated, filler or absent), or
+   DNA's [type]. *)
+let gen_endpoint cat entity =
+  let open QCheck.Gen in
+  let calibrated =
+    match entity with
+    | "Protein" -> List.map fst Biozon.Vocab.protein_keywords
+    | "Interaction" -> List.map fst Biozon.Vocab.interaction_keywords
+    | _ -> []
+  in
+  let keyword =
+    map
+      (fun kw -> Query.keyword cat entity ~col:"desc" ~kw)
+      (oneofl (calibrated @ [ "membrane"; "putative"; "zinc"; "nonexistentword" ]))
+  in
+  let dna_type =
+    map
+      (fun ty -> Query.equals cat entity ~col:"type" ~value:(Value.Str ty))
+      (oneofl (List.map fst Biozon.Vocab.dna_types))
+  in
+  frequency
+    ((1, return (Query.endpoint cat entity)) :: (3, keyword) :: (if entity = "DNA" then [ (2, dna_type) ] else []))
+
+let gen_oracle_query cat =
+  let open QCheck.Gen in
+  oneofl oracle_pairs >>= fun (t1, t2) ->
+  bool >>= fun swap ->
+  let t1, t2 = if swap then (t2, t1) else (t1, t2) in
+  map2 Query.make (gen_endpoint cat t1) (gen_endpoint cat t2)
+
+(* The check's definition, evaluated pair by pair: some (a, b) of the two
+   endpoint sets has every class of some decomposition and is not
+   excepted. *)
+let brute_force_pruned ctx (aligned : Methods.aligned) (p : Topology.t) =
+  let b_ids = Context.satisfying_ids ctx aligned.Methods.eb in
+  Array.exists
+    (fun a ->
+      Array.exists
+        (fun b ->
+          List.exists
+            (List.for_all (fun key -> Context.class_exists_between ctx key ~a ~b))
+            (Atomic.get p.Topology.decompositions)
+          && not (Store.is_excepted aligned.Methods.store ctx.Context.catalog ~a ~b ~tid:p.Topology.tid))
+        b_ids)
+    (Context.satisfying_ids ctx aligned.Methods.ea)
+
+let prop_pruned_check_matches_oracle =
+  QCheck.Test.make ~name:"pruned_check = brute-force oracle, both orientations" ~count:40
+    (QCheck.make ~print:Query.to_string (fun st -> gen_oracle_query (fst (Lazy.force oracle_engine)) st))
+    (fun q ->
+      let ctx = (snd (Lazy.force oracle_engine)).Engine.ctx in
+      let aligned = Methods.align ctx q in
+      List.for_all
+        (fun (p : Topology.t) ->
+          let got = Methods.pruned_check ctx aligned p and want = brute_force_pruned ctx aligned p in
+          got = want
+          || QCheck.Test.fail_reportf "T%d: pruned_check %b, oracle %b" p.Topology.tid got want)
+        aligned.Methods.store.Store.pruned)
+
 (* --- method agreement on the synthetic database --------------------------- *)
 
 let synthetic_engine =
@@ -548,6 +618,7 @@ let suites =
         Alcotest.test_case "ExcpTops (78,215,T2)" `Quick test_excptops_contains_78_215_for_pud;
         Alcotest.test_case "fast=full under heavy pruning" `Quick test_fast_top_equals_full_top_under_heavy_pruning;
         Alcotest.test_case "pruned check respects predicates" `Quick test_pruned_check_respects_predicates;
+        QCheck_alcotest.to_alcotest prop_pruned_check_matches_oracle;
       ] );
     ( "core.methods",
       [

@@ -291,6 +291,52 @@ let test_instance_paths_simple_only () =
       Alcotest.(check int) "distinct nodes" (List.length l)
         (List.length (List.sort_uniq compare l)))
 
+(* Every schema path with l <= 3 of the Figure 3 schema, in both
+   orientations (same-type paths equal to their own reverse included),
+   walked from every entity: the compiled walker's endpoints are
+   [iter_instance_paths_from]'s last ids in the same order, and the same
+   multiset as a naive search over sorted neighbor lists. *)
+let test_compiled_walker_matches_enumeration () =
+  let _, dg = paper_dg () in
+  let schema = biozon_schema () in
+  let types = Schema_graph.entities schema in
+  let entities = List.concat_map (fun ty -> Array.to_list (Data_graph.entities_of_type dg ty)) types in
+  let paths =
+    List.concat_map
+      (fun from_ -> List.concat_map (fun to_ -> Schema_graph.paths schema ~from_ ~to_ ~max_len:3) types)
+      types
+    |> List.concat_map (fun p -> [ p; Schema_graph.reverse p ])
+    |> List.sort_uniq compare
+  in
+  Alcotest.(check bool) "some paths equal their reverse" true
+    (List.exists (fun p -> p = Schema_graph.reverse p) paths);
+  let rec naive (p : Schema_graph.path) pos on_path id =
+    if pos = Schema_graph.path_length p then [ id ]
+    else
+      Data_graph.neighbors_by dg ~id ~rel:p.Schema_graph.rels.(pos) ~ty:p.Schema_graph.types.(pos + 1)
+      |> List.filter (fun n -> not (List.mem n on_path))
+      |> List.concat_map (fun n -> naive p (pos + 1) (n :: on_path) n)
+  in
+  let nonempty = ref 0 in
+  List.iter
+    (fun (p : Schema_graph.path) ->
+      let c = Data_graph.compile dg p in
+      let sources = Data_graph.entities_of_type dg p.Schema_graph.types.(0) in
+      List.iter
+        (fun source ->
+          let ends = ref [] and lasts = ref [] in
+          Data_graph.iter_ends dg c ~source ~f:(fun b -> ends := b :: !ends);
+          Data_graph.iter_instance_paths_from dg p ~source ~f:(fun ids ->
+              lasts := ids.(Array.length ids - 1) :: !lasts);
+          let name = Printf.sprintf "%s from %d" (Schema_graph.path_to_string p) source in
+          Alcotest.(check (list int)) name (List.rev !lasts) (List.rev !ends);
+          let expected = if Array.mem source sources then naive p 0 [ source ] source else [] in
+          Alcotest.(check (list int)) (name ^ ", naive") (List.sort compare expected) (List.sort compare !ends);
+          if !ends <> [] then incr nonempty)
+        entities)
+    paths;
+  Alcotest.(check bool) "walks found paths" true (!nonempty > 0)
+
 (* --- gluing enumeration ---------------------------------------------------- *)
 
 let test_glue_fig8_two_topologies () =
@@ -368,6 +414,7 @@ let suites =
         Alcotest.test_case "PUD instances (Fig 6)" `Quick test_instance_paths_pud;
         Alcotest.test_case "anchored enumeration" `Quick test_instance_paths_between;
         Alcotest.test_case "paths stay simple" `Quick test_instance_paths_simple_only;
+        Alcotest.test_case "compiled walker = enumeration" `Quick test_compiled_walker_matches_enumeration;
       ] );
     ( "graph.glue",
       [
