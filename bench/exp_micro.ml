@@ -27,6 +27,11 @@ let tests () =
       (Topo_core.Query.keyword cat "Protein" ~col:"desc" ~kw:"enzyme")
       (Topo_core.Query.keyword cat "Interaction" ~col:"desc" ~kw:"binding")
   in
+  let protein = Topo_sql.Catalog.find cat "Protein" in
+  let enzyme =
+    Topo_sql.Expr.Contains
+      (Topo_sql.Expr.Col (Topo_sql.Schema.index_of (Topo_sql.Table.schema protein) "desc"), "enzyme")
+  in
   let t4_graph =
     (* A five-node complex topology for the canonicalization kernel. *)
     let interner = ctx.Topo_core.Context.interner in
@@ -87,6 +92,15 @@ let tests () =
            in
            Topo_sql.Dgj_cost.expected_cost
              { Topo_sql.Dgj_cost.cards = Array.make 100 20; levels; k = 10; per_group_overhead = 1.0 }));
+    (* table2: the keyword predicate, evaluated over the whole Protein
+       table and estimated from its statistics. *)
+    Test.make ~name:"contains_scan"
+      (Staged.stage (fun () -> Topo_sql.Iterator.count (Topo_sql.Op_scan.seq ~pred:enzyme protein)));
+    Test.make ~name:"contains_estimate"
+      (Staged.stage (fun () ->
+           Topo_sql.Table_stats.predicate_selectivity
+             (Topo_sql.Catalog.stats cat "Protein")
+             (Topo_sql.Table.schema protein) enzyme));
     (* instances: witness reconstruction. *)
     Test.make ~name:"instances_witness"
       (Staged.stage (fun () ->

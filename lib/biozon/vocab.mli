@@ -18,6 +18,9 @@ val interaction_keywords : (string * float) list
     (15%), [`Medium] (50%) or [`Unselective] (85%). *)
 val keyword_for : [ `Protein | `Interaction ] -> [ `Selective | `Medium | `Unselective ] -> string
 
+(** The filler words descriptions are built from, each drawn uniformly. *)
+val fillers : string array
+
 (** DNA [type] attribute values with sampling weights:
     mRNA 0.5, EST 0.3, genomic 0.2. *)
 val dna_types : (string * float) list

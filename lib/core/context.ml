@@ -41,7 +41,7 @@ let satisfying_ids t (endpoint : Query.endpoint) =
       if ok then Topo_util.Dyn.push out (Value.as_int tuple.(0)))
     table;
   let arr = Topo_util.Dyn.to_array out in
-  Array.sort compare arr;
+  Array.sort Int.compare arr;
   arr
 
 let satisfies t (endpoint : Query.endpoint) id =

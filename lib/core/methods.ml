@@ -68,8 +68,7 @@ let scan_endpoint (e : Query.endpoint) alias =
 
 (* sigma(A) |x| fact |x| sigma(B) -> distinct TID.  Fact tables are
    (E1, E2, TID). *)
-let tids_plan ctx aligned ~fact =
-  let a_arity = Schema.arity (Table.schema (Catalog.find ctx.Context.catalog aligned.ea.Query.entity)) in
+let tids_plan aligned ~fact =
   let join_a =
     Physical.HashJoin
       {
@@ -93,7 +92,6 @@ let tids_plan ctx aligned ~fact =
         residual = None;
       }
   in
-  ignore a_arity;
   Physical.Distinct (Physical.Project { input = join_b; cols = [ 2 ] })
 
 let run_tids ?(check = false) ?trace ctx plan =
@@ -101,7 +99,7 @@ let run_tids ?(check = false) ?trace ctx plan =
   sp ?trace "execute" (fun () ->
       Physical.run ctx.Context.catalog plan
       |> List.map (fun tuple -> Value.as_int tuple.(0))
-      |> List.sort compare)
+      |> List.sort Int.compare)
 
 (* ------------------------------------------------------------------ *)
 (* Pruned-topology base-data checks                                    *)
@@ -164,7 +162,7 @@ let full_top ?check ?trace ctx aligned =
   let plan =
     sp ?trace "build_plan"
       ~tags:[ ("fact", aligned.store.Store.alltops) ]
-      (fun () -> tids_plan ctx aligned ~fact:aligned.store.Store.alltops)
+      (fun () -> tids_plan aligned ~fact:aligned.store.Store.alltops)
   in
   run_tids ?check ?trace ctx plan
 
@@ -172,7 +170,7 @@ let fast_top ?check ?trace ctx aligned =
   let plan =
     sp ?trace "build_plan"
       ~tags:[ ("fact", aligned.store.Store.lefttops) ]
-      (fun () -> tids_plan ctx aligned ~fact:aligned.store.Store.lefttops)
+      (fun () -> tids_plan aligned ~fact:aligned.store.Store.lefttops)
   in
   let base = run_tids ?check ?trace ctx plan in
   let extra =

@@ -15,27 +15,23 @@ let bool_value b = if b then Value.Int 1 else Value.Int 0
 let is_word_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
 
+(* [keyword] occurs at [i] of [text] under ASCII case folding.  Top-level
+   and closure-free so a match allocates nothing. *)
+let rec folded_equal_at text i keyword j klen =
+  j = klen
+  || Char.lowercase_ascii text.[i + j] = Char.lowercase_ascii keyword.[j]
+     && folded_equal_at text i keyword (j + 1) klen
+
+let rec find_word text i tlen keyword klen =
+  i + klen <= tlen
+  && ((i = 0 || not (is_word_char text.[i - 1]))
+      && (i + klen = tlen || not (is_word_char text.[i + klen]))
+      && folded_equal_at text i keyword 0 klen
+     || find_word text (i + 1) tlen keyword klen)
+
 let keyword_matches ~keyword ~text =
-  let keyword = String.lowercase_ascii keyword in
-  let text = String.lowercase_ascii text in
-  let klen = String.length keyword and tlen = String.length text in
-  if klen = 0 then true
-  else
-    let rec scan from =
-      if from + klen > tlen then false
-      else
-        match String.index_from_opt text from keyword.[0] with
-        | None -> false
-        | Some i ->
-            if i + klen > tlen then false
-            else if
-              String.sub text i klen = keyword
-              && (i = 0 || not (is_word_char text.[i - 1]))
-              && (i + klen = tlen || not (is_word_char text.[i + klen]))
-            then true
-            else scan (i + 1)
-    in
-    scan 0
+  let klen = String.length keyword in
+  klen = 0 || find_word text 0 (String.length text) keyword klen
 
 let apply_cmp op a b =
   if Value.is_null a || Value.is_null b then Value.Null

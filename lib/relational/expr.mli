@@ -43,8 +43,14 @@ val shift_cols : int -> t -> t
     referenced. *)
 val columns : t -> int list
 
+(** [is_word_char c] holds for [[A-Za-z0-9_]], the characters of a word
+    in {!keyword_matches}. *)
+val is_word_char : char -> bool
+
 (** [keyword_matches keyword text] is the primitive behind [Contains]:
-    whole-word, case-insensitive containment. *)
+    whole-word containment under ASCII case folding.  A word is a run of
+    [[A-Za-z0-9_]]; the empty keyword matches every text.  Compares bytes
+    in place and allocates nothing. *)
 val keyword_matches : keyword:string -> text:string -> bool
 
 (** [to_string expr] for plan display, with [Col i] shown as [#i]. *)

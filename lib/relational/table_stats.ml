@@ -2,10 +2,47 @@ type t = {
   row_count : int;
   histograms : Histogram.t array;
   samples : Value.t array array;  (* bounded per-column sample for Contains *)
+  tokens : (string * int) array array;
+      (* Per column, derived from [samples] and never persisted: every
+         lowercased maximal word token with the number of [Str] samples
+         containing it, sorted by token; [[||]] when no sample is a [Str]. *)
   avg_width : float;
 }
 
 let sample_size = 512
+
+(* One count per sample, not per occurrence: [last] remembers the sample
+   that counted the token most recently. *)
+let token_counts sample =
+  let counts = Hashtbl.create 64 in
+  Array.iteri
+    (fun row v ->
+      match v with
+      | Value.Str s ->
+          let len = String.length s in
+          let rec words i =
+            if i < len then
+              if not (Expr.is_word_char s.[i]) then words (i + 1)
+              else begin
+                let rec word_end j = if j < len && Expr.is_word_char s.[j] then word_end (j + 1) else j in
+                let j = word_end i in
+                let tok = String.lowercase_ascii (String.sub s i (j - i)) in
+                (match Hashtbl.find_opt counts tok with
+                | Some (_, last) when last = row -> ()
+                | Some (n, _) -> Hashtbl.replace counts tok (n + 1, row)
+                | None -> Hashtbl.replace counts tok (1, row));
+                words j
+              end
+          in
+          words 0
+      | Value.Null | Value.Int _ | Value.Float _ -> ())
+    sample;
+  let table = Array.of_seq (Seq.map (fun (tok, (n, _)) -> (tok, n)) (Hashtbl.to_seq counts)) in
+  Array.sort (fun (a, _) (b, _) -> String.compare a b) table;
+  table
+
+let make ~row_count ~histograms ~samples ~avg_width =
+  { row_count; histograms; samples; tokens = Array.map token_counts samples; avg_width }
 
 let compute table =
   let rows = Table.rows table in
@@ -26,12 +63,8 @@ let compute table =
           Array.init sample_size (fun i -> all.(i * step)))
       columns
   in
-  {
-    row_count = n;
-    histograms;
-    samples;
-    avg_width = (if n = 0 then 0.0 else float_of_int width_sum /. float_of_int n);
-  }
+  make ~row_count:n ~histograms ~samples
+    ~avg_width:(if n = 0 then 0.0 else float_of_int width_sum /. float_of_int n)
 
 let columns t = Array.length t.histograms
 
@@ -40,7 +73,7 @@ let sample t col =
     invalid_arg (Printf.sprintf "Table_stats.sample: column %d" col);
   Array.copy t.samples.(col)
 
-let restore ~row_count ~histograms ~samples ~avg_width = { row_count; histograms; samples; avg_width }
+let restore = make
 
 let row_count t = t.row_count
 
@@ -51,19 +84,37 @@ let histogram t col =
 
 let distinct t col = Histogram.distinct (histogram t col)
 
+(* Samples containing [token], by binary search of a sorted token table. *)
+let token_count table token =
+  let rec search lo hi =
+    if lo >= hi then 0
+    else
+      let mid = (lo + hi) / 2 in
+      let tok, n = table.(mid) in
+      let c = String.compare token tok in
+      if c = 0 then n else if c < 0 then search lo mid else search (mid + 1) hi
+  in
+  search 0 (Array.length table)
+
+(* A word-bounded match of a non-empty, all-word-char keyword is exactly a
+   maximal token equal to it, so the token count equals the sample scan's
+   hit count.  Any other keyword scans the sample. *)
 let contains_selectivity t col keyword =
   let sample = t.samples.(col) in
   if Array.length sample = 0 then 0.0
-  else begin
-    let hits = ref 0 in
-    Array.iter
-      (fun v ->
-        match v with
-        | Value.Str s -> if Expr.keyword_matches ~keyword ~text:s then incr hits
-        | Value.Null | Value.Int _ | Value.Float _ -> ())
-      sample;
-    float_of_int !hits /. float_of_int (Array.length sample)
-  end
+  else
+    let hits =
+      if keyword <> "" && String.for_all Expr.is_word_char keyword then
+        token_count t.tokens.(col) (String.lowercase_ascii keyword)
+      else
+        Array.fold_left
+          (fun hits v ->
+            match v with
+            | Value.Str s when Expr.keyword_matches ~keyword ~text:s -> hits + 1
+            | Value.Str _ | Value.Null | Value.Int _ | Value.Float _ -> hits)
+          0 sample
+    in
+    float_of_int hits /. float_of_int (Array.length sample)
 
 let clamp01 f = Float.max 0.0 (Float.min 1.0 f)
 

@@ -4,7 +4,9 @@
     cardinalities (N_i), index probe costs (I_i), local-predicate
     selectivities (rho_i) and join selectivities (s_i).  Keyword-containment
     selectivity has no closed form, so it is estimated on a bounded sample of
-    the column, like commercial systems estimate LIKE patterns. *)
+    the column, like commercial systems estimate LIKE patterns.  A
+    single-word keyword is looked up in a token-count table that {!compute}
+    and {!restore} derive from the sample; the table is never persisted. *)
 
 type t
 
@@ -22,7 +24,7 @@ val sample : t -> int -> Value.t array
 
 (** [restore ~row_count ~histograms ~samples ~avg_width] rebuilds a stats
     record from previously extracted state — the snapshot codec's inverse
-    of {!compute}. *)
+    of {!compute}.  It re-derives the token-count tables from [samples]. *)
 val restore :
   row_count:int ->
   histograms:Histogram.t array ->
@@ -42,7 +44,10 @@ val distinct : t -> int -> int
 
 (** [predicate_selectivity t schema expr] estimates the fraction of rows
     satisfying [expr]: comparisons via histograms, [Contains] via the stored
-    sample, boolean combinations under independence. *)
+    sample, boolean combinations under independence.  For a non-empty
+    keyword of word characters only, [Contains] is one token-table lookup;
+    it returns the same float as scanning the sample with
+    {!Expr.keyword_matches}, which any other keyword still does. *)
 val predicate_selectivity : t -> Schema.t -> Expr.t -> float
 
 (** [join_selectivity ~left ~left_col ~right ~right_col] estimates the

@@ -101,7 +101,65 @@ let test_expr_contains_word_boundaries () =
   Alcotest.(check bool) "substring rejected" false (m "zyme" "enzyme");
   Alcotest.(check bool) "prefix rejected" false (m "enzy" "enzyme");
   Alcotest.(check bool) "hyphen boundary" true (m "mms2" "Homo sapiens MMS2 (MMS2) mRNA");
-  Alcotest.(check bool) "absent" false (m "kinase" "an enzyme")
+  Alcotest.(check bool) "absent" false (m "kinase" "an enzyme");
+  Alcotest.(check bool) "at the very end" true (m "kinase" "protein KINASE");
+  Alcotest.(check bool) "cut off at the end" false (m "kinase" "protein kinas");
+  Alcotest.(check bool) "_ after is a word char" false (m "kinase" "kinase_2 protein");
+  Alcotest.(check bool) "_ before is a word char" false (m "kinase" "pre_kinase");
+  Alcotest.(check bool) "repeated prefix" false (m "ab" "aab");
+  Alcotest.(check bool) "repeated prefix, later word" true (m "ab" "aab ab");
+  Alcotest.(check bool) "digits in the keyword" true (m "p53" "tumour P53 suppressor");
+  Alcotest.(check bool) "digit before is a word char" false (m "53" "p53");
+  Alcotest.(check bool) "digit after is a word char" false (m "e" "enzyme E2");
+  Alcotest.(check bool) "empty keyword, empty text" true (m "" "");
+  Alcotest.(check bool) "keyword longer than text" false (m "enzymes" "enzyme")
+
+let test_expr_contains_allocates_nothing () =
+  let text = "Homo sapiens ubiquitin-conjugating ENZYME E2 variant 1 (UBE2V1), mRNA" in
+  let keywords = [| "enzyme"; "mrna"; "kinase"; "e2 variant" |] in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to 39_999 do
+    if Expr.keyword_matches ~keyword:keywords.(i land 3) ~text then incr hits
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "hits" 30_000 !hits;
+  Alcotest.(check bool) (Printf.sprintf "40,000 matches allocated %.0f words" words) true (words < 100.0)
+
+(* The lowercase-copy matcher [Expr.keyword_matches] replaced, kept
+   verbatim as the oracle for the in-place one. *)
+let reference_keyword_matches ~keyword ~text =
+  let keyword = String.lowercase_ascii keyword in
+  let text = String.lowercase_ascii text in
+  let klen = String.length keyword and tlen = String.length text in
+  if klen = 0 then true
+  else
+    let rec scan from =
+      if from + klen > tlen then false
+      else
+        match String.index_from_opt text from keyword.[0] with
+        | None -> false
+        | Some i ->
+            if i + klen > tlen then false
+            else if
+              String.sub text i klen = keyword
+              && (i = 0 || not (Expr.is_word_char text.[i - 1]))
+              && (i + klen = tlen || not (Expr.is_word_char text.[i + klen]))
+            then true
+            else scan (i + 1)
+    in
+    scan 0
+
+(* A small alphabet so that matches, near misses and boundaries are all
+   common: mixed case, digits, '_', '-', ' ', '.' and non-ASCII bytes. *)
+let gen_matcher_string max_len =
+  let alphabet = "aAbB01_- .\xc3\xa9\xffzZ" in
+  QCheck.Gen.(string_size ~gen:(oneofl (List.init (String.length alphabet) (String.get alphabet))) (int_bound max_len))
+
+let prop_keyword_matches_oracle =
+  QCheck.Test.make ~name:"keyword_matches = lowercase-copy reference" ~count:2000
+    QCheck.(make ~print:Print.(pair string string) Gen.(pair (gen_matcher_string 4) (gen_matcher_string 12)))
+    (fun (keyword, text) -> Expr.keyword_matches ~keyword ~text = reference_keyword_matches ~keyword ~text)
 
 let test_expr_shift_columns () =
   let e = Expr.And [ Expr.Cmp (Expr.Eq, Expr.Col 0, Expr.Col 2); Expr.Contains (Expr.Col 1, "x") ] in
@@ -180,6 +238,60 @@ let test_stats_contains_selectivity () =
   let schema = Table.schema (Catalog.find cat "People") in
   let sel = Table_stats.predicate_selectivity stats schema (Expr.Contains (Expr.Col 1, "enzyme")) in
   Alcotest.(check (float 0.01)) "2 of 5 contain enzyme" 0.4 sel
+
+(* Random (ID, desc) tables, up to past the 512-row sample size, and
+   keywords that take both the token-count path and the scan path. *)
+let estimator_words =
+  [| "zinc"; "finger"; "Zinc"; "alpha"; "BETA"; "alpha-beta"; "p53"; "e2"; "kinase_2"; "kinase"; "\xc3\xa9t\xc3\xa9" |]
+
+let estimator_keywords =
+  [| "zinc"; "ZINC"; "finger"; "zinc finger"; "alpha-beta"; ""; "Alpha"; "beta"; "p53"; "P5"; "e2"; "kinase";
+     "kinase_2"; "KINASE_2"; "absent"; "\xc3\xa9t\xc3\xa9"; "." |]
+
+let gen_estimator_case =
+  let open QCheck.Gen in
+  let text =
+    let* words = list_size (int_bound 6) (oneofa estimator_words) in
+    let+ seps = list_repeat (List.length words) (oneofl [ " "; "-"; ", "; "_"; "." ]) in
+    String.concat "" (List.map2 ( ^ ) words seps)
+  in
+  let cell = frequency [ (9, map (fun s -> Value.Str s) text); (1, return Value.Null) ] in
+  let* cells = list_size (int_bound 700) cell in
+  let+ keyword = frequency [ (4, oneofa estimator_keywords); (1, gen_matcher_string 5) ] in
+  (cells, keyword)
+
+let prop_contains_estimate_oracle =
+  QCheck.Test.make ~name:"Contains estimate = sample scan, bit for bit" ~count:200
+    (QCheck.make
+       ~print:(fun (cells, kw) -> Printf.sprintf "%d rows, keyword %S" (List.length cells) kw)
+       gen_estimator_case)
+    (fun (cells, keyword) ->
+      let schema =
+        Schema.make [ { Schema.name = "ID"; ty = Schema.TInt }; { Schema.name = "desc"; ty = Schema.TStr } ]
+      in
+      let cat = Catalog.create () in
+      let tb = Catalog.create_table cat ~name:"T" ~schema ~primary_key:"ID" () in
+      List.iteri (fun i v -> Table.insert_values tb [ v_int i; v ]) cells;
+      let stats = Catalog.stats cat "T" in
+      List.for_all
+        (fun col ->
+          let sample = Table_stats.sample stats col in
+          let scan =
+            if Array.length sample = 0 then 0.0
+            else
+              let hits =
+                Array.fold_left
+                  (fun n v ->
+                    match v with
+                    | Value.Str text when reference_keyword_matches ~keyword ~text -> n + 1
+                    | Value.Str _ | Value.Null | Value.Int _ | Value.Float _ -> n)
+                  0 sample
+              in
+              float_of_int hits /. float_of_int (Array.length sample)
+          in
+          let est = Table_stats.predicate_selectivity stats schema (Expr.Contains (Expr.Col col, keyword)) in
+          Float.equal est scan || QCheck.Test.fail_reportf "column %d: estimate %h, scan %h" col est scan)
+        [ 0; 1 ])
 
 let test_stats_join_selectivity () =
   let cat = make_catalog () in
@@ -623,6 +735,8 @@ let suites =
         Alcotest.test_case "keyword containment" `Quick test_expr_contains_word_boundaries;
         Alcotest.test_case "shift columns" `Quick test_expr_shift_columns;
         Alcotest.test_case "conj flattens" `Quick test_expr_conj_flattens;
+        Alcotest.test_case "keyword containment allocates nothing" `Quick test_expr_contains_allocates_nothing;
+        QCheck_alcotest.to_alcotest prop_keyword_matches_oracle;
       ] );
     ( "rel.table",
       [
@@ -638,6 +752,7 @@ let suites =
         Alcotest.test_case "histogram nulls" `Quick test_histogram_nulls;
         Alcotest.test_case "contains selectivity" `Quick test_stats_contains_selectivity;
         Alcotest.test_case "join selectivity" `Quick test_stats_join_selectivity;
+        QCheck_alcotest.to_alcotest prop_contains_estimate_oracle;
       ] );
     ( "rel.operators",
       [

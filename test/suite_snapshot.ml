@@ -97,6 +97,40 @@ let test_generated_roundtrip_details () =
       Alcotest.(check bool) "build stats survive" true
         (engine.Engine.build_stats = loaded.Engine.build_stats))
 
+(* Token-count tables are derived, not persisted: [restore] must rebuild
+   them so a loaded catalog estimates every keyword like the built one. *)
+let test_contains_estimates_survive () =
+  let engine = generated_engine () in
+  with_temp_snapshot engine (fun path ->
+      let loaded = Snapshot.load path in
+      let catalog = engine.Engine.ctx.Context.catalog in
+      let catalog' = loaded.Engine.ctx.Context.catalog in
+      let keywords =
+        List.map fst (Biozon.Vocab.protein_keywords @ Biozon.Vocab.interaction_keywords @ Biozon.Vocab.dna_types)
+        @ Array.to_list Biozon.Vocab.fillers
+      in
+      let checked = ref 0 in
+      List.iter
+        (fun tb ->
+          let name = Table.name tb in
+          let schema = Table.schema tb in
+          Array.iteri
+            (fun col (c : Topo_sql.Schema.column) ->
+              if c.Topo_sql.Schema.ty = Topo_sql.Schema.TStr then
+                List.iter
+                  (fun kw ->
+                    let pred = Topo_sql.Expr.Contains (Topo_sql.Expr.Col col, kw) in
+                    let sel cat = Topo_sql.Table_stats.predicate_selectivity (Catalog.stats cat name) schema pred in
+                    incr checked;
+                    let built = sel catalog and restored = sel catalog' in
+                    if not (Float.equal built restored) then
+                      Alcotest.failf "%s.%s ct(%S): built %h, loaded %h" name c.Topo_sql.Schema.name kw built
+                        restored)
+                  keywords)
+            (Topo_sql.Schema.columns schema))
+        (Catalog.tables catalog);
+      Alcotest.(check bool) "some string column was checked" true (!checked > 0))
+
 let prop_generated_roundtrip =
   QCheck.Test.make ~name:"generated instance: snapshot load = in-process build" ~count:3
     QCheck.(int_range 0 5_000)
@@ -238,6 +272,7 @@ let suites =
         Alcotest.test_case "paper db round trip" `Quick test_paper_roundtrip;
         Alcotest.test_case "generated instance: tables, indexes, registry" `Quick
           test_generated_roundtrip_details;
+        Alcotest.test_case "Contains estimates: loaded = built" `Quick test_contains_estimates_survive;
         QCheck_alcotest.to_alcotest prop_generated_roundtrip;
       ] );
     ( "snapshot.corruption",
