@@ -28,10 +28,11 @@ let tests () =
       (Topo_core.Query.keyword cat "Interaction" ~col:"desc" ~kw:"binding")
   in
   let protein = Topo_sql.Catalog.find cat "Protein" in
-  let enzyme =
+  let desc_contains kw =
     Topo_sql.Expr.Contains
-      (Topo_sql.Expr.Col (Topo_sql.Schema.index_of (Topo_sql.Table.schema protein) "desc"), "enzyme")
+      (Topo_sql.Expr.Col (Topo_sql.Schema.index_of (Topo_sql.Table.schema protein) "desc"), kw)
   in
+  let enzyme = desc_contains "enzyme" and protein_kw = desc_contains "protein" in
   let t4_graph =
     (* A five-node complex topology for the canonicalization kernel. *)
     let interner = ctx.Topo_core.Context.interner in
@@ -96,6 +97,10 @@ let tests () =
        table and estimated from its statistics. *)
     Test.make ~name:"contains_scan"
       (Staged.stage (fun () -> Topo_sql.Iterator.count (Topo_sql.Op_scan.seq ~pred:enzyme protein)));
+    (* The fixed cost an operator pays per instance: the 85% keyword's
+       row bitmap, built from the column's postings. *)
+    Test.make ~name:"contains_filter_compile"
+      (Staged.stage (fun () -> Topo_sql.Row_filter.compile protein protein_kw));
     Test.make ~name:"contains_estimate"
       (Staged.stage (fun () ->
            Topo_sql.Table_stats.predicate_selectivity

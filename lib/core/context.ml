@@ -34,21 +34,27 @@ let class_path t key =
 
 let satisfying_ids t (endpoint : Query.endpoint) =
   let table = Catalog.find t.catalog endpoint.Query.entity in
+  let keep = Option.map (Row_filter.compile table) endpoint.Query.pred in
   let out = Topo_util.Dyn.create () in
   Table.iter
-    (fun _ tuple ->
-      let ok = match endpoint.Query.pred with None -> true | Some p -> Expr.truthy p tuple in
-      if ok then Topo_util.Dyn.push out (Value.as_int tuple.(0)))
+    (fun r tuple ->
+      match keep with
+      | Some f when not (f r tuple) -> ()
+      | Some _ | None -> Topo_util.Dyn.push out (Value.as_int tuple.(0)))
     table;
   let arr = Topo_util.Dyn.to_array out in
   Array.sort Int.compare arr;
   arr
 
-let satisfies t (endpoint : Query.endpoint) id =
-  let table = Catalog.find t.catalog endpoint.Query.entity in
-  match Table.find_by_pk table (Value.Int id) with
-  | None -> false
-  | Some tuple -> ( match endpoint.Query.pred with None -> true | Some p -> Expr.truthy p tuple)
+let mem_id ids id =
+  let rec search lo hi =
+    lo < hi
+    &&
+    let mid = (lo + hi) lsr 1 in
+    let m = ids.(mid) in
+    m = id || if id < m then search lo mid else search (mid + 1) hi
+  in
+  search 0 (Array.length ids)
 
 exception Found
 

@@ -33,9 +33,10 @@ val class_path : t -> string -> Topo_graph.Schema_graph.path
     returns the ids satisfying its constraint, ascending. *)
 val satisfying_ids : t -> Query.endpoint -> int array
 
-(** [satisfies t endpoint id] checks one entity by primary key (false for
-    absent ids). *)
-val satisfies : t -> Query.endpoint -> int -> bool
+(** [mem_id ids id] tests membership in an ascending id array such as
+    {!satisfying_ids} returns — the one way to test an entity against an
+    endpoint: build the id set once, then probe it. *)
+val mem_id : int array -> int -> bool
 
 (** [class_exists_between t key ~a ~b] is true when some instance path of
     the class connects [a] and [b] (handles same-type reversals). *)

@@ -14,8 +14,9 @@ let pairs_of_topology (ctx : Context.t) (store : Store.t) ~tid =
   |> List.sort compare
 
 let qualifying_pairs ctx store ~e1 ~e2 ~tid =
+  let a_ids = Context.satisfying_ids ctx e1 and b_ids = Context.satisfying_ids ctx e2 in
   List.filter
-    (fun (a, b) -> Context.satisfies ctx e1 a && Context.satisfies ctx e2 b)
+    (fun (a, b) -> Context.mem_id a_ids a && Context.mem_id b_ids b)
     (pairs_of_topology ctx store ~tid)
 
 (* Collect up to [cap] representatives of a class anchored at (a, b),

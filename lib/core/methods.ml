@@ -47,14 +47,26 @@ let ranks = function
   | Full_top_k | Fast_top_k | Full_top_k_et | Fast_top_k_et | Full_top_k_opt | Fast_top_k_opt ->
       true
 
-type aligned = { store : Store.t; ea : Query.endpoint; eb : Query.endpoint; a_ids : int array Lazy.t }
+type aligned = {
+  store : Store.t;
+  ea : Query.endpoint;
+  eb : Query.endpoint;
+  a_ids : int array Lazy.t;
+  b_ids : int array Lazy.t;
+}
 
 let align (ctx : Context.t) (q : Query.t) =
   let store, straight =
     Context.store_for ctx ~t1:q.Query.e1.Query.entity ~t2:q.Query.e2.Query.entity
   in
   let ea, eb = if straight then (q.Query.e1, q.Query.e2) else (q.Query.e2, q.Query.e1) in
-  { store; ea; eb; a_ids = lazy (Context.satisfying_ids ctx ea) }
+  {
+    store;
+    ea;
+    eb;
+    a_ids = lazy (Context.satisfying_ids ctx ea);
+    b_ids = lazy (Context.satisfying_ids ctx eb);
+  }
 
 (* Span helper: a no-op when no trace is threaded through. *)
 let sp ?trace ?tags name f =
@@ -142,7 +154,7 @@ let pruned_find_one (ctx : Context.t) aligned (p : Topology.t) decomposition =
                 if not (Hashtbl.mem checked b) then begin
                   Hashtbl.add checked b ();
                   if
-                    Context.satisfies ctx aligned.eb b
+                    Context.mem_id (Lazy.force aligned.b_ids) b
                     && List.for_all (fun w -> connects ctx w ~a ~b) others
                     && not
                          (Store.is_excepted aligned.store ctx.Context.catalog ~a ~b ~tid:p.Topology.tid)
@@ -212,7 +224,7 @@ let sql_method ?(check = false) ?trace (ctx : Context.t) aligned =
               iter_partners ctx walker ~a ~f:(fun b ->
                   if not (Hashtbl.mem checked (a, b)) then begin
                     Hashtbl.add checked (a, b) ();
-                    if Context.satisfies ctx aligned.eb b then begin
+                    if Context.mem_id (Lazy.force aligned.b_ids) b then begin
                       let row =
                         Compute.pair_topologies ctx.Context.dg ctx.Context.schema ctx.Context.registry
                           ~t1 ~t2 ~a ~b ~l:ctx.Context.l ~caps:ctx.Context.caps

@@ -48,6 +48,9 @@ type aligned = {
   a_ids : int array Lazy.t;
       (** ids satisfying [ea], ascending: per-query state the pruned-topology
           checks force on first use *)
+  b_ids : int array Lazy.t;
+      (** ids satisfying [eb], ascending, forced like [a_ids]: the checks
+          test each far end against it with {!Context.mem_id} *)
 }
 
 (** [align ctx query] resolves the query's entity pair to its store,

@@ -132,7 +132,7 @@ let run (ctx : Context.t) ~endpoints ?(max_tuples = 10_000) () =
   let tuples_examined = ref 0 in
   let truncated = ref false in
   let rows = ref [] in
-  let first_candidates = Context.satisfying_ids ctx eps.(0) in
+  let ids = Array.map (Context.satisfying_ids ctx) eps in
   (try
      Array.iter
        (fun a0 ->
@@ -155,13 +155,13 @@ let run (ctx : Context.t) ~endpoints ?(max_tuples = 10_000) () =
              let candidates = reachable_of_type ~from_type:types.(0) ~from_id:a0 ~target_type:types.(i) in
              Hashtbl.iter
                (fun cand () ->
-                 if (not (List.mem cand chosen)) && Context.satisfies ctx eps.(i) cand then
+                 if (not (List.mem cand chosen)) && Context.mem_id ids.(i) cand then
                    extend (cand :: chosen) (i + 1))
                candidates
            end
          in
          extend [ a0 ] 1)
-       first_candidates
+       ids.(0)
    with Exit -> ());
   let rows = List.rev !rows in
   let topologies =

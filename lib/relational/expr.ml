@@ -15,6 +15,20 @@ let bool_value b = if b then Value.Int 1 else Value.Int 0
 let is_word_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
 
+let single_word keyword = keyword <> "" && String.for_all is_word_char keyword
+
+let iter_tokens f text =
+  let len = String.length text in
+  let rec skip i = if i < len then if is_word_char text.[i] then word i (i + 1) else skip (i + 1)
+  and word start j =
+    if j < len && is_word_char text.[j] then word start (j + 1)
+    else begin
+      f (String.lowercase_ascii (String.sub text start (j - start)));
+      skip j
+    end
+  in
+  skip 0
+
 (* [keyword] occurs at [i] of [text] under ASCII case folding.  Top-level
    and closure-free so a match allocates nothing. *)
 let rec folded_equal_at text i keyword j klen =

@@ -47,6 +47,18 @@ val columns : t -> int list
     in {!keyword_matches}. *)
 val is_word_char : char -> bool
 
+(** [single_word keyword] holds when [keyword] is non-empty and all word
+    chars.  A word-bounded match of such a keyword is exactly a token of
+    {!iter_tokens} equal to it (after case folding), so token-derived
+    structures — sample token counts, keyword postings — answer it
+    exactly; any other keyword needs {!keyword_matches}. *)
+val single_word : string -> bool
+
+(** [iter_tokens f text] calls [f] on every token of [text], left to
+    right: a maximal run of word chars, lowercased.  This is the one
+    definition of a token. *)
+val iter_tokens : (string -> unit) -> string -> unit
+
 (** [keyword_matches keyword text] is the primitive behind [Contains]:
     whole-word containment under ASCII case folding.  A word is a run of
     [[A-Za-z0-9_]]; the empty keyword matches every text.  Compares bytes

@@ -1,5 +1,6 @@
 let idgj ~outer ~table ~table_cols ~outer_cols ?pred ?residual ?int_probe () =
   let schema = Schema.concat outer.Iterator.schema (Table.schema table) in
+  let keep = Option.map (Row_filter.compile table) pred in
   let idx = ref None in
   (* Lazy probe state: matches of the current outer tuple are pulled one at
      a time, so advance_group abandons the untouched tail of a large bucket
@@ -23,8 +24,8 @@ let idgj ~outer ~table ~table_cols ~outer_cols ?pred ?residual ?int_probe () =
         let rowno = !bucket_get !bucket_pos in
         incr bucket_pos;
         let inner = Table.get table rowno in
-        (match pred with
-        | Some p when not (Expr.truthy p inner) -> next ()
+        (match keep with
+        | Some f when not (f rowno inner) -> next ()
         | Some _ | None -> (
             let joined = Tuple.concat out_tuple inner in
             match residual with
@@ -78,6 +79,7 @@ let idgj ~outer ~table ~table_cols ~outer_cols ?pred ?residual ?int_probe () =
 let hdgj ~outer ~table ~table_cols ~outer_cols ?pred ?residual () =
   let schema = Schema.concat outer.Iterator.schema (Table.schema table) in
   let key_cols = Array.of_list (List.map (Schema.index_of (Table.schema table)) table_cols) in
+  let keep = Option.map (Row_filter.compile table) pred in
   (* One-tuple lookahead on the outer so a whole group can be collected. *)
   let lookahead : (Tuple.t * int) option ref = ref None in
   let exhausted = ref false in
@@ -144,11 +146,12 @@ let hdgj ~outer ~table ~table_cols ~outer_cols ?pred ?residual () =
         end
         else begin
           (* Re-scan of the inner relation for this group. *)
-          let inner = Table.get table !inner_pos in
+          let rowno = !inner_pos in
+          let inner = Table.get table rowno in
           incr inner_pos;
           Iterator.Counters.add_scanned 1;
-          match pred with
-          | Some p when not (Expr.truthy p inner) -> next ()
+          match keep with
+          | Some f when not (f rowno inner) -> next ()
           | Some _ | None -> (
               match Hashtbl.find_opt group_hash (Tuple.key inner key_cols) with
               | None -> next ()

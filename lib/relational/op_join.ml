@@ -68,6 +68,7 @@ let hash_join ~left ~right ~left_cols ~right_cols ?residual ?build_hint () =
 
 let index_nl_join ~left ~table ~table_cols ~left_cols ?pred ?residual () =
   let schema = Schema.concat left.Iterator.schema (Table.schema table) in
+  let keep = Option.map (Row_filter.compile table) pred in
   let idx = ref None in
   (* Same cursor discipline as [hash_join]: walk the probed bucket lazily
      via [Index.probe_bucket] instead of filtering a materialized match
@@ -82,8 +83,8 @@ let index_nl_join ~left ~table ~table_cols ~left_cols ?pred ?residual () =
         let rowno = !bucket_get !bucket_pos in
         incr bucket_pos;
         let inner = Table.get table rowno in
-        (match pred with
-        | Some p when not (Expr.truthy p inner) -> next ()
+        (match keep with
+        | Some f when not (f rowno inner) -> next ()
         | Some _ | None -> (
             let joined = Tuple.concat outer inner in
             match residual with

@@ -64,9 +64,11 @@ let classify = function
 (* ------------------------------------------------------------------ *)
 (* Selection vectors                                                   *)
 
-let select rows pred =
+let select table pred =
+  let keep = Row_filter.compile table pred in
+  let rows = Table.rows table in
   let sv = Vec.create ~capacity:(max 16 ((Array.length rows / 4) + 1)) () in
-  Array.iteri (fun r row -> if Expr.truthy pred row then Vec.push sv r) rows;
+  Array.iteri (fun r row -> if keep r row then Vec.push sv r) rows;
   sv
 
 (* ------------------------------------------------------------------ *)
@@ -114,8 +116,7 @@ let build_hash build =
               Array.iter (gen_add g [| col |]) (Table.rows table);
               B_gen g)
       | Some p -> (
-          let rows = Table.rows table in
-          let sv = select rows p in
+          let sv = select table p in
           Counters.add_tuples (Vec.length sv);
           match Table.int_lane table col with
           | Some lane ->
@@ -124,7 +125,7 @@ let build_hash build =
               B_int { tbl; fetch = Table.get table }
           | None ->
               let g = Op_join.KeyTbl.create (max 16 (Vec.length sv)) in
-              Vec.iter (fun r -> gen_add g [| col |] rows.(r)) sv;
+              Vec.iter (fun r -> gen_add g [| col |] (Table.get table r)) sv;
               B_gen g))
   | Build_iter { it; col; hint } ->
       let tuples = Dyn.create () in
@@ -295,6 +296,7 @@ let hash_join ~schema ~probe ~probe_col ~build ?residual () =
 (* Index nested-loop join                                              *)
 
 let index_nl_join_int ~schema ~left ~table ~itbl ~left_col ?pred ?residual () =
+  let keep = Option.map (Row_filter.compile table) pred in
   let cur_outer = ref [||] in
   let chain = ref (-1) in
   let lin = ref (-1) in
@@ -335,8 +337,8 @@ let index_nl_join_int ~schema ~left ~table ~itbl ~left_col ?pred ?residual () =
           next ()
   and step rowno =
     let inner = Table.get table rowno in
-    match pred with
-    | Some p when not (Expr.truthy p inner) -> next ()
+    match keep with
+    | Some f when not (f rowno inner) -> next ()
     | Some _ | None -> (
         let joined = Tuple.concat !cur_outer inner in
         match residual with

@@ -32,9 +32,10 @@ val with_kernels : bool -> (unit -> 'a) -> 'a
 
 (** {1 Selection vectors} *)
 
-(** [select rows pred] is the vector of row numbers satisfying [pred], in
-    row order — a predicated build side hashes only these. *)
-val select : Tuple.t array -> Expr.t -> Int_table.Vec.t
+(** [select table pred] is the vector of [table]'s row numbers satisfying
+    [pred] (decided by {!Row_filter.compile}), in row order — a predicated
+    build side hashes only these. *)
+val select : Table.t -> Expr.t -> Int_table.Vec.t
 
 (** {1 Hash join} *)
 

@@ -1,47 +1,36 @@
-let filtered_next pred fetch =
-  match pred with
-  | None -> fetch
-  | Some p ->
-      let rec loop () =
-        match fetch () with
-        | None -> None
-        | Some tuple -> if Expr.truthy p tuple then Some tuple else loop ()
-      in
-      loop
-
-let seq ?pred table =
+(* Rows [rowno 0 .. count () - 1] of the table, skipping those the
+   compiled predicate rejects; [on_fetch] runs once per row read. *)
+let filtered_rows ?pred table ~count ~rowno ~on_fetch =
+  let keep = Option.map (Row_filter.compile table) pred in
   let pos = ref 0 in
-  let n_rows = ref 0 in
-  let fetch () =
-    if !pos >= !n_rows then None
+  let n = ref 0 in
+  let rec next () =
+    if !pos >= !n then None
     else begin
-      let tuple = Table.get table !pos in
+      let r = rowno !pos in
+      let tuple = Table.get table r in
       incr pos;
-      Iterator.Counters.add_scanned 1;
-      Some tuple
+      on_fetch ();
+      match keep with Some f when not (f r tuple) -> next () | Some _ | None -> Some tuple
     end
   in
   Iterator.ungrouped ~schema:(Table.schema table)
     ~open_:(fun () ->
       pos := 0;
-      n_rows := Table.row_count table)
-    ~next:(filtered_next pred fetch)
+      n := count ())
+    ~next
     ~close:(fun () -> ())
 
+let seq ?pred table =
+  filtered_rows ?pred table
+    ~count:(fun () -> Table.row_count table)
+    ~rowno:Fun.id
+    ~on_fetch:(fun () -> Iterator.Counters.add_scanned 1)
+
 let rows_iterator ?pred table rownos =
-  let pos = ref 0 in
-  let fetch () =
-    if !pos >= Array.length rownos then None
-    else begin
-      let tuple = Table.get table rownos.(!pos) in
-      incr pos;
-      Some tuple
-    end
-  in
-  Iterator.ungrouped ~schema:(Table.schema table)
-    ~open_:(fun () -> pos := 0)
-    ~next:(filtered_next pred fetch)
-    ~close:(fun () -> ())
+  filtered_rows ?pred table
+    ~count:(fun () -> Array.length rownos)
+    ~rowno:(Array.get rownos) ~on_fetch:ignore
 
 let index_probe ?pred table ~cols ~key =
   let idx = Table.ensure_index table ~kind:Index.Hash ~cols in

@@ -324,11 +324,12 @@ let group_cards catalog spec =
   let fact_idx = Table.ensure_index ft ~kind:Index.Hash ~cols:[ spec.fact_group_col ] in
   let key_pos = col_pos catalog spec.group_table spec.group_key in
   let rows = Index.ordered_rows ~desc:true sorted in
+  let keep = Option.map (Row_filter.compile gt) spec.group_pred in
   let cards = Topo_util.Dyn.create () in
   Array.iter
     (fun rowno ->
       let tuple = Table.get gt rowno in
-      let keep = match spec.group_pred with None -> true | Some p -> Expr.truthy p tuple in
+      let keep = match keep with None -> true | Some f -> f rowno tuple in
       if keep then Topo_util.Dyn.push cards (Index.probe_count fact_idx [| tuple.(key_pos) |]))
     rows;
   Topo_util.Dyn.to_array cards

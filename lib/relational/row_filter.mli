@@ -1,0 +1,21 @@
+(** Compiled base-table predicates.
+
+    [compile table pred] decides [Expr.truthy pred] for a row of [table]
+    given its row number.  Each conjunct of [pred]'s top-level [And]
+    (flattened) of the form [Contains (Col c, keyword)] with a
+    {!Expr.single_word} keyword becomes a row bitmap built once from
+    {!Table.keyword_rows}; every other conjunct is evaluated by
+    {!Expr.truthy} on the tuple.  Conjuncts are tested in order, stopping
+    at the first false one, as [Expr.eval] does.
+
+    This is exact: a word-bounded match of a single-word keyword is a
+    token equal to it, and [Null], [Int] and [Float] cells have no tokens,
+    just as [Contains] is false (or [Null]) on them.  Operators compile
+    once per instance, when the plan is lowered; rows appended after the
+    compile are evaluated on the tuple. *)
+
+type t = int -> Tuple.t -> bool
+
+(** [compile table pred] — the result takes a row number of [table] and
+    that row's tuple. *)
+val compile : Table.t -> Expr.t -> t

@@ -20,6 +20,15 @@ type col_cache = {
   int_idx : (int * Int_table.t) list;
 }
 
+(* Keyword postings: per string column, every token (see
+   [Expr.iter_tokens]) with the ascending rows whose [Str] cell contains
+   it, sorted by token.  Derived on first lookup, never persisted; same
+   freshness discipline as [index_cache]. *)
+type postings = {
+  p_upto : int;
+  by_col : (int * (string * int array) array) list;
+}
+
 type t = {
   name : string;
   schema : Schema.t;
@@ -35,6 +44,7 @@ type t = {
   pk_ready : bool Atomic.t;  (* false only for columnar tables until first pk probe *)
   index_cache : index_cache Atomic.t;
   col_cache : col_cache Atomic.t;
+  postings : postings Atomic.t;
   mutable byte_size : int;
   snapshot : Tuple.t array option Atomic.t;  (* cache for [rows], dropped on insert *)
   cache_lock : Mutex.t;
@@ -50,6 +60,8 @@ type t = {
 let empty_indexes = { upto = 0; entries = []; specs = [] }
 
 let empty_cols = { c_upto = 0; lanes = []; int_idx = [] }
+
+let empty_postings = { p_upto = 0; by_col = [] }
 
 let resolve_pk ~name ~schema primary_key =
   match primary_key with
@@ -71,6 +83,7 @@ let create ~name ~schema ?primary_key () =
     pk_ready = Atomic.make true;
     index_cache = Atomic.make empty_indexes;
     col_cache = Atomic.make empty_cols;
+    postings = Atomic.make empty_postings;
     byte_size = 0;
     snapshot = Atomic.make None;
     cache_lock = Mutex.create ();
@@ -93,6 +106,7 @@ let of_columns ~name ~schema ?primary_key columns =
     pk_ready = Atomic.make (pk_col = None);
     index_cache = Atomic.make empty_indexes;
     col_cache = Atomic.make empty_cols;
+    postings = Atomic.make empty_postings;
     byte_size = Column.byte_size columns;
     snapshot = Atomic.make None;
     cache_lock = Mutex.create ();
@@ -349,6 +363,66 @@ let int_index t ci =
                         { cache with c_upto = len; int_idx = (ci, tbl) :: cache.int_idx };
                       Some tbl)))
 
+(* --- keyword postings ---------------------------------------------------- *)
+
+(* One pass over the column: a row joins a token's list once, however
+   often the token recurs in its text ([Dyn.last] is that row then). *)
+let build_postings data ci =
+  let acc = Hashtbl.create 64 in
+  Array.iteri
+    (fun r row ->
+      match row.(ci) with
+      | Value.Str s ->
+          Expr.iter_tokens
+            (fun tok ->
+              match Hashtbl.find_opt acc tok with
+              | Some rows -> if Dyn.last rows <> r then Dyn.push rows r
+              | None -> Hashtbl.add acc tok (Dyn.of_list [ r ]))
+            s
+      | Value.Null | Value.Int _ | Value.Float _ -> ())
+    data;
+  let tokens = Array.of_seq (Seq.map (fun (tok, rows) -> (tok, Dyn.to_array rows)) (Hashtbl.to_seq acc)) in
+  Array.sort (fun (a, _) (b, _) -> String.compare a b) tokens;
+  tokens
+
+let rec column_postings t ci =
+  let cache = Atomic.get t.postings in
+  match if cache.p_upto = row_count t then List.assoc_opt ci cache.by_col else None with
+  | Some p -> p
+  | None -> column_postings_slow t ci
+
+and column_postings_slow t ci =
+  let data = rows t in
+  Mutex.lock t.cache_lock;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock t.cache_lock)
+    (fun () ->
+      let len = row_count t in
+      let cache = Atomic.get t.postings in
+      let cache = if cache.p_upto = len then cache else { p_upto = len; by_col = [] } in
+      match List.assoc_opt ci cache.by_col with
+      | Some p -> p
+      | None ->
+          let p = build_postings data ci in
+          Atomic.set t.postings { p_upto = len; by_col = (ci, p) :: cache.by_col };
+          p)
+
+let keyword_rows t ci keyword =
+  if ci < 0 || ci >= Schema.arity t.schema then
+    invalid_arg (Printf.sprintf "Table.keyword_rows(%s): column %d" t.name ci);
+  if not (Expr.single_word keyword) then
+    invalid_arg (Printf.sprintf "Table.keyword_rows(%s): %S is not a single word" t.name keyword);
+  let tokens = column_postings t ci and token = String.lowercase_ascii keyword in
+  let rec search lo hi =
+    if lo >= hi then [||]
+    else
+      let mid = (lo + hi) / 2 in
+      let tok, rows = tokens.(mid) in
+      let c = String.compare token tok in
+      if c = 0 then rows else if c < 0 then search lo mid else search (mid + 1) hi
+  in
+  search 0 (Array.length tokens)
+
 let byte_size t = t.byte_size
 
 let truncate t =
@@ -360,5 +434,6 @@ let truncate t =
   Atomic.set t.pk_ready true;
   Atomic.set t.index_cache empty_indexes;
   Atomic.set t.col_cache empty_cols;
+  Atomic.set t.postings empty_postings;
   t.byte_size <- 0;
   Atomic.set t.snapshot None

@@ -109,6 +109,18 @@ val int_lane : t -> int -> Column.ints option
     [Index.Hash] index on one int column. *)
 val int_index : t -> int -> Int_table.t option
 
+(** [keyword_rows t ci keyword] is the ascending row numbers whose column
+    [ci] holds a [Str] containing [keyword] as a whole word, case
+    insensitively — exactly the rows where {!Expr.keyword_matches} holds.
+    Answered from the column's keyword postings (every token of
+    {!Expr.iter_tokens} with its rows), derived on the first lookup of the
+    column, rebuilt after inserts, never persisted.  Cold-cache fills are
+    serialized under the table's cache lock like {!ensure_index}.  The
+    array is shared with every other caller: treat it as read-only.
+    @raise Invalid_argument for an out-of-range column or a keyword that
+    is not {!Expr.single_word}. *)
+val keyword_rows : t -> int -> string -> int array
+
 (** [byte_size t] is the estimated storage size: sum of row widths.  This is
     the quantity reported in Table 1. *)
 val byte_size : t -> int

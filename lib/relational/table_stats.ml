@@ -19,22 +19,13 @@ let token_counts sample =
     (fun row v ->
       match v with
       | Value.Str s ->
-          let len = String.length s in
-          let rec words i =
-            if i < len then
-              if not (Expr.is_word_char s.[i]) then words (i + 1)
-              else begin
-                let rec word_end j = if j < len && Expr.is_word_char s.[j] then word_end (j + 1) else j in
-                let j = word_end i in
-                let tok = String.lowercase_ascii (String.sub s i (j - i)) in
-                (match Hashtbl.find_opt counts tok with
-                | Some (_, last) when last = row -> ()
-                | Some (n, _) -> Hashtbl.replace counts tok (n + 1, row)
-                | None -> Hashtbl.replace counts tok (1, row));
-                words j
-              end
-          in
-          words 0
+          Expr.iter_tokens
+            (fun tok ->
+              match Hashtbl.find_opt counts tok with
+              | Some (_, last) when last = row -> ()
+              | Some (n, _) -> Hashtbl.replace counts tok (n + 1, row)
+              | None -> Hashtbl.replace counts tok (1, row))
+            s
       | Value.Null | Value.Int _ | Value.Float _ -> ())
     sample;
   let table = Array.of_seq (Seq.map (fun (tok, (n, _)) -> (tok, n)) (Hashtbl.to_seq counts)) in
@@ -104,7 +95,7 @@ let contains_selectivity t col keyword =
   if Array.length sample = 0 then 0.0
   else
     let hits =
-      if keyword <> "" && String.for_all Expr.is_word_char keyword then
+      if Expr.single_word keyword then
         token_count t.tokens.(col) (String.lowercase_ascii keyword)
       else
         Array.fold_left

@@ -73,9 +73,13 @@ let test_vec () =
 (* --- selection vectors --------------------------------------------------- *)
 
 let test_select () =
-  let rows = Array.init 100 (fun i -> [| v_int i; v_int (i mod 3) |]) in
+  let schema = Schema.make [ { Schema.name = "ID"; ty = Schema.TInt }; { Schema.name = "m"; ty = Schema.TInt } ] in
+  let table = Table.create ~name:"S" ~schema () in
+  for i = 0 to 99 do
+    Table.insert table [| v_int i; v_int (i mod 3) |]
+  done;
   let pred = Expr.Cmp (Expr.Eq, Expr.Col 1, Expr.Const (v_int 0)) in
-  let sv = Op_kernel.select rows pred in
+  let sv = Op_kernel.select table pred in
   Alcotest.(check (list int)) "selected row numbers in row order"
     (List.init 34 (fun j -> j * 3))
     (Int_table.Vec.to_list sv)

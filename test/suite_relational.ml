@@ -299,6 +299,180 @@ let test_stats_join_selectivity () =
   let s = Table_stats.join_selectivity ~left:ps ~left_col:2 ~right:cs ~right_col:0 in
   Alcotest.(check (float 1e-9)) "1/max(3,3)" (1.0 /. 3.0) s
 
+(* --- keyword postings and compiled row filters -------------------------- *)
+
+let postings_schema =
+  Schema.make
+    [
+      { Schema.name = "ID"; ty = Schema.TInt };
+      { Schema.name = "desc"; ty = Schema.TStr };
+      { Schema.name = "note"; ty = Schema.TStr };
+    ]
+
+let postings_table cells =
+  let tb = Table.create ~name:"P" ~schema:postings_schema ~primary_key:"ID" () in
+  List.iteri (fun i (d, n) -> Table.insert_values tb [ v_int i; d; n ]) cells;
+  tb
+
+(* Rows whose column [col] holds a [Str] the matcher accepts: what
+   [Table.keyword_rows] must return. *)
+let matching_rows tb col keyword =
+  let out = ref [] in
+  Table.iter
+    (fun r tuple ->
+      match tuple.(col) with
+      | Value.Str text when Expr.keyword_matches ~keyword ~text -> out := r :: !out
+      | Value.Str _ | Value.Null | Value.Int _ | Value.Float _ -> ())
+    tb;
+  Array.of_list (List.rev !out)
+
+(* Cells over the estimator's words (mixed case, digits, '_', non-ASCII)
+   and the matcher alphabet, joined by ' ', '-', '.', '_' and ", ", plus
+   NULL and Int cells, which have no tokens. *)
+let gen_postings_cell =
+  let open QCheck.Gen in
+  let text =
+    let* words = list_size (int_bound 5) (oneof [ oneofa estimator_words; gen_matcher_string 6 ]) in
+    let+ seps = list_repeat (List.length words) (oneofl [ " "; "-"; ", "; "_"; "."; "\xc3\xa9" ]) in
+    String.concat "" (List.map2 ( ^ ) words seps)
+  in
+  frequency [ (8, map (fun s -> Value.Str s) text); (1, return Value.Null); (1, map v_int (int_bound 3)) ]
+
+let gen_postings_cells max_rows = QCheck.Gen.(list_size (int_bound max_rows) (pair gen_postings_cell gen_postings_cell))
+
+(* Word, multi-word, punctuated, upper-case, empty and random keywords. *)
+let gen_keyword =
+  QCheck.Gen.(frequency [ (4, oneofa estimator_keywords); (1, gen_matcher_string 4) ])
+
+let rec gen_pred depth =
+  let open QCheck.Gen in
+  let col = int_bound 2 in
+  let leaf =
+    frequency
+      [
+        (5, map2 (fun c kw -> Expr.Contains (Expr.Col c, kw)) col gen_keyword);
+        (1, map (fun kw -> Expr.Contains (Expr.Const (v_str "zinc finger"), kw)) gen_keyword);
+        ( 2,
+          map3
+            (fun op c k -> Expr.Cmp (op, Expr.Col c, Expr.Const (v_int k)))
+            (oneofl Expr.[ Eq; Ne; Lt; Ge ])
+            col (int_bound 3) );
+        (1, map (fun c -> Expr.IsNull (Expr.Col c)) col);
+      ]
+  in
+  if depth = 0 then leaf
+  else
+    let sub = gen_pred (depth - 1) in
+    frequency
+      [
+        (3, leaf);
+        (3, map (fun es -> Expr.And es) (list_size (int_bound 4) sub));
+        (1, map (fun es -> Expr.Or es) (list_size (int_bound 3) sub));
+        (1, map (fun e -> Expr.Not e) sub);
+      ]
+
+let prop_row_filter_oracle =
+  QCheck.Test.make ~name:"compiled filter = Expr.truthy on every row" ~count:300
+    (QCheck.make
+       ~print:(fun (cells, extra, pred) ->
+         Printf.sprintf "%d rows + %d appended, %s" (List.length cells) (List.length extra) (Expr.to_string pred))
+       QCheck.Gen.(triple (gen_postings_cells 60) (gen_postings_cells 3) (gen_pred 2)))
+    (fun (cells, extra, pred) ->
+      let tb = postings_table cells in
+      let keep = Row_filter.compile tb pred in
+      (* Rows appended after the compile must be decided right too. *)
+      List.iteri
+        (fun i (d, n) -> Table.insert_values tb [ v_int (List.length cells + i); d; n ])
+        extra;
+      let ok = ref true in
+      Table.iter
+        (fun r tuple ->
+          let want = Expr.truthy pred tuple and got = keep r tuple in
+          if got <> want then begin
+            ok := false;
+            QCheck.Test.fail_reportf "row %d (%s): compiled %b, truthy %b" r (Tuple.to_string tuple) got want
+          end)
+        tb;
+      !ok)
+
+let prop_keyword_rows_oracle =
+  QCheck.Test.make ~name:"keyword_rows = rows where keyword_matches holds" ~count:300
+    (QCheck.make
+       ~print:(fun (cells, kw) -> Printf.sprintf "%d rows, keyword %S" (List.length cells) kw)
+       QCheck.Gen.(pair (gen_postings_cells 80) gen_keyword))
+    (fun (cells, keyword) ->
+      let tb = postings_table cells in
+      List.for_all
+        (fun col ->
+          if Expr.single_word keyword then
+            Table.keyword_rows tb col keyword = matching_rows tb col keyword
+            || QCheck.Test.fail_reportf "column %d" col
+          else
+            match Table.keyword_rows tb col keyword with
+            | _ -> QCheck.Test.fail_reportf "%S is not a single word, yet answered" keyword
+            | exception Invalid_argument _ -> true)
+        [ 0; 1; 2 ])
+
+let test_postings_freshness () =
+  let tb = postings_table [ (v_str "Zinc finger", Value.Null); (v_str "kinase", v_str "zinc") ] in
+  Alcotest.(check (array int)) "built" [| 0 |] (Table.keyword_rows tb 1 "ZINC");
+  Table.insert_values tb [ v_int 2; v_str "zinc-binding"; Value.Null ];
+  Alcotest.(check (array int)) "an insert after the build shows the new row" [| 0; 2 |]
+    (Table.keyword_rows tb 1 "zinc");
+  (* Refilled to the same row count: only the truncate can tell the old
+     postings from the new. *)
+  Table.truncate tb;
+  List.iter
+    (fun (id, d) -> Table.insert_values tb [ v_int id; v_str d; Value.Null ])
+    [ (0, "kinase"); (1, "zinc"); (2, "finger") ];
+  Alcotest.(check (array int)) "refilled after truncate" [| 1 |] (Table.keyword_rows tb 1 "zinc");
+  Table.truncate tb;
+  Alcotest.(check (array int)) "truncate empties the postings" [||] (Table.keyword_rows tb 1 "zinc");
+  Alcotest.check_raises "column out of range" (Invalid_argument "Table.keyword_rows(P): column 3") (fun () ->
+      ignore (Table.keyword_rows tb 3 "zinc"))
+
+(* A columnar-backed table (the snapshot load path) derives the same
+   postings as the row-built table it was made from. *)
+let prop_postings_columnar =
+  QCheck.Test.make ~name:"keyword_rows: columnar table = row-built table" ~count:100
+    (QCheck.make
+       ~print:(fun (cells, kw) -> Printf.sprintf "%d rows, keyword %S" (List.length cells) kw)
+       QCheck.Gen.(pair (gen_postings_cells 80) (oneofa estimator_words)))
+    (fun (cells, keyword) ->
+      let built = postings_table cells in
+      let rows = Table.rows built in
+      let lanes =
+        Array.mapi
+          (fun ci (c : Schema.column) -> Column.of_values c.Schema.ty (Array.map (fun row -> row.(ci)) rows))
+          (Schema.columns postings_schema)
+      in
+      let columnar =
+        Table.of_columns ~name:"P" ~schema:postings_schema ~primary_key:"ID"
+          (Column.make ~rows:(Array.length rows) lanes)
+      in
+      (not (Expr.single_word keyword))
+      || List.for_all
+           (fun col -> Table.keyword_rows columnar col keyword = Table.keyword_rows built col keyword)
+           [ 0; 1; 2 ])
+
+let test_postings_cold_race () =
+  let cells = List.init 2000 (fun i -> (v_str (Printf.sprintf "zinc w%d finger" (i mod 7)), v_int i)) in
+  let tb = postings_table cells in
+  let go = Atomic.make false in
+  let race () =
+    Domain.spawn (fun () ->
+        while not (Atomic.get go) do
+          Domain.cpu_relax ()
+        done;
+        Table.keyword_rows tb 1 "finger")
+  in
+  let d1 = race () and d2 = race () in
+  Atomic.set go true;
+  let a = Domain.join d1 and b = Domain.join d2 in
+  Alcotest.(check int) "every row" 2000 (Array.length a);
+  Alcotest.(check bool) "both domains got the same physical array" true (a == b);
+  Alcotest.(check bool) "and so does a later lookup" true (a == Table.keyword_rows tb 1 "Finger")
+
 (* --- operators --------------------------------------------------------- *)
 
 let test_scan_with_pred () =
@@ -753,6 +927,14 @@ let suites =
         Alcotest.test_case "contains selectivity" `Quick test_stats_contains_selectivity;
         Alcotest.test_case "join selectivity" `Quick test_stats_join_selectivity;
         QCheck_alcotest.to_alcotest prop_contains_estimate_oracle;
+      ] );
+    ( "rel.postings",
+      [
+        QCheck_alcotest.to_alcotest prop_keyword_rows_oracle;
+        QCheck_alcotest.to_alcotest prop_row_filter_oracle;
+        Alcotest.test_case "freshness: insert and truncate" `Quick test_postings_freshness;
+        QCheck_alcotest.to_alcotest prop_postings_columnar;
+        Alcotest.test_case "two domains racing a cold build" `Quick test_postings_cold_race;
       ] );
     ( "rel.operators",
       [

@@ -131,6 +131,36 @@ let test_contains_estimates_survive () =
         (Catalog.tables catalog);
       Alcotest.(check bool) "some string column was checked" true (!checked > 0))
 
+(* Keyword postings are derived, not persisted: a loaded (columnar)
+   table must answer every keyword with the same rows as the built one. *)
+let test_keyword_postings_survive () =
+  let engine = generated_engine () in
+  with_temp_snapshot engine (fun path ->
+      let loaded = Snapshot.load path in
+      let catalog' = loaded.Engine.ctx.Context.catalog in
+      let keywords =
+        List.map fst (Biozon.Vocab.protein_keywords @ Biozon.Vocab.interaction_keywords @ Biozon.Vocab.dna_types)
+        @ Array.to_list Biozon.Vocab.fillers
+      in
+      let hits = ref 0 in
+      List.iter
+        (fun tb ->
+          let tb' = Catalog.find catalog' (Table.name tb) in
+          Array.iteri
+            (fun col (c : Topo_sql.Schema.column) ->
+              if c.Topo_sql.Schema.ty = Topo_sql.Schema.TStr then
+                List.iter
+                  (fun kw ->
+                    let built = Table.keyword_rows tb col kw and restored = Table.keyword_rows tb' col kw in
+                    hits := !hits + Array.length built;
+                    if built <> restored then
+                      Alcotest.failf "%s.%s ct(%S): built %d rows, loaded %d" (Table.name tb)
+                        c.Topo_sql.Schema.name kw (Array.length built) (Array.length restored))
+                  keywords)
+            (Topo_sql.Schema.columns (Table.schema tb)))
+        (Catalog.tables engine.Engine.ctx.Context.catalog);
+      Alcotest.(check bool) "some keyword matched some row" true (!hits > 0))
+
 let prop_generated_roundtrip =
   QCheck.Test.make ~name:"generated instance: snapshot load = in-process build" ~count:3
     QCheck.(int_range 0 5_000)
@@ -273,6 +303,7 @@ let suites =
         Alcotest.test_case "generated instance: tables, indexes, registry" `Quick
           test_generated_roundtrip_details;
         Alcotest.test_case "Contains estimates: loaded = built" `Quick test_contains_estimates_survive;
+        Alcotest.test_case "keyword postings: loaded = built" `Quick test_keyword_postings_survive;
         QCheck_alcotest.to_alcotest prop_generated_roundtrip;
       ] );
     ( "snapshot.corruption",
