@@ -7,7 +7,7 @@
      --scale: the same [Physical] plan executed with [Op_kernel]
      disabled (generic hash / index-NL join over boxed [Value.t] keys)
      and enabled (fused scan + [Int_table] probe straight off the
-     Bigarray lane).  Results and work counters must match exactly;
+     table's int lane).  Results and work counters must match exactly;
      the regression gate holds the median speedup above
      KERNELS_MIN_SPEEDUP.
    - the serve batch: the jobs = 1 mixed workload fingerprinted with

@@ -249,12 +249,9 @@ let fingerprint t =
     (fun tb ->
       Buffer.add_string buf (Topo_sql.Table.name tb);
       Buffer.add_char buf '\n';
-      (* Renders straight off columnar backings (byte-identical to
-         [Tuple.to_string]) so fingerprinting a freshly loaded engine
-         does not box every derived row. *)
-      Topo_sql.Table.iter_row_strings
-        (fun s ->
-          Buffer.add_string buf s;
+      Topo_sql.Table.iter
+        (fun _ row ->
+          Buffer.add_string buf (Topo_sql.Tuple.to_string row);
           Buffer.add_char buf '\n')
         tb)
     tables;

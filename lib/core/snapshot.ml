@@ -18,10 +18,10 @@
 
    Table cells are column-major: one tag byte per cell (null/int/float/
    string), then — for columns declared numeric — a fixed-width 8-byte
-   payload per row (ints as-is, floats by bit pattern), so the big
-   AllTops/LeftTops columns are a flat, Bigarray-friendly array and a
-   future mmap path only has to change this codec.  String columns store
-   length-prefixed bytes per non-null cell.
+   payload per row (ints as-is, floats by bit pattern).  String columns
+   store length-prefixed bytes per non-null cell, and the 8-byte value of
+   an int or float cell.  The loader decodes each cell by its tag into
+   the rows of an ordinary table.
 
    The loader bounds-checks every read and converts any decode failure
    into [Error] with the offset and what was being read; after
@@ -493,103 +493,65 @@ let load path =
           let n = r_int "row count" in
           if n < 0 || n > limit then
             fail "corrupt snapshot: implausible row count %d for table %s" n name;
-          let cols_arr = Array.of_list cols in
-          let arity = Array.length cols_arr in
-          (* Decode each column straight into a typed lane: the codec's
-             fixed-width numeric sections become Bigarray lanes with no
-             per-cell [Value.t] boxing, and the resulting table serves the
-             execution kernels zero-copy (rows box lazily on demand). *)
-          let lanes = Array.make arity (Column.Boxed [||]) in
-          let module A1 = Bigarray.Array1 in
+          let str_col = Array.of_list (List.map (fun (c : Schema.column) -> c.Schema.ty = Schema.TStr) cols) in
+          let arity = Array.length str_col in
+          (* Columns are stored one after another but rows are inserted one
+             at a time.  First find where each column's tags and payload
+             start, checking every tag and length; then decode row by row,
+             [at.(ci)] being the next payload byte of column [ci]: a numeric
+             column has an 8-byte slot per row, a string column 8 bytes per
+             int or float cell and a length-prefixed string per string
+             cell. *)
+          let tags = Array.make arity 0 and at = Array.make arity 0 in
+          let tag ci r = Char.code data.[tags.(ci) + r] in
           for ci = 0 to arity - 1 do
-            let cname = cols_arr.(ci).Schema.name in
             need n "cell tags";
-            let tags = Bytes.of_string (String.sub data !pos n) in
+            tags.(ci) <- !pos;
             pos := !pos + n;
-            let classify limit_tag =
-              (* Fold the column's tag profile: bit per tag seen. *)
-              let seen = ref 0 in
-              for r = 0 to n - 1 do
-                let t = Char.code (Bytes.get tags r) in
-                if t > limit_tag then
-                  fail "corrupt snapshot: unexpected cell tag %d in %s.%s" t name cname;
-                seen := !seen lor (1 lsl t)
-              done;
-              !seen
-            in
-            lanes.(ci) <-
-              (match cols_arr.(ci).Schema.ty with
-              | Schema.TInt | Schema.TFloat ->
-                  let seen = classify 2 in
-                  need (8 * n) "numeric lane";
-                  let base = !pos in
-                  pos := base + (8 * n);
-                  if seen = 0b010 then begin
-                    let a = A1.create Bigarray.int Bigarray.c_layout n in
-                    for r = 0 to n - 1 do
-                      A1.set a r (Int64.to_int (String.get_int64_le data (base + (8 * r))))
-                    done;
-                    Column.Ints a
-                  end
-                  else if seen = 0b100 then begin
-                    let a = A1.create Bigarray.float64 Bigarray.c_layout n in
-                    for r = 0 to n - 1 do
-                      A1.set a r (Int64.float_of_bits (String.get_int64_le data (base + (8 * r))))
-                    done;
-                    Column.Floats a
-                  end
-                  else begin
-                    let bits = A1.create Bigarray.int64 Bigarray.c_layout n in
-                    for r = 0 to n - 1 do
-                      A1.set bits r (String.get_int64_le data (base + (8 * r)))
-                    done;
-                    Column.Nums { tags; bits }
-                  end
-              | Schema.TStr ->
-                  let seen = classify 3 in
-                  if seen land 0b0110 = 0 then begin
-                    (* Nulls and strings only: the interned fast lane. *)
-                    let pool_ids = Hashtbl.create 64 in
-                    let spool = Topo_util.Dyn.create () in
-                    (* Explicit loop: the cell reader advances [pos], so
-                       evaluation order must be row order. *)
-                    let ids = Array.make n (-1) in
-                    for r = 0 to n - 1 do
-                      if Bytes.get tags r <> '\000' then
-                        let s = r_str "string cell" in
-                        ids.(r) <-
-                          (match Hashtbl.find_opt pool_ids s with
-                          | Some id -> id
-                          | None ->
-                              let id = Topo_util.Dyn.length spool in
-                              Topo_util.Dyn.push spool s;
-                              Hashtbl.add pool_ids s id;
-                              id)
-                    done;
-                    Column.Strs { ids; pool = Topo_util.Dyn.to_array spool }
-                  end
-                  else begin
-                    let cells = Array.make n Value.Null in
-                    for r = 0 to n - 1 do
-                      cells.(r) <-
-                        (match Char.code (Bytes.get tags r) with
-                        | 0 -> Value.Null
-                        | 1 -> Value.Int (r_int "int cell")
-                        | 2 -> Value.Float (r_f64 "float cell")
-                        | _ -> Value.Str (r_str "string cell"))
-                    done;
-                    Column.Boxed cells
-                  end)
+            at.(ci) <- !pos;
+            for r = 0 to n - 1 do
+              match tag ci r with
+              | 0 when str_col.(ci) -> ()
+              | 0 | 1 | 2 ->
+                  need 8 "numeric cell";
+                  pos := !pos + 8
+              | 3 when str_col.(ci) ->
+                  let len = r_count "string cell" in
+                  need len "string cell";
+                  pos := !pos + len
+              | t ->
+                  fail "corrupt snapshot: unexpected cell tag %d in %s.%s" t name
+                    (List.nth cols ci).Schema.name
+            done
           done;
-          let tb = Table.of_columns ~name ~schema ?primary_key (Column.make ~rows:n lanes) in
+          let tb = Table.create ~name ~schema ?primary_key () in
+          for r = 0 to n - 1 do
+            let row = Array.make arity Value.Null in
+            for ci = 0 to arity - 1 do
+              let p = at.(ci) in
+              match tag ci r with
+              | 0 -> if not str_col.(ci) then at.(ci) <- p + 8
+              | 3 ->
+                  let len = Int32.to_int (String.get_int32_le data p) in
+                  row.(ci) <- Value.Str (String.sub data (p + 4) len);
+                  at.(ci) <- p + 4 + len
+              | t ->
+                  let bits = String.get_int64_le data p in
+                  row.(ci) <-
+                    (if t = 1 then Value.Int (Int64.to_int bits) else Value.Float (Int64.float_of_bits bits));
+                  at.(ci) <- p + 8
+            done;
+            (* [insert] rejects a repeated primary key; [decode]'s handler
+               turns that into [Error]. *)
+            Table.insert tb row
+          done;
           Catalog.add catalog tb;
           tb)
     in
     (* 'X' index specs: declared, not built — the spec list is visible
        immediately (and survives into the next snapshot), while each
-       payload fills on its first probe.  Eager builds here would box
-       every row of the columnar tables before the server answers its
-       first query. *)
+       payload fills on its first probe, so load builds no index a
+       server never touches. *)
     expect 'X' "index specs";
     List.iter
       (fun tb ->

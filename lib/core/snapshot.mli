@@ -14,16 +14,17 @@
     Format (little-endian throughout): a fixed header — magic
     ["TOPOSNAP"], a format version, a flags word, the payload length, the
     engine's {!Engine.fingerprint} and a whole-payload checksum — followed
-    by marker-introduced sections.  Table tuples are stored column-major: a tag byte per cell
-    plus, for numeric columns, a fixed-width 8-byte payload array, so a
-    later mmap/Bigarray path is a local change to the table codec.
+    by marker-introduced sections.  Table tuples are stored column-major:
+    a tag byte per cell plus, for numeric columns, a fixed-width 8-byte
+    payload array; [load] decodes them cell by cell into ordinary rows.
 
     Failure modes are loud: a bad magic, an unsupported version, a
     truncated file, a flipped payload byte (the checksum covers every
     byte, including base-table data the engine fingerprint does not
-    digest), any malformed section, and a fingerprint that the
-    reconstructed engine fails to reproduce all raise {!Error} with a
-    descriptive message.  A snapshot never loads silently wrong. *)
+    digest), any malformed section, a repeated primary key in a table,
+    and a fingerprint that the reconstructed engine fails to reproduce all
+    raise {!Error} with a descriptive message.  A snapshot never loads
+    silently wrong. *)
 
 (** Raised by {!save} (unencodable state, I/O errors) and {!load}
     (unreadable, corrupt, version-mismatched, or fingerprint-mismatched

@@ -1,11 +1,12 @@
-(* Int-specialized execution kernels over columnar lanes.
+(* Int-specialized execution kernels over int lanes.
 
    The paper's join-bound methods probe hash tables keyed on single int
    object-id columns; the generic operators pay a [Value.t array] key
    allocation and a polymorphic hash per probe, plus a boxed tuple per
-   scanned row.  These kernels run the same plans over {!Column.Ints}
-   lanes and {!Int_table} multimaps: probing allocates nothing, and the
-   fused scan variant never boxes a non-matching outer row.
+   scanned row.  These kernels run the same plans over the tables' int
+   lanes ({!Table.int_lane}) and {!Int_table} multimaps: probing allocates
+   nothing, and the fused scan variant never boxes a non-matching outer
+   row.
 
    Equivalence contract: with kernels on or off, every query must produce
    bit-identical results *and* bit-identical work counters (the serve
@@ -25,7 +26,6 @@
      float/int equality is not injective), per build to full generic
      hashing (any non-int build key). *)
 
-module A1 = Bigarray.Array1
 module Dyn = Topo_util.Dyn
 module Counters = Iterator.Counters
 module Vec = Int_table.Vec
@@ -36,8 +36,6 @@ module Vec = Int_table.Vec
 let enabled = Atomic.make true
 
 let kernels_on () = Atomic.get enabled
-
-let set_enabled b = Atomic.set enabled b
 
 let with_kernels b f =
   let prev = Atomic.exchange enabled b in
@@ -75,7 +73,7 @@ let select table pred =
 (* Hash join                                                           *)
 
 type probe_side =
-  | Probe_lane of { table : Table.t; lane : Column.ints }
+  | Probe_lane of { table : Table.t; lane : int array }
       (* fused SeqScan (no predicate): stream int keys straight off the
          lane, box the outer row only on a match *)
   | Probe_iter of Iterator.t
@@ -121,7 +119,7 @@ let build_hash build =
           match Table.int_lane table col with
           | Some lane ->
               let tbl = Int_table.create ~capacity:(max 16 (Vec.length sv)) () in
-              Vec.iter (fun r -> Int_table.add tbl (A1.get lane r) r) sv;
+              Vec.iter (fun r -> Int_table.add tbl lane.(r) r) sv;
               B_int { tbl; fetch = Table.get table }
           | None ->
               let g = Op_join.KeyTbl.create (max 16 (Vec.length sv)) in
@@ -246,7 +244,7 @@ let hash_join ~schema ~probe ~probe_col ~build ?residual () =
             incr pos;
             Counters.add_scanned 1;
             Counters.add_tuples 1;
-            let e = Int_table.first tbl (A1.unsafe_get lane r) in
+            let e = Int_table.first tbl (Array.unsafe_get lane r) in
             if e >= 0 then begin
               cur_outer := Table.get table r;
               chain := e;
@@ -286,7 +284,7 @@ let hash_join ~schema ~probe ~probe_col ~build ?residual () =
          order. *)
       bstate := build_hash build;
       match probe with
-      | Probe_lane { lane; _ } -> n := A1.dim lane
+      | Probe_lane { lane; _ } -> n := Array.length lane
       | Probe_iter it -> it.Iterator.open_ ())
     ~next
     ~close:(fun () ->

@@ -5,7 +5,7 @@
     int values (checked statically by {!Physical.kernel_site} against
     declared types, then dynamically against the table's actual lane).
     Probing an {!Int_table} allocates nothing; the fused-scan probe variant
-    reads keys straight off a {!Column.Ints} lane and boxes an outer row
+    reads keys straight off a {!Table.int_lane} and boxes an outer row
     only when it matches.
 
     Equivalence is bit-exact, counters included: match order follows the
@@ -24,8 +24,6 @@
 
 val kernels_on : unit -> bool
 
-val set_enabled : bool -> unit
-
 (** [with_kernels b f] runs [f ()] with the toggle forced to [b], restoring
     the previous setting afterwards. *)
 val with_kernels : bool -> (unit -> 'a) -> 'a
@@ -40,7 +38,7 @@ val select : Table.t -> Expr.t -> Int_table.Vec.t
 (** {1 Hash join} *)
 
 type probe_side =
-  | Probe_lane of { table : Table.t; lane : Column.ints }
+  | Probe_lane of { table : Table.t; lane : int array }
       (** fused predicate-free scan: keys stream off the lane, non-matching
           rows are never boxed *)
   | Probe_iter of Iterator.t

@@ -600,23 +600,6 @@ let verify catalog plan =
 let check catalog plan =
   match verify catalog plan with [] -> () | vs -> raise (Plan_error vs)
 
-let kernel_sites catalog plan =
-  let out = ref [] in
-  let rec go rpath node =
-    (match Physical.kernel_site catalog node with
-    | Some k -> out := (List.rev rpath, Physical.kernel_name k) :: !out
-    | None -> ());
-    match Physical.children node with
-    | [] -> ()
-    | [ input ] -> go ("input" :: rpath) input
-    | [ left; right ] ->
-        go ("left" :: rpath) left;
-        go ("right" :: rpath) right
-    | many -> List.iteri (fun i c -> go (string_of_int i :: rpath) c) many
-  in
-  go [] plan;
-  List.rev !out
-
 let properties catalog plan =
   (* Re-run the walk and keep only the root's lattice value; violations are
      discarded. *)

@@ -86,12 +86,6 @@ val check : Catalog.t -> Physical.t -> unit
     for explain-style tooling. *)
 val properties : Catalog.t -> Physical.t -> props
 
-(** [kernel_sites catalog plan] lists every node eligible for an
-    int-specialized kernel, as (path from the root, kernel name) pairs in
-    tree order — the EXPLAIN-side view of what {!Physical.lower} will
-    specialize. *)
-val kernel_sites : Catalog.t -> Physical.t -> (string list * string) list
-
 (** [kind_to_string kind]. *)
 val kind_to_string : kind -> string
 

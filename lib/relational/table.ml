@@ -11,14 +11,14 @@ type index_cache = {
          staleness resets so snapshots round-trip the spec list *)
 }
 
-(* Lazily built columnar views: per-column typed lanes and int-keyed hash
-   indexes over [Ints] lanes, keyed by column position.  Same freshness
+(* What the int kernels read of one column, derived lazily from the rows:
+   [Not_int] once some cell is not [Value.Int], else the cells as a flat
+   int array, plus the int-keyed hash index over it once asked for. *)
+type int_col = Not_int | Lane of int array | Indexed of int array * Int_table.t
+
+(* Per-column [int_col]s, keyed by column position.  Same freshness
    discipline as [index_cache]. *)
-type col_cache = {
-  c_upto : int;
-  lanes : (int * Column.lane) list;
-  int_idx : (int * Int_table.t) list;
-}
+type col_cache = { c_upto : int; cols : (int * int_col) list }
 
 (* Keyword postings: per string column, every token (see
    [Expr.iter_tokens]) with the ascending rows whose [Str] cell contains
@@ -33,22 +33,17 @@ type t = {
   name : string;
   schema : Schema.t;
   pk_col : int option;
-  rows : Tuple.t Dyn.t;
-  backing : Column.t option;
-      (* columnar payload the table was created from (snapshot load);
-         authoritative until [demoted] *)
-  mutable demoted : bool;
-      (* an insert into a columnar-backed table first copies the backing
-         into [rows] and flips this; coordinator-only, like insert itself *)
+  mutable data : Tuple.t array;
+      (* rows [0, count) in insertion order; spare capacity holds [||] *)
+  mutable count : int;
   pk_index : (Value.t, int) Hashtbl.t;
-  pk_ready : bool Atomic.t;  (* false only for columnar tables until first pk probe *)
   index_cache : index_cache Atomic.t;
   col_cache : col_cache Atomic.t;
   postings : postings Atomic.t;
   mutable byte_size : int;
   snapshot : Tuple.t array option Atomic.t;  (* cache for [rows], dropped on insert *)
   cache_lock : Mutex.t;
-      (* serializes the lazy snapshot/index/lane fills, which happen on
+      (* serializes the lazy snapshot/index/int-lane fills, which happen on
          read — possibly from several serving domains at once.  The cached
          state itself is published through [Atomic.set] so the unlocked
          fast paths get release/acquire ordering: a domain that sees the
@@ -59,28 +54,26 @@ type t = {
 
 let empty_indexes = { upto = 0; entries = []; specs = [] }
 
-let empty_cols = { c_upto = 0; lanes = []; int_idx = [] }
+let empty_cols = { c_upto = 0; cols = [] }
 
 let empty_postings = { p_upto = 0; by_col = [] }
 
-let resolve_pk ~name ~schema primary_key =
-  match primary_key with
-  | None -> None
-  | Some col -> (
-      match Schema.index_opt schema col with
-      | Some i -> Some i
-      | None -> invalid_arg (Printf.sprintf "Table.create: unknown primary key %s.%s" name col))
-
 let create ~name ~schema ?primary_key () =
+  let pk_col =
+    match primary_key with
+    | None -> None
+    | Some col -> (
+        match Schema.index_opt schema col with
+        | Some i -> Some i
+        | None -> invalid_arg (Printf.sprintf "Table.create: unknown primary key %s.%s" name col))
+  in
   {
     name;
     schema;
-    pk_col = resolve_pk ~name ~schema primary_key;
-    rows = Dyn.create ();
-    backing = None;
-    demoted = false;
+    pk_col;
+    data = [||];
+    count = 0;
     pk_index = Hashtbl.create 1024;
-    pk_ready = Atomic.make true;
     index_cache = Atomic.make empty_indexes;
     col_cache = Atomic.make empty_cols;
     postings = Atomic.make empty_postings;
@@ -89,39 +82,11 @@ let create ~name ~schema ?primary_key () =
     cache_lock = Mutex.create ();
   }
 
-let of_columns ~name ~schema ?primary_key columns =
-  if Column.arity columns <> Schema.arity schema then
-    invalid_arg
-      (Printf.sprintf "Table.of_columns(%s): %d lanes, schema arity %d" name
-         (Column.arity columns) (Schema.arity schema));
-  let pk_col = resolve_pk ~name ~schema primary_key in
-  {
-    name;
-    schema;
-    pk_col;
-    rows = Dyn.create ();
-    backing = Some columns;
-    demoted = false;
-    pk_index = Hashtbl.create (max 16 (Column.rows columns));
-    pk_ready = Atomic.make (pk_col = None);
-    index_cache = Atomic.make empty_indexes;
-    col_cache = Atomic.make empty_cols;
-    postings = Atomic.make empty_postings;
-    byte_size = Column.byte_size columns;
-    snapshot = Atomic.make None;
-    cache_lock = Mutex.create ();
-  }
-
 let name t = t.name
 
 let schema t = t.schema
 
-(* The columnar view, when it is still authoritative.  [backing] is
-   immutable and [demoted] only ever flips during coordinator-only
-   mutation, so this read is as safe as the existing [byte_size] field. *)
-let columnar t = match t.backing with Some c when not t.demoted -> Some c | _ -> None
-
-let row_count t = match columnar t with Some c -> Column.rows c | None -> Dyn.length t.rows
+let row_count t = t.count
 
 (* Double-checked: the fast path is a single lock-free field read; a miss
    takes the lock, re-checks, and fills — so two serving domains hitting a
@@ -137,71 +102,21 @@ let rows t =
           match Atomic.get t.snapshot with
           | Some a -> a
           | None ->
-              let a =
-                match columnar t with Some c -> Column.to_rows c | None -> Dyn.to_array t.rows
-              in
+              let a = Array.sub t.data 0 t.count in
               Atomic.set t.snapshot (Some a);
               a)
 
-let get t rowno = match columnar t with None -> Dyn.get t.rows rowno | Some _ -> (rows t).(rowno)
+let get t rowno =
+  if rowno < 0 || rowno >= t.count then
+    invalid_arg (Printf.sprintf "Table.get(%s): row %d of %d" t.name rowno t.count);
+  Array.unsafe_get t.data rowno
 
 let iter f t =
-  match columnar t with None -> Dyn.iteri f t.rows | Some _ -> Array.iteri f (rows t)
-
-let iter_row_strings f t =
-  match (columnar t, Atomic.get t.snapshot) with
-  | Some c, None ->
-      (* Zero-copy path: format straight from the lanes; nothing here is
-         worth materializing the rows for. *)
-      let buf = Buffer.create 64 in
-      for r = 0 to Column.rows c - 1 do
-        Buffer.clear buf;
-        Column.add_row_string buf c r;
-        f (Buffer.contents buf)
-      done
-  | _ -> iter (fun _ tuple -> f (Tuple.to_string tuple)) t
-
-(* Fills the primary-key hash lazily for columnar-backed tables (row-built
-   tables maintain it insert by insert).  Double-checked like [rows]. *)
-let ensure_pk t =
-  if not (Atomic.get t.pk_ready) then begin
-    let data = rows t in
-    (* [rows t] takes [cache_lock] itself; materialize before locking (the
-       lock is not reentrant). *)
-    Mutex.lock t.cache_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.cache_lock)
-      (fun () ->
-        if not (Atomic.get t.pk_ready) then begin
-          (match t.pk_col with
-          | None -> ()
-          | Some i ->
-              Array.iteri
-                (fun rowno row ->
-                  let key = row.(i) in
-                  if Hashtbl.mem t.pk_index key then
-                    invalid_arg
-                      (Printf.sprintf "Table(%s): duplicate primary key %s" t.name
-                         (Value.to_string key));
-                  Hashtbl.add t.pk_index key rowno)
-                data);
-          Atomic.set t.pk_ready true
-        end)
-  end
-
-(* Coordinator-only: copy the columnar backing into the row store so the
-   table mutates like any other from here on. *)
-let demote t =
-  match columnar t with
-  | None -> ()
-  | Some _ ->
-      let a = rows t in
-      ensure_pk t;
-      Array.iter (Dyn.push t.rows) a;
-      t.demoted <- true
+  for rowno = 0 to t.count - 1 do
+    f rowno t.data.(rowno)
+  done
 
 let insert t tuple =
-  demote t;
   if Array.length tuple <> Schema.arity t.schema then
     invalid_arg
       (Printf.sprintf "Table.insert(%s): arity %d, expected %d" t.name (Array.length tuple)
@@ -212,9 +127,15 @@ let insert t tuple =
       let key = tuple.(i) in
       if Hashtbl.mem t.pk_index key then
         invalid_arg (Printf.sprintf "Table.insert(%s): duplicate primary key %s" t.name (Value.to_string key));
-      Hashtbl.add t.pk_index key (Dyn.length t.rows));
-  Dyn.push t.rows tuple;
-  Atomic.set t.snapshot None;
+      Hashtbl.add t.pk_index key t.count);
+  if t.count = Array.length t.data then begin
+    let data = Array.make (max 8 (2 * t.count)) [||] in
+    Array.blit t.data 0 data 0 t.count;
+    t.data <- data
+  end;
+  t.data.(t.count) <- tuple;
+  t.count <- t.count + 1;
+  if Option.is_some (Atomic.get t.snapshot) then Atomic.set t.snapshot None;
   t.byte_size <- t.byte_size + Tuple.width tuple
 
 let insert_values t values = insert t (Array.of_list values)
@@ -225,11 +146,7 @@ let primary_key t =
 let find_by_pk t key =
   match t.pk_col with
   | None -> invalid_arg (Printf.sprintf "Table.find_by_pk(%s): no primary key" t.name)
-  | Some _ -> (
-      ensure_pk t;
-      match Hashtbl.find_opt t.pk_index key with
-      | Some rowno -> Some (get t rowno)
-      | None -> None)
+  | Some _ -> Option.map (get t) (Hashtbl.find_opt t.pk_index key)
 
 let rec ensure_index t ~kind ~cols =
   let key = (kind, cols) in
@@ -280,88 +197,53 @@ let declare_index t ~kind ~cols =
 
 let index_specs t = (Atomic.get t.index_cache).specs
 
-(* --- columnar views ---------------------------------------------------- *)
+(* --- int lanes ------------------------------------------------------------ *)
 
-(* Build (or fetch) cached entries under the same double-checked regime as
-   [ensure_index].  For a columnar-backed table the lane is just the
-   backing's; only the int indexes need the cache then. *)
-let rec lane t ci =
-  match columnar t with
-  | Some c -> Some (Column.lane c ci)
-  | None -> (
-      let cache = Atomic.get t.col_cache in
-      if cache.c_upto = row_count t then
-        match List.assoc_opt ci cache.lanes with
-        | Some l -> Some l
-        | None -> Some (lane_slow t ci)
-      else Some (lane_slow t ci))
+let int_cells data ci =
+  let exception Not_int_cell in
+  let cell row = match row.(ci) with Value.Int x -> x | _ -> raise_notrace Not_int_cell in
+  match Array.map cell data with lane -> Lane lane | exception Not_int_cell -> Not_int
 
-and lane_slow t ci =
+let fresh_col t ci =
+  let cache = Atomic.get t.col_cache in
+  if cache.c_upto = row_count t then List.assoc_opt ci cache.cols else None
+
+(* The miss path of [int_lane] and [int_index], double-checked like
+   [ensure_index]: derive column [ci]'s entry (with its index when [indexed])
+   under the lock and publish it in a fresh generation. *)
+let fill_col t ci ~indexed =
+  (* [rows t] takes [cache_lock] itself; fill the snapshot before locking
+     (the lock is not reentrant). *)
   let data = rows t in
   Mutex.lock t.cache_lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.cache_lock)
-    (fun () -> lane_locked t ci data)
+    (fun () ->
+      let len = row_count t in
+      let cache = Atomic.get t.col_cache in
+      let cols = if cache.c_upto = len then cache.cols else [] in
+      let entry = match List.assoc_opt ci cols with Some e -> e | None -> int_cells data ci in
+      let entry =
+        match entry with
+        | Lane lane when indexed ->
+            let tbl = Int_table.create ~capacity:(max 16 len) () in
+            Array.iteri (fun r key -> Int_table.add tbl key r) lane;
+            Indexed (lane, tbl)
+        | e -> e
+      in
+      Atomic.set t.col_cache { c_upto = len; cols = (ci, entry) :: List.remove_assoc ci cols };
+      entry)
 
-and lane_locked t ci data =
-  let len = row_count t in
-  let cache = Atomic.get t.col_cache in
-  let cache = if cache.c_upto = len then cache else { empty_cols with c_upto = len } in
-  match List.assoc_opt ci cache.lanes with
-  | Some l -> l
-  | None ->
-      let ty = (Schema.column t.schema ci).Schema.ty in
-      let l = Column.of_values ty (Array.map (fun row -> row.(ci)) data) in
-      Atomic.set t.col_cache { cache with c_upto = len; lanes = (ci, l) :: cache.lanes };
-      l
-
-let int_lane t ci = match lane t ci with Some l -> Column.ints l | None -> None
+let int_lane t ci =
+  let entry = match fresh_col t ci with Some e -> e | None -> fill_col t ci ~indexed:false in
+  match entry with Not_int -> None | Lane lane | Indexed (lane, _) -> Some lane
 
 let int_index t ci =
-  let build_from ints_lane =
-    let n = Bigarray.Array1.dim ints_lane in
-    let tbl = Int_table.create ~capacity:(max 16 n) () in
-    for r = 0 to n - 1 do
-      Int_table.add tbl (Bigarray.Array1.get ints_lane r) r
-    done;
-    tbl
-  in
-  let fresh_hit () =
-    let cache = Atomic.get t.col_cache in
-    if cache.c_upto = row_count t then List.assoc_opt ci cache.int_idx else None
-  in
-  match fresh_hit () with
-  | Some tbl -> Some tbl
-  | None -> (
-      match int_lane t ci with
-      | None -> None
-      | Some _ ->
-          let data = rows t in
-          Mutex.lock t.cache_lock;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock t.cache_lock)
-            (fun () ->
-              let len = row_count t in
-              let cache = Atomic.get t.col_cache in
-              let cache = if cache.c_upto = len then cache else { empty_cols with c_upto = len } in
-              match List.assoc_opt ci cache.int_idx with
-              | Some tbl -> Some tbl
-              | None ->
-                  (* The lane lookup above may predate a concurrent cache
-                     reset; re-resolve under the lock so lane and index
-                     agree on the same generation. *)
-                  let l =
-                    match columnar t with
-                    | Some c -> Column.lane c ci
-                    | None -> lane_locked t ci data
-                  in
-                  (match Column.ints l with
-                  | None -> None
-                  | Some il ->
-                      let tbl = build_from il in
-                      Atomic.set t.col_cache
-                        { cache with c_upto = len; int_idx = (ci, tbl) :: cache.int_idx };
-                      Some tbl)))
+  match fresh_col t ci with
+  | Some Not_int -> None
+  | Some (Indexed (_, tbl)) -> Some tbl
+  | Some (Lane _) | None -> (
+      match fill_col t ci ~indexed:true with Indexed (_, tbl) -> Some tbl | Not_int | Lane _ -> None)
 
 (* --- keyword postings ---------------------------------------------------- *)
 
@@ -426,12 +308,9 @@ let keyword_rows t ci keyword =
 let byte_size t = t.byte_size
 
 let truncate t =
-  (* No need to demote first: flipping [demoted] retires the backing, and
-     the empty row store is authoritative from here on. *)
-  t.demoted <- true;
-  Dyn.clear t.rows;
+  t.data <- [||];
+  t.count <- 0;
   Hashtbl.reset t.pk_index;
-  Atomic.set t.pk_ready true;
   Atomic.set t.index_cache empty_indexes;
   Atomic.set t.col_cache empty_cols;
   Atomic.set t.postings empty_postings;

@@ -6,27 +6,17 @@
     matches the paper's bulk-load-then-query lifecycle ("updates are only
     done in bulk every few weeks").
 
-    Storage comes in two flavors.  Row-built tables ({!create} + {!insert})
-    keep a [Tuple.t] dynamic array, as before.  Columnar-backed tables
-    ({!of_columns}) are created straight from typed {!Column} lanes — the
-    snapshot load path — and box rows only on demand: primary-key hashes,
-    row snapshots and secondary indexes all fill lazily.  Either flavor
-    exposes the same API, and either can serve the columnar views
-    ({!lane}, {!int_lane}, {!int_index}) the execution kernels probe;
-    row-built tables derive their lanes lazily from the row snapshot.  An
-    insert into a columnar-backed table demotes it to row storage first. *)
+    A table has one storage: a growable [Tuple.t] array.  Everything else —
+    the row snapshot, secondary indexes, keyword postings, and the int
+    lanes and {!Int_table} indexes the execution kernels probe — is derived
+    from it lazily and rebuilt after inserts.  Snapshot load inserts rows
+    like any other producer. *)
 
 type t
 
 (** [create ~name ~schema ?primary_key ()] makes an empty table.
     [primary_key] names a column; inserts enforce uniqueness on it. *)
 val create : name:string -> schema:Schema.t -> ?primary_key:string -> unit -> t
-
-(** [of_columns ~name ~schema ?primary_key columns] makes a table whose
-    storage {e is} [columns] — no per-cell boxing.  Primary-key uniqueness
-    is checked on the first probe, not here.
-    @raise Invalid_argument on arity mismatch or unknown primary key. *)
-val of_columns : name:string -> schema:Schema.t -> ?primary_key:string -> Column.t -> t
 
 (** [name t]. *)
 val name : t -> string
@@ -44,7 +34,8 @@ val insert_values : t -> Value.t list -> unit
 (** [row_count t]. *)
 val row_count : t -> int
 
-(** [get t rowno] fetches by physical row number. *)
+(** [get t rowno] fetches by physical row number.
+    @raise Invalid_argument when [rowno] is out of range. *)
 val get : t -> int -> Tuple.t
 
 (** [rows t] is a snapshot array of all rows (shared tuples).  The array is
@@ -57,17 +48,9 @@ val rows : t -> Tuple.t array
 (** [iter f t] applies [f rowno tuple] in physical order. *)
 val iter : (int -> Tuple.t -> unit) -> t -> unit
 
-(** [iter_row_strings f t] applies [f] to each row rendered as
-    [Tuple.to_string] would, in physical order — but without boxing rows
-    when the table is columnar-backed and unmaterialized.  This keeps
-    [Engine.fingerprint] zero-copy on a freshly loaded engine. *)
-val iter_row_strings : (string -> unit) -> t -> unit
-
 (** [find_by_pk t key] fetches the unique row whose primary-key column
-    equals [key], using the primary-key hash index (filled lazily on
-    columnar-backed tables).
-    @raise Invalid_argument if the table has no primary key, or on the
-    first probe of a columnar backing containing duplicate keys. *)
+    equals [key], using the primary-key hash index {!insert} maintains.
+    @raise Invalid_argument if the table has no primary key. *)
 val find_by_pk : t -> Value.t -> Tuple.t option
 
 (** [primary_key t] is the primary-key column name, if any. *)
@@ -93,19 +76,15 @@ val declare_index : t -> kind:Index.kind -> cols:string list -> unit
     payloads. *)
 val index_specs : t -> (Index.kind * string list) list
 
-(** [lane t ci] is the typed columnar lane of column [ci]: the backing lane
-    of a columnar table, or one derived (and cached) from the row snapshot.
-    Never [None] in practice; the option mirrors the other columnar
-    views. *)
-val lane : t -> int -> Column.lane option
-
-(** [int_lane t ci] is column [ci]'s lane when every cell is [Value.Int] —
-    the precondition for the int-specialized kernels. *)
-val int_lane : t -> int -> Column.ints option
+(** [int_lane t ci] is column [ci]'s cells as a flat int array when every
+    cell is [Value.Int] — the precondition for the int-specialized kernels —
+    derived from the rows on first use and cached (as is the answer
+    [None]) until the next insert.  Treat the array as read-only. *)
+val int_lane : t -> int -> int array option
 
 (** [int_index t ci] is a cached int-keyed hash multimap from column [ci]'s
-    values to row numbers (chains in row order), or [None] when the lane is
-    not all-int.  The kernels' allocation-free replacement for a
+    values to row numbers (chains in row order), or [None] when
+    {!int_lane} is.  The kernels' allocation-free replacement for a
     [Index.Hash] index on one int column. *)
 val int_index : t -> int -> Int_table.t option
 

@@ -1,10 +1,10 @@
-(* The int-specialized execution kernels (Op_kernel / Int_table / Column):
-   the open-addressing multimap's growth, collision and chain-order
-   contracts; selection vectors; lane classification round trips and the
-   zero-copy row rendering identity; and — the load-bearing property —
-   bit-identical results AND work counters between kernel-enabled and
-   kernel-disabled execution, from single handcrafted joins with
-   adversarial key values up to full nine-method serve batches. *)
+(* The int-specialized execution kernels (Op_kernel / Int_table): the
+   open-addressing multimap's growth, collision and chain-order contracts;
+   selection vectors; and — the load-bearing property — bit-identical
+   results AND work counters between kernel-enabled and kernel-disabled
+   execution, from single handcrafted joins with adversarial key values up
+   to full nine-method serve batches, on built and snapshot-loaded
+   engines. *)
 
 open Topo_sql
 module Engine = Topo_core.Engine
@@ -83,74 +83,6 @@ let test_select () =
   Alcotest.(check (list int)) "selected row numbers in row order"
     (List.init 34 (fun j -> j * 3))
     (Int_table.Vec.to_list sv)
-
-(* --- Column lanes -------------------------------------------------------- *)
-
-let roundtrips ty cells =
-  let lane = Column.of_values ty (Array.of_list cells) in
-  List.for_all2 (fun v i -> Column.lane_value lane i = v) cells
-    (List.init (List.length cells) Fun.id)
-
-let test_column_classification () =
-  let huge = 9007199254740993 in
-  Alcotest.(check bool) "all-int -> Ints lane" true
-    (match Column.of_values Schema.TInt [| v_int 1; v_int huge; v_int (-5) |] with
-    | Column.Ints _ -> true
-    | _ -> false);
-  Alcotest.(check bool) "all-float -> Floats lane" true
-    (match Column.of_values Schema.TFloat [| Value.Float 1.5; Value.Float nan |] with
-    | Column.Floats _ -> true
-    | _ -> false);
-  Alcotest.(check bool) "nullable numerics -> Nums lane" true
-    (match Column.of_values Schema.TInt [| v_int 1; Value.Null; Value.Float 2.5 |] with
-    | Column.Nums _ -> true
-    | _ -> false);
-  Alcotest.(check bool) "nullable strings -> interned Strs lane" true
-    (match Column.of_values Schema.TStr [| v_str "a"; Value.Null; v_str "a" |] with
-    | Column.Strs { pool; _ } -> Array.length pool = 1
-    | _ -> false);
-  Alcotest.(check bool) "string in a declared-int column -> Boxed" true
-    (match Column.of_values Schema.TInt [| v_int 1; v_str "oops" |] with
-    | Column.Boxed _ -> true
-    | _ -> false)
-
-let test_column_roundtrip () =
-  Alcotest.(check bool) "ints round trip" true
-    (roundtrips Schema.TInt [ v_int max_int; v_int min_int; v_int 0 ]);
-  Alcotest.(check bool) "floats round trip bit-exact" true
-    (let lane = Column.of_values Schema.TFloat [| Value.Float 0.1; Value.Float (-0.0) |] in
-     Column.lane_value lane 0 = Value.Float 0.1
-     && Int64.bits_of_float
-          (match Column.lane_value lane 1 with Value.Float f -> f | _ -> nan)
-        = Int64.bits_of_float (-0.0));
-  Alcotest.(check bool) "mixed numerics round trip" true
-    (roundtrips Schema.TFloat [ v_int 3; Value.Float 2.5; Value.Null ]);
-  Alcotest.(check bool) "strings round trip" true
-    (roundtrips Schema.TStr [ v_str "x"; Value.Null; v_str "" ]);
-  Alcotest.(check bool) "irregular column round trips via Boxed" true
-    (roundtrips Schema.TStr [ v_str "x"; v_int 7; Value.Float 1.5; Value.Null ])
-
-let test_column_row_strings_and_size () =
-  let rows =
-    [|
-      [| v_int 42; Value.Float 2.5; v_str "enzyme"; Value.Null |];
-      [| v_int (-1); Value.Float 1e300; v_str ""; v_str "odd" |];
-      [| Value.Null; Value.Null; v_str "enzyme"; Value.Float 0.25 |];
-    |]
-  in
-  let tys = [| Schema.TInt; Schema.TFloat; Schema.TStr; Schema.TStr |] in
-  let lanes = Array.mapi (fun ci ty -> Column.of_values ty (Array.map (fun r -> r.(ci)) rows)) tys in
-  let col = Column.make ~rows:3 lanes in
-  for r = 0 to 2 do
-    let buf = Buffer.create 64 in
-    Column.add_row_string buf col r;
-    Alcotest.(check string) "row renders byte-identically to Tuple.to_string"
-      (Tuple.to_string rows.(r)) (Buffer.contents buf);
-    Alcotest.(check bool) "boxed row equals source" true (Column.tuple col r = rows.(r))
-  done;
-  Alcotest.(check int) "byte_size = sum of Tuple.width"
-    (Array.fold_left (fun acc r -> acc + Tuple.width r) 0 rows)
-    (Column.byte_size col)
 
 (* --- kernel vs generic joins --------------------------------------------- *)
 
@@ -296,9 +228,6 @@ let test_kernel_sites () =
     (Physical.kernel_site cat (join [| 0 |] [| 0 |]) = Some Physical.Kernel_scan_hash_join);
   Alcotest.(check bool) "two-column key is not a kernel site" true
     (Physical.kernel_site cat (join [| 0; 1 |] [| 0; 1 |]) = None);
-  Alcotest.(check (list (pair (list string) string))) "kernel_sites lists the join"
-    [ ([], "scan+hash-join") ]
-    (Plan_check.kernel_sites cat (join [| 0 |] [| 0 |]));
   Alcotest.(check string) "checker and lowering agree (no drift violations)" ""
     (Plan_check.report (Plan_check.verify cat (join [| 0 |] [| 0 |])))
 
@@ -358,6 +287,53 @@ let prop_generated_serve_kernel_identical =
       Op_kernel.with_kernels false (fun () -> serve_fp engine)
       = Op_kernel.with_kernels true (fun () -> serve_fp engine))
 
+(* A snapshot-loaded engine derives its int lanes from decoded rows: a
+   decoder that turned int cells into floats would silently drop every
+   query to the generic operators, which the fingerprints alone cannot
+   see. *)
+let test_loaded_engine_kernels_engage () =
+  let engine =
+    Engine.build
+      (Biozon.Generator.generate
+         (Biozon.Generator.scale 0.08 { Biozon.Generator.default with Biozon.Generator.seed = 7 }))
+      ~pairs:[ ("Protein", "DNA"); ("Protein", "Interaction") ]
+      ~pruning_threshold:10 ()
+  in
+  let path = Filename.temp_file "toposearch_test_kernels" ".snap" in
+  let loaded =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let (_ : int) = Topo_core.Snapshot.save engine ~path in
+        Topo_core.Snapshot.load path)
+  in
+  let catalog = engine.Engine.ctx.Context.catalog in
+  let catalog' = loaded.Engine.ctx.Context.catalog in
+  let indexed = ref 0 in
+  List.iter
+    (fun (t1, t2, _) ->
+      let alltops, lefttops, excptops, topinfo = Topo_core.Store.table_names ~t1 ~t2 in
+      List.iter
+        (fun name ->
+          let tb = Catalog.find catalog name and tb' = Catalog.find catalog' name in
+          Array.iteri
+            (fun ci (c : Schema.column) ->
+              if c.Schema.ty = Schema.TInt then begin
+                let built = Table.int_index tb ci <> None in
+                if built then incr indexed;
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s.%s: int index on loaded = on built" name c.Schema.name)
+                  built
+                  (Table.int_index tb' ci <> None)
+              end)
+            (Schema.columns (Table.schema tb)))
+        [ alltops; lefttops; excptops; topinfo ])
+    engine.Engine.build_stats;
+  Alcotest.(check bool) "some derived int column is indexed" true (!indexed > 0);
+  Alcotest.(check string) "loaded engine: nine-method serve fingerprint, kernels on = off"
+    (Op_kernel.with_kernels false (fun () -> serve_fp loaded))
+    (Op_kernel.with_kernels true (fun () -> serve_fp loaded))
+
 let suites =
   [
     ( "kernels.int_table",
@@ -365,12 +341,6 @@ let suites =
         Alcotest.test_case "growth, collisions, chain order" `Quick test_int_table_basics;
         Alcotest.test_case "adversarial keys" `Quick test_int_table_adversarial_keys;
         Alcotest.test_case "flat int vector" `Quick test_vec;
-      ] );
-    ( "kernels.column",
-      [
-        Alcotest.test_case "lane classification" `Quick test_column_classification;
-        Alcotest.test_case "cell round trips" `Quick test_column_roundtrip;
-        Alcotest.test_case "row strings and byte size" `Quick test_column_row_strings_and_size;
         Alcotest.test_case "selection vector" `Quick test_select;
       ] );
     ( "kernels.equivalence",
@@ -390,5 +360,7 @@ let suites =
         Alcotest.test_case "paper db nine-method fingerprint" `Quick
           test_paper_serve_kernel_identical;
         QCheck_alcotest.to_alcotest prop_generated_serve_kernel_identical;
+        Alcotest.test_case "snapshot-loaded engine: int indexes and fingerprint" `Quick
+          test_loaded_engine_kernels_engage;
       ] );
   ]

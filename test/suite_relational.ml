@@ -431,30 +431,6 @@ let test_postings_freshness () =
   Alcotest.check_raises "column out of range" (Invalid_argument "Table.keyword_rows(P): column 3") (fun () ->
       ignore (Table.keyword_rows tb 3 "zinc"))
 
-(* A columnar-backed table (the snapshot load path) derives the same
-   postings as the row-built table it was made from. *)
-let prop_postings_columnar =
-  QCheck.Test.make ~name:"keyword_rows: columnar table = row-built table" ~count:100
-    (QCheck.make
-       ~print:(fun (cells, kw) -> Printf.sprintf "%d rows, keyword %S" (List.length cells) kw)
-       QCheck.Gen.(pair (gen_postings_cells 80) (oneofa estimator_words)))
-    (fun (cells, keyword) ->
-      let built = postings_table cells in
-      let rows = Table.rows built in
-      let lanes =
-        Array.mapi
-          (fun ci (c : Schema.column) -> Column.of_values c.Schema.ty (Array.map (fun row -> row.(ci)) rows))
-          (Schema.columns postings_schema)
-      in
-      let columnar =
-        Table.of_columns ~name:"P" ~schema:postings_schema ~primary_key:"ID"
-          (Column.make ~rows:(Array.length rows) lanes)
-      in
-      (not (Expr.single_word keyword))
-      || List.for_all
-           (fun col -> Table.keyword_rows columnar col keyword = Table.keyword_rows built col keyword)
-           [ 0; 1; 2 ])
-
 let test_postings_cold_race () =
   let cells = List.init 2000 (fun i -> (v_str (Printf.sprintf "zinc w%d finger" (i mod 7)), v_int i)) in
   let tb = postings_table cells in
@@ -933,7 +909,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_keyword_rows_oracle;
         QCheck_alcotest.to_alcotest prop_row_filter_oracle;
         Alcotest.test_case "freshness: insert and truncate" `Quick test_postings_freshness;
-        QCheck_alcotest.to_alcotest prop_postings_columnar;
         Alcotest.test_case "two domains racing a cold build" `Quick test_postings_cold_race;
       ] );
     ( "rel.operators",

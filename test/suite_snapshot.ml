@@ -161,6 +161,57 @@ let test_keyword_postings_survive () =
         (Catalog.tables engine.Engine.ctx.Context.catalog);
       Alcotest.(check bool) "some keyword matched some row" true (!hits > 0))
 
+(* Cells the generator never produces, each through the codec path its
+   declared type selects: int extremes, float bit patterns (0.1, -0.0, a
+   NaN with a payload), ints, floats and nulls mixed in a declared-float
+   column, null vs empty strings, and numbers in a declared-string
+   column. *)
+let test_irregular_cells_roundtrip () =
+  let module Schema = Topo_sql.Schema in
+  let catalog = Biozon.Paper_db.catalog () in
+  let col name ty = { Schema.name; ty } in
+  let tb =
+    Catalog.create_table catalog ~name:"Irregular"
+      ~schema:
+        (Schema.make
+           [
+             col "I" Schema.TInt; col "F" Schema.TFloat; col "M" Schema.TFloat;
+             col "S" Schema.TStr; col "X" Schema.TStr;
+           ])
+      ()
+  in
+  let nan_payload = Int64.float_of_bits 0x7FF8_0000_0000_0123L in
+  List.iter (Table.insert tb)
+    [
+      [| Value.Int max_int; Value.Float 0.1; Value.Int 3; Value.Str "x"; Value.Str "x" |];
+      [| Value.Int min_int; Value.Float (-0.0); Value.Float 2.5; Value.Null; Value.Int 7 |];
+      [| Value.Int 0; Value.Float nan_payload; Value.Null; Value.Str ""; Value.Float 1.5 |];
+      [| Value.Int (-1); Value.Float nan; Value.Int (-4); Value.Str "enzyme"; Value.Null |];
+    ];
+  let engine = Engine.build catalog ~pairs:[ ("Protein", "DNA") ] ~pruning_threshold:50 () in
+  with_temp_snapshot engine (fun path ->
+      let loaded = Snapshot.load path in
+      let tb' = Catalog.find loaded.Engine.ctx.Context.catalog "Irregular" in
+      let same_cell a b =
+        match (a, b) with
+        | Value.Float x, Value.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+        | Value.Float _, _ | _, Value.Float _ -> false
+        | _ -> a = b
+      in
+      Alcotest.(check int) "row count" (Table.row_count tb) (Table.row_count tb');
+      Table.iter
+        (fun r row ->
+          let row' = Table.get tb' r in
+          Alcotest.(check bool)
+            (Printf.sprintf "row %d cells equal, floats bit-exact" r)
+            true
+            (Array.length row = Array.length row' && Array.for_all2 same_cell row row');
+          Alcotest.(check string)
+            (Printf.sprintf "row %d renders the same" r)
+            (Topo_sql.Tuple.to_string row) (Topo_sql.Tuple.to_string row'))
+        tb;
+      Alcotest.(check int) "byte_size" (Table.byte_size tb) (Table.byte_size tb'))
+
 let prop_generated_roundtrip =
   QCheck.Test.make ~name:"generated instance: snapshot load = in-process build" ~count:3
     QCheck.(int_range 0 5_000)
@@ -225,6 +276,84 @@ let test_corruptions () =
             ~finally:(fun () -> try Sys.remove path' with Sys_error _ -> ())
             (fun () -> check_rejected name needle path'))
         cases)
+
+(* Offset of the first 'C'-section base-table primary-key slot pair: the
+   8-byte slots of rows 0 and 1 of the first table whose primary key is a
+   declared-int column with at least two int rows.  Walks the documented
+   layout (see snapshot.ml's header). *)
+let pk_slots data =
+  let pos = ref 0 in
+  let u8 () = let c = Char.code (Bytes.get data !pos) in incr pos; c in
+  let u32 () = let v = Int32.to_int (Bytes.get_int32_le data !pos) in pos := !pos + 4; v in
+  let i64 () = let v = Int64.to_int (Bytes.get_int64_le data !pos) in pos := !pos + 8; v in
+  let str () = let n = u32 () in let s = Bytes.sub_string data !pos n in pos := !pos + n; s in
+  let strs () = for _ = 1 to u32 () do ignore (str ()) done in
+  pos := 8 + 4 + 4 + 8;
+  ignore (str ());
+  ignore (str ());
+  let marker c = if u8 () <> Char.code c then Alcotest.failf "expected section %c" c in
+  marker 'I'; strs ();
+  marker 'G'; strs ();
+  marker 'C';
+  let found = ref None in
+  for _ = 1 to u32 () do
+    ignore (str ());
+    let cols = List.init (u32 ()) (fun _ -> let name = str () in (name, u8 ())) in
+    let pk = if u8 () = 1 then Some (str ()) else None in
+    let n = i64 () in
+    List.iter
+      (fun (name, ty) ->
+        let tags = !pos in
+        pos := !pos + n;
+        if ty <> 2 then begin
+          if !found = None && pk = Some name && ty = 0 && n >= 2
+             && Bytes.get data tags = '\001' && Bytes.get data (tags + 1) = '\001'
+          then found := Some !pos;
+          pos := !pos + (8 * n)
+        end
+        else
+          for r = 0 to n - 1 do
+            match Bytes.get data (tags + r) with
+            | '\000' -> ()
+            | '\003' -> ignore (str ())
+            | _ -> pos := !pos + 8
+          done)
+      cols
+  done;
+  match !found with Some off -> off | None -> Alcotest.fail "no int primary-key column found"
+
+(* The header's payload checksum, recomputed: a corruption that keeps the
+   file self-consistent, so only the decoder's own checks can catch it. *)
+let rewrite_checksum data =
+  let pos = ref (8 + 4 + 4) in
+  let payload_len = Int64.to_int (Bytes.get_int64_le data !pos) in
+  pos := !pos + 8;
+  let skip () = pos := !pos + 4 + Int32.to_int (Bytes.get_int32_le data !pos) in
+  skip ();
+  let sum_len = Int32.to_int (Bytes.get_int32_le data !pos) in
+  let sum_at = !pos + 4 in
+  let payload_at = sum_at + sum_len in
+  assert (payload_at + payload_len = Bytes.length data);
+  Bytes.blit_string
+    (Digest.to_hex (Digest.subbytes data payload_at payload_len))
+    0 data sum_at sum_len;
+  data
+
+(* A base table's repeated primary key is caught at load, not by the
+   first [find_by_pk] after it: the engine fingerprint does not digest
+   base tables, so nothing else would. *)
+let test_duplicate_primary_key () =
+  let engine = Lazy.force paper_engine in
+  with_temp_snapshot engine (fun path ->
+      let path' =
+        corrupt path (fun d ->
+            let slots = pk_slots d in
+            Bytes.blit d (slots + 8) d slots 8;
+            rewrite_checksum d)
+      in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path' with Sys_error _ -> ())
+        (fun () -> check_rejected "duplicated primary key" "duplicate primary key" path'))
 
 let test_missing_file () =
   match Snapshot.load "/nonexistent/toposearch.snap" with
@@ -304,12 +433,15 @@ let suites =
           test_generated_roundtrip_details;
         Alcotest.test_case "Contains estimates: loaded = built" `Quick test_contains_estimates_survive;
         Alcotest.test_case "keyword postings: loaded = built" `Quick test_keyword_postings_survive;
+        Alcotest.test_case "irregular cells: loaded = built" `Quick test_irregular_cells_roundtrip;
         QCheck_alcotest.to_alcotest prop_generated_roundtrip;
       ] );
     ( "snapshot.corruption",
       [
         Alcotest.test_case "planted corruptions all rejected" `Quick test_corruptions;
         Alcotest.test_case "missing file is a Snapshot.Error" `Quick test_missing_file;
+        Alcotest.test_case "duplicate base-table primary key rejected" `Quick
+          test_duplicate_primary_key;
       ] );
     ( "snapshot.store",
       [
