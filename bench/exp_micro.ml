@@ -16,6 +16,50 @@ let small_engine =
        ~pairs:[ ("Protein", "DNA"); ("Protein", "Interaction") ]
        ~pruning_threshold:10 ())
 
+(* A 52-group early-termination spec (k = 20) over two dimensions: group
+   [tid] has 1 + (7 tid mod 12) fact rows, each joining one row of each
+   dimension; the predicates keep a quarter and a third of them. *)
+let et_pricing_spec () =
+  let open Topo_sql in
+  let cat = Catalog.create () in
+  let col name ty = { Schema.name; ty } in
+  let table name cols = Catalog.create_table cat ~name ~schema:(Schema.make cols) in
+  let g = table "G" [ col "TID" Schema.TInt; col "score" Schema.TFloat ] ~primary_key:"TID" () in
+  let f = table "F" [ col "TID" Schema.TInt; col "E1" Schema.TInt; col "E2" Schema.TInt ] () in
+  let d1 = table "D1" [ col "ID" Schema.TInt; col "v" Schema.TInt ] ~primary_key:"ID" () in
+  let d2 = table "D2" [ col "ID" Schema.TInt; col "v" Schema.TInt ] ~primary_key:"ID" () in
+  let next = ref 0 in
+  for tid = 1 to 52 do
+    Table.insert_values g [ Value.Int tid; Value.Float (float_of_int (tid * 10)) ];
+    for _ = 0 to (7 * tid) mod 12 do
+      incr next;
+      let e = !next in
+      Table.insert_values f [ Value.Int tid; Value.Int e; Value.Int e ];
+      Table.insert_values d1 [ Value.Int e; Value.Int (e mod 4) ];
+      Table.insert_values d2 [ Value.Int e; Value.Int (e mod 3) ]
+    done
+  done;
+  let dim table alias fact_col =
+    {
+      Optimizer.dim_table = table;
+      dim_alias = alias;
+      dim_key = "ID";
+      fact_col;
+      dim_pred = Some (Expr.Cmp (Expr.Eq, Expr.Col 1, Expr.Const (Value.Int 0)));
+    }
+  in
+  ( cat,
+    {
+      Optimizer.group_table = "G";
+      group_key = "TID";
+      score_col = "score";
+      group_pred = None;
+      fact_table = "F";
+      fact_group_col = "TID";
+      dims = [ dim "D1" "A" "E1"; dim "D2" "B" "E2" ];
+      k = 20;
+    } )
+
 let tests () =
   let engine = Lazy.force small_engine in
   let ctx = engine.Topo_core.Engine.ctx in
@@ -38,6 +82,27 @@ let tests () =
     let interner = ctx.Topo_core.Context.interner in
     Exp_fig16.motif_graph interner
   in
+  (* Fast-Top's pruned-topology checks for one query, walks only: the
+     endpoint id sets are resolved before timing. *)
+  let pruned_checks q =
+    let aligned = Topo_core.Methods.align ctx q in
+    ignore (Topo_core.Methods.pruned_walk_side ctx aligned);
+    Staged.stage (fun () ->
+        List.filter
+          (Topo_core.Methods.pruned_check ctx aligned)
+          aligned.Topo_core.Methods.store.Topo_core.Store.pruned)
+  in
+  let q_selective =
+    Topo_core.Query.make
+      (Topo_core.Query.keyword cat "Protein" ~col:"desc" ~kw:"zinc")
+      (Topo_core.Query.endpoint cat "DNA")
+  in
+  let q_broad =
+    Topo_core.Query.make
+      (Topo_core.Query.keyword cat "Protein" ~col:"desc" ~kw:"protein")
+      (Topo_core.Query.equals cat "DNA" ~col:"type" ~value:(Topo_sql.Value.Str "EST"))
+  in
+  let et_cat, et_spec = et_pricing_spec () in
   let pud =
     List.find
       (fun p -> Topo_graph.Schema_graph.path_length p = 2)
@@ -93,6 +158,11 @@ let tests () =
            in
            Topo_sql.Dgj_cost.expected_cost
              { Topo_sql.Dgj_cost.cards = Array.make 100 20; levels; k = 10; per_group_overhead = 1.0 }));
+    Test.make ~name:"pruned_check_selective" (pruned_checks q_selective);
+    Test.make ~name:"pruned_check_broad" (pruned_checks q_broad);
+    (* -Opt: pricing the 16 early-termination candidates of one spec. *)
+    Test.make ~name:"et_pricing"
+      (Staged.stage (fun () -> Topo_sql.Optimizer.best_et_plan et_cat et_spec));
     (* table2: the keyword predicate, evaluated over the whole Protein
        table and estimated from its statistics. *)
     Test.make ~name:"contains_scan"

@@ -144,6 +144,7 @@ let data_graph catalog interner =
             ~b:(Value.as_int tuple.(2)))
         table)
     relationships;
+  Topo_graph.Data_graph.freeze dg;
   dg
 
 let entity_of_id catalog id =

@@ -119,53 +119,74 @@ let run_tids ?(check = false) ?trace ctx plan =
 exception Found
 
 (* A path class resolved once per check: its schema path compiled, plus
-   the reversed reading when both ends have the same type and the path is
-   not its own reverse. *)
-let class_walker (ctx : Context.t) key =
+   the other reading when both ends have the same type and the path is
+   not its own reverse.  [~reverse:true] walks the class from its E2 end:
+   the same pairs, each found from the other side. *)
+let class_walker (ctx : Context.t) ~reverse key =
   let dg = ctx.Context.dg and p = Context.class_path ctx key in
   let rev = Sg.reverse p in
+  let p, rev = if reverse then (rev, p) else (p, rev) in
   if p.Sg.types.(0) = p.Sg.types.(Array.length p.Sg.types - 1) && rev <> p then
     [ Dg.compile dg p; Dg.compile dg rev ]
   else [ Dg.compile dg p ]
 
-(* Calls [f b] at the far end of every instance path of the class from [a]. *)
-let iter_partners (ctx : Context.t) walker ~a ~f =
-  List.iter (fun c -> Dg.iter_ends ctx.Context.dg c ~source:a ~f) walker
+(* Calls [f] at the far end of every instance path of the class from
+   [source]. *)
+let iter_partners (ctx : Context.t) walker ~source ~f =
+  List.iter (fun c -> Dg.iter_ends ctx.Context.dg c ~source ~f) walker
 
 let connects ctx walker ~a ~b =
   try
-    iter_partners ctx walker ~a ~f:(fun b' -> if b' = b then raise Found);
+    iter_partners ctx walker ~source:a ~f:(fun b' -> if b' = b then raise Found);
     false
   with Found -> true
 
+(* A check walks every instance path of its first class from each start
+   id, hit or miss: about (satisfying fraction) x (class instance paths)
+   steps from either side.  So it starts from the side whose fraction
+   |ids| / rows is smaller, E1 on a tie. *)
+let pruned_walk_side (ctx : Context.t) aligned =
+  let size ids = Array.length (Lazy.force ids)
+  and rows (e : Query.endpoint) = Table.row_count (Catalog.find ctx.Context.catalog e.Query.entity) in
+  (* |b_ids| / rows_b < |a_ids| / rows_a, in integers *)
+  if size aligned.b_ids * rows aligned.ea < size aligned.a_ids * rows aligned.eb then `E2 else `E1
+
 (* The bottom sub-query of SQL1: does a qualifying pair satisfy the pruned
    topology's path condition (under this derivation) without being
-   excepted? *)
-let pruned_find_one (ctx : Context.t) aligned (p : Topology.t) decomposition =
-  match List.map (class_walker ctx) decomposition with
+   excepted?  The first class is walked from [side]; the later classes and
+   the ExcpTops test keep the (E1, E2) orientation. *)
+let pruned_find_one (ctx : Context.t) aligned ~side (p : Topology.t) decomposition =
+  match decomposition with
   | [] -> false
   | first :: others -> (
+      let from_e2 = side = `E2 in
+      let first = class_walker ctx ~reverse:from_e2 first in
+      let others = List.map (class_walker ctx ~reverse:false) others in
+      let starts, far = if from_e2 then (aligned.b_ids, aligned.a_ids) else (aligned.a_ids, aligned.b_ids) in
+      let far = Lazy.force far in
       let checked = Hashtbl.create 16 in
       try
         Array.iter
-          (fun a ->
+          (fun source ->
             Hashtbl.clear checked;
-            iter_partners ctx first ~a ~f:(fun b ->
-                if not (Hashtbl.mem checked b) then begin
-                  Hashtbl.add checked b ();
+            iter_partners ctx first ~source ~f:(fun partner ->
+                if not (Hashtbl.mem checked partner) then begin
+                  Hashtbl.add checked partner ();
+                  let a, b = if from_e2 then (partner, source) else (source, partner) in
                   if
-                    Context.mem_id (Lazy.force aligned.b_ids) b
+                    Context.mem_id far partner
                     && List.for_all (fun w -> connects ctx w ~a ~b) others
                     && not
                          (Store.is_excepted aligned.store ctx.Context.catalog ~a ~b ~tid:p.Topology.tid)
                   then raise Found
                 end))
-          (Lazy.force aligned.a_ids);
+          (Lazy.force starts);
         false
       with Found -> true)
 
 let pruned_check ctx aligned (p : Topology.t) =
-  List.exists (pruned_find_one ctx aligned p) (Atomic.get p.Topology.decompositions)
+  let side = pruned_walk_side ctx aligned in
+  List.exists (pruned_find_one ctx aligned ~side p) (Atomic.get p.Topology.decompositions)
 
 (* ------------------------------------------------------------------ *)
 (* Non-top-k methods                                                   *)
@@ -218,10 +239,10 @@ let sql_method ?(check = false) ?trace (ctx : Context.t) aligned =
     try
       List.iter
         (fun first_class ->
-          let walker = class_walker ctx first_class in
+          let walker = class_walker ctx ~reverse:false first_class in
           Array.iter
             (fun a ->
-              iter_partners ctx walker ~a ~f:(fun b ->
+              iter_partners ctx walker ~source:a ~f:(fun b ->
                   if not (Hashtbl.mem checked (a, b)) then begin
                     Hashtbl.add checked (a, b) ();
                     if Context.mem_id (Lazy.force aligned.b_ids) b then begin

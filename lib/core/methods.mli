@@ -49,8 +49,9 @@ type aligned = {
       (** ids satisfying [ea], ascending: per-query state the pruned-topology
           checks force on first use *)
   b_ids : int array Lazy.t;
-      (** ids satisfying [eb], ascending, forced like [a_ids]: the checks
-          test each far end against it with {!Context.mem_id} *)
+      (** ids satisfying [eb], ascending, forced like [a_ids]: a check
+          walks from one of the two sets (see {!pruned_walk_side}) and
+          tests each far end against the other with {!Context.mem_id} *)
 }
 
 (** [align ctx query] resolves the query's entity pair to its store,
@@ -163,6 +164,13 @@ val dispatch :
   scheme:Ranking.scheme ->
   k:int ->
   (int * float option) list * Topo_sql.Optimizer.strategy option
+
+(** [pruned_walk_side ctx aligned] is the endpoint a pruned-topology check
+    walks its first path class from: the side whose satisfying fraction
+    [|ids| / rows] is smaller ([`E2] only when strictly smaller).  A walk
+    from either side costs about that fraction times the class's instance
+    paths, whether it finds a pair or not.  Exposed for tests. *)
+val pruned_walk_side : Context.t -> aligned -> [ `E1 | `E2 ]
 
 (** [pruned_check ctx aligned topology] decides whether some qualifying
     pair satisfies the pruned topology's path condition and survives the

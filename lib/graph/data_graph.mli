@@ -7,7 +7,14 @@
     labels are interned as ["n:<entity>"] and edge labels as ["e:<rel>"],
     the same convention {!Schema_graph.path_to_lgraph} uses, so instance
     subgraphs and schema-level graphs canonicalize into the same key
-    space. *)
+    space.
+
+    Walks read a frozen copy of the adjacency: a dense node numbering,
+    one type label per node, and per node a range of edge label and
+    neighbour arrays (compressed sparse rows), each node's edges in the
+    order they were added.  A step is a few array reads.  {!freeze}
+    builds that copy; any [add_*] afterwards drops it, and the next walk
+    builds it again. *)
 
 type t
 
@@ -22,6 +29,13 @@ val add_entity : t -> ty:string -> id:int -> unit
 (** [add_relationship t ~rel ~a ~b] links two registered entities.
     Duplicate (a, b, rel) triples collapse. *)
 val add_relationship : t -> rel:string -> a:int -> b:int -> unit
+
+(** [freeze t] builds the adjacency walks read, if an [add_*] since the
+    last freeze (or none yet) left it stale.  Call it once the graph is
+    loaded and before walking it from several domains: a walk that finds
+    the graph stale freezes it itself, and two domains doing so at once
+    would each build the same arrays. *)
+val freeze : t -> unit
 
 (** [node_count t] / [edge_count t]. *)
 val node_count : t -> int

@@ -80,69 +80,119 @@ let failure_weight h q =
 
    The bracket depends on j only through (j-1) delta_l, so
      EC_{l:n}(h) = (1-(1-x_l)^h) (I_l + EC_{l+1:n}(K_l))
-                   + x_l delta_l S(h, 1-x_l). *)
-let ec_machinery levels =
+                   + x_l delta_l S(h, 1-x_l).
+
+   Every (1-x_l)^h and S(h, 1-x_l) the model needs depends on the levels'
+   hit probabilities, not on their probe costs: h is a group's card at
+   level 1 and K_{l-1} above it.  [prepare] computes them once; a plan
+   that changes only probe costs (IDGJ vs HDGJ) or the per-group overhead
+   reuses them. *)
+type prepared = {
+  p_cards : int array;
+  p_levels : level array;  (* the statistics the terms were computed from *)
+  x : float array;
+  group_pow : float array;  (* (1-x_1)^card per group; np of Theorem 2 *)
+  group_fail : float array;  (* S(card, 1-x_1) per group *)
+  upper_pow : float array;  (* (1-x_l)^K_{l-1} for l >= 1 *)
+  upper_fail : float array;  (* S(K_{l-1}, 1-x_l) for l >= 1 *)
+}
+
+let prepare ~cards levels =
   let n = Array.length levels in
   let x = hit_probabilities levels in
+  let x1 = if n = 0 then 1.0 else x.(0) in
+  let q1 = 1.0 -. x1 in
+  let upper_h l = int_of_float (expected_matches levels.(l - 1)) in
+  {
+    p_cards = cards;
+    p_levels = levels;
+    x;
+    group_pow = Array.map (fun card -> Float.pow q1 (float_of_int card)) cards;
+    group_fail = (if n = 0 then [||] else Array.map (fun card -> failure_weight card q1) cards);
+    upper_pow = Array.init n (fun l -> if l = 0 then 0.0 else Float.pow (1.0 -. x.(l)) (float_of_int (upper_h l)));
+    upper_fail = Array.init n (fun l -> if l = 0 then 0.0 else failure_weight (upper_h l) (1.0 -. x.(l)));
+  }
+
+let same_statistics a b =
+  a.n_inner = b.n_inner && Float.equal a.pred_sel b.pred_sel && Float.equal a.join_sel b.join_sel
+
+let prepared_for ?prepared input =
+  match prepared with
+  | None -> prepare ~cards:input.cards input.levels
+  | Some p ->
+      if
+        p.p_cards != input.cards
+        || Array.length p.p_levels <> Array.length input.levels
+        || not (Array.for_all2 same_statistics p.p_levels input.levels)
+      then invalid_arg "Dgj_cost: prepared for other cards or level statistics";
+      p
+
+(* The per-candidate part of Theorems 2-4, for every group: nc plus the
+   per-group overhead, and
+     ec = EC_{1:n}(card) = (1 - np) (I_1 + EC_{2:n}(K_1)) + x_1 delta_1 S(card, 1-x_1)
+   with the upper levels' EC evaluated from the prepared terms; np is
+   [p.group_pow]. *)
+let group_costs p input =
+  let levels = input.levels in
+  let n = Array.length levels and m = Array.length input.cards in
   let delta = probe_costs levels in
   (* upper.(l) = EC_{l+1:n}(K_l), the cost incurred above level l by the
      first successful tuple's matches. *)
   let upper = Array.make n 0.0 in
-  let ec_at l h =
-    if n = 0 then 0.0
-    else
-      let level = levels.(l) in
-      let q = 1.0 -. x.(l) in
-      ((1.0 -. Float.pow q (float_of_int h)) *. (level.probe_cost +. upper.(l)))
-      +. (x.(l) *. delta.(l) *. failure_weight h q)
-  in
-  for l = n - 1 downto 0 do
-    if l = n - 1 then upper.(l) <- 0.0
-    else upper.(l) <- ec_at (l + 1) (int_of_float (expected_matches levels.(l)))
+  for l = n - 2 downto 0 do
+    let u = l + 1 in
+    upper.(l) <-
+      ((1.0 -. p.upper_pow.(u)) *. (levels.(u).probe_cost +. upper.(u)))
+      +. (p.x.(u) *. delta.(u) *. p.upper_fail.(u))
   done;
-  (x, delta, ec_at)
-
-
-let group_params input =
-  let n = Array.length input.levels in
-  let x, delta, ec_at = ec_machinery input.levels in
-  let x1 = if n = 0 then 1.0 else x.(0) in
   let delta1 = if n = 0 then 0.0 else delta.(0) in
-  Array.map
-    (fun card ->
-      let cardf = float_of_int card in
-      let np = Float.pow (1.0 -. x1) cardf in
-      (* Theorem 3: cost of exhausting the group without a result, weighted
-         by its probability. *)
-      let nc = np *. cardf *. delta1 in
-      let ec = if n = 0 then 0.0 else ec_at 0 card in
-      (np, nc +. input.per_group_overhead, ec))
-    input.cards
+  let ec_base = if n = 0 then 0.0 else levels.(0).probe_cost +. upper.(0) in
+  let x_delta = if n = 0 then 0.0 else p.x.(0) *. delta1 in
+  let nc = Array.make m 0.0 and ec = Array.make m 0.0 in
+  for i = 0 to m - 1 do
+    let np = p.group_pow.(i) in
+    (* Theorem 3: cost of exhausting the group without a result, weighted
+       by its probability. *)
+    nc.(i) <- (np *. float_of_int input.cards.(i) *. delta1) +. input.per_group_overhead;
+    if n > 0 then ec.(i) <- ((1.0 -. np) *. ec_base) +. (x_delta *. p.group_fail.(i))
+  done;
+  (nc, ec)
 
-let expected_cost input =
-  let params = group_params input in
-  let m = Array.length params in
-  let k = input.k in
-  (* E[Z^k'_{l:m}] by DP; E = 0 when l > m or k' = 0 (Theorem 1). *)
-  let dp = Array.make_matrix (m + 1) (k + 1) 0.0 in
-  for l = m - 1 downto 0 do
-    for k' = 1 to k do
-      let np, nc, ec = params.(l) in
-      dp.(l).(k') <-
-        ec +. ((1.0 -. np) *. dp.(l + 1).(k' - 1)) +. nc +. (np *. dp.(l + 1).(k'))
+let group_params ?prepared input =
+  let p = prepared_for ?prepared input in
+  let nc, ec = group_costs p input in
+  Array.mapi (fun i np -> (np, nc.(i), ec.(i))) p.group_pow
+
+(* Theorem 1's E[Z^k'_{l:m}] is computed over groups from the last one
+   back, in one row indexed by k' (E = 0 when l > m or k' = 0): the row
+   for group l overwrites the row for l + 1 with k' walking downwards.  k
+   is clamped to m: dp(l, k') is the same float for every k' >= m - l, so
+   the clamp changes no bit and a huge k allocates nothing extra. *)
+let clamped_k input =
+  if input.k < 0 then invalid_arg "Dgj_cost: negative k";
+  min input.k (Array.length input.cards)
+
+let expected_cost ?prepared input =
+  let p = prepared_for ?prepared input in
+  let nc, ec = group_costs p input in
+  let k = clamped_k input in
+  let dp = Array.make (k + 1) 0.0 in
+  for l = Array.length input.cards - 1 downto 0 do
+    let np = p.group_pow.(l) and nc = nc.(l) and ec = ec.(l) in
+    for k' = k downto 1 do
+      dp.(k') <- ec +. ((1.0 -. np) *. dp.(k' - 1)) +. nc +. (np *. dp.(k'))
     done
   done;
-  if m = 0 || k = 0 then 0.0 else dp.(0).(k)
+  dp.(k)
 
-let expected_groups_examined input =
-  let params = group_params input in
-  let m = Array.length params in
-  let k = input.k in
-  let dp = Array.make_matrix (m + 1) (k + 1) 0.0 in
-  for l = m - 1 downto 0 do
-    for k' = 1 to k do
-      let np, _, _ = params.(l) in
-      dp.(l).(k') <- 1.0 +. ((1.0 -. np) *. dp.(l + 1).(k' - 1)) +. (np *. dp.(l + 1).(k'))
+let expected_groups_examined ?prepared input =
+  let p = prepared_for ?prepared input in
+  let k = clamped_k input in
+  let dp = Array.make (k + 1) 0.0 in
+  for l = Array.length input.cards - 1 downto 0 do
+    let np = p.group_pow.(l) in
+    for k' = k downto 1 do
+      dp.(k') <- 1.0 +. ((1.0 -. np) *. dp.(k' - 1)) +. (np *. dp.(k'))
     done
   done;
-  if m = 0 || k = 0 then 0.0 else dp.(0).(k)
+  dp.(k)

@@ -39,15 +39,35 @@ val hit_probabilities : level array -> float array
     probe cost charged to one level-[i] input tuple that yields no result. *)
 val probe_costs : level array -> float array
 
+(** The terms of the model that depend on the cards and on the levels'
+    hit probabilities only — [x] of Lemma 1 and, per group and per level
+    above the first, [(1-x_l)^h] and the failure weight [S(h, 1-x_l)] —
+    not on probe costs, the per-group overhead or [k].  Plans that differ
+    only in their IDGJ/HDGJ choices share one: prepare it once and pass
+    it to each pricing call. *)
+type prepared
+
+(** [prepare ~cards levels] computes the terms from the cards and the
+    [n_inner], [pred_sel] and [join_sel] of each level; probe costs are
+    not read. *)
+val prepare : cards:int array -> level array -> prepared
+
+(** Each function below prepares [input] itself when [?prepared] is
+    absent; the result is bit-identical either way.
+    @raise Invalid_argument when [prepared] was computed for other cards
+    (physically) or other level statistics, and, in the two dynamic
+    programs, when [input.k < 0]. *)
+
 (** [group_params input] is the per-group [(np_i, nc_i, ec_i)] of Theorems
-    2-4. *)
-val group_params : input -> (float * float * float) array
+    2-4; [nc_i] includes the per-group overhead. *)
+val group_params : ?prepared:prepared -> input -> (float * float * float) array
 
 (** [expected_cost input] is E[Z^k_{1:m}] of Theorem 1, computed by dynamic
-    programming over (group, remaining-k). *)
-val expected_cost : input -> float
+    programming over (group, remaining-k) in one row of [min k m + 1]
+    floats: for [k >= m] the answer does not depend on [k]. *)
+val expected_cost : ?prepared:prepared -> input -> float
 
 (** [expected_groups_examined input] is the expected number of groups the
     plan opens before finding [k] results (diagnostic; reported by the
     optimizer's explain output). *)
-val expected_groups_examined : input -> float
+val expected_groups_examined : ?prepared:prepared -> input -> float

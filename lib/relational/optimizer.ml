@@ -334,7 +334,7 @@ let group_cards catalog spec =
     rows;
   Topo_util.Dyn.to_array cards
 
-let et_cost_of catalog spec ~cards =
+let et_pricer catalog spec ~cards =
   (* Dimension statistics are independent of the order/implementation
      being costed; compute them once and close over them. *)
   let dims = Array.of_list spec.dims in
@@ -354,33 +354,39 @@ let et_cost_of catalog spec ~cards =
     else Float.max 1.0 (float_of_int (Array.fold_left ( + ) 0 cards) /. float_of_int n)
   in
   let fact_rows = Table.row_count (Catalog.find catalog spec.fact_table) in
-  fun ~impls ~dim_order ->
-    let fact_impl, dim_impls =
-      match impls with f :: rest -> (f, Array.of_list rest) | [] -> invalid_arg "et_cost_of"
+  (* The hit probabilities and the per-group powers of the model depend on
+     the dimension order only, so they are prepared once per order and
+     shared by its implementation choices. *)
+  fun ~dim_order ->
+    let order_stats = Array.of_list (List.map (fun idx -> dim_stats.(idx)) dim_order) in
+    let levels probe_cost =
+      Array.mapi
+        (fun level (info, s) ->
+          { Dgj_cost.n_inner = info.base_rows; probe_cost = probe_cost level info; pred_sel = info.sel; join_sel = s })
+        order_stats
     in
-    let levels =
-      Array.of_list
-        (List.mapi
-           (fun level idx ->
-             let info, s = dim_stats.(idx) in
-             let probe_cost =
-               match dim_impls.(level) with
-               | `I -> c_probe
-               | `H ->
-                   (* HDGJ re-scans the inner per group; amortize the scan over
-                      the group's tuples so the per-tuple model still applies. *)
-                   float_of_int info.base_rows *. c_scan /. avg_card
-             in
-             { Dgj_cost.n_inner = info.base_rows; probe_cost; pred_sel = info.sel; join_sel = s })
-           dim_order)
+    let prepared = Dgj_cost.prepare ~cards (levels (fun _ _ -> c_probe)) in
+    let input_of ~impls =
+      let fact_impl, dim_impls =
+        match impls with f :: rest -> (f, Array.of_list rest) | [] -> invalid_arg "et_pricer"
+      in
+      let levels =
+        levels (fun level info ->
+            match dim_impls.(level) with
+            | `I -> c_probe
+            | `H ->
+                (* HDGJ re-scans the inner per group; amortize the scan over
+                   the group's tuples so the per-tuple model still applies. *)
+                float_of_int info.base_rows *. c_scan /. avg_card)
+      in
+      let per_group_overhead =
+        match fact_impl with
+        | `I -> c_probe
+        | `H -> float_of_int fact_rows *. c_scan
+      in
+      { Dgj_cost.cards; levels; k = spec.k; per_group_overhead }
     in
-    let per_group_overhead =
-      match fact_impl with
-      | `I -> c_probe
-      | `H -> float_of_int fact_rows *. c_scan
-    in
-    let input = { Dgj_cost.cards; levels; k = spec.k; per_group_overhead } in
-    Dgj_cost.expected_cost input
+    (prepared, input_of)
 
 let rec permutations = function
   | [] -> [ [] ]
@@ -435,24 +441,32 @@ let et_plan catalog spec ~impls ~dim_order =
     dim_order;
   !plan
 
-let best_et_plan ?(check = false) catalog spec =
+(* Calls [f] on every early-termination candidate in enumeration order:
+   dimension orders outermost, each with its prepared cost terms. *)
+let iter_et_candidates catalog spec f =
   let n = List.length spec.dims in
-  let orders = permutations (List.init n Fun.id) in
   let choices = impl_choices (n + 1) in
-  let cards = group_cards catalog spec in
-  let cost_of = et_cost_of catalog spec ~cards in
-  let best = ref None in
+  let pricer = et_pricer catalog spec ~cards:(group_cards catalog spec) in
   List.iter
     (fun dim_order ->
-      List.iter
-        (fun impls ->
-          if check then Plan_check.check catalog (et_plan catalog spec ~impls ~dim_order);
-          let cost = cost_of ~impls ~dim_order in
-          match !best with
-          | Some (_, c) when c <= cost -> ()
-          | Some _ | None -> best := Some ((impls, dim_order), cost))
-        choices)
-    orders;
+      let prepared, input_of = pricer ~dim_order in
+      List.iter (fun impls -> f ~impls ~dim_order prepared (input_of ~impls)) choices)
+    (permutations (List.init n Fun.id))
+
+let et_candidates catalog spec =
+  let out = ref [] in
+  iter_et_candidates catalog spec (fun ~impls ~dim_order _ input ->
+      out := ((impls, dim_order), input) :: !out);
+  List.rev !out
+
+let best_et_plan ?(check = false) catalog spec =
+  let best = ref None in
+  iter_et_candidates catalog spec (fun ~impls ~dim_order prepared input ->
+      if check then Plan_check.check catalog (et_plan catalog spec ~impls ~dim_order);
+      let cost = Dgj_cost.expected_cost ~prepared input in
+      match !best with
+      | Some (_, c) when c <= cost -> ()
+      | Some _ | None -> best := Some ((impls, dim_order), cost));
   match !best with
   | None -> None
   | Some ((impls, dim_order), cost) ->

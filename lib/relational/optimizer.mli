@@ -70,6 +70,15 @@ val regular_plan : ?check:bool -> Catalog.t -> spec -> Physical.t * float
     winner. *)
 val best_et_plan : ?check:bool -> Catalog.t -> spec -> (Physical.t * float) option
 
+(** [et_candidates catalog spec] is every early-termination candidate
+    [best_et_plan] prices, in its enumeration order (dimension orders
+    outermost), as [((impls, dim_order), input)] where [input] is the
+    {!Dgj_cost} input priced for it.  [best_et_plan] prepares the
+    hit-probability terms once per dimension order and keeps the first
+    candidate of least cost.  Exposed for tests. *)
+val et_candidates :
+  Catalog.t -> spec -> (([ `I | `H ] list * int list) * Dgj_cost.input) list
+
 (** [choose catalog spec] runs both searches and picks the cheaper plan.
     [~check] is forwarded to both searches. *)
 val choose : ?check:bool -> Catalog.t -> spec -> decision

@@ -249,18 +249,41 @@ let brute_force_pruned ctx (aligned : Methods.aligned) (p : Topology.t) =
         b_ids)
     (Context.satisfying_ids ctx aligned.Methods.ea)
 
-let prop_pruned_check_matches_oracle =
-  QCheck.Test.make ~name:"pruned_check = brute-force oracle, both orientations" ~count:40
+(* [on_side] sees the walk side of every query with pruned topologies. *)
+let prop_pruned_check_matches_oracle ~on_side =
+  QCheck.Test.make ~name:"pruned_check = brute-force oracle, both orientations" ~count:100
     (QCheck.make ~print:Query.to_string (fun st -> gen_oracle_query (fst (Lazy.force oracle_engine)) st))
     (fun q ->
       let ctx = (snd (Lazy.force oracle_engine)).Engine.ctx in
       let aligned = Methods.align ctx q in
+      if aligned.Methods.store.Store.pruned <> [] then on_side (Methods.pruned_walk_side ctx aligned);
       List.for_all
         (fun (p : Topology.t) ->
           let got = Methods.pruned_check ctx aligned p and want = brute_force_pruned ctx aligned p in
           got = want
           || QCheck.Test.fail_reportf "T%d: pruned_check %b, oracle %b" p.Topology.tid got want)
         aligned.Methods.store.Store.pruned)
+
+(* The oracle property, plus: the generated queries start checks from
+   both endpoints, so the reversed walkers (same-type pair included) are
+   exercised. *)
+let test_pruned_check_matches_oracle () =
+  let e1 = ref 0 and e2 = ref 0 in
+  let on_side = function `E1 -> incr e1 | `E2 -> incr e2 in
+  QCheck.Test.check_exn (prop_pruned_check_matches_oracle ~on_side);
+  Alcotest.(check bool) (Printf.sprintf "both sides walked (E1 %d, E2 %d)" !e1 !e2) true (!e1 > 0 && !e2 > 0)
+
+let test_pruned_walk_side_rule () =
+  let _, engine = Lazy.force oracle_engine in
+  let ctx = engine.Engine.ctx and cat = fst (Lazy.force oracle_engine) in
+  let side e1 e2 = Methods.pruned_walk_side ctx (Methods.align ctx (Query.make e1 e2)) in
+  let any = Query.endpoint cat and rare = Query.keyword cat "Protein" ~col:"desc" ~kw:"nonexistentword" in
+  Alcotest.(check bool) "tie walks from E1" true (side (any "Protein") (any "Protein") = `E1);
+  Alcotest.(check bool) "selective E2" true (side (any "Protein") rare = `E2);
+  Alcotest.(check bool) "selective E1" true (side rare (any "Protein") = `E1);
+  (* The query's E2 is the store's E1 side when the pair is stored the
+     other way round. *)
+  Alcotest.(check bool) "sides follow the store orientation" true (side (any "DNA") rare = `E1)
 
 (* --- method agreement on the synthetic database --------------------------- *)
 
@@ -618,7 +641,9 @@ let suites =
         Alcotest.test_case "ExcpTops (78,215,T2)" `Quick test_excptops_contains_78_215_for_pud;
         Alcotest.test_case "fast=full under heavy pruning" `Quick test_fast_top_equals_full_top_under_heavy_pruning;
         Alcotest.test_case "pruned check respects predicates" `Quick test_pruned_check_respects_predicates;
-        QCheck_alcotest.to_alcotest prop_pruned_check_matches_oracle;
+        Alcotest.test_case "pruned_check = brute-force oracle, both orientations" `Quick
+          test_pruned_check_matches_oracle;
+        Alcotest.test_case "pruned walk side rule" `Quick test_pruned_walk_side_rule;
       ] );
     ( "core.methods",
       [

@@ -223,6 +223,224 @@ let test_choose_reports_both_costs () =
     (Float.is_finite d.Optimizer.regular_cost && Float.is_finite d.Optimizer.et_cost);
   Alcotest.(check bool) "explain non-empty" true (String.length d.Optimizer.explain > 0)
 
+(* --- pricing: prepared form against the model as first written ------------- *)
+
+(* The oracle: Theorem 4's EC re-evaluated from scratch for every input,
+   and Theorem 1's DP over the full (m+1) x (k+1) matrix. *)
+let naive_matches (level : Dgj_cost.level) =
+  let k = level.Dgj_cost.join_sel *. float_of_int level.Dgj_cost.n_inner in
+  if k < 1.0 then 1.0 else Float.round k
+
+let naive_failure_weight h q =
+  let hf = float_of_int h in
+  if q >= 1.0 -. 1e-12 then hf *. (hf -. 1.0) /. 2.0
+  else if q <= 0.0 then 0.0
+  else
+    let qh1 = Float.pow q (hf -. 1.0) in
+    let qh = qh1 *. q in
+    q *. (1.0 -. (hf *. qh1) +. ((hf -. 1.0) *. qh)) /. ((1.0 -. q) *. (1.0 -. q))
+
+let naive_group_params (input : Dgj_cost.input) =
+  let levels = input.Dgj_cost.levels in
+  let n = Array.length levels in
+  let x = Dgj_cost.hit_probabilities levels and delta = Dgj_cost.probe_costs levels in
+  let upper = Array.make n 0.0 in
+  let ec_at l h =
+    if n = 0 then 0.0
+    else
+      let q = 1.0 -. x.(l) in
+      ((1.0 -. Float.pow q (float_of_int h)) *. (levels.(l).Dgj_cost.probe_cost +. upper.(l)))
+      +. (x.(l) *. delta.(l) *. naive_failure_weight h q)
+  in
+  for l = n - 1 downto 0 do
+    if l = n - 1 then upper.(l) <- 0.0
+    else upper.(l) <- ec_at (l + 1) (int_of_float (naive_matches levels.(l)))
+  done;
+  let x1 = if n = 0 then 1.0 else x.(0) and delta1 = if n = 0 then 0.0 else delta.(0) in
+  Array.map
+    (fun card ->
+      let cardf = float_of_int card in
+      let np = Float.pow (1.0 -. x1) cardf in
+      let nc = np *. cardf *. delta1 in
+      let ec = if n = 0 then 0.0 else ec_at 0 card in
+      (np, nc +. input.Dgj_cost.per_group_overhead, ec))
+    input.Dgj_cost.cards
+
+let naive_dp (input : Dgj_cost.input) cell =
+  let params = naive_group_params input in
+  let m = Array.length params and k = input.Dgj_cost.k in
+  let dp = Array.make_matrix (m + 1) (k + 1) 0.0 in
+  for l = m - 1 downto 0 do
+    for k' = 1 to k do
+      dp.(l).(k') <- cell params.(l) ~hit:dp.(l + 1).(k' - 1) ~miss:dp.(l + 1).(k')
+    done
+  done;
+  if m = 0 || k = 0 then 0.0 else dp.(0).(k)
+
+let naive_expected_cost input =
+  naive_dp input (fun (np, nc, ec) ~hit ~miss -> ec +. ((1.0 -. np) *. hit) +. nc +. (np *. miss))
+
+let naive_groups_examined input =
+  naive_dp input (fun (np, _, _) ~hit ~miss -> 1.0 +. ((1.0 -. np) *. hit) +. (np *. miss))
+
+let bits = Int64.bits_of_float
+
+(* K = round(join_sel * n_inner) in 1..4; rho in {0, 1} or in between;
+   cards with repeats and zeros; m = 0 possible; k in {0, 1, m-1, m, m+5}. *)
+let gen_cost_input =
+  let open QCheck.Gen in
+  let level =
+    map4
+      (fun n_inner kk probe_cost pred_sel ->
+        { Dgj_cost.n_inner; probe_cost; pred_sel; join_sel = float_of_int kk /. float_of_int n_inner })
+      (int_range 4 2000) (int_range 1 4) (float_range 0.1 50.0)
+      (frequency [ (1, return 0.0); (1, return 1.0); (3, float_range 0.0 1.0) ])
+  in
+  array_size (int_range 0 3) level >>= fun levels ->
+  array_size (int_range 0 40) (oneof [ oneofl [ 0; 1; 2; 2; 7; 7 ]; int_range 0 60 ]) >>= fun cards ->
+  let m = Array.length cards in
+  oneofl [ 0; 1; max 0 (m - 1); m; m + 5 ] >>= fun k ->
+  float_range 0.0 500.0 >|= fun per_group_overhead -> { Dgj_cost.cards; levels; k; per_group_overhead }
+
+let print_cost_input (i : Dgj_cost.input) =
+  Printf.sprintf "levels [%s] cards [%s] k=%d overhead=%h"
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun (l : Dgj_cost.level) ->
+               Printf.sprintf "{n=%d probe=%h rho=%h s=%h}" l.Dgj_cost.n_inner l.Dgj_cost.probe_cost
+                 l.Dgj_cost.pred_sel l.Dgj_cost.join_sel)
+             i.Dgj_cost.levels)))
+    (String.concat "; " (Array.to_list (Array.map string_of_int i.Dgj_cost.cards)))
+    i.Dgj_cost.k i.Dgj_cost.per_group_overhead
+
+let prop_pricing_bit_identical =
+  QCheck.Test.make ~name:"prepared pricing = naive Theorem-1 DP, bit for bit" ~count:500
+    (QCheck.make ~print:print_cost_input gen_cost_input)
+    (fun input ->
+      (* Prepared from levels that differ only in probe costs, as the
+         optimizer shares one preparation across IDGJ/HDGJ choices. *)
+      let other_probes =
+        Array.map (fun (l : Dgj_cost.level) -> { l with Dgj_cost.probe_cost = 1.0 }) input.Dgj_cost.levels
+      in
+      let prepared = Dgj_cost.prepare ~cards:input.Dgj_cost.cards other_probes in
+      let same what a b =
+        bits a = bits b || QCheck.Test.fail_reportf "%s: %h <> naive %h" what a b
+      in
+      let cost = naive_expected_cost input and groups = naive_groups_examined input in
+      same "expected_cost" (Dgj_cost.expected_cost input) cost
+      && same "expected_cost ~prepared" (Dgj_cost.expected_cost ~prepared input) cost
+      && same "expected_groups_examined" (Dgj_cost.expected_groups_examined ~prepared input) groups
+      && Array.for_all2
+           (fun (a, b, c) (a', b', c') -> same "np" a a' && same "nc" b b' && same "ec" c c')
+           (Dgj_cost.group_params ~prepared input)
+           (naive_group_params input))
+
+let test_prepared_for_other_statistics_rejected () =
+  let level = mk_level () in
+  let cards = [| 3; 4 |] in
+  let prepared = Dgj_cost.prepare ~cards [| level |] in
+  let input levels cards = { Dgj_cost.cards; levels; k = 1; per_group_overhead = 0.0 } in
+  Alcotest.check_raises "other selectivity"
+    (Invalid_argument "Dgj_cost: prepared for other cards or level statistics") (fun () ->
+      ignore (Dgj_cost.expected_cost ~prepared (input [| { level with Dgj_cost.pred_sel = 0.25 } |] cards)));
+  Alcotest.check_raises "other cards"
+    (Invalid_argument "Dgj_cost: prepared for other cards or level statistics") (fun () ->
+      ignore (Dgj_cost.expected_cost ~prepared (input [| level |] (Array.copy cards))))
+
+(* --- pricing on a built engine ------------------------------------------------ *)
+
+let pricing_engine =
+  lazy
+    (let open Topo_core in
+     let cat = Biozon.Generator.generate (Biozon.Generator.scale 0.05 Biozon.Generator.default) in
+     (cat, Engine.build cat ~pairs:[ ("Protein", "DNA"); ("Protein", "Interaction") ] ~pruning_threshold:3 ()))
+
+(* The spec the -Opt methods price, for a query phrased in the store's
+   orientation. *)
+let engine_spec (q : Topo_core.Query.t) ~fact ~scheme ~k =
+  let open Topo_core in
+  let _, engine = Lazy.force pricing_engine in
+  let store = Engine.store engine ~t1:q.Query.e1.Query.entity ~t2:q.Query.e2.Query.entity in
+  let dim (e : Query.endpoint) alias fact_col =
+    { Optimizer.dim_table = e.Query.entity; dim_alias = alias; dim_key = "ID"; fact_col; dim_pred = e.Query.pred }
+  in
+  {
+    Optimizer.group_table = store.Store.topinfo;
+    group_key = "TID";
+    score_col = Ranking.score_column scheme;
+    group_pred = None;
+    fact_table = (if fact then store.Store.lefttops else store.Store.alltops);
+    fact_group_col = "TID";
+    dims = [ dim q.Query.e1 "A" "E1"; dim q.Query.e2 "B" "E2" ];
+    k;
+  }
+
+let gen_engine_spec =
+  let open QCheck.Gen in
+  let cat = fst (Lazy.force pricing_engine) in
+  let endpoint entity =
+    oneofl
+      ([ Topo_core.Query.endpoint cat entity ]
+      @ List.map
+          (fun kw -> Topo_core.Query.keyword cat entity ~col:"desc" ~kw)
+          [ "membrane"; "zinc"; "putative"; "nonexistentword" ])
+  in
+  oneofl [ "DNA"; "Interaction" ] >>= fun t2 ->
+  map2 Topo_core.Query.make (endpoint "Protein") (endpoint t2) >>= fun q ->
+  bool >>= fun fact ->
+  oneofl Topo_core.Ranking.[ Freq; Rare; Domain ] >>= fun scheme ->
+  oneofl [ 1; 5; 10; 20; 1000 ] >|= fun k -> (q, engine_spec q ~fact ~scheme ~k)
+
+let prop_best_et_plan_matches_exhaustive =
+  QCheck.Test.make ~name:"best_et_plan = exhaustive naive pricing of all 16 candidates" ~count:60
+    (QCheck.make ~print:(fun (q, _) -> Topo_core.Query.to_string q) gen_engine_spec)
+    (fun (_, spec) ->
+      let cat = fst (Lazy.force pricing_engine) in
+      let candidates = Optimizer.et_candidates cat spec in
+      let naive_best =
+        List.fold_left
+          (fun best (plan, input) ->
+            let cost = naive_expected_cost input in
+            match best with Some (_, c) when c <= cost -> best | Some _ | None -> Some (plan, cost))
+          None candidates
+      in
+      List.length candidates = 16
+      &&
+      match (Optimizer.best_et_plan cat spec, naive_best) with
+      | Some (plan, cost), Some ((impls, dim_order), naive_cost) ->
+          Physical.explain plan = Physical.explain (Optimizer.et_plan cat spec ~impls ~dim_order)
+          && (bits cost = bits naive_cost || QCheck.Test.fail_reportf "cost %h, naive %h" cost naive_cost)
+      | None, None -> true
+      | Some _, None | None, Some _ -> false)
+
+(* The largest k a wire request carries is 2^31 - 1 (the codec rejects a
+   u32 with the top bit set as negative).  Pricing clamps k to the group
+   count, so such a request costs what k = |TopInfo| costs. *)
+let test_huge_k_prices_in_constant_space () =
+  let open Topo_core in
+  let cat, engine = Lazy.force pricing_engine in
+  let q = Query.make (Query.endpoint cat "Protein") (Query.endpoint cat "DNA") in
+  let store = Engine.store engine ~t1:"Protein" ~t2:"DNA" in
+  let groups = Table.row_count (Catalog.find cat store.Store.topinfo) in
+  let huge = 0x7FFF_FFFF in
+  let decoded = Request.of_wire (Request.to_wire (Request.make ~k:huge Engine.Fast_top_k_opt q)) in
+  Alcotest.(check int) "k survives the wire" huge decoded.Request.k;
+  let ranked r = (Request.get_done (Engine.run_request engine r)).Request.ranked in
+  Alcotest.(check (list (pair int (option (float 0.0)))))
+    "same ranked list as k = |TopInfo|"
+    (ranked (Request.make ~k:groups Engine.Fast_top_k_opt q))
+    (ranked decoded);
+  let spec = engine_spec q ~fact:true ~scheme:Ranking.Freq ~k:huge in
+  ignore (Optimizer.choose cat spec);
+  let before = Gc.allocated_bytes () in
+  let decision = Optimizer.choose cat spec in
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  Alcotest.(check bool) (Printf.sprintf "pricing allocates %.0f words < 1M" words) true (words < 1e6);
+  Alcotest.(check bool) "same costs as k = |TopInfo|" true
+    (let d = Optimizer.choose cat { spec with Optimizer.k = groups } in
+     bits d.Optimizer.et_cost = bits decision.Optimizer.et_cost)
+
 (* --- histogram corner cases --------------------------------------------------- *)
 
 let test_histogram_range_outside () =
@@ -289,6 +507,10 @@ let suites =
       [
         QCheck_alcotest.to_alcotest prop_optimizer_strategies_agree;
         Alcotest.test_case "choose reports costs" `Quick test_choose_reports_both_costs;
+        QCheck_alcotest.to_alcotest prop_pricing_bit_identical;
+        Alcotest.test_case "prepared terms are checked" `Quick test_prepared_for_other_statistics_rejected;
+        QCheck_alcotest.to_alcotest prop_best_et_plan_matches_exhaustive;
+        Alcotest.test_case "huge k prices in constant space" `Quick test_huge_k_prices_in_constant_space;
       ] );
     ( "cost.histogram",
       [

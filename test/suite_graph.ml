@@ -337,6 +337,134 @@ let test_compiled_walker_matches_enumeration () =
     paths;
   Alcotest.(check bool) "walks found paths" true (!nonempty > 0)
 
+(* Random small instance graphs: three types, three relations, ids not
+   dense, duplicate edges (in both directions) and cycles.  The walks over
+   the frozen graph must yield exactly what a depth-first search over
+   plain adjacency lists yields, in the same order. *)
+type random_graph = {
+  nodes : (int * string) list;  (* registration order *)
+  edges : (string * int * int) list;  (* insertion order, repeats included *)
+  path : Schema_graph.path;
+}
+
+let rg_types = [| "A"; "B"; "C" |]
+
+let rg_rels = [| "r"; "s"; "t" |]
+
+let gen_random_graph =
+  let open QCheck.Gen in
+  int_range 1 9 >>= fun n ->
+  list_repeat n (int_range 0 2) >>= fun tys ->
+  let nodes = List.mapi (fun i ty -> ((i * 7) + 3, rg_types.(ty))) tys in
+  let ids = Array.of_list (List.map fst nodes) in
+  list_size (int_range 0 24) (triple (int_range 0 2) (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+  >>= fun raw ->
+  let edges = List.map (fun (r, a, b) -> (rg_rels.(r), ids.(a), ids.(b))) raw in
+  int_range 1 3 >>= fun l ->
+  list_repeat (l + 1) (int_range 0 2) >>= fun path_tys ->
+  list_repeat l (int_range 0 2) >|= fun path_rels ->
+  let path =
+    {
+      Schema_graph.types = Array.of_list (List.map (fun i -> rg_types.(i)) path_tys);
+      rels = Array.of_list (List.map (fun i -> rg_rels.(i)) path_rels);
+    }
+  in
+  { nodes; edges; path }
+
+let print_random_graph g =
+  Printf.sprintf "nodes [%s] edges [%s] path %s"
+    (String.concat "; " (List.map (fun (id, ty) -> Printf.sprintf "%d:%s" id ty) g.nodes))
+    (String.concat "; " (List.map (fun (r, a, b) -> Printf.sprintf "%d-%s-%d" a r b) g.edges))
+    (Schema_graph.path_to_string g.path)
+
+let build_random_graph g =
+  let dg = Data_graph.create (Interner.create ()) in
+  List.iter (fun (id, ty) -> Data_graph.add_entity dg ~ty ~id) g.nodes;
+  List.iter (fun (rel, a, b) -> Data_graph.add_relationship dg ~rel ~a ~b) g.edges;
+  dg
+
+(* Per-node adjacency lists in insertion order: an edge is appended at
+   [a], then at [b], the first time its unordered (a, b, rel) is seen. *)
+let naive_adjacency g =
+  let adj = Hashtbl.create 16 and seen = Hashtbl.create 16 in
+  List.iter
+    (fun (rel, a, b) ->
+      let key = (min a b, max a b, rel) in
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.add seen key ();
+        let push u v = Hashtbl.replace adj u (Option.value ~default:[] (Hashtbl.find_opt adj u) @ [ (rel, v) ]) in
+        push a b;
+        push b a
+      end)
+    g.edges;
+  fun u -> Option.value ~default:[] (Hashtbl.find_opt adj u)
+
+let naive_paths_from g (p : Schema_graph.path) source =
+  let adj = naive_adjacency g and ty id = List.assoc id g.nodes in
+  let l = Schema_graph.path_length p in
+  let rec go pos rev_path =
+    if pos = l then [ List.rev rev_path ]
+    else
+      List.concat_map
+        (fun (rel, v) ->
+          if rel = p.Schema_graph.rels.(pos) && (not (List.mem v rev_path)) && ty v = p.Schema_graph.types.(pos + 1)
+          then go (pos + 1) (v :: rev_path)
+          else [])
+        (adj (List.hd rev_path))
+  in
+  if List.mem_assoc source g.nodes && ty source = p.Schema_graph.types.(0) then go 0 [ source ] else []
+
+let prop_frozen_walk_matches_adjacency_dfs =
+  QCheck.Test.make ~name:"frozen-graph walks = adjacency-list DFS, same order" ~count:300
+    (QCheck.make ~print:print_random_graph gen_random_graph)
+    (fun g ->
+      let dg = build_random_graph g in
+      let p = g.path in
+      let l = Schema_graph.path_length p in
+      let c = Data_graph.compile dg p in
+      let sources = List.map fst g.nodes @ [ 1000 ] in
+      let ends_ok =
+        List.for_all
+          (fun source ->
+            let ends = ref [] in
+            Data_graph.iter_ends dg c ~source ~f:(fun b -> ends := b :: !ends);
+            List.rev !ends = List.map (fun path -> List.nth path l) (naive_paths_from g p source))
+          sources
+      in
+      let all = ref [] in
+      Data_graph.iter_instance_paths dg p ~f:(fun ids -> all := Array.to_list ids :: !all);
+      let palindromic = p = Schema_graph.reverse p in
+      let expected =
+        List.sort compare (List.map fst (List.filter (fun (_, ty) -> ty = p.Schema_graph.types.(0)) g.nodes))
+        |> List.concat_map (naive_paths_from g p)
+        |> List.filter (fun path -> (not palindromic) || List.hd path < List.nth path l)
+      in
+      ends_ok && List.rev !all = expected)
+
+let test_add_after_freeze_is_walked () =
+  let dg = Data_graph.create (Interner.create ()) in
+  Data_graph.add_entity dg ~ty:"A" ~id:1;
+  Data_graph.add_entity dg ~ty:"B" ~id:2;
+  Data_graph.add_entity dg ~ty:"B" ~id:3;
+  Data_graph.add_relationship dg ~rel:"r" ~a:1 ~b:2;
+  Data_graph.freeze dg;
+  let p = { Schema_graph.types = [| "A"; "B" |]; rels = [| "r" |] } in
+  let c = Data_graph.compile dg p in
+  let ends source =
+    let out = ref [] in
+    Data_graph.iter_ends dg c ~source ~f:(fun b -> out := b :: !out);
+    List.rev !out
+  in
+  Alcotest.(check (list int)) "frozen" [ 2 ] (ends 1);
+  Data_graph.add_relationship dg ~rel:"r" ~a:3 ~b:1;
+  Alcotest.(check (list int)) "edge added after the freeze" [ 2; 3 ] (ends 1);
+  Alcotest.(check (list int)) "neighbors see it too" [ 2; 3 ] (Data_graph.neighbors_by dg ~id:1 ~rel:"r" ~ty:"B");
+  Data_graph.add_entity dg ~ty:"A" ~id:4;
+  Alcotest.(check (list int)) "entity added after the freeze" [] (ends 4);
+  Data_graph.add_relationship dg ~rel:"r" ~a:4 ~b:2;
+  Alcotest.(check (list int)) "and its edge" [ 2 ] (ends 4);
+  Alcotest.(check int) "edge count" 3 (Data_graph.edge_count dg)
+
 (* --- gluing enumeration ---------------------------------------------------- *)
 
 let test_glue_fig8_two_topologies () =
@@ -415,6 +543,8 @@ let suites =
         Alcotest.test_case "anchored enumeration" `Quick test_instance_paths_between;
         Alcotest.test_case "paths stay simple" `Quick test_instance_paths_simple_only;
         Alcotest.test_case "compiled walker = enumeration" `Quick test_compiled_walker_matches_enumeration;
+        QCheck_alcotest.to_alcotest prop_frozen_walk_matches_adjacency_dfs;
+        Alcotest.test_case "add after freeze is walked" `Quick test_add_after_freeze_is_walked;
       ] );
     ( "graph.glue",
       [
