@@ -6,8 +6,8 @@
    - a join microbenchmark over synthetic int-keyed tables sized by
      --scale: the same [Physical] plan executed with [Op_kernel]
      disabled (generic hash / index-NL join over boxed [Value.t] keys)
-     and enabled (fused scan + [Int_table] probe straight off the
-     table's int lane).  Results and work counters must match exactly;
+     and enabled (a row-number pipeline probing [Int_table] chains with
+     keys read straight off the table's int lane).  Results and work counters must match exactly;
      the regression gate holds the median speedup above
      KERNELS_MIN_SPEEDUP.
    - the serve batch: the jobs = 1 mixed workload fingerprinted with
@@ -135,8 +135,8 @@ let run () =
   Printf.printf "microbench: %d build rows, %d probe rows, %d run(s)\n" build_n (2 * build_n) runs;
   let cat = micro_catalog build_n in
   (match Sql.Physical.kernel_site cat hash_plan with
-  | Some Sql.Physical.Kernel_scan_hash_join -> ()
-  | _ -> failwith "kernels: the hash microbench plan did not lower to the fused kernel");
+  | Some Sql.Physical.Kernel_hash_join -> ()
+  | _ -> failwith "kernels: the hash microbench plan is not a pipeline step");
   let hash_speedup, hash_json = micro_speedup cat hash_plan "hash join" ~runs in
   let index_speedup, index_json = micro_speedup cat index_plan "index NL join" ~runs in
   let speedup =

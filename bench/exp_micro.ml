@@ -103,6 +103,17 @@ let tests () =
       (Topo_core.Query.equals cat "DNA" ~col:"type" ~value:(Topo_sql.Value.Str "EST"))
   in
   let et_cat, et_spec = et_pricing_spec () in
+  (* A Full-Top-k regular plan and a Full-Top-k-ET DGJ stack over AllTops
+     for the broad query, planned once: execution only. *)
+  let broad = Topo_core.Methods.align ctx q_broad in
+  let broad_spec k =
+    Topo_core.Methods.optimizer_spec ctx broad
+      ~fact:broad.Topo_core.Methods.store.Topo_core.Store.alltops ~scheme:Topo_core.Ranking.Freq ~k
+  in
+  let topk_plan, _ = Topo_sql.Optimizer.regular_plan cat (broad_spec 10) in
+  let et_plan =
+    Topo_sql.Optimizer.et_plan cat (broad_spec max_int) ~impls:[ `I; `I; `I ] ~dim_order:[ 0; 1 ]
+  in
   let pud =
     List.find
       (fun p -> Topo_graph.Schema_graph.path_length p = 2)
@@ -158,6 +169,11 @@ let tests () =
            in
            Topo_sql.Dgj_cost.expected_cost
              { Topo_sql.Dgj_cost.cards = Array.make 100 20; levels; k = 10; per_group_overhead = 1.0 }));
+    (* Plan execution: every join chain runs as one row-number pipeline. *)
+    Test.make ~name:"pipeline_topk" (Staged.stage (fun () -> Topo_sql.Physical.run cat topk_plan));
+    Test.make ~name:"pipeline_et"
+      (Staged.stage (fun () ->
+           Topo_sql.Op_dgj.first_match_per_group (Topo_sql.Physical.lower cat et_plan) ~k:10));
     Test.make ~name:"pruned_check_selective" (pruned_checks q_selective);
     Test.make ~name:"pruned_check_broad" (pruned_checks q_broad);
     (* -Opt: pricing the 16 early-termination candidates of one spec. *)

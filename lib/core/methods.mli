@@ -59,6 +59,13 @@ type aligned = {
     orientation.  @raise Not_found when the pair was not precomputed. *)
 val align : Context.t -> Query.t -> aligned
 
+(** [optimizer_spec ctx aligned ~fact ~scheme ~k] is the top-k spec every
+    plan-based method hands the optimizer: TopInfo grouped on TID and
+    ordered on [scheme]'s score column, [fact] (AllTops or LeftTops) as
+    the fact table, and the two aligned endpoints as dimensions. *)
+val optimizer_spec :
+  Context.t -> aligned -> fact:string -> scheme:Ranking.scheme -> k:int -> Topo_sql.Optimizer.spec
+
 (** {1 Non-top-k methods} — all return ascending TIDs. *)
 
 (** [sql_method ctx aligned] issues one existence probe per observed

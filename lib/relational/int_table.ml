@@ -43,7 +43,6 @@ end
 type t = {
   mutable slots : int array;  (* chain-head entry index per slot, -1 = empty *)
   mutable tails : int array;  (* chain-tail entry index, valid where slots.(i) >= 0 *)
-  mutable counts : int array;  (* chain length per slot *)
   mutable mask : int;  (* slot count - 1 (power of two) *)
   mutable used : int;  (* occupied slots = distinct keys *)
   (* Parallel per-entry arrays, in insertion order across all keys. *)
@@ -62,7 +61,6 @@ let create ?(capacity = 16) () =
   {
     slots = Array.make slot_cap (-1);
     tails = Array.make slot_cap (-1);
-    counts = Array.make slot_cap 0;
     mask = slot_cap - 1;
     used = 0;
     keys = Array.make cap 0;
@@ -93,7 +91,6 @@ let rehash t =
   let slot_cap = (t.mask + 1) * 2 in
   t.slots <- Array.make slot_cap (-1);
   t.tails <- Array.make slot_cap (-1);
-  t.counts <- Array.make slot_cap 0;
   t.mask <- slot_cap - 1;
   (* Re-link every entry in insertion order: per-key chain order is part of
      the contract and must survive growth. *)
@@ -101,8 +98,7 @@ let rehash t =
     t.next.(e) <- -1;
     let i = find_slot t t.keys.(e) in
     if t.slots.(i) < 0 then t.slots.(i) <- e else t.next.(t.tails.(i)) <- e;
-    t.tails.(i) <- e;
-    t.counts.(i) <- t.counts.(i) + 1
+    t.tails.(i) <- e
   done;
   t.used <- 0;
   Array.iter (fun head -> if head >= 0 then t.used <- t.used + 1) t.slots
@@ -128,37 +124,23 @@ let add t key payload =
       let i = find_slot t key in
       t.slots.(i) <- e;
       t.tails.(i) <- e;
-      t.counts.(i) <- 1;
       t.used <- t.used + 1
     end
     else begin
       t.slots.(i) <- e;
       t.tails.(i) <- e;
-      t.counts.(i) <- 1;
       t.used <- t.used + 1
     end
   end
   else begin
     t.next.(t.tails.(i)) <- e;
-    t.tails.(i) <- e;
-    t.counts.(i) <- t.counts.(i) + 1
+    t.tails.(i) <- e
   end
 
 let first t key =
   let i = find_slot t key in
   Array.unsafe_get t.slots i
 
-let count t key =
-  let i = find_slot t key in
-  if t.slots.(i) < 0 then 0 else t.counts.(i)
-
 let next_entry t e = Array.unsafe_get t.next e
 
 let payload t e = Array.unsafe_get t.payloads e
-
-let key_at t e = Array.unsafe_get t.keys e
-
-let iter_entries f t =
-  for e = 0 to t.n - 1 do
-    f t.keys.(e) t.payloads.(e)
-  done

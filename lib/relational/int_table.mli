@@ -46,21 +46,8 @@ val add : t -> int -> int -> unit
     the key is absent.  Allocation-free. *)
 val first : t -> int -> int
 
-(** [count t key] is the chain length of [key] (0 when absent), without
-    walking the chain. *)
-val count : t -> int -> int
-
 (** [next_entry t e] is the next entry in the same chain, or [-1]. *)
 val next_entry : t -> int -> int
 
 (** [payload t e] of a valid entry index. *)
 val payload : t -> int -> int
-
-(** [key_at t e] of a valid entry index. *)
-val key_at : t -> int -> int
-
-(** [iter_entries f t] applies [f key payload] over {e all} entries in
-    global insertion order — the kernels' exact-equivalence fallback for
-    pathological probe keys (huge integral floats) where int conversion
-    would not be injective. *)
-val iter_entries : (int -> int -> unit) -> t -> unit

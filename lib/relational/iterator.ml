@@ -9,35 +9,45 @@ type t = {
 
 module Counters = struct
   (* Counter cells are resolved through a domain-local scope: by default
-     every domain shares one global cell set that nobody reads, and
-     [with_scope] installs a private one — every query runs under its
-     own, so concurrent queries never see each other's work.  Increments
-     within a cell set are [Atomic]. *)
-  type cells = { tuples_c : int Atomic.t; probes_c : int Atomic.t; scanned_c : int Atomic.t }
+     a domain has no cell set and increments are dropped, and [with_scope]
+     installs a private one — every query runs under its own, so
+     concurrent queries never see each other's work.  A cell set is only
+     ever touched by the domain whose scope holds it, so its cells are
+     plain ints. *)
+  type cells = { mutable tuples_c : int; mutable probes_c : int; mutable scanned_c : int }
 
-  let make_cells () = { tuples_c = Atomic.make 0; probes_c = Atomic.make 0; scanned_c = Atomic.make 0 }
+  let make_cells () = { tuples_c = 0; probes_c = 0; scanned_c = 0 }
 
-  let global_cells = make_cells ()
+  (* The unscoped sentinel: compared by identity, never written. *)
+  let unscoped = make_cells ()
 
-  let scope : cells Domain.DLS.key = Domain.DLS.new_key (fun () -> global_cells)
+  let scope : cells Domain.DLS.key = Domain.DLS.new_key (fun () -> unscoped)
 
-  let cells () = Domain.DLS.get scope
+  let add_tuples n =
+    let c = Domain.DLS.get scope in
+    if c != unscoped then c.tuples_c <- c.tuples_c + n
 
-  let add_tuples n = ignore (Atomic.fetch_and_add (cells ()).tuples_c n)
+  let add_probes n =
+    let c = Domain.DLS.get scope in
+    if c != unscoped then c.probes_c <- c.probes_c + n
 
-  let add_probes n = ignore (Atomic.fetch_and_add (cells ()).probes_c n)
+  let add_scanned n =
+    let c = Domain.DLS.get scope in
+    if c != unscoped then c.scanned_c <- c.scanned_c + n
 
-  let add_scanned n = ignore (Atomic.fetch_and_add (cells ()).scanned_c n)
+  let add_work ~tuples ~probes ~scanned =
+    let c = Domain.DLS.get scope in
+    if c != unscoped then begin
+      c.tuples_c <- c.tuples_c + tuples;
+      c.probes_c <- c.probes_c + probes;
+      c.scanned_c <- c.scanned_c + scanned
+    end
 
   type snapshot = { tuples : int; index_probes : int; rows_scanned : int }
 
   let current () =
-    let c = cells () in
-    {
-      tuples = Atomic.get c.tuples_c;
-      index_probes = Atomic.get c.probes_c;
-      rows_scanned = Atomic.get c.scanned_c;
-    }
+    let c = Domain.DLS.get scope in
+    { tuples = c.tuples_c; index_probes = c.probes_c; rows_scanned = c.scanned_c }
 
   (* Isolated scope: install a fresh cell set on the current domain for the
      duration of [f], returning [f]'s result and the work it performed.

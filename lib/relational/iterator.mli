@@ -28,8 +28,8 @@ type t = {
 (** Work counters.  Counter cells resolve through a {e domain-local
     scope}: [with_scope] installs a private cell set on the calling
     domain, and every query runs under its own, isolating concurrent
-    queries' counts from one another.  Increments outside any scope land
-    in a shared cell set that nothing reads. *)
+    queries' counts from one another.  Increments outside any scope are
+    dropped. *)
 module Counters : sig
   (** A reading of all counters: tuples returned by any operator's
       [next], index probes performed, rows visited by sequential scans. *)
@@ -48,6 +48,10 @@ module Counters : sig
   val add_probes : int -> unit
 
   val add_scanned : int -> unit
+
+  (** [add_work ~tuples ~probes ~scanned] is the three increments with one
+      scope lookup. *)
+  val add_work : tuples:int -> probes:int -> scanned:int -> unit
 end
 
 (** [of_tuples schema tuples] is an ungrouped iterator over an array;

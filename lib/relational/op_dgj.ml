@@ -1,4 +1,4 @@
-let idgj ~outer ~table ~table_cols ~outer_cols ?pred ?residual ?int_probe () =
+let idgj ~outer ~table ~table_cols ~outer_cols ?pred ?residual () =
   let schema = Schema.concat outer.Iterator.schema (Table.schema table) in
   let keep = Option.map (Row_filter.compile table) pred in
   let idx = ref None in
@@ -41,13 +41,7 @@ let idgj ~outer ~table ~table_cols ~outer_cols ?pred ?residual ?int_probe () =
         | Some out_tuple ->
             group := outer.Iterator.last_group ();
             Iterator.Counters.add_probes 1;
-            let n, get =
-              (* Same (count, get) bucket shape either way; the int prober
-                 walks an [Int_table] chain allocation-free. *)
-              match int_probe with
-              | Some itbl -> Op_kernel.int_bucket_prober itbl out_tuple.(outer_cols.(0))
-              | None -> Index.probe_bucket (get_index ()) (Tuple.key out_tuple outer_cols)
-            in
+            let n, get = Index.probe_bucket (get_index ()) (Tuple.key out_tuple outer_cols) in
             current_outer := Some out_tuple;
             bucket_n := n;
             bucket_get := get;

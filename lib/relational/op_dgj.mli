@@ -18,14 +18,10 @@
 
     Both output [outer ++ inner] tuples tagged with the outer group id. *)
 
-(** [idgj ~outer ~table ~table_cols ~outer_cols ?pred ?residual ?int_probe ()]
+(** [idgj ~outer ~table ~table_cols ~outer_cols ?pred ?residual ()]
     index nested-loop DGJ against a base table: for each outer tuple, probe
     the hash index on [table_cols] with the outer tuple's [outer_cols]
-    values; [pred] filters inner rows, [residual] the joined tuple.
-    [int_probe] (the table's {!Table.int_index} on the single join column,
-    supplied by the lowering when the kernels apply) replaces the generic
-    index probe with an allocation-free {!Int_table} chain walk — same
-    buckets, same order, same counters. *)
+    values; [pred] filters inner rows, [residual] the joined tuple. *)
 val idgj :
   outer:Iterator.t ->
   table:Table.t ->
@@ -33,7 +29,6 @@ val idgj :
   outer_cols:int array ->
   ?pred:Expr.t ->
   ?residual:Expr.t ->
-  ?int_probe:Int_table.t ->
   unit ->
   Iterator.t
 

@@ -9,24 +9,6 @@
     output is ungrouped) — the group-preserving variants live in
     {!Op_dgj}. *)
 
-(** Equi-join keys as comparable value arrays; exposed for the columnar
-    kernels' generic fallback mode ({!Op_kernel}). *)
-module Key : sig
-  type t = Value.t array
-
-  val equal : t -> t -> bool
-
-  val hash : t -> int
-end
-
-module KeyTbl : Hashtbl.S with type key = Key.t
-
-(** [drain_into_hash ?hint it cols] drains [it] into buckets keyed on the
-    positions [cols]; bucket order is input order.  [hint] pre-sizes the
-    table (estimated build cardinality). *)
-val drain_into_hash :
-  ?hint:int -> Iterator.t -> int array -> Tuple.t Topo_util.Dyn.t KeyTbl.t
-
 (** [hash_join ~left ~right ~left_cols ~right_cols ?residual ?build_hint ()]
     builds a hash table on [right] (fully drained at open, pre-sized to
     [build_hint] when given) and probes with [left] tuples. *)

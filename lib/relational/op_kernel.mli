@@ -1,19 +1,25 @@
-(** Int-specialized execution kernels.
+(** Row-number join pipelines.
 
-    Drop-in replacements for the generic hash join, index nested-loop join
-    and DGJ bucket probe, used when the equi-join key is a single column of
-    int values (checked statically by {!Physical.kernel_site} against
-    declared types, then dynamically against the table's actual lane).
-    Probing an {!Int_table} allocates nothing; the fused-scan probe variant
-    reads keys straight off a {!Table.int_lane} and boxes an outer row
-    only when it matches.
+    A pipeline executes one left-deep chain of single-int-key joins over
+    base tables — a [Scan]/[OrderedScan] leaf under index nested-loop,
+    IDGJ and hash-join steps whose build side is a base-table scan — as
+    one iterator.  It keeps one current row number per relation, reads
+    join keys from {!Table.int_lane}s, walks {!Int_table} chains (the
+    tables' cached {!Table.int_index}, or a predicated build's table
+    filled at [open_]), and builds a [Value.t] tuple only when the chain's
+    root emits: the whole concatenation, or just the projected columns.
+    {!Physical.lower} decides where chains start and end
+    ({!Physical.kernel_site}).
 
-    Equivalence is bit-exact, counters included: match order follows the
-    generic bucket (insertion) order, counters are credited at the same
-    points, and key conversion is exact or abandoned — integral floats
-    below 2^53 convert, huge integral floats fall back to a per-probe
-    linear scan with [Value.equal] semantics, and any non-int build-side
-    key drops the whole build to the generic [Op_join.KeyTbl] mode. *)
+    Equivalence is bit-exact: results, row order, [last_group],
+    [advance_group] and every {!Iterator.Counters} increment match the
+    generic operators the chain replaces.  Matches follow the generic
+    bucket (row) order; each level credits the events its generic
+    operator credits (scan leaf: a scanned row per row read and a tuple
+    per kept row; probe step: a probe per outer row and a tuple per kept
+    inner row; hash build: in bulk at [open_]), batched per [next] call;
+    and a key column with a non-int cell is never read — {!pipeline}
+    refuses the chain instead. *)
 
 (** {1 Ambient toggle}
 
@@ -32,57 +38,32 @@ val with_kernels : bool -> (unit -> 'a) -> 'a
 
 (** [select table pred] is the vector of [table]'s row numbers satisfying
     [pred] (decided by {!Row_filter.compile}), in row order — a predicated
-    build side hashes only these. *)
+    hash build indexes only these. *)
 val select : Table.t -> Expr.t -> Int_table.Vec.t
 
-(** {1 Hash join} *)
+(** {1 Pipelines} *)
 
-type probe_side =
-  | Probe_lane of { table : Table.t; lane : int array }
-      (** fused predicate-free scan: keys stream off the lane, non-matching
-          rows are never boxed *)
-  | Probe_iter of Iterator.t
+(** The chain's leaf: a sequential scan ([order = None]) or an ordered
+    scan over [order]'s row numbers, filtered by [pred]; a [grouped] leaf
+    makes each kept row its own group (the DGJ group source). *)
+type leaf = { table : Table.t; order : int array option; pred : Expr.t option; grouped : bool }
 
-type build_side =
-  | Build_table of { table : Table.t; col : int; pred : Expr.t option }
-      (** scan build: the table's cached {!Table.int_index} when [pred] is
-          [None], else a selection vector over the row snapshot *)
-  | Build_iter of { it : Iterator.t; col : int; hint : int }
-      (** arbitrary subplan build; [hint] pre-sizes the table *)
+type join = Index_nl | Idgj | Hash_join
 
-(** [hash_join ~schema ~probe ~probe_col ~build ?residual ()] — [schema]
-    must be the concatenation the generic lowering would produce
-    (probe schema ++ build schema).  [probe_col] indexes the probe tuple;
-    it is unused for [Probe_lane] (the lane {e is} the key column). *)
-val hash_join :
-  schema:Schema.t ->
-  probe:probe_side ->
-  probe_col:int ->
-  build:build_side ->
-  ?residual:Expr.t ->
-  unit ->
-  Iterator.t
+(** One join step: the inner (probed or built) [table] joined on its
+    column [col] to position [outer_pos] of the tuple the chain below
+    produces.  [pred] filters inner rows; for [Hash_join] it is the build
+    scan's predicate. *)
+type step = { join : join; table : Table.t; col : int; pred : Expr.t option; outer_pos : int }
 
-(** {1 Index nested-loop join} *)
-
-(** [index_nl_join_int ~schema ~left ~table ~itbl ~left_col ?pred ?residual ()]
-    probes [itbl] (the table's {!Table.int_index} on the join column,
-    resolved by the lowering) per outer tuple.  Counter contract: one
-    [add_probes] per outer tuple, like the generic operator. *)
-val index_nl_join_int :
-  schema:Schema.t ->
-  left:Iterator.t ->
-  table:Table.t ->
-  itbl:Int_table.t ->
-  left_col:int ->
-  ?pred:Expr.t ->
-  ?residual:Expr.t ->
-  unit ->
-  Iterator.t
-
-(** {1 DGJ bucket prober} *)
-
-(** [int_bucket_prober itbl key] is [(count, get)] over [key]'s chain —
-    the shape of [Index.probe_bucket], same row order.  [get] is O(1) for
-    the IDGJ's sequential access pattern. *)
-val int_bucket_prober : Int_table.t -> Value.t -> int * (int -> int)
+(** [pipeline ~schema leaf steps ~project] runs [steps] (bottom-up) over
+    [leaf].  With [project = Some cols] it emits those positions of the
+    concatenated tuple, as a [Project] directly above would; [schema] is
+    the output schema.  [None] when a key column on either side of some
+    step has no int lane — the caller then cuts the chain below it.  Key
+    lanes, int indexes and ordered row numbers are resolved here, at
+    lowering; the catalog must not change before the iterator is drained.
+    @raise Invalid_argument when a key or projected position is out of
+    range. *)
+val pipeline :
+  schema:Schema.t -> leaf -> step array -> project:int list option -> Iterator.t option

@@ -38,10 +38,10 @@ let index_probe ?pred table ~cols ~key =
   let rownos = Array.of_list (Index.probe idx key) in
   rows_iterator ?pred table rownos
 
-let ordered ?pred ?(desc = false) table ~cols =
-  let idx = Table.ensure_index table ~kind:Index.Sorted ~cols in
-  let rownos = Index.ordered_rows ~desc idx in
-  rows_iterator ?pred table rownos
+let ordered_rownos ?(desc = false) table ~cols =
+  Index.ordered_rows ~desc (Table.ensure_index table ~kind:Index.Sorted ~cols)
+
+let ordered ?pred ?desc table ~cols = rows_iterator ?pred table (ordered_rownos ?desc table ~cols)
 
 let grouped_by_tuple (it : Iterator.t) =
   let group = ref (-1) in

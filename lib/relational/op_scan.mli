@@ -9,6 +9,11 @@ val seq : ?pred:Expr.t -> Table.t -> Iterator.t
     equal [key] (hash index built/reused on demand).  Ungrouped. *)
 val index_probe : ?pred:Expr.t -> Table.t -> cols:string list -> key:Value.t array -> Iterator.t
 
+(** [ordered_rownos ?desc table ~cols] is the row numbers in the order of
+    the named columns (sorted index built/reused on demand) — the order
+    {!ordered} scans in. *)
+val ordered_rownos : ?desc:bool -> Table.t -> cols:string list -> int array
+
 (** [ordered ?pred ?desc table ~cols] scans rows in the order of the named
     columns using a sorted index.  Ungrouped. *)
 val ordered : ?pred:Expr.t -> ?desc:bool -> Table.t -> cols:string list -> Iterator.t

@@ -24,7 +24,6 @@ type decision = {
   strategy : strategy;
   regular_cost : float;
   et_cost : float;
-  explain : string;
 }
 
 (* Abstract cost units: one hash-index probe = 1.0.  Sequential access is
@@ -477,19 +476,11 @@ let best_et_plan ?(check = false) catalog spec =
 let choose ?(check = false) catalog spec =
   let reg_plan, reg_cost = regular_plan ~check catalog spec in
   match best_et_plan ~check catalog spec with
-  | None ->
-      {
-        plan = reg_plan;
-        strategy = Regular;
-        regular_cost = reg_cost;
-        et_cost = infinity;
-        explain = Physical.explain reg_plan;
-      }
+  | None -> { plan = reg_plan; strategy = Regular; regular_cost = reg_cost; et_cost = infinity }
   | Some (et, et_cost) ->
       if et_cost < reg_cost then
-        { plan = et; strategy = Early_termination; regular_cost = reg_cost; et_cost; explain = Physical.explain et }
-      else
-        { plan = reg_plan; strategy = Regular; regular_cost = reg_cost; et_cost; explain = Physical.explain reg_plan }
+        { plan = et; strategy = Early_termination; regular_cost = reg_cost; et_cost }
+      else { plan = reg_plan; strategy = Regular; regular_cost = reg_cost; et_cost }
 
 let run_topk catalog spec decision =
   match decision.strategy with

@@ -46,7 +46,6 @@ type decision = {
   strategy : strategy;
   regular_cost : float;
   et_cost : float;
-  explain : string;
 }
 
 (** [et_plan catalog spec ~impls ~dim_order] builds the DGJ-stack physical

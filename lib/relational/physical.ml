@@ -119,48 +119,68 @@ let children = function
   | IndexNL { left; _ } | Idgj { left; _ } | Hdgj { left; _ } -> [ left ]
 
 (* ------------------------------------------------------------------ *)
-(* Columnar kernel applicability                                       *)
+(* Join pipelines                                                      *)
 
-type kernel = Kernel_scan_hash_join | Kernel_hash_join | Kernel_index_nl | Kernel_idgj
+type kernel = Kernel_hash_join | Kernel_index_nl | Kernel_idgj
 
 let kernel_name = function
-  | Kernel_scan_hash_join -> "scan+hash-join"
   | Kernel_hash_join -> "hash-join"
   | Kernel_index_nl -> "index-nl-join"
   | Kernel_idgj -> "idgj"
 
-(* Static eligibility: single-column equi-keys whose declared type is int on
-   both sides.  Declared types are a promise tables do not enforce, so the
-   lowering re-checks the actual lanes at runtime and falls back to the
-   generic operator when a cell broke the promise — [kernel_site] only
-   decides where a kernel is {e worth attempting}. *)
-let kernel_site catalog plan =
-  let int_col node i =
-    match (Schema.column (schema catalog node) i).Schema.ty with
+(* The chain whose top is [plan]: its leaf node and its join steps,
+   bottom-up.  A step joins on one column, declared int on both sides,
+   with no residual, and a hash join builds from a base-table scan; the
+   leaf is a base-table scan.  Declared types are a promise tables do not
+   enforce, so the lowering re-checks the actual lanes
+   ({!Op_kernel.pipeline}) and cuts the chain where a cell broke it. *)
+let chain catalog plan =
+  let find = Catalog.find catalog in
+  let rec collect plan steps =
+    match plan with
+    | (Scan { table; _ } | OrderedScan { table; _ }) when steps <> [] -> Some (plan, find table, steps)
+    | HashJoin { left; right = Scan { table; pred; _ }; left_cols = [| lc |]; right_cols = [| rc |]; residual = None } ->
+        let step = { Op_kernel.join = Op_kernel.Hash_join; table = find table; col = rc; pred; outer_pos = lc } in
+        collect left (step :: steps)
+    | ( IndexNL { left; table; table_cols = [ tc ]; left_cols = [| lc |]; pred; residual = None; _ }
+      | Idgj { left; table; table_cols = [ tc ]; left_cols = [| lc |]; pred; residual = None; _ } ) as node ->
+        let tb = find table in
+        let join = match node with IndexNL _ -> Op_kernel.Index_nl | _ -> Op_kernel.Idgj in
+        let col = Schema.index_of (Table.schema tb) tc in
+        collect left ({ Op_kernel.join; table = tb; col; pred; outer_pos = lc } :: steps)
+    | _ -> None
+  in
+  let declared_int tb col =
+    match (Schema.column (Table.schema tb) col).Schema.ty with
     | Schema.TInt -> true
     | Schema.TFloat | Schema.TStr -> false
   in
-  let int_table_col table tc =
-    let ts = Table.schema (Catalog.find catalog table) in
-    match (Schema.column ts (Schema.index_of ts tc)).Schema.ty with
-    | Schema.TInt -> true
-    | Schema.TFloat | Schema.TStr -> false
+  (* Is position [pos] of the concatenation of [tables] declared int? *)
+  let rec int_at tables pos =
+    match tables with
+    | tb :: rest when pos >= 0 ->
+        let arity = Schema.arity (Table.schema tb) in
+        if pos < arity then declared_int tb pos else int_at rest (pos - arity)
+    | _ -> false
+  in
+  let rec typed tables = function
+    | [] -> true
+    | (s : Op_kernel.step) :: rest ->
+        int_at tables s.outer_pos && declared_int s.table s.col && typed (tables @ [ s.table ]) rest
   in
   try
-    match plan with
-    | HashJoin { left; right; left_cols = [| lc |]; right_cols = [| rc |]; _ } ->
-        if int_col left lc && int_col right rc then
-          Some
-            (match left with
-            | Scan { pred = None; _ } -> Kernel_scan_hash_join
-            | _ -> Kernel_hash_join)
-        else None
-    | IndexNL { left; table; table_cols = [ tc ]; left_cols = [| lc |]; _ } ->
-        if int_col left lc && int_table_col table tc then Some Kernel_index_nl else None
-    | Idgj { left; table; table_cols = [ tc ]; left_cols = [| lc |]; _ } ->
-        if int_col left lc && int_table_col table tc then Some Kernel_idgj else None
-    | _ -> None
+    match collect plan [] with
+    | Some (leaf, leaf_table, steps) when typed [ leaf_table ] steps -> Some (leaf, steps)
+    | Some _ | None -> None
   with Not_found | Invalid_argument _ -> None
+
+let kernel_site catalog plan =
+  match (plan, chain catalog plan) with
+  | _, None -> None
+  | HashJoin _, Some _ -> Some Kernel_hash_join
+  | IndexNL _, Some _ -> Some Kernel_index_nl
+  | Idgj _, Some _ -> Some Kernel_idgj
+  | _, Some _ -> None
 
 (* Build-side cardinality estimate for pre-sizing hash tables.  Conservative
    and purely structural: only shapes whose output count is knowable without
@@ -175,10 +195,42 @@ let rec estimate_rows catalog = function
       match estimate_rows catalog input with Some m -> Some (min n m) | None -> Some n)
   | _ -> None
 
+(* [plan] (or the [Project] directly above it) as one pipeline, when
+   [plan] tops a chain whose key columns all have int lanes. *)
+let pipeline catalog plan ~project =
+  match chain catalog plan with
+  | None -> None
+  | Some (leaf, steps) ->
+      let leaf =
+        match leaf with
+        | Scan { table; pred; _ } ->
+            { Op_kernel.table = Catalog.find catalog table; order = None; pred; grouped = false }
+        | OrderedScan { table; order_cols; desc; pred; grouped; _ } ->
+            let tb = Catalog.find catalog table in
+            let order = Some (Op_scan.ordered_rownos ~desc tb ~cols:order_cols) in
+            { Op_kernel.table = tb; order; pred; grouped }
+        | _ -> invalid_arg "Physical.pipeline"
+      in
+      let full = schema catalog plan in
+      let schema = match project with Some cols -> Schema.project full cols | None -> full in
+      Op_kernel.pipeline ~schema leaf (Array.of_list steps) ~project
+
+(* A pipeline replaces a whole chain, so [wrap] sees only its root; the
+   unfused lowering gives every node its own generic iterator. *)
 let rec lower_with ?(fuse = true) ~wrap catalog plan =
+  let fused =
+    if not (fuse && Op_kernel.kernels_on ()) then None
+    else
+      match plan with
+      | HashJoin _ | IndexNL _ | Idgj _ -> pipeline catalog plan ~project:None
+      | Project { input; cols } -> pipeline catalog input ~project:(Some cols)
+      | _ -> None
+  in
+  wrap plan (match fused with Some it -> it | None -> lower_node ~fuse ~wrap catalog plan)
+
+(* [plan]'s own generic operator over its lowered inputs. *)
+and lower_node ~fuse ~wrap catalog plan =
   let lower catalog plan = lower_with ~fuse ~wrap catalog plan in
-  wrap plan
-  @@
   match plan with
   | Scan { table; alias; pred } ->
       let it = Op_scan.seq ?pred (Catalog.find catalog table) in
@@ -192,77 +244,21 @@ let rec lower_with ?(fuse = true) ~wrap catalog plan =
       relabel catalog plan it alias table
   | Filter { input; pred } -> Op_basic.filter pred (lower catalog input)
   | Project { input; cols } -> Op_basic.project (lower catalog input) ~cols
-  | HashJoin { left; right; left_cols; right_cols; residual } -> (
-      let generic () =
-        Op_join.hash_join ~left:(lower catalog left) ~right:(lower catalog right) ~left_cols
-          ~right_cols ?residual
-          ?build_hint:(estimate_rows catalog right) ()
-      in
-      if not (Op_kernel.kernels_on ()) then generic ()
-      else
-        match kernel_site catalog plan with
-        | Some (Kernel_scan_hash_join | Kernel_hash_join) ->
-            let probe_col = left_cols.(0) and build_col = right_cols.(0) in
-            let probe =
-              (* Fusing elides the probe-side Scan node entirely, which the
-                 wrapping lowerings (checked/instrumented) cannot observe —
-                 they need every node's own iterator, so they get the
-                 unfused probe (same results, same counters). *)
-              match left with
-              | Scan { table; pred = None; alias = _ } when fuse -> (
-                  let tb = Catalog.find catalog table in
-                  match Table.int_lane tb probe_col with
-                  | Some lane -> Op_kernel.Probe_lane { table = tb; lane }
-                  | None -> Op_kernel.Probe_iter (lower catalog left))
-              | _ -> Op_kernel.Probe_iter (lower catalog left)
-            in
-            let build =
-              match right with
-              | Scan { table; pred; alias = _ } when fuse ->
-                  Op_kernel.Build_table { table = Catalog.find catalog table; col = build_col; pred }
-              | _ ->
-                  Op_kernel.Build_iter
-                    {
-                      it = lower catalog right;
-                      col = build_col;
-                      hint = Option.value ~default:1024 (estimate_rows catalog right);
-                    }
-            in
-            Op_kernel.hash_join ~schema:(schema catalog plan) ~probe ~probe_col ~build ?residual ()
-        | Some (Kernel_index_nl | Kernel_idgj) | None -> generic ())
+  | HashJoin { left; right; left_cols; right_cols; residual } ->
+      Op_join.hash_join ~left:(lower catalog left) ~right:(lower catalog right) ~left_cols
+        ~right_cols ?residual
+        ?build_hint:(estimate_rows catalog right) ()
   | MergeJoin { left; right; left_cols; right_cols; residual } ->
       Op_join.merge_join ~left:(lower catalog left) ~right:(lower catalog right) ~left_cols ~right_cols
         ?residual ()
   | NLJoin { left; right; residual } ->
       Op_join.nl_join ~left:(lower catalog left) ~right:(lower catalog right) ?residual ()
-  | IndexNL { left; table; alias = _; table_cols; left_cols; pred; residual } -> (
-      let tb = Catalog.find catalog table in
-      let generic () =
-        Op_join.index_nl_join ~left:(lower catalog left) ~table:tb ~table_cols ~left_cols ?pred
-          ?residual ()
-      in
-      if not (Op_kernel.kernels_on ()) then generic ()
-      else
-        match kernel_site catalog plan with
-        | Some Kernel_index_nl -> (
-            let ti = Schema.index_of (Table.schema tb) (List.hd table_cols) in
-            match Table.int_index tb ti with
-            | Some itbl ->
-                let lit = lower catalog left in
-                Op_kernel.index_nl_join_int
-                  ~schema:(Schema.concat lit.Iterator.schema (Table.schema tb))
-                  ~left:lit ~table:tb ~itbl ~left_col:left_cols.(0) ?pred ?residual ()
-            | None -> generic ())
-        | _ -> generic ())
+  | IndexNL { left; table; alias = _; table_cols; left_cols; pred; residual } ->
+      Op_join.index_nl_join ~left:(lower catalog left) ~table:(Catalog.find catalog table) ~table_cols
+        ~left_cols ?pred ?residual ()
   | Idgj { left; table; alias = _; table_cols; left_cols; pred; residual } ->
-      let tb = Catalog.find catalog table in
-      let int_probe =
-        if Op_kernel.kernels_on () && kernel_site catalog plan = Some Kernel_idgj then
-          Table.int_index tb (Schema.index_of (Table.schema tb) (List.hd table_cols))
-        else None
-      in
-      Op_dgj.idgj ~outer:(lower catalog left) ~table:tb ~table_cols ~outer_cols:left_cols
-        ?pred ?residual ?int_probe ()
+      Op_dgj.idgj ~outer:(lower catalog left) ~table:(Catalog.find catalog table) ~table_cols
+        ~outer_cols:left_cols ?pred ?residual ()
   | Hdgj { left; table; alias = _; table_cols; left_cols; pred; residual } ->
       Op_dgj.hdgj ~outer:(lower catalog left) ~table:(Catalog.find catalog table) ~table_cols ~outer_cols:left_cols
         ?pred ?residual ()
@@ -309,7 +305,7 @@ and relabel catalog plan it alias table =
 let lower catalog plan = lower_with ~wrap:(fun _ it -> it) catalog plan
 
 let lower_checked catalog plan =
-  lower_with ~fuse:false
+  lower_with
     ~wrap:(fun node it -> Iterator_check.wrap ~name:(node_label node) it)
     catalog plan
 

@@ -80,19 +80,22 @@ val node_label : t -> string
     (scans and probes) have none. *)
 val children : t -> t list
 
-(** Which int-specialized kernel ({!Op_kernel}) a node is eligible for:
-    [Kernel_scan_hash_join] fuses a predicate-free scan probe into the
-    join. *)
-type kernel = Kernel_scan_hash_join | Kernel_hash_join | Kernel_index_nl | Kernel_idgj
+(** The join step a node is in a pipeline ({!Op_kernel}). *)
+type kernel = Kernel_hash_join | Kernel_index_nl | Kernel_idgj
 
 val kernel_name : kernel -> string
 
-(** [kernel_site catalog plan] is the root node's static kernel
-    eligibility: single-column equi-join keys, declared int on both sides.
-    The lowering re-checks the actual lanes at runtime and falls back to
-    the generic operator when the declared type was a lie, so a [Some]
-    here promises identical results either way, not that the kernel runs.
-    {!Plan_check.verify} cross-checks its own inference against this. *)
+(** [kernel_site catalog plan] is the chain-eligibility rule: [Some] when
+    [plan] is a pipeline step — a [HashJoin] whose build side is a
+    base-table [Scan], an [IndexNL] or an [Idgj], joining on one column
+    declared int on both sides, with no residual — over a base-table
+    [Scan]/[OrderedScan] leaf or another step.  A chain therefore ends
+    below the first node that is not a step; everything above it lowers
+    to the generic operators.  The lowering also re-checks the actual
+    int lanes and cuts the chain below a step whose key column holds a
+    non-int cell, so a [Some] here promises identical results either way,
+    not that the pipeline runs.  {!Plan_check.verify} cross-checks its
+    own inference against this. *)
 val kernel_site : Catalog.t -> t -> kernel option
 
 (** [estimate_rows catalog plan] is a structural output-cardinality bound
@@ -101,17 +104,22 @@ val kernel_site : Catalog.t -> t -> kernel option
     bound. *)
 val estimate_rows : Catalog.t -> t -> int option
 
-(** [lower catalog plan] builds the iterator tree. *)
+(** [lower catalog plan] builds the iterator tree.  With the kernels on
+    ({!Op_kernel.kernels_on}), each maximal chain (see {!kernel_site}),
+    together with a [Project] directly above it, runs as one
+    {!Op_kernel.pipeline}. *)
 val lower : Catalog.t -> t -> Iterator.t
 
-(** [lower_checked catalog plan] is {!lower} with every operator wrapped in
+(** [lower_checked catalog plan] is {!lower} with every operator — a
+    pipeline counts as one, at its root — wrapped in
     {!Iterator_check.wrap}, so protocol misuse raises
     {!Iterator_check.Protocol_error} at the offending node.  Debug/test
     use. *)
 val lower_checked : Catalog.t -> t -> Iterator.t
 
-(** [lower_instrumented catalog plan] is {!lower} with every operator
-    wrapped in {!Op_stats.wrap}; the returned tree mirrors the plan
+(** [lower_instrumented catalog plan] is {!lower} without pipelines,
+    every plan node lowered to its own generic operator and wrapped in
+    {!Op_stats.wrap}; the returned tree mirrors the plan
     ({!children} order) and fills in as the iterator is driven.  Powers
     EXPLAIN ANALYZE ([Topo_obs.Explain_analyze]). *)
 val lower_instrumented : Catalog.t -> t -> Iterator.t * Op_stats.annotated

@@ -247,6 +247,14 @@ let verify catalog plan =
              lowering = Option.map Physical.kernel_name lowering;
            })
   in
+  (* Nodes a pipeline step may sit on: base-table scan leaves and
+     eligible steps, by physical identity, filled bottom-up. *)
+  let chainable = ref [] in
+  let chain_step plan ~left ok =
+    let step = ok && List.memq left !chainable in
+    if step then chainable := plan :: !chainable;
+    step
+  in
   let col_ty schema pos =
     match schema with
     | Some s when pos >= 0 && pos < Schema.arity s -> Some (Schema.column s pos).Schema.ty
@@ -263,6 +271,7 @@ let verify catalog plan =
         | None -> (None, bottom)
         | Some t ->
             Option.iter (check_expr rpath node ~what:"scan predicate" (Table.schema t)) pred;
+            chainable := plan :: !chainable;
             (Some (scan_schema t alias), bottom))
     | Physical.OrderedScan { table; alias; order_cols; desc; pred; grouped } -> (
         match find_table rpath node table with
@@ -274,6 +283,7 @@ let verify catalog plan =
               | Some ps -> List.map (fun p -> (p, desc)) ps
               | None -> []
             in
+            chainable := plan :: !chainable;
             (Some (scan_schema t alias), { ordering; grouped }))
     | Physical.IndexProbe { table; alias; cols; key; pred } -> (
         match find_table rpath node table with
@@ -343,17 +353,14 @@ let verify catalog plan =
         let lschema, lprops = sub "left" left in
         let rschema, _ = sub "right" right in
         check_key_pair rpath node ~lschema ~rschema ~left_cols ~right_cols;
+        let int_keys =
+          match (left_cols, right_cols, right, residual) with
+          | [| lc |], [| rc |], Physical.Scan _, None ->
+              col_ty lschema lc = Some Schema.TInt && col_ty rschema rc = Some Schema.TInt
+          | _ -> false
+        in
         let checker =
-          match (left_cols, right_cols) with
-          | [| lc |], [| rc |] -> (
-              match (col_ty lschema lc, col_ty rschema rc) with
-              | Some Schema.TInt, Some Schema.TInt ->
-                  Some
-                    (match left with
-                    | Physical.Scan { pred = None; _ } -> Physical.Kernel_scan_hash_join
-                    | _ -> Physical.Kernel_hash_join)
-              | _ -> None)
-          | _ -> None
+          if chain_step plan ~left int_keys then Some Physical.Kernel_hash_join else None
         in
         check_kernel rpath node checker plan;
         let schema =
@@ -439,18 +446,19 @@ let verify catalog plan =
               tys
         | _ -> ());
         check_opt_expr rpath node ~what:"join residual" schema residual;
+        let int_keys =
+          match (plan, inner_types, residual) with
+          | Physical.Hdgj _, _, _ -> false
+          | _, Some [ Schema.TInt ], None ->
+              Array.length left_cols = 1 && lt.(0) = Some Schema.TInt
+          | _ -> false
+        in
         let checker =
-          match plan with
-          | Physical.Hdgj _ -> None
-          | _ -> (
-              match (table_cols, inner_types) with
-              | [ _ ], Some [ Schema.TInt ]
-                when Array.length left_cols = 1 && lt.(0) = Some Schema.TInt ->
-                  Some
-                    (match plan with
-                    | Physical.IndexNL _ -> Physical.Kernel_index_nl
-                    | _ -> Physical.Kernel_idgj)
-              | _ -> None)
+          if not (chain_step plan ~left int_keys) then None
+          else
+            match plan with
+            | Physical.IndexNL _ -> Some Physical.Kernel_index_nl
+            | _ -> Some Physical.Kernel_idgj
         in
         check_kernel rpath node checker plan;
         if is_dgj && not lprops.grouped then record rpath node Not_grouped;

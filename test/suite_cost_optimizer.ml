@@ -208,7 +208,7 @@ let prop_optimizer_strategies_agree =
         match Optimizer.best_et_plan cat spec with
         | Some (plan, _) ->
             let decision =
-              { Optimizer.plan; strategy = Optimizer.Early_termination; regular_cost = 0.0; et_cost = 0.0; explain = "" }
+              { Optimizer.plan; strategy = Optimizer.Early_termination; regular_cost = 0.0; et_cost = 0.0 }
             in
             Optimizer.run_topk cat spec decision
             |> List.map (fun (v, s) -> (Value.as_int v, s))
@@ -221,7 +221,8 @@ let test_choose_reports_both_costs () =
   let d = Optimizer.choose cat (spec_for 3) in
   Alcotest.(check bool) "finite costs" true
     (Float.is_finite d.Optimizer.regular_cost && Float.is_finite d.Optimizer.et_cost);
-  Alcotest.(check bool) "explain non-empty" true (String.length d.Optimizer.explain > 0)
+  Alcotest.(check bool) "explain non-empty" true
+    (String.length (Physical.explain d.Optimizer.plan) > 0)
 
 (* --- pricing: prepared form against the model as first written ------------- *)
 

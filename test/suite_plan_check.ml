@@ -334,6 +334,121 @@ let test_all_methods_verify_on_paper_db () =
         (r.Request.ranked <> []))
     Engine.all_methods
 
+(* --- pipeline chains end where both layers say they do --------------------- *)
+
+(* [plan]'s spine (the node, its left input, that input's left input, ...)
+   down to the leaf, with each node's kernel site: the checker must report
+   no drift, and kernels on and off must agree on results, counters and
+   group ids. *)
+let check_chain_ends name cat plan expected =
+  let rec spine = function
+    | Physical.HashJoin { left; _ } | Physical.IndexNL { left; _ } | Physical.Idgj { left; _ }
+    | Physical.Hdgj { left; _ } ->
+        left :: spine left
+    | _ -> []
+  in
+  let sites = List.map (Physical.kernel_site cat) (plan :: spine plan) in
+  let names = List.map (Option.fold ~none:"-" ~some:Physical.kernel_name) in
+  Alcotest.(check (list string)) (name ^ ": sites, root first") expected (names sites);
+  Alcotest.(check string) (name ^ ": checker agrees with the lowering") ""
+    (Plan_check.report (Plan_check.verify cat plan));
+  let run () =
+    Iterator.Counters.with_scope (fun () ->
+        let acc = ref [] in
+        Iterator.iter
+          (fun t g -> acc := (g, Tuple.to_string t) :: !acc)
+          (Physical.lower_checked cat plan);
+        List.rev !acc)
+  in
+  Alcotest.(check bool) (name ^ ": kernels on = off") true
+    (Op_kernel.with_kernels false run = Op_kernel.with_kernels true run)
+
+let f_join_d ?residual left =
+  Physical.HashJoin
+    { left; right = scan "D"; left_cols = [| 3 |]; right_cols = [| 0 |]; residual }
+
+let g_scan ~grouped =
+  Physical.OrderedScan
+    { table = "G"; alias = None; order_cols = [ "score" ]; desc = true; pred = None; grouped }
+
+let probe_f ?residual left =
+  Physical.IndexNL
+    { left; table = "F"; alias = None; table_cols = [ "TID" ]; left_cols = [| 0 |]; pred = None; residual }
+
+let test_chain_ends_at_residual () =
+  let cat = mini_catalog () in
+  let below = probe_f (g_scan ~grouped:false) in
+  let residual = Expr.Cmp (Expr.Le, Expr.Col 0, Expr.Col 2) in
+  let cut = f_join_d ~residual below in
+  let above =
+    Physical.IndexNL
+      { left = cut; table = "D"; alias = None; table_cols = [ "ID" ]; left_cols = [| 4 |]; pred = None; residual = None }
+  in
+  check_chain_ends "residual" cat above [ "-"; "-"; "index-nl-join"; "-" ]
+
+let test_chain_ends_at_sort_build () =
+  let cat = mini_catalog () in
+  let below = probe_f (g_scan ~grouped:false) in
+  let cut =
+    Physical.HashJoin
+      {
+        left = below;
+        right = Physical.Sort { input = scan "D"; by = [ (1, false) ] };
+        left_cols = [| 3 |];
+        right_cols = [| 0 |];
+        residual = None;
+      }
+  in
+  let above =
+    Physical.HashJoin { left = cut; right = scan "F"; left_cols = [| 0 |]; right_cols = [| 0 |]; residual = None }
+  in
+  check_chain_ends "sort build side" cat above [ "-"; "-"; "index-nl-join"; "-" ]
+
+let test_chain_ends_at_hdgj () =
+  let cat = mini_catalog () in
+  let dgj ~index left table col pos =
+    let table_cols = [ col ] and left_cols = [| pos |] in
+    if index then
+      Physical.Idgj { left; table; alias = None; table_cols; left_cols; pred = None; residual = None }
+    else Physical.Hdgj { left; table; alias = None; table_cols; left_cols; pred = None; residual = None }
+  in
+  let below = dgj ~index:true (g_scan ~grouped:true) "F" "TID" 0 in
+  let cut = dgj ~index:false below "D" "ID" 3 in
+  let above = dgj ~index:true cut "F" "TID" 0 in
+  check_chain_ends "hdgj" cat above [ "-"; "-"; "idgj"; "-" ];
+  let witnesses kernels =
+    Op_kernel.with_kernels kernels (fun () ->
+        Iterator.Counters.with_scope (fun () ->
+            List.map
+              (fun (g, t) -> (g, Tuple.to_string t))
+              (Op_dgj.first_match_per_group (Physical.lower_checked cat above) ~k:3)))
+  in
+  Alcotest.(check bool) "hdgj: first match per group, kernels on = off" true
+    (witnesses false = witnesses true)
+
+(* Every serving plan of every method, lowered with pipelines under
+   Iterator_check and re-verified by Plan_check, serves exactly what the
+   unchecked run serves, counters included. *)
+let test_nine_methods_checked_serve () =
+  let engine =
+    Engine.build
+      (Biozon.Generator.generate
+         (Biozon.Generator.scale 0.08 { Biozon.Generator.default with Biozon.Generator.seed = 11 }))
+      ~pairs:[ ("Protein", "DNA") ]
+      ~pruning_threshold:10 ()
+  in
+  let cat = engine.Engine.ctx.Topo_core.Context.catalog in
+  let q =
+    Query.make (Query.keyword cat "Protein" ~col:"desc" ~kw:"protein") (Query.endpoint cat "DNA")
+  in
+  let serve verify_plans =
+    Topo_core.Serve.fingerprint
+      (List.map
+         (fun m -> Engine.run_request engine ~verify_plans (Request.make ~k:5 m q))
+         Engine.all_methods)
+  in
+  Alcotest.(check string) "nine methods: verified = unverified" (serve false) (serve true)
+
 (* --- SQL pipeline ---------------------------------------------------------- *)
 
 let test_sql_lint_clean () =
@@ -436,11 +551,16 @@ let suites =
         Alcotest.test_case "project/limit/union/probe/expr" `Quick test_mutation_misc_nodes;
         Alcotest.test_case "paths name the node" `Quick test_violation_paths_name_the_node;
         Alcotest.test_case "property lattice" `Quick test_properties_lattice;
+        Alcotest.test_case "chain ends at a residual" `Quick test_chain_ends_at_residual;
+        Alcotest.test_case "chain ends at a sort build side" `Quick test_chain_ends_at_sort_build;
+        Alcotest.test_case "chain ends at an hdgj" `Quick test_chain_ends_at_hdgj;
       ] );
     ( "check.integration",
       [
         QCheck_alcotest.to_alcotest prop_optimizer_plans_verify;
         Alcotest.test_case "all nine methods verify" `Quick test_all_methods_verify_on_paper_db;
+        Alcotest.test_case "nine-method checked serve = unchecked" `Quick
+          test_nine_methods_checked_serve;
         Alcotest.test_case "sql lint clean" `Quick test_sql_lint_clean;
       ] );
     ( "check.protocol",

@@ -847,7 +847,6 @@ let test_optimizer_et_equals_regular () =
           strategy = Optimizer.Early_termination;
           regular_cost = 0.0;
           et_cost = 0.0;
-          explain = "";
         }
       in
       let et = Optimizer.run_topk cat spec decision in
