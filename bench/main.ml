@@ -30,18 +30,16 @@ let experiments =
     ("instances", Exp_instances.run);
     ("ablations", Exp_ablations.run);
     ("micro", Exp_micro.run);
-    ("profile", Exp_profile.run);
-    ("parallel", Exp_parallel.run);
-    ("serve", Exp_serve.run);
-    ("snapshot", Exp_snapshot.run);
-    ("kernels", Exp_kernels.run);
-    ("latency", Exp_latency.run);
-    ("shard", Exp_shard.run);
   ]
 
 let parse_args () =
   let selected = ref [] in
   let bad arg = Printf.eprintf "unknown argument %s\n" arg; exit 2 in
+  let number parse key value =
+    match parse value with
+    | Some v -> v
+    | None -> Printf.eprintf "invalid value %S for --%s\n" value key; exit 2
+  in
   Array.iteri
     (fun i arg ->
       if i > 0 then
@@ -51,11 +49,11 @@ let parse_args () =
               let key = String.sub arg 2 (eq - 2) in
               let value = String.sub arg (eq + 1) (String.length arg - eq - 1) in
               (match key with
-              | "scale" -> Bench_common.config.Bench_common.scale <- float_of_string value
-              | "seed" -> Bench_common.config.Bench_common.seed <- int_of_string value
-              | "runs" -> Bench_common.config.Bench_common.runs <- int_of_string value
-              | "l4-scale" -> Bench_common.config.Bench_common.l4_scale <- float_of_string value
-              | "jobs" -> Bench_common.config.Bench_common.jobs <- Some (int_of_string value)
+              | "scale" -> Bench_common.config.Bench_common.scale <- number float_of_string_opt key value
+              | "seed" -> Bench_common.config.Bench_common.seed <- number int_of_string_opt key value
+              | "runs" -> Bench_common.config.Bench_common.runs <- number int_of_string_opt key value
+              | "l4-scale" -> Bench_common.config.Bench_common.l4_scale <- number float_of_string_opt key value
+              | "jobs" -> Bench_common.config.Bench_common.jobs <- Some (number int_of_string_opt key value)
               | _ -> bad arg)
           | None -> (
               match arg with

@@ -70,7 +70,6 @@ type open_stats = {
   partial : int;
   failed : int;
   wall_s : float;
-  offered_rate : float option;
   achieved_rate : float option;
 }
 
@@ -284,7 +283,6 @@ let exec_open cfg oc engine requests =
   let completed = count (function Request.Done _ -> true | _ -> false) in
   let partial = count (function Request.Partial _ -> true | _ -> false) in
   let failed = count (function Request.Failed _ -> true | _ -> false) in
-  let rate c = if wall_s > 0.0 then Some (float_of_int c /. wall_s) else None in
   let os =
     {
       open_jobs = jobs;
@@ -296,8 +294,8 @@ let exec_open cfg oc engine requests =
       partial;
       failed;
       wall_s;
-      offered_rate = rate n;
-      achieved_rate = rate (completed + partial);
+      achieved_rate =
+        (if wall_s > 0.0 then Some (float_of_int (completed + partial) /. wall_s) else None);
     }
   in
   let stats =

@@ -63,7 +63,6 @@ type open_stats = {
   partial : int;  (** [Partial] outcomes (deadline tripped mid-evaluation) *)
   failed : int;  (** [Failed] outcomes — always unexpected *)
   wall_s : float;  (** run duration: last finish (or rejection) instant *)
-  offered_rate : float option;  (** [offered /. wall_s]; [None] under clock resolution *)
   achieved_rate : float option;  (** answered ([completed + partial]) per second *)
 }
 

@@ -4,8 +4,7 @@
     more than 10x (the validation the paper's Figures 12-16 perform by
     hand).
 
-    Backs [toposearch explain --analyze] and the bench's per-operator JSON
-    snapshots. *)
+    Backs [toposearch explain --analyze]. *)
 
 type node = {
   label : string;
@@ -27,12 +26,9 @@ type report = {
   row_count : int;  (** result cardinality *)
 }
 
-(** [run catalog plan] lowers instrumented, drains, and zips the stats with
-    the estimates. *)
-val run : Topo_sql.Catalog.t -> Topo_sql.Physical.t -> report * Topo_sql.Tuple.t list
-
 (** [of_sql catalog text] parses, plans ([?check] as {!Topo_sql.Sql.to_plan},
-    default true) and {!run}s.
+    default true), lowers instrumented, drains, and zips the per-operator
+    stats with the estimates.
     @raise Topo_sql.Sql_parser.Parse_error (etc.) on bad input. *)
 val of_sql : ?check:bool -> Topo_sql.Catalog.t -> string -> report * Topo_sql.Tuple.t list
 
@@ -47,5 +43,5 @@ val misestimated : report -> node list
 val to_text : report -> string
 
 (** [to_json report] is the machine-readable form used by the CLI's
-    [--json-out] and the bench snapshots. *)
+    [--json-out]. *)
 val to_json : report -> Json.t

@@ -8,8 +8,8 @@
     pairs to a span (method name, row counts, costs).
 
     Exporters render the forest as an indented text tree or as JSON
-    (consumed by the CLI's [--json-out] and the bench snapshots); the JSON
-    round-trips through {!Json.parse}. *)
+    (consumed by the CLI's [--json-out]); the JSON round-trips through
+    {!Json.parse}. *)
 
 type span
 

@@ -23,9 +23,8 @@
 
 (** {1 Ambient toggle}
 
-    One switch for the whole process — the bench harness and equivalence
-    tests run the same workload with kernels on and off and compare
-    fingerprints.  Queries running concurrently with a toggle may observe
+    One switch for the whole process — the equivalence tests run the same
+    workload with kernels on and off and compare fingerprints.  Queries running concurrently with a toggle may observe
     either setting (plans are lowered once, at query start). *)
 
 val kernels_on : unit -> bool

@@ -307,28 +307,26 @@ let test_slice_manifest_roundtrip () =
 
 (* --- the shard fleet behind a router -------------------------------------- *)
 
-let test_router_end_to_end () =
-  let engine = generated_engine () in
-  let requests = mixed_requests engine in
-  let local =
-    Serve.fingerprint (Serve.exec (Serve.config ~jobs:1 ()) engine requests).Serve.outcomes
-  in
+(* [shards] ranges over 1 (the router in front of one process) up to more
+   shards than the engine has pairs (some slices serve nothing). *)
+let test_router_end_to_end engine requests ~local shards =
   with_temp_dir (fun dir ->
-      let manifest, _ = Snapshot.save_sharded engine ~dir ~shards:2 in
+      let manifest, _ = Snapshot.save_sharded engine ~dir ~shards in
+      Alcotest.(check int) "manifest shard count" shards manifest.Snapshot.shards;
       let addrs =
-        Array.init manifest.Snapshot.shards (fun k ->
+        Array.init shards (fun k ->
             Wire.Unix_sock (Filename.concat dir (Printf.sprintf "s%d.sock" k)))
       in
-      let shards =
+      let servers =
         Array.to_list
-          (Array.init manifest.Snapshot.shards (fun k ->
+          (Array.init shards (fun k ->
                Shard.start
                  ~serve:(Serve.config ~jobs:2 ())
                  ~shard:k addrs.(k)
                  (Snapshot.load (Snapshot.shard_path ~dir k))))
       in
       Fun.protect
-        ~finally:(fun () -> List.iter Shard.stop shards)
+        ~finally:(fun () -> List.iter Shard.stop servers)
         (fun () ->
           let router =
             Router.create ~manifest ~addrs ~timeout_s:60.0 ~retries:2 ~backoff_s:0.02 ()
@@ -340,12 +338,20 @@ let test_router_end_to_end () =
               Alcotest.(check int)
                 "outcome per request" (List.length requests) (List.length outcomes);
               Alcotest.(check string)
-                "sharded fingerprint == single-process jobs=1" local
-                (Serve.fingerprint outcomes);
+                (Printf.sprintf "%d-shard fingerprint == single-process jobs=1" shards)
+                local (Serve.fingerprint outcomes);
               (* A second batch reuses the persistent connections. *)
               Alcotest.(check string)
                 "second batch identical" local
                 (Serve.fingerprint (Router.exec router requests)))))
+
+let test_router_shard_counts () =
+  let engine = generated_engine () in
+  let requests = mixed_requests engine in
+  let local =
+    Serve.fingerprint (Serve.exec (Serve.config ~jobs:1 ()) engine requests).Serve.outcomes
+  in
+  List.iter (test_router_end_to_end engine requests ~local) [ 1; 2; 4 ]
 
 let test_router_survives_killed_shard () =
   let engine = generated_engine () in
@@ -416,7 +422,7 @@ let suites =
       [
         Alcotest.test_case "partition is orientation-normalized" `Quick test_partition_orientation;
         Alcotest.test_case "slices and manifest round-trip" `Quick test_slice_manifest_roundtrip;
-        Alcotest.test_case "router == single process" `Quick test_router_end_to_end;
+        Alcotest.test_case "router == single process" `Quick test_router_shard_counts;
         Alcotest.test_case "router survives a killed shard" `Quick test_router_survives_killed_shard;
       ] );
   ]
