@@ -688,7 +688,36 @@ let serve_open engine ~jobs ~traces ~cache ~max_queue ~deadline_s ~rate requests
   | None -> ());
   if stats.Serve.failed > 0 then 1 else 0
 
-let serve_run scale seed l threshold t1 t2 snapshot jobs file repeat traces check use_cache cache_size deadline_ms max_queue rate =
+(* --cache / --cache-size, shared by serve and shard.  The term checks the
+   size as the command line is evaluated, before any engine build or
+   snapshot read, and yields the function that attaches the cache. *)
+let cache_arg =
+  let use_cache =
+    Arg.(
+      value & flag
+      & info [ "cache" ]
+          ~doc:
+            "Share a result cache across the serving domains: repeated requests are answered \
+             from memoized results (generation-stamped against the topology registry, so online \
+             re-registration never serves a stale answer).  Results stay bit-identical to an \
+             uncached run.")
+  in
+  let cache_size =
+    Arg.(
+      value & opt int 1024
+      & info [ "cache-size" ] ~docv:"N"
+          ~doc:"Result-cache capacity in entries (LRU eviction past this); at least 1.")
+  in
+  let make use_cache n =
+    if n < 1 then begin
+      Printf.eprintf "--cache-size must be >= 1, got %d\n" n;
+      exit 2
+    end;
+    fun engine -> if use_cache then Some (Engine.cache ~capacity:n engine) else None
+  in
+  Term.(const make $ use_cache $ cache_size)
+
+let serve_run scale seed l threshold t1 t2 snapshot jobs file repeat traces check cache_of deadline_ms max_queue rate =
   let engine = engine_of ~snapshot ~scale ~seed ~l ~threshold ~t1 ~t2 in
   let catalog = engine.Engine.ctx.Topo_core.Context.catalog in
   let base, skipped =
@@ -702,7 +731,7 @@ let serve_run scale seed l threshold t1 t2 snapshot jobs file repeat traces chec
     prerr_endline "empty workload";
     exit 2
   end;
-  let cache = if use_cache then Some (Engine.cache ~results:cache_size engine) else None in
+  let cache = cache_of engine in
   let requests = List.concat (List.init (max 1 repeat) (fun _ -> base)) in
   let deadline_s = Option.map (fun ms -> ms /. 1000.0) deadline_ms in
   match rate with
@@ -780,13 +809,10 @@ let serve_run scale seed l threshold t1 t2 snapshot jobs file repeat traces chec
   (match stats.Serve.cache with
   | Some c ->
       let r = c.Topo_core.Cache.results in
-      Printf.printf
-        "cache: %d hits, %d misses (%.0f%% hit rate), %d evictions, %d invalidations; %d plan \
-         hits, %d plan misses\n"
+      Printf.printf "cache: %d hits, %d misses (%.0f%% hit rate), %d evictions, %d invalidations\n"
         r.Topo_core.Cache.hits r.Topo_core.Cache.misses
         (100.0 *. Topo_core.Cache.hit_rate r)
         r.Topo_core.Cache.evictions r.Topo_core.Cache.invalidations
-        c.Topo_core.Cache.plans.Topo_core.Cache.hits c.Topo_core.Cache.plans.Topo_core.Cache.misses
   | None -> ());
   if check && deadline_s <> None then begin
     (* Exit 3, reason on stderr: CI must be able to distinguish "verified"
@@ -845,22 +871,6 @@ let serve_cmd =
             "Re-run the batch at jobs=1 (sequential, uncached) and fail unless results are \
              bit-identical.")
   in
-  let use_cache =
-    Arg.(
-      value & flag
-      & info [ "cache" ]
-          ~doc:
-            "Share a result + plan cache across the serving domains: repeated requests are \
-             answered from memoized results (generation-stamped against the topology registry, \
-             so online re-registration never serves a stale answer).  Results stay bit-identical \
-             to an uncached run.")
-  in
-  let cache_size =
-    Arg.(
-      value & opt int 1024
-      & info [ "cache-size" ] ~docv:"N"
-          ~doc:"Result-cache capacity in entries (LRU eviction past this).")
-  in
   let deadline_ms =
     Arg.(
       value
@@ -895,11 +905,11 @@ let serve_cmd =
        ~doc:
          "Evaluate a batch of topology queries concurrently across OCaml domains (the online \
           serving tier): shared read-only stores, per-query counters \
-          and traces, optional shared result/plan cache, deterministic input-order results; \
+          and traces, optional shared result cache, deterministic input-order results; \
           open-loop mode (--rate) with admission control and deadlines.")
     Term.(
       const serve_run $ scale_arg $ seed_arg $ l_arg $ threshold_arg $ t1_arg $ t2_arg
-      $ snapshot_arg $ jobs $ file $ repeat $ traces $ check $ use_cache $ cache_size
+      $ snapshot_arg $ jobs $ file $ repeat $ traces $ check $ cache_arg
       $ deadline_ms $ max_queue $ rate)
 
 (* ------------------------------------------------------------------ *)
@@ -920,7 +930,7 @@ let shard_index_of_path path =
   | Some k when k >= 0 -> Some k
   | _ -> None
 
-let shard_run snapshot socket shard_idx jobs use_cache cache_size max_inflight timeout_ms =
+let shard_run snapshot socket shard_idx jobs cache_of max_inflight timeout_ms =
   let shard =
     match shard_idx with
     | Some k -> k
@@ -933,8 +943,7 @@ let shard_run snapshot socket shard_idx jobs use_cache cache_size max_inflight t
             exit 2)
   in
   let engine = load_snapshot snapshot in
-  let cache = if use_cache then Some (Engine.cache ~results:cache_size engine) else None in
-  let serve = Serve.config ?jobs ?cache () in
+  let serve = Serve.config ?jobs ?cache:(cache_of engine) () in
   match
     Shard.start ~serve ~max_inflight
       ?write_timeout_s:(Option.map (fun ms -> ms /. 1000.0) timeout_ms)
@@ -977,12 +986,6 @@ let shard_cmd =
       & opt (some int) None
       & info [ "jobs"; "j" ] ~docv:"N" ~doc:"Evaluation domains for this shard's pool.")
   in
-  let use_cache =
-    Arg.(value & flag & info [ "cache" ] ~doc:"Attach a shared result + plan cache to the shard.")
-  in
-  let cache_size =
-    Arg.(value & opt int 1024 & info [ "cache-size" ] ~docv:"N" ~doc:"Result-cache capacity.")
-  in
   let max_inflight =
     Arg.(
       value & opt int 256
@@ -1003,7 +1006,7 @@ let shard_cmd =
          "Serve one snapshot slice over the binary wire protocol (Unix-domain or TCP socket): \
           the server half of the distributed serving tier.  Runs until killed.")
     Term.(
-      const shard_run $ snapshot $ socket $ shard_idx $ jobs $ use_cache $ cache_size
+      const shard_run $ snapshot $ socket $ shard_idx $ jobs $ cache_arg
       $ max_inflight $ timeout_ms)
 
 let route_run manifest_dir sockets t1 t2 file repeat check_snapshot timeout_ms retries =

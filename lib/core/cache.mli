@@ -1,18 +1,14 @@
-(** Domain-safe result + plan caching for the serving tier.
+(** Domain-safe result caching for the serving tier.
 
-    Two tiers behind one mechanism: the {e result} tier memoizes
-    [(method, canonical query, scheme, k)] to the query's full observable
-    outcome — ranked (TID, score) list, optimizer strategy choice, and the
-    isolated work counters, replayed on a hit so outcome fingerprints stay
-    bit-identical between cold and warm passes — and the {e plan} tier
-    memoizes optimizer output (the regular-plan dynamic program and the
-    regular-vs-ET choice) keyed by the canonical aligned spec so repeated
-    queries skip pricing entirely.
+    The cache memoizes [(method, canonical query, scheme, k)] to the
+    query's full observable outcome — ranked (TID, score) list, optimizer
+    strategy choice, and the isolated work counters, replayed on a hit so
+    outcome fingerprints stay bit-identical between cold and warm passes.
 
-    Both tiers use the topology registry's snapshot-under-[Atomic.t]
-    pattern: lookups are lock-free (one [Atomic.get] plus an atomic
-    recency stamp), writers serialize on a mutex and publish immutable
-    snapshots.  Eviction is LRU by entry count against a fixed capacity.
+    It uses the topology registry's snapshot-under-[Atomic.t] pattern:
+    lookups are lock-free (one [Atomic.get] plus an atomic recency
+    stamp), writers serialize on a mutex and publish immutable snapshots.
+    Eviction is LRU by entry count against a fixed capacity.
 
     Invalidation is {e epoch-based}: entries are stamped with
     {!Topology.generation} as observed before their value was computed,
@@ -30,21 +26,21 @@ type stats = {
   entries : int;  (** entries currently resident *)
 }
 
+(** [plans] is always {!zero_stats}: there is no plan cache.  The field
+    stays only while the repository benchmark still reads it. *)
 type totals = { results : stats; plans : stats }
 
 type t
 
-(** [create ?results ?plans registry] with per-tier entry-count capacities
-    (defaults 1024 result entries, 512 plan entries; minimum 1).  The cache
-    is tied to [registry]: its generation is the invalidation epoch. *)
-val create : ?results:int -> ?plans:int -> Topology.registry -> t
+(** [create ?capacity registry] with an entry-count capacity (default
+    1024; minimum 1).  The cache is tied to [registry]: its generation is
+    the invalidation epoch. *)
+val create : ?capacity:int -> Topology.registry -> t
 
 (** [stamp t] is the registry generation to compute under {e before}
-    evaluating; pass it to [add_result]/[add_plan] so a registry mutation
-    that raced the evaluation invalidates the entry. *)
+    evaluating; pass it to [add_result] so a registry mutation that raced
+    the evaluation invalidates the entry. *)
 val stamp : t -> int
-
-(** {1 Result tier} *)
 
 type result_payload = {
   ranked : (int * float option) list;
@@ -63,35 +59,9 @@ val find_result : t -> key:string -> result_payload option
     determinism contract). *)
 val add_result : t -> key:string -> stamp:int -> result_payload -> unit
 
-(** {1 Plan tier} *)
-
-type plan =
-  | Regular_plan of Topo_sql.Physical.t * float
-      (** {!Topo_sql.Optimizer.regular_plan} output: best plan and cost *)
-  | Choice of Topo_sql.Optimizer.strategy
-      (** {!Topo_sql.Optimizer.choose}'s regular-vs-early-termination pick *)
-
-(** [find_plan ?check t ~key] is a lock-free lookup like {!find_result}.
-    When [check] is given, a [Regular_plan] hit is re-run through
-    {!Topo_sql.Plan_check.check} against that catalog before being
-    served, so verification mode applies to memoized plans exactly as to
-    freshly priced ones; a corrupted or stale entry raises
-    {!Topo_sql.Plan_check.Plan_error} instead of executing.  [Choice]
-    entries carry no plan and are never checked. *)
-val find_plan : ?check:Topo_sql.Catalog.t -> t -> key:string -> plan option
-
-val add_plan : t -> key:string -> stamp:int -> plan -> unit
-
-(** [plan_key ~tag spec] renders a canonical key for an optimizer spec
-    (tables, score column, k, dimension predicates); [tag] separates the
-    regular-plan and choose namespaces. *)
-val plan_key : tag:string -> Topo_sql.Optimizer.spec -> string
-
 (** {1 Statistics} *)
 
 val result_stats : t -> stats
-
-val plan_stats : t -> stats
 
 val totals : t -> totals
 

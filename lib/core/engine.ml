@@ -118,14 +118,14 @@ let build catalog ~pairs ?(l = 3) ?(caps = Compute.default_caps) ?(pruning_thres
       in
       { ctx; build_stats; jobs = Pool.jobs pool })
 
-let cache ?results ?plans t = Cache.create ?results ?plans t.ctx.Context.registry
+let cache ?capacity t = Cache.create ?capacity t.ctx.Context.registry
 
 (* The raw evaluation: dispatch the method, time it, trace it.  Counters
    accumulate in the scope [run_request] installs; exceptions propagate. *)
-let eval t (req : Request.t) ~verify_plans ?cache ?trace ?budget () =
+let eval t (req : Request.t) ~verify_plans ?trace ?budget () =
   let aligned = Methods.align t.ctx req.Request.query in
   let evaluate ?trace () =
-    Methods.dispatch req.Request.method_ ~check:verify_plans ?trace ?cache ?budget t.ctx aligned
+    Methods.dispatch req.Request.method_ ~check:verify_plans ?trace ?budget t.ctx aligned
       ~scheme:req.Request.scheme ~k:req.Request.k
   in
   let start = Unix.gettimeofday () in
@@ -146,12 +146,10 @@ let no_work = { Counters.tuples = 0; index_probes = 0; rows_scanned = 0 }
 
 let run_request t ?cache ?(verify_plans = false) ?(traces = false) (req : Request.t) =
   let trace = if traces then Some (Topo_obs.Trace.create ()) else None in
-  (* Verification mode re-checks every plan the evaluation builds.  A
-     result-tier hit would skip evaluation — and with it every check —
-     so that tier is bypassed; the plan tier stays live because checked
-     lookups re-verify memoized plans before serving them
-     (Cache.find_plan ?check via Methods.regular_plan_cached). *)
-  let result_cache = if verify_plans then None else cache in
+  (* Verification mode prices and checks every plan fresh.  A cache hit
+     would skip evaluation — and with it every check — so the cache is
+     bypassed. *)
+  let cache = if verify_plans then None else cache in
   let outcome result counters status =
     {
       Request.request = req;
@@ -177,13 +175,13 @@ let run_request t ?cache ?(verify_plans = false) ?(traces = false) (req : Reques
             else Request.Done r
         | Error e -> Request.Failed e
       in
-      let evaluate ?cache () =
+      let evaluate () =
         Counters.with_scope (fun () ->
-            try Ok (eval t req ~verify_plans ?cache ?trace ?budget ()) with e -> Error e)
+            try Ok (eval t req ~verify_plans ?trace ?budget ()) with e -> Error e)
       in
-      match result_cache with
+      match cache with
       | None ->
-          let result, counters = evaluate ?cache () in
+          let result, counters = evaluate () in
           outcome (lift result) counters Request.Uncached
       | Some c -> (
           let key = Request.key req in
@@ -204,7 +202,7 @@ let run_request t ?cache ?(verify_plans = false) ?(traces = false) (req : Reques
                 p.Cache.counters Request.Hit
           | None ->
               let stamp = Cache.stamp c in
-              let result, counters = evaluate ~cache:c () in
+              let result, counters = evaluate () in
               let result = lift result in
               (match result with
               | Request.Done r ->

@@ -59,10 +59,10 @@ val build :
   unit ->
   t
 
-(** [cache ?results ?plans t] is a fresh {!Cache.t} tied to this engine's
-    topology registry (capacities as in {!Cache.create}).  Share one cache
+(** [cache ?capacity t] is a fresh {!Cache.t} tied to this engine's
+    topology registry (capacity as in {!Cache.create}).  Share one cache
     per engine; it is safe for concurrent domains. *)
-val cache : ?results:int -> ?plans:int -> t -> Cache.t
+val cache : ?capacity:int -> t -> Cache.t
 
 (** [run_request t ?cache ?verify_plans ?traces request] is the
     single-query entry point: it evaluates [request] under a fresh private
@@ -79,21 +79,22 @@ val cache : ?results:int -> ?plans:int -> t -> Cache.t
     early-termination loops; if it trips mid-evaluation the outcome is
     [Partial] with the deterministic ranked prefix.
 
-    With [?cache], the result tier is consulted first: a hit returns the
+    With [?cache], the cache is consulted first: a hit returns the
     memoized ranked list, strategy, and the {e stored} counter snapshot
     (replayed so cold and warm passes fingerprint identically, with a
     ["cache_hit"] span when tracing) — valid under any deadline, since a
-    hit costs no evaluation; a miss evaluates with the plan tier
-    threaded through the optimizer and memoizes the outcome, stamped with
-    the topology-registry generation observed before evaluation.  Only
+    hit costs no evaluation; a miss evaluates and memoizes the outcome,
+    stamped with the topology-registry generation observed before
+    evaluation.  Only
     [Done] outcomes are memoized — failures re-raise deterministically
     and partials are deadline-shaped prefixes, not answers.
     [verify_plans] (default false) checks every physical plan the method
     builds with {!Topo_sql.Plan_check} before executing it — a malformed
     plan fails the request with {!Topo_sql.Plan_check.Plan_error} — and
     runs -ET iterator trees under the {!Topo_sql.Iterator_check}
-    protocol checker; it bypasses the result tier (a hit would skip the
-    verification the caller asked for).  [traces] (default false)
+    protocol checker; it bypasses the cache entirely, pricing and checking
+    every plan fresh (a hit would skip the verification the caller asked
+    for).  [traces] (default false)
     attaches a private {!Topo_obs.Trace.t} whose root span is named
     after the method and tagged with scheme and k. *)
 val run_request :

@@ -398,59 +398,24 @@ let fast_top_k_et ?check ?trace ?budget ctx aligned ~scheme ~k ?(impls = default
   sp ?trace "merge_with_pruned" (fun () ->
       merge_with_pruned ?trace ?budget ctx aligned ~scheme ~k ~next_witness:next)
 
-(* Plan-tier memoization of the optimizer's pricing searches.  The tier
-   stays active under [~check:true]: a [Regular_plan] hit is re-run
-   through Plan_check against the live catalog before it is served (see
-   Cache.find_plan), so verification covers memoized plans too and a
-   corrupted entry fails loudly instead of silently executing. *)
-let regular_plan_cached ?cache ~check ctx spec =
-  match cache with
-  | Some c -> (
-      let key = Cache.plan_key ~tag:"regular" spec in
-      let chk = if check then Some ctx.Context.catalog else None in
-      match Cache.find_plan ?check:chk c ~key with
-      | Some (Cache.Regular_plan (plan, cost)) -> (plan, cost)
-      | Some (Cache.Choice _) | None ->
-          let stamp = Cache.stamp c in
-          let plan, cost = Optimizer.regular_plan ~check ctx.Context.catalog spec in
-          Cache.add_plan c ~key ~stamp (Cache.Regular_plan (plan, cost));
-          (plan, cost))
-  | None -> Optimizer.regular_plan ~check ctx.Context.catalog spec
-
-(* A [Choice] entry records only the regular-vs-ET pick — there is no
-   plan to re-verify — so checked runs bypass the tier and re-price,
-   re-verifying every candidate the pricer visits. *)
-let choose_cached ?cache ~check ctx spec =
-  match cache with
-  | Some c when not check -> (
-      let key = Cache.plan_key ~tag:"choose" spec in
-      match Cache.find_plan c ~key with
-      | Some (Cache.Choice strategy) -> strategy
-      | Some (Cache.Regular_plan _) | None ->
-          let stamp = Cache.stamp c in
-          let strategy = (Optimizer.choose ~check ctx.Context.catalog spec).Optimizer.strategy in
-          Cache.add_plan c ~key ~stamp (Cache.Choice strategy);
-          strategy)
-  | Some _ | None -> (Optimizer.choose ~check ctx.Context.catalog spec).Optimizer.strategy
-
-let regular_topk ?(check = false) ?trace ?cache ctx aligned ~fact ~scheme ~k =
+let regular_topk ?(check = false) ?trace ctx aligned ~fact ~scheme ~k =
   let spec = optimizer_spec ctx aligned ~fact ~scheme ~k in
   let plan, _cost =
     sp ?trace "optimize" ~tags:[ ("fact", fact) ] (fun () ->
-        regular_plan_cached ?cache ~check ctx spec)
+        Optimizer.regular_plan ~check ctx.Context.catalog spec)
   in
   sp ?trace "execute" (fun () ->
       Physical.run ctx.Context.catalog plan
       |> List.map (fun tuple -> (Value.as_int tuple.(0), Value.as_float tuple.(1))))
 
-let full_top_k ?check ?trace ?cache ctx aligned ~scheme ~k =
-  regular_topk ?check ?trace ?cache ctx aligned ~fact:aligned.store.Store.alltops ~scheme ~k
+let full_top_k ?check ?trace ctx aligned ~scheme ~k =
+  regular_topk ?check ?trace ctx aligned ~fact:aligned.store.Store.alltops ~scheme ~k
 
-let fast_top_k ?check ?trace ?cache ctx aligned ~scheme ~k =
+let fast_top_k ?check ?trace ctx aligned ~scheme ~k =
   (* SQL4: top-k over LeftTops first; SQL5 checks for pruned topologies
      whose score could enter the result. *)
   let base =
-    regular_topk ?check ?trace ?cache ctx aligned ~fact:aligned.store.Store.lefttops ~scheme ~k
+    regular_topk ?check ?trace ctx aligned ~fact:aligned.store.Store.lefttops ~scheme ~k
   in
   let kth_score =
     if List.length base >= k then List.fold_left (fun acc (_, s) -> Float.min acc s) infinity base
@@ -478,30 +443,27 @@ let strategy_name = function
   | Optimizer.Regular -> "regular"
   | Optimizer.Early_termination -> "early-termination"
 
-let choose_strategy ~check ?trace ?cache ctx spec =
+let choose_strategy ~check ?trace ctx spec =
+  let choose () = (Optimizer.choose ~check ctx.Context.catalog spec).Optimizer.strategy in
   match trace with
-  | None -> choose_cached ?cache ~check ctx spec
+  | None -> choose ()
   | Some t ->
       let span = Topo_obs.Trace.start t "choose" in
-      let strategy =
-        Fun.protect
-          ~finally:(fun () -> Topo_obs.Trace.finish t span)
-          (fun () -> choose_cached ?cache ~check ctx spec)
-      in
+      let strategy = Fun.protect ~finally:(fun () -> Topo_obs.Trace.finish t span) choose in
       Topo_obs.Trace.add_tag span "strategy" (strategy_name strategy);
       strategy
 
-let full_top_k_opt ?(check = false) ?trace ?cache ?budget ctx aligned ~scheme ~k =
+let full_top_k_opt ?(check = false) ?trace ?budget ctx aligned ~scheme ~k =
   let spec = optimizer_spec ctx aligned ~fact:aligned.store.Store.alltops ~scheme ~k in
-  match choose_strategy ~check ?trace ?cache ctx spec with
-  | Optimizer.Regular -> (full_top_k ~check ?trace ?cache ctx aligned ~scheme ~k, Optimizer.Regular)
+  match choose_strategy ~check ?trace ctx spec with
+  | Optimizer.Regular -> (full_top_k ~check ?trace ctx aligned ~scheme ~k, Optimizer.Regular)
   | Optimizer.Early_termination ->
       (full_top_k_et ~check ?trace ?budget ctx aligned ~scheme ~k (), Optimizer.Early_termination)
 
-let fast_top_k_opt ?(check = false) ?trace ?cache ?budget ctx aligned ~scheme ~k =
+let fast_top_k_opt ?(check = false) ?trace ?budget ctx aligned ~scheme ~k =
   let spec = optimizer_spec ctx aligned ~fact:aligned.store.Store.lefttops ~scheme ~k in
-  match choose_strategy ~check ?trace ?cache ctx spec with
-  | Optimizer.Regular -> (fast_top_k ~check ?trace ?cache ctx aligned ~scheme ~k, Optimizer.Regular)
+  match choose_strategy ~check ?trace ctx spec with
+  | Optimizer.Regular -> (fast_top_k ~check ?trace ctx aligned ~scheme ~k, Optimizer.Regular)
   | Optimizer.Early_termination ->
       (fast_top_k_et ~check ?trace ?budget ctx aligned ~scheme ~k (), Optimizer.Early_termination)
 
@@ -512,27 +474,26 @@ let fast_top_k_opt ?(check = false) ?trace ?cache ?budget ctx aligned ~scheme ~k
    a uniform [(tid, score option)] shape and the -Opt methods report
    their strategy choice.  [Engine], the serving tier and the benchmarks
    all route through this instead of hand-written nine-way matches.
-   [impls] only reaches the -ET methods; [cache] (the plan tier) only the
-   methods that price plans; [budget] (the deadline) only the
+   [impls] only reaches the -ET methods; [budget] (the deadline) only the
    early-termination loops — the other methods run to completion, which
    keeps every complete answer bit-identical with and without a
    deadline. *)
-let dispatch method_ ?(check = false) ?trace ?impls ?cache ?budget ctx aligned ~scheme ~k =
+let dispatch method_ ?(check = false) ?trace ?impls ?budget ctx aligned ~scheme ~k =
   let with_scores l = List.map (fun (tid, s) -> (tid, Some s)) l in
   let plain l = List.map (fun tid -> (tid, None)) l in
   match method_ with
   | Sql -> (plain (sql_method ~check ?trace ctx aligned), None)
   | Full_top -> (plain (full_top ~check ?trace ctx aligned), None)
   | Fast_top -> (plain (fast_top ~check ?trace ctx aligned), None)
-  | Full_top_k -> (with_scores (full_top_k ~check ?trace ?cache ctx aligned ~scheme ~k), None)
-  | Fast_top_k -> (with_scores (fast_top_k ~check ?trace ?cache ctx aligned ~scheme ~k), None)
+  | Full_top_k -> (with_scores (full_top_k ~check ?trace ctx aligned ~scheme ~k), None)
+  | Fast_top_k -> (with_scores (fast_top_k ~check ?trace ctx aligned ~scheme ~k), None)
   | Full_top_k_et ->
       (with_scores (full_top_k_et ~check ?trace ?budget ctx aligned ~scheme ~k ?impls ()), None)
   | Fast_top_k_et ->
       (with_scores (fast_top_k_et ~check ?trace ?budget ctx aligned ~scheme ~k ?impls ()), None)
   | Full_top_k_opt ->
-      let results, strategy = full_top_k_opt ~check ?trace ?cache ?budget ctx aligned ~scheme ~k in
+      let results, strategy = full_top_k_opt ~check ?trace ?budget ctx aligned ~scheme ~k in
       (with_scores results, Some strategy)
   | Fast_top_k_opt ->
-      let results, strategy = fast_top_k_opt ~check ?trace ?cache ?budget ctx aligned ~scheme ~k in
+      let results, strategy = fast_top_k_opt ~check ?trace ?budget ctx aligned ~scheme ~k in
       (with_scores results, Some strategy)

@@ -97,21 +97,17 @@ val fast_top : ?check:bool -> ?trace:Topo_obs.Trace.t -> Context.t -> aligned ->
 (** {1 Top-k methods} — return at most [k] (tid, score) pairs, score
     descending. *)
 
-(** The plan-pricing methods additionally take [?cache]: when given (and
-    [check] is off), the optimizer's pricing output — the regular-plan
-    dynamic program here, the regular-vs-ET choice for the -Opt methods —
-    is memoized in the cache's plan tier, keyed by the canonical aligned
-    spec and stamped with the topology-registry generation. *)
+(** The plan-pricing methods run the optimizer's pricing search — the
+    regular-plan dynamic program here, the regular-vs-ET choice for the
+    -Opt methods — once per call; nothing is memoized across queries. *)
 val full_top_k :
   ?check:bool ->
   ?trace:Topo_obs.Trace.t ->
-  ?cache:Cache.t ->
   Context.t -> aligned -> scheme:Ranking.scheme -> k:int -> (int * float) list
 
 val fast_top_k :
   ?check:bool ->
   ?trace:Topo_obs.Trace.t ->
-  ?cache:Cache.t ->
   Context.t -> aligned -> scheme:Ranking.scheme -> k:int -> (int * float) list
 
 (** [impls] optionally pins the DGJ implementations (head = fact level) so
@@ -138,25 +134,23 @@ val fast_top_k_et :
 val full_top_k_opt :
   ?check:bool ->
   ?trace:Topo_obs.Trace.t ->
-  ?cache:Cache.t ->
   ?budget:Budget.t ->
   Context.t -> aligned -> scheme:Ranking.scheme -> k:int -> (int * float) list * Topo_sql.Optimizer.strategy
 
 val fast_top_k_opt :
   ?check:bool ->
   ?trace:Topo_obs.Trace.t ->
-  ?cache:Cache.t ->
   ?budget:Budget.t ->
   Context.t -> aligned -> scheme:Ranking.scheme -> k:int -> (int * float) list * Topo_sql.Optimizer.strategy
 
-(** [dispatch method_ ?check ?trace ?impls ?cache ctx aligned ~scheme ~k]
+(** [dispatch method_ ?check ?trace ?impls ?budget ctx aligned ~scheme ~k]
     is the single entry point over the method enum: it lifts every result
     to the uniform [(tid, score option)] shape (scores present exactly for
     top-k methods) and reports the -Opt methods' strategy choice.
-    [?impls] reaches only the -ET methods, [?cache] (the plan tier) only
-    the plan-pricing methods, and [?budget] (the deadline) only the
-    early-termination loops — every other method runs to completion, so
-    complete answers are bit-identical with and without a deadline.
+    [?impls] reaches only the -ET methods and [?budget] (the deadline)
+    only the early-termination loops — every other method runs to
+    completion, so complete answers are bit-identical with and without a
+    deadline.
     {!Engine}, the serving tier and the benchmarks route through this
     instead of hand-written nine-way matches. *)
 val dispatch :
@@ -164,7 +158,6 @@ val dispatch :
   ?check:bool ->
   ?trace:Topo_obs.Trace.t ->
   ?impls:[ `I | `H ] list ->
-  ?cache:Cache.t ->
   ?budget:Budget.t ->
   Context.t ->
   aligned ->

@@ -1,5 +1,5 @@
-(* The serving tier's result + plan cache: hit/miss accounting and LRU
-   eviction order, epoch-based invalidation against the topology
+(* The serving tier's result cache: hit/miss accounting and LRU
+   eviction order (one fixed case plus a QCheck reference-model run), epoch-based invalidation against the topology
    registry's generation — including the mid-batch re-registration
    scenario where a stale cached answer must never be served — cache
    transparency (cold, warm and uncached runs fingerprint bit-identically
@@ -50,7 +50,7 @@ let test_hit_miss () =
     (s.Cache.misses, s.Cache.hits, s.Cache.entries)
 
 let test_lru_eviction () =
-  let cache = Cache.create ~results:3 (Topology.create_registry ()) in
+  let cache = Cache.create ~capacity:3 (Topology.create_registry ()) in
   let stamp = Cache.stamp cache in
   List.iter (fun (k, v) -> Cache.add_result cache ~key:k ~stamp (payload v))
     [ ("a", 1); ("b", 2); ("c", 3) ];
@@ -78,17 +78,92 @@ let test_same_stamp_insert_kept () =
   | None -> Alcotest.fail "entry vanished");
   Alcotest.(check int) "one insertion recorded" 1 (Cache.result_stats cache).Cache.insertions
 
-let test_plan_tier () =
-  let cache = Cache.create (Topology.create_registry ()) in
-  Alcotest.(check bool) "plan miss" true (Cache.find_plan cache ~key:"p" = None);
-  Cache.add_plan cache ~key:"p" ~stamp:(Cache.stamp cache)
-    (Cache.Choice Topo_sql.Optimizer.Early_termination);
-  (match Cache.find_plan cache ~key:"p" with
-  | Some (Cache.Choice Topo_sql.Optimizer.Early_termination) -> ()
-  | Some _ -> Alcotest.fail "wrong plan payload"
-  | None -> Alcotest.fail "plan entry not found");
-  let s = Cache.plan_stats cache in
-  Alcotest.(check (pair int int)) "plan tier accounting" (1, 1) (s.Cache.hits, s.Cache.misses)
+(* --- reference LRU model --------------------------------------------------- *)
+
+type op = Add of int * int | Find of int | Bump
+
+let op_name = function
+  | Add (k, v) -> Printf.sprintf "add k%d=%d" k v
+  | Find k -> Printf.sprintf "find k%d" k
+  | Bump -> "bump"
+
+(* The cache's contract as a plain list of (key, (value, stamp)), most
+   recently used first: a hit moves its key to the front; an insert of a
+   new key, or of a known key under a new stamp, puts a fresh entry at
+   the front and evicts from the back past capacity; a same-key
+   same-stamp insert changes nothing; a lookup that finds a stale stamp
+   drops the entry and counts an invalidation. *)
+type model = { lru : (int * (int * int)) list; st : Cache.stats }
+
+let model_step ~capacity ~gen m op =
+  let st = m.st in
+  match op with
+  | Bump -> (m, None)
+  | Find k -> (
+      match List.assoc_opt k m.lru with
+      | None -> ({ m with st = { st with Cache.misses = st.Cache.misses + 1 } }, None)
+      | Some (_, stamp) when stamp <> gen ->
+          let st =
+            { st with Cache.misses = st.Cache.misses + 1; invalidations = st.Cache.invalidations + 1 }
+          in
+          ({ lru = List.remove_assoc k m.lru; st }, None)
+      | Some ((v, _) as e) ->
+          let st = { st with Cache.hits = st.Cache.hits + 1 } in
+          ({ lru = (k, e) :: List.remove_assoc k m.lru; st }, Some v))
+  | Add (k, v) -> (
+      match List.assoc_opt k m.lru with
+      | Some (_, stamp) when stamp = gen -> (m, None)
+      | Some _ | None ->
+          let lru = (k, (v, gen)) :: List.remove_assoc k m.lru in
+          let st = { st with Cache.insertions = st.Cache.insertions + 1 } in
+          if List.length lru <= capacity then ({ lru; st }, None)
+          else
+            let st = { st with Cache.evictions = st.Cache.evictions + 1 } in
+            ({ lru = List.filteri (fun i _ -> i < capacity) lru; st }, None))
+
+let prop_lru_matches_model =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map2 (fun k v -> Add (k, v)) (int_bound 9) (int_bound 99));
+          (4, map (fun k -> Find k) (int_bound 9));
+          (1, return Bump);
+        ])
+  in
+  let print (capacity, ops) =
+    Printf.sprintf "capacity %d: %s" capacity (String.concat "; " (List.map op_name ops))
+  in
+  QCheck.Test.make ~name:"LRU order and stats match a reference model" ~count:300
+    (QCheck.make ~print QCheck.Gen.(pair (int_range 1 8) (list_size (int_range 0 60) op_gen)))
+    (fun (capacity, ops) ->
+      let registry = Topology.create_registry () in
+      let cache = Cache.create ~capacity registry in
+      let key k = Printf.sprintf "k%d" k in
+      let bumps = ref 0 in
+      let step (m, i) op =
+        let found =
+          match op with
+          | Bump ->
+              (* a topology this registry has not seen: a guaranteed mutation *)
+              incr bumps;
+              let l = 3 * !bumps in
+              ignore (Topology.register registry (path2 l (l + 1) (l + 2)) ~decomposition:[ "m" ]);
+              None
+          | Add (k, v) ->
+              Cache.add_result cache ~key:(key k) ~stamp:(Cache.stamp cache) (payload v);
+              None
+          | Find k ->
+              Option.map (fun p -> fst (List.hd p.Cache.ranked)) (Cache.find_result cache ~key:(key k))
+        in
+        let m, expected = model_step ~capacity ~gen:(Cache.stamp cache) m op in
+        let want = { m.st with Cache.entries = List.length m.lru } in
+        if found <> expected || Cache.result_stats cache <> want then
+          QCheck.Test.fail_reportf "step %d (%s) diverges from the model" i (op_name op);
+        (m, i + 1)
+      in
+      ignore (List.fold_left step ({ lru = []; st = Cache.zero_stats }, 0) ops);
+      true)
 
 (* --- epoch invalidation --------------------------------------------------- *)
 
@@ -175,58 +250,29 @@ let test_failures_not_memoized () =
     [ "first"; "second" ];
   Alcotest.(check int) "no result entry inserted" 0 (Cache.result_stats cache).Cache.insertions
 
-(* A checked lookup re-verifies the memoized plan against the live
-   catalog: a corrupted (or staled-by-schema-drift) cached plan must
-   raise Plan_error rather than execute, while unchecked lookups still
-   serve the entry verbatim. *)
-let test_checked_plan_hit_catches_corruption () =
-  let engine = Lazy.force paper_engine in
-  let catalog = engine.Engine.ctx.Context.catalog in
-  let cache = Cache.create (Topology.create_registry ()) in
-  let bogus =
-    Topo_sql.Physical.Scan { table = "no_such_table"; alias = None; pred = None }
-  in
-  Cache.add_plan cache ~key:"corrupt" ~stamp:(Cache.stamp cache)
-    (Cache.Regular_plan (bogus, 1.0));
-  Alcotest.(check bool) "unchecked lookup serves the entry" true
-    (Cache.find_plan cache ~key:"corrupt" <> None);
-  (match Cache.find_plan ~check:catalog cache ~key:"corrupt" with
-  | exception Topo_sql.Plan_check.Plan_error _ -> ()
-  | exception e -> raise e
-  | _ -> Alcotest.fail "checked lookup served a corrupted plan without Plan_error");
-  (* a Choice entry has no plan to verify and passes a checked lookup *)
-  Cache.add_plan cache ~key:"choice" ~stamp:(Cache.stamp cache)
-    (Cache.Choice Topo_sql.Optimizer.Early_termination);
-  Alcotest.(check bool) "checked lookup passes a Choice entry" true
-    (Cache.find_plan ~check:catalog cache ~key:"choice" <> None)
-
-(* verify_plans keeps the plan tier live: the second checked run serves
-   the memoized (and re-verified) plan instead of re-pricing. *)
-let test_checked_runs_use_plan_tier () =
-  let engine = Lazy.force paper_engine in
-  let cache = Engine.cache engine in
-  let req = Request.make Engine.Full_top_k (Query.q1 engine.Engine.ctx.Context.catalog) in
-  let before = Cache.plan_stats cache in
-  let first = Engine.run_request engine ~cache ~verify_plans:true req in
-  Alcotest.(check bool) "first checked run succeeds" true (Request.answered first.Request.result <> None);
-  let mid = Cache.plan_stats cache in
-  Alcotest.(check bool) "checked run consults the plan tier" true
-    (mid.Cache.hits + mid.Cache.misses > before.Cache.hits + before.Cache.misses);
-  let second = Engine.run_request engine ~cache ~verify_plans:true req in
-  Alcotest.(check bool) "second checked run succeeds" true (Request.answered second.Request.result <> None);
-  Alcotest.(check bool) "second checked run hits the memoized plan" true
-    ((Cache.plan_stats cache).Cache.hits > mid.Cache.hits)
-
+(* A verified run prices and checks every plan fresh: it neither looks up
+   nor inserts anything, on an empty cache or on one holding its answer.
+   Both halves of the delta stay zero; only the resident entry count
+   carries over. *)
 let test_verify_plans_bypasses_cache () =
   let engine = Lazy.force paper_engine in
   let cache = Engine.cache engine in
   let req = Request.make Engine.Full_top_k (Query.q1 engine.Engine.ctx.Context.catalog) in
+  let verified label =
+    let before = Cache.totals cache in
+    let o = Engine.run_request engine ~cache ~verify_plans:true req in
+    Alcotest.(check string) (label ^ ": never answered from the cache") "uncached"
+      (Request.cache_status_name o.Request.cache);
+    Alcotest.(check bool) (label ^ ": verified run succeeds") true
+      (Request.answered o.Request.result <> None);
+    let entries = before.Cache.results.Cache.entries in
+    Alcotest.(check bool) (label ^ ": no cache traffic") true
+      (Cache.diff ~before ~after:(Cache.totals cache)
+      = { Cache.results = { Cache.zero_stats with Cache.entries }; plans = Cache.zero_stats })
+  in
+  verified "empty cache";
   ignore (Engine.run_request engine ~cache req);
-  let verified = Engine.run_request engine ~cache ~verify_plans:true req in
-  Alcotest.(check string) "verification never answers from the cache" "uncached"
-    (Request.cache_status_name verified.Request.cache);
-  Alcotest.(check bool) "verified run still succeeds" true
-    (Request.answered verified.Request.result <> None)
+  verified "warm cache"
 
 (* --- transparency: cold = warm = uncached --------------------------------- *)
 
@@ -310,7 +356,7 @@ let suites =
         Alcotest.test_case "hit and miss accounting" `Quick test_hit_miss;
         Alcotest.test_case "LRU eviction order" `Quick test_lru_eviction;
         Alcotest.test_case "same-stamp racing insert kept" `Quick test_same_stamp_insert_kept;
-        Alcotest.test_case "plan tier round-trip" `Quick test_plan_tier;
+        QCheck_alcotest.to_alcotest prop_lru_matches_model;
       ] );
     ( "cache.epoch",
       [
@@ -320,10 +366,6 @@ let suites =
         Alcotest.test_case "mid-batch re-registration serves no stale result" `Quick
           test_no_stale_result_served_after_reregistration;
         Alcotest.test_case "failures are not memoized" `Quick test_failures_not_memoized;
-        Alcotest.test_case "checked plan-tier hit catches corruption" `Quick
-          test_checked_plan_hit_catches_corruption;
-        Alcotest.test_case "checked runs keep the plan tier live" `Quick
-          test_checked_runs_use_plan_tier;
         Alcotest.test_case "verify_plans bypasses the result tier" `Quick
           test_verify_plans_bypasses_cache;
       ] );
