@@ -11,8 +11,14 @@
      explain     show a query's plan with estimates; --analyze executes it
                  instrumented and prints estimate-vs-actual per operator
      profile     run a query method under a trace and print the span tree
+     build       run the offline phase; -o writes a snapshot (or, with
+                 --shards, one slice per shard plus a manifest)
      serve       evaluate a batch of queries concurrently across domains
-                 (the online serving tier) *)
+                 (the online serving tier)
+     shard       serve one snapshot slice over the binary wire protocol
+     route       scatter a batch across shard servers and gather results
+     nquery      run a multi-endpoint topology query
+     dump        save a generated instance as .tbl files *)
 
 open Cmdliner
 module Engine = Topo_core.Engine
@@ -50,8 +56,14 @@ let jobs_arg =
            at 8).  Results are bit-identical for every value.")
 
 let make_instance scale seed =
-  Biozon.Generator.generate
-    (Biozon.Generator.scale scale { Biozon.Generator.default with Biozon.Generator.seed = seed })
+  match
+    Biozon.Generator.generate
+      (Biozon.Generator.scale scale { Biozon.Generator.default with Biozon.Generator.seed = seed })
+  with
+  | catalog -> catalog
+  | exception Invalid_argument msg ->
+      prerr_endline msg;
+      exit 2
 
 let build_engine catalog ~t1 ~t2 ~l ~threshold =
   Engine.build catalog ~pairs:[ (t1, t2) ] ~l ~pruning_threshold:threshold ()
@@ -735,7 +747,7 @@ let serve_run scale seed l threshold t1 t2 snapshot jobs file repeat traces chec
   let requests = List.concat (List.init (max 1 repeat) (fun _ -> base)) in
   let deadline_s = Option.map (fun ms -> ms /. 1000.0) deadline_ms in
   match rate with
-  | Some r when r > 0.0 ->
+  | Some r ->
       (* The serve itself still runs; only the verification is skipped.
          Exit 3 (not 0) so CI can tell "verified" from "not verified". *)
       let code = serve_open engine ~jobs ~traces ~cache ~max_queue ~deadline_s ~rate:r requests in
@@ -746,7 +758,7 @@ let serve_run scale seed l threshold t1 t2 snapshot jobs file repeat traces chec
         if code = 0 then 3 else code
       end
       else code
-  | Some _ | None ->
+  | None ->
   (* Closed loop.  --deadline-ms bounds the whole batch: every request is
      stamped with the same absolute wall deadline, measured from batch
      start, so stragglers degrade to Partial/Rejected instead of holding
@@ -891,14 +903,23 @@ let serve_cmd =
              are rejected immediately as overloaded instead of queueing without bound.")
   in
   let rate =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "rate" ] ~docv:"QPS"
-          ~doc:
-            "Serve open-loop: arrivals uniformly spaced at $(docv) requests/s through a bounded \
-             admission queue, reporting latency percentiles measured from each request's \
-             intended arrival (coordinated-omission corrected).")
+    let rate =
+      Arg.(
+        value
+        & opt (some float) None
+        & info [ "rate" ] ~docv:"QPS"
+            ~doc:
+              "Serve open-loop: arrivals uniformly spaced at $(docv) requests/s through a bounded \
+               admission queue, reporting latency percentiles measured from each request's \
+               intended arrival (coordinated-omission corrected).  Must be > 0.")
+    in
+    let positive = function
+      | Some r when not (Float.is_finite r && r > 0.0) ->
+          Printf.eprintf "--rate must be > 0, got %g\n" r;
+          exit 2
+      | rate -> rate
+    in
+    Term.(const positive $ rate)
   in
   Cmd.v
     (Cmd.info "serve"

@@ -32,6 +32,8 @@ let default =
   }
 
 let scale f p =
+  if not (Float.is_finite f && f > 0.0) then
+    invalid_arg (Printf.sprintf "Generator.scale: factor must be finite and > 0, got %g" f);
   let s n = max 1 (int_of_float (float_of_int n *. f)) in
   {
     p with
@@ -64,6 +66,11 @@ let add_entity st table values =
   Table.insert_values (Catalog.find st.cat table) values
 
 let generate p =
+  (* The interaction loop below needs two distinct proteins to make progress. *)
+  if p.n_interactions > 0 && p.n_proteins < 2 then
+    invalid_arg
+      (Printf.sprintf "Generator.generate: %d interaction(s) need at least 2 proteins, got %d"
+         p.n_interactions p.n_proteins);
   let st =
     { cat = Bschema.make_catalog (); prng = Prng.create p.seed; next_oid = 1000; next_eid = 1 }
   in

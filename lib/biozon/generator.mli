@@ -41,11 +41,14 @@ type params = {
     0.9 per protein. *)
 val default : params
 
-(** [scale f params] multiplies every population by [f] (at least 1). *)
+(** [scale f params] multiplies every population by [f] (at least 1).
+    @raise Invalid_argument unless [f] is finite and [> 0]. *)
 val scale : float -> params -> params
 
 (** [generate params] builds the catalog.  Object ids are globally unique
-    across all entity tables; relationship rows get their own id space. *)
+    across all entity tables; relationship rows get their own id space.
+    @raise Invalid_argument when [params] asks for interactions with fewer
+    than two proteins. *)
 val generate : params -> Topo_sql.Catalog.t
 
 (** [summary catalog] is [(table, row_count)] for every table. *)

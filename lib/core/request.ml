@@ -140,7 +140,6 @@ exception Remote_failure of string
 let () = Printexc.register_printer (function Remote_failure msg -> Some msg | _ -> None)
 
 module E = Topo_sql.Expr
-module V = Topo_sql.Value
 
 let method_tag m =
   let rec idx i = function
@@ -173,33 +172,13 @@ let cmp_of_tag = function
   | 5 -> E.Ge
   | t -> Wire.fail "corrupt predicate: unknown comparison tag %d" t
 
-let w_value buf = function
-  | V.Null -> Wire.w_u8 buf 0
-  | V.Int i ->
-      Wire.w_u8 buf 1;
-      Wire.w_i64 buf i
-  | V.Float f ->
-      Wire.w_u8 buf 2;
-      Wire.w_f64 buf f
-  | V.Str s ->
-      Wire.w_u8 buf 3;
-      Wire.w_str buf s
-
-let r_value r =
-  match Wire.r_u8 r "value tag" with
-  | 0 -> V.Null
-  | 1 -> V.Int (Wire.r_i64 r "int value")
-  | 2 -> V.Float (Wire.r_f64 r "float value")
-  | 3 -> V.Str (Wire.r_str r "string value")
-  | t -> Wire.fail "corrupt predicate: unknown value tag %d" t
-
 let rec w_expr buf = function
   | E.Col i ->
       Wire.w_u8 buf 0;
       Wire.w_u32 buf i
   | E.Const v ->
       Wire.w_u8 buf 1;
-      w_value buf v
+      Wire.w_value buf v
   | E.Cmp (c, a, b) ->
       Wire.w_u8 buf 2;
       Wire.w_u8 buf (cmp_tag c);
@@ -227,7 +206,7 @@ let rec w_expr buf = function
 let rec r_expr r =
   match Wire.r_u8 r "predicate tag" with
   | 0 -> E.Col (Wire.r_u32 r "column position")
-  | 1 -> E.Const (r_value r)
+  | 1 -> E.Const (Wire.r_value r "constant")
   | 2 ->
       let c = cmp_of_tag (Wire.r_u8 r "comparison tag") in
       let a = r_expr r in

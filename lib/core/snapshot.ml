@@ -4,6 +4,7 @@
 
      header   "TOPOSNAP" | version u32 | flags u32 | payload length u64
               | fingerprint (length-prefixed hex digest)
+              | payload checksum (length-prefixed hex MD5)
      payload  'I' intern pool        strings in id order
               'G' class-key pool     the distinct path-class keys referenced
                                      by decompositions and store rows
@@ -14,6 +15,7 @@
               'T' topology registry  graphs + decompositions in TID order
               'B' build config       l, caps, jobs, per-pair sweep stats
               'P' stores             pruned TIDs, frequencies, pair rows
+              'C' class pairs        only when flag bit 0 is set
               'E' end marker
 
    Table cells are column-major: one tag byte per cell (null/int/float/
@@ -23,49 +25,21 @@
    an int or float cell.  The loader decodes each cell by its tag into
    the rows of an ordinary table.
 
-   The loader bounds-checks every read and converts any decode failure
-   into [Error] with the offset and what was being read; after
-   reconstruction it recomputes [Engine.fingerprint] and refuses to return
-   an engine that does not reproduce the digest recorded at save time. *)
+   Every byte goes through [Wire]'s primitives and its bounds-checked
+   reader, so a decode failure is an [Error] naming the offset and what
+   was being read; after reconstruction the loader recomputes
+   [Engine.fingerprint] and refuses to return an engine that does not
+   reproduce the digest recorded at save time. *)
 
 open Topo_sql
 
-exception Error of string
+exception Error = Wire.Error
 
-let fail fmt = Printf.ksprintf (fun msg -> raise (Error msg)) fmt
+let fail = Wire.fail
 
 let magic = "TOPOSNAP"
 
 let version = 1
-
-(* ------------------------------------------------------------------ *)
-(* Writer primitives (Buffer-streamed)                                 *)
-
-let w_u8 buf n = Buffer.add_char buf (Char.chr (n land 0xff))
-
-let w_u32 buf n =
-  if n < 0 then fail "save: negative length %d" n;
-  Buffer.add_int32_le buf (Int32.of_int n)
-
-let w_i64 buf n = Buffer.add_int64_le buf (Int64.of_int n)
-
-let w_f64 buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
-
-let w_str buf s =
-  w_u32 buf (String.length s);
-  Buffer.add_string buf s
-
-let w_value buf = function
-  | Value.Null -> w_u8 buf 0
-  | Value.Int n ->
-      w_u8 buf 1;
-      w_i64 buf n
-  | Value.Float f ->
-      w_u8 buf 2;
-      w_f64 buf f
-  | Value.Str s ->
-      w_u8 buf 3;
-      w_str buf s
 
 let cell_tag = function Value.Null -> 0 | Value.Int _ -> 1 | Value.Float _ -> 2 | Value.Str _ -> 3
 
@@ -73,10 +47,33 @@ let ty_tag = function Schema.TInt -> 0 | Schema.TFloat -> 1 | Schema.TStr -> 2
 
 let kind_tag = function Index.Hash -> 0 | Index.Sorted -> 1
 
+(* Pairs whose schema paths [load] must register beyond the built pairs'
+   own.  A shard slice keeps the full registry, and the registry dedupes
+   canonical topologies across pairs, so a topology observed on this
+   slice's pair can hold decompositions recorded during another pair's
+   sweep.  Each pooled class key the built pairs do not register names
+   its pair by its path's end types.  Empty for a full engine. *)
+let class_pairs (engine : Engine.t) pool =
+  let ctx = engine.Engine.ctx in
+  let own = Hashtbl.create 256 in
+  List.iter
+    (fun (t1, t2, _) ->
+      List.iter
+        (fun p -> Hashtbl.replace own (Topo_graph.Schema_graph.path_key p) ())
+        (Topo_graph.Schema_graph.paths ctx.Context.schema ~from_:t1 ~to_:t2 ~max_len:ctx.Context.l))
+    engine.Engine.build_stats;
+  Array.to_list pool
+  |> List.filter (fun key -> not (Hashtbl.mem own key))
+  |> List.map (fun key ->
+         match Context.class_path ctx key with
+         | { Topo_graph.Schema_graph.types; _ } -> (types.(0), types.(Array.length types - 1))
+         | exception Not_found -> fail "save: class key %s has no registered schema path" key)
+  |> List.sort_uniq compare
+
 (* ------------------------------------------------------------------ *)
 (* Save                                                                *)
 
-let save ?(class_pairs = []) (engine : Engine.t) ~path =
+let save (engine : Engine.t) ~path =
   let ctx = engine.Engine.ctx in
   let catalog = ctx.Context.catalog in
   let interner = ctx.Context.interner in
@@ -119,49 +116,49 @@ let save ?(class_pairs = []) (engine : Engine.t) ~path =
   let body = Buffer.create (1 lsl 20) in
   (* 'I' intern pool. *)
   Buffer.add_char body 'I';
-  w_u32 body (Topo_util.Interner.count interner);
-  Topo_util.Interner.iter (fun _ name -> w_str body name) interner;
+  Wire.w_u32 body (Topo_util.Interner.count interner);
+  Topo_util.Interner.iter (fun _ name -> Wire.w_str body name) interner;
   (* 'G' class-key pool. *)
   Buffer.add_char body 'G';
   let pool_arr = Topo_util.Dyn.to_array pool in
-  w_u32 body (Array.length pool_arr);
-  Array.iter (fun s -> w_str body s) pool_arr;
+  Wire.w_u32 body (Array.length pool_arr);
+  Array.iter (fun s -> Wire.w_str body s) pool_arr;
   (* 'C' catalog tables, registration order, column-major cells. *)
   let tables = Catalog.tables catalog in
   Buffer.add_char body 'C';
-  w_u32 body (List.length tables);
+  Wire.w_u32 body (List.length tables);
   List.iter
     (fun tb ->
       let name = Table.name tb in
       let schema = Table.schema tb in
       let cols = Schema.columns schema in
-      w_str body name;
-      w_u32 body (Array.length cols);
+      Wire.w_str body name;
+      Wire.w_u32 body (Array.length cols);
       Array.iter
         (fun (c : Schema.column) ->
-          w_str body c.Schema.name;
-          w_u8 body (ty_tag c.Schema.ty))
+          Wire.w_str body c.Schema.name;
+          Wire.w_u8 body (ty_tag c.Schema.ty))
         cols;
       (match Table.primary_key tb with
-      | None -> w_u8 body 0
+      | None -> Wire.w_u8 body 0
       | Some pk ->
-          w_u8 body 1;
-          w_str body pk);
+          Wire.w_u8 body 1;
+          Wire.w_str body pk);
       let rows = Table.rows tb in
       let n = Array.length rows in
-      w_i64 body n;
+      Wire.w_i64 body n;
       Array.iteri
         (fun ci (c : Schema.column) ->
-          Array.iter (fun row -> w_u8 body (cell_tag (Tuple.get row ci))) rows;
+          Array.iter (fun row -> Wire.w_u8 body (cell_tag (Tuple.get row ci))) rows;
           match c.Schema.ty with
           | Schema.TInt | Schema.TFloat ->
               (* Fixed-width 8-byte lane, one slot per row. *)
               Array.iter
                 (fun row ->
                   match Tuple.get row ci with
-                  | Value.Null -> w_i64 body 0
-                  | Value.Int x -> w_i64 body x
-                  | Value.Float f -> w_f64 body f
+                  | Value.Null -> Wire.w_i64 body 0
+                  | Value.Int x -> Wire.w_i64 body x
+                  | Value.Float f -> Wire.w_f64 body f
                   | Value.Str s ->
                       fail "save: string value %S in numeric column %s.%s" s name c.Schema.name)
                 rows
@@ -170,9 +167,9 @@ let save ?(class_pairs = []) (engine : Engine.t) ~path =
                 (fun row ->
                   match Tuple.get row ci with
                   | Value.Null -> ()
-                  | Value.Int x -> w_i64 body x
-                  | Value.Float f -> w_f64 body f
-                  | Value.Str s -> w_str body s)
+                  | Value.Int x -> Wire.w_i64 body x
+                  | Value.Float f -> Wire.w_f64 body f
+                  | Value.Str s -> Wire.w_str body s)
                 rows)
         cols)
     tables;
@@ -181,166 +178,157 @@ let save ?(class_pairs = []) (engine : Engine.t) ~path =
   List.iter
     (fun tb ->
       let specs = Table.index_specs tb in
-      w_u32 body (List.length specs);
+      Wire.w_u32 body (List.length specs);
       List.iter
         (fun (kind, cols) ->
-          w_u8 body (kind_tag kind);
-          w_u32 body (List.length cols);
-          List.iter (fun c -> w_str body c) cols)
+          Wire.w_u8 body (kind_tag kind);
+          Wire.w_u32 body (List.length cols);
+          List.iter (fun c -> Wire.w_str body c) cols)
         specs)
     tables;
   (* 'S' statistics, same table order (computed now if not yet cached). *)
   Buffer.add_char body 'S';
-  w_u32 body (List.length tables);
+  Wire.w_u32 body (List.length tables);
   List.iter
     (fun tb ->
       let name = Table.name tb in
       let st = Catalog.stats catalog name in
-      w_str body name;
-      w_i64 body (Table_stats.row_count st);
-      w_f64 body (Table_stats.avg_row_width st);
+      Wire.w_str body name;
+      Wire.w_i64 body (Table_stats.row_count st);
+      Wire.w_f64 body (Table_stats.avg_row_width st);
       let ncols = Table_stats.columns st in
-      w_u32 body ncols;
+      Wire.w_u32 body ncols;
       for ci = 0 to ncols - 1 do
         let h = Table_stats.histogram st ci in
-        w_i64 body (Histogram.total h);
-        w_i64 body (Histogram.null_count h);
-        w_i64 body (Histogram.distinct h);
+        Wire.w_i64 body (Histogram.total h);
+        Wire.w_i64 body (Histogram.null_count h);
+        Wire.w_i64 body (Histogram.distinct h);
         let buckets = Histogram.buckets h in
-        w_u32 body (Array.length buckets);
+        Wire.w_u32 body (Array.length buckets);
         Array.iter
           (fun (lo, hi, count, d) ->
-            w_value body lo;
-            w_value body hi;
-            w_i64 body count;
-            w_i64 body d)
+            Wire.w_value body lo;
+            Wire.w_value body hi;
+            Wire.w_i64 body count;
+            Wire.w_i64 body d)
           buckets;
         let mcv = Histogram.mcv h in
-        w_u32 body (Array.length mcv);
+        Wire.w_u32 body (Array.length mcv);
         Array.iter
           (fun (v, c) ->
-            w_value body v;
-            w_i64 body c)
+            Wire.w_value body v;
+            Wire.w_i64 body c)
           mcv;
         let sample = Table_stats.sample st ci in
-        w_u32 body (Array.length sample);
-        Array.iter (fun v -> w_value body v) sample
+        Wire.w_u32 body (Array.length sample);
+        Array.iter (fun v -> Wire.w_value body v) sample
       done)
     tables;
   (* 'T' topology registry, TID order. *)
   Buffer.add_char body 'T';
-  w_u32 body (List.length topologies);
+  Wire.w_u32 body (List.length topologies);
   List.iter
     (fun (t : Topology.t) ->
       let g = t.Topology.graph in
-      w_str body t.Topology.key;
+      Wire.w_str body t.Topology.key;
       let nodes = Topo_graph.Lgraph.nodes g in
-      w_u32 body (List.length nodes);
+      Wire.w_u32 body (List.length nodes);
       List.iter
         (fun id ->
-          w_i64 body id;
-          w_i64 body (Topo_graph.Lgraph.node_label g id))
+          Wire.w_i64 body id;
+          Wire.w_i64 body (Topo_graph.Lgraph.node_label g id))
         nodes;
       let edges = Topo_graph.Lgraph.edges g in
-      w_u32 body (List.length edges);
+      Wire.w_u32 body (List.length edges);
       List.iter
         (fun { Topo_graph.Lgraph.u; v; label } ->
-          w_i64 body u;
-          w_i64 body v;
-          w_i64 body label)
+          Wire.w_i64 body u;
+          Wire.w_i64 body v;
+          Wire.w_i64 body label)
         edges;
       let decompositions = Atomic.get t.Topology.decompositions in
-      w_u32 body (List.length decompositions);
+      Wire.w_u32 body (List.length decompositions);
       List.iter
         (fun d ->
-          w_u32 body (List.length d);
-          List.iter (fun key -> w_u32 body (pool_id key)) d)
+          Wire.w_u32 body (List.length d);
+          List.iter (fun key -> Wire.w_u32 body (pool_id key)) d)
         decompositions)
     topologies;
   (* 'B' build configuration and sweep statistics. *)
   Buffer.add_char body 'B';
-  w_u32 body ctx.Context.l;
-  w_i64 body ctx.Context.caps.Compute.max_reps_per_class;
-  w_i64 body ctx.Context.caps.Compute.max_combos_per_pair;
-  w_i64 body ctx.Context.caps.Compute.max_paths_per_class;
-  w_u32 body engine.Engine.jobs;
-  w_u32 body (List.length engine.Engine.build_stats);
+  Wire.w_u32 body ctx.Context.l;
+  Wire.w_i64 body ctx.Context.caps.Compute.max_reps_per_class;
+  Wire.w_i64 body ctx.Context.caps.Compute.max_combos_per_pair;
+  Wire.w_i64 body ctx.Context.caps.Compute.max_paths_per_class;
+  Wire.w_u32 body engine.Engine.jobs;
+  Wire.w_u32 body (List.length engine.Engine.build_stats);
   List.iter
     (fun (t1, t2, (s : Compute.stats)) ->
-      w_str body t1;
-      w_str body t2;
-      w_i64 body s.Compute.schema_paths;
-      w_i64 body s.Compute.instance_paths;
-      w_i64 body s.Compute.pairs;
-      w_i64 body s.Compute.unions;
-      w_i64 body s.Compute.capped_pairs)
+      Wire.w_str body t1;
+      Wire.w_str body t2;
+      Wire.w_i64 body s.Compute.schema_paths;
+      Wire.w_i64 body s.Compute.instance_paths;
+      Wire.w_i64 body s.Compute.pairs;
+      Wire.w_i64 body s.Compute.unions;
+      Wire.w_i64 body s.Compute.capped_pairs)
     engine.Engine.build_stats;
   (* 'P' per-pair stores. *)
   Buffer.add_char body 'P';
-  w_u32 body (List.length stores);
+  Wire.w_u32 body (List.length stores);
   List.iter
     (fun (s : Store.t) ->
-      w_str body s.Store.t1;
-      w_str body s.Store.t2;
-      w_u32 body (List.length s.Store.pruned);
-      List.iter (fun (p : Topology.t) -> w_i64 body p.Topology.tid) s.Store.pruned;
+      Wire.w_str body s.Store.t1;
+      Wire.w_str body s.Store.t2;
+      Wire.w_u32 body (List.length s.Store.pruned);
+      List.iter (fun (p : Topology.t) -> Wire.w_i64 body p.Topology.tid) s.Store.pruned;
       let freqs =
         Hashtbl.fold (fun tid freq acc -> (tid, freq) :: acc) s.Store.frequencies []
         |> List.sort compare
       in
-      w_u32 body (List.length freqs);
+      Wire.w_u32 body (List.length freqs);
       List.iter
         (fun (tid, freq) ->
-          w_i64 body tid;
-          w_i64 body freq)
+          Wire.w_i64 body tid;
+          Wire.w_i64 body freq)
         freqs;
-      w_i64 body (List.length s.Store.rows);
+      Wire.w_i64 body (List.length s.Store.rows);
       List.iter
         (fun (r : Compute.pair_row) ->
-          w_i64 body r.Compute.a;
-          w_i64 body r.Compute.b;
-          w_u32 body (List.length r.Compute.tids);
-          List.iter (fun tid -> w_i64 body tid) r.Compute.tids;
-          w_u32 body (List.length r.Compute.class_keys);
-          List.iter (fun key -> w_u32 body (pool_id key)) r.Compute.class_keys)
+          Wire.w_i64 body r.Compute.a;
+          Wire.w_i64 body r.Compute.b;
+          Wire.w_u32 body (List.length r.Compute.tids);
+          List.iter (fun tid -> Wire.w_i64 body tid) r.Compute.tids;
+          Wire.w_u32 body (List.length r.Compute.class_keys);
+          List.iter (fun key -> Wire.w_u32 body (pool_id key)) r.Compute.class_keys)
         s.Store.rows)
     stores;
-  (* 'C' class pairs (flag bit 0): pairs the registry's topologies may
-     carry decomposition classes for, beyond this engine's own built
-     pairs.  A shard slice keeps the full registry, and the registry
-     dedupes canonical topologies across pairs — so a topology observed
-     on this slice's pair can hold decompositions recorded during
-     another pair's sweep.  Loading must register those pairs' schema
-     paths too, or probe methods hit unknown class keys. *)
-  (match class_pairs with
-  | [] -> ()
-  | pairs ->
-      Buffer.add_char body 'C';
-      w_u32 body (List.length pairs);
-      List.iter
-        (fun (t1, t2) ->
-          w_str body t1;
-          w_str body t2)
-        pairs);
+  (* 'C' class pairs (flag bit 0), see [class_pairs]. *)
+  let class_pairs = class_pairs engine pool_arr in
+  if class_pairs <> [] then begin
+    Buffer.add_char body 'C';
+    Wire.w_u32 body (List.length class_pairs);
+    List.iter
+      (fun (t1, t2) ->
+        Wire.w_str body t1;
+        Wire.w_str body t2)
+      class_pairs
+  end;
   Buffer.add_char body 'E';
   let header = Buffer.create 64 in
   Buffer.add_string header magic;
-  w_u32 header version;
-  w_u32 header (if class_pairs = [] then 0 else 1) (* flags *);
-  w_i64 header (Buffer.length body);
-  w_str header fingerprint;
+  Wire.w_u32 header version;
+  Wire.w_u32 header (if class_pairs = [] then 0 else 1) (* flags *);
+  Wire.w_i64 header (Buffer.length body);
+  Wire.w_str header fingerprint;
   (* The engine fingerprint only digests the registry and the derived
      tables; the payload checksum covers every byte, so a flip in base
      data can never load silently. *)
-  w_str header (Digest.to_hex (Digest.string (Buffer.contents body)));
-  (match open_out_bin path with
-  | oc ->
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          Buffer.output_buffer oc header;
-          Buffer.output_buffer oc body)
-  | exception Sys_error msg -> fail "save: cannot write %s: %s" path msg);
+  Wire.w_str header (Digest.to_hex (Digest.string (Buffer.contents body)));
+  (try
+     Out_channel.with_open_bin path (fun oc ->
+         Buffer.output_buffer oc header;
+         Buffer.output_buffer oc body)
+   with Sys_error msg -> fail "save: cannot write %s: %s" path msg);
   Buffer.length header + Buffer.length body
 
 (* ------------------------------------------------------------------ *)
@@ -348,95 +336,37 @@ let save ?(class_pairs = []) (engine : Engine.t) ~path =
 
 let load path =
   let data =
-    match open_in_bin path with
-    | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-    | exception Sys_error msg -> fail "cannot open snapshot: %s" msg
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error msg -> fail "cannot open snapshot: %s" msg
   in
   let limit = String.length data in
-  let pos = ref 0 in
-  (* Bounds-checked primitives: every read names what it was after, so a
-     truncated or corrupt file fails with the offset and the field. *)
-  let need n what =
-    if n < 0 || !pos + n > limit then
-      fail "truncated snapshot %s: need %d byte(s) for %s at offset %d of %d" path n what !pos limit
-  in
-  let r_u8 what =
-    need 1 what;
-    let c = Char.code data.[!pos] in
-    pos := !pos + 1;
-    c
-  in
-  let r_u32 what =
-    need 4 what;
-    let v = Int32.to_int (String.get_int32_le data !pos) in
-    pos := !pos + 4;
-    if v < 0 then fail "corrupt snapshot: negative %s (%d) at offset %d" what v (!pos - 4);
-    v
-  in
-  let r_i64 what =
-    need 8 what;
-    let v = String.get_int64_le data !pos in
-    pos := !pos + 8;
-    v
-  in
-  let r_int what = Int64.to_int (r_i64 what) in
-  let r_f64 what = Int64.float_of_bits (r_i64 what) in
-  let r_count what =
-    let n = r_u32 what in
-    (* Every counted element occupies at least one byte: anything bigger
-       than the file is a corrupt length, not a big section. *)
-    if n > limit then fail "corrupt snapshot: implausible %s %d (file is %d bytes)" what n limit;
-    n
-  in
-  let r_str what =
-    let n = r_count what in
-    need n what;
-    let s = String.sub data !pos n in
-    pos := !pos + n;
-    s
-  in
-  let r_value what =
-    match r_u8 what with
-    | 0 -> Value.Null
-    | 1 -> Value.Int (r_int what)
-    | 2 -> Value.Float (r_f64 what)
-    | 3 -> Value.Str (r_str what)
-    | k -> fail "corrupt snapshot: unknown value tag %d reading %s at offset %d" k what (!pos - 1)
-  in
-  (* Explicit recursion: List.init's evaluation order is unspecified, and
-     the element reader advances [pos]. *)
-  let r_list n _what f =
-    let rec go i acc = if i = n then List.rev acc else go (i + 1) (f () :: acc) in
-    go 0 []
-  in
+  (* One bounds-checked cursor over the whole file: every read names what
+     it was after, so a truncated or corrupt file fails with the offset
+     and the field ("truncated snapshot PATH: ..."). *)
+  let r = Wire.reader ~what:("snapshot " ^ path) data in
   let expect marker section =
-    let b = r_u8 (section ^ " section marker") in
+    let b = Wire.r_u8 r (section ^ " section marker") in
     if b <> Char.code marker then
       fail "corrupt snapshot: expected %s section ('%c') at offset %d, found byte %d" section marker
-        (!pos - 1) b
+        (Wire.offset r - 1) b
   in
   (* Header. *)
-  need (String.length magic) "magic";
-  let m = String.sub data 0 (String.length magic) in
-  pos := String.length magic;
+  let m = String.sub data (Wire.r_skip r (String.length magic) "magic") (String.length magic) in
   if m <> magic then fail "bad magic %S in %s: not a toposearch snapshot (expected %S)" m path magic;
-  let file_version = r_u32 "version" in
+  let file_version = Wire.r_u32 r "version" in
   if file_version <> version then
     fail "unsupported snapshot version %d in %s (this build reads version %d)" file_version path
       version;
-  let flags = r_u32 "flags" in
+  let flags = Wire.r_u32 r "flags" in
   if flags land lnot 1 <> 0 then
     fail "unsupported snapshot flags %#x in %s (this build understands only bit 0)" flags path;
-  let payload_len = r_int "payload length" in
-  let fingerprint = r_str "fingerprint" in
-  let checksum = r_str "payload checksum" in
-  if limit - !pos <> payload_len then
+  let payload_len = Wire.r_i64 r "payload length" in
+  let fingerprint = Wire.r_str r "fingerprint" in
+  let checksum = Wire.r_str r "payload checksum" in
+  if limit - Wire.offset r <> payload_len then
     fail "truncated snapshot %s: header promises %d payload byte(s), file has %d" path payload_len
-      (limit - !pos);
-  let actual_checksum = Digest.to_hex (Digest.substring data !pos payload_len) in
+      (limit - Wire.offset r);
+  let actual_checksum = Digest.to_hex (Digest.substring data (Wire.offset r) payload_len) in
   if actual_checksum <> checksum then
     fail "corrupt snapshot %s: payload checksum mismatch (header %s, payload digests to %s)" path
       checksum actual_checksum;
@@ -444,18 +374,18 @@ let load path =
     (* 'I' intern pool: re-intern in id order, verifying density. *)
     expect 'I' "intern pool";
     let interner = Topo_util.Interner.create () in
-    let n_interned = r_count "interned string count" in
+    let n_interned = Wire.r_count r "interned string count" in
     for i = 0 to n_interned - 1 do
-      let s = r_str "interned string" in
+      let s = Wire.r_str r "interned string" in
       let id = Topo_util.Interner.intern interner s in
       if id <> i then fail "corrupt snapshot: interned string %S got id %d, expected %d" s id i
     done;
     (* 'G' class-key pool. *)
     expect 'G' "class-key pool";
-    let n_pool = r_count "class-key pool size" in
+    let n_pool = Wire.r_count r "class-key pool size" in
     let pool = Array.make n_pool "" in
     for i = 0 to n_pool - 1 do
-      pool.(i) <- r_str "class key"
+      pool.(i) <- Wire.r_str r "class key"
     done;
     let pool_str i =
       if i >= Array.length pool then
@@ -466,16 +396,16 @@ let load path =
     (* 'C' catalog tables. *)
     expect 'C' "catalog";
     let catalog = Catalog.create () in
-    let n_tables = r_count "table count" in
+    let n_tables = Wire.r_count r "table count" in
     let tables =
-      r_list n_tables "table" (fun () ->
-          let name = r_str "table name" in
-          let arity = r_count "table arity" in
+      Wire.r_list r n_tables "table" (fun () ->
+          let name = Wire.r_str r "table name" in
+          let arity = Wire.r_count r "table arity" in
           let cols =
-            r_list arity "column" (fun () ->
-                let cname = r_str "column name" in
+            Wire.r_list r arity "column" (fun () ->
+                let cname = Wire.r_str r "column name" in
                 let ty =
-                  match r_u8 "column type" with
+                  match Wire.r_u8 r "column type" with
                   | 0 -> Schema.TInt
                   | 1 -> Schema.TFloat
                   | 2 -> Schema.TStr
@@ -484,13 +414,13 @@ let load path =
                 { Schema.name = cname; ty })
           in
           let primary_key =
-            match r_u8 "primary key flag" with
+            match Wire.r_u8 r "primary key flag" with
             | 0 -> None
-            | 1 -> Some (r_str "primary key column")
+            | 1 -> Some (Wire.r_str r "primary key column")
             | k -> fail "corrupt snapshot: bad primary-key flag %d in table %s" k name
           in
           let schema = Schema.make cols in
-          let n = r_int "row count" in
+          let n = Wire.r_i64 r "row count" in
           if n < 0 || n > limit then
             fail "corrupt snapshot: implausible row count %d for table %s" n name;
           let str_col = Array.of_list (List.map (fun (c : Schema.column) -> c.Schema.ty = Schema.TStr) cols) in
@@ -503,33 +433,27 @@ let load path =
              int or float cell and a length-prefixed string per string
              cell. *)
           let tags = Array.make arity 0 and at = Array.make arity 0 in
-          let tag ci r = Char.code data.[tags.(ci) + r] in
+          let tag ci i = Char.code data.[tags.(ci) + i] in
           for ci = 0 to arity - 1 do
-            need n "cell tags";
-            tags.(ci) <- !pos;
-            pos := !pos + n;
-            at.(ci) <- !pos;
-            for r = 0 to n - 1 do
-              match tag ci r with
+            tags.(ci) <- Wire.r_skip r n "cell tags";
+            at.(ci) <- Wire.offset r;
+            for i = 0 to n - 1 do
+              match tag ci i with
               | 0 when str_col.(ci) -> ()
-              | 0 | 1 | 2 ->
-                  need 8 "numeric cell";
-                  pos := !pos + 8
+              | 0 | 1 | 2 -> ignore (Wire.r_skip r 8 "numeric cell")
               | 3 when str_col.(ci) ->
-                  let len = r_count "string cell" in
-                  need len "string cell";
-                  pos := !pos + len
+                  ignore (Wire.r_skip r (Wire.r_count r "string cell") "string cell")
               | t ->
                   fail "corrupt snapshot: unexpected cell tag %d in %s.%s" t name
                     (List.nth cols ci).Schema.name
             done
           done;
           let tb = Table.create ~name ~schema ?primary_key () in
-          for r = 0 to n - 1 do
+          for i = 0 to n - 1 do
             let row = Array.make arity Value.Null in
             for ci = 0 to arity - 1 do
               let p = at.(ci) in
-              match tag ci r with
+              match tag ci i with
               | 0 -> if not str_col.(ci) then at.(ci) <- p + 8
               | 3 ->
                   let len = Int32.to_int (String.get_int32_le data p) in
@@ -555,55 +479,55 @@ let load path =
     expect 'X' "index specs";
     List.iter
       (fun tb ->
-        let n_specs = r_count "index spec count" in
+        let n_specs = Wire.r_count r "index spec count" in
         for _ = 1 to n_specs do
           let kind =
-            match r_u8 "index kind" with
+            match Wire.r_u8 r "index kind" with
             | 0 -> Index.Hash
             | 1 -> Index.Sorted
             | k -> fail "corrupt snapshot: unknown index kind %d on table %s" k (Table.name tb)
           in
-          let n_cols = r_count "index column count" in
-          let cols = r_list n_cols "index column" (fun () -> r_str "index column name") in
+          let n_cols = Wire.r_count r "index column count" in
+          let cols = Wire.r_list r n_cols "index column" (fun () -> Wire.r_str r "index column name") in
           Table.declare_index tb ~kind ~cols
         done)
       tables;
     (* 'S' statistics. *)
     expect 'S' "statistics";
-    let n_stats = r_count "statistics count" in
+    let n_stats = Wire.r_count r "statistics count" in
     let stats_entries =
-      r_list n_stats "statistics entry" (fun () ->
-          let name = r_str "statistics table name" in
-          let row_count = r_int "statistics row count" in
-          let avg_width = r_f64 "statistics avg width" in
-          let ncols = r_count "statistics column count" in
+      Wire.r_list r n_stats "statistics entry" (fun () ->
+          let name = Wire.r_str r "statistics table name" in
+          let row_count = Wire.r_i64 r "statistics row count" in
+          let avg_width = Wire.r_f64 r "statistics avg width" in
+          let ncols = Wire.r_count r "statistics column count" in
           let histograms = Array.make ncols (Histogram.build [||]) in
           let samples = Array.make ncols [||] in
           for ci = 0 to ncols - 1 do
-            let total = r_int "histogram total" in
-            let nulls = r_int "histogram null count" in
-            let distinct = r_int "histogram distinct" in
-            let n_buckets = r_count "histogram bucket count" in
+            let total = Wire.r_i64 r "histogram total" in
+            let nulls = Wire.r_i64 r "histogram null count" in
+            let distinct = Wire.r_i64 r "histogram distinct" in
+            let n_buckets = Wire.r_count r "histogram bucket count" in
             let buckets = Array.make n_buckets (Value.Null, Value.Null, 0, 0) in
             for i = 0 to n_buckets - 1 do
-              let lo = r_value "bucket lo" in
-              let hi = r_value "bucket hi" in
-              let count = r_int "bucket count" in
-              let d = r_int "bucket distinct" in
+              let lo = Wire.r_value r "bucket lo" in
+              let hi = Wire.r_value r "bucket hi" in
+              let count = Wire.r_i64 r "bucket count" in
+              let d = Wire.r_i64 r "bucket distinct" in
               buckets.(i) <- (lo, hi, count, d)
             done;
-            let n_mcv = r_count "mcv count" in
+            let n_mcv = Wire.r_count r "mcv count" in
             let mcv = Array.make n_mcv (Value.Null, 0) in
             for i = 0 to n_mcv - 1 do
-              let v = r_value "mcv value" in
-              let c = r_int "mcv frequency" in
+              let v = Wire.r_value r "mcv value" in
+              let c = Wire.r_i64 r "mcv frequency" in
               mcv.(i) <- (v, c)
             done;
             histograms.(ci) <- Histogram.restore ~total ~nulls ~distinct ~buckets ~mcv;
-            let n_sample = r_count "sample size" in
+            let n_sample = Wire.r_count r "sample size" in
             let sample = Array.make n_sample Value.Null in
             for i = 0 to n_sample - 1 do
-              sample.(i) <- r_value "sample value"
+              sample.(i) <- Wire.r_value r "sample value"
             done;
             samples.(ci) <- sample
           done;
@@ -613,29 +537,30 @@ let load path =
     (* 'T' topology registry: re-register in TID order, verify keys. *)
     expect 'T' "topology registry";
     let registry = Topology.create_registry () in
-    let n_tops = r_count "topology count" in
+    let n_tops = Wire.r_count r "topology count" in
     for tid = 1 to n_tops do
-      let key = r_str "topology key" in
+      let key = Wire.r_str r "topology key" in
       let g = Topo_graph.Lgraph.empty () in
-      let n_nodes = r_count "topology node count" in
+      let n_nodes = Wire.r_count r "topology node count" in
       for _ = 1 to n_nodes do
-        let id = r_int "node id" in
-        let label = r_int "node label" in
+        let id = Wire.r_i64 r "node id" in
+        let label = Wire.r_i64 r "node label" in
         Topo_graph.Lgraph.add_node g ~id ~label
       done;
-      let n_edges = r_count "topology edge count" in
+      let n_edges = Wire.r_count r "topology edge count" in
       for _ = 1 to n_edges do
-        let u = r_int "edge endpoint" in
-        let v = r_int "edge endpoint" in
-        let label = r_int "edge label" in
+        let u = Wire.r_i64 r "edge endpoint" in
+        let v = Wire.r_i64 r "edge endpoint" in
+        let label = Wire.r_i64 r "edge label" in
         Topo_graph.Lgraph.add_edge g ~u ~v ~label
       done;
-      let n_decomps = r_count "decomposition count" in
+      let n_decomps = Wire.r_count r "decomposition count" in
       if n_decomps = 0 then fail "corrupt snapshot: topology %d has no decomposition" tid;
       let decompositions =
-        r_list n_decomps "decomposition" (fun () ->
-            let n_keys = r_count "decomposition key count" in
-            r_list n_keys "decomposition key" (fun () -> pool_str (r_u32 "class-key pool index")))
+        Wire.r_list r n_decomps "decomposition" (fun () ->
+            let n_keys = Wire.r_count r "decomposition key count" in
+            Wire.r_list r n_keys "decomposition key" (fun () ->
+                pool_str (Wire.r_u32 r "class-key pool index")))
       in
       let t =
         List.fold_left
@@ -650,22 +575,22 @@ let load path =
     done;
     (* 'B' build configuration. *)
     expect 'B' "build config";
-    let l = r_count "l" in
-    let max_reps_per_class = r_int "max_reps_per_class" in
-    let max_combos_per_pair = r_int "max_combos_per_pair" in
-    let max_paths_per_class = r_int "max_paths_per_class" in
+    let l = Wire.r_u32 r "l" in
+    let max_reps_per_class = Wire.r_i64 r "max_reps_per_class" in
+    let max_combos_per_pair = Wire.r_i64 r "max_combos_per_pair" in
+    let max_paths_per_class = Wire.r_i64 r "max_paths_per_class" in
     let caps = { Compute.max_reps_per_class; max_combos_per_pair; max_paths_per_class } in
-    let jobs = r_count "jobs" in
-    let n_pairs = r_count "build stats count" in
+    let jobs = Wire.r_u32 r "jobs" in
+    let n_pairs = Wire.r_count r "build stats count" in
     let build_stats =
-      r_list n_pairs "build stats entry" (fun () ->
-          let t1 = r_str "pair t1" in
-          let t2 = r_str "pair t2" in
-          let schema_paths = r_int "schema paths" in
-          let instance_paths = r_int "instance paths" in
-          let pairs = r_int "connected pairs" in
-          let unions = r_int "unions" in
-          let capped_pairs = r_int "capped pairs" in
+      Wire.r_list r n_pairs "build stats entry" (fun () ->
+          let t1 = Wire.r_str r "pair t1" in
+          let t2 = Wire.r_str r "pair t2" in
+          let schema_paths = Wire.r_i64 r "schema paths" in
+          let instance_paths = Wire.r_i64 r "instance paths" in
+          let pairs = Wire.r_i64 r "connected pairs" in
+          let unions = Wire.r_i64 r "unions" in
+          let capped_pairs = Wire.r_i64 r "capped pairs" in
           (t1, t2, { Compute.schema_paths; instance_paths; pairs; unions; capped_pairs }))
     in
     (* The derived graphs are rebuilt, not stored: the data graph and
@@ -690,44 +615,45 @@ let load path =
     List.iter (fun (t1, t2, _) -> Context.register_class_paths ctx ~t1 ~t2) build_stats;
     (* 'P' per-pair stores. *)
     expect 'P' "stores";
-    let n_stores = r_count "store count" in
+    let n_stores = Wire.r_count r "store count" in
     for _ = 1 to n_stores do
-      let t1 = r_str "store t1" in
-      let t2 = r_str "store t2" in
+      let t1 = Wire.r_str r "store t1" in
+      let t2 = Wire.r_str r "store t2" in
       let alltops, lefttops, excptops, topinfo = Store.table_names ~t1 ~t2 in
       List.iter
         (fun name ->
           if not (Catalog.mem catalog name) then
             fail "corrupt snapshot: store %s-%s references missing table %s" t1 t2 name)
         [ alltops; lefttops; excptops; topinfo ];
-      let n_pruned = r_count "pruned count" in
+      let n_pruned = Wire.r_count r "pruned count" in
       let pruned =
-        r_list n_pruned "pruned topology" (fun () ->
-            let tid = r_int "pruned TID" in
+        Wire.r_list r n_pruned "pruned topology" (fun () ->
+            let tid = Wire.r_i64 r "pruned TID" in
             match Topology.find registry tid with
             | t -> t
             | exception Not_found ->
                 fail "corrupt snapshot: pruned TID %d of store %s-%s not in registry" tid t1 t2)
       in
-      let n_freqs = r_count "frequency count" in
+      let n_freqs = Wire.r_count r "frequency count" in
       let frequencies = Hashtbl.create (max 16 n_freqs) in
       for _ = 1 to n_freqs do
-        let tid = r_int "frequency TID" in
-        let freq = r_int "frequency" in
+        let tid = Wire.r_i64 r "frequency TID" in
+        let freq = Wire.r_i64 r "frequency" in
         Hashtbl.replace frequencies tid freq
       done;
-      let n_rows = r_int "store row count" in
+      let n_rows = Wire.r_i64 r "store row count" in
       if n_rows < 0 || n_rows > limit then
         fail "corrupt snapshot: implausible store row count %d for %s-%s" n_rows t1 t2;
       let rows =
-        r_list n_rows "store row" (fun () ->
-            let a = r_int "row a" in
-            let b = r_int "row b" in
-            let n_tids = r_count "row TID count" in
-            let tids = r_list n_tids "row TID" (fun () -> r_int "TID") in
-            let n_keys = r_count "row class-key count" in
+        Wire.r_list r n_rows "store row" (fun () ->
+            let a = Wire.r_i64 r "row a" in
+            let b = Wire.r_i64 r "row b" in
+            let n_tids = Wire.r_count r "row TID count" in
+            let tids = Wire.r_list r n_tids "row TID" (fun () -> Wire.r_i64 r "TID") in
+            let n_keys = Wire.r_count r "row class-key count" in
             let class_keys =
-              r_list n_keys "row class key" (fun () -> pool_str (r_u32 "class-key pool index"))
+              Wire.r_list r n_keys "row class key" (fun () ->
+                  pool_str (Wire.r_u32 r "class-key pool index"))
             in
             { Compute.a; b; tids; class_keys })
       in
@@ -740,23 +666,22 @@ let load path =
        sweeps contributed decompositions to this slice's shared registry. *)
     if flags land 1 <> 0 then begin
       expect 'C' "class pairs";
-      let n = r_count "class pair count" in
+      let n = Wire.r_count r "class pair count" in
       for _ = 1 to n do
-        let t1 = r_str "class pair t1" in
-        let t2 = r_str "class pair t2" in
+        let t1 = Wire.r_str r "class pair t1" in
+        let t2 = Wire.r_str r "class pair t2" in
         Context.register_class_paths ctx ~t1 ~t2
       done
     end;
     expect 'E' "end";
-    if !pos <> limit then
-      fail "corrupt snapshot: %d trailing byte(s) after the end marker" (limit - !pos);
+    Wire.r_end r;
     { Engine.ctx; build_stats; jobs }
   in
   let engine =
     try decode () with
     | Error _ as e -> raise e
     | e ->
-        fail "corrupt snapshot %s: decode failed at offset %d: %s" path !pos
+        fail "corrupt snapshot %s: decode failed at offset %d: %s" path (Wire.offset r)
           (Printexc.to_string e)
   in
   let actual = Engine.fingerprint engine in
@@ -887,32 +812,22 @@ let save_sharded (engine : Engine.t) ~dir ~shards =
   for k = 0 to shards - 1 do
     let slice = slice_engine engine ~shards ~shard:k in
     fingerprints.(k) <- Engine.fingerprint slice;
-    (* Every slice carries the parent's full pair list: the shared
-       registry's decompositions can reference any built pair's classes. *)
-    let class_pairs = List.map (fun (t1, t2, _) -> (t1, t2)) engine.Engine.build_stats in
-    total := !total + save ~class_pairs slice ~path:(shard_path ~dir k)
+    total := !total + save slice ~path:(shard_path ~dir k)
   done;
   let m = { shards; derivation = partition_derivation; pairs; fingerprints } in
   let text = render_manifest m in
-  (match open_out_bin (manifest_path dir) with
-  | oc ->
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc text;
-          output_char oc '\n')
-  | exception Sys_error msg -> fail "save_sharded: cannot write manifest: %s" msg);
+  (try
+     Out_channel.with_open_bin (manifest_path dir) (fun oc ->
+         Out_channel.output_string oc text;
+         Out_channel.output_char oc '\n')
+   with Sys_error msg -> fail "save_sharded: cannot write manifest: %s" msg);
   (m, !total + String.length text + 1)
 
 let load_manifest dir =
   let path = manifest_path dir in
   let text =
-    match open_in_bin path with
-    | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-    | exception Sys_error msg -> fail "cannot open manifest: %s" msg
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error msg -> fail "cannot open manifest: %s" msg
   in
   let module J = Topo_obs.Json in
   let v = match J.parse text with Ok v -> v | Error msg -> fail "corrupt manifest %s: %s" path msg in

@@ -28,7 +28,9 @@
 
 (** Raised by {!save} (unencodable state, I/O errors) and {!load}
     (unreadable, corrupt, version-mismatched, or fingerprint-mismatched
-    snapshots).  The message says what was being read and where. *)
+    snapshots).  The message says what was being read and where.  It is
+    {!Wire.Error}: snapshots read and write through {!Wire}'s primitives
+    and bounds-checked reader. *)
 exception Error of string
 
 (** The format version this build writes and reads.  Bumped on any layout
@@ -36,13 +38,14 @@ exception Error of string
 val version : int
 
 (** [save engine ~path] writes the snapshot and returns the byte count.
-    [class_pairs] (used by {!save_sharded}; empty by default) lists
-    extra entity-set pairs whose schema paths {!load} must register as
-    decomposition classes — a slice keeps the full topology registry,
-    which can carry decompositions recorded during other pairs' sweeps.
+    A shard slice keeps the full topology registry, which can carry
+    decompositions recorded during other pairs' sweeps; [save] then also
+    records those pairs (flag bit 0), sorted, so {!load} registers their
+    schema paths as decomposition classes.  A full engine records none
+    and writes flags 0.  Saving a loaded slice reproduces its file.
     @raise Error on unencodable state (e.g. a string value in a numeric
     column) or I/O failure. *)
-val save : ?class_pairs:(string * string) list -> Engine.t -> path:string -> int
+val save : Engine.t -> path:string -> int
 
 (** [load path] reconstructs the engine: restores the intern pool, the
     catalog (tables, indexes, statistics), the topology registry (every

@@ -5,7 +5,7 @@
      magic "TOPOWIRE" | version u16 | kind u8 | payload length u32
      | payload checksum (MD5, 16 raw bytes) | payload bytes
 
-   All integers are little-endian, matching the snapshot codec; the
+   All integers are little-endian; the
    header is a fixed 31 bytes so a reader can pull it in one blocking
    read and know exactly how much payload follows.  The checksum covers
    every payload byte, so a flipped bit in transit is a loud [Error],
@@ -16,6 +16,8 @@
    about what the payloads mean.  [Request.to_wire]/[Request.of_wire]
    own the payload codecs and delegate the frame envelope here, so the
    canonical key, the cache key and the wire form live at one site.
+   The primitives and the reader are the repository's only byte codec:
+   [Snapshot] writes and reads its files through them too.
 
    Socket IO: [send]/[recv] speak frames over a connected socket with
    optional read/write timeouts (SO_RCVTIMEO/SO_SNDTIMEO, see
@@ -79,12 +81,26 @@ let w_str buf s =
 
 let w_bool buf b = w_u8 buf (if b then 1 else 0)
 
+let w_value buf = function
+  | Topo_sql.Value.Null -> w_u8 buf 0
+  | Topo_sql.Value.Int n ->
+      w_u8 buf 1;
+      w_i64 buf n
+  | Topo_sql.Value.Float f ->
+      w_u8 buf 2;
+      w_f64 buf f
+  | Topo_sql.Value.Str s ->
+      w_u8 buf 3;
+      w_str buf s
+
 (* ------------------------------------------------------------------ *)
 (* Reader: a bounds-checked cursor over one payload                    *)
 
 type reader = { data : string; mutable pos : int; ctx : string }
 
 let reader ?(what = "payload") data = { data; pos = 0; ctx = what }
+
+let offset r = r.pos
 
 let need r n what =
   if n < 0 || r.pos + n > String.length r.data then
@@ -122,6 +138,12 @@ let r_f64 r what =
   r.pos <- r.pos + 8;
   v
 
+let r_skip r n what =
+  need r n what;
+  let at = r.pos in
+  r.pos <- at + n;
+  at
+
 let r_count r what =
   let n = r_u32 r what in
   (* Every counted element occupies at least one byte downstream:
@@ -143,6 +165,14 @@ let r_bool r what =
   | 0 -> false
   | 1 -> true
   | b -> fail "corrupt %s: bad boolean %d reading %s" r.ctx b what
+
+let r_value r what =
+  match r_u8 r what with
+  | 0 -> Topo_sql.Value.Null
+  | 1 -> Topo_sql.Value.Int (r_i64 r what)
+  | 2 -> Topo_sql.Value.Float (r_f64 r what)
+  | 3 -> Topo_sql.Value.Str (r_str r what)
+  | t -> fail "corrupt %s: unknown value tag %d reading %s at offset %d" r.ctx t what (r.pos - 1)
 
 (* Explicit recursion: List.init's evaluation order is unspecified and
    the element reader advances the cursor. *)

@@ -17,7 +17,9 @@
     bounds-checked payload reader and socket IO — but nothing about
     payload contents. {!Request.to_wire}/{!Request.of_wire} own the
     payload codecs and delegate the envelope here, which keeps [Wire]
-    below [Request] in the module graph.
+    below [Request] in the module graph.  The primitives and the reader
+    are the only byte codec in the repository: {!Snapshot}, {!Request},
+    [Shard] and [Router] all read and write through them.
 
     Every decoding failure — bad magic, cross-version header, oversized
     length, truncation, checksum mismatch, out-of-range tag — raises
@@ -56,8 +58,7 @@ val kind_name : int -> string
 
 (** {1 Writer primitives}
 
-    Little-endian, streamed into a [Buffer.t]; the same conventions as
-    the snapshot codec. *)
+    Little-endian, streamed into a [Buffer.t]. *)
 
 val w_u8 : Buffer.t -> int -> unit
 
@@ -73,6 +74,10 @@ val w_str : Buffer.t -> string -> unit
 
 val w_bool : Buffer.t -> bool -> unit
 
+val w_value : Buffer.t -> Topo_sql.Value.t -> unit
+(** A tag byte (0 null, 1 int, 2 float, 3 string), then an 8-byte int,
+    the float's 8-byte bit pattern or a length-prefixed string. *)
+
 (** {1 Bounds-checked payload reader} *)
 
 type reader
@@ -80,6 +85,13 @@ type reader
 val reader : ?what:string -> string -> reader
 (** [reader ?what payload] starts a cursor at offset 0. [what] names the
     payload in error messages (default ["payload"]). *)
+
+val offset : reader -> int
+(** The cursor's position: the number of bytes consumed so far. *)
+
+val r_skip : reader -> int -> string -> int
+(** [r_skip r n what] checks that [n] bytes remain, advances past them
+    and returns the offset they start at. *)
 
 val r_u8 : reader -> string -> int
 
@@ -98,6 +110,9 @@ val r_bool : reader -> string -> bool
 val r_count : reader -> string -> int
 (** Like {!r_u32} but additionally rejects counts larger than the bytes
     remaining — a cheap plausibility check on corrupt length fields. *)
+
+val r_value : reader -> string -> Topo_sql.Value.t
+(** Reads what {!w_value} writes; an unknown tag is an {!Error}. *)
 
 val r_list : reader -> int -> string -> (unit -> 'a) -> 'a list
 (** [r_list r n what f] reads [n] elements with [f] in order. *)

@@ -9,11 +9,6 @@ let query ?check catalog text =
 
 let explain ?check catalog text = Physical.explain (to_plan ?check catalog text)
 
-let query_instrumented ?check catalog text =
-  let plan = to_plan ?check catalog text in
-  let it, stats = Physical.lower_instrumented catalog plan in
-  (Physical.schema catalog plan, Iterator.to_list it, stats)
-
 let render ?check catalog text =
   let schema, rows = query ?check catalog text in
   let header = Array.to_list (Array.map (fun (c : Schema.column) -> c.Schema.name) (Schema.columns schema)) in

@@ -16,14 +16,6 @@ val query : ?check:bool -> Catalog.t -> string -> Schema.t * Tuple.t list
     rendered as text. *)
 val explain : ?check:bool -> Catalog.t -> string -> string
 
-(** [query_instrumented catalog text] is {!query} through
-    {!Physical.lower_instrumented}: every operator is wrapped in
-    {!Op_stats.wrap} and the filled per-operator stats tree is returned
-    alongside the results.  [Topo_obs.Explain_analyze] builds the full
-    estimate-vs-actual report on top of this. *)
-val query_instrumented :
-  ?check:bool -> Catalog.t -> string -> Schema.t * Tuple.t list * Op_stats.annotated
-
 (** [to_plan catalog text] parses and plans without executing. *)
 val to_plan : ?check:bool -> Catalog.t -> string -> Physical.t
 

@@ -126,6 +126,30 @@ let test_generator_scale () =
   let tiny = Biozon.Generator.scale 0.00001 base in
   Alcotest.(check bool) "never zero" true (tiny.Biozon.Generator.n_proteins >= 1)
 
+(* A factor that is not finite and > 0 used to clamp every population to
+   one, and [generate]'s interaction loop then never found two distinct
+   proteins. *)
+let test_generator_rejects_degenerate_scale () =
+  let base = Biozon.Generator.default in
+  List.iter
+    (fun f ->
+      match Biozon.Generator.scale f base with
+      | _ -> Alcotest.failf "scale %g accepted" f
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool) (Printf.sprintf "scale %g names the factor" f) true
+            (String.length msg > 0))
+    [ 0.0; -1.0; Float.nan; Float.infinity; Float.neg_infinity ];
+  let one_protein = Biozon.Generator.scale 0.001 base in
+  Alcotest.(check int) "0.001 leaves one protein" 1 one_protein.Biozon.Generator.n_proteins;
+  (match Biozon.Generator.generate one_protein with
+  | _ -> Alcotest.fail "interactions over one protein generated"
+  | exception Invalid_argument _ -> ());
+  let cat =
+    Biozon.Generator.generate { one_protein with Biozon.Generator.n_interactions = 0 }
+  in
+  Alcotest.(check int) "no interactions asked, one protein generated" 1
+    (Table.row_count (Catalog.find cat "Protein"))
+
 let test_generator_selectivity_targets () =
   let cat = Biozon.Generator.generate { Biozon.Generator.default with Biozon.Generator.n_proteins = 2000 } in
   let protein = Catalog.find cat "Protein" in
@@ -200,5 +224,7 @@ let suites =
         Alcotest.test_case "scaling" `Quick test_generator_scale;
         Alcotest.test_case "selectivity targets" `Slow test_generator_selectivity_targets;
         Alcotest.test_case "Fig 16 motif present" `Slow test_generator_contains_fig16_motif;
+        Alcotest.test_case "degenerate scale rejected" `Quick
+          test_generator_rejects_degenerate_scale;
       ] );
   ]

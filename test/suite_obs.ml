@@ -36,7 +36,8 @@ let test_instrumented_matches_plain () =
   List.iter
     (fun sql ->
       let _, expected = Sql.query cat sql in
-      let _, actual, _stats = Sql.query_instrumented cat sql in
+      let it, _stats = Physical.lower_instrumented cat (Sql.to_plan cat sql) in
+      let actual = Iterator.to_list it in
       Alcotest.(check int) "cardinality" (List.length expected) (List.length actual);
       Alcotest.(check bool) "identical tuples" true (expected = actual))
     queries
@@ -47,7 +48,8 @@ let test_op_stats_counts () =
   let cat = paper_catalog () in
   List.iter
     (fun sql ->
-      let _, rows, stats = Sql.query_instrumented cat sql in
+      let it, stats = Physical.lower_instrumented cat (Sql.to_plan cat sql) in
+      let rows = Iterator.to_list it in
       Alcotest.(check int) "root rows = |result|" (List.length rows) (Op_stats.total_rows stats);
       Op_stats.iter
         (fun s ->

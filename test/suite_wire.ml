@@ -305,6 +305,148 @@ let test_slice_manifest_roundtrip () =
             fp (Engine.fingerprint slice))
         manifest.Snapshot.fingerprints)
 
+(* A loaded slice saves back to the very same file, class-pairs section
+   included, and serves like the full engine: [save] derives the pairs
+   whose classes the shared registry references. *)
+let test_resaved_slice () =
+  let engine =
+    Engine.build
+      (Biozon.Generator.generate
+         (Biozon.Generator.scale 0.05
+            { Biozon.Generator.default with Biozon.Generator.seed = 20070415 }))
+      ~pairs:[ ("Protein", "DNA"); ("Protein", "Interaction"); ("DNA", "Interaction") ]
+      ~pruning_threshold:10 ()
+  in
+  let requests =
+    List.filter
+      (fun (r : Request.t) -> r.Request.query.Query.e2.Query.entity = "Interaction")
+      (mixed_requests engine)
+  in
+  let serve e = (Serve.exec (Serve.config ~jobs:1 ()) e requests).Serve.outcomes in
+  with_temp_dir (fun dir ->
+      let manifest, _ = Snapshot.save_sharded engine ~dir ~shards:2 in
+      let k =
+        match Snapshot.manifest_shard manifest ~t1:"Protein" ~t2:"Interaction" with
+        | Some k -> k
+        | None -> Alcotest.fail "Protein-Interaction not in the manifest"
+      in
+      let slice_path = Snapshot.shard_path ~dir k in
+      let path = Filename.concat dir "resaved.snap" in
+      let (_ : int) = Snapshot.save (Snapshot.load slice_path) ~path in
+      let read p = In_channel.with_open_bin p In_channel.input_all in
+      Alcotest.(check bool) "re-saved slice is byte-identical" true (read slice_path = read path);
+      let outcomes = serve (Snapshot.load path) in
+      Alcotest.(check int) "no Failed outcome" 0
+        (List.length
+           (List.filter (fun (o : Request.outcome) -> Request.failure o.Request.result <> None) outcomes));
+      Alcotest.(check string) "re-saved slice serves as the full engine"
+        (Serve.fingerprint (serve engine)) (Serve.fingerprint outcomes))
+
+(* --- seeded mutation fuzzing of the one reader ---------------------------- *)
+
+(* One of four mutations of [s]: a bit flip, a truncation, a u32
+   overwritten with a length-like value, or a chunk of [s] spliced in
+   elsewhere. *)
+let mutate rng s =
+  let n = String.length s in
+  let int bound = Random.State.int rng (max 1 bound) in
+  match int 4 with
+  | 0 ->
+      let b = Bytes.of_string s in
+      let i = int n in
+      Bytes.set b i (Char.chr (Char.code s.[i] lxor (1 lsl int 8)));
+      Bytes.to_string b
+  | 1 -> String.sub s 0 (int n)
+  | 2 ->
+      let b = Bytes.of_string s in
+      let at = int (n - 3) in
+      let len =
+        match int 5 with
+        | 0 -> int 16
+        | 1 -> n - at - 4 + int 3
+        | 2 -> 0x7fff_ffff
+        | 3 -> -1
+        | _ -> Random.State.bits rng
+      in
+      Bytes.set_int32_le b at (Int32.of_int len);
+      Bytes.to_string b
+  | _ ->
+      let from = int n in
+      let chunk = String.sub s from (1 + int (min 64 (n - from))) in
+      let dst = int (n + 1) in
+      String.sub s 0 dst ^ chunk ^ String.sub s dst (n - dst)
+
+(* Each mutant gets a fresh header (payload length and checksum), so only
+   the decoder's own checks can catch it: it must raise [Snapshot.Error]
+   or load, which means it passed fingerprint verification. *)
+let test_snapshot_mutants () =
+  let engine =
+    Engine.build (Biozon.Paper_db.catalog ()) ~pairs:[ ("Protein", "DNA") ] ~pruning_threshold:50 ()
+  in
+  let path = Filename.temp_file "toposearch_fuzz" ".snap" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let (_ : int) = Snapshot.save engine ~path in
+      let file = In_channel.with_open_bin path In_channel.input_all in
+      (* Header: magic, version and flags (16 bytes), payload length,
+         fingerprint, checksum. *)
+      let r = Wire.reader file in
+      let (_ : int) = Wire.r_skip r 16 "magic, version, flags" in
+      let payload_len = Wire.r_i64 r "payload length" in
+      let fingerprint = Wire.r_str r "fingerprint" in
+      let (_ : string) = Wire.r_str r "checksum" in
+      let payload = String.sub file (Wire.offset r) payload_len in
+      let rng = Random.State.make [| 20070415 |] in
+      let rejected = ref 0 in
+      for i = 1 to 1000 do
+        let p = mutate rng payload in
+        let b = Buffer.create (String.length file + 64) in
+        Buffer.add_string b (String.sub file 0 16);
+        Wire.w_i64 b (String.length p);
+        Wire.w_str b fingerprint;
+        Wire.w_str b (Digest.to_hex (Digest.string p));
+        Buffer.add_string b p;
+        Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc b);
+        match Snapshot.load path with
+        | (_ : Engine.t) -> ()
+        | exception Snapshot.Error _ -> incr rejected
+        | exception e ->
+            Alcotest.failf "snapshot mutant %d raised %s, not Snapshot.Error" i
+              (Printexc.to_string e)
+      done;
+      Alcotest.(check bool) "mutants are rejected" true (!rejected > 0))
+
+(* Mutated request and outcome payloads, re-framed with a valid checksum:
+   each decodes or raises [Wire.Error]. *)
+let test_payload_mutants () =
+  let rng = Random.State.make [| 1901 |] in
+  let payload write v =
+    let b = Buffer.create 256 in
+    write b v;
+    Buffer.contents b
+  in
+  let rejected = ref 0 in
+  let fuzz kind decode payloads =
+    List.iteri
+      (fun i p ->
+        for _ = 1 to 25 do
+          match decode (Wire.frame ~kind (mutate rng p)) with
+          | _ -> ()
+          | exception Wire.Error _ -> incr rejected
+          | exception e ->
+              Alcotest.failf "%s mutant of payload %d raised %s, not Wire.Error" (Wire.kind_name kind)
+                i (Printexc.to_string e)
+        done)
+      payloads
+  in
+  fuzz Wire.kind_request Request.of_wire
+    (List.map (payload Request.write_payload) (QCheck.Gen.generate ~rand:rng ~n:40 gen_request));
+  fuzz Wire.kind_outcome Request.outcome_of_wire
+    (List.map (payload Request.write_outcome_payload)
+       (QCheck.Gen.generate ~rand:rng ~n:40 gen_outcome));
+  Alcotest.(check bool) "mutants are rejected" true (!rejected > 0)
+
 (* --- the shard fleet behind a router -------------------------------------- *)
 
 (* [shards] ranges over 1 (the router in front of one process) up to more
@@ -418,10 +560,17 @@ let suites =
         Alcotest.test_case "malformed frames are rejected" `Quick test_frame_rejections;
         Alcotest.test_case "reader bounds checks" `Quick test_reader_bounds;
       ] );
+    ( "wire.fuzz",
+      [
+        Alcotest.test_case "snapshot mutants: Snapshot.Error or a verified engine" `Quick
+          test_snapshot_mutants;
+        Alcotest.test_case "payload mutants: Wire.Error or a value" `Quick test_payload_mutants;
+      ] );
     ( "wire.shards",
       [
         Alcotest.test_case "partition is orientation-normalized" `Quick test_partition_orientation;
         Alcotest.test_case "slices and manifest round-trip" `Quick test_slice_manifest_roundtrip;
+        Alcotest.test_case "a loaded slice re-saves to the same file" `Quick test_resaved_slice;
         Alcotest.test_case "router == single process" `Quick test_router_shard_counts;
         Alcotest.test_case "router survives a killed shard" `Quick test_router_survives_killed_shard;
       ] );
