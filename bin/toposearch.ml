@@ -266,19 +266,35 @@ let query_run scale seed l threshold t1 t2 kw1 kw2 dna_type method_ scheme k ins
   | None -> ());
   0
 
+(* --topk, shared by query and profile.  The term checks k as the command
+   line is evaluated, before any instance is generated or built. *)
+let topk_arg =
+  let k =
+    Arg.(
+      value & opt int 10
+      & info [ "topk"; "n" ] ~docv:"N" ~doc:"Number of results for top-k methods; at least 1.")
+  in
+  let at_least_one k =
+    if k < 1 then begin
+      Printf.eprintf "--topk must be >= 1, got %d\n" k;
+      exit 2
+    end;
+    k
+  in
+  Term.(const at_least_one $ k)
+
 let query_cmd =
   let kw1 = Arg.(value & opt (some string) None & info [ "kw1" ] ~docv:"WORD" ~doc:"Keyword constraint on $(b,t1)'s description.") in
   let kw2 = Arg.(value & opt (some string) None & info [ "kw2" ] ~docv:"WORD" ~doc:"Keyword constraint on $(b,t2)'s description.") in
   let dna_type = Arg.(value & opt (some string) None & info [ "dna-type" ] ~docv:"TYPE" ~doc:"Equality constraint on DNA.type (mRNA, EST, genomic).") in
   let method_ = Arg.(value & opt method_conv Engine.Fast_top_k_opt & info [ "method" ] ~docv:"M" ~doc:"Evaluation method (paper names, e.g. Fast-Top-k-ET).") in
   let scheme = Arg.(value & opt scheme_conv Ranking.Domain & info [ "scheme" ] ~docv:"S" ~doc:"Ranking scheme: Freq, Rare or Domain.") in
-  let k = Arg.(value & opt int 10 & info [ "topk"; "n" ] ~docv:"N" ~doc:"Number of results for top-k methods.") in
   let instances = Arg.(value & flag & info [ "instances" ] ~doc:"Show instance pairs and witnesses per topology (the Figure 5 presentation).") in
   Cmd.v
     (Cmd.info "query" ~doc:"Run a topology query over a synthetic Biozon instance.")
     Term.(
       const query_run $ scale_arg $ seed_arg $ l_arg $ threshold_arg $ t1_arg $ t2_arg $ kw1 $ kw2
-      $ dna_type $ method_ $ scheme $ k $ instances)
+      $ dna_type $ method_ $ scheme $ topk_arg $ instances)
 
 (* ------------------------------------------------------------------ *)
 (* topologies                                                           *)
@@ -566,7 +582,6 @@ let profile_cmd =
   let kw2 = Arg.(value & opt (some string) None & info [ "kw2" ] ~docv:"WORD" ~doc:"Keyword constraint on $(b,t2)'s description.") in
   let method_ = Arg.(value & opt method_conv Engine.Fast_top_k_opt & info [ "method" ] ~docv:"M" ~doc:"Evaluation method (paper names, e.g. Fast-Top-k-ET).") in
   let scheme = Arg.(value & opt scheme_conv Ranking.Domain & info [ "scheme" ] ~docv:"S" ~doc:"Ranking scheme: Freq, Rare or Domain.") in
-  let k = Arg.(value & opt int 10 & info [ "topk"; "n" ] ~docv:"N" ~doc:"Number of results for top-k methods.") in
   let json_out = Arg.(value & opt (some string) None & info [ "json-out" ] ~docv:"FILE" ~doc:"Also write the span tree as JSON.") in
   Cmd.v
     (Cmd.info "profile"
@@ -575,55 +590,17 @@ let profile_cmd =
           (plan building, optimizer choice, execution, pruned-topology checks).")
     Term.(
       const profile_run $ scale_arg $ seed_arg $ l_arg $ threshold_arg $ t1_arg $ t2_arg $ kw1
-      $ kw2 $ method_ $ scheme $ k $ json_out)
+      $ kw2 $ method_ $ scheme $ topk_arg $ json_out)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                                *)
 
 module Serve = Topo_core.Serve
 
-(* Workload file: one request per line,
-     METHOD[; scheme[; k[; kw1[; kw2]]]]
-   Empty fields take defaults (Freq, 10, no keyword); `#` starts a
-   comment.  Keywords constrain the endpoint's `desc` column.  A
-   malformed line is reported with its line number, skipped, and counted
-   — one bad line does not abort the batch. *)
-let parse_workload_line catalog ~t1 ~t2 lineno line =
-  let line = match String.index_opt line '#' with Some i -> String.sub line 0 i | None -> line in
-  let fields = String.split_on_char ';' line |> List.map String.trim in
-  match fields with
-  | [] | [ "" ] -> `Blank
-  | m :: rest -> (
-      let malformed msg =
-        Printf.eprintf "workload line %d: %s (skipped)\n" lineno msg;
-        `Malformed
-      in
-      let get i = Option.value ~default:"" (List.nth_opt rest i) in
-      match
-        List.find_opt
-          (fun mm -> String.lowercase_ascii (Engine.method_name mm) = String.lowercase_ascii m)
-          Engine.all_methods
-      with
-      | None -> malformed (Printf.sprintf "unknown method %S" m)
-      | Some method_ -> (
-          match
-            if get 0 = "" then Some Ranking.Freq
-            else try Some (Ranking.of_name (get 0)) with Invalid_argument _ -> None
-          with
-          | None -> malformed ("unknown scheme " ^ get 0)
-          | Some scheme -> (
-              match if get 1 = "" then Some 10 else int_of_string_opt (get 1) with
-              | None -> malformed ("bad k " ^ get 1)
-              | Some k ->
-                  let ep entity kw =
-                    if kw = "" then Query.endpoint catalog entity
-                    else Query.keyword catalog entity ~col:"desc" ~kw
-                  in
-                  `Request
-                    (Request.make ~scheme ~k method_
-                       (Query.make (ep t1 (get 2)) (ep t2 (get 3)))))))
-
-(* Returns the parsed requests plus the count of malformed lines skipped. *)
+(* Workload file: one request per line (see [Request.of_workload_line]).
+   A malformed line is reported with its line number, skipped, and counted
+   — one bad line does not abort the batch.  Returns the parsed requests
+   plus the count of malformed lines skipped. *)
 let read_workload catalog ~t1 ~t2 path =
   match open_in path with
   | ic ->
@@ -632,11 +609,12 @@ let read_workload catalog ~t1 ~t2 path =
       let skipped = ref 0 in
       let requests =
         String.split_on_char '\n' text
-        |> List.mapi (fun i line -> parse_workload_line catalog ~t1 ~t2 (i + 1) line)
+        |> List.mapi (fun i line -> (i + 1, Request.of_workload_line catalog ~t1 ~t2 line))
         |> List.filter_map (function
-             | `Request r -> Some r
-             | `Blank -> None
-             | `Malformed ->
+             | _, `Request r -> Some r
+             | _, `Blank -> None
+             | lineno, `Malformed msg ->
+                 Printf.eprintf "workload line %d: %s (skipped)\n" lineno msg;
                  incr skipped;
                  None)
       in

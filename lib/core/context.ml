@@ -2,6 +2,14 @@ open Topo_sql
 module Sg = Topo_graph.Schema_graph
 module Dg = Topo_graph.Data_graph
 
+type walker = Dg.compiled list
+
+(* A path class with both readings compiled: [forward] walks it from its
+   E1 end, [reverse] from its E2 end.  Each reading also holds the other
+   direction when both ends have the same type and the path is not its
+   own reverse. *)
+type class_entry = { path : Sg.path; forward : walker; reverse : walker }
+
 type t = {
   catalog : Catalog.t;
   interner : Topo_util.Interner.t;
@@ -10,7 +18,7 @@ type t = {
   registry : Topology.registry;
   l : int;
   caps : Compute.caps;
-  class_paths : (string, Sg.path) Hashtbl.t;
+  class_paths : (string, class_entry) Hashtbl.t;
   stores : (string * string, Store.t) Hashtbl.t;
 }
 
@@ -24,27 +32,44 @@ let store_for t ~t1 ~t2 =
 
 let register_class_paths t ~t1 ~t2 =
   List.iter
-    (fun p -> Hashtbl.replace t.class_paths (Sg.path_key p) p)
+    (fun p ->
+      let rev = Sg.reverse p in
+      let fwd = Dg.compile t.dg p and bwd = Dg.compile t.dg rev in
+      let entry =
+        if p.Sg.types.(0) = p.Sg.types.(Array.length p.Sg.types - 1) && rev <> p then
+          { path = p; forward = [ fwd; bwd ]; reverse = [ bwd; fwd ] }
+        else { path = p; forward = [ fwd ]; reverse = [ bwd ] }
+      in
+      Hashtbl.replace t.class_paths (Sg.path_key p) entry)
     (Sg.paths t.schema ~from_:t1 ~to_:t2 ~max_len:t.l)
 
-let class_path t key =
-  match Hashtbl.find_opt t.class_paths key with
-  | Some p -> p
-  | None -> raise Not_found
+let class_path t key = (Hashtbl.find t.class_paths key).path
+
+let class_walker t ~reverse key =
+  let e = Hashtbl.find t.class_paths key in
+  if reverse then e.reverse else e.forward
 
 let satisfying_ids t (endpoint : Query.endpoint) =
   let table = Catalog.find t.catalog endpoint.Query.entity in
-  let keep = Option.map (Row_filter.compile table) endpoint.Query.pred in
-  let out = Topo_util.Dyn.create () in
-  Table.iter
-    (fun r tuple ->
-      match keep with
-      | Some f when not (f r tuple) -> ()
-      | Some _ | None -> Topo_util.Dyn.push out (Value.as_int tuple.(0)))
-    table;
-  let arr = Topo_util.Dyn.to_array out in
-  Array.sort Int.compare arr;
-  arr
+  let lane =
+    match Table.int_lane table 0 with
+    | Some lane -> lane
+    | None ->
+        invalid_arg
+          (Printf.sprintf "Context.satisfying_ids: %s has an id that is not an int" (Table.name table))
+  in
+  let ids =
+    match endpoint.Query.pred with
+    | None -> lane
+    | Some pred -> Array.map (fun r -> lane.(r)) (Row_filter.rows table pred)
+  in
+  let rec ascending i = i >= Array.length ids || (ids.(i - 1) <= ids.(i) && ascending (i + 1)) in
+  if ascending 1 then ids
+  else begin
+    let sorted = Array.copy ids in
+    Array.sort Int.compare sorted;
+    sorted
+  end
 
 let mem_id ids id =
   let rec search lo hi =
@@ -58,16 +83,12 @@ let mem_id ids id =
 
 exception Found
 
-let class_exists_between t key ~a ~b =
-  let p = class_path t key in
-  let probe path =
-    try
-      Dg.iter_instance_paths_between t.dg path ~a ~b ~f:(fun _ -> raise Found);
-      false
-    with Found -> true
-  in
-  probe p
-  ||
-  (* Same endpoint types: the class may read reversed from [a]. *)
-  let rev = Sg.reverse p in
-  p.Sg.types.(0) = p.Sg.types.(Array.length p.Sg.types - 1) && rev <> p && probe rev
+let iter_partners t walker ~source ~f = List.iter (fun c -> Dg.iter_ends t.dg c ~source ~f) walker
+
+let connects t walker ~a ~b =
+  try
+    iter_partners t walker ~source:a ~f:(fun b' -> if b' = b then raise Found);
+    false
+  with Found -> true
+
+let class_exists_between t key ~a ~b = connects t (class_walker t ~reverse:false key) ~a ~b

@@ -56,9 +56,12 @@ let build catalog ~pairs ?(l = 3) ?(caps = Compute.default_caps) ?(pruning_thres
       let pair_paths =
         List.map
           (fun (t1, t2) ->
-            Context.register_class_paths ctx ~t1 ~t2;
             let paths = List.filter path_filter (Compute.schema_paths_between schema ~t1 ~t2 ~l) in
             List.iter (Topo_graph.Data_graph.intern_path_labels dg) paths;
+            (* After the interning above, so the walkers it compiles add
+               labels (and snapshot intern-pool entries) only for paths the
+               filter dropped. *)
+            Context.register_class_paths ctx ~t1 ~t2;
             (t1, t2, paths))
           pairs
       in

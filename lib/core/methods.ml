@@ -1,6 +1,4 @@
 open Topo_sql
-module Sg = Topo_graph.Schema_graph
-module Dg = Topo_graph.Data_graph
 
 (* The nine evaluation methods of the experimental study (Section 6.1).
    This module owns the enum; [Engine] re-exports it so existing callers
@@ -118,29 +116,6 @@ let run_tids ?(check = false) ?trace ctx plan =
 
 exception Found
 
-(* A path class resolved once per check: its schema path compiled, plus
-   the other reading when both ends have the same type and the path is
-   not its own reverse.  [~reverse:true] walks the class from its E2 end:
-   the same pairs, each found from the other side. *)
-let class_walker (ctx : Context.t) ~reverse key =
-  let dg = ctx.Context.dg and p = Context.class_path ctx key in
-  let rev = Sg.reverse p in
-  let p, rev = if reverse then (rev, p) else (p, rev) in
-  if p.Sg.types.(0) = p.Sg.types.(Array.length p.Sg.types - 1) && rev <> p then
-    [ Dg.compile dg p; Dg.compile dg rev ]
-  else [ Dg.compile dg p ]
-
-(* Calls [f] at the far end of every instance path of the class from
-   [source]. *)
-let iter_partners (ctx : Context.t) walker ~source ~f =
-  List.iter (fun c -> Dg.iter_ends ctx.Context.dg c ~source ~f) walker
-
-let connects ctx walker ~a ~b =
-  try
-    iter_partners ctx walker ~source:a ~f:(fun b' -> if b' = b then raise Found);
-    false
-  with Found -> true
-
 (* A check walks every instance path of its first class from each start
    id, hit or miss: about (satisfying fraction) x (class instance paths)
    steps from either side.  So it starts from the side whose fraction
@@ -160,8 +135,8 @@ let pruned_find_one (ctx : Context.t) aligned ~side (p : Topology.t) decompositi
   | [] -> false
   | first :: others -> (
       let from_e2 = side = `E2 in
-      let first = class_walker ctx ~reverse:from_e2 first in
-      let others = List.map (class_walker ctx ~reverse:false) others in
+      let first = Context.class_walker ctx ~reverse:from_e2 first in
+      let others = List.map (Context.class_walker ctx ~reverse:false) others in
       let starts, far = if from_e2 then (aligned.b_ids, aligned.a_ids) else (aligned.a_ids, aligned.b_ids) in
       let far = Lazy.force far in
       let checked = Hashtbl.create 16 in
@@ -169,13 +144,13 @@ let pruned_find_one (ctx : Context.t) aligned ~side (p : Topology.t) decompositi
         Array.iter
           (fun source ->
             Hashtbl.clear checked;
-            iter_partners ctx first ~source ~f:(fun partner ->
+            Context.iter_partners ctx first ~source ~f:(fun partner ->
                 if not (Hashtbl.mem checked partner) then begin
                   Hashtbl.add checked partner ();
                   let a, b = if from_e2 then (partner, source) else (source, partner) in
                   if
                     Context.mem_id far partner
-                    && List.for_all (fun w -> connects ctx w ~a ~b) others
+                    && List.for_all (fun w -> Context.connects ctx w ~a ~b) others
                     && not
                          (Store.is_excepted aligned.store ctx.Context.catalog ~a ~b ~tid:p.Topology.tid)
                   then raise Found
@@ -239,10 +214,10 @@ let sql_method ?(check = false) ?trace (ctx : Context.t) aligned =
     try
       List.iter
         (fun first_class ->
-          let walker = class_walker ctx ~reverse:false first_class in
+          let walker = Context.class_walker ctx ~reverse:false first_class in
           Array.iter
             (fun a ->
-              iter_partners ctx walker ~source:a ~f:(fun b ->
+              Context.iter_partners ctx walker ~source:a ~f:(fun b ->
                   if not (Hashtbl.mem checked (a, b)) then begin
                     Hashtbl.add checked (a, b) ();
                     if Context.mem_id (Lazy.force aligned.b_ids) b then begin

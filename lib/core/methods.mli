@@ -46,8 +46,10 @@ type aligned = {
   ea : Query.endpoint;  (** the endpoint on the store's E1 side *)
   eb : Query.endpoint;  (** the E2 side *)
   a_ids : int array Lazy.t;
-      (** ids satisfying [ea], ascending: per-query state the pruned-topology
-          checks force on first use *)
+      (** ids satisfying [ea], ascending, from {!Context.satisfying_ids}:
+          per-query state the pruned-topology checks force on first use.
+          The array may be the entity table's id lane, shared with every
+          other query: read it, never write it. *)
   b_ids : int array Lazy.t;
       (** ids satisfying [eb], ascending, forced like [a_ids]: a check
           walks from one of the two sets (see {!pruned_walk_side}) and

@@ -115,6 +115,38 @@ let to_string (r : t) =
     | None -> ""
     | Some d -> " deadline=" ^ Budget.deadline_to_string d)
 
+(* A workload line: METHOD[; scheme[; k[; kw1[; kw2]]]].  Matching the
+   method name ignores case. *)
+let of_workload_line catalog ~t1 ~t2 line =
+  let line = match String.index_opt line '#' with Some i -> String.sub line 0 i | None -> line in
+  let fields = String.split_on_char ';' line |> List.map String.trim in
+  match fields with
+  | [] | [ "" ] -> `Blank
+  | m :: rest -> (
+      let get i = Option.value ~default:"" (List.nth_opt rest i) in
+      match
+        List.find_opt
+          (fun mm -> String.lowercase_ascii (Methods.method_name mm) = String.lowercase_ascii m)
+          Methods.all_methods
+      with
+      | None -> `Malformed (Printf.sprintf "unknown method %S" m)
+      | Some method_ -> (
+          match
+            if get 0 = "" then Some Ranking.Freq
+            else try Some (Ranking.of_name (get 0)) with Invalid_argument _ -> None
+          with
+          | None -> `Malformed ("unknown scheme " ^ get 0)
+          | Some scheme -> (
+              match if get 1 = "" then Some 10 else int_of_string_opt (get 1) with
+              | None -> `Malformed ("bad k " ^ get 1)
+              | Some k when k < 1 -> `Malformed (Printf.sprintf "bad k %d (must be >= 1)" k)
+              | Some k ->
+                  let ep entity kw =
+                    if kw = "" then Query.endpoint catalog entity
+                    else Query.keyword catalog entity ~col:"desc" ~kw
+                  in
+                  `Request (make ~scheme ~k method_ (Query.make (ep t1 (get 2)) (ep t2 (get 3)))))))
+
 (* ------------------------------------------------------------------ *)
 (* Wire codec.
 

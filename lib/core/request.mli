@@ -99,6 +99,19 @@ val key : t -> string
 (** [to_string r] for display. *)
 val to_string : t -> string
 
+(** [of_workload_line catalog ~t1 ~t2 line] parses one line of a workload
+    file: [METHOD[; scheme[; k[; kw1[; kw2]]]]], a query between [t1] and
+    [t2].  Empty fields take defaults (Freq, 10, no keyword) and [#]
+    starts a comment.  Keywords constrain the endpoint's [desc] column.
+    [`Malformed why] names the bad field: an unknown method or scheme, or
+    a k that is not an integer of at least 1. *)
+val of_workload_line :
+  Topo_sql.Catalog.t ->
+  t1:string ->
+  t2:string ->
+  string ->
+  [ `Blank | `Request of t | `Malformed of string ]
+
 (** {1 Wire codec}
 
     Requests and outcomes cross process boundaries (router ↔ shard

@@ -19,3 +19,11 @@ type t = int -> Tuple.t -> bool
 (** [compile table pred] — the result takes a row number of [table] and
     that row's tuple. *)
 val compile : Table.t -> Expr.t -> t
+
+(** [rows table pred] is the ascending row numbers of [table] where
+    [Expr.truthy pred] holds, as {!compile} decides it.  The single-word
+    keyword conjunct with the shortest posting, if there is one, gives the
+    candidates and the other conjuncts are tested on those rows only;
+    otherwise every row is tested.  The result may be a posting shared
+    with {!Table.keyword_rows}'s other callers: treat it as read-only. *)
+val rows : Table.t -> Expr.t -> int array

@@ -205,14 +205,15 @@ let oracle_engine =
 
 (* No constraint, a [desc] keyword (calibrated, filler or absent), or
    DNA's [type]. *)
+let calibrated entity =
+  match entity with
+  | "Protein" -> List.map fst Biozon.Vocab.protein_keywords
+  | "Interaction" -> List.map fst Biozon.Vocab.interaction_keywords
+  | _ -> []
+
 let gen_endpoint cat entity =
   let open QCheck.Gen in
-  let calibrated =
-    match entity with
-    | "Protein" -> List.map fst Biozon.Vocab.protein_keywords
-    | "Interaction" -> List.map fst Biozon.Vocab.interaction_keywords
-    | _ -> []
-  in
+  let calibrated = calibrated entity in
   let keyword =
     map
       (fun kw -> Query.keyword cat entity ~col:"desc" ~kw)
@@ -233,11 +234,24 @@ let gen_oracle_query cat =
   let t1, t2 = if swap then (t2, t1) else (t1, t2) in
   map2 Query.make (gen_endpoint cat t1) (gen_endpoint cat t2)
 
+(* The ids an endpoint admits, by definition: the id of every row of its
+   table on which the predicate is truthy, sorted.  It reads no lane and
+   no posting, so it checks [Context.satisfying_ids] rather than
+   repeating it. *)
+let brute_force_ids catalog (e : Query.endpoint) =
+  let ids = ref [] in
+  Topo_sql.Table.iter
+    (fun _ tuple ->
+      if Option.fold ~none:true ~some:(fun p -> Topo_sql.Expr.truthy p tuple) e.Query.pred then
+        ids := Value.as_int tuple.(0) :: !ids)
+    (Topo_sql.Catalog.find catalog e.Query.entity);
+  Array.of_list (List.sort Int.compare !ids)
+
 (* The check's definition, evaluated pair by pair: some (a, b) of the two
    endpoint sets has every class of some decomposition and is not
    excepted. *)
 let brute_force_pruned ctx (aligned : Methods.aligned) (p : Topology.t) =
-  let b_ids = Context.satisfying_ids ctx aligned.Methods.eb in
+  let b_ids = brute_force_ids ctx.Context.catalog aligned.Methods.eb in
   Array.exists
     (fun a ->
       Array.exists
@@ -247,7 +261,7 @@ let brute_force_pruned ctx (aligned : Methods.aligned) (p : Topology.t) =
             (Atomic.get p.Topology.decompositions)
           && not (Store.is_excepted aligned.Methods.store ctx.Context.catalog ~a ~b ~tid:p.Topology.tid))
         b_ids)
-    (Context.satisfying_ids ctx aligned.Methods.ea)
+    (brute_force_ids ctx.Context.catalog aligned.Methods.ea)
 
 (* [on_side] sees the walk side of every query with pruned topologies. *)
 let prop_pruned_check_matches_oracle ~on_side =
@@ -284,6 +298,99 @@ let test_pruned_walk_side_rule () =
   (* The query's E2 is the store's E1 side when the pair is stored the
      other way round. *)
   Alcotest.(check bool) "sides follow the store orientation" true (side (any "DNA") rare = `E1)
+
+(* --- endpoint id sets against a brute-force scan ----------------------------- *)
+
+(* Every predicate shape an endpoint id set is derived from: none; a
+   single-word keyword (calibrated, filler or absent), answered from
+   postings; a multi-word phrase, evaluated row by row; DNA's [type];
+   a keyword with that equality; two keywords. *)
+let gen_id_endpoint cat entity =
+  let open QCheck.Gen in
+  let keyword kw = Query.keyword cat entity ~col:"desc" ~kw in
+  let word = oneofl (calibrated entity @ [ "membrane"; "putative"; "zinc"; "ubiquitin"; "enzyme"; "nonexistentword" ]) in
+  let phrase =
+    oneof
+      [
+        oneofl [ "ubiquitin conjugating"; "conjugating enzyme"; "zinc finger"; "complete cds" ];
+        map2 (fun a b -> a ^ " " ^ b) word word;
+      ]
+  in
+  let dna_type =
+    map
+      (fun ty -> Query.equals cat entity ~col:"type" ~value:(Value.Str ty))
+      (oneofl (List.map fst Biozon.Vocab.dna_types))
+  in
+  frequency
+    ([
+       (1, return (Query.endpoint cat entity));
+       (3, map keyword word);
+       (2, map keyword phrase);
+       (2, map2 (fun a b -> Query.conj (keyword a) (keyword b)) word word);
+     ]
+    @
+    if entity = "DNA" then [ (2, dna_type); (2, map2 (fun w t -> Query.conj (keyword w) t) word dna_type) ]
+    else [])
+
+(* The generator at scale 0.05 and the paper's database, whose Protein ids
+   are not stored in ascending order. *)
+let id_catalogs = lazy [| fst (Lazy.force oracle_engine); Biozon.Paper_db.catalog () |]
+
+let arb_id_endpoint =
+  let gen =
+    let open QCheck.Gen in
+    oneofl [ 0; 1 ] >>= fun i ->
+    let cat = (Lazy.force id_catalogs).(i) in
+    oneofl [ "Protein"; "DNA"; "Interaction" ] >>= fun entity ->
+    map (fun e -> (i, e)) (gen_id_endpoint cat entity)
+  in
+  QCheck.make ~print:(fun (i, (e : Query.endpoint)) -> Printf.sprintf "catalog %d: %s" i e.Query.label) gen
+
+(* [satisfying_ids] reads only the catalog. *)
+let id_ctx cat = { (snd (Lazy.force oracle_engine)).Engine.ctx with Context.catalog = cat }
+
+let prop_satisfying_ids_brute_force =
+  QCheck.Test.make ~name:"satisfying_ids = brute-force scan" ~count:300 arb_id_endpoint (fun (i, e) ->
+      let cat = (Lazy.force id_catalogs).(i) in
+      let got = Context.satisfying_ids (id_ctx cat) e and want = brute_force_ids cat e in
+      got = want
+      || QCheck.Test.fail_reportf "got %d ids, want %d" (Array.length got) (Array.length want))
+
+let prop_row_filter_rows_compile =
+  QCheck.Test.make ~name:"Row_filter.rows = compile over every row" ~count:300 arb_id_endpoint
+    (fun (i, e) ->
+      match e.Query.pred with
+      | None -> true
+      | Some pred ->
+          let table = Topo_sql.Catalog.find (Lazy.force id_catalogs).(i) e.Query.entity in
+          let keep = Topo_sql.Row_filter.compile table pred and want = ref [] in
+          Topo_sql.Table.iter (fun r tuple -> if keep r tuple then want := r :: !want) table;
+          Topo_sql.Row_filter.rows table pred = Array.of_list (List.rev !want))
+
+let test_satisfying_ids_brute_force () = QCheck.Test.check_exn prop_satisfying_ids_brute_force
+let test_row_filter_rows_compile () = QCheck.Test.check_exn prop_row_filter_rows_compile
+
+(* Ids inserted in descending order come back ascending, and the table's
+   own id lane is left as it was. *)
+let test_satisfying_ids_descending_inserts () =
+  let cat = Topo_sql.Catalog.create () in
+  let table =
+    Topo_sql.Catalog.create_table cat ~name:"Protein"
+      ~schema:
+        (Topo_sql.Schema.make
+           [
+             { Topo_sql.Schema.name = "ID"; ty = Topo_sql.Schema.TInt };
+             { Topo_sql.Schema.name = "desc"; ty = Topo_sql.Schema.TStr };
+           ])
+      ~primary_key:"ID" ()
+  in
+  List.iter
+    (fun (id, desc) -> Topo_sql.Table.insert_values table [ Value.Int id; Value.Str desc ])
+    [ (9, "enzyme"); (7, "kinase"); (4, "enzyme"); (2, "enzyme kinase") ];
+  let ids e = Context.satisfying_ids (id_ctx cat) e in
+  Alcotest.(check (array int)) "all" [| 2; 4; 7; 9 |] (ids (Query.endpoint cat "Protein"));
+  Alcotest.(check (array int)) "enzyme" [| 2; 4; 9 |] (ids (Query.keyword cat "Protein" ~col:"desc" ~kw:"enzyme"));
+  Alcotest.(check (option (array int))) "lane untouched" (Some [| 9; 7; 4; 2 |]) (Topo_sql.Table.int_lane table 0)
 
 (* --- method agreement on the synthetic database --------------------------- *)
 
@@ -674,6 +781,13 @@ let suites =
         Alcotest.test_case "reliability ordering" `Quick test_reliability_ordering;
         Alcotest.test_case "weakest link" `Quick test_reliability_topology_weakest_link;
         Alcotest.test_case "reliability filter build" `Quick test_reliability_filter_build;
+      ] );
+    ( "core.ids",
+      [
+        Alcotest.test_case "satisfying_ids = brute-force scan" `Quick test_satisfying_ids_brute_force;
+        Alcotest.test_case "Row_filter.rows = compile over every row" `Quick test_row_filter_rows_compile;
+        Alcotest.test_case "descending inserts yield ascending ids" `Quick
+          test_satisfying_ids_descending_inserts;
       ] );
     ( "core.engine",
       [

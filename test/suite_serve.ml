@@ -232,6 +232,34 @@ let test_serve_batches_queue_on_shared_pool () =
       Alcotest.(check string) "second concurrent serve deterministic" expected
         (Serve.fingerprint (Domain.join b)))
 
+(* Workload lines: defaults, keywords, and every malformed field,
+   including a k below 1, which is reported rather than evaluated. *)
+let test_workload_line () =
+  let cat = Biozon.Paper_db.catalog () in
+  let parse = Request.of_workload_line cat ~t1:"Protein" ~t2:"DNA" in
+  let malformed line =
+    match parse line with `Malformed msg -> msg | `Blank | `Request _ -> Alcotest.failf "%S parsed" line
+  in
+  (match parse "fast-top-k-opt; rare; 5; enzyme  # comment" with
+  | `Request r ->
+      Alcotest.(check bool) "method" true (r.Request.method_ = Engine.Fast_top_k_opt);
+      Alcotest.(check bool) "scheme" true (r.Request.scheme = Ranking.Rare);
+      Alcotest.(check int) "k" 5 r.Request.k;
+      Alcotest.(check bool) "keyword on E1" true (r.Request.query.Query.e1.Query.pred <> None);
+      Alcotest.(check bool) "no keyword on E2" true (r.Request.query.Query.e2.Query.pred = None)
+  | `Blank | `Malformed _ -> Alcotest.fail "valid line rejected");
+  (match parse "Full-Top" with
+  | `Request r ->
+      Alcotest.(check int) "default k" 10 r.Request.k;
+      Alcotest.(check bool) "default scheme" true (r.Request.scheme = Ranking.Freq)
+  | `Blank | `Malformed _ -> Alcotest.fail "method-only line rejected");
+  Alcotest.(check bool) "comment line is blank" true (parse "  # nothing" = `Blank);
+  Alcotest.(check string) "unknown method" "unknown method \"Slow-Top\"" (malformed "Slow-Top");
+  Alcotest.(check string) "unknown scheme" "unknown scheme often" (malformed "Full-Top-k; often");
+  Alcotest.(check string) "non-integer k" "bad k ten" (malformed "Full-Top-k; freq; ten");
+  Alcotest.(check string) "negative k" "bad k -1 (must be >= 1)" (malformed "Fast-Top-k-Opt; freq; -1");
+  Alcotest.(check string) "zero k" "bad k 0 (must be >= 1)" (malformed "Full-Top-k; freq; 0")
+
 let suites =
   [
     ( "serve.equality",
@@ -254,4 +282,5 @@ let suites =
         Alcotest.test_case "concurrent serve batches on one pool" `Quick
           test_serve_batches_queue_on_shared_pool;
       ] );
+    ("serve.workload", [ Alcotest.test_case "workload line" `Quick test_workload_line ]);
   ]
