@@ -91,4 +91,18 @@ let connects t walker ~a ~b =
     false
   with Found -> true
 
-let class_exists_between t key ~a ~b = connects t (class_walker t ~reverse:false key) ~a ~b
+(* Walks the schema path itself, not the compiled walkers, so it stays an
+   independent reference for them. *)
+let class_exists_between t key ~a ~b =
+  let p = class_path t key in
+  let probe path =
+    try
+      Dg.iter_instance_paths_between t.dg path ~a ~b ~f:(fun _ -> raise Found);
+      false
+    with Found -> true
+  in
+  probe p
+  ||
+  (* Same endpoint types: the class may read reversed from [a]. *)
+  let rev = Sg.reverse p in
+  p.Sg.types.(0) = p.Sg.types.(Array.length p.Sg.types - 1) && rev <> p && probe rev

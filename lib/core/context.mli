@@ -50,9 +50,9 @@ val class_walker : t -> reverse:bool -> string -> walker
 (** [satisfying_ids t endpoint] is the ids of the endpoint's entity table
     that satisfy its constraint, ascending.  It copies no rows: the ids
     are the table's id lane ({!Topo_sql.Table.int_lane}) read at the rows
-    {!Topo_sql.Row_filter.rows} picks.  A single-word keyword in the
-    constraint limits those to its posting; otherwise one pass tests each
-    row.  With no constraint the result is the lane itself.  The array may
+    {!Topo_sql.Row_filter.rows} picks.  A constraint that is one
+    single-word keyword reads only its posting's rows; otherwise one pass
+    tests each row.  With no constraint the result is the lane itself.  The array may
     be shared with every other caller: treat it as read-only.
     @raise Invalid_argument when the table's id column is not all ints. *)
 val satisfying_ids : t -> Query.endpoint -> int array
@@ -72,5 +72,7 @@ val iter_partners : t -> walker -> source:int -> f:(int -> unit) -> unit
 val connects : t -> walker -> a:int -> b:int -> bool
 
 (** [class_exists_between t key ~a ~b] is true when some instance path of
-    the class connects [a] and [b] (handles same-type reversals). *)
+    the class connects [a] and [b] (handles same-type reversals).  It walks
+    the schema path, not the compiled {!walker}s, so tests can use it as a
+    reference for them. *)
 val class_exists_between : t -> string -> a:int -> b:int -> bool

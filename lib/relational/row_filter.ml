@@ -46,35 +46,17 @@ let compile table pred =
   let n = Table.row_count table in
   match List.map (check_of table n) (conjuncts pred) with [ c ] -> holds c | checks -> all checks
 
-(* The keyword conjunct with the shortest posting, if any. *)
-let shortest_posting table conjs =
-  List.fold_left
-    (fun best conj ->
-      match (posting table conj, best) with
-      | Some rows, Some (_, fewest) when Array.length rows >= Array.length fewest -> best
-      | Some rows, _ -> Some (conj, rows)
-      | None, _ -> best)
-    None conjs
-
-(* The rows among at most [bound] that [iter] offers on which every check
-   holds, in the order offered. *)
-let collect checks ~bound iter =
-  let out = Array.make bound 0 and len = ref 0 in
-  iter (fun r tuple ->
-      if all checks r tuple then begin
-        out.(!len) <- r;
-        incr len
-      end);
-  Array.sub out 0 !len
-
 let rows table pred =
-  let n = Table.row_count table and conjs = conjuncts pred in
-  match shortest_posting table conjs with
-  | None -> collect (List.map (check_of table n) conjs) ~bound:n (fun f -> Table.iter f table)
-  | Some (conj, candidates) -> (
-      match List.filter (fun c -> c != conj) conjs with
-      | [] -> candidates
-      | rest ->
-          let data = Table.rows table in
-          collect (List.map (check_of table n) rest) ~bound:(Array.length candidates) (fun f ->
-              Array.iter (fun r -> f r data.(r)) candidates))
+  match match conjuncts pred with [ conj ] -> posting table conj | _ -> None with
+  | Some posting -> posting
+  | None ->
+      let keep = compile table pred in
+      let out = Array.make (Table.row_count table) 0 and len = ref 0 in
+      Table.iter
+        (fun r tuple ->
+          if keep r tuple then begin
+            out.(!len) <- r;
+            incr len
+          end)
+        table;
+      Array.sub out 0 !len

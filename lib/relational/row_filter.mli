@@ -21,9 +21,8 @@ type t = int -> Tuple.t -> bool
 val compile : Table.t -> Expr.t -> t
 
 (** [rows table pred] is the ascending row numbers of [table] where
-    [Expr.truthy pred] holds, as {!compile} decides it.  The single-word
-    keyword conjunct with the shortest posting, if there is one, gives the
-    candidates and the other conjuncts are tested on those rows only;
-    otherwise every row is tested.  The result may be a posting shared
+    [Expr.truthy pred] holds, as {!compile} decides it.  A predicate that
+    is one single-word keyword is answered by its posting; any other is
+    tested on every row in one pass.  The result may be a posting shared
     with {!Table.keyword_rows}'s other callers: treat it as read-only. *)
 val rows : Table.t -> Expr.t -> int array
