@@ -18,7 +18,11 @@
      shard       serve one snapshot slice over the binary wire protocol
      route       scatter a batch across shard servers and gather results
      nquery      run a multi-endpoint topology query
-     dump        save a generated instance as .tbl files *)
+     dump        save a generated instance as .tbl files
+
+   Every job the subcommands have in common is written once below: the
+   engine boot, the SQL script runner, the workload loader, the query
+   shape and the jobs=1 determinism check. *)
 
 open Cmdliner
 module Engine = Topo_core.Engine
@@ -27,10 +31,37 @@ module Query = Topo_core.Query
 module Ranking = Topo_core.Ranking
 module Nquery = Topo_core.Nquery
 module Snapshot = Topo_core.Snapshot
+module Serve = Topo_core.Serve
 module Obs = Topo_obs
+
+(* A usage error: the message on stderr and exit 2, before any work the
+   bad input would have driven. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
+
+let read_file path =
+  match In_channel.with_open_text path In_channel.input_all with
+  | text -> text
+  | exception Sys_error msg -> usage_error "%s" msg
+
+let catalog_of engine = engine.Engine.ctx.Topo_core.Context.catalog
 
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                    *)
+
+(* An entity-set name, checked against the Biozon schema as the command
+   line is parsed: cmdliner names the flag in the error. *)
+let entity_conv =
+  let names = List.map (fun e -> e.Biozon.Bschema.e_table) Biozon.Bschema.entities in
+  let parse s =
+    if List.mem s names then Ok s
+    else Error (`Msg (Printf.sprintf "unknown entity set %s (try %s)" s (String.concat ", " names)))
+  in
+  Arg.conv (parse, Format.pp_print_string)
 
 let scale_arg =
   Arg.(value & opt float 0.5 & info [ "scale" ] ~docv:"F" ~doc:"Scale of the synthetic Biozon instance.")
@@ -42,31 +73,35 @@ let l_arg = Arg.(value & opt int 3 & info [ "l"; "max-len" ] ~docv:"N" ~doc:"Max
 let threshold_arg =
   Arg.(value & opt int 25 & info [ "pruning-threshold" ] ~docv:"N" ~doc:"Fast-Top pruning threshold.")
 
-let t1_arg = Arg.(value & opt string "Protein" & info [ "t1" ] ~docv:"ENTITY" ~doc:"First entity set.")
+let t1_arg = Arg.(value & opt entity_conv "Protein" & info [ "t1" ] ~docv:"ENTITY" ~doc:"First entity set.")
 
-let t2_arg = Arg.(value & opt string "DNA" & info [ "t2" ] ~docv:"ENTITY" ~doc:"Second entity set.")
+let t2_arg = Arg.(value & opt entity_conv "DNA" & info [ "t2" ] ~docv:"ENTITY" ~doc:"Second entity set.")
 
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Domains for the offline build (default: the machine's recommended domain count, capped \
-           at 8).  Results are bit-identical for every value.")
+let jobs_arg what =
+  let doc =
+    what
+    ^ " (default: the machine's recommended domain count, capped at 8).  Results are \
+       bit-identical for every value."
+  in
+  Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-let make_instance scale seed =
-  match
-    Biozon.Generator.generate
-      (Biozon.Generator.scale scale { Biozon.Generator.default with Biozon.Generator.seed = seed })
-  with
-  | catalog -> catalog
-  | exception Invalid_argument msg ->
-      prerr_endline msg;
-      exit 2
+let json_out_arg doc = Arg.(value & opt (some string) None & info [ "json-out" ] ~docv:"FILE" ~doc)
 
-let build_engine catalog ~t1 ~t2 ~l ~threshold =
-  Engine.build catalog ~pairs:[ (t1, t2) ] ~l ~pruning_threshold:threshold ()
+let write_json json_out json =
+  Option.iter
+    (fun path ->
+      Out_channel.with_open_text path (fun oc -> output_string oc (Obs.Json.to_string ~pretty:true json));
+      Printf.printf "wrote %s\n" path)
+    json_out
+
+let seconds_of_ms = Option.map (fun ms -> ms /. 1000.0)
+
+(* An int flag that must be at least 1.  The term checks it as the command
+   line is evaluated, before any instance is generated, engine built or
+   snapshot read. *)
+let at_least_one_arg names ~default ~docv ~doc =
+  let check n = if n < 1 then usage_error "--%s must be >= 1, got %d" (List.hd names) n else n in
+  Term.(const check $ Arg.(value & opt int default & info names ~docv ~doc))
 
 let snapshot_arg =
   Arg.(
@@ -78,21 +113,48 @@ let snapshot_arg =
            re-running the offline sweep.  $(b,--scale)/$(b,--seed)/$(b,--l)/$(b,--pruning-threshold) \
            are ignored; the snapshot carries its build configuration.")
 
-let load_snapshot path =
-  match Snapshot.load path with
-  | engine -> engine
-  | exception Snapshot.Error msg ->
-      prerr_endline msg;
-      exit 2
+(* [f x], reporting a snapshot or manifest that cannot be read or written
+   as a usage error. *)
+let snapshot_io f x = match f x with v -> v | exception Snapshot.Error msg -> usage_error "%s" msg
 
-(* Either rebuild from scratch or boot from a snapshot; every online
-   subcommand goes through here. *)
-let engine_of ~snapshot ~scale ~seed ~l ~threshold ~t1 ~t2 =
-  match snapshot with
-  | Some path -> load_snapshot path
-  | None ->
-      let catalog = make_instance scale seed in
-      build_engine catalog ~t1 ~t2 ~l ~threshold
+let load_snapshot = snapshot_io Snapshot.load
+
+(* ------------------------------------------------------------------ *)
+(* Engine boot                                                          *)
+
+(* --scale/--seed: the synthetic instance, generated when the thunk is
+   forced.  A scale the generator cannot honour is a usage error. *)
+let instance_term =
+  let generate scale seed () =
+    let config = Biozon.Generator.scale scale { Biozon.Generator.default with Biozon.Generator.seed } in
+    match Biozon.Generator.generate config with
+    | catalog -> catalog
+    | exception Invalid_argument msg -> usage_error "%s" msg
+  in
+  Term.(const generate $ scale_arg $ seed_arg)
+
+(* An engine over one entity-set pair.  The subcommand forces [engine]
+   itself, so no instance is generated and no snapshot read while
+   cmdliner is still checking flags. *)
+type boot = { t1 : string; t2 : string; l : int; engine : unit -> Engine.t }
+
+(* --scale/--seed/--l/--pruning-threshold: [sweep t1 t2 snapshot] boots
+   from [snapshot] when given, otherwise generates the instance and runs
+   the offline sweep over (t1, t2). *)
+let sweep_term =
+  let sweep instance l threshold t1 t2 snapshot =
+    let engine () =
+      match snapshot with
+      | Some path -> load_snapshot path
+      | None -> Engine.build (instance ()) ~pairs:[ (t1, t2) ] ~l ~pruning_threshold:threshold ()
+    in
+    { t1; t2; l; engine }
+  in
+  Term.(const sweep $ instance_term $ l_arg $ threshold_arg)
+
+let boot_term = Term.(sweep_term $ t1_arg $ t2_arg $ const None)
+
+let snapshot_boot_term = Term.(sweep_term $ t1_arg $ t2_arg $ snapshot_arg)
 
 (* ------------------------------------------------------------------ *)
 (* demo                                                                 *)
@@ -119,15 +181,20 @@ let demo_cmd = Cmd.v (Cmd.info "demo" ~doc:"Run the paper's worked example.") Te
 let pair_conv =
   let parse s =
     match String.split_on_char ':' s with
-    | [ a; b ] when a <> "" && b <> "" -> Ok (a, b)
+    | [ a; b ] when a <> "" && b <> "" -> (
+        match (Arg.conv_parser entity_conv a, Arg.conv_parser entity_conv b) with
+        | Ok a, Ok b -> Ok (a, b)
+        | (Error _ as e), _ | _, (Error _ as e) -> e)
     | _ -> Error (`Msg (Printf.sprintf "bad pair %S (expected T1:T2, e.g. Protein:DNA)" s))
   in
   let print fmt (a, b) = Format.fprintf fmt "%s:%s" a b in
   Arg.conv (parse, print)
 
-let build_run scale seed l threshold jobs pairs output shards =
+let build_run instance l threshold jobs pairs output shards =
+  if shards > 1 && output = None then
+    usage_error "--shards needs -o DIR: sliced snapshots must be written somewhere";
   let pairs = if pairs = [] then [ ("Protein", "DNA"); ("Protein", "Interaction") ] else pairs in
-  let catalog = make_instance scale seed in
+  let catalog = instance () in
   let t0 = Unix.gettimeofday () in
   let engine = Engine.build catalog ~pairs ~l ~pruning_threshold:threshold ?jobs () in
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -147,37 +214,22 @@ let build_run scale seed l threshold jobs pairs output shards =
   Printf.printf "\n%d distinct topologies registered\n"
     (Topo_core.Topology.count engine.Engine.ctx.Topo_core.Context.registry);
   Printf.printf "built in %.3fs\n" elapsed;
-  match (output, shards) with
-  | None, 1 -> 0
-  | None, _ ->
-      prerr_endline "--shards needs -o DIR: sliced snapshots must be written somewhere";
-      2
-  | Some _, n when n < 1 ->
-      Printf.eprintf "--shards must be >= 1, got %d\n" n;
-      2
-  | Some path, 1 -> (
-      match Snapshot.save engine ~path with
-      | bytes ->
-          Printf.printf "snapshot: %s (%d bytes, format v%d, fingerprint %s)\n" path bytes
-            Snapshot.version (Engine.fingerprint engine);
-          0
-      | exception Snapshot.Error msg ->
-          prerr_endline msg;
-          2)
-  | Some dir, shards -> (
-      match Snapshot.save_sharded engine ~dir ~shards with
-      | manifest, bytes ->
-          Printf.printf "sharded snapshot: %s (%d shard(s), %d bytes total, format v%d)\n" dir
-            shards bytes Snapshot.version;
-          List.iter
-            (fun (t1, t2, k) -> Printf.printf "  %s-%s -> shard %d\n" t1 t2 k)
-            manifest.Snapshot.pairs;
-          0
-      | exception Snapshot.Error msg ->
-          prerr_endline msg;
-          2)
+  match output with
+  | None -> 0
+  | Some path when shards = 1 ->
+      let bytes = snapshot_io (fun path -> Snapshot.save engine ~path) path in
+      Printf.printf "snapshot: %s (%d bytes, format v%d, fingerprint %s)\n" path bytes
+        Snapshot.version (Engine.fingerprint engine);
+      0
+  | Some dir ->
+      let manifest, bytes = snapshot_io (fun dir -> Snapshot.save_sharded engine ~dir ~shards) dir in
+      Printf.printf "sharded snapshot: %s (%d shard(s), %d bytes total, format v%d)\n" dir shards
+        bytes Snapshot.version;
+      List.iter (fun (t1, t2, k) -> Printf.printf "  %s-%s -> shard %d\n" t1 t2 k) manifest.Snapshot.pairs;
+      0
 
 let build_cmd =
+  let jobs = jobs_arg "Domains for the offline build" in
   let pairs =
     Arg.(
       value & opt_all pair_conv []
@@ -195,13 +247,11 @@ let build_cmd =
              the generator or the sweep.")
   in
   let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "With $(b,-o DIR): slice the snapshot into $(docv) pair-partitioned shards \
-             ($(b,shard-K.snap) plus a $(b,manifest)), each loadable by $(b,toposearch shard) and \
-             routed over by $(b,toposearch route).")
+    at_least_one_arg [ "shards" ] ~default:1 ~docv:"N"
+      ~doc:
+        "With $(b,-o DIR): slice the snapshot into $(docv) pair-partitioned shards \
+         ($(b,shard-K.snap) plus a $(b,manifest)), each loadable by $(b,toposearch shard) and \
+         routed over by $(b,toposearch route).  At least 1."
   in
   Cmd.v
     (Cmd.info "build"
@@ -211,11 +261,10 @@ let build_cmd =
           persist the result as a snapshot for instant cold starts; add $(b,--shards N) to write \
           pair-partitioned slices for the distributed serving tier.")
     Term.(
-      const build_run $ scale_arg $ seed_arg $ l_arg $ threshold_arg $ jobs_arg $ pairs $ output
-      $ shards)
+      const build_run $ instance_term $ l_arg $ threshold_arg $ jobs $ pairs $ output $ shards)
 
 (* ------------------------------------------------------------------ *)
-(* query                                                                *)
+(* query and profile                                                    *)
 
 let method_conv =
   let parse s =
@@ -234,77 +283,99 @@ let scheme_conv =
   let parse s = match Ranking.of_name s with r -> Ok r | exception Invalid_argument _ -> Error (`Msg ("unknown scheme " ^ s)) in
   Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt (Ranking.name s))
 
-let query_run scale seed l threshold t1 t2 kw1 kw2 dna_type method_ scheme k instances =
-  let catalog = make_instance scale seed in
-  let engine = build_engine catalog ~t1 ~t2 ~l ~threshold in
-  let endpoint entity kw extra_type =
-    let base =
-      match kw with
-      | Some kw -> Query.keyword catalog entity ~col:"desc" ~kw
-      | None -> Query.endpoint catalog entity
-    in
-    match extra_type with
-    | Some ty when entity = "DNA" ->
-        Query.conj base (Query.equals catalog entity ~col:"type" ~value:(Topo_sql.Value.Str ty))
+(* --kw1/--kw2/--method/--scheme/--topk, shared by query and profile: the
+   one request they run between the boot's pair. *)
+type shape = {
+  kw1 : string option;
+  kw2 : string option;
+  method_ : Engine.method_;
+  scheme : Ranking.scheme;
+  k : int;
+}
+
+let shape_term =
+  let kw1 = Arg.(value & opt (some string) None & info [ "kw1" ] ~docv:"WORD" ~doc:"Keyword constraint on $(b,t1)'s description.") in
+  let kw2 = Arg.(value & opt (some string) None & info [ "kw2" ] ~docv:"WORD" ~doc:"Keyword constraint on $(b,t2)'s description.") in
+  let method_ = Arg.(value & opt method_conv Engine.Fast_top_k_opt & info [ "method" ] ~docv:"M" ~doc:"Evaluation method (paper names, e.g. Fast-Top-k-ET).") in
+  let scheme = Arg.(value & opt scheme_conv Ranking.Domain & info [ "scheme" ] ~docv:"S" ~doc:"Ranking scheme: Freq, Rare or Domain.") in
+  let k = at_least_one_arg [ "topk"; "n" ] ~default:10 ~docv:"N" ~doc:"Number of results for top-k methods; at least 1." in
+  Term.(const (fun kw1 kw2 method_ scheme k -> { kw1; kw2; method_; scheme; k }) $ kw1 $ kw2 $ method_ $ scheme $ k)
+
+(* An endpoint over [entity], constrained by keyword [kw] on its
+   description when one is given. *)
+let endpoint catalog entity = function
+  | Some kw -> Query.keyword catalog entity ~col:"desc" ~kw
+  | None -> Query.endpoint catalog entity
+
+(* The shaped request between the boot's pair, echoed as a header.
+   [constrain2] narrows the second endpoint further. *)
+let shaped_request ?(constrain2 = Fun.id) catalog boot s =
+  let q = Query.make (endpoint catalog boot.t1 s.kw1) (constrain2 (endpoint catalog boot.t2 s.kw2)) in
+  Printf.printf "query: %s\nmethod: %s, scheme: %s, k: %d\n\n" (Query.to_string q)
+    (Engine.method_name s.method_) (Ranking.name s.scheme) s.k;
+  Request.make ~scheme:s.scheme ~k:s.k s.method_ q
+
+let print_result_count (r : Request.result) =
+  Printf.printf "\n%d result(s) in %.1fms\n" (List.length r.Request.ranked) (r.Request.elapsed_s *. 1000.0)
+
+let query_run boot shape dna_type instances =
+  let engine = boot.engine () in
+  let catalog = catalog_of engine in
+  let constrain2 base =
+    match dna_type with
+    | Some ty when boot.t2 = "DNA" ->
+        Query.conj base (Query.equals catalog "DNA" ~col:"type" ~value:(Topo_sql.Value.Str ty))
     | _ -> base
   in
-  let q = Query.make (endpoint t1 kw1 None) (endpoint t2 kw2 dna_type) in
-  Printf.printf "query: %s\nmethod: %s, scheme: %s, k: %d\n\n" (Query.to_string q)
-    (Engine.method_name method_) (Ranking.name scheme) k;
-  let r = Request.get_done (Engine.run_request engine (Request.make ~scheme ~k method_ q)) in
-  if instances then Topo_core.Report.print engine q r ()
+  let req = shaped_request ~constrain2 catalog boot shape in
+  let r = Request.get_done (Engine.run_request engine req) in
+  if instances then Topo_core.Report.print engine req.Request.query r ()
   else
     List.iteri
       (fun i (tid, score) ->
         let score_str = match score with Some s -> Printf.sprintf " [score %.3g]" s | None -> "" in
         Printf.printf "%2d. TID %d%s\n    %s\n" (i + 1) tid score_str (Engine.describe engine tid))
       r.Request.ranked;
-  Printf.printf "\n%d result(s) in %.1fms\n" (List.length r.Request.ranked) (r.Request.elapsed_s *. 1000.0);
+  print_result_count r;
   (match r.Request.strategy with
   | Some Topo_sql.Optimizer.Regular -> print_endline "optimizer chose: regular plan"
   | Some Topo_sql.Optimizer.Early_termination -> print_endline "optimizer chose: DGJ early-termination plan"
   | None -> ());
   0
 
-(* --topk, shared by query and profile.  The term checks k as the command
-   line is evaluated, before any instance is generated or built. *)
-let topk_arg =
-  let k =
-    Arg.(
-      value & opt int 10
-      & info [ "topk"; "n" ] ~docv:"N" ~doc:"Number of results for top-k methods; at least 1.")
-  in
-  let at_least_one k =
-    if k < 1 then begin
-      Printf.eprintf "--topk must be >= 1, got %d\n" k;
-      exit 2
-    end;
-    k
-  in
-  Term.(const at_least_one $ k)
-
 let query_cmd =
-  let kw1 = Arg.(value & opt (some string) None & info [ "kw1" ] ~docv:"WORD" ~doc:"Keyword constraint on $(b,t1)'s description.") in
-  let kw2 = Arg.(value & opt (some string) None & info [ "kw2" ] ~docv:"WORD" ~doc:"Keyword constraint on $(b,t2)'s description.") in
   let dna_type = Arg.(value & opt (some string) None & info [ "dna-type" ] ~docv:"TYPE" ~doc:"Equality constraint on DNA.type (mRNA, EST, genomic).") in
-  let method_ = Arg.(value & opt method_conv Engine.Fast_top_k_opt & info [ "method" ] ~docv:"M" ~doc:"Evaluation method (paper names, e.g. Fast-Top-k-ET).") in
-  let scheme = Arg.(value & opt scheme_conv Ranking.Domain & info [ "scheme" ] ~docv:"S" ~doc:"Ranking scheme: Freq, Rare or Domain.") in
   let instances = Arg.(value & flag & info [ "instances" ] ~doc:"Show instance pairs and witnesses per topology (the Figure 5 presentation).") in
   Cmd.v
     (Cmd.info "query" ~doc:"Run a topology query over a synthetic Biozon instance.")
-    Term.(
-      const query_run $ scale_arg $ seed_arg $ l_arg $ threshold_arg $ t1_arg $ t2_arg $ kw1 $ kw2
-      $ dna_type $ method_ $ scheme $ topk_arg $ instances)
+    Term.(const query_run $ boot_term $ shape_term $ dna_type $ instances)
+
+let profile_run boot shape json_out =
+  let engine = boot.engine () in
+  let req = shaped_request (catalog_of engine) boot shape in
+  let outcome = Engine.run_request engine ~traces:true req in
+  let r = Request.get_done outcome and trace = Option.get outcome.Request.trace in
+  print_string (Obs.Trace.to_text trace);
+  print_result_count r;
+  write_json json_out (Obs.Trace.to_json trace);
+  0
+
+let profile_cmd =
+  Cmd.v
+    (Cmd.info "profile"
+       ~doc:
+         "Run a topology query under a trace and print the span tree of the evaluation phases \
+          (plan building, optimizer choice, execution, pruned-topology checks).")
+    Term.(const profile_run $ boot_term $ shape_term $ json_out_arg "Also write the span tree as JSON.")
 
 (* ------------------------------------------------------------------ *)
 (* topologies                                                           *)
 
-let topologies_run scale seed l threshold t1 t2 n =
-  let catalog = make_instance scale seed in
-  let engine = build_engine catalog ~t1 ~t2 ~l ~threshold in
-  let store = Engine.store engine ~t1 ~t2 in
+let topologies_run boot n =
+  let engine = boot.engine () in
+  let store = Engine.store engine ~t1:boot.t1 ~t2:boot.t2 in
   let top = Topo_core.Analysis.top_frequent store ~n in
-  Printf.printf "%s-%s %d-topologies by frequency (showing %d):\n\n" t1 t2 l (List.length top);
+  Printf.printf "%s-%s %d-topologies by frequency (showing %d):\n\n" boot.t1 boot.t2 boot.l (List.length top);
   List.iteri
     (fun i (tid, freq) ->
       Printf.printf "%2d. TID %-4d freq %-6d %s\n" (i + 1) tid freq (Engine.describe engine tid))
@@ -318,7 +389,7 @@ let topologies_cmd =
   let n = Arg.(value & opt int 20 & info [ "top" ] ~docv:"N" ~doc:"How many to show.") in
   Cmd.v
     (Cmd.info "topologies" ~doc:"List the topologies of an entity-set pair.")
-    Term.(const topologies_run $ scale_arg $ seed_arg $ l_arg $ threshold_arg $ t1_arg $ t2_arg $ n)
+    Term.(const topologies_run $ boot_term $ n)
 
 (* ------------------------------------------------------------------ *)
 (* schema                                                               *)
@@ -373,16 +444,40 @@ let enumerate_cmd =
     Term.(const enumerate_run $ t1_arg $ t2_arg $ l_arg $ show)
 
 (* ------------------------------------------------------------------ *)
-(* sql                                                                  *)
+(* SQL scripts: sql, check and explain                                  *)
 
-let sql_run scale seed l threshold t1 t2 query_text =
-  let catalog = make_instance scale seed in
-  let _engine = build_engine catalog ~t1 ~t2 ~l ~threshold in
-  (match Topo_sql.Sql.render catalog query_text with
-  | rendered -> print_string rendered
-  | exception Topo_sql.Sql_parser.Parse_error msg -> Printf.printf "parse error: %s\n" msg
-  | exception Topo_sql.Sql_binder.Bind_error msg -> Printf.printf "bind error: %s\n" msg);
-  0
+(* Runs [each] over [statements], echoing each one first when [echo].  A
+   lex, parse or bind error is reported in the statement's place,
+   followed by [gap]; [each] returns false for a statement that failed in
+   its own way.  [finish] sees the failure count; the exit code is 1 when
+   any statement failed. *)
+let run_script ?(echo = true) ?(gap = "") ?(finish = ignore) statements each =
+  let failures =
+    List.fold_left
+      (fun failures q ->
+        if echo then Printf.printf "-- %s\n" q;
+        let error report =
+          print_string report;
+          print_string gap;
+          failures + 1
+        in
+        match each q with
+        | true -> failures
+        | false -> failures + 1
+        | exception Topo_sql.Sql_lexer.Lex_error (msg, pos) ->
+            error (Printf.sprintf "lex error at %d: %s\n" pos msg)
+        | exception Topo_sql.Sql_parser.Parse_error msg -> error (Printf.sprintf "parse error: %s\n" msg)
+        | exception Topo_sql.Sql_binder.Bind_error msg -> error (Printf.sprintf "bind error: %s\n" msg))
+      0 statements
+  in
+  finish failures;
+  if failures = 0 then 0 else 1
+
+let sql_run boot text =
+  let catalog = catalog_of (boot.engine ()) in
+  run_script ~echo:false [ text ] (fun q ->
+      print_string (Topo_sql.Sql.render catalog q);
+      true)
 
 let sql_cmd =
   let text = Arg.(required & pos 0 (some string) None & info [] ~docv:"SQL" ~doc:"The query.") in
@@ -390,10 +485,7 @@ let sql_cmd =
     (Cmd.info "sql"
        ~doc:
          "Evaluate SQL over a synthetic instance (base tables plus the derived AllTops_*/LeftTops_*/ExcpTops_*/TopInfo_* tables).")
-    Term.(const sql_run $ scale_arg $ seed_arg $ l_arg $ threshold_arg $ t1_arg $ t2_arg $ text)
-
-(* ------------------------------------------------------------------ *)
-(* check                                                                *)
+    Term.(const sql_run $ boot_term $ text)
 
 (* Split a `;`-separated script into statements, dropping `--` comments
    and blank statements. *)
@@ -412,216 +504,109 @@ let split_statements text =
   |> List.map String.trim
   |> List.filter (fun s -> s <> "")
 
-let gather_queries query_text file =
-  match (query_text, file) with
-  | Some q, None -> split_statements q
-  | None, Some path -> (
-      match open_in path with
-      | ic ->
-          let text = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          split_statements text
-      | exception Sys_error msg ->
-          prerr_endline msg;
-          exit 2)
-  | Some _, Some _ ->
-      prerr_endline "pass either a SQL argument or --file, not both";
-      exit 2
-  | None, None ->
-      prerr_endline "pass a SQL query or --file FILE";
-      exit 2
-
-let check_run scale seed l threshold t1 t2 snapshot query_text file =
-  let queries = gather_queries query_text file in
-  let engine = engine_of ~snapshot ~scale ~seed ~l ~threshold ~t1 ~t2 in
-  let catalog = engine.Engine.ctx.Topo_core.Context.catalog in
-  let failures = ref 0 in
-  List.iter
-    (fun q ->
-      Printf.printf "-- %s\n" q;
-      match Topo_sql.Sql.lint catalog q with
-      | [] -> print_endline "ok"
-      | violations ->
-          incr failures;
-          print_endline (Topo_sql.Plan_check.report violations)
-      | exception Topo_sql.Sql_parser.Parse_error msg ->
-          incr failures;
-          Printf.printf "parse error: %s\n" msg
-      | exception Topo_sql.Sql_lexer.Lex_error (msg, pos) ->
-          incr failures;
-          Printf.printf "lex error at %d: %s\n" pos msg
-      | exception Topo_sql.Sql_binder.Bind_error msg ->
-          incr failures;
-          Printf.printf "bind error: %s\n" msg)
-    queries;
-  Printf.printf "%d quer%s checked, %d with violations\n" (List.length queries)
-    (if List.length queries = 1 then "y" else "ies")
-    !failures;
-  if !failures = 0 then 0 else 1
-
-let check_cmd =
+(* A SQL argument or --file, shared by check and explain: the script's
+   statements, read as the command line is evaluated. *)
+let script_term =
   let text = Arg.(value & pos 0 (some string) None & info [] ~docv:"SQL" ~doc:"The query (or queries, `;`-separated).") in
   let file = Arg.(value & opt (some string) None & info [ "file" ] ~docv:"FILE" ~doc:"Read `;`-separated queries from a file instead.") in
+  let gather text file =
+    match (text, file) with
+    | Some q, None -> split_statements q
+    | None, Some path -> split_statements (read_file path)
+    | Some _, Some _ -> usage_error "pass either a SQL argument or --file, not both"
+    | None, None -> usage_error "pass a SQL query or --file FILE"
+  in
+  Term.(const gather $ text $ file)
+
+let check_run boot queries =
+  let catalog = catalog_of (boot.engine ()) in
+  let n = List.length queries in
+  let finish failures =
+    Printf.printf "%d quer%s checked, %d with violations\n" n (if n = 1 then "y" else "ies") failures
+  in
+  run_script ~finish queries (fun q ->
+      match Topo_sql.Sql.lint catalog q with
+      | [] ->
+          print_endline "ok";
+          true
+      | violations ->
+          print_endline (Topo_sql.Plan_check.report violations);
+          false)
+
+let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:
          "Lint SQL queries: bind each one and run the physical-plan verifier (schema/arity typing, \
           ordering and grouping invariants) without executing.  Exits 1 when any query has \
           violations.")
-    Term.(
-      const check_run $ scale_arg $ seed_arg $ l_arg $ threshold_arg $ t1_arg $ t2_arg
-      $ snapshot_arg $ text $ file)
+    Term.(const check_run $ snapshot_boot_term $ script_term)
 
-(* ------------------------------------------------------------------ *)
-(* explain                                                              *)
-
-let write_file path content =
-  let oc = open_out path in
-  output_string oc content;
-  close_out oc
-
-let rec est_json (n : Obs.Estimate.node) =
+(* Prints the estimate tree, one indented operator a line, and returns it
+   as JSON: one walk for both reports. *)
+let rec est_report depth (n : Obs.Estimate.node) =
+  let { Obs.Estimate.rows; cost } = n.Obs.Estimate.est in
+  Printf.printf "%s%s  est_rows=%.0f est_cost=%.1f\n" (String.make (2 * depth) ' ') n.Obs.Estimate.label rows cost;
   Obs.Json.Obj
     [
       ("operator", Obs.Json.Str n.Obs.Estimate.label);
-      ("est_rows", Obs.Json.Num n.Obs.Estimate.est.Obs.Estimate.rows);
-      ("est_cost", Obs.Json.Num n.Obs.Estimate.est.Obs.Estimate.cost);
-      ("children", Obs.Json.Arr (List.map est_json n.Obs.Estimate.children));
+      ("est_rows", Obs.Json.Num rows);
+      ("est_cost", Obs.Json.Num cost);
+      ("children", Obs.Json.Arr (List.map (est_report (depth + 1)) n.Obs.Estimate.children));
     ]
 
-let explain_run scale seed l threshold t1 t2 snapshot query_text file analyze json_out =
-  let queries = gather_queries query_text file in
-  let engine = engine_of ~snapshot ~scale ~seed ~l ~threshold ~t1 ~t2 in
-  let catalog = engine.Engine.ctx.Topo_core.Context.catalog in
-  let failures = ref 0 in
+let explain_run boot queries analyze json_out =
+  let catalog = catalog_of (boot.engine ()) in
   let reports = ref [] in
-  List.iter
-    (fun q ->
-      Printf.printf "-- %s\n" q;
-      match
-        if analyze then begin
-          let report, _rows = Obs.Explain_analyze.of_sql catalog q in
-          print_string (Obs.Explain_analyze.to_text report);
-          Obs.Explain_analyze.to_json report
-        end
-        else begin
-          let plan = Topo_sql.Sql.to_plan catalog q in
-          let est = Obs.Estimate.annotate catalog plan in
-          let rec render depth (n : Obs.Estimate.node) =
-            Printf.printf "%s%s  est_rows=%.0f est_cost=%.1f\n"
-              (String.make (2 * depth) ' ')
-              n.Obs.Estimate.label n.Obs.Estimate.est.Obs.Estimate.rows
-              n.Obs.Estimate.est.Obs.Estimate.cost;
-            List.iter (render (depth + 1)) n.Obs.Estimate.children
-          in
-          render 0 est;
-          est_json est
-        end
-      with
-      | json ->
-          print_newline ();
-          reports := Obs.Json.Obj [ ("query", Obs.Json.Str q); ("report", json) ] :: !reports
-      | exception Topo_sql.Sql_parser.Parse_error msg ->
-          incr failures;
-          Printf.printf "parse error: %s\n\n" msg
-      | exception Topo_sql.Sql_lexer.Lex_error (msg, pos) ->
-          incr failures;
-          Printf.printf "lex error at %d: %s\n\n" pos msg
-      | exception Topo_sql.Sql_binder.Bind_error msg ->
-          incr failures;
-          Printf.printf "bind error: %s\n\n" msg)
-    queries;
-  (match json_out with
-  | Some path ->
-      write_file path (Obs.Json.to_string ~pretty:true (Obs.Json.Arr (List.rev !reports)));
-      Printf.printf "wrote %s\n" path
-  | None -> ());
-  if !failures = 0 then 0 else 1
+  let explain q =
+    let json =
+      if analyze then begin
+        let report, _rows = Obs.Explain_analyze.of_sql catalog q in
+        print_string (Obs.Explain_analyze.to_text report);
+        Obs.Explain_analyze.to_json report
+      end
+      else est_report 0 (Obs.Estimate.annotate catalog (Topo_sql.Sql.to_plan catalog q))
+    in
+    print_newline ();
+    reports := Obs.Json.Obj [ ("query", Obs.Json.Str q); ("report", json) ] :: !reports;
+    true
+  in
+  let finish _ = write_json json_out (Obs.Json.Arr (List.rev !reports)) in
+  run_script ~gap:"\n" ~finish queries explain
 
 let explain_cmd =
-  let text = Arg.(value & pos 0 (some string) None & info [] ~docv:"SQL" ~doc:"The query (or queries, `;`-separated).") in
-  let file = Arg.(value & opt (some string) None & info [ "file" ] ~docv:"FILE" ~doc:"Read `;`-separated queries from a file instead.") in
   let analyze = Arg.(value & flag & info [ "analyze" ] ~doc:"Execute the plan instrumented and print measured rows, next() calls and wall time next to the estimates, flagging operators off by more than 10x.") in
-  let json_out = Arg.(value & opt (some string) None & info [ "json-out" ] ~docv:"FILE" ~doc:"Also write the per-operator report(s) as JSON.") in
+  let json_out = json_out_arg "Also write the per-operator report(s) as JSON." in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
          "Show a query's physical plan with the optimizer's cardinality and cost estimates.  With \
           $(b,--analyze), execute the plan under per-operator instrumentation (EXPLAIN ANALYZE).")
-    Term.(
-      const explain_run $ scale_arg $ seed_arg $ l_arg $ threshold_arg $ t1_arg $ t2_arg
-      $ snapshot_arg $ text $ file $ analyze $ json_out)
+    Term.(const explain_run $ snapshot_boot_term $ script_term $ analyze $ json_out)
 
 (* ------------------------------------------------------------------ *)
-(* profile                                                              *)
+(* Workloads and the determinism check: serve and route                 *)
 
-let profile_run scale seed l threshold t1 t2 kw1 kw2 method_ scheme k json_out =
-  let catalog = make_instance scale seed in
-  let engine = build_engine catalog ~t1 ~t2 ~l ~threshold in
-  let endpoint entity kw =
-    match kw with
-    | Some kw -> Query.keyword catalog entity ~col:"desc" ~kw
-    | None -> Query.endpoint catalog entity
+(* --file/--repeat, shared by serve and route. *)
+type workload = { file : string option; repeat : int }
+
+let workload_term =
+  let file =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "file" ] ~docv:"FILE"
+          ~doc:
+            "Workload file: one request per line, `METHOD[; scheme[; k[; kw1[; kw2]]]]` with `#` \
+             comments (see examples/workload.txt).  Default: a mixed batch of all nine methods at \
+             three selectivities.")
   in
-  let q = Query.make (endpoint t1 kw1) (endpoint t2 kw2) in
-  Printf.printf "query: %s\nmethod: %s, scheme: %s, k: %d\n\n" (Query.to_string q)
-    (Engine.method_name method_) (Ranking.name scheme) k;
-  let outcome = Engine.run_request engine ~traces:true (Request.make ~scheme ~k method_ q) in
-  let r = Request.get_done outcome and trace = Option.get outcome.Request.trace in
-  print_string (Obs.Trace.to_text trace);
-  Printf.printf "\n%d result(s) in %.1fms\n" (List.length r.Request.ranked) (r.Request.elapsed_s *. 1000.0);
-  (match json_out with
-  | Some path ->
-      write_file path (Obs.Json.to_string ~pretty:true (Obs.Trace.to_json trace));
-      Printf.printf "wrote %s\n" path
-  | None -> ());
-  0
-
-let profile_cmd =
-  let kw1 = Arg.(value & opt (some string) None & info [ "kw1" ] ~docv:"WORD" ~doc:"Keyword constraint on $(b,t1)'s description.") in
-  let kw2 = Arg.(value & opt (some string) None & info [ "kw2" ] ~docv:"WORD" ~doc:"Keyword constraint on $(b,t2)'s description.") in
-  let method_ = Arg.(value & opt method_conv Engine.Fast_top_k_opt & info [ "method" ] ~docv:"M" ~doc:"Evaluation method (paper names, e.g. Fast-Top-k-ET).") in
-  let scheme = Arg.(value & opt scheme_conv Ranking.Domain & info [ "scheme" ] ~docv:"S" ~doc:"Ranking scheme: Freq, Rare or Domain.") in
-  let json_out = Arg.(value & opt (some string) None & info [ "json-out" ] ~docv:"FILE" ~doc:"Also write the span tree as JSON.") in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Run a topology query under a trace and print the span tree of the evaluation phases \
-          (plan building, optimizer choice, execution, pruned-topology checks).")
-    Term.(
-      const profile_run $ scale_arg $ seed_arg $ l_arg $ threshold_arg $ t1_arg $ t2_arg $ kw1
-      $ kw2 $ method_ $ scheme $ topk_arg $ json_out)
-
-(* ------------------------------------------------------------------ *)
-(* serve                                                                *)
-
-module Serve = Topo_core.Serve
-
-(* Workload file: one request per line (see [Request.of_workload_line]).
-   A malformed line is reported with its line number, skipped, and counted
-   — one bad line does not abort the batch.  Returns the parsed requests
-   plus the count of malformed lines skipped. *)
-let read_workload catalog ~t1 ~t2 path =
-  match open_in path with
-  | ic ->
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let skipped = ref 0 in
-      let requests =
-        String.split_on_char '\n' text
-        |> List.mapi (fun i line -> (i + 1, Request.of_workload_line catalog ~t1 ~t2 line))
-        |> List.filter_map (function
-             | _, `Request r -> Some r
-             | _, `Blank -> None
-             | lineno, `Malformed msg ->
-                 Printf.eprintf "workload line %d: %s (skipped)\n" lineno msg;
-                 incr skipped;
-                 None)
-      in
-      (requests, !skipped)
-  | exception Sys_error msg ->
-      prerr_endline msg;
-      exit 2
+  let repeat =
+    Arg.(
+      value & opt int 1
+      & info [ "repeat" ] ~docv:"R" ~doc:"Run the workload $(docv) times over (stress/throughput runs).")
+  in
+  Term.(const (fun file repeat -> { file; repeat }) $ file $ repeat)
 
 (* Default mixed workload: all nine methods, three selectivities each. *)
 let default_workload catalog ~t1 ~t2 =
@@ -630,11 +615,63 @@ let default_workload catalog ~t1 ~t2 =
     (fun method_ ->
       List.mapi
         (fun i kw1 ->
-          let e1 = if kw1 = "" then Query.endpoint catalog t1 else Query.keyword catalog t1 ~col:"desc" ~kw:kw1 in
-          let e2 = Query.endpoint catalog t2 in
-          Request.make ~scheme:schemes.(i mod 3) ~k:10 method_ (Query.make e1 e2))
-        [ "kinase"; "enzyme"; "" ])
+          let q = Query.make (endpoint catalog t1 kw1) (Query.endpoint catalog t2) in
+          Request.make ~scheme:schemes.(i mod 3) ~k:10 method_ q)
+        [ Some "kinase"; Some "enzyme"; None ])
     Engine.all_methods
+
+(* The workload's batch between [t1] and [t2]: the file's requests (see
+   [Request.of_workload_line]) or the default batch.  A malformed line is
+   reported with its line number, skipped and counted; an empty batch is
+   a usage error.  Returns the batch once and repeated --repeat times. *)
+let load_workload catalog ~t1 ~t2 w =
+  let base =
+    match w.file with
+    | None -> default_workload catalog ~t1 ~t2
+    | Some path ->
+        let skipped = ref 0 in
+        let requests =
+          String.split_on_char '\n' (read_file path)
+          |> List.mapi (fun i line -> (i + 1, Request.of_workload_line catalog ~t1 ~t2 line))
+          |> List.filter_map (function
+               | _, `Request r -> Some r
+               | _, `Blank -> None
+               | lineno, `Malformed msg ->
+                   Printf.eprintf "workload line %d: %s (skipped)\n" lineno msg;
+                   incr skipped;
+                   None)
+        in
+        if !skipped > 0 then
+          Printf.printf "skipped %d malformed line%s\n" !skipped (if !skipped = 1 then "" else "s");
+        requests
+  in
+  if base = [] then usage_error "empty workload";
+  (base, List.concat (List.init (max 1 w.repeat) (fun _ -> base)))
+
+(* [outcomes] must fingerprint like a sequential, uncached jobs=1
+   evaluation of [requests] on [engine].  Prints [ok] or [failed] and
+   returns the exit code. *)
+let check_against_jobs1 engine requests outcomes ~ok ~failed =
+  let reference = (Serve.exec (Serve.config ~jobs:1 ()) engine requests).Serve.outcomes in
+  let same = Serve.fingerprint outcomes = Serve.fingerprint reference in
+  print_endline (if same then ok else failed);
+  if same then 0 else 1
+
+let print_outcome i (o : Request.outcome) =
+  let name = Engine.method_name o.Request.request.Request.method_ in
+  match o.Request.result with
+  | Request.Done r | Request.Partial r ->
+      Printf.printf "%3d. %-14s %2d result(s)%s  [tuples %d, probes %d, scanned %d]\n" (i + 1) name
+        (List.length r.Request.ranked)
+        (match o.Request.result with Request.Partial _ -> " (partial)" | _ -> "")
+        o.Request.counters.Topo_sql.Iterator.Counters.tuples
+        o.Request.counters.Topo_sql.Iterator.Counters.index_probes
+        o.Request.counters.Topo_sql.Iterator.Counters.rows_scanned
+  | Request.Rejected rj -> Printf.printf "%3d. %-14s REJECTED (%s)\n" (i + 1) name (Request.rejection_name rj)
+  | Request.Failed e -> Printf.printf "%3d. %-14s ERROR %s\n" (i + 1) name (Printexc.to_string e)
+
+(* ------------------------------------------------------------------ *)
+(* serve                                                                *)
 
 (* Open-loop serving behind `serve --rate`: arrivals uniformly spaced at
    the offered rate, bounded admission queue, per-request wall deadlines,
@@ -693,48 +730,30 @@ let cache_arg =
              uncached run.")
   in
   let cache_size =
-    Arg.(
-      value & opt int 1024
-      & info [ "cache-size" ] ~docv:"N"
-          ~doc:"Result-cache capacity in entries (LRU eviction past this); at least 1.")
+    at_least_one_arg [ "cache-size" ] ~default:1024 ~docv:"N"
+      ~doc:"Result-cache capacity in entries (LRU eviction past this); at least 1."
   in
-  let make use_cache n =
-    if n < 1 then begin
-      Printf.eprintf "--cache-size must be >= 1, got %d\n" n;
-      exit 2
-    end;
-    fun engine -> if use_cache then Some (Engine.cache ~capacity:n engine) else None
-  in
+  let make use_cache n engine = if use_cache then Some (Engine.cache ~capacity:n engine) else None in
   Term.(const make $ use_cache $ cache_size)
 
-let serve_run scale seed l threshold t1 t2 snapshot jobs file repeat traces check cache_of deadline_ms max_queue rate =
-  let engine = engine_of ~snapshot ~scale ~seed ~l ~threshold ~t1 ~t2 in
-  let catalog = engine.Engine.ctx.Topo_core.Context.catalog in
-  let base, skipped =
-    match file with
-    | Some path -> read_workload catalog ~t1 ~t2 path
-    | None -> (default_workload catalog ~t1 ~t2, 0)
-  in
-  if skipped > 0 then
-    Printf.printf "skipped %d malformed line%s\n" skipped (if skipped = 1 then "" else "s");
-  if base = [] then begin
-    prerr_endline "empty workload";
-    exit 2
-  end;
+let serve_run boot jobs workload traces check cache_of deadline_ms max_queue rate =
+  let engine = boot.engine () in
+  let base, requests = load_workload (catalog_of engine) ~t1:boot.t1 ~t2:boot.t2 workload in
   let cache = cache_of engine in
-  let requests = List.concat (List.init (max 1 repeat) (fun _ -> base)) in
-  let deadline_s = Option.map (fun ms -> ms /. 1000.0) deadline_ms in
+  let deadline_s = seconds_of_ms deadline_ms in
+  (* The serve itself still runs; only the verification is skipped.  Exit
+     3, reason on stderr: CI must be able to distinguish "verified" (0)
+     from "mismatch" (1) from "not verified at all" (3). *)
+  let skip_check code why =
+    prerr_endline ("serve --check: skipped — " ^ why);
+    if code = 0 then 3 else code
+  in
   match rate with
   | Some r ->
-      (* The serve itself still runs; only the verification is skipped.
-         Exit 3 (not 0) so CI can tell "verified" from "not verified". *)
       let code = serve_open engine ~jobs ~traces ~cache ~max_queue ~deadline_s ~rate:r requests in
-      if check then begin
-        prerr_endline
-          "serve --check: skipped — --check applies to closed-loop serving only (open-loop \
-           outcomes depend on arrival timing)";
-        if code = 0 then 3 else code
-      end
+      if check then
+        skip_check code
+          "--check applies to closed-loop serving only (open-loop outcomes depend on arrival timing)"
       else code
   | None ->
   (* Closed loop.  --deadline-ms bounds the whole batch: every request is
@@ -752,33 +771,14 @@ let serve_run scale seed l threshold t1 t2 snapshot jobs file repeat traces chec
   in
   let served = Serve.exec (Serve.config ?jobs ~traces ?cache ()) engine requests in
   let outcomes = served.Serve.outcomes and stats = served.Serve.stats in
-  List.iteri
-    (fun i (o : Request.outcome) ->
-      if i < List.length base then
-        match o.Request.result with
-        | Request.Done r | Request.Partial r ->
-            Printf.printf "%3d. %-14s %2d result(s)%s  [tuples %d, probes %d, scanned %d]\n" (i + 1)
-              (Engine.method_name o.Request.request.Request.method_)
-              (List.length r.Request.ranked)
-              (match o.Request.result with Request.Partial _ -> " (partial)" | _ -> "")
-              o.Request.counters.Topo_sql.Iterator.Counters.tuples
-              o.Request.counters.Topo_sql.Iterator.Counters.index_probes
-              o.Request.counters.Topo_sql.Iterator.Counters.rows_scanned
-        | Request.Rejected rj ->
-            Printf.printf "%3d. %-14s REJECTED (%s)\n" (i + 1)
-              (Engine.method_name o.Request.request.Request.method_)
-              (Request.rejection_name rj)
-        | Request.Failed e ->
-            Printf.printf "%3d. %-14s ERROR %s\n" (i + 1)
-              (Engine.method_name o.Request.request.Request.method_)
-              (Printexc.to_string e))
-    outcomes;
+  let n_base = List.length base in
+  List.iteri (fun i o -> if i < n_base then print_outcome i o) outcomes;
   if traces then begin
     print_newline ();
     List.iteri
       (fun i (o : Request.outcome) ->
         match o.Request.trace with
-        | Some tr when i < List.length base ->
+        | Some tr when i < n_base ->
             Printf.printf "-- query %d (%s), %d span(s)\n%s" (i + 1)
               (Engine.method_name o.Request.request.Request.method_)
               (Obs.Trace.span_count tr) (Obs.Trace.to_text tr)
@@ -804,54 +804,18 @@ let serve_run scale seed l threshold t1 t2 snapshot jobs file repeat traces chec
         (100.0 *. Topo_core.Cache.hit_rate r)
         r.Topo_core.Cache.evictions r.Topo_core.Cache.invalidations
   | None -> ());
-  if check && deadline_s <> None then begin
-    (* Exit 3, reason on stderr: CI must be able to distinguish "verified"
-       (0) from "mismatch" (1) from "not verified at all" (3). *)
-    prerr_endline
-      "serve --check: skipped — --check needs deterministic outcomes and wall deadlines depend \
-       on timing";
-    3
-  end
-  else if check then begin
+  if check && deadline_s <> None then
+    skip_check 0 "--check needs deterministic outcomes and wall deadlines depend on timing"
+  else if check then
     (* The reference pass is sequential AND uncached, so with --cache this
        also asserts that serving from the cache changed no answer. *)
-    let seq_outcomes = (Serve.exec (Serve.config ~jobs:1 ()) engine requests).Serve.outcomes in
-    if Serve.fingerprint outcomes = Serve.fingerprint seq_outcomes then begin
-      print_endline "determinism check: concurrent results bit-identical to jobs=1";
-      0
-    end
-    else begin
-      print_endline "determinism check FAILED: concurrent results differ from jobs=1";
-      1
-    end
-  end
+    check_against_jobs1 engine requests outcomes
+      ~ok:"determinism check: concurrent results bit-identical to jobs=1"
+      ~failed:"determinism check FAILED: concurrent results differ from jobs=1"
   else 0
 
 let serve_cmd =
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Domains for concurrent query evaluation (default: the machine's recommended domain \
-             count, capped at 8).  Results are bit-identical for every value.")
-  in
-  let file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "file" ] ~docv:"FILE"
-          ~doc:
-            "Workload file: one request per line, `METHOD[; scheme[; k[; kw1[; kw2]]]]` with `#` \
-             comments (see examples/workload.txt).  Default: a mixed batch of all nine methods at \
-             three selectivities.")
-  in
-  let repeat =
-    Arg.(
-      value & opt int 1
-      & info [ "repeat" ] ~docv:"R" ~doc:"Serve the workload $(docv) times over (stress/throughput runs).")
-  in
+  let jobs = jobs_arg "Domains for concurrent query evaluation" in
   let traces = Arg.(value & flag & info [ "traces" ] ~doc:"Attach a private trace to every query and print each span tree.") in
   let check =
     Arg.(
@@ -892,9 +856,7 @@ let serve_cmd =
                intended arrival (coordinated-omission corrected).  Must be > 0.")
     in
     let positive = function
-      | Some r when not (Float.is_finite r && r > 0.0) ->
-          Printf.eprintf "--rate must be > 0, got %g\n" r;
-          exit 2
+      | Some r when not (Float.is_finite r && r > 0.0) -> usage_error "--rate must be > 0, got %g" r
       | rate -> rate
     in
     Term.(const positive $ rate)
@@ -907,8 +869,7 @@ let serve_cmd =
           and traces, optional shared result cache, deterministic input-order results; \
           open-loop mode (--rate) with admission control and deadlines.")
     Term.(
-      const serve_run $ scale_arg $ seed_arg $ l_arg $ threshold_arg $ t1_arg $ t2_arg
-      $ snapshot_arg $ jobs $ file $ repeat $ traces $ check $ cache_arg
+      const serve_run $ snapshot_boot_term $ jobs $ workload_term $ traces $ check $ cache_arg
       $ deadline_ms $ max_queue $ rate)
 
 (* ------------------------------------------------------------------ *)
@@ -931,21 +892,15 @@ let shard_index_of_path path =
 
 let shard_run snapshot socket shard_idx jobs cache_of max_inflight timeout_ms =
   let shard =
-    match shard_idx with
-    | Some k -> k
-    | None -> (
-        match shard_index_of_path snapshot with
-        | Some k -> k
-        | None ->
-            prerr_endline
-              "cannot infer the shard index from the snapshot filename; pass --shard K";
-            exit 2)
+    match (shard_idx, shard_index_of_path snapshot) with
+    | Some k, _ | None, Some k -> k
+    | None, None -> usage_error "cannot infer the shard index from the snapshot filename; pass --shard K"
   in
   let engine = load_snapshot snapshot in
   let serve = Serve.config ?jobs ?cache:(cache_of engine) () in
   match
     Shard.start ~serve ~max_inflight
-      ?write_timeout_s:(Option.map (fun ms -> ms /. 1000.0) timeout_ms)
+      ?write_timeout_s:(seconds_of_ms timeout_ms)
       ~shard socket engine
   with
   | t ->
@@ -979,19 +934,12 @@ let shard_cmd =
           ~doc:"Shard index announced in the hello frame (default: parsed from the snapshot \
                 filename).")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N" ~doc:"Evaluation domains for this shard's pool.")
-  in
+  let jobs = jobs_arg "Evaluation domains for this shard's pool" in
   let max_inflight =
-    Arg.(
-      value & opt int 256
-      & info [ "max-inflight" ] ~docv:"N"
-          ~doc:
-            "Bound on concurrently evaluating requests across all connections; batches past it \
-             are answered $(b,Rejected Overloaded) instead of queueing.")
+    at_least_one_arg [ "max-inflight" ] ~default:256 ~docv:"N"
+      ~doc:
+        "Bound on concurrently evaluating requests across all connections; batches past it are \
+         answered $(b,Rejected Overloaded) instead of queueing.  At least 1."
   in
   let timeout_ms =
     Arg.(
@@ -1008,19 +956,11 @@ let shard_cmd =
       const shard_run $ snapshot $ socket $ shard_idx $ jobs $ cache_arg
       $ max_inflight $ timeout_ms)
 
-let route_run manifest_dir sockets t1 t2 file repeat check_snapshot timeout_ms retries =
-  let manifest =
-    match Snapshot.load_manifest manifest_dir with
-    | m -> m
-    | exception Snapshot.Error msg ->
-        prerr_endline msg;
-        exit 2
-  in
-  if List.length sockets <> manifest.Snapshot.shards then begin
-    Printf.eprintf "manifest names %d shard(s) but %d --socket address(es) were given\n"
+let route_run manifest_dir sockets t1 t2 workload check_snapshot timeout_ms retries =
+  let manifest = snapshot_io Snapshot.load_manifest manifest_dir in
+  if List.length sockets <> manifest.Snapshot.shards then
+    usage_error "manifest names %d shard(s) but %d --socket address(es) were given"
       manifest.Snapshot.shards (List.length sockets);
-    exit 2
-  end;
   (* The workload needs a catalog for endpoint/keyword binding; the full
      snapshot (when checking) or any slice works — slices keep every base
      table and drop only other shards' derived tables. *)
@@ -1030,22 +970,10 @@ let route_run manifest_dir sockets t1 t2 file repeat check_snapshot timeout_ms r
     | Some e -> e
     | None -> load_snapshot (Snapshot.shard_path ~dir:manifest_dir 0)
   in
-  let catalog = catalog_engine.Engine.ctx.Topo_core.Context.catalog in
-  let base, skipped =
-    match file with
-    | Some path -> read_workload catalog ~t1 ~t2 path
-    | None -> (default_workload catalog ~t1 ~t2, 0)
-  in
-  if skipped > 0 then
-    Printf.printf "skipped %d malformed line%s\n" skipped (if skipped = 1 then "" else "s");
-  if base = [] then begin
-    prerr_endline "empty workload";
-    exit 2
-  end;
-  let requests = List.concat (List.init (max 1 repeat) (fun _ -> base)) in
+  let _, requests = load_workload (catalog_of catalog_engine) ~t1 ~t2 workload in
   let router =
     Router.create ~manifest ~addrs:(Array.of_list sockets)
-      ?timeout_s:(Option.map (fun ms -> ms /. 1000.0) timeout_ms)
+      ?timeout_s:(seconds_of_ms timeout_ms)
       ?retries ()
   in
   let t0 = Unix.gettimeofday () in
@@ -1057,19 +985,13 @@ let route_run manifest_dir sockets t1 t2 file repeat check_snapshot timeout_ms r
   | outcomes ->
       let elapsed = Unix.gettimeofday () -. t0 in
       Router.close router;
-      let count p = List.length (List.filter p outcomes) in
-      let done_ = count (fun o -> match o.Request.result with Request.Done _ -> true | _ -> false) in
-      let partial = count (fun o -> match o.Request.result with Request.Partial _ -> true | _ -> false) in
-      let rejected = count (fun o -> match o.Request.result with Request.Rejected _ -> true | _ -> false) in
-      let failed = count (fun o -> match o.Request.result with Request.Failed _ -> true | _ -> false) in
+      let count p = List.length (List.filter (fun o -> p o.Request.result) outcomes) in
+      let done_ = count (function Request.Done _ -> true | _ -> false) in
+      let partial = count (function Request.Partial _ -> true | _ -> false) in
+      let rejected = count (function Request.Rejected _ -> true | _ -> false) in
+      let failed = count (function Request.Failed _ -> true | _ -> false) in
       List.iteri
-        (fun i (o : Request.outcome) ->
-          match o.Request.result with
-          | Request.Failed e ->
-              Printf.printf "%3d. %-14s ERROR %s\n" (i + 1)
-                (Engine.method_name o.Request.request.Request.method_)
-                (Printexc.to_string e)
-          | _ -> ())
+        (fun i o -> if Request.failure o.Request.result <> None then print_outcome i o)
         outcomes;
       Printf.printf
         "routed %d request(s) over %d shard(s) in %.3fs: %d done, %d partial, %d rejected, %d \
@@ -1082,15 +1004,9 @@ let route_run manifest_dir sockets t1 t2 file repeat check_snapshot timeout_ms r
             (* Sharded ≡ single-process: the distributed tier's answer for
                the whole batch must be bit-identical to one local engine
                at jobs=1. *)
-            let local = (Serve.exec (Serve.config ~jobs:1 ()) engine requests).Serve.outcomes in
-            if Serve.fingerprint outcomes = Serve.fingerprint local then begin
-              print_endline "distribution check: sharded results bit-identical to single-process jobs=1";
-              0
-            end
-            else begin
-              print_endline "distribution check FAILED: sharded results differ from single-process";
-              1
-            end
+            check_against_jobs1 engine requests outcomes
+              ~ok:"distribution check: sharded results bit-identical to single-process jobs=1"
+              ~failed:"distribution check FAILED: sharded results differ from single-process"
       in
       if failed > 0 && check_code = 0 then 1 else check_code
 
@@ -1108,17 +1024,6 @@ let route_cmd =
       & info [ "socket" ] ~docv:"ADDR"
           ~doc:"Shard address, repeated once per shard $(i,in shard order) (Unix path or \
                 $(i,HOST:PORT)).")
-  in
-  let file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "file" ] ~docv:"FILE"
-          ~doc:"Workload file (same format as $(b,serve --file)); default: the mixed \
-                nine-method batch.")
-  in
-  let repeat =
-    Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"R" ~doc:"Route the workload $(docv) times over.")
   in
   let check_snapshot =
     Arg.(
@@ -1149,52 +1054,43 @@ let route_cmd =
           routed by the manifest's pair partition, evaluated remotely, and merged back in input \
           order.  A dead shard degrades to $(b,Failed) outcomes for its requests only.")
     Term.(
-      const route_run $ manifest $ sockets $ t1_arg $ t2_arg $ file $ repeat $ check_snapshot
+      const route_run $ manifest $ sockets $ t1_arg $ t2_arg $ workload_term $ check_snapshot
       $ timeout_ms $ retries)
 
 (* ------------------------------------------------------------------ *)
 (* nquery                                                               *)
 
-let nquery_run scale seed l threshold entities kws max_tuples =
-  let catalog = make_instance scale seed in
-  if List.length entities < 2 then begin
-    prerr_endline "need at least two --entity arguments";
-    2
-  end
-  else begin
-    let t1 = List.nth entities 0 and t2 = List.nth entities 1 in
-    let engine = build_engine catalog ~t1 ~t2 ~l ~threshold in
-    let endpoints =
-      List.mapi
-        (fun i entity ->
-          match List.nth_opt kws i with
-          | Some (Some kw) -> Query.keyword catalog entity ~col:"desc" ~kw
-          | Some None | None -> Query.endpoint catalog entity)
-        entities
-    in
-    let r = Nquery.run engine.Engine.ctx ~endpoints ~max_tuples () in
-    Printf.printf "%d qualifying tuples (%d examined%s), %d distinct topologies:\n"
-      (List.length r.Topo_core.Nquery.rows)
-      r.Topo_core.Nquery.tuples_examined
-      (if r.Topo_core.Nquery.truncated then ", truncated" else "")
-      (List.length r.Topo_core.Nquery.topologies);
-    List.iter
-      (fun tid -> Printf.printf "  TID %-4d %s\n" tid (Engine.describe engine tid))
-      r.Topo_core.Nquery.topologies;
-    print_endline "\nsample tuples:";
-    List.iteri
-      (fun i (row : Topo_core.Nquery.row) ->
-        if i < 10 then
-          Printf.printf "  (%s) -> TIDs %s\n"
-            (String.concat ", " (Array.to_list (Array.map string_of_int row.Topo_core.Nquery.entities)))
-            (String.concat "," (List.map string_of_int row.Topo_core.Nquery.tids)))
-      r.Topo_core.Nquery.rows;
-    0
-  end
+let nquery_run sweep entities kws max_tuples =
+  match entities with
+  | t1 :: t2 :: _ ->
+      let engine = (sweep t1 t2 None).engine () in
+      let catalog = catalog_of engine in
+      let endpoints =
+        List.mapi (fun i entity -> endpoint catalog entity (Option.join (List.nth_opt kws i))) entities
+      in
+      let r = Nquery.run engine.Engine.ctx ~endpoints ~max_tuples () in
+      Printf.printf "%d qualifying tuples (%d examined%s), %d distinct topologies:\n"
+        (List.length r.Topo_core.Nquery.rows)
+        r.Topo_core.Nquery.tuples_examined
+        (if r.Topo_core.Nquery.truncated then ", truncated" else "")
+        (List.length r.Topo_core.Nquery.topologies);
+      List.iter
+        (fun tid -> Printf.printf "  TID %-4d %s\n" tid (Engine.describe engine tid))
+        r.Topo_core.Nquery.topologies;
+      print_endline "\nsample tuples:";
+      List.iteri
+        (fun i (row : Topo_core.Nquery.row) ->
+          if i < 10 then
+            Printf.printf "  (%s) -> TIDs %s\n"
+              (String.concat ", " (Array.to_list (Array.map string_of_int row.Topo_core.Nquery.entities)))
+              (String.concat "," (List.map string_of_int row.Topo_core.Nquery.tids)))
+        r.Topo_core.Nquery.rows;
+      0
+  | _ -> usage_error "need at least two --entity arguments"
 
 let nquery_cmd =
   let entities =
-    Arg.(value & opt_all string [ "Protein"; "Unigene"; "DNA" ]
+    Arg.(value & opt_all entity_conv [ "Protein"; "Unigene"; "DNA" ]
          & info [ "entity" ] ~docv:"ENTITY" ~doc:"Endpoint entity set (repeatable, in order).")
   in
   let kws =
@@ -1204,13 +1100,13 @@ let nquery_cmd =
   let max_tuples = Arg.(value & opt int 2000 & info [ "max-tuples" ] ~docv:"N" ~doc:"Tuple budget.") in
   Cmd.v
     (Cmd.info "nquery" ~doc:"Run a multi-endpoint topology query (the paper's future-work extension).")
-    Term.(const nquery_run $ scale_arg $ seed_arg $ l_arg $ threshold_arg $ entities $ kws $ max_tuples)
+    Term.(const nquery_run $ sweep_term $ entities $ kws $ max_tuples)
 
 (* ------------------------------------------------------------------ *)
 (* dump / load                                                          *)
 
-let dump_run scale seed dir =
-  let catalog = make_instance scale seed in
+let dump_run instance dir =
+  let catalog = instance () in
   Topo_sql.Dump.save catalog ~dir;
   Printf.printf "saved %d tables to %s\n" (List.length (Topo_sql.Catalog.tables catalog)) dir;
   0
@@ -1219,7 +1115,7 @@ let dump_cmd =
   let dir = Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc:"Output directory.") in
   Cmd.v
     (Cmd.info "dump" ~doc:"Generate a synthetic instance and save it as .tbl files.")
-    Term.(const dump_run $ scale_arg $ seed_arg $ dir)
+    Term.(const dump_run $ instance_term $ dir)
 
 (* ------------------------------------------------------------------ *)
 

@@ -144,9 +144,6 @@ let eval t (req : Request.t) ~verify_plans ?trace ?budget () =
   let elapsed_s = Unix.gettimeofday () -. start in
   { Request.ranked; elapsed_s; method_ = req.Request.method_; strategy }
 
-(* All-zero counter snapshot for outcomes that never evaluated. *)
-let no_work = { Counters.tuples = 0; index_probes = 0; rows_scanned = 0 }
-
 let run_request t ?cache ?(verify_plans = false) ?(traces = false) (req : Request.t) =
   let trace = if traces then Some (Topo_obs.Trace.create ()) else None in
   (* Verification mode prices and checks every plan fresh.  A cache hit
@@ -168,7 +165,7 @@ let run_request t ?cache ?(verify_plans = false) ?(traces = false) (req : Reques
       (* Expired before any work started: short-circuit ahead of the
          cache lookup and the counter scope, so a rejected request is
          observably free — no cache traffic, no counter activity. *)
-      outcome (Request.Rejected Request.Expired) no_work Request.Uncached
+      Request.unevaluated ?trace (Request.Rejected Request.Expired) req
   | deadline -> (
       let budget = Option.map Budget.start deadline in
       let lift = function

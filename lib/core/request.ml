@@ -87,6 +87,16 @@ type outcome = {
   cache : cache_status;
 }
 
+let unevaluated ?trace ?(served_by = (Domain.self () :> int)) result request =
+  {
+    request;
+    result;
+    counters = { Topo_sql.Iterator.Counters.tuples = 0; index_probes = 0; rows_scanned = 0 };
+    served_by;
+    trace;
+    cache = Uncached;
+  }
+
 let get_done o =
   match o.result with
   | Done r -> r
@@ -388,25 +398,32 @@ let read_outcome_payload r =
   in
   { request; result; counters; served_by; trace = None; cache }
 
-let payload_of write v =
-  let buf = Buffer.create 256 in
-  write buf v;
+(* A batch payload is a u32 count and that many item payloads. *)
+let write_batch write items =
+  let buf = Buffer.create 4096 in
+  Wire.w_u32 buf (List.length items);
+  List.iter (write buf) items;
   Buffer.contents buf
 
-let decode_as ~kind ~what read data =
-  let k, payload = Wire.decode_frame data in
+let read_batch_frame ~kind ~noun ?expect read (k, payload) =
   if k <> kind then
     Wire.fail "expected a %s frame, got a %s frame" (Wire.kind_name kind) (Wire.kind_name k);
-  let r = Wire.reader ~what payload in
-  let v = read r in
+  let r = Wire.reader ~what:(noun ^ " payload") payload in
+  let n = Wire.r_count r "batch size" in
+  (match expect with
+  | Some e when n <> e -> Wire.fail "%s carries %d item(s) for a %d-request batch" noun n e
+  | _ -> ());
+  let items = Wire.r_list r n noun (fun () -> read r) in
   Wire.r_end r;
-  v
+  items
 
-let to_wire req = Wire.frame ~kind:Wire.kind_request (payload_of write_payload req)
+let batch_payload reqs = write_batch write_payload reqs
 
-let of_wire data = decode_as ~kind:Wire.kind_request ~what:"request payload" read_payload data
+let read_batch frame =
+  read_batch_frame ~kind:Wire.kind_batch_request ~noun:"batch request" read_payload frame
 
-let outcome_to_wire o = Wire.frame ~kind:Wire.kind_outcome (payload_of write_outcome_payload o)
+let outcome_batch_payload outcomes = write_batch write_outcome_payload outcomes
 
-let outcome_of_wire data =
-  decode_as ~kind:Wire.kind_outcome ~what:"outcome payload" read_outcome_payload data
+let read_outcome_batch ?expect frame =
+  read_batch_frame ~kind:Wire.kind_batch_outcome ~noun:"batch outcome" ?expect read_outcome_payload
+    frame

@@ -81,6 +81,13 @@ type outcome = {
   cache : cache_status;
 }
 
+(** [unevaluated ?trace ?served_by result req] is the outcome of a
+    request that never reached evaluation (rejected at admission, or
+    failed before any engine saw it): all-zero counters, no cache
+    traffic.  [served_by] defaults to the calling domain's id. *)
+val unevaluated :
+  ?trace:Topo_obs.Trace.t -> ?served_by:int -> outcome_result -> t -> outcome
+
 (** [get_done o] is the answer of a [Done] outcome, for sequential
     callers that treat anything else as an error: it re-raises the
     exception of a [Failed] outcome.
@@ -134,24 +141,7 @@ val of_workload_line :
     prints the carried message verbatim. *)
 exception Remote_failure of string
 
-(** [to_wire r] is a complete request frame ({!Wire.kind_request}). *)
-val to_wire : t -> string
-
-(** [of_wire data] decodes a frame produced by {!to_wire}.
-    @raise Wire.Error on any framing or codec violation. *)
-val of_wire : string -> t
-
-(** [outcome_to_wire o] is a complete outcome frame
-    ({!Wire.kind_outcome}). *)
-val outcome_to_wire : outcome -> string
-
-(** [outcome_of_wire data] decodes a frame produced by
-    {!outcome_to_wire}.  @raise Wire.Error on violation. *)
-val outcome_of_wire : string -> outcome
-
-(** Payload-level codecs, for embedding many requests/outcomes in one
-    batch frame ({!Wire.kind_batch_request} / {!Wire.kind_batch_outcome})
-    without per-message frame overhead. *)
+(** Payload-level codecs of one request and one outcome. *)
 
 val write_payload : Buffer.t -> t -> unit
 
@@ -160,3 +150,26 @@ val read_payload : Wire.reader -> t
 val write_outcome_payload : Buffer.t -> outcome -> unit
 
 val read_outcome_payload : Wire.reader -> outcome
+
+(** {2 Batches}
+
+    The router and a shard exchange batches only: a
+    {!Wire.kind_batch_request} frame whose payload is a u32 count and
+    that many request payloads, answered by a {!Wire.kind_batch_outcome}
+    frame carrying the outcomes in request order. *)
+
+(** [batch_payload reqs] is the payload of a batch-request frame. *)
+val batch_payload : t list -> string
+
+(** [read_batch (kind, payload)] decodes a frame as {!Wire.recv} or
+    {!Wire.decode_frame} return it.
+    @raise Wire.Error on a frame of another kind or any codec violation. *)
+val read_batch : int * string -> t list
+
+(** [outcome_batch_payload os] is the payload of a batch-outcome frame. *)
+val outcome_batch_payload : outcome list -> string
+
+(** [read_outcome_batch ?expect frame] decodes a batch-outcome frame.
+    @raise Wire.Error on a frame of another kind, a batch of other than
+    [expect] outcomes (when given), or any codec violation. *)
+val read_outcome_batch : ?expect:int -> int * string -> outcome list

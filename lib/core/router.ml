@@ -99,41 +99,13 @@ let conn t k =
       t.conns.(k) <- Some fd;
       fd
 
-let encode_batch reqs =
-  let buf = Buffer.create 4096 in
-  Wire.w_u32 buf (List.length reqs);
-  List.iter (fun req -> Request.write_payload buf req) reqs;
-  Buffer.contents buf
-
-let decode_batch ~expect payload =
-  let r = Wire.reader ~what:"batch outcome payload" payload in
-  let n = Wire.r_count r "batch size" in
-  if n <> expect then
-    fail "batch outcome carries %d outcome(s) for a %d-request batch" n expect;
-  let outcomes = Wire.r_list r n "batch outcome" (fun () -> Request.read_outcome_payload r) in
-  Wire.r_end r;
-  outcomes
-
-let send_batch t k payload =
-  Wire.send (conn t k) ~kind:Wire.kind_batch_request payload
+let send_batch t k reqs =
+  Wire.send (conn t k) ~kind:Wire.kind_batch_request (Request.batch_payload reqs)
 
 let recv_batch t k ~expect =
   match Wire.recv (conn t k) with
   | None -> fail "shard %d closed the connection mid-batch" k
-  | Some (kind, payload) when kind = Wire.kind_batch_outcome -> decode_batch ~expect payload
-  | Some (kind, _) ->
-      fail "shard %d replied with a %s frame where a batch outcome was expected" k
-        (Wire.kind_name kind)
-
-let failed_outcome msg req =
-  {
-    Request.request = req;
-    result = Request.Failed (Request.Remote_failure msg);
-    counters = { Topo_sql.Iterator.Counters.tuples = 0; index_probes = 0; rows_scanned = 0 };
-    served_by = -1;
-    trace = None;
-    cache = Request.Uncached;
-  }
+  | Some frame -> Request.read_outcome_batch ~expect frame
 
 let shard_of t (req : Request.t) =
   Snapshot.shard_of_pair ~shards:t.manifest.Snapshot.shards
@@ -151,10 +123,8 @@ let exec t requests =
   let groups = Array.map List.rev groups in
   let slots = Array.make (List.length requests) None in
   let degrade k msg =
-    List.iter
-      (fun (i, req) ->
-        slots.(i) <- Some (failed_outcome (Printf.sprintf "shard %d unreachable: %s" k msg) req))
-      groups.(k)
+    let failed = Request.Failed (Request.Remote_failure (Printf.sprintf "shard %d unreachable: %s" k msg)) in
+    List.iter (fun (i, req) -> slots.(i) <- Some (Request.unevaluated ~served_by:(-1) failed req)) groups.(k)
   in
   (* Scatter: send every involved shard its sub-batch before reading any
      reply, so shards evaluate concurrently.  A shard that cannot even be
@@ -162,7 +132,7 @@ let exec t requests =
   let sent = Array.make shards false in
   for k = 0 to shards - 1 do
     if groups.(k) <> [] then
-      match send_batch t k (encode_batch (List.map snd groups.(k))) with
+      match send_batch t k (List.map snd groups.(k)) with
       | () -> sent.(k) <- true
       | exception (Wire.Error msg) ->
           close_conn t k;
@@ -185,7 +155,7 @@ let exec t requests =
       | exception (Wire.Error _ | Unix.Unix_error _) -> (
           close_conn t k;
           let retry () =
-            send_batch t k (encode_batch (List.map snd groups.(k)));
+            send_batch t k (List.map snd groups.(k));
             recv_batch t k ~expect
           in
           match retry () with

@@ -162,18 +162,6 @@ let exec_closed cfg engine requests =
 
 let with_lock m f = Mutex.lock m; Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-(* An outcome manufactured on the coordinator for a request the admission
-   queue turned away: no evaluation, no counters, no cache traffic. *)
-let overloaded_outcome req =
-  {
-    Request.request = req;
-    result = Request.Rejected Request.Overloaded;
-    counters = { Counters.tuples = 0; index_probes = 0; rows_scanned = 0 };
-    served_by = (Domain.self () :> int);
-    trace = None;
-    cache = Request.Uncached;
-  }
-
 let exec_open cfg oc engine requests =
   let jobs =
     let recommended = Domain.recommended_domain_count () in
@@ -256,7 +244,7 @@ let exec_open cfg oc engine requests =
       in
       if not admitted then begin
         let t = now () in
-        record idx (overloaded_outcome req) ~started:t ~finished:t
+        record idx (Request.unevaluated (Request.Rejected Request.Overloaded) req) ~started:t ~finished:t
       end)
     arrivals;
   with_lock lock (fun () ->

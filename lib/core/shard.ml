@@ -55,18 +55,6 @@ let shutdown_and_close fd =
   (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
   close_quietly fd
 
-let zero_counters = { Topo_sql.Iterator.Counters.tuples = 0; index_probes = 0; rows_scanned = 0 }
-
-let overloaded_outcome req =
-  {
-    Request.request = req;
-    result = Request.Rejected Request.Overloaded;
-    counters = zero_counters;
-    served_by = (Domain.self () :> int);
-    trace = None;
-    cache = Request.Uncached;
-  }
-
 (* Batch-at-a-time capacity reservation: admit the whole batch or none
    of it, so a half-admitted batch can never deadlock a client waiting
    for outcomes that were silently dropped. *)
@@ -75,19 +63,6 @@ let rec reserve inflight ~limit n =
   if cur + n > limit then false
   else if Atomic.compare_and_set inflight cur (cur + n) then true
   else reserve inflight ~limit n
-
-let read_batch payload =
-  let r = Wire.reader ~what:"batch request payload" payload in
-  let n = Wire.r_count r "batch size" in
-  let reqs = Wire.r_list r n "batch request" (fun () -> Request.read_payload r) in
-  Wire.r_end r;
-  reqs
-
-let write_batch outcomes =
-  let buf = Buffer.create 4096 in
-  Wire.w_u32 buf (List.length outcomes);
-  List.iter (fun o -> Request.write_outcome_payload buf o) outcomes;
-  Buffer.contents buf
 
 let hello_payload ~shard ~fingerprint =
   let buf = Buffer.create 64 in
@@ -110,38 +85,18 @@ let evaluate ~serve ~pool ~inflight engine reqs =
 
 let serve_conn ~serve ~pool ~inflight ~max_inflight ~shard ~fingerprint engine fd =
   Wire.send fd ~kind:Wire.kind_hello (hello_payload ~shard ~fingerprint);
-  let respond ~kind outcomes = Wire.send fd ~kind (write_batch outcomes) in
   let rec loop () =
     match Wire.recv fd with
     | None -> ()
-    | Some (kind, payload) when kind = Wire.kind_batch_request ->
-        let reqs = read_batch payload in
+    | Some frame ->
+        let reqs = Request.read_batch frame in
         let outcomes =
           if reserve inflight ~limit:max_inflight (List.length reqs) then
             evaluate ~serve ~pool ~inflight engine reqs
-          else List.map overloaded_outcome reqs
+          else List.map (Request.unevaluated (Request.Rejected Request.Overloaded)) reqs
         in
-        respond ~kind:Wire.kind_batch_outcome outcomes;
+        Wire.send fd ~kind:Wire.kind_batch_outcome (Request.outcome_batch_payload outcomes);
         loop ()
-    | Some (kind, payload) when kind = Wire.kind_request ->
-        let r = Wire.reader ~what:"request payload" payload in
-        let req = Request.read_payload r in
-        Wire.r_end r;
-        let outcomes =
-          if reserve inflight ~limit:max_inflight 1 then
-            evaluate ~serve ~pool ~inflight engine [ req ]
-          else [ overloaded_outcome req ]
-        in
-        (match outcomes with
-        | [ o ] ->
-            let buf = Buffer.create 512 in
-            Request.write_outcome_payload buf o;
-            Wire.send fd ~kind:Wire.kind_outcome (Buffer.contents buf)
-        | _ -> Wire.fail "single request evaluated to %d outcome(s)" (List.length outcomes));
-        loop ()
-    | Some (kind, _) ->
-        Wire.fail "unexpected %s frame on a shard connection (client speaks batches)"
-          (Wire.kind_name kind)
   in
   loop ()
 

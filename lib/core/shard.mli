@@ -6,10 +6,9 @@
     TCP sockets.  On accept it sends a [hello] frame — the shard index
     and the engine's {!Engine.fingerprint} — so a router can refuse to
     scatter over the wrong slice.  It then answers [batch-request]
-    frames with [batch-outcome] frames (and single [request] frames with
-    [outcome] frames), evaluating through {!Serve.exec} on a shared pool
-    so the reply bytes are the ones single-process serving would
-    produce.
+    frames with [batch-outcome] frames, evaluating through
+    {!Serve.exec} on a shared pool so the reply bytes are the ones
+    single-process serving would produce.
 
     Admission is shed-don't-buffer: a batch that would push the number
     of in-flight requests past [max_inflight] is answered immediately

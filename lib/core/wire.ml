@@ -13,8 +13,8 @@
 
    This module is deliberately *below* [Request] in the module graph: it
    knows framing, little-endian primitives and socket IO, but nothing
-   about what the payloads mean.  [Request.to_wire]/[Request.of_wire]
-   own the payload codecs and delegate the frame envelope here, so the
+   about what the payloads mean.  [Request] owns the payload codecs,
+   batch format included, and delegate the frame envelope here, so the
    canonical key, the cache key and the wire form live at one site.
    The primitives and the reader are the repository's only byte codec:
    [Snapshot] writes and reads its files through them too.
@@ -40,10 +40,8 @@ let max_payload = 16 * 1024 * 1024
 
 (* Frame kinds.  The codec owners assign payload meanings; the numbers
    are declared here so both sides of the protocol share one registry. *)
-let kind_request = 1
-
-let kind_outcome = 2
-
+(* 1 and 2 were single-request and single-outcome frames; retired, not
+   reused. *)
 let kind_batch_request = 3
 
 let kind_batch_outcome = 4
@@ -51,8 +49,6 @@ let kind_batch_outcome = 4
 let kind_hello = 5
 
 let kind_name = function
-  | 1 -> "request"
-  | 2 -> "outcome"
   | 3 -> "batch-request"
   | 4 -> "batch-outcome"
   | 5 -> "hello"

@@ -15,8 +15,8 @@
 
     This module knows framing, little-endian primitives, a
     bounds-checked payload reader and socket IO — but nothing about
-    payload contents. {!Request.to_wire}/{!Request.of_wire} own the
-    payload codecs and delegate the envelope here, which keeps [Wire]
+    payload contents. {!Request} owns the payload codecs (including the
+    batch format) and delegates the envelope here, which keeps [Wire]
     below [Request] in the module graph.  The primitives and the reader
     are the only byte codec in the repository: {!Snapshot}, {!Request},
     [Shard] and [Router] all read and write through them.
@@ -42,11 +42,10 @@ val max_payload : int
 val header_length : int
 (** Size in bytes of the fixed frame header (31). *)
 
-(** {1 Frame kinds} *)
+(** {1 Frame kinds}
 
-val kind_request : int
-
-val kind_outcome : int
+    Kinds 1 and 2 (single request, single outcome) are retired: the
+    router speaks batches only. *)
 
 val kind_batch_request : int
 

@@ -4,16 +4,6 @@ type est = { rows : float; cost : float }
 
 type node = { label : string; est : est; children : node list }
 
-(* Abstract cost units, kept in lockstep with Optimizer's constants (one
-   hash-index probe = 1.0). *)
-let c_scan = 0.25
-
-let c_hash = 0.6
-
-let c_sort = 0.8
-
-let c_probe = 1.0
-
 let base_rows catalog table = float_of_int (Table.row_count (Catalog.find catalog table))
 
 let base_sel catalog table pred =
@@ -125,10 +115,10 @@ let annotate catalog plan =
     match plan with
     | Physical.Scan { table; pred; _ } ->
         let n = base_rows catalog table in
-        mk (n *. base_sel catalog table pred) (n *. c_scan) []
+        mk (n *. base_sel catalog table pred) (n *. Optimizer.c_scan) []
     | Physical.OrderedScan { table; pred; _ } ->
         let n = base_rows catalog table in
-        mk (n *. base_sel catalog table pred) (n *. c_scan *. 1.5) []
+        mk (n *. base_sel catalog table pred) (n *. Optimizer.c_scan *. 1.5) []
     | Physical.IndexProbe { table; cols; pred; _ } ->
         let n = base_rows catalog table in
         let t = Catalog.find catalog table in
@@ -138,7 +128,7 @@ let annotate catalog plan =
             1 cols
         in
         let matches = n /. float_of_int (max 1 d) *. base_sel catalog table pred in
-        mk matches (c_probe +. (0.1 *. matches)) []
+        mk matches (Optimizer.c_probe +. (0.1 *. matches)) []
     | Physical.Filter { input; pred } ->
         let child = go input in
         let sel = derived_sel catalog input pred in
@@ -154,7 +144,9 @@ let annotate catalog plan =
         in
         let out = l.est.rows *. r.est.rows *. s *. residual_sel residual in
         mk out
-          (l.est.cost +. r.est.cost +. (c_hash *. (l.est.rows +. r.est.rows)) +. (0.1 *. out))
+          (l.est.cost +. r.est.cost
+          +. (Optimizer.c_hash *. (l.est.rows +. r.est.rows))
+          +. (0.1 *. out))
           [ l; r ]
     | Physical.MergeJoin { left; right; left_cols; right_cols; residual } ->
         let l = go left and r = go right in
@@ -189,26 +181,26 @@ let annotate catalog plan =
           match plan with
           | Physical.Hdgj _ ->
               (* HDGJ re-scans the inner relation per group. *)
-              n *. c_scan
-          | _ -> c_probe +. (0.1 *. n *. s)
+              n *. Optimizer.c_scan
+          | _ -> Optimizer.c_probe +. (0.1 *. n *. s)
         in
         mk out (l.est.cost +. (l.est.rows *. per_probe) +. (0.1 *. out)) [ l ]
     | Physical.Sort { input; _ } ->
         let child = go input in
         let n = Float.max 1.0 child.est.rows in
-        mk child.est.rows (child.est.cost +. (c_sort *. n *. Float.log2 (n +. 2.0))) [ child ]
+        mk child.est.rows (child.est.cost +. (Optimizer.c_sort *. n *. Float.log2 (n +. 2.0))) [ child ]
     | Physical.Distinct input ->
         let child = go input in
         (* Upper bound: without multi-column distinct statistics the
            duplicate factor is unknown. *)
-        mk child.est.rows (child.est.cost +. (c_hash *. child.est.rows)) [ child ]
+        mk child.est.rows (child.est.cost +. (Optimizer.c_hash *. child.est.rows)) [ child ]
     | Physical.Union (a, b) ->
         let l = go a and r = go b in
         mk (l.est.rows +. r.est.rows) (l.est.cost +. r.est.cost) [ l; r ]
     | Physical.AntiJoin { left; right; _ } | Physical.SemiJoin { left; right; _ } ->
         let l = go left and r = go right in
         mk (l.est.rows *. 0.5)
-          (l.est.cost +. r.est.cost +. (c_hash *. (l.est.rows +. r.est.rows)))
+          (l.est.cost +. r.est.cost +. (Optimizer.c_hash *. (l.est.rows +. r.est.rows)))
           [ l; r ]
     | Physical.Limit (k, input) ->
         let child = go input in
@@ -219,6 +211,6 @@ let annotate catalog plan =
     | Physical.Aggregate { input; keys; _ } ->
         let child = go input in
         let out = if keys = [] then 1.0 else Float.max 1.0 (child.est.rows /. 10.0) in
-        mk out (child.est.cost +. (c_hash *. child.est.rows)) [ child ]
+        mk out (child.est.cost +. (Optimizer.c_hash *. child.est.rows)) [ child ]
   in
   go plan

@@ -41,6 +41,21 @@ type spec = {
 
 type strategy = Regular | Early_termination
 
+(** {1 Cost units}
+
+    Abstract units: one hash-index probe costs [c_probe] = 1.0.
+    Sequential access is cheaper per row; hashing and sorting pay
+    per-tuple CPU.  EXPLAIN's estimates ([Topo_obs.Estimate]) price
+    plans in the same units. *)
+
+val c_scan : float
+
+val c_hash : float
+
+val c_sort : float
+
+val c_probe : float
+
 type decision = {
   plan : Physical.t;
   strategy : strategy;

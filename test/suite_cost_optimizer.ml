@@ -425,7 +425,12 @@ let test_huge_k_prices_in_constant_space () =
   let store = Engine.store engine ~t1:"Protein" ~t2:"DNA" in
   let groups = Table.row_count (Catalog.find cat store.Store.topinfo) in
   let huge = 0x7FFF_FFFF in
-  let decoded = Request.of_wire (Request.to_wire (Request.make ~k:huge Engine.Fast_top_k_opt q)) in
+  let decoded =
+    let frame = Wire.frame ~kind:Wire.kind_batch_request (Request.batch_payload [ Request.make ~k:huge Engine.Fast_top_k_opt q ]) in
+    match Request.read_batch (Wire.decode_frame frame) with
+    | [ r ] -> r
+    | _ -> Alcotest.fail "not a batch of one"
+  in
   Alcotest.(check int) "k survives the wire" huge decoded.Request.k;
   let ranked r = (Request.get_done (Engine.run_request engine r)).Request.ranked in
   Alcotest.(check (list (pair int (option (float 0.0)))))

@@ -117,17 +117,28 @@ let gen_outcome =
 
 (* --- request/outcome round trips ------------------------------------------ *)
 
+(* Router and shard speak batches only, so one request or outcome crosses
+   the wire as a batch-of-one frame. *)
+let request_frame req = Wire.frame ~kind:Wire.kind_batch_request (Request.batch_payload [ req ])
+
+let outcome_frame o = Wire.frame ~kind:Wire.kind_batch_outcome (Request.outcome_batch_payload [ o ])
+
+let request_of_frame frame = Request.read_batch (Wire.decode_frame frame)
+
+let outcomes_of_frame frame = Request.read_outcome_batch (Wire.decode_frame frame)
+
 let prop_request_roundtrip =
   QCheck.Test.make ~name:"wire: request round-trips structurally" ~count:300
     (QCheck.make gen_request) (fun req ->
-      Request.of_wire (Request.to_wire req) = req)
+      request_of_frame (request_frame req) = [ req ])
 
 let prop_outcome_roundtrip_bytes =
   QCheck.Test.make ~name:"wire: outcome encode-decode-encode is byte-stable" ~count:300
     (QCheck.make gen_outcome) (fun o ->
-      let wire = Request.outcome_to_wire o in
-      let decoded = Request.outcome_of_wire wire in
-      Request.outcome_to_wire decoded = wire)
+      let wire = outcome_frame o in
+      match outcomes_of_frame wire with
+      | [ decoded ] -> outcome_frame decoded = wire
+      | _ -> false)
 
 let test_outcome_arms_roundtrip () =
   let req =
@@ -159,13 +170,13 @@ let test_outcome_arms_roundtrip () =
   List.iter
     (fun (name, arm) ->
       let o = mk arm in
-      let back = Request.outcome_of_wire (Request.outcome_to_wire o) in
-      match (arm, back.Request.result) with
-      | Request.Failed _, Request.Failed e ->
+      match (arm, outcomes_of_frame (outcome_frame o)) with
+      | _, ([] | _ :: _ :: _) -> Alcotest.failf "%s: not a batch of one" name
+      | Request.Failed _, [ { Request.result = Request.Failed e; _ } ] ->
           Alcotest.(check string)
             (name ^ " message survives verbatim")
             "Not_found" (Printexc.to_string e)
-      | _ -> Alcotest.(check bool) (name ^ " round-trips") true (back = o))
+      | _, [ back ] -> Alcotest.(check bool) (name ^ " round-trips") true (back = o))
     [
       ("done", Request.Done result);
       ("partial", Request.Partial result);
@@ -189,7 +200,7 @@ let expect_error name f =
 
 let sample_frame () =
   let ep entity = { Query.entity; pred = None; label = entity } in
-  Request.to_wire (Request.make Engine.Sql (Query.make (ep "A") (ep "B")))
+  request_frame (Request.make Engine.Sql (Query.make (ep "A") (ep "B")))
 
 (* Frame layout: magic 8 | version u16 | kind u8 | length u32 | MD5 16. *)
 let patch frame off bytes =
@@ -212,7 +223,7 @@ let test_frame_rejections () =
       Wire.decode_frame (patch frame off (String.make 1 (Char.chr (Char.code frame.[off] lxor 1)))));
   (* Valid frame of the wrong kind must be refused by the typed decoder. *)
   expect_error "kind mismatch" (fun () ->
-      Request.outcome_of_wire (sample_frame ()))
+      outcomes_of_frame (sample_frame ()))
 
 let test_reader_bounds () =
   let r = Wire.reader "\x05" in
@@ -421,11 +432,6 @@ let test_snapshot_mutants () =
    each decodes or raises [Wire.Error]. *)
 let test_payload_mutants () =
   let rng = Random.State.make [| 1901 |] in
-  let payload write v =
-    let b = Buffer.create 256 in
-    write b v;
-    Buffer.contents b
-  in
   let rejected = ref 0 in
   let fuzz kind decode payloads =
     List.iteri
@@ -440,10 +446,10 @@ let test_payload_mutants () =
         done)
       payloads
   in
-  fuzz Wire.kind_request Request.of_wire
-    (List.map (payload Request.write_payload) (QCheck.Gen.generate ~rand:rng ~n:40 gen_request));
-  fuzz Wire.kind_outcome Request.outcome_of_wire
-    (List.map (payload Request.write_outcome_payload)
+  fuzz Wire.kind_batch_request request_of_frame
+    (List.map (fun req -> Request.batch_payload [ req ]) (QCheck.Gen.generate ~rand:rng ~n:40 gen_request));
+  fuzz Wire.kind_batch_outcome outcomes_of_frame
+    (List.map (fun o -> Request.outcome_batch_payload [ o ])
        (QCheck.Gen.generate ~rand:rng ~n:40 gen_outcome));
   Alcotest.(check bool) "mutants are rejected" true (!rejected > 0)
 
