@@ -657,6 +657,14 @@ let check_against_jobs1 engine requests outcomes ~ok ~failed =
   print_endline (if same then ok else failed);
   if same then 0 else 1
 
+(* Every request between [t1] and [t2] would fail unless a store for the
+   pair, in either orientation, is among [held] (build orientation): that
+   is a usage error naming the pairs there are. *)
+let require_pair ~what ~t1 ~t2 held =
+  if not (List.mem (t1, t2) held || List.mem (t2, t1) held) then
+    usage_error "%s holds no %s-%s store (it holds %s)" what t1 t2
+      (String.concat ", " (List.map (fun (a, b) -> a ^ "-" ^ b) held))
+
 let print_outcome i (o : Request.outcome) =
   let name = Engine.method_name o.Request.request.Request.method_ in
   match o.Request.result with
@@ -738,6 +746,9 @@ let cache_arg =
 
 let serve_run boot jobs workload traces check cache_of deadline_ms max_queue rate =
   let engine = boot.engine () in
+  let stores = engine.Engine.ctx.Topo_core.Context.stores in
+  require_pair ~what:"the snapshot" ~t1:boot.t1 ~t2:boot.t2
+    (List.sort compare (Hashtbl.fold (fun pair _ acc -> pair :: acc) stores []));
   let base, requests = load_workload (catalog_of engine) ~t1:boot.t1 ~t2:boot.t2 workload in
   let cache = cache_of engine in
   let deadline_s = seconds_of_ms deadline_ms in
@@ -804,15 +815,20 @@ let serve_run boot jobs workload traces check cache_of deadline_ms max_queue rat
         (100.0 *. Topo_core.Cache.hit_rate r)
         r.Topo_core.Cache.evictions r.Topo_core.Cache.invalidations
   | None -> ());
+  let code = if stats.Serve.errors > 0 then 1 else 0 in
   if check && deadline_s <> None then
-    skip_check 0 "--check needs deterministic outcomes and wall deadlines depend on timing"
+    skip_check code "--check needs deterministic outcomes and wall deadlines depend on timing"
   else if check then
     (* The reference pass is sequential AND uncached, so with --cache this
        also asserts that serving from the cache changed no answer. *)
-    check_against_jobs1 engine requests outcomes
-      ~ok:"determinism check: concurrent results bit-identical to jobs=1"
-      ~failed:"determinism check FAILED: concurrent results differ from jobs=1"
-  else 0
+    match
+      check_against_jobs1 engine requests outcomes
+        ~ok:"determinism check: concurrent results bit-identical to jobs=1"
+        ~failed:"determinism check FAILED: concurrent results differ from jobs=1"
+    with
+    | 0 -> code
+    | check_code -> check_code
+  else code
 
 let serve_cmd =
   let jobs = jobs_arg "Domains for concurrent query evaluation" in
@@ -958,6 +974,8 @@ let shard_cmd =
 
 let route_run manifest_dir sockets t1 t2 workload check_snapshot timeout_ms retries =
   let manifest = snapshot_io Snapshot.load_manifest manifest_dir in
+  require_pair ~what:"the manifest" ~t1 ~t2
+    (List.map (fun (t1, t2, _) -> (t1, t2)) manifest.Snapshot.pairs);
   if List.length sockets <> manifest.Snapshot.shards then
     usage_error "manifest names %d shard(s) but %d --socket address(es) were given"
       manifest.Snapshot.shards (List.length sockets);

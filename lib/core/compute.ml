@@ -51,7 +51,7 @@ let union_of_representatives dg reps =
 (* ------------------------------------------------------------------ *)
 (* Staged sweep pipeline.
 
-   The offline sweep runs in three phases so the heavy work parallelizes
+   The offline sweep runs in four phases so the heavy work parallelizes
    over a domain pool while TID assignment stays serial and deterministic:
 
      enumerate_path   one task per schema path: enumerate its instance
@@ -61,12 +61,14 @@ let union_of_representatives dg reps =
      merge_shards     coordinator: combine the per-path shards into one
                       pending record per entity pair, classes in schema
                       path order, pairs sorted by (a, b).
-     unions_of_pair   one task per pair: sort/truncate representatives,
-                      run the Definition 2 cartesian product of unions,
-                      canonicalize, dedup — producing canonical keys and
+     unions_of_pairs  one task per chunk of pairs, one memo per chunk:
+                      sort/truncate representatives, run the Definition 2
+                      cartesian product of unions, canonicalize once per
+                      glue signature, dedup — producing canonical keys and
                       representative graphs but no TIDs.
      commit           coordinator: walk pairs in (a, b) order and register
-                      every topology, assigning TIDs at merge time only.
+                      every topology under the key already computed,
+                      assigning TIDs at merge time only.
                       jobs = n therefore yields bit-identical rows,
                       registry contents and TIDs to jobs = 1. *)
 
@@ -136,7 +138,10 @@ let merge_shards shards =
 type proto = {
   pr_a : int;
   pr_b : int;
-  pr_topos : (string * Lgraph.t) list;  (* distinct canonical keys, discovery order *)
+  pr_topos : (string * Lgraph.t Lazy.t) list;
+      (* distinct canonical keys, discovery order, each with the first union
+         that produced it; [commit] forces a graph only for a class new to
+         the registry *)
   pr_class_keys : string list;  (* sorted *)
   pr_combos : int;
   pr_capped : bool;
@@ -146,11 +151,59 @@ let proto_combos pr = pr.pr_combos
 
 let proto_capped pr = pr.pr_capped
 
+let proto_topos pr = List.map (fun (key, graph) -> (key, Lazy.force graph)) pr.pr_topos
+
+let pending_classes pd = List.map (fun (key, arr) -> (key, Array.copy arr)) (Dyn.to_list pd.pd_classes)
+
+(* Canonical keys by glue signature (Section 3.1: a union's shape is fixed
+   by which classes it uses and how they are glued).  The signature lists,
+   for each chosen representative in class order, its schema path in the
+   orientation [normalize_rep] stored, then its node ids renumbered by
+   first occurrence across the whole union.  Node labels follow the path's
+   types, edge labels its relationships, and the renumbering says which
+   positions share an entity, so the signature fixes the union graph up to
+   isomorphism and the canonical key is a function of it.
+
+   A signature is an int array: per representative, the memo's id for its
+   path, then its renumbered ids (the path fixes how many).  The keys embed
+   interned label ids, so a memo is only valid for the interner of the
+   build that created it: make one per union task chunk, never longer. *)
+module Signatures = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = a = b
+
+  let hash (a : t) = Array.fold_left (fun h x -> (h * 65599) + x) (Array.length a) a land max_int
+end)
+
+type memo = { path_id : Sg.path -> int; key_of : int array -> Lgraph.t Lazy.t -> string }
+
+let memo () =
+  let paths : (Sg.path, int) Hashtbl.t = Hashtbl.create 64 in
+  let keys = Signatures.create 256 in
+  let path_id p =
+    match Hashtbl.find_opt paths p with
+    | Some id -> id
+    | None ->
+        let id = Hashtbl.length paths in
+        Hashtbl.add paths p id;
+        id
+  in
+  let key_of signature graph =
+    match Signatures.find_opt keys signature with
+    | Some key -> key
+    | None ->
+        let key = Canon.key (Lazy.force graph) in
+        Signatures.add keys signature key;
+        key
+  in
+  { path_id; key_of }
+
 (* Representatives were collected unbounded and are truncated here against
    a deterministic (sorted) order, so every code path — the offline sweep,
    anchored recomputation, witness retrieval — selects the same sample and
    the methods stay mutually consistent even on capped pairs. *)
-let unions_of_pair dg caps pd =
+let unions_of_pair dg caps memo pd =
   let capped = ref false in
   let classes =
     Dyn.to_list pd.pd_classes
@@ -172,20 +225,59 @@ let unions_of_pair dg caps pd =
   let counts = Array.of_list (List.map Array.length rep_arrays) in
   let reps = Array.of_list rep_arrays in
   let indices = Array.make n_classes 0 in
+  (* Each representative as its path id and its node ids renumbered densely
+     within the pair, so a union's signature costs O(its length): [stamp]
+     marks the ids the current union has numbered, [number] their numbers. *)
+  let dense = Hashtbl.create 64 in
+  let dense_id id =
+    match Hashtbl.find_opt dense id with
+    | Some i -> i
+    | None ->
+        let i = Hashtbl.length dense in
+        Hashtbl.add dense id i;
+        i
+  in
+  let glue =
+    Array.map (Array.map (fun ((p, ids) : rep) -> (memo.path_id p, Array.map dense_id ids))) reps
+  in
+  let stamp = Array.make (Hashtbl.length dense) 0 in
+  let number = Array.make (Hashtbl.length dense) 0 in
+  (* A class's representatives share one path length. *)
+  let length = Array.fold_left (fun n g -> n + 1 + Array.length (snd g.(0))) 0 glue in
   (* Definition 2: union one representative per class, over the (capped)
-     cartesian product of representatives; canonicalize and dedup. *)
+     cartesian product of representatives; canonicalize and dedup.  A
+     union graph is built only on a memo miss, or by [commit] for the
+     first union of a class new to the registry. *)
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let topos = ref [] in
   let combos = ref 0 in
   let continue = ref true in
   while !continue do
     incr combos;
+    let signature = Array.make length 0 in
+    let pos = ref 0 and next = ref 0 in
+    Array.iteri
+      (fun c g ->
+        let path_id, ids = g.(indices.(c)) in
+        signature.(!pos) <- path_id;
+        incr pos;
+        Array.iter
+          (fun i ->
+            if stamp.(i) <> !combos then begin
+              stamp.(i) <- !combos;
+              number.(i) <- !next;
+              incr next
+            end;
+            signature.(!pos) <- number.(i);
+            incr pos)
+          ids)
+      glue;
     let chosen = List.init n_classes (fun c -> reps.(c).(indices.(c))) in
-    let g = union_of_representatives dg chosen in
-    let key = Canon.key g in
+    let graph = lazy (union_of_representatives dg chosen) in
+    let key = memo.key_of signature graph in
     if not (Hashtbl.mem seen key) then begin
       Hashtbl.add seen key ();
-      topos := (key, g) :: !topos
+      topos := (key, graph) :: !topos
     end;
     (* Odometer increment. *)
     let rec bump c =
@@ -213,12 +305,37 @@ let unions_of_pair dg caps pd =
     pr_capped = !capped;
   }
 
+(* Pairs are numerous and individually small, so they are claimed in
+   chunks; each chunk makes its own memo, so no memo is shared between
+   domains or outlives the build.  A one-job pool takes every pair in one
+   chunk, so the whole build shares one memo. *)
+let unions_of_pairs pool dg caps pendings =
+  let n = Array.length pendings in
+  let jobs = Pool.jobs pool in
+  let chunk = if jobs = 1 then max 1 n else max 1 (n / (jobs * 8)) in
+  let chunks =
+    Array.init ((n + chunk - 1) / chunk) (fun i ->
+        Array.sub pendings (i * chunk) (min chunk (n - (i * chunk))))
+  in
+  Pool.parallel_map pool chunks ~f:(fun chunk ->
+      let memo = memo () in
+      Array.map (unions_of_pair dg caps memo) chunk)
+  |> Array.to_list |> Array.concat
+
 let commit registry protos =
   Array.to_list protos
   |> List.map (fun pr ->
          let tids =
            List.map
-             (fun (_, g) -> (Topology.register registry g ~decomposition:pr.pr_class_keys).Topology.tid)
+             (fun (key, graph) ->
+               (* A registered class keeps its first representative, so only
+                  a class new to the registry needs this pair's union graph. *)
+               let graph =
+                 match Topology.find_by_key registry key with
+                 | Some t -> t.Topology.graph
+                 | None -> Lazy.force graph
+               in
+               (Topology.register ~key registry graph ~decomposition:pr.pr_class_keys).Topology.tid)
              pr.pr_topos
          in
          { a = pr.pr_a; b = pr.pr_b; tids = List.sort compare tids; class_keys = pr.pr_class_keys })
@@ -233,26 +350,6 @@ let sweep_stats ~schema_paths ~shards ~protos ~rows =
   }
 
 let schema_paths_between schema ~t1 ~t2 ~l = Sg.paths schema ~from_:t1 ~to_:t2 ~max_len:l
-
-(* Chunk size for per-pair tasks: pairs are numerous and individually
-   small, so claim them in runs to keep pool cursor traffic negligible. *)
-let pair_chunk ~jobs n = max 1 (n / (jobs * 8))
-
-let alltops dg schema registry ~t1 ~t2 ~l ~caps ?(path_filter = fun _ -> true) ?pool () =
-  let paths = List.filter path_filter (schema_paths_between schema ~t1 ~t2 ~l) in
-  List.iter (Dg.intern_path_labels dg) paths;
-  let same_type = t1 = t2 in
-  let pmap ?chunk arr ~f =
-    match pool with Some p -> Pool.parallel_map ?chunk p arr ~f | None -> Array.map f arr
-  in
-  let shards = pmap (Array.of_list paths) ~f:(enumerate_path dg caps ~same_type) in
-  let pending = merge_shards (Array.to_list shards) in
-  let jobs = match pool with Some p -> Pool.jobs p | None -> 1 in
-  let protos =
-    pmap ~chunk:(pair_chunk ~jobs (Array.length pending)) pending ~f:(unions_of_pair dg caps)
-  in
-  let rows = commit registry protos in
-  (rows, sweep_stats ~schema_paths:(List.length paths) ~shards:(Array.to_list shards) ~protos ~rows)
 
 let pair_topologies dg schema registry ~t1 ~t2 ~a ~b ~l ~caps =
   let paths = schema_paths_between schema ~t1 ~t2 ~l in
@@ -284,7 +381,7 @@ let pair_topologies dg schema registry ~t1 ~t2 ~a ~b ~l ~caps =
   if Dyn.is_empty classes then { a; b; tids = []; class_keys = [] }
   else begin
     let pd = { pd_a = a; pd_b = b; pd_classes = Dyn.map (fun (key, d) -> (key, Dyn.to_array d)) classes } in
-    let pr = unions_of_pair dg caps pd in
+    let pr = unions_of_pair dg caps (memo ()) pd in
     match commit registry [| pr |] with
     | [ row ] -> row
     | rows ->

@@ -3,17 +3,18 @@
 
     [pair_topologies] computes l-Top(a, b) for one entity pair — the
     building block behind the SQL method and tests of the formal
-    definitions.  [alltops] runs the offline sweep for a whole entity-set
-    pair: enumerate every schema path of length <= l, enumerate its
-    instances (a join chain per path, as Section 4.1 describes), group by
-    (first, last) entity, and union one representative per path equivalence
-    class over the cartesian product of representatives.
+    definitions.  The staged sweep below runs the offline phase for whole
+    entity-set pairs ({!Engine.build} schedules it): enumerate every schema
+    path of length <= l, enumerate its instances (a join chain per path, as
+    Section 4.1 describes), group by (first, last) entity, and union one
+    representative per path equivalence class over the cartesian product of
+    representatives.
 
     The sweep is staged so it can run on a {!Topo_util.Pool} of domains:
-    {!enumerate_path} (one task per schema path) and {!unions_of_pair}
-    (one task per entity pair) touch only the read-only data graph and
-    private accumulators, while {!merge_shards} and {!commit} run on the
-    coordinator.  TIDs are assigned only at {!commit}, walking pairs in
+    {!enumerate_path} (one task per schema path) and {!unions_of_pairs}
+    (one task per chunk of entity pairs) touch only the read-only data
+    graph and private accumulators, while {!merge_shards} and {!commit} run
+    on the coordinator.  TIDs are assigned only at {!commit}, walking pairs in
     (a, b) order, so a parallel sweep produces bit-identical rows and
     registry contents to a serial one.
 
@@ -64,28 +65,6 @@ val pair_topologies :
   caps:caps ->
   pair_row
 
-(** [alltops dg schema registry ~t1 ~t2 ~l ~caps ?path_filter ?pool ()]
-    runs the offline sweep for the whole entity-set pair, returning every
-    connected pair's row and sweep statistics.  Rows are sorted by (a, b).
-    [path_filter] drops schema paths before enumeration — the paper's
-    proposed remedy for weak relationships ("use domain knowledge to prune
-    such weak topologies", Section 6.2.3); pass
-    [fun p -> not (Weak.is_weak_path p)] to exclude them.  [pool], when
-    given, fans the enumeration and union phases out across its domains;
-    the result is bit-identical to the serial sweep. *)
-val alltops :
-  Topo_graph.Data_graph.t ->
-  Topo_graph.Schema_graph.t ->
-  Topology.registry ->
-  t1:string ->
-  t2:string ->
-  l:int ->
-  caps:caps ->
-  ?path_filter:(Topo_graph.Schema_graph.path -> bool) ->
-  ?pool:Topo_util.Pool.t ->
-  unit ->
-  pair_row list * stats
-
 (** [schema_paths_between schema ~t1 ~t2 ~l] lists the (deduplicated,
     deterministically ordered) schema paths the sweep enumerates. *)
 val schema_paths_between :
@@ -97,7 +76,7 @@ val schema_paths_between :
     task arrays over one pool; these are the stage functions it schedules.
     A caller must pre-intern every path's labels
     ({!Topo_graph.Data_graph.intern_path_labels}) before running
-    {!enumerate_path} or {!unions_of_pair} off the coordinator domain. *)
+    {!enumerate_path} or {!unions_of_pairs} off the coordinator domain. *)
 
 (** Per-schema-path enumeration result: representatives bucketed by
     (first, last) entity pair. *)
@@ -120,21 +99,46 @@ type pending
     (a, b).  Runs on the coordinator. *)
 val merge_shards : shard list -> pending array
 
+(** [pending_classes pd] is the pair's representatives per path class:
+    class key and (schema path, node ids) in the orientation the sweep
+    stores, untruncated, classes in schema path order.  The arrays are
+    copies. *)
+val pending_classes :
+  pending -> (string * (Topo_graph.Schema_graph.path * int array) array) list
+
 (** The union phase's output for one pair: canonical keys and
     representative graphs, no TIDs yet. *)
 type proto
 
-(** [unions_of_pair dg caps pd] runs the Definition 2 union/canonicalize/
-    dedup product for one pair.  Pure apart from reads of [dg]. *)
-val unions_of_pair : Topo_graph.Data_graph.t -> caps -> pending -> proto
+(** [unions_of_pairs pool dg caps pendings] runs the Definition 2
+    union/canonicalize/dedup product for every pair, results in input
+    order.  Pure apart from reads of [dg].
+
+    A union's shape is fixed by its {e glue signature}: for each chosen
+    representative in class order, its schema path (in stored orientation)
+    and its node ids renumbered by first occurrence across the union.  The
+    canonical key is therefore computed once per signature, through a memo
+    that each chunk of pairs makes for itself (one chunk on a one-job
+    pool).  A union graph is built only on a memo miss, or by {!commit}
+    for the first union of a class new to the registry.  Memo keys embed
+    interned label ids, so no memo outlives the call. *)
+val unions_of_pairs :
+  Topo_util.Pool.t -> Topo_graph.Data_graph.t -> caps -> pending array -> proto array
 
 val proto_combos : proto -> int
 
 val proto_capped : proto -> bool
 
-(** [commit registry protos] registers every topology, assigning TIDs in
-    array order (sort protos by (a, b) first — {!merge_shards} already
-    does), and returns the final rows.  Must run on the single domain that
+(** [proto_topos pr] is the pair's distinct canonical keys in discovery
+    order, each with the first union graph that produced it (built now if
+    the sweep had no need to). *)
+val proto_topos : proto -> (string * Topo_graph.Lgraph.t) list
+
+(** [commit registry protos] registers every topology under the key the
+    union phase computed, assigning TIDs in array order (sort protos by
+    (a, b) first — {!merge_shards} already does), and returns the final
+    rows.  A class already in [registry] keeps its representative, so a
+    union graph is built only for a class new to it.  Must run on the single domain that
     owns [registry]. *)
 val commit : Topology.registry -> proto array -> pair_row list
 

@@ -22,8 +22,8 @@ let method_name = Methods.method_name
 
 (* The offline phase, parallelized on a domain pool.  The per-entity-pair
    sweeps are flattened into two shared task arrays — one task per
-   (pair, schema path) for instance enumeration, one per (pair, entity
-   pair) for the union product — so a build over few entity-set pairs
+   (pair, schema path) for instance enumeration, one per chunk of entity
+   pairs for the union product — so a build over few entity-set pairs
    still saturates the pool.  All shared-state writes (intern pool, the
    topology registry, the catalog's derived tables) stay on the
    coordinator domain: labels are pre-interned before fan-out, and TIDs
@@ -50,7 +50,8 @@ let build catalog ~pairs ?(l = 3) ?(caps = Compute.default_caps) ?(pruning_thres
     }
   in
   let path_filter p =
-    ((not exclude_weak) || not (Weak.is_weak_path p)) && Weak.path_reliability p >= min_reliability
+    ((not exclude_weak) || not (Weak.is_weak_path p))
+    && Weak.reliability_filter ~threshold:min_reliability p
   in
   Pool.with_pool ?jobs (fun pool ->
       let pair_paths =
@@ -83,12 +84,10 @@ let build catalog ~pairs ?(l = 3) ?(caps = Compute.default_caps) ?(pruning_thres
         (fun idx (i, _, _) -> shards_by_pair.(i) <- shards.(idx) :: shards_by_pair.(i))
         enum_tasks;
       let shards_by_pair = Array.map List.rev shards_by_pair in
-      (* Phase B: the union/canonicalize product, one task per entity pair,
-         claimed in chunks (pairs are numerous and individually small). *)
+      (* Phase B: the union/canonicalize product over every pending pair,
+         claimed in chunks that each canonicalize once per glue signature. *)
       let pendings = Array.map Compute.merge_shards shards_by_pair in
-      let union_tasks = Array.concat (Array.to_list pendings) in
-      let chunk = max 1 (Array.length union_tasks / (Pool.jobs pool * 8)) in
-      let protos = Pool.parallel_map ~chunk pool union_tasks ~f:(Compute.unions_of_pair dg caps) in
+      let protos = Compute.unions_of_pairs pool dg caps (Array.concat (Array.to_list pendings)) in
       let protos_by_pair =
         let out = Array.map (fun pds -> Array.make (Array.length pds) None) pendings in
         let cursor = ref 0 in

@@ -44,8 +44,8 @@ let create_registry () =
 
 let generation reg = Atomic.get reg.gen
 
-let register reg graph ~decomposition =
-  let key = Canon.key graph in
+let register ?key reg graph ~decomposition =
+  let key = match key with Some key -> key | None -> Canon.key graph in
   let decomposition = List.sort_uniq compare decomposition in
   (* Double-checked: hit with a known decomposition -> no lock, no write.
      In steady state every (shape, decomposition) is already present, so

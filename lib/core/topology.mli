@@ -45,10 +45,13 @@ val create_registry : unit -> registry
     steady-state online path) do not bump it. *)
 val generation : registry -> int
 
-(** [register registry graph ~decomposition] interns the graph's class and
-    returns its topology, allocating a fresh TID on first sight; later
-    registrations with a new decomposition extend [decompositions]. *)
-val register : registry -> Topo_graph.Lgraph.t -> decomposition:string list -> t
+(** [register ?key registry graph ~decomposition] interns the graph's class
+    and returns its topology, allocating a fresh TID on first sight; later
+    registrations with a new decomposition extend [decompositions].  [key],
+    when given, must be [Canon.key graph]: the offline sweep passes the key
+    it has already computed.  Without it the key is computed here, which is
+    how a snapshot load checks the keys its file records. *)
+val register : ?key:string -> registry -> Topo_graph.Lgraph.t -> decomposition:string list -> t
 
 (** [absorb ~into src] merges a shard-local registry into [into]: every
     topology of [src] is re-registered in src-TID order, carrying all of its

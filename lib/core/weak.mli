@@ -60,7 +60,7 @@ val class_key_reliability : string -> float
     class reliability in the derivation. *)
 val topology_reliability : Topology.t -> float
 
-(** [reliability_filter ~threshold] is a path filter for
-    {!Compute.alltops} keeping paths with reliability >= [threshold] —
-    the graded generalization of [exclude_weak]. *)
+(** [reliability_filter ~threshold] keeps paths with reliability >=
+    [threshold]: the path filter {!Engine.build} applies for its
+    [min_reliability], the graded generalization of [exclude_weak]. *)
 val reliability_filter : threshold:float -> Topo_graph.Schema_graph.path -> bool

@@ -1,9 +1,10 @@
 (* The parallel offline build: the domain pool's contract (input-order
    merge, deterministic exception choice, inline nesting), the
    domain-safety retrofits (atomic counters, snapshot caching, registry
-   absorption), and the headline property — Engine.build produces
+   absorption), the headline property — Engine.build produces
    bit-identical derived tables, registry and answers for every jobs
-   value. *)
+   value — and the union phase's glue-signature memo against a reference
+   that canonicalizes every union. *)
 
 open Topo_core
 module Pool = Topo_util.Pool
@@ -247,6 +248,158 @@ let prop_generated_build_jobs_identical =
       let base = fingerprint (build 1) in
       base = fingerprint (build 2) && base = fingerprint (build 4))
 
+(* --- the union phase's glue-signature memo --------------------------------- *)
+
+(* The reference union phase: the Definition 2 product over the same
+   sorted, truncated representatives, canonicalizing every union itself.
+   It shares no code with the memo or the signatures. *)
+let reference_unions dg (caps : Compute.caps) pd =
+  let truncated = ref false in
+  let classes =
+    Compute.pending_classes pd
+    |> List.sort (fun ((a : string), _) (b, _) -> compare a b)
+    |> List.map (fun (_, reps) ->
+           Array.sort (fun (_, a) (_, b) -> compare a b) reps;
+           if Array.length reps > caps.Compute.max_reps_per_class then truncated := true;
+           Array.sub reps 0 (min caps.Compute.max_reps_per_class (Array.length reps)))
+  in
+  let rec product = function
+    | [] -> Seq.return []
+    | reps :: rest ->
+        Seq.flat_map (fun r -> Seq.map (fun tail -> r :: tail) (product rest)) (Array.to_seq reps)
+  in
+  let unions = List.of_seq (Seq.take (caps.Compute.max_combos_per_pair + 1) (product classes)) in
+  let combos = min (List.length unions) caps.Compute.max_combos_per_pair in
+  let topos =
+    List.fold_left
+      (fun acc chosen ->
+        let g = Compute.union_of_representatives dg chosen in
+        let key = Topo_graph.Canon.key g in
+        if List.mem_assoc key acc then acc else (key, g) :: acc)
+      []
+      (List.filteri (fun i _ -> i < combos) unions)
+  in
+  (List.rev topos, combos, !truncated || List.length unions > combos)
+
+let graph_shape g =
+  ( List.map (fun id -> (id, Lgraph.node_label g id)) (Lgraph.nodes g),
+    List.map (fun { Lgraph.u; v; label } -> (u, v, label)) (Lgraph.edges g) )
+
+(* The union phase over [pendings] on a [jobs]-domain pool, checked pair by
+   pair against [reference_unions]; the topologies are committed to
+   [registry].  Returns whether everything matched, and how many pairs the
+   caps truncated. *)
+let unions_match_oracle ~jobs dg caps registry pendings =
+  let expected = Array.map (reference_unions dg caps) pendings in
+  let protos = Pool.with_pool ~jobs (fun pool -> Compute.unions_of_pairs pool dg caps pendings) in
+  ignore (Compute.commit registry protos);
+  let capped =
+    Array.fold_left (fun n (_, _, was_capped) -> if was_capped then n + 1 else n) 0 expected
+  in
+  ( Array.length protos = Array.length pendings
+    && Array.for_all2
+         (fun pr (topos, combos, was_capped) ->
+           let got = Compute.proto_topos pr in
+           List.map fst got = List.map fst topos
+           && List.for_all2 (fun (_, g) (_, g') -> graph_shape g = graph_shape g') got topos
+           && Compute.proto_combos pr = combos
+           && Compute.proto_capped pr = was_capped)
+         protos expected,
+    capped )
+
+let registry_keys_canonical registry =
+  List.for_all
+    (fun (t : Topology.t) -> t.Topology.key = Topo_graph.Canon.key t.Topology.graph)
+    (Topology.all registry)
+
+let pendings_of dg ~t1 ~t2 caps =
+  let paths = Compute.schema_paths_between (Biozon.Bschema.schema_graph ()) ~t1 ~t2 ~l:3 in
+  List.iter (Topo_graph.Data_graph.intern_path_labels dg) paths;
+  Compute.merge_shards (List.map (Compute.enumerate_path dg caps ~same_type:(t1 = t2)) paths)
+
+(* One generated instance through the union phase, with small caps.
+   [junk] labels are interned first, so label ids — and with them
+   canonical keys — differ between cases: a memo that outlived its build
+   would answer with another interner's keys. *)
+let memo_oracle_case ~seed ~junk ~jobs =
+  let catalog =
+    Biozon.Generator.generate
+      (Biozon.Generator.scale 0.08 { Biozon.Generator.default with Biozon.Generator.seed = seed })
+  in
+  let interner = Topo_util.Interner.create () in
+  for i = 1 to junk do
+    ignore (Topo_util.Interner.intern interner (Printf.sprintf "junk:%d" i))
+  done;
+  let dg = Biozon.Bschema.data_graph catalog interner in
+  let caps =
+    { Compute.max_reps_per_class = 2; max_combos_per_pair = 2; max_paths_per_class = max_int }
+  in
+  let registry = Topology.create_registry () in
+  let ok, capped =
+    List.fold_left
+      (fun (ok, capped) (t1, t2) ->
+        let ok', capped' =
+          unions_match_oracle ~jobs dg caps registry (pendings_of dg ~t1 ~t2 caps)
+        in
+        (ok && ok', capped + capped'))
+      (true, 0)
+      [ ("Protein", "DNA"); ("Protein", "Protein"); ("Protein", "Interaction") ]
+  in
+  (ok && registry_keys_canonical registry, capped)
+
+let prop_memo_matches_oracle =
+  QCheck.Test.make ~name:"generated instance: memoized unions = per-union Canon.key oracle"
+    ~count:8
+    QCheck.(triple (int_range 0 5_000) (int_range 0 40) (int_range 1 2))
+    (fun (seed, junk, jobs) -> fst (memo_oracle_case ~seed ~junk ~jobs))
+
+(* The generator's default seed truncates pairs under these caps, so the
+   oracle also covers capped pairs on every run. *)
+let test_memo_oracle_capped () =
+  let seed = Biozon.Generator.default.Biozon.Generator.seed in
+  let ok, capped = memo_oracle_case ~seed ~junk:3 ~jobs:1 in
+  Alcotest.(check bool) "memoized unions = oracle" true ok;
+  Alcotest.(check bool) "some pairs capped" true (capped > 0)
+
+(* Two Protein-Protein pairs whose unions have the same glue once
+   orientation is ignored: each joins a P-D-U-P path to a P-I-D-P path at
+   both ends.  From the smaller endpoint, pair (1, 2) reads its P-D-U-P
+   path DNA first and pair (3, 4) reads it Unigene first, so the two
+   unions are different cycles and need different keys. *)
+let test_memo_keeps_orientation () =
+  let interner = Topo_util.Interner.create () in
+  let dg = Topo_graph.Data_graph.create interner in
+  List.iter
+    (fun (ty, ids) -> List.iter (fun id -> Topo_graph.Data_graph.add_entity dg ~ty ~id) ids)
+    [
+      ("Protein", [ 1; 2; 3; 4 ]);
+      ("DNA", [ 11; 12; 13; 14 ]);
+      ("Unigene", [ 21; 22 ]);
+      ("Interaction", [ 31; 32 ]);
+    ];
+  List.iter
+    (fun (rel, a, b) -> Topo_graph.Data_graph.add_relationship dg ~rel ~a ~b)
+    [
+      ("encodes", 1, 11); ("uni_contains", 21, 11); ("uni_encodes", 21, 2);
+      ("interacts_p", 1, 31); ("interacts_d", 12, 31); ("encodes", 2, 12);
+      ("encodes", 4, 13); ("uni_contains", 22, 13); ("uni_encodes", 22, 3);
+      ("interacts_p", 3, 32); ("interacts_d", 14, 32); ("encodes", 4, 14);
+    ];
+  Topo_graph.Data_graph.freeze dg;
+  let caps = Compute.default_caps in
+  let pendings = pendings_of dg ~t1:"Protein" ~t2:"Protein" caps in
+  Alcotest.(check int) "the two pairs" 2 (Array.length pendings);
+  let keys =
+    Array.map
+      (fun pd -> List.map fst (let topos, _, _ = reference_unions dg caps pd in topos))
+      pendings
+  in
+  Alcotest.(check bool) "the unions are not isomorphic" true (keys.(0) <> keys.(1));
+  let registry = Topology.create_registry () in
+  let ok, _ = unions_match_oracle ~jobs:1 dg caps registry pendings in
+  Alcotest.(check bool) "memoized unions = oracle" true ok;
+  Alcotest.(check bool) "registered keys canonical" true (registry_keys_canonical registry)
+
 let suites =
   [
     ( "par.pool",
@@ -269,5 +422,9 @@ let suites =
       [
         Alcotest.test_case "paper db: jobs {1,2,4} identical" `Quick test_paper_build_jobs_identical;
         QCheck_alcotest.to_alcotest prop_generated_build_jobs_identical;
+        QCheck_alcotest.to_alcotest prop_memo_matches_oracle;
+        Alcotest.test_case "memo oracle covers capped pairs" `Quick test_memo_oracle_capped;
+        Alcotest.test_case "memo keeps each representative's orientation" `Quick
+          test_memo_keeps_orientation;
       ] );
   ]

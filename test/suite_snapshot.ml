@@ -55,6 +55,22 @@ let with_temp_snapshot engine f =
 
 (* --- round trips ---------------------------------------------------------- *)
 
+(* The union phase's memos follow the pool's chunking, so guard the file
+   itself: a jobs=2 build saves the same bytes as a jobs=1 build, once the
+   jobs count the snapshot records is the same. *)
+let test_jobs_invariant_bytes () =
+  let build jobs =
+    Engine.build
+      (Biozon.Generator.generate (Biozon.Generator.scale 0.08 Biozon.Generator.default))
+      ~pairs:[ ("Protein", "DNA"); ("Protein", "Protein"); ("Protein", "Interaction") ]
+      ~pruning_threshold:10 ~jobs ()
+  in
+  let digest (engine : Engine.t) =
+    with_temp_snapshot { engine with Engine.jobs = 1 } (fun path ->
+        Digest.to_hex (Digest.file path))
+  in
+  Alcotest.(check string) "jobs=2 file = jobs=1 file" (digest (build 1)) (digest (build 2))
+
 let test_paper_roundtrip () =
   let engine = Lazy.force paper_engine in
   with_temp_snapshot engine (fun path ->
@@ -435,6 +451,7 @@ let suites =
         Alcotest.test_case "keyword postings: loaded = built" `Quick test_keyword_postings_survive;
         Alcotest.test_case "irregular cells: loaded = built" `Quick test_irregular_cells_roundtrip;
         QCheck_alcotest.to_alcotest prop_generated_roundtrip;
+        Alcotest.test_case "jobs=2 build saves the jobs=1 bytes" `Quick test_jobs_invariant_bytes;
       ] );
     ( "snapshot.corruption",
       [
