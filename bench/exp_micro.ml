@@ -119,6 +119,7 @@ let tests () =
       (fun p -> Topo_graph.Schema_graph.path_length p = 2)
       (Topo_graph.Schema_graph.paths schema ~from_:"Protein" ~to_:"DNA" ~max_len:2)
   in
+  let pd_paths = Topo_core.Compute.schema_paths_between schema ~t1:"Protein" ~t2:"DNA" ~l:3 in
   [
     (* fig8: schema-level gluing enumeration at l = 2. *)
     Test.make ~name:"fig8_glue_l2"
@@ -137,9 +138,8 @@ let tests () =
     (* table1: pruned-store construction is dominated by pair_topologies. *)
     Test.make ~name:"table1_pair_topologies"
       (Staged.stage (fun () ->
-           Topo_core.Compute.pair_topologies ctx.Topo_core.Context.dg ctx.Topo_core.Context.schema
-             ctx.Topo_core.Context.registry ~t1:"Protein" ~t2:"DNA" ~a:Biozon.Paper_db.p78
-             ~b:Biozon.Paper_db.d215 ~l:3 ~caps:Topo_core.Compute.default_caps));
+           Topo_core.Compute.pair_topologies ctx.Topo_core.Context.dg ~paths:pd_paths ~same_type:false
+             ~a:Biozon.Paper_db.p78 ~b:Biozon.Paper_db.d215 ~caps:Topo_core.Compute.default_caps));
     (* table2: the two competing online strategies. *)
     Test.make ~name:"table2_full_top"
       (Staged.stage (fun () ->

@@ -196,11 +196,11 @@ let build_run instance l threshold jobs pairs output shards =
   let pairs = if pairs = [] then [ ("Protein", "DNA"); ("Protein", "Interaction") ] else pairs in
   let catalog = instance () in
   let t0 = Unix.gettimeofday () in
-  let engine = Engine.build catalog ~pairs ~l ~pruning_threshold:threshold ?jobs () in
+  let jobs = max 1 (Option.value jobs ~default:(Topo_util.Pool.default_jobs ())) in
+  let engine = Engine.build catalog ~pairs ~l ~pruning_threshold:threshold ~jobs () in
   let elapsed = Unix.gettimeofday () -. t0 in
   Printf.printf "offline build: %d pair(s), l=%d, jobs=%d (recommended domains: %d)\n\n"
-    (List.length pairs) l engine.Engine.jobs
-    (Domain.recommended_domain_count ());
+    (List.length pairs) l jobs (Domain.recommended_domain_count ());
   List.iter
     (fun (t1, t2, (s : Topo_core.Compute.stats)) ->
       Printf.printf "%s-%s:\n" t1 t2;
@@ -733,9 +733,7 @@ let cache_arg =
       & info [ "cache" ]
           ~doc:
             "Share a result cache across the serving domains: repeated requests are answered \
-             from memoized results (generation-stamped against the topology registry, so online \
-             re-registration never serves a stale answer).  Results stay bit-identical to an \
-             uncached run.")
+             from memoized results.  Results stay bit-identical to an uncached run.")
   in
   let cache_size =
     at_least_one_arg [ "cache-size" ] ~default:1024 ~docv:"N"
@@ -810,10 +808,10 @@ let serve_run boot jobs workload traces check cache_of deadline_ms max_queue rat
   (match stats.Serve.cache with
   | Some c ->
       let r = c.Topo_core.Cache.results in
-      Printf.printf "cache: %d hits, %d misses (%.0f%% hit rate), %d evictions, %d invalidations\n"
+      Printf.printf "cache: %d hits, %d misses (%.0f%% hit rate), %d evictions\n"
         r.Topo_core.Cache.hits r.Topo_core.Cache.misses
         (100.0 *. Topo_core.Cache.hit_rate r)
-        r.Topo_core.Cache.evictions r.Topo_core.Cache.invalidations
+        r.Topo_core.Cache.evictions
   | None -> ());
   let code = if stats.Serve.errors > 0 then 1 else 0 in
   if check && deadline_s <> None then

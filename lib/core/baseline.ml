@@ -47,7 +47,3 @@ let isolated_paths (ctx : Context.t) (q : Query.t) ?(max_results = 1_000_000) ()
            if c <> 0 then c else compare (p1.a, p1.b, p1.nodes) (p2.a, p2.b, p2.nodes))
   in
   { paths; total = List.length paths; truncated = !truncated }
-
-let compare_result_sizes ctx q ~topologies =
-  let baseline = isolated_paths ctx q () in
-  (baseline.total, topologies)

@@ -9,7 +9,7 @@
     = better, the usual proximity-search heuristic).  The paper's central
     usability claim is quantitative: this set is overwhelming ("about
     250,000 results" for the example query) while the topology result is a
-    handful of shapes; [compare_result_sizes] measures exactly that. *)
+    handful of shapes; [isolated_paths]'s [total] measures exactly that. *)
 
 type path_result = {
   a : int;
@@ -28,8 +28,3 @@ type result = {
 (** [isolated_paths ctx query ?max_results ()] runs the baseline
     (default cap 1_000_000 results). *)
 val isolated_paths : Context.t -> Query.t -> ?max_results:int -> unit -> result
-
-(** [compare_result_sizes ctx engine_store query ~topologies] is the
-    paper's Section 1 comparison for one query: (isolated results,
-    topology results) — e.g. 250,000 vs 5. *)
-val compare_result_sizes : Context.t -> Query.t -> topologies:int -> int * int

@@ -16,20 +16,9 @@
    eviction (under the lock, on insert past capacity) removes the entry
    with the smallest tick.
 
-   Invalidation is EPOCH-BASED, not entry-walking: every entry is
-   stamped with [Topology.generation] as observed before its value was
-   computed, and a lookup whose entry stamp differs from the current
-   generation is a miss (the entry is dropped in passing).  The SQL
-   method re-registers topologies online; when such a registration
-   actually mutates the registry — a new topology or a new decomposition
-   — the generation bump instantly invalidates every older entry without
-   the writer having to know which cached queries depended on the
-   mutated state.  Walking entries instead would require per-entry
-   dependency tracking (which topologies a ranked list read) and a
-   writer-side sweep under the lock; the generation check costs one
-   atomic load per lookup and cannot serve a stale result, at the price
-   of discarding still-valid entries after a mutation — the right trade
-   for a registry that is frozen in steady state. *)
+   Nothing invalidates an entry: an answer depends only on the engine's
+   derived tables and topology registry, and both are frozen once the
+   engine is built or loaded (serving never registers a topology). *)
 
 module Counters = Topo_sql.Iterator.Counters
 module Smap = Map.Make (String)
@@ -51,12 +40,11 @@ type result_payload = {
   counters : Counters.snapshot;
 }
 
-type entry = { value : result_payload; stamp : int; last_used : int Atomic.t }
+type entry = { value : result_payload; last_used : int Atomic.t }
 
 type snap = { map : entry Smap.t; count : int }
 
 type t = {
-  registry : Topology.registry;
   snap : snap Atomic.t;
   lock : Mutex.t;
   capacity : int;
@@ -64,13 +52,11 @@ type t = {
   c_hits : int Atomic.t;
   c_misses : int Atomic.t;
   c_evictions : int Atomic.t;
-  c_invalidations : int Atomic.t;
   c_insertions : int Atomic.t;
 }
 
-let create ?(capacity = 1024) registry =
+let create ?(capacity = 1024) () =
   {
-    registry;
     snap = Atomic.make { map = Smap.empty; count = 0 };
     lock = Mutex.create ();
     capacity = max 1 capacity;
@@ -78,39 +64,17 @@ let create ?(capacity = 1024) registry =
     c_hits = Atomic.make 0;
     c_misses = Atomic.make 0;
     c_evictions = Atomic.make 0;
-    c_invalidations = Atomic.make 0;
     c_insertions = Atomic.make 0;
   }
-
-let stamp t = Topology.generation t.registry
 
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(* Drop [key] if it still holds an entry of a stale generation — the entry
-   seen by the reader may have been replaced concurrently, so re-check
-   under the lock before removing. *)
-let drop_stale t ~gen key =
-  locked t (fun () ->
-      let s = Atomic.get t.snap in
-      match Smap.find_opt key s.map with
-      | Some e when e.stamp <> gen ->
-          Atomic.set t.snap { map = Smap.remove key s.map; count = s.count - 1 }
-      | Some _ | None -> ())
-
 let find_result t ~key =
-  let gen = stamp t in
   match Smap.find_opt key (Atomic.get t.snap).map with
   | None ->
       Atomic.incr t.c_misses;
-      None
-  | Some e when e.stamp <> gen ->
-      (* stamped under an older topology-registry generation: the value may
-         have been computed against a superseded topology set *)
-      Atomic.incr t.c_invalidations;
-      Atomic.incr t.c_misses;
-      drop_stale t ~gen key;
       None
   | Some e ->
       Atomic.incr t.c_hits;
@@ -131,19 +95,18 @@ let evict_lru t s =
       Atomic.incr t.c_evictions;
       { map = Smap.remove key s.map; count = s.count - 1 }
 
-let add_result t ~key ~stamp value =
+let add_result t ~key value =
   locked t (fun () ->
       let s = Atomic.get t.snap in
       let s =
-        match Smap.find_opt key s.map with
-        | Some e when e.stamp = stamp ->
-            (* another domain won the race with an equivalent value *)
-            s
-        | Some _ | None ->
-            Atomic.incr t.c_insertions;
-            let e = { value; stamp; last_used = Atomic.make (Atomic.fetch_and_add t.tick 1) } in
-            let had = Smap.mem key s.map in
-            { map = Smap.add key e s.map; count = (if had then s.count else s.count + 1) }
+        if Smap.mem key s.map then
+          (* another domain won the race with an equivalent value *)
+          s
+        else begin
+          Atomic.incr t.c_insertions;
+          let e = { value; last_used = Atomic.make (Atomic.fetch_and_add t.tick 1) } in
+          { map = Smap.add key e s.map; count = s.count + 1 }
+        end
       in
       let rec shrink s = if s.count > t.capacity then shrink (evict_lru t s) else s in
       Atomic.set t.snap (shrink s))
@@ -156,7 +119,7 @@ let result_stats t =
     hits = Atomic.get t.c_hits;
     misses = Atomic.get t.c_misses;
     evictions = Atomic.get t.c_evictions;
-    invalidations = Atomic.get t.c_invalidations;
+    invalidations = 0;
     insertions = Atomic.get t.c_insertions;
     entries = (Atomic.get t.snap).count;
   }
@@ -177,7 +140,7 @@ let diff ~before ~after =
         hits = a.hits - b.hits;
         misses = a.misses - b.misses;
         evictions = a.evictions - b.evictions;
-        invalidations = a.invalidations - b.invalidations;
+        invalidations = 0;
         insertions = a.insertions - b.insertions;
         entries = a.entries;
       };

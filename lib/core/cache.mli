@@ -10,18 +10,17 @@
     stamp), writers serialize on a mutex and publish immutable snapshots.
     Eviction is LRU by entry count against a fixed capacity.
 
-    Invalidation is {e epoch-based}: entries are stamped with
-    {!Topology.generation} as observed before their value was computed,
-    and any lookup whose entry stamp differs from the current generation
-    is a miss (counted as an invalidation; the stale entry is dropped).
-    Online re-registration by the SQL method therefore can never cause a
-    stale cached result to be served. *)
+    Nothing invalidates an entry: the derived tables and the topology
+    registry an answer depends on are frozen once the engine is built or
+    loaded, and serving never registers a topology. *)
 
 type stats = {
   hits : int;
-  misses : int;  (** includes invalidation misses *)
+  misses : int;
   evictions : int;  (** LRU victims removed at capacity *)
-  invalidations : int;  (** lookups that found a stale-generation entry *)
+  invalidations : int;
+      (** always 0: entries are never invalidated.  The field stays only
+          while the repository benchmark still builds this record. *)
   insertions : int;
   entries : int;  (** entries currently resident *)
 }
@@ -32,15 +31,9 @@ type totals = { results : stats; plans : stats }
 
 type t
 
-(** [create ?capacity registry] with an entry-count capacity (default
-    1024; minimum 1).  The cache is tied to [registry]: its generation is
-    the invalidation epoch. *)
-val create : ?capacity:int -> Topology.registry -> t
-
-(** [stamp t] is the registry generation to compute under {e before}
-    evaluating; pass it to [add_result] so a registry mutation that raced
-    the evaluation invalidates the entry. *)
-val stamp : t -> int
+(** [create ?capacity ()] with an entry-count capacity (default 1024;
+    minimum 1). *)
+val create : ?capacity:int -> unit -> t
 
 type result_payload = {
   ranked : (int * float option) list;
@@ -49,15 +42,14 @@ type result_payload = {
       (** the work the evaluation performed, replayed verbatim on a hit *)
 }
 
-(** [find_result t ~key] is a lock-free lookup; [None] on miss or when the
-    entry's generation stamp is stale. *)
+(** [find_result t ~key] is a lock-free lookup; [None] on a miss. *)
 val find_result : t -> key:string -> result_payload option
 
-(** [add_result t ~key ~stamp payload] inserts (or refreshes) an entry,
-    evicting the least-recently-used entry when past capacity.  A racing
-    insert of the same key and stamp is kept (the values are equal by the
-    determinism contract). *)
-val add_result : t -> key:string -> stamp:int -> result_payload -> unit
+(** [add_result t ~key payload] inserts an entry, evicting the
+    least-recently-used entry when past capacity.  When [key] is already
+    present (a racing insert), the existing entry is kept: by the
+    determinism contract the values are equal. *)
+val add_result : t -> key:string -> result_payload -> unit
 
 (** {1 Statistics} *)
 

@@ -1,4 +1,3 @@
-module Lgraph = Topo_graph.Lgraph
 module Iso = Topo_graph.Iso
 
 type diff = { common : int list; only_left : int list; only_right : int list }
@@ -26,39 +25,3 @@ let maximal registry tids =
   List.filter
     (fun t -> not (List.exists (fun o -> strictly_subsumes registry ~outer:o ~inner:t) tids))
     tids
-
-let refinements registry tids =
-  let tids = List.sort_uniq compare tids in
-  List.map
-    (fun t ->
-      (t, List.filter (fun i -> strictly_subsumes registry ~outer:t ~inner:i) tids))
-    tids
-
-let label_profile (t : Topology.t) =
-  List.fold_left
-    (fun acc e ->
-      let l = e.Lgraph.label in
-      let count = Option.value ~default:0 (List.assoc_opt l acc) in
-      (l, count + 1) :: List.remove_assoc l acc)
-    []
-    (Lgraph.edges t.Topology.graph)
-
-let similarity registry a b =
-  if a = b then 1.0
-  else begin
-    let ta = Topology.find registry a and tb = Topology.find registry b in
-    if ta.Topology.key = tb.Topology.key then 1.0
-    else begin
-      let pa = label_profile ta and pb = label_profile tb in
-      let labels = List.sort_uniq compare (List.map fst pa @ List.map fst pb) in
-      let inter, union =
-        List.fold_left
-          (fun (i, u) l ->
-            let ca = Option.value ~default:0 (List.assoc_opt l pa) in
-            let cb = Option.value ~default:0 (List.assoc_opt l pb) in
-            (i + min ca cb, u + max ca cb))
-          (0, 0) labels
-      in
-      if union = 0 then 0.0 else float_of_int inter /. float_of_int union
-    end
-  end

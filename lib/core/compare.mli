@@ -8,12 +8,10 @@
     - set algebra ({!diff}): topologies common to both results and
       exclusive to each — "which relationship shapes appear for human TFs
       but not for yeast TFs?";
-    - structural containment ({!subsumes}, {!refinements}): topology A
+    - structural containment ({!subsumes}, {!maximal}): topology A
       subsumes B when B's shape embeds into A's (subgraph isomorphism), so
       A is a strictly richer relationship; a result list can be collapsed
-      to its maximal shapes;
-    - {!similarity}: a [0, 1] score from the shared-edge-label profile,
-      for fuzzy matching between result lists. *)
+      to its maximal shapes. *)
 
 type diff = { common : int list; only_left : int list; only_right : int list }
 
@@ -29,12 +27,3 @@ val subsumes : Topology.registry -> outer:int -> inner:int -> bool
 (** [maximal registry tids] keeps only the TIDs not strictly subsumed by
     another member of the list — the "big picture" shapes. *)
 val maximal : Topology.registry -> int list -> int list
-
-(** [refinements registry tids] maps every TID to the other members it
-    strictly subsumes, ascending. *)
-val refinements : Topology.registry -> int list -> (int * int list) list
-
-(** [similarity registry a b] is the Jaccard similarity of the two
-    topologies' (edge label, multiplicity) profiles — 1.0 for isomorphic
-    shapes, 0.0 for disjoint label sets. *)
-val similarity : Topology.registry -> int -> int -> float

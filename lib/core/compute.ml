@@ -101,8 +101,6 @@ let enumerate_path dg caps ~same_type (p : Sg.path) =
   (try Dg.iter_instance_paths dg p ~f:handle with Path_budget -> ());
   { sh_key = Sg.path_key p; sh_reps = reps; sh_instances = !count }
 
-let shard_instances sh = sh.sh_instances
-
 type pending = {
   pd_a : int;
   pd_b : int;
@@ -203,22 +201,25 @@ let memo () =
    a deterministic (sorted) order, so every code path — the offline sweep,
    anchored recomputation, witness retrieval — selects the same sample and
    the methods stay mutually consistent even on capped pairs. *)
-let unions_of_pair dg caps memo pd =
+let truncate_classes caps classes =
   let capped = ref false in
   let classes =
-    Dyn.to_list pd.pd_classes
-    |> List.map (fun (key, arr) ->
-           Array.sort compare_reps arr;
-           let kept =
-             if Array.length arr > caps.max_reps_per_class then begin
-               capped := true;
-               Array.sub arr 0 caps.max_reps_per_class
-             end
-             else arr
-           in
-           (key, kept))
+    List.map
+      (fun (key, arr) ->
+        Array.sort compare_reps arr;
+        if Array.length arr > caps.max_reps_per_class then begin
+          capped := true;
+          (key, Array.sub arr 0 caps.max_reps_per_class)
+        end
+        else (key, arr))
+      classes
     |> List.sort (fun ((ka : string), _) (kb, _) -> compare ka kb)
   in
+  (classes, !capped)
+
+let unions_of_pair dg caps memo pd =
+  let classes, capped = truncate_classes caps (Dyn.to_list pd.pd_classes) in
+  let capped = ref capped in
   let class_keys = List.map fst classes in
   let rep_arrays = List.map snd classes in
   let n_classes = List.length rep_arrays in
@@ -351,8 +352,11 @@ let sweep_stats ~schema_paths ~shards ~protos ~rows =
 
 let schema_paths_between schema ~t1 ~t2 ~l = Sg.paths schema ~from_:t1 ~to_:t2 ~max_len:l
 
-let pair_topologies dg schema registry ~t1 ~t2 ~a ~b ~l ~caps =
-  let paths = schema_paths_between schema ~t1 ~t2 ~l in
+(* Anchored enumeration: every instance of [paths] between [a] and [b],
+   bucketed by path class in discovery order, orientation-normalized like
+   [enumerate_path].  When both endpoints have one type, instances of a
+   class may also read as the reversed path from [a]. *)
+let anchored_classes dg ~paths ~same_type ~a ~b =
   let by_key : (string, rep Dyn.t) Hashtbl.t = Hashtbl.create 16 in
   let classes = Dyn.create () in
   let push key path ids =
@@ -371,21 +375,20 @@ let pair_topologies dg schema registry ~t1 ~t2 ~a ~b ~l ~caps =
     (fun (p : Sg.path) ->
       let key = Sg.path_key p in
       Dg.iter_instance_paths_between dg p ~a ~b ~f:(fun ids -> push key p ids);
-      (* When both endpoints have the same type, instances of this class may
-         read as the reversed sequence from [a]. *)
-      if t1 = t2 then begin
+      if same_type then begin
         let rev = Sg.reverse p in
         if rev <> p then Dg.iter_instance_paths_between dg rev ~a ~b ~f:(fun ids -> push key rev ids)
       end)
     paths;
-  if Dyn.is_empty classes then { a; b; tids = []; class_keys = [] }
+  Dyn.map (fun (key, d) -> (key, Dyn.to_array d)) classes
+
+let pair_class_reps dg ~paths ~same_type ~a ~b ~caps =
+  fst (truncate_classes caps (Dyn.to_list (anchored_classes dg ~paths ~same_type ~a ~b)))
+
+let pair_topologies dg ~paths ~same_type ~a ~b ~caps =
+  let classes = anchored_classes dg ~paths ~same_type ~a ~b in
+  if Dyn.is_empty classes then ([], [])
   else begin
-    let pd = { pd_a = a; pd_b = b; pd_classes = Dyn.map (fun (key, d) -> (key, Dyn.to_array d)) classes } in
-    let pr = unions_of_pair dg caps (memo ()) pd in
-    match commit registry [| pr |] with
-    | [ row ] -> row
-    | rows ->
-        failwith
-          (Printf.sprintf "Compute.pair_topologies: commit of one proto yielded %d rows"
-             (List.length rows))
+    let pr = unions_of_pair dg caps (memo ()) { pd_a = a; pd_b = b; pd_classes = classes } in
+    (List.map fst pr.pr_topos, pr.pr_class_keys)
   end

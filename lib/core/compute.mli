@@ -1,9 +1,9 @@
 (** The Topology Computation module (Section 4.1) and the per-pair
     semantics of Definitions 1-3.
 
-    [pair_topologies] computes l-Top(a, b) for one entity pair — the
-    building block behind the SQL method and tests of the formal
-    definitions.  The staged sweep below runs the offline phase for whole
+    [pair_topologies] computes l-Top(a, b) for one entity pair, without
+    touching the registry — the building block behind the SQL method and
+    tests of the formal definitions.  The staged sweep below runs the offline phase for whole
     entity-set pairs ({!Engine.build} schedules it): enumerate every schema
     path of length <= l, enumerate its instances (a join chain per path, as
     Section 4.1 describes), group by (first, last) entity, and union one
@@ -50,25 +50,41 @@ type pair_row = {
   class_keys : string list;  (** l-PathEC(a,b), sorted — the satisfied path conditions *)
 }
 
-(** [pair_topologies dg schema registry ~t1 ~t2 ~a ~b ~l ~caps] computes
-    l-Top(a,b) directly (anchored enumeration), registering any new
-    topologies.  Returns the pair row ([tids] empty when unrelated). *)
-val pair_topologies :
-  Topo_graph.Data_graph.t ->
-  Topo_graph.Schema_graph.t ->
-  Topology.registry ->
-  t1:string ->
-  t2:string ->
-  a:int ->
-  b:int ->
-  l:int ->
-  caps:caps ->
-  pair_row
-
 (** [schema_paths_between schema ~t1 ~t2 ~l] lists the (deduplicated,
-    deterministically ordered) schema paths the sweep enumerates. *)
+    deterministically ordered) schema paths of length <= [l] between the
+    types.  A build enumerates these, less any its path filter drops. *)
 val schema_paths_between :
   Topo_graph.Schema_graph.t -> t1:string -> t2:string -> l:int -> Topo_graph.Schema_graph.path list
+
+(** [pair_class_reps dg ~paths ~same_type ~a ~b ~caps] is the anchored
+    enumeration of one entity pair: the representatives of every path
+    class of [paths] instantiated between [a] and [b], orientation-normalized,
+    sorted and truncated to [caps.max_reps_per_class] exactly as the sweep
+    does, classes ordered by key.  [same_type] must be [t1 = t2]: it also
+    reads each path reversed from [a]. *)
+val pair_class_reps :
+  Topo_graph.Data_graph.t ->
+  paths:Topo_graph.Schema_graph.path list ->
+  same_type:bool ->
+  a:int ->
+  b:int ->
+  caps:caps ->
+  (string * (Topo_graph.Schema_graph.path * int array) array) list
+
+(** [pair_topologies dg ~paths ~same_type ~a ~b ~caps] computes l-Top(a, b)
+    directly over [paths] (the anchored enumeration above) and registers
+    nothing.  Returns the pair's distinct canonical keys in discovery
+    order and its sorted class keys, l-PathEC(a, b); both are empty when
+    the pair is unrelated.  Over the paths a build kept, the keys are
+    exactly the registry keys of that build's row for the pair. *)
+val pair_topologies :
+  Topo_graph.Data_graph.t ->
+  paths:Topo_graph.Schema_graph.path list ->
+  same_type:bool ->
+  a:int ->
+  b:int ->
+  caps:caps ->
+  string list * string list
 
 (** {1 Staged sweep API}
 
@@ -87,9 +103,6 @@ type shard
     entity-set pair: it canonicalizes pair keys as (min, max). *)
 val enumerate_path :
   Topo_graph.Data_graph.t -> caps -> same_type:bool -> Topo_graph.Schema_graph.path -> shard
-
-(** [shard_instances sh] is the number of instance paths enumerated. *)
-val shard_instances : shard -> int
 
 (** One entity pair's merged representatives, ready for the union phase. *)
 type pending

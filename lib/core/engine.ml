@@ -1,7 +1,7 @@
 module Pool = Topo_util.Pool
 module Counters = Topo_sql.Iterator.Counters
 
-type t = { ctx : Context.t; build_stats : (string * string * Compute.stats) list; jobs : int }
+type t = { ctx : Context.t; build_stats : (string * string * Compute.stats) list }
 
 (* The enum lives in [Methods]; re-export it (constructors included) so
    existing callers keep writing [Engine.Fast_top_k_opt]. *)
@@ -118,9 +118,11 @@ let build catalog ~pairs ?(l = 3) ?(caps = Compute.default_caps) ?(pruning_thres
                 ~protos:protos_by_pair.(i) ~rows ))
           pair_paths
       in
-      { ctx; build_stats; jobs = Pool.jobs pool })
+      { ctx; build_stats })
 
-let cache ?capacity t = Cache.create ?capacity t.ctx.Context.registry
+(* One cache per engine; the engine is frozen, so the cache needs nothing
+   from it. *)
+let cache ?capacity (_ : t) = Cache.create ?capacity ()
 
 (* The raw evaluation: dispatch the method, time it, trace it.  Counters
    accumulate in the scope [run_request] installs; exceptions propagate. *)
@@ -200,12 +202,11 @@ let run_request t ?cache ?(verify_plans = false) ?(traces = false) (req : Reques
                    })
                 p.Cache.counters Request.Hit
           | None ->
-              let stamp = Cache.stamp c in
               let result, counters = evaluate () in
               let result = lift result in
               (match result with
               | Request.Done r ->
-                  Cache.add_result c ~key ~stamp
+                  Cache.add_result c ~key
                     { Cache.ranked = r.Request.ranked; strategy = r.Request.strategy; counters }
               | Request.Partial _ | Request.Rejected _ | Request.Failed _ ->
                   (* Only complete answers are memoized: a partial is a

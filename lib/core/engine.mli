@@ -6,11 +6,7 @@
     registers the derived tables.  [run_request] evaluates one query online
     with any of the nine methods; {!Serve.exec} evaluates a batch. *)
 
-type t = {
-  ctx : Context.t;
-  build_stats : (string * string * Compute.stats) list;
-  jobs : int;  (** parallelism degree the offline build actually used *)
-}
+type t = { ctx : Context.t; build_stats : (string * string * Compute.stats) list }
 
 (** The nine-method enum, owned by {!Methods} and re-exported here with
     its constructors, so [Engine.Fast_top_k_opt] and
@@ -59,9 +55,9 @@ val build :
   unit ->
   t
 
-(** [cache ?capacity t] is a fresh {!Cache.t} tied to this engine's
-    topology registry (capacity as in {!Cache.create}).  Share one cache
-    per engine; it is safe for concurrent domains. *)
+(** [cache ?capacity t] is a fresh {!Cache.t} for this engine (capacity
+    as in {!Cache.create}).  Share one cache per engine; it is safe for
+    concurrent domains. *)
 val cache : ?capacity:int -> t -> Cache.t
 
 (** [run_request t ?cache ?verify_plans ?traces request] is the
@@ -83,9 +79,8 @@ val cache : ?capacity:int -> t -> Cache.t
     memoized ranked list, strategy, and the {e stored} counter snapshot
     (replayed so cold and warm passes fingerprint identically, with a
     ["cache_hit"] span when tracing) — valid under any deadline, since a
-    hit costs no evaluation; a miss evaluates and memoizes the outcome,
-    stamped with the topology-registry generation observed before
-    evaluation.  Only
+    hit costs no evaluation; a miss evaluates and memoizes the outcome.
+    Only
     [Done] outcomes are memoized — failures re-raise deterministically
     and partials are deadline-shaped prefixes, not answers.
     [verify_plans] (default false) checks every physical plan the method

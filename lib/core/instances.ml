@@ -82,9 +82,6 @@ let witness_combo (ctx : Context.t) ~tid ~a ~b =
     (fun d -> witness_combo_for ctx target d ~a ~b)
     (Atomic.get target.Topology.decompositions)
 
-let witness_paths ctx ~tid ~a ~b =
-  Option.map (List.map (fun (key, (_, ids)) -> (key, ids))) (witness_combo ctx ~tid ~a ~b)
-
 let witness ctx ~tid ~a ~b =
   match witness_combo ctx ~tid ~a ~b with
   | None -> None

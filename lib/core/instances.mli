@@ -17,7 +17,3 @@ val qualifying_pairs :
     the topology's decomposition that canonicalizes to [tid].  Returns
     [None] when (a, b) is not actually related by the topology. *)
 val witness : Context.t -> tid:int -> a:int -> b:int -> Topo_graph.Lgraph.t option
-
-(** [witness_paths ctx ~tid ~a ~b] is the witness decomposed into its
-    paths, each as (class key, node ids). *)
-val witness_paths : Context.t -> tid:int -> a:int -> b:int -> (string * int array) list option

@@ -197,11 +197,24 @@ let sql_method ?(check = false) ?trace (ctx : Context.t) aligned =
      documented inefficiency).  [check] is accepted for signature
      uniformity: this method builds no physical plans to verify. *)
   ignore check;
-  let topinfo = Catalog.find ctx.Context.catalog aligned.store.Store.topinfo in
+  let store = aligned.store in
+  let topinfo = Catalog.find ctx.Context.catalog store.Store.topinfo in
   let observed = ref [] in
   Table.iter (fun _ tuple -> observed := Value.as_int tuple.(0) :: !observed) topinfo;
   let a_ids = Lazy.force aligned.a_ids in
-  let t1 = aligned.store.Store.t1 and t2 = aligned.store.Store.t2 in
+  let t1 = store.Store.t1 and t2 = store.Store.t2 in
+  (* Recompute over the schema paths the build kept: a path filter
+     (exclude_weak, min_reliability) drops classes no stored row holds. *)
+  let kept = Hashtbl.create 32 in
+  List.iter
+    (fun (r : Compute.pair_row) ->
+      List.iter (fun key -> Hashtbl.replace kept key ()) r.Compute.class_keys)
+    store.Store.rows;
+  let paths =
+    List.filter
+      (fun p -> Hashtbl.mem kept (Topo_graph.Schema_graph.path_key p))
+      (Compute.schema_paths_between ctx.Context.schema ~t1 ~t2 ~l:ctx.Context.l)
+  in
   let check tid =
     let p = Topology.find ctx.Context.registry tid in
     let first_classes =
@@ -221,11 +234,11 @@ let sql_method ?(check = false) ?trace (ctx : Context.t) aligned =
                   if not (Hashtbl.mem checked (a, b)) then begin
                     Hashtbl.add checked (a, b) ();
                     if Context.mem_id (Lazy.force aligned.b_ids) b then begin
-                      let row =
-                        Compute.pair_topologies ctx.Context.dg ctx.Context.schema ctx.Context.registry
-                          ~t1 ~t2 ~a ~b ~l:ctx.Context.l ~caps:ctx.Context.caps
+                      let keys, _ =
+                        Compute.pair_topologies ctx.Context.dg ~paths ~same_type:(t1 = t2) ~a ~b
+                          ~caps:ctx.Context.caps
                       in
-                      if List.mem tid row.Compute.tids then raise Found
+                      if List.mem p.Topology.key keys then raise Found
                     end
                   end))
             a_ids)

@@ -74,7 +74,10 @@ val optimizer_spec :
     topology (the paper restricts the SQL method to topologies with at
     least one occurrence, "close to 200"); each probe recomputes pair
     topologies from scratch, which is the method's documented
-    inefficiency.
+    inefficiency.  The recomputation walks only the schema paths whose
+    classes occur in the store's rows, so it honours the build's path
+    filter, and it compares canonical keys: it never writes to the
+    registry.
 
     All nine methods share the [?check ?trace] labelled-argument prefix.
     [?check] (default false) verifies physical plans before execution —

@@ -1,54 +1,18 @@
 module Sg = Topo_graph.Schema_graph
 module Dg = Topo_graph.Data_graph
 module Lgraph = Topo_graph.Lgraph
-module Canon = Topo_graph.Canon
 
 type row = { entities : int array; tids : int list }
 
 type result = { rows : row list; topologies : int list; tuples_examined : int; truncated : bool }
 
 (* Representatives of every path class between two concrete entities,
-   capped and canonically ordered like Compute's sweep. *)
+   over every schema path of length <= l, capped and ordered exactly as
+   the sweep does. *)
 let pair_class_reps (ctx : Context.t) ~t1 ~t2 ~a ~b =
-  let caps = ctx.Context.caps in
-  let reps : (string, (Sg.path * int array) list ref) Hashtbl.t = Hashtbl.create 8 in
-  let add key path ids =
-    (* Orientation-normalize as in Compute.bucket_add. *)
-    let n = Array.length ids in
-    let rev_ids = Array.init n (fun i -> ids.(n - 1 - i)) in
-    let path, ids = if compare rev_ids ids < 0 then (Sg.reverse path, rev_ids) else (path, ids) in
-    let cell =
-      match Hashtbl.find_opt reps key with
-      | Some c -> c
-      | None ->
-          let c = ref [] in
-          Hashtbl.add reps key c;
-          c
-    in
-    cell := (path, ids) :: !cell
-  in
-  List.iter
-    (fun (p : Sg.path) ->
-      let key = Sg.path_key p in
-      Dg.iter_instance_paths_between ctx.Context.dg p ~a ~b ~f:(fun ids -> add key p ids);
-      if t1 = t2 then begin
-        let rev = Sg.reverse p in
-        if rev <> p then
-          Dg.iter_instance_paths_between ctx.Context.dg rev ~a ~b ~f:(fun ids -> add key rev ids)
-      end)
-    (Sg.paths ctx.Context.schema ~from_:t1 ~to_:t2 ~max_len:ctx.Context.l);
-  Hashtbl.fold
-    (fun key cell acc ->
-      let arr = Array.of_list !cell in
-      Array.sort (fun (_, a) (_, b) -> compare a b) arr;
-      let kept =
-        if Array.length arr > caps.Compute.max_reps_per_class then
-          Array.sub arr 0 caps.Compute.max_reps_per_class
-        else arr
-      in
-      (key, kept) :: acc)
-    reps []
-  |> List.sort (fun (ka, _) (kb, _) -> compare ka kb)
+  Compute.pair_class_reps ctx.Context.dg
+    ~paths:(Compute.schema_paths_between ctx.Context.schema ~t1 ~t2 ~l:ctx.Context.l)
+    ~same_type:(t1 = t2) ~a ~b ~caps:ctx.Context.caps
 
 let connected_spanning g entities =
   Array.for_all (fun id -> Lgraph.mem_node g id) entities

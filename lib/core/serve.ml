@@ -14,10 +14,10 @@
    truncation).
 
    The cache is per engine and shared across the serving domains: lookups
-   are lock-free snapshot reads, inserts serialize on the cache's own
-   mutex, and entries are stamped with the topology-registry generation
-   so online re-registration (the SQL method) can never cause a stale
-   result to be served.  Because a hit replays the stored outcome of a
+   are lock-free snapshot reads and inserts serialize on the cache's own
+   mutex.  No entry goes stale, because serving never writes to the
+   engine: even the SQL method recomputes pair topologies without
+   registering them.  Because a hit replays the stored outcome of a
    deterministic evaluation — ranked list, strategy, counters — caching
    does not perturb the determinism contract:
 

@@ -98,7 +98,7 @@ type config = {
   traces : bool;  (** attach a private {!Topo_obs.Trace.t} per query *)
   cache : Cache.t option;
       (** shared by all serving domains: lock-free snapshot-read hits,
-          generation-stamped entries, per-batch activity in [stats.cache] *)
+          per-batch activity in [stats.cache] *)
   mode : mode;
 }
 

@@ -13,7 +13,7 @@
               'X' index specs        (kind, column names) per table
               'S' statistics        histograms + samples per table
               'T' topology registry  graphs + decompositions in TID order
-              'B' build config       l, caps, jobs, per-pair sweep stats
+              'B' build config       l, caps, per-pair sweep stats
               'P' stores             pruned TIDs, frequencies, pair rows
               'C' class pairs        only when flag bit 0 is set
               'E' end marker
@@ -39,7 +39,7 @@ let fail = Wire.fail
 
 let magic = "TOPOSNAP"
 
-let version = 1
+let version = 2
 
 let cell_tag = function Value.Null -> 0 | Value.Int _ -> 1 | Value.Float _ -> 2 | Value.Str _ -> 3
 
@@ -260,7 +260,6 @@ let save (engine : Engine.t) ~path =
   Wire.w_i64 body ctx.Context.caps.Compute.max_reps_per_class;
   Wire.w_i64 body ctx.Context.caps.Compute.max_combos_per_pair;
   Wire.w_i64 body ctx.Context.caps.Compute.max_paths_per_class;
-  Wire.w_u32 body engine.Engine.jobs;
   Wire.w_u32 body (List.length engine.Engine.build_stats);
   List.iter
     (fun (t1, t2, (s : Compute.stats)) ->
@@ -580,7 +579,6 @@ let load path =
     let max_combos_per_pair = Wire.r_i64 r "max_combos_per_pair" in
     let max_paths_per_class = Wire.r_i64 r "max_paths_per_class" in
     let caps = { Compute.max_reps_per_class; max_combos_per_pair; max_paths_per_class } in
-    let jobs = Wire.r_u32 r "jobs" in
     let n_pairs = Wire.r_count r "build stats count" in
     let build_stats =
       Wire.r_list r n_pairs "build stats entry" (fun () ->
@@ -675,7 +673,7 @@ let load path =
     end;
     expect 'E' "end";
     Wire.r_end r;
-    { Engine.ctx; build_stats; jobs }
+    { Engine.ctx; build_stats }
   in
   let engine =
     try decode () with
@@ -779,7 +777,7 @@ let slice_engine (engine : Engine.t) ~shards ~shard =
       | None -> fail "save_sharded: no store for built pair %s-%s" t1 t2)
     build_stats;
   let ctx = { ctx with Context.catalog; stores } in
-  { engine with Engine.ctx = ctx; build_stats }
+  { Engine.ctx; build_stats }
 
 let render_manifest m =
   let module J = Topo_obs.Json in

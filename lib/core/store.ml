@@ -161,11 +161,6 @@ let score_of store catalog scheme tid =
       let pos = Schema.index_of (Table.schema table) (Ranking.score_column scheme) in
       Value.as_float tuple.(pos)
 
-let max_pruned_score store catalog scheme =
-  List.fold_left
-    (fun acc (p : Topology.t) -> Float.max acc (score_of store catalog scheme p.Topology.tid))
-    neg_infinity store.pruned
-
 let is_excepted store catalog ~a ~b ~tid =
   let table = Catalog.find catalog store.excptops in
   let idx = Table.ensure_index table ~kind:Index.Hash ~cols:[ "E1"; "E2"; "TID" ] in

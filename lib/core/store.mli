@@ -51,11 +51,6 @@ val frequency : t -> int -> int
     TopInfo table.  @raise Not_found for unknown TIDs. *)
 val score_of : t -> Topo_sql.Catalog.t -> Ranking.scheme -> int -> float
 
-(** [max_pruned_score store catalog scheme] is the highest score among
-    pruned topologies (-infinity when nothing is pruned) — the early-stop
-    bound of the Fast-Top-k method (Section 5.1). *)
-val max_pruned_score : t -> Topo_sql.Catalog.t -> Ranking.scheme -> float
-
 (** [is_excepted store catalog ~a ~b ~tid] probes the exception table. *)
 val is_excepted : t -> Topo_sql.Catalog.t -> a:int -> b:int -> tid:int -> bool
 

@@ -13,107 +13,56 @@ type t = {
 }
 
 (* The whole registry state lives in ONE immutable snapshot behind an
-   [Atomic.t].  Readers — [find]/[find_by_key]/[count]/[all] and the
-   lock-free fast path of [register] — do a single [Atomic.get] and then
-   touch only immutable data, so they are safe against concurrent
-   registration from serving domains (online, the SQL method re-derives
-   pair topologies and re-registers them).  Writers serialize on
-   [reg_lock], build a new snapshot, and publish it with [Atomic.set];
-   the release/acquire pair means no reader can see a TID without its
-   fully-initialized topology, or a map/array mid-rehash. *)
+   [Atomic.t].  The registry is written once: the offline build's commit,
+   [Snapshot.load] and the single-domain n-query CLI register, always on
+   the domain that owns the registry and before it serves.  Readers —
+   [find]/[find_by_key]/[count]/[all] — do a single [Atomic.get] and then
+   touch only immutable data; the release/acquire pair of [Atomic.set] and
+   [Atomic.get] means no reader can see a TID without its fully-initialized
+   topology, or a map/array mid-rehash. *)
 type snapshot = {
   by_key : t Smap.t;
   by_tid : t array;  (* index = tid - 1; never mutated once published *)
 }
 
-(* [gen] counts completed mutations (new topology or new decomposition) and
-   is the epoch that the serving tier's caches stamp entries with.  The
-   writer bumps it strictly AFTER publishing the mutated state: a reader
-   that observes generation g is therefore guaranteed that every state read
-   it performs afterwards sees at least the state published by mutation g.
-   The converse window — an evaluation that read the NEW state but stamped
-   the OLD generation — only discards a valid cache entry, which is safe. *)
-type registry = { state : snapshot Atomic.t; reg_lock : Mutex.t; gen : int Atomic.t }
+type registry = snapshot Atomic.t
 
-let create_registry () =
-  {
-    state = Atomic.make { by_key = Smap.empty; by_tid = [||] };
-    reg_lock = Mutex.create ();
-    gen = Atomic.make 0;
-  }
-
-let generation reg = Atomic.get reg.gen
+let create_registry () = Atomic.make { by_key = Smap.empty; by_tid = [||] }
 
 let register ?key reg graph ~decomposition =
   let key = match key with Some key -> key | None -> Canon.key graph in
   let decomposition = List.sort_uniq compare decomposition in
-  (* Double-checked: hit with a known decomposition -> no lock, no write.
-     In steady state every (shape, decomposition) is already present, so
-     this path is the common one online. *)
-  match Smap.find_opt key (Atomic.get reg.state).by_key with
-  | Some t when List.mem decomposition (Atomic.get t.decompositions) -> t
-  | Some _ | None ->
-      Mutex.lock reg.reg_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock reg.reg_lock)
-        (fun () ->
-          let snap = Atomic.get reg.state in
-          match Smap.find_opt key snap.by_key with
-          | Some t ->
-              let ds = Atomic.get t.decompositions in
-              if not (List.mem decomposition ds) then begin
-                Atomic.set t.decompositions (ds @ [ decomposition ]);
-                Atomic.incr reg.gen
-              end;
-              t
-          | None ->
-              let t =
-                {
-                  tid = Array.length snap.by_tid + 1;
-                  key;
-                  graph = Lgraph.copy graph;
-                  n_nodes = Lgraph.node_count graph;
-                  n_edges = Lgraph.edge_count graph;
-                  decomposition;
-                  decompositions = Atomic.make [ decomposition ];
-                }
-              in
-              Atomic.set reg.state
-                { by_key = Smap.add key t snap.by_key; by_tid = Array.append snap.by_tid [| t |] };
-              Atomic.incr reg.gen;
-              t)
-
-(* Merge a shard-local registry into [into]: every topology of [src] is
-   re-registered in TID order with each of its decompositions in recorded
-   order, so the merge is deterministic and idempotent.  Returns the
-   src-TID -> dst-TID remap. *)
-let absorb ~into src =
-  let remap = Hashtbl.create 64 in
-  Array.iter
-    (fun (t : t) ->
-      let merged =
-        List.fold_left
-          (fun _ decomposition -> register into t.graph ~decomposition)
-          (register into t.graph ~decomposition:t.decomposition)
-          (Atomic.get t.decompositions)
+  let snap = Atomic.get reg in
+  match Smap.find_opt key snap.by_key with
+  | Some t ->
+      let ds = Atomic.get t.decompositions in
+      if not (List.mem decomposition ds) then Atomic.set t.decompositions (ds @ [ decomposition ]);
+      t
+  | None ->
+      let t =
+        {
+          tid = Array.length snap.by_tid + 1;
+          key;
+          graph = Lgraph.copy graph;
+          n_nodes = Lgraph.node_count graph;
+          n_edges = Lgraph.edge_count graph;
+          decomposition;
+          decompositions = Atomic.make [ decomposition ];
+        }
       in
-      Hashtbl.replace remap t.tid merged.tid)
-    (Atomic.get src.state).by_tid;
-  fun tid ->
-    match Hashtbl.find_opt remap tid with
-    | Some tid' -> tid'
-    | None -> raise Not_found
+      Atomic.set reg { by_key = Smap.add key t snap.by_key; by_tid = Array.append snap.by_tid [| t |] };
+      t
 
 let find reg tid =
-  let { by_tid; _ } = Atomic.get reg.state in
+  let { by_tid; _ } = Atomic.get reg in
   if tid < 1 || tid > Array.length by_tid then raise Not_found;
   by_tid.(tid - 1)
 
-let find_by_key reg key = Smap.find_opt key (Atomic.get reg.state).by_key
+let find_by_key reg key = Smap.find_opt key (Atomic.get reg).by_key
 
-let count reg = Array.length (Atomic.get reg.state).by_tid
+let count reg = Array.length (Atomic.get reg).by_tid
 
-let all reg = Array.to_list (Atomic.get reg.state).by_tid
+let all reg = Array.to_list (Atomic.get reg).by_tid
 
 let is_single_path t =
   let g = t.graph in

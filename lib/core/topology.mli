@@ -19,48 +19,32 @@ type t = {
       (** every distinct derivation observed (first one included): the same
           canonical graph can arise from pairs whose path-class sets differ
           (symmetric shapes place the query endpoints differently), and the
-          pruned-topology condition must accept any of them.  Atomic because
-          online re-registration (the SQL method) may extend the list while
-          serving domains read it; [Atomic.get] always yields a
-          fully-published list *)
+          pruned-topology condition must accept any of them.  Only the
+          registry's writers extend it (see {!registry}); it is atomic so a
+          serving domain's [Atomic.get] always yields a fully-published
+          list *)
 }
 
 type registry
-(** Safe for concurrent readers: the state is an immutable snapshot behind
-    an [Atomic.t], swapped under the registration lock — [find], [count],
-    [all], [find_by_key] and the lock-free fast path of [register] never
+(** Written once, read by any domain.  Only the offline build's commit,
+    {!Snapshot.load} and the single-domain n-query CLI ({!Nquery}) call
+    {!register}, on the domain that owns the registry and before it
+    serves; serving never registers (the SQL method recomputes keys, not
+    TIDs).  The state is an immutable snapshot behind an [Atomic.t], so
+    [find], [count], [all] and [find_by_key] are lock-free and never
     observe partially-built entries. *)
 
 (** [create_registry ()] is empty; TIDs are assigned densely from 1. *)
 val create_registry : unit -> registry
-
-(** [generation registry] counts completed mutations — new topologies and
-    new decompositions — and is bumped strictly {e after} the mutated state
-    is published.  The serving tier's caches stamp entries with the
-    generation observed before evaluating and treat any entry whose stamp
-    differs from the current generation as a miss: a reader that observes
-    generation [g] is guaranteed to see at least the state of mutation [g],
-    so a matching stamp proves the cached value was computed against the
-    current topology set.  Lock-free registrations that add nothing (the
-    steady-state online path) do not bump it. *)
-val generation : registry -> int
 
 (** [register ?key registry graph ~decomposition] interns the graph's class
     and returns its topology, allocating a fresh TID on first sight; later
     registrations with a new decomposition extend [decompositions].  [key],
     when given, must be [Canon.key graph]: the offline sweep passes the key
     it has already computed.  Without it the key is computed here, which is
-    how a snapshot load checks the keys its file records. *)
+    how a snapshot load checks the keys its file records.  Single writer:
+    never call it while another domain may register. *)
 val register : ?key:string -> registry -> Topo_graph.Lgraph.t -> decomposition:string list -> t
-
-(** [absorb ~into src] merges a shard-local registry into [into]: every
-    topology of [src] is re-registered in src-TID order, carrying all of its
-    recorded decompositions, so the merge is deterministic (given the same
-    [into] and [src] states) and idempotent.  Returns the src-TID ->
-    merged-TID remap.
-    @raise Not_found when the returned function is applied to a TID that was
-    not in [src]. *)
-val absorb : into:registry -> registry -> int -> int
 
 (** [find registry tid].  @raise Not_found for unknown TIDs. *)
 val find : registry -> int -> t

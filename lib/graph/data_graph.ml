@@ -211,14 +211,6 @@ let iter_instance_paths_between t p ~a ~b ~f =
 
 let iter_instance_paths_from t p ~source ~f = walk t (compile t p) ~source ~f:(fun g nodes -> f (ids_of g nodes))
 
-let path_subgraph t (p : Schema_graph.path) ~ids =
-  let g = Lgraph.empty () in
-  Array.iter (fun id -> Lgraph.add_node g ~id ~label:(node_type_label t id)) ids;
-  Array.iteri
-    (fun i rel -> Lgraph.add_edge g ~u:ids.(i) ~v:ids.(i + 1) ~label:(edge_label_of t rel))
-    p.Schema_graph.rels;
-  g
-
 let neighbors_by t ~id ~rel ~ty =
   match Ids.find_opt t.index id with
   | None -> []

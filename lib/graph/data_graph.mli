@@ -90,11 +90,6 @@ val iter_instance_paths_between : t -> Schema_graph.path -> a:int -> b:int -> f:
     only: every instance path of [path] beginning at [source]. *)
 val iter_instance_paths_from : t -> Schema_graph.path -> source:int -> f:(int array -> unit) -> unit
 
-(** [path_subgraph t path ~ids] is the instance path as a labeled graph
-    (node labels looked up from the registry, edge labels from the schema
-    path). *)
-val path_subgraph : t -> Schema_graph.path -> ids:int array -> Lgraph.t
-
 (** [neighbors_by t ~id ~rel ~ty] is the neighbor ids of [id] along edges
     labeled [rel] whose endpoint has type [ty]; ascending. *)
 val neighbors_by : t -> id:int -> rel:string -> ty:string -> int list

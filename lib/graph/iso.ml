@@ -1,4 +1,4 @@
-let find_embedding ~pattern ~host ?(anchors = []) () =
+let embeds ~pattern ~host ?(anchors = []) () =
   let pnodes = Array.of_list (Lgraph.nodes pattern) in
   let n = Array.length pnodes in
   (* Order pattern nodes: anchored first, then by descending degree so the
@@ -73,9 +73,4 @@ let find_embedding ~pattern ~host ?(anchors = []) () =
       (fun (p, h) -> Lgraph.mem_node pattern p && Lgraph.mem_node host h)
       anchors
   in
-  if anchors_ok && solve 0 then
-    Some (Hashtbl.fold (fun p h acc -> (p, h) :: acc) mapping [] |> List.sort compare)
-  else None
-
-let embeds ~pattern ~host ?(anchors = []) () =
-  Option.is_some (find_embedding ~pattern ~host ~anchors ())
+  anchors_ok && solve 0

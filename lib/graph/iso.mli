@@ -12,8 +12,3 @@
     patterns topologies are. *)
 
 val embeds : pattern:Lgraph.t -> host:Lgraph.t -> ?anchors:(int * int) list -> unit -> bool
-
-(** [find_embedding ~pattern ~host ?anchors ()] returns one injection as
-    [(pattern_node, host_node)] pairs, if any. *)
-val find_embedding :
-  pattern:Lgraph.t -> host:Lgraph.t -> ?anchors:(int * int) list -> unit -> (int * int) list option

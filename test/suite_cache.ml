@@ -1,15 +1,12 @@
 (* The serving tier's result cache: hit/miss accounting and LRU
-   eviction order (one fixed case plus a QCheck reference-model run), epoch-based invalidation against the topology
-   registry's generation — including the mid-batch re-registration
-   scenario where a stale cached answer must never be served — cache
-   transparency (cold, warm and uncached runs fingerprint bit-identically
-   across all nine methods), and hit counting when four domains share one
-   cache. *)
+   eviction order (one fixed case plus a QCheck reference-model run),
+   what is and is not memoized, cache transparency (cold, warm and
+   uncached runs fingerprint bit-identically across all nine methods),
+   and hit counting when four domains share one cache. *)
 
 open Topo_core
 module Pool = Topo_util.Pool
 module Counters = Topo_sql.Iterator.Counters
-module Lgraph = Topo_graph.Lgraph
 
 let paper_engine =
   lazy
@@ -24,21 +21,12 @@ let payload tuples = { Cache.ranked = [ (tuples, None) ]; strategy = None; count
 
 let ranked = Alcotest.(list (pair int (option (float 1e-9))))
 
-(* A labeled path graph with arbitrary (distinct) labels: registering one
-   the registry has not seen is a guaranteed mutation. *)
-let path2 la lb le =
-  let g = Lgraph.empty () in
-  Lgraph.add_node g ~id:1 ~label:la;
-  Lgraph.add_node g ~id:2 ~label:lb;
-  Lgraph.add_edge g ~u:1 ~v:2 ~label:le;
-  g
-
 (* --- LRU semantics ------------------------------------------------------- *)
 
 let test_hit_miss () =
-  let cache = Cache.create (Topology.create_registry ()) in
+  let cache = Cache.create () in
   Alcotest.(check bool) "empty cache misses" true (Cache.find_result cache ~key:"a" = None);
-  Cache.add_result cache ~key:"a" ~stamp:(Cache.stamp cache) (payload 11);
+  Cache.add_result cache ~key:"a" (payload 11);
   (match Cache.find_result cache ~key:"a" with
   | Some p ->
       Alcotest.check ranked "payload ranked round-trips" [ (11, None) ] p.Cache.ranked;
@@ -50,13 +38,12 @@ let test_hit_miss () =
     (s.Cache.misses, s.Cache.hits, s.Cache.entries)
 
 let test_lru_eviction () =
-  let cache = Cache.create ~capacity:3 (Topology.create_registry ()) in
-  let stamp = Cache.stamp cache in
-  List.iter (fun (k, v) -> Cache.add_result cache ~key:k ~stamp (payload v))
+  let cache = Cache.create ~capacity:3 () in
+  List.iter (fun (k, v) -> Cache.add_result cache ~key:k (payload v))
     [ ("a", 1); ("b", 2); ("c", 3) ];
   (* touch "a": "b" becomes the least recently used entry *)
   Alcotest.(check bool) "touch a" true (Cache.find_result cache ~key:"a" <> None);
-  Cache.add_result cache ~key:"d" ~stamp (payload 4);
+  Cache.add_result cache ~key:"d" (payload 4);
   Alcotest.(check bool) "LRU victim b evicted" true (Cache.find_result cache ~key:"b" = None);
   List.iter
     (fun k ->
@@ -66,13 +53,12 @@ let test_lru_eviction () =
   Alcotest.(check int) "one eviction" 1 s.Cache.evictions;
   Alcotest.(check int) "at capacity" 3 s.Cache.entries
 
-let test_same_stamp_insert_kept () =
-  let cache = Cache.create (Topology.create_registry ()) in
-  let stamp = Cache.stamp cache in
-  Cache.add_result cache ~key:"a" ~stamp (payload 1);
-  (* a racing same-key same-stamp insert is dropped: by the determinism
+let test_present_key_insert_kept () =
+  let cache = Cache.create () in
+  Cache.add_result cache ~key:"a" (payload 1);
+  (* a racing insert of a present key is dropped: by the determinism
      contract the values are equal, so the first entry stands *)
-  Cache.add_result cache ~key:"a" ~stamp (payload 99);
+  Cache.add_result cache ~key:"a" (payload 99);
   (match Cache.find_result cache ~key:"a" with
   | Some p -> Alcotest.check ranked "first value kept" [ (1, None) ] p.Cache.ranked
   | None -> Alcotest.fail "entry vanished");
@@ -80,46 +66,35 @@ let test_same_stamp_insert_kept () =
 
 (* --- reference LRU model --------------------------------------------------- *)
 
-type op = Add of int * int | Find of int | Bump
+type op = Add of int * int | Find of int
 
-let op_name = function
-  | Add (k, v) -> Printf.sprintf "add k%d=%d" k v
-  | Find k -> Printf.sprintf "find k%d" k
-  | Bump -> "bump"
+let op_name = function Add (k, v) -> Printf.sprintf "add k%d=%d" k v | Find k -> Printf.sprintf "find k%d" k
 
-(* The cache's contract as a plain list of (key, (value, stamp)), most
-   recently used first: a hit moves its key to the front; an insert of a
-   new key, or of a known key under a new stamp, puts a fresh entry at
-   the front and evicts from the back past capacity; a same-key
-   same-stamp insert changes nothing; a lookup that finds a stale stamp
-   drops the entry and counts an invalidation. *)
-type model = { lru : (int * (int * int)) list; st : Cache.stats }
+(* The cache's contract as a plain list of (key, value), most recently
+   used first: a hit moves its key to the front; an insert of a new key
+   puts it at the front and evicts from the back past capacity; an
+   insert of a present key changes nothing. *)
+type model = { lru : (int * int) list; st : Cache.stats }
 
-let model_step ~capacity ~gen m op =
+let model_step ~capacity m op =
   let st = m.st in
   match op with
-  | Bump -> (m, None)
   | Find k -> (
       match List.assoc_opt k m.lru with
       | None -> ({ m with st = { st with Cache.misses = st.Cache.misses + 1 } }, None)
-      | Some (_, stamp) when stamp <> gen ->
-          let st =
-            { st with Cache.misses = st.Cache.misses + 1; invalidations = st.Cache.invalidations + 1 }
-          in
-          ({ lru = List.remove_assoc k m.lru; st }, None)
-      | Some ((v, _) as e) ->
+      | Some v ->
           let st = { st with Cache.hits = st.Cache.hits + 1 } in
-          ({ lru = (k, e) :: List.remove_assoc k m.lru; st }, Some v))
-  | Add (k, v) -> (
-      match List.assoc_opt k m.lru with
-      | Some (_, stamp) when stamp = gen -> (m, None)
-      | Some _ | None ->
-          let lru = (k, (v, gen)) :: List.remove_assoc k m.lru in
-          let st = { st with Cache.insertions = st.Cache.insertions + 1 } in
-          if List.length lru <= capacity then ({ lru; st }, None)
-          else
-            let st = { st with Cache.evictions = st.Cache.evictions + 1 } in
-            ({ lru = List.filteri (fun i _ -> i < capacity) lru; st }, None))
+          ({ lru = (k, v) :: List.remove_assoc k m.lru; st }, Some v))
+  | Add (k, v) ->
+      if List.mem_assoc k m.lru then (m, None)
+      else begin
+        let lru = (k, v) :: m.lru in
+        let st = { st with Cache.insertions = st.Cache.insertions + 1 } in
+        if List.length lru <= capacity then ({ lru; st }, None)
+        else
+          let st = { st with Cache.evictions = st.Cache.evictions + 1 } in
+          ({ lru = List.filteri (fun i _ -> i < capacity) lru; st }, None)
+      end
 
 let prop_lru_matches_model =
   let op_gen =
@@ -128,7 +103,6 @@ let prop_lru_matches_model =
         [
           (4, map2 (fun k v -> Add (k, v)) (int_bound 9) (int_bound 99));
           (4, map (fun k -> Find k) (int_bound 9));
-          (1, return Bump);
         ])
   in
   let print (capacity, ops) =
@@ -137,26 +111,18 @@ let prop_lru_matches_model =
   QCheck.Test.make ~name:"LRU order and stats match a reference model" ~count:300
     (QCheck.make ~print QCheck.Gen.(pair (int_range 1 8) (list_size (int_range 0 60) op_gen)))
     (fun (capacity, ops) ->
-      let registry = Topology.create_registry () in
-      let cache = Cache.create ~capacity registry in
+      let cache = Cache.create ~capacity () in
       let key k = Printf.sprintf "k%d" k in
-      let bumps = ref 0 in
       let step (m, i) op =
         let found =
           match op with
-          | Bump ->
-              (* a topology this registry has not seen: a guaranteed mutation *)
-              incr bumps;
-              let l = 3 * !bumps in
-              ignore (Topology.register registry (path2 l (l + 1) (l + 2)) ~decomposition:[ "m" ]);
-              None
           | Add (k, v) ->
-              Cache.add_result cache ~key:(key k) ~stamp:(Cache.stamp cache) (payload v);
+              Cache.add_result cache ~key:(key k) (payload v);
               None
           | Find k ->
               Option.map (fun p -> fst (List.hd p.Cache.ranked)) (Cache.find_result cache ~key:(key k))
         in
-        let m, expected = model_step ~capacity ~gen:(Cache.stamp cache) m op in
+        let m, expected = model_step ~capacity m op in
         let want = { m.st with Cache.entries = List.length m.lru } in
         if found <> expected || Cache.result_stats cache <> want then
           QCheck.Test.fail_reportf "step %d (%s) diverges from the model" i (op_name op);
@@ -165,71 +131,7 @@ let prop_lru_matches_model =
       ignore (List.fold_left step ({ lru = []; st = Cache.zero_stats }, 0) ops);
       true)
 
-(* --- epoch invalidation --------------------------------------------------- *)
-
-let test_generation_bumps_only_on_mutation () =
-  let registry = Topology.create_registry () in
-  let g0 = Topology.generation registry in
-  ignore (Topology.register registry (path2 1 2 10) ~decomposition:[ "p" ]);
-  let g1 = Topology.generation registry in
-  Alcotest.(check bool) "new topology bumps" true (g1 > g0);
-  (* steady state: same graph, already-known decomposition — lock-free
-     fast path, no mutation, no bump *)
-  ignore (Topology.register registry (path2 1 2 10) ~decomposition:[ "p" ]);
-  Alcotest.(check int) "no-op registration does not bump" g1 (Topology.generation registry);
-  ignore (Topology.register registry (path2 1 2 10) ~decomposition:[ "q" ]);
-  Alcotest.(check bool) "new decomposition bumps" true (Topology.generation registry > g1)
-
-let test_stale_entry_is_a_miss () =
-  let registry = Topology.create_registry () in
-  let cache = Cache.create registry in
-  Cache.add_result cache ~key:"a" ~stamp:(Cache.stamp cache) (payload 1);
-  Alcotest.(check bool) "fresh entry hits" true (Cache.find_result cache ~key:"a" <> None);
-  ignore (Topology.register registry (path2 1 2 10) ~decomposition:[ "p" ]);
-  Alcotest.(check bool) "stale entry misses" true (Cache.find_result cache ~key:"a" = None);
-  let s = Cache.result_stats cache in
-  Alcotest.(check int) "counted as invalidation" 1 s.Cache.invalidations;
-  Alcotest.(check int) "stale entry dropped" 0 s.Cache.entries
-
-(* The ISSUE's mid-batch scenario: a cached answer exists, the SQL method
-   re-registers a topology (mutating the registry), and the very next
-   lookup must recompute rather than serve the stale entry.  The bogus
-   payload planted at the old generation proves the cache was really
-   being consulted before the mutation. *)
-let test_no_stale_result_served_after_reregistration () =
-  let engine = Lazy.force paper_engine in
-  let registry = engine.Engine.ctx.Context.registry in
-  let req = Request.make Engine.Fast_top_k (Query.q1 engine.Engine.ctx.Context.catalog) in
-  let correct =
-    match (Engine.run_request engine req).Request.result with
-    | Request.Done r -> r.Request.ranked
-    | Request.Failed e -> raise e
-    | other -> Alcotest.failf "unexpected outcome %s" (Request.outcome_result_name other)
-  in
-  (* plant a bogus entry for the request at the current generation *)
-  let cache = Engine.cache engine in
-  Cache.add_result cache ~key:(Request.key req) ~stamp:(Cache.stamp cache) (payload 424242);
-  let bogus = Engine.run_request engine ~cache req in
-  Alcotest.(check string) "bogus entry is served while fresh" "hit"
-    (Request.cache_status_name bogus.Request.cache);
-  (match bogus.Request.result with
-  | Request.Done r -> Alcotest.check ranked "(the planted payload)" [ (424242, None) ] r.Request.ranked
-  | Request.Failed e -> raise e
-  | other -> Alcotest.failf "unexpected outcome %s" (Request.outcome_result_name other));
-  (* mid-batch online registration: a topology this registry has not seen *)
-  ignore (Topology.register registry (path2 900001 900002 900003) ~decomposition:[ "suite_cache" ]);
-  let after = Engine.run_request engine ~cache req in
-  Alcotest.(check string) "stale entry not served: recomputed" "miss"
-    (Request.cache_status_name after.Request.cache);
-  (match after.Request.result with
-  | Request.Done r -> Alcotest.check ranked "recomputed answer correct" correct r.Request.ranked
-  | Request.Failed e -> raise e
-  | other -> Alcotest.failf "unexpected outcome %s" (Request.outcome_result_name other));
-  Alcotest.(check bool) "invalidation recorded" true
-    ((Cache.result_stats cache).Cache.invalidations >= 1);
-  (* and the recomputed entry is cached again under the new generation *)
-  Alcotest.(check string) "fresh entry hits again" "hit"
-    (Request.cache_status_name (Engine.run_request engine ~cache req).Request.cache)
+(* --- what is memoized ---------------------------------------------------- *)
 
 let test_failures_not_memoized () =
   let engine = Lazy.force paper_engine in
@@ -355,16 +257,12 @@ let suites =
       [
         Alcotest.test_case "hit and miss accounting" `Quick test_hit_miss;
         Alcotest.test_case "LRU eviction order" `Quick test_lru_eviction;
-        Alcotest.test_case "same-stamp racing insert kept" `Quick test_same_stamp_insert_kept;
+        Alcotest.test_case "racing insert of a present key kept" `Quick
+          test_present_key_insert_kept;
         QCheck_alcotest.to_alcotest prop_lru_matches_model;
       ] );
     ( "cache.epoch",
       [
-        Alcotest.test_case "generation bumps only on mutation" `Quick
-          test_generation_bumps_only_on_mutation;
-        Alcotest.test_case "stale entry is a miss" `Quick test_stale_entry_is_a_miss;
-        Alcotest.test_case "mid-batch re-registration serves no stale result" `Quick
-          test_no_stale_result_served_after_reregistration;
         Alcotest.test_case "failures are not memoized" `Quick test_failures_not_memoized;
         Alcotest.test_case "verify_plans bypasses the result tier" `Quick
           test_verify_plans_bypasses_cache;

@@ -30,23 +30,29 @@ let tid_of_description engine ~contains =
 
 (* --- Definitions 1-3 on the Figure 3 database --------------------------- *)
 
+(* 3-Top(a, b) recomputed over every Protein-DNA schema path of length
+   <= 3, with TIDs looked up in [ctx]'s registry: the row a build without
+   a path filter holds for the pair. *)
+let recompute_row ?(caps = Compute.default_caps) (ctx : Context.t) ~a ~b =
+  let keys, class_keys =
+    Compute.pair_topologies ctx.Context.dg
+      ~paths:(Compute.schema_paths_between ctx.Context.schema ~t1:"Protein" ~t2:"DNA" ~l:3)
+      ~same_type:false ~a ~b ~caps
+  in
+  let tid key = (Option.get (Topology.find_by_key ctx.Context.registry key)).Topology.tid in
+  { Compute.a; b; tids = List.sort compare (List.map tid keys); class_keys }
+
 let test_pathec_78_215 () =
   let _, engine = paper_engine () in
   let ctx = engine.Engine.ctx in
-  let row =
-    Compute.pair_topologies ctx.Context.dg ctx.Context.schema ctx.Context.registry ~t1:"Protein"
-      ~t2:"DNA" ~a:78 ~b:215 ~l:3 ~caps:Compute.default_caps
-  in
+  let row = recompute_row ctx ~a:78 ~b:215 in
   (* "3-PathEC(78,215) contains two equivalence classes". *)
   Alcotest.(check int) "two classes" 2 (List.length row.Compute.class_keys)
 
 let test_top_78_215_two_complex_topologies () =
   let _, engine = paper_engine () in
   let ctx = engine.Engine.ctx in
-  let row =
-    Compute.pair_topologies ctx.Context.dg ctx.Context.schema ctx.Context.registry ~t1:"Protein"
-      ~t2:"DNA" ~a:78 ~b:215 ~l:3 ~caps:Compute.default_caps
-  in
+  let row = recompute_row ctx ~a:78 ~b:215 in
   (* "3-Top(78,215) = { T3, T4 }": two topologies, both complex (unions of
      a P-U-D path and a P-U-P-D path). *)
   Alcotest.(check int) "two topologies" 2 (List.length row.Compute.tids);
@@ -65,10 +71,7 @@ let test_top_78_215_two_complex_topologies () =
 let test_top_32_214_is_encodes_path () =
   let _, engine = paper_engine () in
   let ctx = engine.Engine.ctx in
-  let row =
-    Compute.pair_topologies ctx.Context.dg ctx.Context.schema ctx.Context.registry ~t1:"Protein"
-      ~t2:"DNA" ~a:32 ~b:214 ~l:3 ~caps:Compute.default_caps
-  in
+  let row = recompute_row ctx ~a:32 ~b:214 in
   Alcotest.(check int) "single topology" 1 (List.length row.Compute.tids);
   let t = Engine.topology engine (List.hd row.Compute.tids) in
   Alcotest.(check bool) "simple path" true (Topology.is_single_path t);
@@ -79,10 +82,7 @@ let test_top_32_214_is_encodes_path () =
 let test_top_44_742_is_pud_path () =
   let _, engine = paper_engine () in
   let ctx = engine.Engine.ctx in
-  let row =
-    Compute.pair_topologies ctx.Context.dg ctx.Context.schema ctx.Context.registry ~t1:"Protein"
-      ~t2:"DNA" ~a:44 ~b:742 ~l:3 ~caps:Compute.default_caps
-  in
+  let row = recompute_row ctx ~a:44 ~b:742 in
   (* Two isomorphic paths, one class, so the topology is the simple P-U-D
      path (T2) and nothing else. *)
   Alcotest.(check int) "one class" 1 (List.length row.Compute.class_keys);
@@ -94,10 +94,7 @@ let test_top_44_742_is_pud_path () =
 let test_unrelated_pair_empty () =
   let _, engine = paper_engine () in
   let ctx = engine.Engine.ctx in
-  let row =
-    Compute.pair_topologies ctx.Context.dg ctx.Context.schema ctx.Context.registry ~t1:"Protein"
-      ~t2:"DNA" ~a:32 ~b:742 ~l:3 ~caps:Compute.default_caps
-  in
+  let row = recompute_row ctx ~a:32 ~b:742 in
   Alcotest.(check (list int)) "no topologies" [] row.Compute.tids
 
 let test_q1_returns_four_topologies () =
@@ -113,10 +110,7 @@ let test_q1_excludes_triangle_of_34_215 () =
      not match 'enzyme', so that topology must not appear in Q1's answer. *)
   let cat, engine = paper_engine () in
   let ctx = engine.Engine.ctx in
-  let row =
-    Compute.pair_topologies ctx.Context.dg ctx.Context.schema ctx.Context.registry ~t1:"Protein"
-      ~t2:"DNA" ~a:34 ~b:215 ~l:3 ~caps:Compute.default_caps
-  in
+  let row = recompute_row ctx ~a:34 ~b:215 in
   Alcotest.(check int) "triangle pair" 1 (List.length row.Compute.tids);
   let triangle = List.hd row.Compute.tids in
   let q = Query.q1 cat in

@@ -8,9 +8,11 @@ module Value = Topo_sql.Value
 let small_params seed =
   Biozon.Generator.scale 0.12 { Biozon.Generator.default with Biozon.Generator.seed = seed }
 
-let engine_for ?(l = 3) ?(pruning_threshold = 10) ?(exclude_weak = false) seed =
+let engine_for ?(l = 3) ?(pruning_threshold = 10) ?(exclude_weak = false) ?min_reliability seed =
   let cat = Biozon.Generator.generate (small_params seed) in
-  (cat, Engine.build cat ~pairs:[ ("Protein", "DNA") ] ~l ~pruning_threshold ~exclude_weak ())
+  ( cat,
+    Engine.build cat ~pairs:[ ("Protein", "DNA") ] ~l ~pruning_threshold ~exclude_weak ?min_reliability
+      () )
 
 let queries cat =
   [
@@ -23,25 +25,46 @@ let queries cat =
       (Query.equals cat "DNA" ~col:"type" ~value:(Value.Str "EST"));
   ]
 
+let check_agreement label (cat, engine) =
+  List.iteri
+    (fun qi q ->
+      let tids m =
+        List.map fst (Request.get_done (Engine.run_request engine (Request.make m q))).Request.ranked
+      in
+      let full = tids Engine.Full_top in
+      Alcotest.(check (list int)) (Printf.sprintf "%s q%d fast=full" label qi) full (tids Engine.Fast_top);
+      Alcotest.(check (list int)) (Printf.sprintf "%s q%d sql=full" label qi) full (tids Engine.Sql))
+    (queries cat)
+
+(* A build whose path filter drops schema paths: serving the nine-method
+   batch on two domains must leave the registry and the derived tables as
+   built, and SQL must still agree with Full-Top (its recomputation may
+   only walk the paths the build kept). *)
+let check_filtered_build label (cat, engine) =
+  let count = Topology.count engine.Engine.ctx.Context.registry in
+  let fingerprint = Engine.fingerprint engine in
+  let requests =
+    List.concat_map (fun q -> List.map (fun m -> Request.make m q) Engine.all_methods) (queries cat)
+  in
+  Topo_util.Pool.with_pool ~jobs:2 (fun pool ->
+      ignore (Serve.exec (Serve.config ~pool ()) engine requests));
+  Alcotest.(check int) (label ^ ": registry unchanged by serving") count
+    (Topology.count engine.Engine.ctx.Context.registry);
+  Alcotest.(check string) (label ^ ": fingerprint unchanged by serving") fingerprint
+    (Engine.fingerprint engine);
+  check_agreement label (cat, engine)
+
 let test_method_agreement_across_seeds () =
+  List.iter (fun seed -> check_agreement (Printf.sprintf "seed %d" seed) (engine_for seed)) [ 1; 2; 3 ];
   List.iter
     (fun seed ->
-      let cat, engine = engine_for seed in
-      List.iteri
-        (fun qi q ->
-          let tids m =
-            List.map fst
-              (Request.get_done (Engine.run_request engine (Request.make m q))).Request.ranked
-          in
-          let full = tids Engine.Full_top in
-          Alcotest.(check (list int))
-            (Printf.sprintf "seed %d q%d fast=full" seed qi)
-            full (tids Engine.Fast_top);
-          Alcotest.(check (list int))
-            (Printf.sprintf "seed %d q%d sql=full" seed qi)
-            full (tids Engine.Sql))
-        (queries cat))
-    [ 1; 2; 3 ]
+      check_filtered_build
+        (Printf.sprintf "seed %d l=4 exclude_weak" seed)
+        (engine_for ~l:4 ~exclude_weak:true seed);
+      check_filtered_build
+        (Printf.sprintf "seed %d min_reliability 0.6" seed)
+        (engine_for ~min_reliability:0.6 seed))
+    [ 13; 17 ]
 
 let test_topk_scores_agree_across_seeds () =
   List.iter
@@ -137,8 +160,7 @@ let test_alltops_rows_match_pair_recomputation () =
   for _ = 1 to 25 do
     let r = rows.(Topo_util.Prng.int prng (Array.length rows)) in
     let recomputed =
-      Compute.pair_topologies ctx.Context.dg ctx.Context.schema ctx.Context.registry ~t1:"Protein"
-        ~t2:"DNA" ~a:r.Compute.a ~b:r.Compute.b ~l:3 ~caps:ctx.Context.caps
+      Suite_core.recompute_row ~caps:ctx.Context.caps ctx ~a:r.Compute.a ~b:r.Compute.b
     in
     Alcotest.(check (list int))
       (Printf.sprintf "(%d,%d)" r.Compute.a r.Compute.b)

@@ -27,8 +27,7 @@ let prop_sweep_matches_anchored_under_caps =
       List.for_all
         (fun (r : Compute.pair_row) ->
           let again =
-            Compute.pair_topologies ctx.Context.dg ctx.Context.schema ctx.Context.registry
-              ~t1:"Protein" ~t2:"DNA" ~a:r.Compute.a ~b:r.Compute.b ~l:3 ~caps:tight_caps
+            Suite_core.recompute_row ~caps:tight_caps ctx ~a:r.Compute.a ~b:r.Compute.b
           in
           again.Compute.tids = r.Compute.tids)
         store.Store.rows)

@@ -120,47 +120,6 @@ let test_rows_snapshot_cache () =
   Table.truncate tb;
   Alcotest.(check int) "truncate invalidates" 0 (Array.length (Table.rows tb))
 
-(* --- Topology.absorb ----------------------------------------------------- *)
-
-let path2 la lb le =
-  let g = Lgraph.empty () in
-  Lgraph.add_node g ~id:1 ~label:la;
-  Lgraph.add_node g ~id:2 ~label:lb;
-  Lgraph.add_edge g ~u:1 ~v:2 ~label:le;
-  g
-
-let test_absorb_remap () =
-  let src = Topology.create_registry () in
-  let g1 = path2 1 2 10 and g2 = path2 3 4 11 in
-  let t1 = Topology.register src g1 ~decomposition:[ "p1" ] in
-  ignore (Topology.register src g1 ~decomposition:[ "p2" ]);
-  let t2 = Topology.register src g2 ~decomposition:[ "q" ] in
-  let dst = Topology.create_registry () in
-  let pre = Topology.register dst g2 ~decomposition:[ "r" ] in
-  let remap = Topology.absorb ~into:dst src in
-  Alcotest.(check int) "shared shape dedups onto existing TID" pre.Topology.tid
-    (remap t2.Topology.tid);
-  let m1 = Topology.find dst (remap t1.Topology.tid) in
-  Alcotest.(check (list (list string))) "all decompositions carried over"
-    [ [ "p1" ]; [ "p2" ] ] (Atomic.get m1.Topology.decompositions);
-  let m2 = Topology.find dst (remap t2.Topology.tid) in
-  Alcotest.(check bool) "merged decompositions extend the target" true
-    (List.mem [ "q" ] (Atomic.get m2.Topology.decompositions)
-    && List.mem [ "r" ] (Atomic.get m2.Topology.decompositions));
-  Alcotest.(check int) "no duplicate topologies" 2 (Topology.count dst);
-  Alcotest.check_raises "unknown src TID" Not_found (fun () -> ignore (remap 99))
-
-let test_absorb_idempotent () =
-  let src = Topology.create_registry () in
-  ignore (Topology.register src (path2 1 2 10) ~decomposition:[ "p" ]);
-  let dst = Topology.create_registry () in
-  let r1 = Topology.absorb ~into:dst src in
-  let r2 = Topology.absorb ~into:dst src in
-  Alcotest.(check int) "second absorb maps identically" (r1 1) (r2 1);
-  Alcotest.(check int) "no growth" 1 (Topology.count dst);
-  Alcotest.(check (list (list string))) "no duplicate decompositions" [ [ "p" ] ]
-    (Atomic.get (Topology.find dst (r2 1)).Topology.decompositions)
-
 (* --- Engine.build determinism across jobs -------------------------------- *)
 
 (* The full observable output of the offline phase as one string: the
@@ -207,10 +166,7 @@ let test_paper_build_jobs_identical () =
   let base_fp = fingerprint base in
   List.iter
     (fun (jobs, e) ->
-      Alcotest.(check string)
-        (Printf.sprintf "jobs=%d fingerprint" jobs)
-        base_fp (fingerprint e);
-      Alcotest.(check int) (Printf.sprintf "jobs=%d recorded" jobs) jobs e.Engine.jobs)
+      Alcotest.(check string) (Printf.sprintf "jobs=%d fingerprint" jobs) base_fp (fingerprint e))
     engines;
   (* every method answers identically on every build *)
   let answers e =
@@ -415,8 +371,6 @@ let suites =
       [
         Alcotest.test_case "counters atomic across domains" `Quick test_counters_atomic_across_domains;
         Alcotest.test_case "Table.rows snapshot cache" `Quick test_rows_snapshot_cache;
-        Alcotest.test_case "Topology.absorb remap" `Quick test_absorb_remap;
-        Alcotest.test_case "Topology.absorb idempotent" `Quick test_absorb_idempotent;
       ] );
     ( "par.determinism",
       [

@@ -56,8 +56,7 @@ let with_temp_snapshot engine f =
 (* --- round trips ---------------------------------------------------------- *)
 
 (* The union phase's memos follow the pool's chunking, so guard the file
-   itself: a jobs=2 build saves the same bytes as a jobs=1 build, once the
-   jobs count the snapshot records is the same. *)
+   itself: a jobs=2 build saves the same bytes as a jobs=1 build. *)
 let test_jobs_invariant_bytes () =
   let build jobs =
     Engine.build
@@ -66,8 +65,7 @@ let test_jobs_invariant_bytes () =
       ~pruning_threshold:10 ~jobs ()
   in
   let digest (engine : Engine.t) =
-    with_temp_snapshot { engine with Engine.jobs = 1 } (fun path ->
-        Digest.to_hex (Digest.file path))
+    with_temp_snapshot engine (fun path -> Digest.to_hex (Digest.file path))
   in
   Alcotest.(check string) "jobs=2 file = jobs=1 file" (digest (build 1)) (digest (build 2))
 
