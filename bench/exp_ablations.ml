@@ -88,8 +88,9 @@ let dgj_grid () =
                 let _, median =
                   Topo_util.Timer.repeat_median ~runs:config.runs (fun () ->
                       let ctx = engine.Engine.ctx in
-                      Topo_core.Methods.fast_top_k_et ctx (Topo_core.Methods.align ctx q)
-                        ~scheme:Ranking.Freq ~k:10 ~impls ())
+                      Topo_core.Methods.dispatch Engine.Fast_top_k_et ~impls ctx
+                        (Option.get (Topo_core.Methods.align ctx q))
+                        ~scheme:Ranking.Freq ~k:10)
                 in
                 [ String.concat "" (List.map impl_name impls); ms (median *. 1000.0) ])
               [ `I; `H ])

@@ -85,7 +85,7 @@ let tests () =
   (* Fast-Top's pruned-topology checks for one query, walks only: the
      endpoint id sets are resolved before timing. *)
   let pruned_checks q =
-    let aligned = Topo_core.Methods.align ctx q in
+    let aligned = Option.get (Topo_core.Methods.align ctx q) in
     ignore (Topo_core.Methods.pruned_walk_side ctx aligned);
     Staged.stage (fun () ->
         List.filter
@@ -105,9 +105,9 @@ let tests () =
   let et_cat, et_spec = et_pricing_spec () in
   (* A Full-Top-k regular plan and a Full-Top-k-ET DGJ stack over AllTops
      for the broad query, planned once: execution only. *)
-  let broad = Topo_core.Methods.align ctx q_broad in
+  let broad = Option.get (Topo_core.Methods.align ctx q_broad) in
   let broad_spec k =
-    Topo_core.Methods.optimizer_spec ctx broad
+    Topo_core.Methods.optimizer_spec broad
       ~fact:broad.Topo_core.Methods.store.Topo_core.Store.alltops ~scheme:Topo_core.Ranking.Freq ~k
   in
   let topk_plan, _ = Topo_sql.Optimizer.regular_plan cat (broad_spec 10) in

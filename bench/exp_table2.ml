@@ -81,7 +81,7 @@ let run () =
                              Topo_util.Timer.repeat_median ~runs:config.runs (fun () ->
                                  let ctx = engine.Engine.ctx in
                                  Topo_core.Methods.dispatch m ~impls:[ `I; `H; `H ] ctx
-                                   (Topo_core.Methods.align ctx q) ~scheme ~k)
+                                   (Option.get (Topo_core.Methods.align ctx q)) ~scheme ~k)
                            in
                            median *. 1000.0
                          in

@@ -662,8 +662,7 @@ let check_against_jobs1 engine requests outcomes ~ok ~failed =
    is a usage error naming the pairs there are. *)
 let require_pair ~what ~t1 ~t2 held =
   if not (List.mem (t1, t2) held || List.mem (t2, t1) held) then
-    usage_error "%s holds no %s-%s store (it holds %s)" what t1 t2
-      (String.concat ", " (List.map (fun (a, b) -> a ^ "-" ^ b) held))
+    usage_error "%s holds %s" what (Request.failure_to_string (Request.unknown_pair ~t1 ~t2 held))
 
 let print_outcome i (o : Request.outcome) =
   let name = Engine.method_name o.Request.request.Request.method_ in
@@ -676,7 +675,8 @@ let print_outcome i (o : Request.outcome) =
         o.Request.counters.Topo_sql.Iterator.Counters.index_probes
         o.Request.counters.Topo_sql.Iterator.Counters.rows_scanned
   | Request.Rejected rj -> Printf.printf "%3d. %-14s REJECTED (%s)\n" (i + 1) name (Request.rejection_name rj)
-  | Request.Failed e -> Printf.printf "%3d. %-14s ERROR %s\n" (i + 1) name (Printexc.to_string e)
+  | Request.Failed f ->
+      Printf.printf "%3d. %-14s ERROR %s\n" (i + 1) name (Request.failure_to_string f)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                                *)
@@ -744,9 +744,8 @@ let cache_arg =
 
 let serve_run boot jobs workload traces check cache_of deadline_ms max_queue rate =
   let engine = boot.engine () in
-  let stores = engine.Engine.ctx.Topo_core.Context.stores in
   require_pair ~what:"the snapshot" ~t1:boot.t1 ~t2:boot.t2
-    (List.sort compare (Hashtbl.fold (fun pair _ acc -> pair :: acc) stores []));
+    (Topo_core.Context.pairs engine.Engine.ctx);
   let base, requests = load_workload (catalog_of engine) ~t1:boot.t1 ~t2:boot.t2 workload in
   let cache = cache_of engine in
   let deadline_s = seconds_of_ms deadline_ms in
@@ -1007,7 +1006,7 @@ let route_run manifest_dir sockets t1 t2 workload check_snapshot timeout_ms retr
       let rejected = count (function Request.Rejected _ -> true | _ -> false) in
       let failed = count (function Request.Failed _ -> true | _ -> false) in
       List.iteri
-        (fun i o -> if Request.failure o.Request.result <> None then print_outcome i o)
+        (fun i o -> match o.Request.result with Request.Failed _ -> print_outcome i o | _ -> ())
         outcomes;
       Printf.printf
         "routed %d request(s) over %d shard(s) in %.3fs: %d done, %d partial, %d rejected, %d \

@@ -24,11 +24,10 @@ type t = {
 
 let store_for t ~t1 ~t2 =
   match Hashtbl.find_opt t.stores (t1, t2) with
-  | Some s -> (s, true)
-  | None -> (
-      match Hashtbl.find_opt t.stores (t2, t1) with
-      | Some s -> (s, false)
-      | None -> raise Not_found)
+  | Some s -> Some (s, true)
+  | None -> Option.map (fun s -> (s, false)) (Hashtbl.find_opt t.stores (t2, t1))
+
+let pairs t = Hashtbl.fold (fun pair _ acc -> pair :: acc) t.stores []
 
 let register_class_paths t ~t1 ~t2 =
   List.iter

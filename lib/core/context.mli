@@ -25,10 +25,13 @@ type t = {
 }
 
 (** [store_for t ~t1 ~t2] finds the store for an entity-set pair in either
-    orientation; returns the store and [true] when the query's (t1, t2)
-    matches the store's orientation (else endpoints must be swapped).
-    @raise Not_found when the pair was never precomputed. *)
-val store_for : t -> t1:string -> t2:string -> Store.t * bool
+    orientation: the store and [true] when the query's (t1, t2) matches
+    the store's orientation (else endpoints must be swapped), or [None]
+    when the pair was never precomputed. *)
+val store_for : t -> t1:string -> t2:string -> (Store.t * bool) option
+
+(** [pairs t] is every precomputed entity-set pair, in build orientation. *)
+val pairs : t -> (string * string) list
 
 (** [register_class_paths t ~t1 ~t2] records every schema path between the
     types under its class key, with both of its walkers compiled (see

@@ -126,8 +126,7 @@ let cache ?capacity (_ : t) = Cache.create ?capacity ()
 
 (* The raw evaluation: dispatch the method, time it, trace it.  Counters
    accumulate in the scope [run_request] installs; exceptions propagate. *)
-let eval t (req : Request.t) ~verify_plans ?trace ?budget () =
-  let aligned = Methods.align t.ctx req.Request.query in
+let eval t (req : Request.t) aligned ~verify_plans ?trace ?budget () =
   let evaluate ?trace () =
     Methods.dispatch req.Request.method_ ~check:verify_plans ?trace ?budget t.ctx aligned
       ~scheme:req.Request.scheme ~k:req.Request.k
@@ -174,11 +173,19 @@ let run_request t ?cache ?(verify_plans = false) ?(traces = false) (req : Reques
             if (match budget with Some b -> Budget.tripped b | None -> false) then
               Request.Partial r
             else Request.Done r
-        | Error e -> Request.Failed e
+        | Error f -> Request.Failed f
       in
       let evaluate () =
         Counters.with_scope (fun () ->
-            try Ok (eval t req ~verify_plans ?trace ?budget ()) with e -> Error e)
+            let q = req.Request.query in
+            match Methods.align t.ctx q with
+            | None ->
+                Error
+                  (Request.unknown_pair ~t1:q.Query.e1.Query.entity ~t2:q.Query.e2.Query.entity
+                     (Context.pairs t.ctx))
+            | Some aligned -> (
+                try Ok (eval t req aligned ~verify_plans ?trace ?budget ())
+                with e -> Error (Request.Internal (Printexc.to_string e))))
       in
       match cache with
       | None ->
@@ -210,7 +217,7 @@ let run_request t ?cache ?(verify_plans = false) ?(traces = false) (req : Reques
                     { Cache.ranked = r.Request.ranked; strategy = r.Request.strategy; counters }
               | Request.Partial _ | Request.Rejected _ | Request.Failed _ ->
                   (* Only complete answers are memoized: a partial is a
-                     deadline-shaped prefix, and failures re-raise
+                     deadline-shaped prefix, and failures recur
                      deterministically. *)
                   ());
               outcome result counters Request.Miss))
@@ -259,4 +266,9 @@ let topology t tid = Topology.find t.ctx.Context.registry tid
 
 let describe t tid = Topology.describe t.ctx.Context.interner (topology t tid)
 
-let store t ~t1 ~t2 = fst (Context.store_for t.ctx ~t1 ~t2)
+let store t ~t1 ~t2 =
+  match Context.store_for t.ctx ~t1 ~t2 with
+  | Some (s, _) -> s
+  | None ->
+      invalid_arg
+        (Request.failure_to_string (Request.unknown_pair ~t1 ~t2 (Context.pairs t.ctx)))

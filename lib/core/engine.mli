@@ -64,9 +64,11 @@ val cache : ?capacity:int -> t -> Cache.t
     single-query entry point: it evaluates [request] under a fresh private
     counter scope and returns the full {!Request.outcome} — the four-way
     {!Request.outcome_result}, isolated counters, serving domain,
-    optional private trace, and cache status.  A raised exception becomes
-    a [Failed] outcome; {!Request.get_done} turns it back into a raise
-    for sequential callers.
+    optional private trace, and cache status.  It never raises: a query
+    over a pair the build did not precompute is [Failed (Unknown_pair _)]
+    naming the pairs it did, and any exception evaluation raises is
+    [Failed (Internal msg)]; {!Request.get_done} turns a failure into a
+    raise for sequential callers.
 
     Deadlines: a request whose {!Budget.deadline} has already passed
     short-circuits to [Rejected Expired] {e before} the cache lookup and
@@ -81,7 +83,7 @@ val cache : ?capacity:int -> t -> Cache.t
     ["cache_hit"] span when tracing) — valid under any deadline, since a
     hit costs no evaluation; a miss evaluates and memoizes the outcome.
     Only
-    [Done] outcomes are memoized — failures re-raise deterministically
+    [Done] outcomes are memoized — failures recur deterministically
     and partials are deadline-shaped prefixes, not answers.
     [verify_plans] (default false) checks every physical plan the method
     builds with {!Topo_sql.Plan_check} before executing it — a malformed
@@ -112,5 +114,6 @@ val topology : t -> int -> Topology.t
 val describe : t -> int -> string
 
 (** [store t ~t1 ~t2] exposes a pair's store (either orientation).
-    @raise Not_found when the pair was not built. *)
+    @raise Invalid_argument with {!Request.failure_to_string}'s
+    [Unknown_pair] text when the pair was not built. *)
 val store : t -> t1:string -> t2:string -> Store.t

@@ -54,17 +54,16 @@ type aligned = {
 }
 
 let align (ctx : Context.t) (q : Query.t) =
-  let store, straight =
-    Context.store_for ctx ~t1:q.Query.e1.Query.entity ~t2:q.Query.e2.Query.entity
-  in
-  let ea, eb = if straight then (q.Query.e1, q.Query.e2) else (q.Query.e2, q.Query.e1) in
-  {
-    store;
-    ea;
-    eb;
-    a_ids = lazy (Context.satisfying_ids ctx ea);
-    b_ids = lazy (Context.satisfying_ids ctx eb);
-  }
+  Context.store_for ctx ~t1:q.Query.e1.Query.entity ~t2:q.Query.e2.Query.entity
+  |> Option.map (fun (store, straight) ->
+         let ea, eb = if straight then (q.Query.e1, q.Query.e2) else (q.Query.e2, q.Query.e1) in
+         {
+           store;
+           ea;
+           eb;
+           a_ids = lazy (Context.satisfying_ids ctx ea);
+           b_ids = lazy (Context.satisfying_ids ctx eb);
+         })
 
 (* Span helper: a no-op when no trace is threaded through. *)
 let sp ?trace ?tags name f =
@@ -166,21 +165,14 @@ let pruned_check ctx aligned (p : Topology.t) =
 (* ------------------------------------------------------------------ *)
 (* Non-top-k methods                                                   *)
 
-let full_top ?check ?trace ctx aligned =
-  let plan =
-    sp ?trace "build_plan"
-      ~tags:[ ("fact", aligned.store.Store.alltops) ]
-      (fun () -> tids_plan aligned ~fact:aligned.store.Store.alltops)
-  in
+(* The fact-table join: Full-Top over AllTops, Fast-Top's base over
+   LeftTops. *)
+let fact_tids ?check ?trace ctx aligned ~fact =
+  let plan = sp ?trace "build_plan" ~tags:[ ("fact", fact) ] (fun () -> tids_plan aligned ~fact) in
   run_tids ?check ?trace ctx plan
 
 let fast_top ?check ?trace ctx aligned =
-  let plan =
-    sp ?trace "build_plan"
-      ~tags:[ ("fact", aligned.store.Store.lefttops) ]
-      (fun () -> tids_plan aligned ~fact:aligned.store.Store.lefttops)
-  in
-  let base = run_tids ?check ?trace ctx plan in
+  let base = fact_tids ?check ?trace ctx aligned ~fact:aligned.store.Store.lefttops in
   let extra =
     sp ?trace "pruned_checks"
       ~tags:[ ("pruned", string_of_int (List.length aligned.store.Store.pruned)) ]
@@ -191,12 +183,11 @@ let fast_top ?check ?trace ctx aligned =
   in
   List.sort_uniq compare (base @ extra)
 
-let sql_method ?(check = false) ?trace (ctx : Context.t) aligned =
+let sql_method ?trace (ctx : Context.t) aligned =
   (* One existence probe per observed topology; every probe recomputes pair
      topologies from base data (no sharing between probes — the method's
-     documented inefficiency).  [check] is accepted for signature
-     uniformity: this method builds no physical plans to verify. *)
-  ignore check;
+     documented inefficiency).  It builds no physical plans, so there is
+     nothing to verify. *)
   let store = aligned.store in
   let topinfo = Catalog.find ctx.Context.catalog store.Store.topinfo in
   let observed = ref [] in
@@ -253,8 +244,7 @@ let sql_method ?(check = false) ?trace (ctx : Context.t) aligned =
 (* ------------------------------------------------------------------ *)
 (* Top-k machinery                                                     *)
 
-let optimizer_spec ctx aligned ~fact ~scheme ~k =
-  ignore ctx;
+let optimizer_spec aligned ~fact ~scheme ~k =
   {
     Optimizer.group_table = aligned.store.Store.topinfo;
     group_key = "TID";
@@ -337,7 +327,7 @@ let merge_with_pruned ?trace ?budget ctx aligned ~scheme ~k ~next_witness =
 (* Pull-based driver over a DGJ stack: yields one (tid, score) per group
    that produces a witness, in group (score) order. *)
 let et_witness_stream ?(check = false) ?trace ctx aligned ~fact ~scheme ~impls =
-  let spec = optimizer_spec ctx aligned ~fact ~scheme ~k:max_int in
+  let spec = optimizer_spec aligned ~fact ~scheme ~k:max_int in
   let plan =
     sp ?trace "build_et_plan" ~tags:[ ("fact", fact) ] (fun () ->
         Optimizer.et_plan ctx.Context.catalog spec ~impls ~dim_order:[ 0; 1 ])
@@ -387,7 +377,7 @@ let fast_top_k_et ?check ?trace ?budget ctx aligned ~scheme ~k ?(impls = default
       merge_with_pruned ?trace ?budget ctx aligned ~scheme ~k ~next_witness:next)
 
 let regular_topk ?(check = false) ?trace ctx aligned ~fact ~scheme ~k =
-  let spec = optimizer_spec ctx aligned ~fact ~scheme ~k in
+  let spec = optimizer_spec aligned ~fact ~scheme ~k in
   let plan, _cost =
     sp ?trace "optimize" ~tags:[ ("fact", fact) ] (fun () ->
         Optimizer.regular_plan ~check ctx.Context.catalog spec)
@@ -441,37 +431,26 @@ let choose_strategy ~check ?trace ctx spec =
       Topo_obs.Trace.add_tag span "strategy" (strategy_name strategy);
       strategy
 
-let full_top_k_opt ?(check = false) ?trace ?budget ctx aligned ~scheme ~k =
-  let spec = optimizer_spec ctx aligned ~fact:aligned.store.Store.alltops ~scheme ~k in
-  match choose_strategy ~check ?trace ctx spec with
-  | Optimizer.Regular -> (full_top_k ~check ?trace ctx aligned ~scheme ~k, Optimizer.Regular)
+(* Full-Top-k-Opt over AllTops, or with [~fast] Fast-Top-k-Opt over
+   LeftTops. *)
+let top_k_opt ~fast ~check ?trace ?budget ctx aligned ~scheme ~k =
+  let fact = if fast then aligned.store.Store.lefttops else aligned.store.Store.alltops in
+  match choose_strategy ~check ?trace ctx (optimizer_spec aligned ~fact ~scheme ~k) with
+  | Optimizer.Regular ->
+      ((if fast then fast_top_k else full_top_k) ~check ?trace ctx aligned ~scheme ~k, Optimizer.Regular)
   | Optimizer.Early_termination ->
-      (full_top_k_et ~check ?trace ?budget ctx aligned ~scheme ~k (), Optimizer.Early_termination)
-
-let fast_top_k_opt ?(check = false) ?trace ?budget ctx aligned ~scheme ~k =
-  let spec = optimizer_spec ctx aligned ~fact:aligned.store.Store.lefttops ~scheme ~k in
-  match choose_strategy ~check ?trace ctx spec with
-  | Optimizer.Regular -> (fast_top_k ~check ?trace ctx aligned ~scheme ~k, Optimizer.Regular)
-  | Optimizer.Early_termination ->
-      (fast_top_k_et ~check ?trace ?budget ctx aligned ~scheme ~k (), Optimizer.Early_termination)
+      ( (if fast then fast_top_k_et else full_top_k_et) ~check ?trace ?budget ctx aligned ~scheme ~k (),
+        Optimizer.Early_termination )
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
 
-(* The single entry point over the nine-method enum: scores are lifted to
-   a uniform [(tid, score option)] shape and the -Opt methods report
-   their strategy choice.  [Engine], the serving tier and the benchmarks
-   all route through this instead of hand-written nine-way matches.
-   [impls] only reaches the -ET methods; [budget] (the deadline) only the
-   early-termination loops — the other methods run to completion, which
-   keeps every complete answer bit-identical with and without a
-   deadline. *)
 let dispatch method_ ?(check = false) ?trace ?impls ?budget ctx aligned ~scheme ~k =
   let with_scores l = List.map (fun (tid, s) -> (tid, Some s)) l in
   let plain l = List.map (fun tid -> (tid, None)) l in
   match method_ with
-  | Sql -> (plain (sql_method ~check ?trace ctx aligned), None)
-  | Full_top -> (plain (full_top ~check ?trace ctx aligned), None)
+  | Sql -> (plain (sql_method ?trace ctx aligned), None)
+  | Full_top -> (plain (fact_tids ~check ?trace ctx aligned ~fact:aligned.store.Store.alltops), None)
   | Fast_top -> (plain (fast_top ~check ?trace ctx aligned), None)
   | Full_top_k -> (with_scores (full_top_k ~check ?trace ctx aligned ~scheme ~k), None)
   | Fast_top_k -> (with_scores (fast_top_k ~check ?trace ctx aligned ~scheme ~k), None)
@@ -479,9 +458,8 @@ let dispatch method_ ?(check = false) ?trace ?impls ?budget ctx aligned ~scheme 
       (with_scores (full_top_k_et ~check ?trace ?budget ctx aligned ~scheme ~k ?impls ()), None)
   | Fast_top_k_et ->
       (with_scores (fast_top_k_et ~check ?trace ?budget ctx aligned ~scheme ~k ?impls ()), None)
-  | Full_top_k_opt ->
-      let results, strategy = full_top_k_opt ~check ?trace ?budget ctx aligned ~scheme ~k in
-      (with_scores results, Some strategy)
-  | Fast_top_k_opt ->
-      let results, strategy = fast_top_k_opt ~check ?trace ?budget ctx aligned ~scheme ~k in
+  | Full_top_k_opt | Fast_top_k_opt ->
+      let results, strategy =
+        top_k_opt ~fast:(method_ = Fast_top_k_opt) ~check ?trace ?budget ctx aligned ~scheme ~k
+      in
       (with_scores results, Some strategy)

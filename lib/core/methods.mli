@@ -58,106 +58,38 @@ type aligned = {
 
 (** [align ctx query] resolves the query's entity pair to its store,
     swapping endpoints if the query was phrased in the opposite
-    orientation.  @raise Not_found when the pair was not precomputed. *)
-val align : Context.t -> Query.t -> aligned
+    orientation; [None] when the pair was not precomputed. *)
+val align : Context.t -> Query.t -> aligned option
 
-(** [optimizer_spec ctx aligned ~fact ~scheme ~k] is the top-k spec every
+(** [optimizer_spec aligned ~fact ~scheme ~k] is the top-k spec every
     plan-based method hands the optimizer: TopInfo grouped on TID and
     ordered on [scheme]'s score column, [fact] (AllTops or LeftTops) as
     the fact table, and the two aligned endpoints as dimensions. *)
 val optimizer_spec :
-  Context.t -> aligned -> fact:string -> scheme:Ranking.scheme -> k:int -> Topo_sql.Optimizer.spec
-
-(** {1 Non-top-k methods} — all return ascending TIDs. *)
-
-(** [sql_method ctx aligned] issues one existence probe per observed
-    topology (the paper restricts the SQL method to topologies with at
-    least one occurrence, "close to 200"); each probe recomputes pair
-    topologies from scratch, which is the method's documented
-    inefficiency.  The recomputation walks only the schema paths whose
-    classes occur in the store's rows, so it honours the build's path
-    filter, and it compares canonical keys: it never writes to the
-    registry.
-
-    All nine methods share the [?check ?trace] labelled-argument prefix.
-    [?check] (default false) verifies physical plans before execution —
-    accepted-but-inert here, as the SQL method builds none.  [?trace],
-    when given, opens {!Topo_obs.Trace} spans around each method's phases
-    (plan building, optimizer choice, execution, pruned-topology checks)
-    so [toposearch profile] can show where the time goes. *)
-val sql_method : ?check:bool -> ?trace:Topo_obs.Trace.t -> Context.t -> aligned -> int list
-
-(** [full_top ctx aligned] evaluates the single AllTops join of
-    Section 3.2.  On every plan-building method, [~check:true] (default
-    false) verifies each plan with {!Topo_sql.Plan_check} before execution
-    and, for the -ET stream, runs the iterator tree under
-    {!Topo_sql.Iterator_check}. *)
-val full_top : ?check:bool -> ?trace:Topo_obs.Trace.t -> Context.t -> aligned -> int list
-
-(** [fast_top ctx aligned] evaluates the LeftTops join plus one base-data
-    check per pruned topology with the ExcpTops anti-join (SQL1 of
-    Section 4.3). *)
-val fast_top : ?check:bool -> ?trace:Topo_obs.Trace.t -> Context.t -> aligned -> int list
-
-(** {1 Top-k methods} — return at most [k] (tid, score) pairs, score
-    descending. *)
-
-(** The plan-pricing methods run the optimizer's pricing search — the
-    regular-plan dynamic program here, the regular-vs-ET choice for the
-    -Opt methods — once per call; nothing is memoized across queries. *)
-val full_top_k :
-  ?check:bool ->
-  ?trace:Topo_obs.Trace.t ->
-  Context.t -> aligned -> scheme:Ranking.scheme -> k:int -> (int * float) list
-
-val fast_top_k :
-  ?check:bool ->
-  ?trace:Topo_obs.Trace.t ->
-  Context.t -> aligned -> scheme:Ranking.scheme -> k:int -> (int * float) list
-
-(** [impls] optionally pins the DGJ implementations (head = fact level) so
-    benchmarks can time the paper's "best and worst plans"; default is all
-    IDGJ.  [budget], when given, is ticked once per witness pull (or
-    merge step for the Fast variant): a trip stops the loop and the
-    results so far are the deterministic prefix of the full answer's
-    stream order — the [Partial] outcome's payload. *)
-val full_top_k_et :
-  ?check:bool ->
-  ?trace:Topo_obs.Trace.t ->
-  ?budget:Budget.t ->
-  Context.t -> aligned -> scheme:Ranking.scheme -> k:int -> ?impls:[ `I | `H ] list -> unit -> (int * float) list
-
-val fast_top_k_et :
-  ?check:bool ->
-  ?trace:Topo_obs.Trace.t ->
-  ?budget:Budget.t ->
-  Context.t -> aligned -> scheme:Ranking.scheme -> k:int -> ?impls:[ `I | `H ] list -> unit -> (int * float) list
-
-(** The cost-based choices; also return which strategy the optimizer
-    picked.  [budget] reaches only the early-termination branch — a
-    regular plan runs to completion. *)
-val full_top_k_opt :
-  ?check:bool ->
-  ?trace:Topo_obs.Trace.t ->
-  ?budget:Budget.t ->
-  Context.t -> aligned -> scheme:Ranking.scheme -> k:int -> (int * float) list * Topo_sql.Optimizer.strategy
-
-val fast_top_k_opt :
-  ?check:bool ->
-  ?trace:Topo_obs.Trace.t ->
-  ?budget:Budget.t ->
-  Context.t -> aligned -> scheme:Ranking.scheme -> k:int -> (int * float) list * Topo_sql.Optimizer.strategy
+  aligned -> fact:string -> scheme:Ranking.scheme -> k:int -> Topo_sql.Optimizer.spec
 
 (** [dispatch method_ ?check ?trace ?impls ?budget ctx aligned ~scheme ~k]
-    is the single entry point over the method enum: it lifts every result
-    to the uniform [(tid, score option)] shape (scores present exactly for
-    top-k methods) and reports the -Opt methods' strategy choice.
-    [?impls] reaches only the -ET methods and [?budget] (the deadline)
-    only the early-termination loops — every other method runs to
-    completion, so complete answers are bit-identical with and without a
-    deadline.
-    {!Engine}, the serving tier and the benchmarks route through this
-    instead of hand-written nine-way matches. *)
+    evaluates [method_]; it is the one evaluator this module exports.
+    Non-top-k methods return ascending TIDs without scores, top-k
+    methods at most [k] scored TIDs, score descending, and -Opt methods
+    also report the optimizer's strategy.  Full-Top is the AllTops join
+    of Section 3.2, Fast-Top the LeftTops join plus the ExcpTops-checked
+    pruned topologies (SQL1, Section 4.3), Fast-Top-k SQL4 then SQL5.
+    SQL issues one existence probe per observed topology ("close to
+    200" in the paper), recomputing pair topologies over the schema
+    paths the build kept and comparing canonical keys: it never writes
+    to the registry.
+
+    [check] (default false) verifies each plan with
+    {!Topo_sql.Plan_check} and runs -ET iterator trees under
+    {!Topo_sql.Iterator_check}.  [trace] opens {!Topo_obs.Trace} spans
+    around each phase.  [impls] pins the -ET methods' DGJ
+    implementations (head = fact level; default all IDGJ).  [budget]
+    reaches only the early-termination loops, ticked once per witness
+    pull or merge step: a trip leaves the deterministic prefix of the
+    full answer, the [Partial] payload.  Every other method runs to
+    completion, so complete answers are bit-identical with and without
+    a deadline. *)
 val dispatch :
   method_ ->
   ?check:bool ->

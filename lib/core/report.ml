@@ -12,7 +12,7 @@ let render (engine : Engine.t) (q : Query.t) (result : Request.result) ?(options
   let buf = Buffer.create 1024 in
   let ctx = engine.Engine.ctx in
   let catalog = ctx.Context.catalog in
-  let aligned = Methods.align ctx q in
+  let aligned = Option.get (Methods.align ctx q) in
   let store = aligned.Methods.store in
   Buffer.add_string buf (Printf.sprintf "query: %s\n" (Query.to_string q));
   Buffer.add_string buf

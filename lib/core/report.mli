@@ -16,7 +16,8 @@ val default_options : options
 
 (** [render engine query result ?options ()] renders an {!Request.result}
     produced for [query].  Topologies keep the result's order (rank order
-    for top-k methods). *)
+    for top-k methods).
+    @raise Invalid_argument when [query]'s pair was not built. *)
 val render : Engine.t -> Query.t -> Request.result -> ?options:options -> unit -> string
 
 (** [print engine query result ?options ()] renders to stdout. *)

@@ -14,7 +14,7 @@
      submitted --deadline already passed-----------> Rejected Expired
      admitted  --evaluates, budget never trips-----> Done result
      admitted  --ET loop trips the budget----------> Partial result (ranked prefix)
-     admitted  --evaluation raises-----------------> Failed exn
+     admitted  --pair not built, shard down, raise-> Failed failure
 
    Only [Done] results are ever memoized: a [Partial] is a
    deadline-shaped prefix, not the answer, and rejected requests
@@ -58,11 +58,25 @@ type rejection = Overloaded | Expired
 
 let rejection_name = function Overloaded -> "overloaded" | Expired -> "expired"
 
+type failure =
+  | Unknown_pair of { t1 : string; t2 : string; held : (string * string) list }
+  | Shard_unreachable of { shard : int; reason : string }
+  | Internal of string
+
+let unknown_pair ~t1 ~t2 held = Unknown_pair { t1; t2; held = List.sort_uniq compare held }
+
+let failure_to_string = function
+  | Unknown_pair { t1; t2; held } ->
+      Printf.sprintf "no %s-%s store (it holds %s)" t1 t2
+        (String.concat ", " (List.map (fun (a, b) -> a ^ "-" ^ b) held))
+  | Shard_unreachable { shard; reason } -> Printf.sprintf "shard %d unreachable: %s" shard reason
+  | Internal msg -> msg
+
 type outcome_result =
   | Done of result
   | Partial of result
   | Rejected of rejection
-  | Failed of exn
+  | Failed of failure
 
 let outcome_result_name = function
   | Done _ -> "done"
@@ -71,8 +85,6 @@ let outcome_result_name = function
   | Failed _ -> "failed"
 
 let answered = function Done r | Partial r -> Some r | Rejected _ | Failed _ -> None
-
-let failure = function Failed e -> Some e | Done _ | Partial _ | Rejected _ -> None
 
 type cache_status = Hit | Miss | Uncached
 
@@ -100,7 +112,7 @@ let unevaluated ?trace ?(served_by = (Domain.self () :> int)) result request =
 let get_done o =
   match o.result with
   | Done r -> r
-  | Failed e -> raise e
+  | Failed f -> failwith (failure_to_string f)
   | (Partial _ | Rejected _) as res ->
       invalid_arg ("Request.get_done: outcome is " ^ outcome_result_name res)
 
@@ -150,6 +162,8 @@ let of_workload_line catalog ~t1 ~t2 line =
               match if get 1 = "" then Some 10 else int_of_string_opt (get 1) with
               | None -> `Malformed ("bad k " ^ get 1)
               | Some k when k < 1 -> `Malformed (Printf.sprintf "bad k %d (must be >= 1)" k)
+              | Some k when k > Wire.max_u32 ->
+                  `Malformed (Printf.sprintf "bad k %d (must be at most %d)" k Wire.max_u32)
               | Some k ->
                   let ep entity kw =
                     if kw = "" then Query.endpoint catalog entity
@@ -170,16 +184,7 @@ let of_workload_line catalog ~t1 ~t2 line =
    - the trace is NOT encoded: span trees are per-process observability,
      so a decoded outcome always has [trace = None].  [Serve.fingerprint]
      ignores traces, which is what makes sharded ≡ single-process
-     comparisons meaningful.
-
-   A [Failed] outcome crosses the wire as the rendered exception message
-   and decodes to [Remote_failure msg]; the registered printer returns
-   the stored message verbatim, so the fingerprint of a decoded failure
-   matches the fingerprint of the original exception. *)
-
-exception Remote_failure of string
-
-let () = Printexc.register_printer (function Remote_failure msg -> Some msg | _ -> None)
+     comparisons meaningful. *)
 
 module E = Topo_sql.Expr
 
@@ -364,14 +369,49 @@ let write_outcome_payload buf (o : outcome) =
       w_result buf res
   | Rejected Overloaded -> Wire.w_u8 buf 2
   | Rejected Expired -> Wire.w_u8 buf 3
-  | Failed e ->
+  | Failed f -> (
       Wire.w_u8 buf 4;
-      Wire.w_str buf (Printexc.to_string e));
+      match f with
+      | Unknown_pair { t1; t2; held } ->
+          Wire.w_u8 buf 0;
+          Wire.w_str buf t1;
+          Wire.w_str buf t2;
+          Wire.w_u32 buf (List.length held);
+          List.iter
+            (fun (a, b) ->
+              Wire.w_str buf a;
+              Wire.w_str buf b)
+            held
+      | Shard_unreachable { shard; reason } ->
+          Wire.w_u8 buf 1;
+          Wire.w_u32 buf shard;
+          Wire.w_str buf reason
+      | Internal msg ->
+          Wire.w_u8 buf 2;
+          Wire.w_str buf msg));
   Wire.w_i64 buf o.counters.Topo_sql.Iterator.Counters.tuples;
   Wire.w_i64 buf o.counters.Topo_sql.Iterator.Counters.index_probes;
   Wire.w_i64 buf o.counters.Topo_sql.Iterator.Counters.rows_scanned;
   Wire.w_i64 buf o.served_by;
   Wire.w_u8 buf (match o.cache with Hit -> 0 | Miss -> 1 | Uncached -> 2)
+
+let r_failure r =
+  match Wire.r_u8 r "failure tag" with
+  | 0 ->
+      let t1 = Wire.r_str r "unknown pair t1" in
+      let t2 = Wire.r_str r "unknown pair t2" in
+      let n = Wire.r_count r "held pair count" in
+      let held =
+        Wire.r_list r n "held pair" (fun () ->
+            let a = Wire.r_str r "held pair t1" in
+            (a, Wire.r_str r "held pair t2"))
+      in
+      Unknown_pair { t1; t2; held }
+  | 1 ->
+      let shard = Wire.r_u32 r "unreachable shard" in
+      Shard_unreachable { shard; reason = Wire.r_str r "unreachable reason" }
+  | 2 -> Internal (Wire.r_str r "failure message")
+  | t -> Wire.fail "corrupt outcome: unknown failure tag %d" t
 
 let read_outcome_payload r =
   let request = read_payload r in
@@ -381,7 +421,7 @@ let read_outcome_payload r =
     | 1 -> Partial (r_result r)
     | 2 -> Rejected Overloaded
     | 3 -> Rejected Expired
-    | 4 -> Failed (Remote_failure (Wire.r_str r "failure message"))
+    | 4 -> Failed (r_failure r)
     | t -> Wire.fail "corrupt outcome: unknown outcome tag %d" t
   in
   let tuples = Wire.r_i64 r "tuples counter" in

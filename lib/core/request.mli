@@ -15,7 +15,8 @@
       depth limit; the request was turned away without evaluation.
     - [Rejected Expired] — the deadline had already passed at admission;
       short-circuited before evaluation, cache, or counter activity.
-    - [Failed e] — evaluation raised [e].
+    - [Failed f] — the request could not be answered; {!failure} says
+      why.
 
     Only [Done] results are memoized. *)
 
@@ -45,11 +46,28 @@ type rejection =
 
 val rejection_name : rejection -> string
 
+(** Why a request could not be answered. *)
+type failure =
+  | Unknown_pair of { t1 : string; t2 : string; held : (string * string) list }
+      (** no store for [t1]-[t2] in either orientation; [held] names the
+          built pairs, in build orientation *)
+  | Shard_unreachable of { shard : int; reason : string }  (** even after a retry *)
+  | Internal of string  (** evaluation raised; [Printexc.to_string] of it *)
+
+(** [unknown_pair ~t1 ~t2 held] is [Unknown_pair] with [held] sorted, so
+    every producer names the held pairs in the same order. *)
+val unknown_pair : t1:string -> t2:string -> (string * string) list -> failure
+
+(** [failure_to_string f] renders a failure for people and for
+    {!Serve.fingerprint}: ["no T1-T2 store (it holds A-B, ...)"],
+    ["shard K unreachable: REASON"], or the internal message. *)
+val failure_to_string : failure -> string
+
 type outcome_result =
   | Done of result
   | Partial of result
   | Rejected of rejection
-  | Failed of exn
+  | Failed of failure
 
 (** ["done"], ["partial"], ["rejected-overloaded"], ["rejected-expired"],
     ["failed"]. *)
@@ -58,9 +76,6 @@ val outcome_result_name : outcome_result -> string
 (** The ranked answer, full or partial — [None] for rejections and
     failures. *)
 val answered : outcome_result -> result option
-
-(** The raised exception of a [Failed] outcome. *)
-val failure : outcome_result -> exn option
 
 type cache_status =
   | Hit  (** answered from the result cache, stored counters replayed *)
@@ -89,8 +104,9 @@ val unevaluated :
   ?trace:Topo_obs.Trace.t -> ?served_by:int -> outcome_result -> t -> outcome
 
 (** [get_done o] is the answer of a [Done] outcome, for sequential
-    callers that treat anything else as an error: it re-raises the
-    exception of a [Failed] outcome.
+    callers that treat anything else as an error.
+    @raise Failure with {!failure_to_string}'s text on a [Failed]
+    outcome.
     @raise Invalid_argument on a [Partial] or [Rejected] outcome. *)
 val get_done : outcome -> result
 
@@ -111,7 +127,7 @@ val to_string : t -> string
     [t2].  Empty fields take defaults (Freq, 10, no keyword) and [#]
     starts a comment.  Keywords constrain the endpoint's [desc] column.
     [`Malformed why] names the bad field: an unknown method or scheme, or
-    a k that is not an integer of at least 1. *)
+    a k that is not an integer in [1, Wire.max_u32]. *)
 val of_workload_line :
   Topo_sql.Catalog.t ->
   t1:string ->
@@ -129,17 +145,9 @@ val of_workload_line :
     evaluation time, not the answer) but {e included} on the wire (the
     evaluating shard must enforce it).
 
-    Outcomes round-trip bit-exactly under {!Serve.fingerprint} with two
-    documented exceptions: the trace is not wire-encoded (a decoded
-    outcome has [trace = None]; fingerprints ignore traces), and a
-    [Failed e] arm carries [Printexc.to_string e] and decodes to
-    {!Remote_failure} — whose registered printer returns the message
-    verbatim, so the rendered failure is unchanged. *)
-
-(** What a [Failed] outcome becomes after crossing the wire: the remote
-    exception's rendered message.  A registered [Printexc] printer
-    prints the carried message verbatim. *)
-exception Remote_failure of string
+    Decoding an encoded outcome gives it back structurally, with one
+    documented exception: the trace is not wire-encoded (a decoded
+    outcome has [trace = None]; fingerprints ignore traces). *)
 
 (** Payload-level codecs of one request and one outcome. *)
 

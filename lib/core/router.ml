@@ -7,17 +7,18 @@
    (sockets in the wrong order, stale slice) is refused before any
    query is misrouted.
 
-   [exec] partitions the batch with the same pair-hash the snapshot
-   writer used ([Snapshot.shard_of_pair]), scatters one batch frame per
+   [exec] partitions the batch by the manifest's pair -> shard map (the
+   pair-hash the snapshot writer used), scatters one batch frame per
    involved shard, then gathers replies and merges outcomes back into
    input order.  Scatter-then-gather means shards evaluate their
    sub-batches concurrently even though the router itself is a single
-   domain.
+   domain.  A request whose pair the manifest does not hold is answered
+   here, without a hop, as the unsliced engine would answer it.
 
    Degradation: if a shard cannot be reached — or dies mid-batch — its
    connection is redialed and the sub-batch retried once; if that also
-   fails, that shard's requests yield [Failed (Request.Remote_failure
-   ...)] outcomes while every other request in the batch completes
+   fails, that shard's requests yield [Failed (Shard_unreachable _)]
+   outcomes while every other request in the batch completes
    normally.  Blocking reads are bounded by the socket timeout, so a
    hung shard degrades like a dead one instead of wedging the router. *)
 
@@ -107,24 +108,42 @@ let recv_batch t k ~expect =
   | None -> fail "shard %d closed the connection mid-batch" k
   | Some frame -> Request.read_outcome_batch ~expect frame
 
-let shard_of t (req : Request.t) =
-  Snapshot.shard_of_pair ~shards:t.manifest.Snapshot.shards
-    ~t1:req.Request.query.Query.e1.Query.entity ~t2:req.Request.query.Query.e2.Query.entity
+(* [Engine.run_request]'s outcome for an unbuilt pair: an expired
+   deadline is still rejected first. *)
+let unheld t (req : Request.t) ~t1 ~t2 =
+  let held = List.map (fun (a, b, _) -> (a, b)) t.manifest.Snapshot.pairs in
+  Request.unevaluated ~served_by:(-1)
+    (match req.Request.deadline with
+    | Some d when Budget.expired_now ~now:(Unix.gettimeofday ()) d -> Request.Rejected Request.Expired
+    | _ -> Request.Failed (Request.unknown_pair ~t1 ~t2 held))
+    req
 
 let exec t requests =
   let shards = t.manifest.Snapshot.shards in
+  let slots = Array.make (List.length requests) None in
   (* Partition, keeping each request's slot in the input order. *)
   let groups = Array.make shards [] in
   List.iteri
-    (fun i req ->
-      let k = shard_of t req in
-      groups.(k) <- (i, req) :: groups.(k))
+    (fun i (req : Request.t) ->
+      let t1 = req.Request.query.Query.e1.Query.entity
+      and t2 = req.Request.query.Query.e2.Query.entity in
+      match Snapshot.manifest_shard t.manifest ~t1 ~t2 with
+      | Some k -> groups.(k) <- (i, req) :: groups.(k)
+      | None -> slots.(i) <- Some (unheld t req ~t1 ~t2))
     requests;
   let groups = Array.map List.rev groups in
-  let slots = Array.make (List.length requests) None in
-  let degrade k msg =
-    let failed = Request.Failed (Request.Remote_failure (Printf.sprintf "shard %d unreachable: %s" k msg)) in
-    List.iter (fun (i, req) -> slots.(i) <- Some (Request.unevaluated ~served_by:(-1) failed req)) groups.(k)
+  (* A socket-level failure: drop the connection and fail the shard's
+     requests with the reason. *)
+  let degrade shard e =
+    close_conn t shard;
+    let reason =
+      match e with
+      | Wire.Error msg -> msg
+      | Unix.Unix_error (err, _, _) -> Unix.error_message err
+      | e -> raise e
+    in
+    let failed = Request.Failed (Request.Shard_unreachable { shard; reason }) in
+    List.iter (fun (i, req) -> slots.(i) <- Some (Request.unevaluated ~served_by:(-1) failed req)) groups.(shard)
   in
   (* Scatter: send every involved shard its sub-batch before reading any
      reply, so shards evaluate concurrently.  A shard that cannot even be
@@ -134,12 +153,7 @@ let exec t requests =
     if groups.(k) <> [] then
       match send_batch t k (List.map snd groups.(k)) with
       | () -> sent.(k) <- true
-      | exception (Wire.Error msg) ->
-          close_conn t k;
-          degrade k msg
-      | exception Unix.Unix_error (e, _, _) ->
-          close_conn t k;
-          degrade k (Unix.error_message e)
+      | exception ((Wire.Error _ | Unix.Unix_error _) as e) -> degrade k e
   done;
   (* Gather, retrying a failed shard once over a fresh connection — the
      replay is safe because shard evaluation is read-only over the
@@ -160,12 +174,7 @@ let exec t requests =
           in
           match retry () with
           | outcomes -> merge outcomes
-          | exception (Wire.Error msg) ->
-              close_conn t k;
-              degrade k msg
-          | exception Unix.Unix_error (e, _, _) ->
-              close_conn t k;
-              degrade k (Unix.error_message e))
+          | exception ((Wire.Error _ | Unix.Unix_error _) as e) -> degrade k e)
     end
   done;
   Array.to_list

@@ -1,9 +1,12 @@
 (** The scatter-gather router: evaluates request batches over a fleet of
     {!Shard} servers and merges the outcomes back into input order.
 
-    Routing uses the same orientation-normalized pair hash the snapshot
-    writer used ({!Snapshot.shard_of_pair}), so every request lands on
-    the one shard whose slice holds its pair's derived topology tables.
+    Routing follows the manifest's pair -> shard map (the
+    orientation-normalized {!Snapshot.shard_of_pair} the snapshot writer
+    used), so every request lands on the one shard whose slice holds its
+    pair's derived topology tables.  A request whose pair the manifest
+    does not hold gets the router's own [Failed (Unknown_pair _)]
+    outcome, the one the unsliced engine gives, without a hop.
     Connections are persistent, dialed lazily, and verified against the
     manifest: a shard answering with the wrong index or a fingerprint
     other than the one recorded at [build --shards] time is refused.
@@ -11,7 +14,7 @@
     Failure semantics: a shard that is down, hangs past the socket
     timeout, or dies mid-batch is redialed and its sub-batch replayed
     once (safe — shard evaluation is read-only); if that also fails,
-    its requests yield [Failed (Request.Remote_failure _)] outcomes
+    its requests yield [Failed (Shard_unreachable _)] outcomes
     while the rest of the batch completes with bytes identical to
     single-process serving. *)
 

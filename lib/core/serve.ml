@@ -24,7 +24,7 @@
    closed-mode [exec] with [jobs = n] returns outcomes bit-identical to
    [jobs = 1] (and to a plain sequential [Engine.run_request] loop), in
    input order, whether the cache is cold, warm, or absent.  A query that
-   raises yields [Failed] in its own slot and leaves the rest of the
+   fails yields [Failed] in its own slot and leaves the rest of the
    batch untouched; failures are never memoized.
 
    Open mode is the open-loop workload ("millions of users"): requests
@@ -319,7 +319,7 @@ let exec cfg engine requests =
 (* The full observable output of a batch as one string: per query, the
    ranked (TID, score) list (flagged when it is a deadline-truncated
    prefix), the optimizer's strategy choice, the isolated work counters,
-   the rejection kind, or the raised exception.  Wall-clock fields are
+   the rejection kind, or the rendered failure.  Wall-clock fields are
    deliberately excluded — and so is the per-outcome cache status: which
    occurrence of a repeated query populates the cache depends on domain
    scheduling, but the *values* served do not.  A closed-mode batch must
@@ -352,7 +352,7 @@ let fingerprint outcomes =
           | Request.Partial _ -> Buffer.add_string buf " partial"
           | _ -> ())
       | Request.Rejected rj -> Buffer.add_string buf ("rejected " ^ Request.rejection_name rj)
-      | Request.Failed e -> Buffer.add_string buf ("error " ^ Printexc.to_string e));
+      | Request.Failed f -> Buffer.add_string buf ("error " ^ Request.failure_to_string f));
       Buffer.add_string buf
         (Printf.sprintf " [t=%d p=%d s=%d]\n" o.Request.counters.Counters.tuples
            o.Request.counters.Counters.index_probes o.Request.counters.Counters.rows_scanned))

@@ -15,9 +15,10 @@
     Determinism contract: closed-mode {!exec} with [jobs = n] returns
     outcomes bit-identical to [jobs = 1] — and to a sequential
     {!Engine.run_request} loop — in input order, whether the cache is
-    cold, warm, or absent.  A query that raises yields [Failed] in its
-    own slot; the rest of the batch still completes, and failures are
-    never memoized.  [Ticks]-deadline batches extend the contract: the
+    cold, warm, or absent.  A query that fails (an unbuilt pair, or an
+    exception inside evaluation) yields [Failed] in its own slot; the
+    rest of the batch still completes, and failures are never
+    memoized.  [Ticks]-deadline batches extend the contract: the
     same tick budget produces the same [Partial] prefix on every run and
     jobs value. *)
 
@@ -140,8 +141,8 @@ val exec : config -> Engine.t -> Request.t list -> result
 
 (** [fingerprint outcomes] renders the batch's full observable output —
     ranked lists with scores (flagged when deadline-truncated), strategy
-    choices, per-query counters, rejection kinds, exceptions — excluding
-    wall-clock fields and the per-outcome cache status (which occurrence
+    choices, per-query counters, rejection kinds, failures as
+    {!Request.failure_to_string} renders them — excluding wall-clock fields and the per-outcome cache status (which occurrence
     of a repeated query populates the cache depends on domain
     scheduling; the values served do not).  Bit-identical across jobs
     values and across cold/warm/no-cache runs, and — for [Ticks]

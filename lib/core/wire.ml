@@ -31,7 +31,7 @@ let fail fmt = Printf.ksprintf (fun msg -> raise (Error msg)) fmt
 
 let magic = "TOPOWIRE"
 
-let version = 1
+let version = 2
 
 (* A corrupt or hostile length field must not drive a gigabyte
    allocation before the checksum can catch it.  16 MiB comfortably
@@ -63,8 +63,10 @@ let w_u16 buf n =
   if n < 0 || n > 0xffff then fail "encode: u16 out of range (%d)" n;
   Buffer.add_uint16_le buf n
 
+let max_u32 = 0x7fff_ffff
+
 let w_u32 buf n =
-  if n < 0 then fail "encode: negative length %d" n;
+  if n < 0 || n > max_u32 then fail "encode: u32 out of range (%d)" n;
   Buffer.add_int32_le buf (Int32.of_int n)
 
 let w_i64 buf n = Buffer.add_int64_le buf (Int64.of_int n)

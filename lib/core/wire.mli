@@ -34,6 +34,7 @@ val fail : ('a, unit, string, 'b) format4 -> 'a
 val magic : string
 
 val version : int
+(** 2: a [Failed] outcome carries its [Request.failure] arm. *)
 
 val max_payload : int
 (** Upper bound on one frame's payload; larger announced lengths are
@@ -63,7 +64,11 @@ val w_u8 : Buffer.t -> int -> unit
 
 val w_u16 : Buffer.t -> int -> unit
 
+val max_u32 : int
+(** The largest value {!w_u32} writes and {!r_u32} reads: [0x7fff_ffff]. *)
+
 val w_u32 : Buffer.t -> int -> unit
+(** @raise Error outside [0, max_u32]. *)
 
 val w_i64 : Buffer.t -> int -> unit
 

@@ -137,7 +137,7 @@ let test_failures_not_memoized () =
   let engine = Lazy.force paper_engine in
   let catalog = engine.Engine.ctx.Context.catalog in
   let cache = Engine.cache engine in
-  (* Protein-Protein was never built: evaluation raises Not_found *)
+  (* Protein-Protein was never built: evaluation fails with Unknown_pair *)
   let req =
     Request.make Engine.Full_top
       (Query.make (Query.endpoint catalog "Protein") (Query.endpoint catalog "Protein"))
@@ -146,7 +146,9 @@ let test_failures_not_memoized () =
   List.iter
     (fun label ->
       let o = once () in
-      Alcotest.(check bool) (label ^ " run fails") true (Request.failure o.Request.result <> None);
+      Alcotest.(check bool) (label ^ " run fails") true
+        (o.Request.result
+        = Request.Failed (Request.unknown_pair ~t1:"Protein" ~t2:"Protein" [ ("Protein", "DNA") ]));
       Alcotest.(check string) (label ^ " run is a miss") "miss"
         (Request.cache_status_name o.Request.cache))
     [ "first"; "second" ];

@@ -263,7 +263,7 @@ let prop_pruned_check_matches_oracle ~on_side =
     (QCheck.make ~print:Query.to_string (fun st -> gen_oracle_query (fst (Lazy.force oracle_engine)) st))
     (fun q ->
       let ctx = (snd (Lazy.force oracle_engine)).Engine.ctx in
-      let aligned = Methods.align ctx q in
+      let aligned = Option.get (Methods.align ctx q) in
       if aligned.Methods.store.Store.pruned <> [] then on_side (Methods.pruned_walk_side ctx aligned);
       List.for_all
         (fun (p : Topology.t) ->
@@ -284,7 +284,7 @@ let test_pruned_check_matches_oracle () =
 let test_pruned_walk_side_rule () =
   let _, engine = Lazy.force oracle_engine in
   let ctx = engine.Engine.ctx and cat = fst (Lazy.force oracle_engine) in
-  let side e1 e2 = Methods.pruned_walk_side ctx (Methods.align ctx (Query.make e1 e2)) in
+  let side e1 e2 = Methods.pruned_walk_side ctx (Option.get (Methods.align ctx (Query.make e1 e2))) in
   let any = Query.endpoint cat and rare = Query.keyword cat "Protein" ~col:"desc" ~kw:"nonexistentword" in
   Alcotest.(check bool) "tie walks from E1" true (side (any "Protein") (any "Protein") = `E1);
   Alcotest.(check bool) "selective E2" true (side (any "Protein") rare = `E2);
@@ -487,11 +487,11 @@ let test_et_impls_equivalent () =
   (* IDGJ-only and HDGJ-only plans must return the same answers. *)
   let cat, engine = Lazy.force synthetic_engine in
   let q = List.hd (synthetic_queries cat) in
-  let aligned = Methods.align engine.Engine.ctx q in
+  let aligned = Option.get (Methods.align engine.Engine.ctx q) in
   let run impls =
-    Methods.fast_top_k_et engine.Engine.ctx aligned ~scheme:Ranking.Domain ~k:5 ~impls ()
+    fst (Methods.dispatch Engine.Fast_top_k_et ~impls engine.Engine.ctx aligned ~scheme:Ranking.Domain ~k:5)
   in
-  let scores r = List.map snd r in
+  let scores r = List.map (fun (_, s) -> Option.get s) r in
   Alcotest.(check (list (float 1e-9))) "I vs H" (scores (run [ `I; `I; `I ])) (scores (run [ `H; `H; `H ]))
 
 let test_counters_show_early_termination () =
@@ -694,8 +694,9 @@ let test_store_lookup_either_orientation () =
   let b = Engine.store engine ~t1:"DNA" ~t2:"Protein" in
   Alcotest.(check string) "same store" a.Store.alltops b.Store.alltops;
   match Engine.store engine ~t1:"Protein" ~t2:"Family" with
-  | exception Not_found -> ()
-  | _ -> Alcotest.fail "expected Not_found for unbuilt pair"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "names the held pairs" "no Protein-Family store (it holds Protein-DNA)" msg
+  | _ -> Alcotest.fail "expected Invalid_argument for unbuilt pair"
 
 let test_swapped_query_orientation () =
   let cat, engine = paper_engine () in

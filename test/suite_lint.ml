@@ -118,6 +118,9 @@ let test_queue_depth_check () =
 
 let test_hygiene () =
   check_fires "Obj.magic" "hygiene" (analyze ~file:"bench/fixture.ml" "let f x = Obj.magic x");
+  check_fires "Printexc.register_printer" "hygiene"
+    (analyze ~file:"bench/fixture.ml"
+       "let () = Printexc.register_printer (function Exit -> Some \"exit\" | _ -> None)");
   check_fires "assert false" "hygiene"
     (analyze ~file:"bench/fixture.ml" "let f = function Some v -> v | None -> assert false");
   check_silent "a meaningful assertion" (analyze ~file:"bench/fixture.ml" "let f x = assert (x > 0)")

@@ -158,7 +158,7 @@ let test_with_scope_isolation () =
 let test_error_isolated () =
   let engine = Lazy.force paper_engine in
   let catalog = engine.Engine.ctx.Context.catalog in
-  (* Protein-Protein was never built: Context.store_for raises Not_found *)
+  (* Protein-Protein was never built: the engine answers Unknown_pair *)
   let poison =
     Request.make Engine.Full_top
       (Query.make (Query.endpoint catalog "Protein") (Query.endpoint catalog "Protein"))
@@ -169,9 +169,10 @@ let test_error_isolated () =
   Alcotest.(check int) "exactly one error" 1 stats.Serve.errors;
   Alcotest.(check int) "whole batch completed" (List.length requests) stats.Serve.queries;
   (match (List.nth outcomes 1).Request.result with
-  | Request.Failed Not_found -> ()
-  | Request.Failed e ->
-      Alcotest.failf "poison query raised %s, expected Not_found" (Printexc.to_string e)
+  | Request.Failed f ->
+      Alcotest.(check bool)
+        "poison query names the held pairs" true
+        (f = Request.Unknown_pair { t1 = "Protein"; t2 = "Protein"; held = [ ("Protein", "DNA") ] })
   | other -> Alcotest.failf "poison query unexpectedly %s" (Request.outcome_result_name other));
   (* the survivors answer exactly as they would without the poison query *)
   let clean, _ = serve_forced ~jobs:1 engine good in

@@ -1,10 +1,11 @@
 (* The binary wire protocol and the distributed serving tier: QCheck
-   round-trips of requests and all four outcome arms, descriptive
+   round-trips of requests and every outcome and failure arm, descriptive
    rejection of truncated/corrupt/cross-version/oversized frames, the
    pair partition's orientation invariance, slice/manifest round trips,
    and an in-process shard fleet behind a router — including a shard
-   killed between batches, which must degrade to [Failed] outcomes for
-   its requests only while the survivors stay bit-identical. *)
+   killed between batches, which must degrade to [Shard_unreachable]
+   outcomes for its requests only while the survivors stay
+   bit-identical. *)
 
 open Topo_core
 module E = Topo_sql.Expr
@@ -88,6 +89,21 @@ let gen_result =
   in
   return { Request.ranked; elapsed_s; method_; strategy }
 
+let gen_failure =
+  let open QCheck.Gen in
+  let str = string_small in
+  oneof
+    [
+      (let* t1 = str in
+       let* t2 = str in
+       let* held = small_list (pair str str) in
+       return (Request.Unknown_pair { t1; t2; held }));
+      (let* shard = int_bound 64 in
+       let* reason = str in
+       return (Request.Shard_unreachable { shard; reason }));
+      map (fun msg -> Request.Internal msg) str;
+    ]
+
 let gen_outcome =
   let open QCheck.Gen in
   let* request = gen_request in
@@ -97,7 +113,7 @@ let gen_outcome =
         map (fun r -> Request.Done r) gen_result;
         map (fun r -> Request.Partial r) gen_result;
         oneofl [ Request.Rejected Request.Overloaded; Request.Rejected Request.Expired ];
-        map (fun msg -> Request.Failed (Failure msg)) QCheck.Gen.string;
+        map (fun f -> Request.Failed f) gen_failure;
       ]
   in
   let* tuples = map abs int in
@@ -170,25 +186,22 @@ let test_outcome_arms_roundtrip () =
   List.iter
     (fun (name, arm) ->
       let o = mk arm in
-      match (arm, outcomes_of_frame (outcome_frame o)) with
-      | _, ([] | _ :: _ :: _) -> Alcotest.failf "%s: not a batch of one" name
-      | Request.Failed _, [ { Request.result = Request.Failed e; _ } ] ->
-          Alcotest.(check string)
-            (name ^ " message survives verbatim")
-            "Not_found" (Printexc.to_string e)
-      | _, [ back ] -> Alcotest.(check bool) (name ^ " round-trips") true (back = o))
+      match outcomes_of_frame (outcome_frame o) with
+      | [ back ] -> Alcotest.(check bool) (name ^ " round-trips") true (back = o)
+      | _ -> Alcotest.failf "%s: not a batch of one" name)
     [
       ("done", Request.Done result);
       ("partial", Request.Partial result);
       ("rejected-overloaded", Request.Rejected Request.Overloaded);
       ("rejected-expired", Request.Rejected Request.Expired);
-      ("failed", Request.Failed Not_found);
+      ( "failed-unknown-pair",
+        Request.Failed
+          (Request.unknown_pair ~t1:"Protein" ~t2:"Protein"
+             [ ("Protein", "Interaction"); ("Protein", "DNA") ]) );
+      ( "failed-shard-unreachable",
+        Request.Failed (Request.Shard_unreachable { shard = 2; reason = "connection refused" }) );
+      ("failed-internal", Request.Failed (Request.Internal "Not_found"));
     ]
-
-let test_remote_failure_printer () =
-  Alcotest.(check string)
-    "Remote_failure prints its message verbatim" "shard 2 unreachable: boom"
-    (Printexc.to_string (Request.Remote_failure "shard 2 unreachable: boom"))
 
 (* --- frame rejection ------------------------------------------------------ *)
 
@@ -231,6 +244,22 @@ let test_reader_bounds () =
   let r2 = Wire.reader "\x01\x02" in
   ignore (Wire.r_u8 r2 "first");
   expect_error "trailing bytes rejected" (fun () -> Wire.r_end r2)
+
+(* A k past the u32 range is refused at both ends: the encoder raises
+   rather than keep its low 32 bits (2^32 + 5 would arrive as 5), and the
+   workload parser reports the line. *)
+let test_k_beyond_u32 () =
+  let ep entity = { Query.entity; pred = None; label = entity } in
+  let k = (1 lsl 32) + 5 in
+  expect_error "k = 2^32 + 5" (fun () ->
+      request_frame (Request.make ~k Engine.Fast_top_k (Query.make (ep "Protein") (ep "DNA"))));
+  match
+    Request.of_workload_line (Biozon.Paper_db.catalog ()) ~t1:"Protein" ~t2:"DNA"
+      (Printf.sprintf "Fast-Top-k; Freq; %d" k)
+  with
+  | `Malformed msg ->
+      Alcotest.(check string) "reason" "bad k 4294967301 (must be at most 2147483647)" msg
+  | `Blank | `Request _ -> Alcotest.fail "k = 2^32 + 5 parsed"
 
 (* --- pair partition and slices -------------------------------------------- *)
 
@@ -349,7 +378,9 @@ let test_resaved_slice () =
       let outcomes = serve (Snapshot.load path) in
       Alcotest.(check int) "no Failed outcome" 0
         (List.length
-           (List.filter (fun (o : Request.outcome) -> Request.failure o.Request.result <> None) outcomes));
+           (List.filter
+              (fun (o : Request.outcome) -> match o.Request.result with Request.Failed _ -> true | _ -> false)
+              outcomes));
       Alcotest.(check string) "re-saved slice serves as the full engine"
         (Serve.fingerprint (serve engine)) (Serve.fingerprint outcomes))
 
@@ -501,6 +532,53 @@ let test_router_shard_counts () =
   in
   List.iter (test_router_end_to_end engine requests ~local) [ 1; 2; 4 ]
 
+(* A pair no shard holds is answered by the router itself with the
+   unsliced engine's failure, so the fingerprints agree for it too.  An
+   expired deadline is still rejected first, as the engine does. *)
+let test_router_unknown_pair () =
+  let engine = generated_engine () in
+  let catalog = engine.Engine.ctx.Context.catalog in
+  let pp =
+    Query.make (Query.endpoint catalog "Protein") (Query.endpoint catalog "Protein")
+  in
+  let requests =
+    [
+      List.hd (mixed_requests engine);
+      Request.make Engine.Full_top pp;
+      Request.make ~deadline:(Budget.Ticks 0) Engine.Fast_top_k pp;
+    ]
+  in
+  let expected =
+    Request.Failed
+      (Request.Unknown_pair
+         { t1 = "Protein"; t2 = "Protein"; held = [ ("Protein", "DNA"); ("Protein", "Interaction") ] })
+  in
+  let local = (Serve.exec (Serve.config ~jobs:1 ()) engine requests).Serve.outcomes in
+  Alcotest.(check bool) "engine names the held pairs" true
+    ((List.nth local 1).Request.result = expected);
+  with_temp_dir (fun dir ->
+      let manifest, _ = Snapshot.save_sharded engine ~dir ~shards:2 in
+      let addrs =
+        Array.init 2 (fun k -> Wire.Unix_sock (Filename.concat dir (Printf.sprintf "s%d.sock" k)))
+      in
+      let servers =
+        List.init 2 (fun k ->
+            Shard.start ~serve:(Serve.config ~jobs:1 ()) ~shard:k addrs.(k)
+              (Snapshot.load (Snapshot.shard_path ~dir k)))
+      in
+      Fun.protect
+        ~finally:(fun () -> List.iter Shard.stop servers)
+        (fun () ->
+          let router = Router.create ~manifest ~addrs ~retries:2 ~backoff_s:0.02 () in
+          Fun.protect
+            ~finally:(fun () -> Router.close router)
+            (fun () ->
+              let routed = Router.exec router requests in
+              Alcotest.(check bool) "router names the held pairs" true
+                ((List.nth routed 1).Request.result = expected);
+              Alcotest.(check string) "2-shard fingerprint == unsliced engine"
+                (Serve.fingerprint local) (Serve.fingerprint routed))))
+
 let test_router_survives_killed_shard () =
   let engine = generated_engine () in
   let requests = mixed_requests engine in
@@ -543,8 +621,9 @@ let test_router_survives_killed_shard () =
                   let t2 = d.Request.request.Request.query.Query.e2.Query.entity in
                   if Snapshot.manifest_shard manifest ~t1:"Protein" ~t2 = Some dead then
                     match d.Request.result with
-                    | Request.Failed (Request.Remote_failure _) -> ()
-                    | _ -> Alcotest.fail "dead shard's request must fail with Remote_failure"
+                    | Request.Failed (Request.Shard_unreachable { shard; _ }) ->
+                        Alcotest.(check int) "names the dead shard" dead shard
+                    | _ -> Alcotest.fail "dead shard's request must fail with Shard_unreachable"
                   else
                     Alcotest.(check string)
                       "survivor bit-identical"
@@ -559,7 +638,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_request_roundtrip;
         QCheck_alcotest.to_alcotest prop_outcome_roundtrip_bytes;
         Alcotest.test_case "all outcome arms round-trip" `Quick test_outcome_arms_roundtrip;
-        Alcotest.test_case "Remote_failure printer" `Quick test_remote_failure_printer;
+        Alcotest.test_case "k beyond the u32 range is refused" `Quick test_k_beyond_u32;
       ] );
     ( "wire.frames",
       [
@@ -579,5 +658,7 @@ let suites =
         Alcotest.test_case "a loaded slice re-saves to the same file" `Quick test_resaved_slice;
         Alcotest.test_case "router == single process" `Quick test_router_shard_counts;
         Alcotest.test_case "router survives a killed shard" `Quick test_router_survives_killed_shard;
+        Alcotest.test_case "router answers an unheld pair like the engine" `Quick
+          test_router_unknown_pair;
       ] );
   ]

@@ -18,7 +18,9 @@
      idiom), or carry a reasoned lint.allow entry.  An unguarded add in
      a serving module grows the queue and every queued request's latency
      without bound exactly when the system is overloaded.
-   - hygiene (everywhere scanned): no Obj.magic, no assert false.
+   - hygiene (everywhere scanned): no Obj.magic, no assert false, no
+     Printexc.register_printer (a process-global printer; a closed error
+     type renders itself).
 
    The checks look at provenance, not values: a mutation target whose
    head identifier was let-bound in the same top-level item to a
@@ -314,10 +316,15 @@ let queue_grow_sites (e : expression) =
 (* Per-expression hook                                                 *)
 
 let on_expr ctx (e : expression) =
-  (* hygiene: Obj.magic anywhere (bare or applied) *)
+  (* hygiene: Obj.magic or Printexc.register_printer anywhere (bare or
+     applied) *)
   (match e.pexp_desc with
   | Pexp_ident { txt; _ } when path_is "Obj.magic" (lid_str txt) ->
       emit ctx Lint.Hygiene e.pexp_loc "obj-magic" "Obj.magic defeats the type system"
+  | Pexp_ident { txt; _ } when path_is "Printexc.register_printer" (lid_str txt) ->
+      emit ctx Lint.Hygiene e.pexp_loc "register-printer"
+        "Printexc.register_printer is process-global: return a closed error type that renders \
+         itself"
   | Pexp_assert { pexp_desc = Pexp_construct ({ txt = Longident.Lident "false"; _ }, None); _ } ->
       emit ctx Lint.Hygiene e.pexp_loc
         ("assert-false:" ^ ctx.item)
