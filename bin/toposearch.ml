@@ -195,10 +195,11 @@ let build_run instance l threshold jobs pairs output shards =
     usage_error "--shards needs -o DIR: sliced snapshots must be written somewhere";
   let pairs = if pairs = [] then [ ("Protein", "DNA"); ("Protein", "Interaction") ] else pairs in
   let catalog = instance () in
-  let t0 = Unix.gettimeofday () in
   let jobs = max 1 (Option.value jobs ~default:(Topo_util.Pool.default_jobs ())) in
-  let engine = Engine.build catalog ~pairs ~l ~pruning_threshold:threshold ~jobs () in
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let engine, elapsed =
+    Topo_util.Timer.time (fun () ->
+        Engine.build catalog ~pairs ~l ~pruning_threshold:threshold ~jobs ())
+  in
   Printf.printf "offline build: %d pair(s), l=%d, jobs=%d (recommended domains: %d)\n\n"
     (List.length pairs) l jobs (Domain.recommended_domain_count ());
   List.iter
@@ -991,14 +992,12 @@ let route_run manifest_dir sockets t1 t2 workload check_snapshot timeout_ms retr
       ?timeout_s:(seconds_of_ms timeout_ms)
       ?retries ()
   in
-  let t0 = Unix.gettimeofday () in
-  match Router.exec router requests with
+  match Topo_util.Timer.time (fun () -> Router.exec router requests) with
   | exception Wire.Error msg ->
       Router.close router;
       prerr_endline msg;
       2
-  | outcomes ->
-      let elapsed = Unix.gettimeofday () -. t0 in
+  | outcomes, elapsed ->
       Router.close router;
       let count p = List.length (List.filter (fun o -> p o.Request.result) outcomes) in
       let done_ = count (function Request.Done _ -> true | _ -> false) in

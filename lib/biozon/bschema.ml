@@ -90,11 +90,6 @@ let relationships =
     };
   ]
 
-let relationship_named name =
-  match List.find_opt (fun r -> r.rel_name = name) relationships with
-  | Some r -> r
-  | None -> raise Not_found
-
 let make_catalog () =
   let cat = Catalog.create () in
   List.iter

@@ -37,10 +37,6 @@ val entities : entity list
 (** The eight relationship sets. *)
 val relationships : relationship list
 
-(** [relationship_named name] looks a relationship up by [rel_name].
-    @raise Not_found when absent. *)
-val relationship_named : string -> relationship
-
 (** [make_catalog ()] creates a fresh catalog with all fifteen (empty)
     tables, primary keys on every ID column. *)
 val make_catalog : unit -> Topo_sql.Catalog.t

@@ -1,26 +1,8 @@
 open Topo_sql
 
-let p32 = 32
-
-let p34 = 34
-
-let p44 = 44
-
 let p78 = 78
 
-let d214 = 214
-
 let d215 = 215
-
-let d742 = 742
-
-let u103 = 103
-
-let u150 = 150
-
-let u188 = 188
-
-let u194 = 194
 
 let catalog () =
   let cat = Bschema.make_catalog () in

@@ -18,24 +18,6 @@
 val catalog : unit -> Topo_sql.Catalog.t
 
 (** The protein / DNA ids the worked examples use. *)
-val p32 : int
-
-val p34 : int
-
-val p44 : int
-
 val p78 : int
 
-val d214 : int
-
 val d215 : int
-
-val d742 : int
-
-val u103 : int
-
-val u150 : int
-
-val u188 : int
-
-val u194 : int

@@ -25,7 +25,7 @@ type stats = {
   entries : int;  (** entries currently resident *)
 }
 
-(** [plans] is always {!zero_stats}: there is no plan cache.  The field
+(** [plans] is always all zeros: there is no plan cache.  The field
     stays only while the repository benchmark still reads it. *)
 type totals = { results : stats; plans : stats }
 
@@ -53,11 +53,7 @@ val add_result : t -> key:string -> result_payload -> unit
 
 (** {1 Statistics} *)
 
-val result_stats : t -> stats
-
 val totals : t -> totals
-
-val zero_stats : stats
 
 val zero_totals : totals
 

@@ -131,17 +131,16 @@ let eval t (req : Request.t) aligned ~verify_plans ?trace ?budget () =
     Methods.dispatch req.Request.method_ ~check:verify_plans ?trace ?budget t.ctx aligned
       ~scheme:req.Request.scheme ~k:req.Request.k
   in
-  let start = Unix.gettimeofday () in
-  let ranked, strategy =
-    match trace with
-    | None -> evaluate ()
-    | Some tr ->
-        Topo_obs.Trace.with_span tr (method_name req.Request.method_)
-          ~tags:
-            [ ("scheme", Ranking.name req.Request.scheme); ("k", string_of_int req.Request.k) ]
-          (fun () -> evaluate ?trace ())
+  let (ranked, strategy), elapsed_s =
+    Topo_util.Timer.time (fun () ->
+        match trace with
+        | None -> evaluate ()
+        | Some tr ->
+            Topo_obs.Trace.with_span tr (method_name req.Request.method_)
+              ~tags:
+                [ ("scheme", Ranking.name req.Request.scheme); ("k", string_of_int req.Request.k) ]
+              (fun () -> evaluate ?trace ()))
   in
-  let elapsed_s = Unix.gettimeofday () -. start in
   { Request.ranked; elapsed_s; method_ = req.Request.method_; strategy }
 
 let run_request t ?cache ?(verify_plans = false) ?(traces = false) (req : Request.t) =

@@ -12,8 +12,6 @@ type options = {
   show_witness : bool;  (** print the witness subgraph per instance (default true) *)
 }
 
-val default_options : options
-
 (** [render engine query result ?options ()] renders an {!Request.result}
     produced for [query].  Topologies keep the result's order (rank order
     for top-k methods).

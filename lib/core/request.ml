@@ -88,8 +88,6 @@ let answered = function Done r | Partial r -> Some r | Rejected _ | Failed _ -> 
 
 type cache_status = Hit | Miss | Uncached
 
-let cache_status_name = function Hit -> "hit" | Miss -> "miss" | Uncached -> "uncached"
-
 type outcome = {
   request : t;
   result : outcome_result;

@@ -82,8 +82,6 @@ type cache_status =
   | Miss  (** evaluated; a [Done] outcome was inserted into the cache *)
   | Uncached  (** no cache consulted (none attached, verification on, or rejected) *)
 
-val cache_status_name : cache_status -> string
-
 type outcome = {
   request : t;
   result : outcome_result;

@@ -123,9 +123,10 @@ let cache_delta cfg before =
 let serve_on pool cfg engine requests =
   let input = Array.of_list requests in
   let before = Option.map Cache.totals cfg.cache in
-  let t0 = Unix.gettimeofday () in
-  let outcomes = Array.to_list (Pool.parallel_map pool input ~f:(evaluate cfg engine)) in
-  let elapsed_s = Unix.gettimeofday () -. t0 in
+  let outcomes, elapsed_s =
+    Topo_util.Timer.time (fun () ->
+        Array.to_list (Pool.parallel_map pool input ~f:(evaluate cfg engine)))
+  in
   let queries = List.length outcomes in
   let stats =
     {

@@ -70,10 +70,6 @@ val load : string -> Engine.t
     the shard count, the partition derivation, the pair → shard map and
     per-shard fingerprints. *)
 
-(** How pairs map to shards, recorded in the manifest so a router can
-    detect a partition-scheme mismatch. *)
-val partition_derivation : string
-
 (** [shard_of_pair ~shards ~t1 ~t2] is the owning shard in
     [0 .. shards - 1].  Orientation-normalized: both (t1, t2) and
     (t2, t1) derive the same shard.
@@ -83,12 +79,9 @@ val shard_of_pair : shards:int -> t1:string -> t2:string -> int
 (** [shard_path ~dir k] is [dir/shard-K.snap]. *)
 val shard_path : dir:string -> int -> string
 
-(** [manifest_path dir] is [dir/manifest]. *)
-val manifest_path : string -> string
-
 type manifest = {
   shards : int;
-  derivation : string;  (** must equal {!partition_derivation} to load *)
+  derivation : string;  (** must name this build's partition rule, or the load is refused *)
   pairs : (string * string * int) list;
       (** (t1, t2, shard) per built pair, in build orientation *)
   fingerprints : string array;  (** {!Engine.fingerprint} of each slice *)

@@ -6,10 +6,6 @@
     knowledge; this module classifies schema paths and topologies and
     provides the Table 4 inventory. *)
 
-(** The type-triple segments whose repetition signals weakness, as entity
-    table names, e.g. [\["Protein"; "DNA"; "Protein"\]]. *)
-val weak_segments : string list list
-
 (** [is_weak_path p] is true when [p] has length >= 4 and its type sequence
     contains a weak segment — the paper's criterion for relationships "of
     limited interest to biologists". *)
@@ -43,10 +39,6 @@ val table4 : (string * string) list
     segment, and scores a topology by its best derivation's weakest
     class — a chain is only as trustworthy as its weakest link.  The
     third future-work item of Section 8. *)
-
-(** [relationship_reliability rel] in (0, 1]; unknown relationship names
-    get a conservative 0.5. *)
-val relationship_reliability : string -> float
 
 (** [path_reliability p] = product of edge reliabilities x 0.5 per weak
     segment occurrence. *)

@@ -31,6 +31,7 @@ let fail fmt = Printf.ksprintf (fun msg -> raise (Error msg)) fmt
 
 let magic = "TOPOWIRE"
 
+(* 2: a [Failed] outcome carries its [Request.failure] arm. *)
 let version = 2
 
 (* A corrupt or hostile length field must not drive a gigabyte

@@ -31,18 +31,6 @@ val fail : ('a, unit, string, 'b) format4 -> 'a
 (** [fail fmt ...] raises {!Error} with a formatted message. Exposed so
     payload codecs built on this module report errors uniformly. *)
 
-val magic : string
-
-val version : int
-(** 2: a [Failed] outcome carries its [Request.failure] arm. *)
-
-val max_payload : int
-(** Upper bound on one frame's payload; larger announced lengths are
-    rejected before any allocation. *)
-
-val header_length : int
-(** Size in bytes of the fixed frame header (31). *)
-
 (** {1 Frame kinds}
 
     Kinds 1 and 2 (single request, single outcome) are retired: the
@@ -61,8 +49,6 @@ val kind_name : int -> string
     Little-endian, streamed into a [Buffer.t]. *)
 
 val w_u8 : Buffer.t -> int -> unit
-
-val w_u16 : Buffer.t -> int -> unit
 
 val max_u32 : int
 (** The largest value {!w_u32} writes and {!r_u32} reads: [0x7fff_ffff]. *)
@@ -98,8 +84,6 @@ val r_skip : reader -> int -> string -> int
     and returns the offset they start at. *)
 
 val r_u8 : reader -> string -> int
-
-val r_u16 : reader -> string -> int
 
 val r_u32 : reader -> string -> int
 

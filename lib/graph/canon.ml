@@ -146,5 +146,3 @@ let key_and_order g =
 let key g = fst (key_and_order g)
 
 let canonical_order g = snd (key_and_order g)
-
-let iso a b = key a = key b

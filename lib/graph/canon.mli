@@ -20,7 +20,3 @@ val key : Lgraph.t -> string
     the list of original node ids in canonical position order.  Useful for
     rendering a topology with deterministic node numbering. *)
 val canonical_order : Lgraph.t -> int list
-
-(** [iso a b] is true iff [a] and [b] are isomorphic as labeled graphs
-    (same key). *)
-val iso : Lgraph.t -> Lgraph.t -> bool

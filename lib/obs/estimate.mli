@@ -8,11 +8,10 @@
     the estimate next to each operator's measured numbers.
 
     Estimates over derived inputs are best-effort: join columns are traced
-    back to base tables through position-preserving operators
-    ({!resolve_col}); predicates that cannot be resolved fall back to
-    textbook default selectivities.  [Distinct] keeps its input estimate
-    (an upper bound) — exactly the kind of node the estimate-vs-actual
-    report is designed to flag. *)
+    back to base tables through position-preserving operators; predicates
+    that cannot be resolved fall back to textbook default selectivities.
+    [Distinct] keeps its input estimate (an upper bound) — exactly the
+    kind of node the estimate-vs-actual report is designed to flag. *)
 
 type est = { rows : float;  (** estimated output cardinality *) cost : float  (** cumulative abstract cost, subtree included *) }
 
@@ -22,9 +21,3 @@ type node = { label : string; est : est; children : node list }
 
 (** [annotate catalog plan] estimates every node bottom-up. *)
 val annotate : Topo_sql.Catalog.t -> Topo_sql.Physical.t -> node
-
-(** [resolve_col catalog plan pos] traces output column [pos] of [plan]
-    back to [(base_table, column_position)] when the plan only renames,
-    reorders, filters or concatenates base columns on the way; [None] for
-    computed or aggregated columns. *)
-val resolve_col : Topo_sql.Catalog.t -> Topo_sql.Physical.t -> int -> (string * int) option

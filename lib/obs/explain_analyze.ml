@@ -45,9 +45,7 @@ let rec zip (e : Estimate.node) (s : Op_stats.annotated) =
 let run catalog plan =
   let estimates = Estimate.annotate catalog plan in
   let it, stats = Physical.lower_instrumented catalog plan in
-  let t0 = Unix.gettimeofday () in
-  let rows = Iterator.to_list it in
-  let total_s = Unix.gettimeofday () -. t0 in
+  let rows, total_s = Topo_util.Timer.time (fun () -> Iterator.to_list it) in
   ({ root = zip estimates stats; total_s; row_count = List.length rows }, rows)
 
 let of_sql ?check catalog text = run catalog (Sql.to_plan ?check catalog text)

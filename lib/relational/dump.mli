@@ -21,8 +21,3 @@ val save : Catalog.t -> dir:string -> unit
 (** [load ~dir] reads every [*.tbl] file in [dir] into a fresh catalog.
     @raise Failure on a malformed file. *)
 val load : dir:string -> Catalog.t
-
-(** [save_table table ~path] / [load_table ~path] single-table variants. *)
-val save_table : Table.t -> path:string -> unit
-
-val load_table : path:string -> Table.t

@@ -27,9 +27,6 @@ val eval : t -> Tuple.t -> Value.t
     non-null value. *)
 val truthy : t -> Tuple.t -> bool
 
-(** [always_true expr] is a syntactic check for the trivial predicate. *)
-val always_true : t -> bool
-
 (** [conj a b] conjoins, flattening [And] and dropping trivially-true
     conjuncts. *)
 val conj : t -> t -> t
@@ -42,10 +39,6 @@ val shift_cols : int -> t -> t
 (** [columns expr] is the sorted list of distinct column positions
     referenced. *)
 val columns : t -> int list
-
-(** [is_word_char c] holds for [[A-Za-z0-9_]], the characters of a word
-    in {!keyword_matches}. *)
-val is_word_char : char -> bool
 
 (** [single_word keyword] holds when [keyword] is non-empty and all word
     chars.  A word-bounded match of such a keyword is exactly a token of

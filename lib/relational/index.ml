@@ -55,8 +55,6 @@ let build ~kind ~cols rows =
 
 let kind t = t.kind
 
-let cols t = Array.copy t.cols
-
 let probe t key =
   match KeyTbl.find_opt t.hash key with
   | Some bucket -> Topo_util.Dyn.to_list bucket
@@ -76,13 +74,6 @@ let ordered_rows ?(desc = false) t =
       else Array.map snd t.sorted
 
 let distinct_keys t = KeyTbl.length t.hash
-
-let probe_cost t =
-  match t.kind with
-  | Hash -> 1.0
-  | Sorted ->
-      let n = max 2 (Array.length t.sorted) in
-      Float.log2 (float_of_int n)
 
 let probe_bucket t key =
   match KeyTbl.find_opt t.hash key with

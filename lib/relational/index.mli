@@ -17,9 +17,6 @@ val build : kind:kind -> cols:int array -> Tuple.t array -> t
 (** [kind t]. *)
 val kind : t -> kind
 
-(** [cols t] is the indexed column positions. *)
-val cols : t -> int array
-
 (** [probe t key] is the row numbers whose indexed columns equal [key],
     in insertion order.  Works on both kinds ([Sorted] uses binary
     search). *)
@@ -36,11 +33,6 @@ val ordered_rows : ?desc:bool -> t -> int array
 
 (** [distinct_keys t] is the number of distinct keys present. *)
 val distinct_keys : t -> int
-
-(** [probe_cost t] is the abstract cost-model charge for one probe; hash
-    probes are cheap, sorted probes pay a logarithmic factor.  Used as
-    [I_i] in the Section 5.4.3 statistics. *)
-val probe_cost : t -> float
 
 (** [probe_bucket t key] is [(n, get)] where [n] is the number of matching
     rows and [get i] is the i-th matching row number — a zero-copy view

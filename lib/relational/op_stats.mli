@@ -34,8 +34,5 @@ val create : label:string -> t
     [stats].  Exceptions propagate (their elapsed time is dropped). *)
 val wrap : t -> Iterator.t -> Iterator.t
 
-(** [total_rows a] is the root operator's row count. *)
-val total_rows : annotated -> int
-
 (** [iter f a] applies [f] to every node, preorder. *)
 val iter : (t -> unit) -> annotated -> unit

@@ -234,14 +234,14 @@ and lower_node ~fuse ~wrap catalog plan =
   match plan with
   | Scan { table; alias; pred } ->
       let it = Op_scan.seq ?pred (Catalog.find catalog table) in
-      relabel catalog plan it alias table
+      relabel catalog plan it alias
   | OrderedScan { table; alias; order_cols; desc; pred; grouped } ->
       let it = Op_scan.ordered ?pred ~desc (Catalog.find catalog table) ~cols:order_cols in
       let it = if grouped then Op_scan.grouped_by_tuple it else it in
-      relabel catalog plan it alias table
+      relabel catalog plan it alias
   | IndexProbe { table; alias; cols; key; pred } ->
       let it = Op_scan.index_probe ?pred (Catalog.find catalog table) ~cols ~key in
-      relabel catalog plan it alias table
+      relabel catalog plan it alias
   | Filter { input; pred } -> Op_basic.filter pred (lower catalog input)
   | Project { input; cols } -> Op_basic.project (lower catalog input) ~cols
   | HashJoin { left; right; left_cols; right_cols; residual } ->
@@ -294,10 +294,9 @@ and lower_node ~fuse ~wrap catalog plan =
       in
       Op_basic.hash_aggregate (lower catalog input) ~schema:out_schema ~keys:key_exprs ~aggs:agg_specs
 
-and relabel catalog plan it alias table =
+and relabel catalog plan it alias =
   (* The scan operator reports the table's raw schema; substitute the
      qualified one so positions stay identical but names are qualified. *)
-  ignore table;
   match alias with
   | None -> it
   | Some _ -> { it with Iterator.schema = schema catalog plan }

@@ -86,13 +86,6 @@ val check : Catalog.t -> Physical.t -> unit
     for explain-style tooling. *)
 val properties : Catalog.t -> Physical.t -> props
 
-(** [kind_to_string kind]. *)
-val kind_to_string : kind -> string
-
-(** [violation_to_string v] is a one-line rendering like
-    ["MergeJoin at /left: left input not proven sorted on [0]"]. *)
-val violation_to_string : violation -> string
-
 (** [report vs] is a newline-joined rendering of all violations (the empty
     string when [vs] is empty). *)
 val report : violation list -> string

@@ -12,7 +12,3 @@ exception Bind_error of string
 (** [plan catalog query] builds an executable plan for the full query
     (UNION chain, ORDER BY, FETCH FIRST). *)
 val plan : Catalog.t -> Sql_ast.query -> Physical.t
-
-(** [plan_select catalog select] plans a single SELECT block (no UNION /
-    ORDER BY tail); exposed for tests. *)
-val plan_select : Catalog.t -> Sql_ast.select -> Physical.t

@@ -71,26 +71,6 @@ let iteri f t =
     f i (unslot "iteri" t.data.(i))
   done
 
-let fold f acc t =
-  let acc = ref acc in
-  for i = 0 to t.len - 1 do
-    acc := f !acc (unslot "fold" t.data.(i))
-  done;
-  !acc
-
-let exists p t =
-  let rec loop i = i < t.len && (p (unslot "exists" t.data.(i)) || loop (i + 1)) in
-  loop 0
-
-let find_opt p t =
-  let rec loop i =
-    if i >= t.len then None
-    else
-      let v = unslot "find_opt" t.data.(i) in
-      if p v then Some v else loop (i + 1)
-  in
-  loop 0
-
 let to_array t = Array.init t.len (fun i -> unslot "to_array" t.data.(i))
 
 let to_list t =

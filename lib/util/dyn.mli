@@ -9,9 +9,6 @@ type 'a t
 (** [create ()] is an empty dynamic array. *)
 val create : unit -> 'a t
 
-(** [with_capacity n] is empty but preallocated for [n] elements. *)
-val with_capacity : int -> 'a t
-
 (** [length t] is the number of elements. *)
 val length : 'a t -> int
 
@@ -43,23 +40,11 @@ val iter : ('a -> unit) -> 'a t -> unit
 (** [iteri f t] applies [f i v] in index order. *)
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 
-(** [fold f acc t] folds left in index order. *)
-val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-
-(** [exists p t] is true when some element satisfies [p]. *)
-val exists : ('a -> bool) -> 'a t -> bool
-
-(** [find_opt p t] is the first element satisfying [p]. *)
-val find_opt : ('a -> bool) -> 'a t -> 'a option
-
 (** [to_array t] is a fresh array of the contents. *)
 val to_array : 'a t -> 'a array
 
 (** [to_list t] is the contents in index order. *)
 val to_list : 'a t -> 'a list
-
-(** [of_array a] copies [a]. *)
-val of_array : 'a array -> 'a t
 
 (** [of_list l] copies [l]. *)
 val of_list : 'a list -> 'a t

@@ -23,8 +23,6 @@ let intern t s =
               Dyn.push t.names s;
               id)
 
-let find_opt t s = Hashtbl.find_opt t.ids s
-
 let name t id =
   if id < 0 || id >= Dyn.length t.names then invalid_arg (Printf.sprintf "Interner.name: unknown id %d" id);
   Dyn.get t.names id

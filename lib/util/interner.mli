@@ -14,9 +14,6 @@ val create : unit -> t
     sight. *)
 val intern : t -> string -> int
 
-(** [find_opt t s] is the id of [s] if already interned. *)
-val find_opt : t -> string -> int option
-
 (** [name t id] recovers the string.  @raise Invalid_argument on an unknown
     id. *)
 val name : t -> int -> string

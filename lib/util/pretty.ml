@@ -49,8 +49,6 @@ let render ~header ?aligns rows =
   List.iter emit_row rows;
   Buffer.contents buf
 
-let float_cell ?(decimals = 3) f = Printf.sprintf "%.*f" decimals f
-
 let bytes_cell n =
   let f = float_of_int n in
   if f >= 1e9 then Printf.sprintf "%.2fGB" (f /. 1e9)

@@ -15,10 +15,6 @@ val render : header:string list -> ?aligns:align list -> string list list -> str
 
 
 
-(** [float_cell ?decimals f] formats a float for a table cell (default 3
-    decimals). *)
-val float_cell : ?decimals:int -> float -> string
-
 (** [bytes_cell n] formats a byte count with a binary-ish unit suffix the way
     the paper reports table sizes (e.g. ["30MB"], ["3.36GB"]). *)
 val bytes_cell : int -> string

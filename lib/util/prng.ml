@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 let mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
@@ -35,8 +33,6 @@ let float t =
   (* 53 random bits scaled to [0,1). *)
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
   float_of_int v *. 0x1p-53
-
-let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let chance t p = if p >= 1.0 then true else if p <= 0.0 then false else float t < p
 

@@ -13,15 +13,9 @@ type t
     streams. *)
 val create : int -> t
 
-(** [copy t] is an independent generator that will replay [t]'s future. *)
-val copy : t -> t
-
 (** [split t] derives a new generator from [t], advancing [t]; streams of the
     parent and child are statistically independent. *)
 val split : t -> t
-
-(** [bits64 t] is the next raw 64-bit output. *)
-val bits64 : t -> int64
 
 (** [int t bound] is uniform in [\[0, bound)].  @raise Invalid_argument if
     [bound <= 0]. *)
@@ -32,9 +26,6 @@ val int_in_range : t -> lo:int -> hi:int -> int
 
 (** [float t] is uniform in [\[0, 1)]. *)
 val float : t -> float
-
-(** [bool t] is a fair coin. *)
-val bool : t -> bool
 
 (** [chance t p] is true with probability [p] (clamped to [\[0,1\]]). *)
 val chance : t -> float -> bool

@@ -1,12 +1,8 @@
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let v = f () in
-  let t1 = Unix.gettimeofday () in
-  (v, t1 -. t0)
-
-let time_ms f =
-  let v, s = time f in
-  (v, s *. 1000.0)
+  let t1 = Monotonic_clock.now () in
+  (v, Int64.to_float (Int64.sub t1 t0) *. 1e-9)
 
 let repeat_median ~runs f =
   if runs <= 0 then invalid_arg "Timer.repeat_median: runs must be positive";

@@ -1,10 +1,10 @@
-(** Wall-clock timing helpers for the experiment harness. *)
+(** Duration measurement on the monotonic clock that trace spans also
+    read: a wall-clock step (NTP, a manual reset) cannot make an interval
+    negative or inflate it.  Deadlines are instants, not durations, and
+    stay on wall time (the engine's [Budget]). *)
 
 (** [time f] runs [f ()] and returns its result with the elapsed seconds. *)
 val time : (unit -> 'a) -> 'a * float
-
-(** [time_ms f] like {!time} but milliseconds. *)
-val time_ms : (unit -> 'a) -> 'a * float
 
 (** [repeat_median ~runs f] runs [f] [runs] times and returns the last result
     together with the median elapsed seconds (the mean of the two middle

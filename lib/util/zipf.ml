@@ -35,8 +35,3 @@ let sample t prng =
 
 let pmf t r =
   if r < 1 || r > t.n then 0.0 else t.pmf.(r - 1)
-
-let support t = t.n
-
-let expected_frequencies t ~total =
-  Array.map (fun p -> p *. float_of_int total) t.pmf

@@ -18,10 +18,3 @@ val sample : t -> Prng.t -> int
 
 (** [pmf t r] is the probability of rank [r]. *)
 val pmf : t -> int -> float
-
-(** [support t] is [n]. *)
-val support : t -> int
-
-(** [expected_frequencies t ~total] is the expected count per rank when
-    drawing [total] samples; used by tests to validate the sampler. *)
-val expected_frequencies : t -> total:int -> float array

@@ -18,12 +18,15 @@ let test_make_catalog_tables () =
   Alcotest.(check bool) "type column" true (Schema.mem (Table.schema dna) "type")
 
 let test_relationship_named () =
-  let r = Biozon.Bschema.relationship_named "uni_contains" in
-  Alcotest.(check string) "endpoints" "Unigene" r.Biozon.Bschema.from_type;
-  Alcotest.(check string) "endpoints" "DNA" r.Biozon.Bschema.to_type;
-  match Biozon.Bschema.relationship_named "nope" with
-  | exception Not_found -> ()
-  | _ -> Alcotest.fail "expected Not_found"
+  let named name =
+    List.find_opt (fun r -> r.Biozon.Bschema.rel_name = name) Biozon.Bschema.relationships
+  in
+  match named "uni_contains" with
+  | None -> Alcotest.fail "uni_contains missing"
+  | Some r ->
+      Alcotest.(check string) "endpoints" "Unigene" r.Biozon.Bschema.from_type;
+      Alcotest.(check string) "endpoints" "DNA" r.Biozon.Bschema.to_type;
+      Alcotest.(check bool) "unknown name absent" true (named "nope" = None)
 
 let test_paper_db_contents () =
   let cat = Biozon.Paper_db.catalog () in

@@ -102,12 +102,11 @@ let test_compare_subsumption_on_paper_topologies () =
   let find p = List.find p (List.map (Engine.topology engine) tids) in
   let t2 = find (fun t -> Topology.is_single_path t && t.Topology.n_edges = 2) in
   let t3 = find (fun t -> (not (Topology.is_single_path t)) && t.Topology.n_nodes = 4) in
-  Alcotest.(check bool) "T3 subsumes T2" true
-    (Compare.subsumes registry ~outer:t3.Topology.tid ~inner:t2.Topology.tid);
-  Alcotest.(check bool) "T2 does not subsume T3" false
-    (Compare.subsumes registry ~outer:t2.Topology.tid ~inner:t3.Topology.tid);
-  Alcotest.(check bool) "reflexive" true
-    (Compare.subsumes registry ~outer:t2.Topology.tid ~inner:t2.Topology.tid)
+  let maximal tids = Compare.maximal registry tids in
+  Alcotest.(check (list int)) "T3 subsumes T2, not the reverse" [ t3.Topology.tid ]
+    (maximal [ t3.Topology.tid; t2.Topology.tid ]);
+  Alcotest.(check (list int)) "no topology strictly subsumes itself" [ t2.Topology.tid ]
+    (maximal [ t2.Topology.tid ])
 
 let test_compare_maximal () =
   let cat, engine = paper_engine () in
@@ -162,6 +161,13 @@ let test_dump_roundtrip_paper_db () =
             table)
         (Topo_sql.Catalog.tables original))
 
+(* One table through a catalog save and load. *)
+let dump_roundtrip ~dir table =
+  let catalog = Topo_sql.Catalog.create () in
+  Topo_sql.Catalog.add catalog table;
+  Topo_sql.Dump.save catalog ~dir;
+  Topo_sql.Catalog.find (Topo_sql.Dump.load ~dir) (Topo_sql.Table.name table)
+
 let test_dump_roundtrip_values () =
   with_temp_dir (fun dir ->
       let schema =
@@ -177,9 +183,7 @@ let test_dump_roundtrip_values () =
         [ Value.Int (-42); Value.Float 0.1; Value.Str "tab\there\nnewline\\backslash" ];
       Topo_sql.Table.insert_values table [ Value.Null; Value.Null; Value.Null ];
       Topo_sql.Table.insert_values table [ Value.Int max_int; Value.Float infinity; Value.Str "\\N" ];
-      let path = Filename.concat dir "tricky.tbl" in
-      Topo_sql.Dump.save_table table ~path;
-      let loaded = Topo_sql.Dump.load_table ~path in
+      let loaded = dump_roundtrip ~dir table in
       Topo_sql.Table.iter
         (fun i tuple ->
           Alcotest.(check bool) (Printf.sprintf "row %d" i) true
@@ -204,7 +208,7 @@ let test_dump_malformed_rejected () =
       let oc = open_out path in
       output_string oc "not a table file\n";
       close_out oc;
-      match Topo_sql.Dump.load_table ~path with
+      match Topo_sql.Dump.load ~dir with
       | exception (Failure _) -> ()
       | _ -> Alcotest.fail "expected Failure")
 
@@ -216,9 +220,7 @@ let prop_dump_string_escaping =
           let schema = Topo_sql.Schema.make [ { Topo_sql.Schema.name = "s"; ty = Topo_sql.Schema.TStr } ] in
           let table = Topo_sql.Table.create ~name:"t" ~schema () in
           Topo_sql.Table.insert_values table [ Value.Str s ];
-          let path = Filename.concat dir "t.tbl" in
-          Topo_sql.Dump.save_table table ~path;
-          let loaded = Topo_sql.Dump.load_table ~path in
+          let loaded = dump_roundtrip ~dir table in
           Value.equal (Topo_sql.Table.get loaded 0).(0) (Value.Str s)))
 
 let suites =

@@ -223,7 +223,7 @@ let prop_path_key_matches_isomorphism =
         Schema_graph.path_to_lgraph interner pj
           ~ids:(Array.init (Array.length pj.Schema_graph.types) (fun k -> k + 50))
       in
-      Canon.iso gi gj = (Schema_graph.path_key pi = Schema_graph.path_key pj))
+      Canon.key gi = Canon.key gj = (Schema_graph.path_key pi = Schema_graph.path_key pj))
 
 (* --- data graph ----------------------------------------------------------- *)
 

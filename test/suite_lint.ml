@@ -140,6 +140,130 @@ let test_hot_reachability () =
   Alcotest.(check (list string))
     "reachable set from the root" [ "lib/a.ml"; "lib/b.ml" ] (Deps.Sset.elements hot)
 
+(* --- unused-export ---------------------------------------------------------- *)
+
+let unused_exports ~interfaces ~impls =
+  Deps.unused_exports
+    ~interfaces:(List.map (fun (file, src) -> (file, Driver.parse_interface ~file src)) interfaces)
+    ~impls:(List.map (fun (file, src) -> (file, Driver.parse_string ~file src)) impls)
+  |> List.map (fun f -> f.Lint.symbol)
+
+let wire_mli = ("lib/core/wire.mli", "val used : int -> int
+val spare : int -> int")
+let wire_ml = ("lib/core/wire.ml", "let spare x = x
+let used x = spare x")
+
+let test_unused_export () =
+  Alcotest.(check (list string)) "named nowhere but its own module: flagged" [ "spare" ]
+    (unused_exports ~interfaces:[ wire_mli ] ~impls:[ wire_ml; ("lib/a.ml", "let x = Wire.used 1") ]);
+  Alcotest.(check (list string)) "named by another module: silent" []
+    (unused_exports ~interfaces:[ wire_mli ]
+       ~impls:[ wire_ml; ("lib/a.ml", "let x = Wire.used (Topo_core.Wire.spare 1)") ]);
+  Alcotest.(check (list string)) "reached through a module alias, open and local open: silent" []
+    (unused_exports ~interfaces:[ wire_mli ]
+       ~impls:
+         [
+           wire_ml;
+           ("lib/a.ml", "module W = Wire
+let x = W.used 1");
+           ("lib/b.ml", "open Wire
+let y = Wire.(spare 2)");
+         ]);
+  Alcotest.(check (list string)) "open then bare name: silent" []
+    (unused_exports ~interfaces:[ wire_mli ] ~impls:[ ("lib/a.ml", "open Wire
+let x = used (spare 1)") ]);
+  Alcotest.(check (list string)) "nested module vals are exports too" [ "Vec.pop" ]
+    (unused_exports
+       ~interfaces:[ ("lib/t.mli", "module Vec : sig val push : int -> unit val pop : unit -> int end") ]
+       ~impls:[ ("lib/a.ml", "let () = T.Vec.push 1") ]);
+  Alcotest.(check (list string)) "module types declare shapes, not exports" []
+    (unused_exports ~interfaces:[ ("lib/t.mli", "module type S = sig val f : int end") ] ~impls:[])
+
+(* A throwaway workspace: [files] are (root-relative path, contents). *)
+let with_tree files f =
+  let root = Filename.temp_file "topolint" "" in
+  Sys.remove root;
+  let rec mkdir_p dir =
+    if not (Sys.file_exists dir) then begin
+      mkdir_p (Filename.dirname dir);
+      Sys.mkdir dir 0o755
+    end
+  in
+  let rec rm_rf path =
+    if Sys.is_directory path then begin
+      Array.iter (fun name -> rm_rf (Filename.concat path name)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  List.iter
+    (fun (rel, text) ->
+      let path = Filename.concat root rel in
+      mkdir_p (Filename.dirname path);
+      Out_channel.with_open_bin path (fun oc -> output_string oc text))
+    files;
+  Fun.protect ~finally:(fun () -> rm_rf root) (fun () -> f root)
+
+let export_findings report =
+  List.filter_map
+    (fun ((f : Lint.finding), reason) ->
+      if f.Lint.rule = Lint.Unused_export then Some (f.Lint.symbol, reason <> None) else None)
+    report.Driver.findings
+
+let test_unused_export_driver () =
+  let tree =
+    [
+      ("lib/m.mli", "val from_bin : int
+val from_test : int
+val nowhere : int");
+      ("lib/m.ml", "let from_bin = 1
+let from_test = 2
+let nowhere = 3");
+      ("bin/main.ml", "let () = print_int M.from_bin");
+      ("test/t.ml", "let () = print_int M.from_test");
+    ]
+  in
+  with_tree tree (fun root ->
+      let run allow_text = Driver.run ~root ~paths:[ "lib"; "bin" ] ~allow_text () in
+      let r = run "" in
+      Alcotest.(check (list (pair string bool)))
+        "a bin/ caller keeps an export; a test/ caller does not" [ ("from_test", false); ("nowhere", false) ]
+        (export_findings r);
+      Alcotest.(check bool) "unallowlisted exports fail the run" false (Driver.ok r);
+      let r =
+        run
+          "unused-export lib/m.mli from_test -- test/t.ml reads it
+           unused-export lib/m.mli nowhere -- test/gone.ml once read it
+           unused-export lib/m.mli deleted -- test/t.ml read it before it went
+"
+      in
+      Alcotest.(check (list (pair string bool)))
+        "allow entries cover the test-only export" [ ("from_test", true); ("nowhere", true) ]
+        (export_findings r);
+      Alcotest.(check bool) "covered exports pass" true (Driver.ok r);
+      Alcotest.(check (list string)) "an entry for a deleted export is reported unused" [ "deleted" ]
+        (List.map (fun (e : Lint.allow_entry) -> e.Lint.a_symbol) r.Driver.unused_allow))
+
+(* Only the reference directories may be absent: a mistyped PATH must
+   fail the run rather than lint nothing and pass. *)
+let test_missing_path_fails () =
+  with_tree [ ("lib/m.ml", "let x = 1") ] (fun root ->
+      Alcotest.(check bool) "absent reference dirs are skipped" true
+        (Driver.ok (Driver.run ~root ~paths:[ "lib" ] ~allow_text:"" ()));
+      match Driver.run ~root ~paths:[ "lib"; "bni" ] ~allow_text:"" () with
+      | exception Sys_error _ -> ()
+      | _ -> Alcotest.fail "a missing PATH was linted as empty")
+
+let test_unused_export_allow_names_a_test () =
+  let entries, errors =
+    Lint.parse_allow
+      "unused-export lib/m.mli f -- test/suite_m.ml checks the formula
+       unused-export lib/m.mli g -- kept for later
+"
+  in
+  Alcotest.(check int) "an entry naming a test parses" 1 (List.length entries);
+  Alcotest.(check int) "an entry naming no test is malformed" 1 (List.length errors)
+
 (* --- allowlist grammar ---------------------------------------------------- *)
 
 let test_allow_grammar () =
@@ -205,11 +329,17 @@ let suites =
         Alcotest.test_case "queue growth needs a depth check" `Quick test_queue_depth_check;
         Alcotest.test_case "hygiene: Obj.magic and assert false" `Quick test_hygiene;
         Alcotest.test_case "hot-module reachability" `Quick test_hot_reachability;
+        Alcotest.test_case "unused exports: name match over other modules" `Quick test_unused_export;
+        Alcotest.test_case "unused exports: reference dirs and allow entries" `Quick
+          test_unused_export_driver;
+        Alcotest.test_case "a missing PATH fails the run" `Quick test_missing_path_fails;
       ] );
     ( "lint.allowlist",
       [
         Alcotest.test_case "grammar: reasons are mandatory" `Quick test_allow_grammar;
         Alcotest.test_case "driver reports unused entries" `Quick test_driver_allowlisting;
+        Alcotest.test_case "unused-export entries name a test" `Quick
+          test_unused_export_allow_names_a_test;
       ] );
     ( "lint.tree",
       [ Alcotest.test_case "the whole tree lints clean" `Quick test_tree_is_clean ] );

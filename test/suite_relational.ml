@@ -127,8 +127,9 @@ let test_expr_contains_allocates_nothing () =
   Alcotest.(check bool) (Printf.sprintf "40,000 matches allocated %.0f words" words) true (words < 100.0)
 
 (* The lowercase-copy matcher [Expr.keyword_matches] replaced, kept
-   verbatim as the oracle for the in-place one. *)
+   verbatim as the oracle for the in-place one; a word is [[A-Za-z0-9_]]. *)
 let reference_keyword_matches ~keyword ~text =
+  let is_word_char = function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false in
   let keyword = String.lowercase_ascii keyword in
   let text = String.lowercase_ascii text in
   let klen = String.length keyword and tlen = String.length text in
@@ -143,8 +144,8 @@ let reference_keyword_matches ~keyword ~text =
             if i + klen > tlen then false
             else if
               String.sub text i klen = keyword
-              && (i = 0 || not (Expr.is_word_char text.[i - 1]))
-              && (i + klen = tlen || not (Expr.is_word_char text.[i + klen]))
+              && (i = 0 || not (is_word_char text.[i - 1]))
+              && (i + klen = tlen || not (is_word_char text.[i + klen]))
             then true
             else scan (i + 1)
     in

@@ -1,15 +1,22 @@
-(* Module dependency graph over the scanned sources, for the hot-path
-   rule: a module is HOT when it is reachable from one of the roots
-   (Engine.run_request / Serve.exec live in lib/core/engine.ml and
-   lib/core/serve.ml) by following module references.
+(* The cross-module analyses, both over the same syntactic reference
+   walk.
 
-   References are collected purely syntactically: every capitalized
-   component of every long identifier (values, constructors, types,
-   module expressions) is a candidate module name, and candidates are
-   kept only when some scanned file defines a module of that name.
-   Library wrapper prefixes (Topo_util, Topo_sql, ...) simply resolve to
-   nothing and drop out; module basenames are unique across the tree, so
-   the mapping name -> file is unambiguous. *)
+   - Hot-path reachability: a module is HOT when it is reachable from
+     one of the roots (Engine.run_request / Serve.exec live in
+     lib/core/engine.ml and lib/core/serve.ml) by following module
+     references.  Every capitalized component of every long identifier
+     (values, constructors, types, module expressions) is a candidate
+     module name, and candidates are kept only when some scanned file
+     defines a module of that name.  Library wrapper prefixes
+     (Topo_util, Topo_sql, ...) simply resolve to nothing and drop out;
+     module basenames are unique across the tree, so the mapping
+     name -> file is unambiguous.
+   - Export reachability (rule unused-export): a [val] in an interface
+     is live when some other implementation names it, as the last
+     component of a value identifier.  The match is by name alone, so
+     it over-counts uses (any [f] or [M.f] keeps every export named [f]
+     alive) and never flags an export reached through [open], a
+     local open or a module alias. *)
 
 module Sset = Set.Make (String)
 module Smap = Map.Make (String)
@@ -19,14 +26,19 @@ let module_name_of_file path =
 
 let is_uppercase_ident s = String.length s > 0 && s.[0] >= 'A' && s.[0] <= 'Z'
 
-(* Every capitalized component anywhere in the structure: identifiers,
-   constructors, record labels' paths, type constructors, module
-   expressions and opens all flow through the same two hooks. *)
-let referenced_names (str : Parsetree.structure) =
-  let acc = ref Sset.empty in
+type refs = {
+  modules : Sset.t;  (* capitalized components: candidate module names *)
+  values : Sset.t;  (* last components of value identifiers *)
+}
+
+(* One walk collects both: identifiers, constructors, record labels'
+   paths, type constructors, module expressions and opens all flow
+   through the same hooks. *)
+let references (str : Parsetree.structure) =
+  let modules = ref Sset.empty and values = ref Sset.empty in
   let add_lid lid =
     List.iter
-      (fun c -> if is_uppercase_ident c then acc := Sset.add c !acc)
+      (fun c -> if is_uppercase_ident c then modules := Sset.add c !modules)
       (Longident.flatten lid)
   in
   let open Ast_iterator in
@@ -36,7 +48,9 @@ let referenced_names (str : Parsetree.structure) =
       expr =
         (fun self e ->
           (match e.Parsetree.pexp_desc with
-          | Parsetree.Pexp_ident { txt; _ } -> add_lid txt
+          | Parsetree.Pexp_ident { txt; _ } ->
+              add_lid txt;
+              values := Sset.add (Longident.last txt) !values
           | Parsetree.Pexp_construct ({ txt; _ }, _) -> add_lid txt
           | Parsetree.Pexp_field (_, { txt; _ }) -> add_lid txt
           | Parsetree.Pexp_setfield (_, { txt; _ }, _) -> add_lid txt
@@ -66,7 +80,7 @@ let referenced_names (str : Parsetree.structure) =
     }
   in
   it.structure it str;
-  !acc
+  { modules = !modules; values = !values }
 
 (* [hot_files ~roots parsed] is the set of files (workspace-relative
    paths) reachable from the root files through the reference graph.
@@ -84,7 +98,7 @@ let hot_files ~roots parsed =
               match Smap.find_opt name by_name with
               | Some f when f <> file -> Sset.add f acc
               | Some _ | None -> acc)
-            (referenced_names str) Sset.empty
+            (references str).modules Sset.empty
         in
         Smap.add file deps m)
       Smap.empty parsed
@@ -98,3 +112,60 @@ let hot_files ~roots parsed =
       | Some deps -> Sset.fold (fun d acc -> visit acc d) deps seen
   in
   List.fold_left visit Sset.empty roots
+
+(* [exports sg] is every [val] of an interface as (qualified name, bare
+   name, location), including those of nested [module M : sig ... end]
+   declarations (qualified [M.v]); module types declare shapes, not
+   exports, and are skipped. *)
+let exports (sg : Parsetree.signature) =
+  let rec go prefix sg =
+    List.concat_map
+      (fun (item : Parsetree.signature_item) ->
+        match item.psig_desc with
+        | Psig_value vd -> [ (prefix ^ vd.pval_name.txt, vd.pval_name.txt, vd.pval_loc) ]
+        | Psig_module
+            { pmd_name = { txt = Some m; _ }; pmd_type = { pmty_desc = Pmty_signature sg; _ }; _ } ->
+            go (prefix ^ m ^ ".") sg
+        | _ -> [])
+      sg
+  in
+  go "" sg
+
+(* [unused_exports ~interfaces ~impls] flags every export of an
+   interface (file.mli) that no implementation other than its own
+   (file.ml) names. *)
+let unused_exports ~interfaces ~impls =
+  let callers =
+    List.fold_left
+      (fun m (file, str) ->
+        Sset.fold
+          (fun v m ->
+            Smap.update v (fun fs -> Some (Sset.add file (Option.value fs ~default:Sset.empty))) m)
+          (references str).values m)
+      Smap.empty impls
+  in
+  List.concat_map
+    (fun (mli, sg) ->
+      let own = Filename.remove_extension mli ^ ".ml" in
+      let modname = module_name_of_file mli in
+      List.filter_map
+        (fun (name, bare, (loc : Location.t)) ->
+          match Smap.find_opt bare callers with
+          | Some fs when not (Sset.is_empty (Sset.remove own fs)) -> None
+          | _ ->
+              let pos = loc.loc_start in
+              Some
+                {
+                  Lint.rule = Lint.Unused_export;
+                  file = mli;
+                  line = pos.pos_lnum;
+                  col = pos.pos_cnum - pos.pos_bol;
+                  symbol = name;
+                  message =
+                    Printf.sprintf
+                      "export %s.%s is named by no other module; drop it from the interface, or \
+                       allowlist it naming the test that reads it"
+                      modname name;
+                })
+        (exports sg))
+    interfaces

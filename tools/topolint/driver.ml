@@ -16,6 +16,12 @@ let ok r = r.unallowed = 0 && r.allow_errors = []
 
 let default_hot_roots = [ "lib/core/engine.ml"; "lib/core/serve.ml"; "lib/core/shard.ml" ]
 
+(* Every implementation under these directories is a potential caller:
+   an export of a lib/ interface is live when one of them names it.
+   test/ is deliberately absent — an export only tests read needs a
+   lint.allow entry naming the test. *)
+let reference_dirs = [ "lib"; "bin"; "bench"; "perfbench"; "examples"; "tools" ]
+
 (* ------------------------------------------------------------------ *)
 (* File discovery                                                      *)
 
@@ -25,27 +31,32 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let rec ml_files_under root rel =
+(* Files with suffix [ext] under [rel]; a missing path raises
+   [Sys_error]. *)
+let rec files_under ~ext root rel =
   let abs = if rel = "" then root else Filename.concat root rel in
   if Sys.is_directory abs then
     Sys.readdir abs |> Array.to_list |> List.sort String.compare
     |> List.concat_map (fun name ->
            if name = "" || name.[0] = '.' || name = "_build" then []
-           else ml_files_under root (if rel = "" then name else rel ^ "/" ^ name))
-  else if Filename.check_suffix rel ".ml" then [ rel ]
+           else files_under ~ext root (if rel = "" then name else rel ^ "/" ^ name))
+  else if Filename.check_suffix rel ext then [ rel ]
   else []
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 
-let parse_string ~file text =
+let parse_with parse ~file text =
   let lexbuf = Lexing.from_string text in
   lexbuf.Lexing.lex_curr_p <- { lexbuf.Lexing.lex_curr_p with Lexing.pos_fname = file };
-  Parse.implementation lexbuf
+  parse lexbuf
 
-let parse_one ~root rel =
+let parse_string = parse_with Parse.implementation
+let parse_interface = parse_with Parse.interface
+
+let parse_one parse ~root rel =
   let abs = Filename.concat root rel in
-  match parse_string ~file:rel (read_file abs) with
+  match parse ~file:rel (read_file abs) with
   | str -> Ok str
   | exception e ->
       let line, msg =
@@ -68,23 +79,42 @@ let parse_one ~root rel =
 (* ------------------------------------------------------------------ *)
 (* The pipeline                                                        *)
 
-(* [run ~root ~paths ()] lints every .ml under [paths] (root-relative
-   directories or files).  [allow_file] defaults to <root>/lint.allow
-   when present; pass [~allow_text] to bypass the filesystem (tests). *)
-let run ?(hot_roots = default_hot_roots) ?allow_file ?allow_text ~root ~paths () =
-  let files = List.concat_map (fun p -> ml_files_under root p) paths in
-  let parsed, parse_errors =
+let parse_all parse ~root files =
+  let parsed, errors =
     List.fold_left
       (fun (ok, errs) rel ->
-        match parse_one ~root rel with
-        | Ok str -> ((rel, str) :: ok, errs)
+        match parse_one parse ~root rel with
+        | Ok ast -> ((rel, ast) :: ok, errs)
         | Error f -> (ok, f :: errs))
       ([], []) files
   in
-  let parsed = List.rev parsed in
+  (List.rev parsed, errors)
+
+(* [run ~root ~paths ()] lints every .ml under [paths] (root-relative
+   directories or files), and checks every export of a lib/ .mli under
+   [paths] against the implementations under [reference_dirs].
+   [allow_file] defaults to <root>/lint.allow when present; pass
+   [~allow_text] to bypass the filesystem (tests). *)
+let run ?(hot_roots = default_hot_roots) ?allow_file ?allow_text ~root ~paths () =
+  let files = List.concat_map (files_under ~ext:".ml" root) paths in
+  let callers =
+    List.filter
+      (fun f -> not (List.mem f files))
+      (reference_dirs
+      |> List.filter (fun d -> Sys.file_exists (Filename.concat root d))
+      |> List.concat_map (files_under ~ext:".ml" root))
+  in
+  let interfaces =
+    List.concat_map (files_under ~ext:".mli" root) paths
+    |> List.filter (String.starts_with ~prefix:"lib/")
+  in
+  let parsed, parse_errors = parse_all parse_string ~root files in
+  let caller_asts, caller_errors = parse_all parse_string ~root callers in
+  let sigs, sig_errors = parse_all parse_interface ~root interfaces in
   let hot = Deps.hot_files ~roots:hot_roots parsed in
   let findings =
-    parse_errors
+    parse_errors @ caller_errors @ sig_errors
+    @ Deps.unused_exports ~interfaces:sigs ~impls:(parsed @ caller_asts)
     @ List.concat_map
         (fun (rel, str) -> Rules.analyze ~file:rel ~hot:(Deps.Sset.mem rel hot) str)
         parsed

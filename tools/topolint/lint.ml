@@ -1,5 +1,5 @@
 (* Findings and allowlist plumbing for topolint, the source-level
-   concurrency lint (DESIGN.md "Source-level static analysis").
+   lint (DESIGN.md "Source-level static analysis").
 
    A finding is keyed by (rule, file, symbol): the symbol is a stable,
    line-number-free handle — a declared field, a called function, the
@@ -8,17 +8,21 @@
 
      <rule-id> <relative/file.ml> <symbol> -- <reason>
 
+   (an unused-export entry names the .mli and the export, and its reason
+   must name the test/ file that reads the export).
+
    The reason is mandatory (an allowlist without written justification
    is how invariants rot); a trailing '*' in <symbol> prefix-matches,
    so one reasoned entry can cover a family of sites in one file. *)
 
-type rule = Mutable_state | Lock_discipline | Hot_path | Hygiene | Parse_error
+type rule = Mutable_state | Lock_discipline | Hot_path | Hygiene | Unused_export | Parse_error
 
 let rule_id = function
   | Mutable_state -> "mutable-state"
   | Lock_discipline -> "lock-discipline"
   | Hot_path -> "hot-path"
   | Hygiene -> "hygiene"
+  | Unused_export -> "unused-export"
   | Parse_error -> "parse-error"
 
 type finding = {
@@ -51,6 +55,13 @@ type allow_entry = {
 let is_blank line =
   String.length (String.trim line) = 0 || (String.trim line).[0] = '#'
 
+(* An export that only tests read stays only with an entry whose reason
+   names the test: "test/suite_x.ml" anywhere in the reason. *)
+let mentions_test reason =
+  let n = String.length reason in
+  let rec at i = i + 5 <= n && (String.sub reason i 5 = "test/" || at (i + 1)) in
+  at 0
+
 (* One entry: three whitespace-separated tokens, then " -- ", then the
    reason.  Returns [Error msg] on malformed lines so the tool can fail
    loudly rather than silently ignore a suppression. *)
@@ -74,6 +85,10 @@ let parse_allow_line ~lineno line =
           List.filter (fun s -> s <> "") (String.split_on_char ' ' (String.trim head))
         in
         (match tokens with
+        | [ a_rule; _; _ ] when a_rule = rule_id Unused_export && not (mentions_test reason) ->
+            Error
+              (Printf.sprintf
+                 "line %d: an unused-export entry must name the test/ file that reads the export" lineno)
         | [ a_rule; a_file; a_symbol ] ->
             Ok { a_rule; a_file; a_symbol; reason; a_line = lineno; used = false }
         | _ ->

@@ -3,6 +3,8 @@
      topolint [--root DIR] [--allow FILE] [--json FILE] [PATH ...]
 
    PATHs are root-relative directories or files (default: lib bin).
+   Every .ml under them is linted, and every val of a lib/ .mli under
+   them is checked against its callers (Driver.reference_dirs).
    Exits 1 when any finding is not covered by a reasoned lint.allow
    entry, or when lint.allow itself is malformed. *)
 
