@@ -58,6 +58,7 @@ let et_pricing_spec () =
       fact_group_col = "TID";
       dims = [ dim "D1" "A" "E1"; dim "D2" "B" "E2" ];
       k = 20;
+      group_cards = None;
     } )
 
 let tests () =
@@ -111,6 +112,24 @@ let tests () =
       ~fact:broad.Topo_core.Methods.store.Topo_core.Store.alltops ~scheme:Topo_core.Ranking.Freq ~k
   in
   let topk_plan, _ = Topo_sql.Optimizer.regular_plan cat (broad_spec 10) in
+  (* A full 1,024-entry result cache; each run inserts one new key past
+     capacity, so it also evicts the least recently used entry. *)
+  let full_cache = Topo_core.Cache.create ~capacity:1024 () in
+  let cached =
+    {
+      Topo_core.Cache.ranked = [ (1, Some 1.0) ];
+      strategy = None;
+      counters = { Topo_sql.Iterator.Counters.tuples = 0; index_probes = 0; rows_scanned = 0 };
+    }
+  in
+  let next_key = ref 0 in
+  let insert_next () =
+    incr next_key;
+    Topo_core.Cache.add_result full_cache ~key:(string_of_int !next_key) cached
+  in
+  for _ = 1 to 1024 do
+    insert_next ()
+  done;
   let et_plan =
     Topo_sql.Optimizer.et_plan cat (broad_spec max_int) ~impls:[ `I; `I; `I ] ~dim_order:[ 0; 1 ]
   in
@@ -179,6 +198,12 @@ let tests () =
     (* -Opt: pricing the 16 early-termination candidates of one spec. *)
     Test.make ~name:"et_pricing"
       (Staged.stage (fun () -> Topo_sql.Optimizer.best_et_plan et_cat et_spec));
+    (* -Opt: the regular plan's join-order DP, and the whole decision,
+       for the broad P-D spec. *)
+    Test.make ~name:"regular_plan"
+      (Staged.stage (fun () -> Topo_sql.Optimizer.regular_plan cat (broad_spec 10)));
+    Test.make ~name:"choose" (Staged.stage (fun () -> Topo_sql.Optimizer.choose cat (broad_spec 10)));
+    Test.make ~name:"cache_insert_evict" (Staged.stage insert_next);
     (* table2: the keyword predicate, evaluated over the whole Protein
        table and estimated from its statistics. *)
     Test.make ~name:"contains_scan"

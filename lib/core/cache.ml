@@ -16,11 +16,23 @@
    eviction (under the lock, on insert past capacity) removes the entry
    with the smallest tick.
 
+   The writer finds that entry with a min-heap of (tick, key), one item
+   per resident entry, touched only under the lock.  An insert pushes its
+   entry with its insert tick; a hit only restamps the entry's own tick
+   with a later one, so an item's tick is never later than its entry's
+   (two racing hits may land in either order, as they may for a scan).
+   Eviction pops the
+   least item: if the entry's tick has moved since the push, the item goes
+   back with the current tick and the pop repeats; the first item whose
+   tick is current is the entry with the smallest tick — exactly the
+   victim a scan of every entry would pick — in O(log n) amortized.
+
    Nothing invalidates an entry: an answer depends only on the engine's
    derived tables and topology registry, and both are frozen once the
    engine is built or loaded (serving never registers a topology). *)
 
 module Counters = Topo_sql.Iterator.Counters
+module Dyn = Topo_util.Dyn
 module Smap = Map.Make (String)
 
 type stats = {
@@ -44,9 +56,41 @@ type entry = { value : result_payload; last_used : int Atomic.t }
 
 type snap = { map : entry Smap.t; count : int }
 
+(* Binary min-heap of (tick, key) items; ticks are unique, so the order
+   is total. *)
+let heap_push (h : (int * string) Dyn.t) ((tick, _) as item) =
+  Dyn.push h item;
+  let rec up i =
+    let parent = (i - 1) / 2 in
+    if i > 0 && fst (Dyn.get h parent) > tick then begin
+      Dyn.set h i (Dyn.get h parent);
+      up parent
+    end
+    else Dyn.set h i item
+  in
+  up (Dyn.length h - 1)
+
+(* Removes and returns the least item; the heap must not be empty. *)
+let heap_pop (h : (int * string) Dyn.t) =
+  let top = Dyn.get h 0 in
+  let ((tick, _) as last) = Dyn.pop h in
+  let n = Dyn.length h in
+  let rec down i =
+    let l = (2 * i) + 1 in
+    let c = if l + 1 < n && fst (Dyn.get h (l + 1)) < fst (Dyn.get h l) then l + 1 else l in
+    if c < n && fst (Dyn.get h c) < tick then begin
+      Dyn.set h i (Dyn.get h c);
+      down c
+    end
+    else Dyn.set h i last
+  in
+  if n > 0 then down 0;
+  top
+
 type t = {
   snap : snap Atomic.t;
   lock : Mutex.t;
+  heap : (int * string) Dyn.t;  (* guarded by [lock] *)
   capacity : int;
   tick : int Atomic.t;
   c_hits : int Atomic.t;
@@ -59,6 +103,7 @@ let create ?(capacity = 1024) () =
   {
     snap = Atomic.make { map = Smap.empty; count = 0 };
     lock = Mutex.create ();
+    heap = Dyn.create ();
     capacity = max 1 capacity;
     tick = Atomic.make 0;
     c_hits = Atomic.make 0;
@@ -81,19 +126,19 @@ let find_result t ~key =
       Atomic.set e.last_used (Atomic.fetch_and_add t.tick 1);
       Some e.value
 
-let evict_lru t s =
-  let victim =
-    Smap.fold
-      (fun key e acc ->
-        let tick = Atomic.get e.last_used in
-        match acc with Some (_, best) when best <= tick -> acc | _ -> Some (key, tick))
-      s.map None
-  in
-  match victim with
-  | None -> s
-  | Some (key, _) ->
-      Atomic.incr t.c_evictions;
-      { map = Smap.remove key s.map; count = s.count - 1 }
+(* Called past capacity only, so the heap, one item per entry, is not
+   empty. *)
+let rec evict_lru t s =
+  let tick, key = heap_pop t.heap in
+  let now = Atomic.get (Smap.find key s.map).last_used in
+  if now <> tick then begin
+    heap_push t.heap (now, key);
+    evict_lru t s
+  end
+  else begin
+    Atomic.incr t.c_evictions;
+    { map = Smap.remove key s.map; count = s.count - 1 }
+  end
 
 let add_result t ~key value =
   locked t (fun () ->
@@ -104,8 +149,9 @@ let add_result t ~key value =
           s
         else begin
           Atomic.incr t.c_insertions;
-          let e = { value; last_used = Atomic.make (Atomic.fetch_and_add t.tick 1) } in
-          { map = Smap.add key e s.map; count = s.count + 1 }
+          let tick = Atomic.fetch_and_add t.tick 1 in
+          heap_push t.heap (tick, key);
+          { map = Smap.add key { value; last_used = Atomic.make tick } s.map; count = s.count + 1 }
         end
       in
       let rec shrink s = if s.count > t.capacity then shrink (evict_lru t s) else s in

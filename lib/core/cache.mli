@@ -8,7 +8,10 @@
     It uses the topology registry's snapshot-under-[Atomic.t] pattern:
     lookups are lock-free (one [Atomic.get] plus an atomic recency
     stamp), writers serialize on a mutex and publish immutable snapshots.
-    Eviction is LRU by entry count against a fixed capacity.
+    Eviction is exact LRU by entry count against a fixed capacity: the
+    writer pops the least-recently-used entry from a min-heap of
+    (tick, key), pushing back any item whose entry was hit since, in
+    O(log n) amortized per insert past capacity.
 
     Nothing invalidates an entry: the derived tables and the topology
     registry an answer depends on are frozen once the engine is built or

@@ -270,6 +270,7 @@ let optimizer_spec aligned ~fact ~scheme ~k =
         };
       ];
     k;
+    group_cards = Store.cards aligned.store ~fact scheme;
   }
 
 let sort_desc results =
@@ -376,24 +377,30 @@ let fast_top_k_et ?check ?trace ?budget ctx aligned ~scheme ~k ?(impls = default
   sp ?trace "merge_with_pruned" (fun () ->
       merge_with_pruned ?trace ?budget ctx aligned ~scheme ~k ~next_witness:next)
 
-let regular_topk ?(check = false) ?trace ctx aligned ~fact ~scheme ~k =
-  let spec = optimizer_spec aligned ~fact ~scheme ~k in
-  let plan, _cost =
-    sp ?trace "optimize" ~tags:[ ("fact", fact) ] (fun () ->
-        Optimizer.regular_plan ~check ctx.Context.catalog spec)
+(* [plan] is a regular plan already priced for this spec (-Opt's
+   decision); without one the spec is optimized here. *)
+let regular_topk ?(check = false) ?trace ?plan ctx aligned ~fact ~scheme ~k =
+  let plan =
+    match plan with
+    | Some plan -> plan
+    | None ->
+        let spec = optimizer_spec aligned ~fact ~scheme ~k in
+        fst
+          (sp ?trace "optimize" ~tags:[ ("fact", fact) ] (fun () ->
+               Optimizer.regular_plan ~check ctx.Context.catalog spec))
   in
   sp ?trace "execute" (fun () ->
       Physical.run ctx.Context.catalog plan
       |> List.map (fun tuple -> (Value.as_int tuple.(0), Value.as_float tuple.(1))))
 
-let full_top_k ?check ?trace ctx aligned ~scheme ~k =
-  regular_topk ?check ?trace ctx aligned ~fact:aligned.store.Store.alltops ~scheme ~k
+let full_top_k ?check ?trace ?plan ctx aligned ~scheme ~k =
+  regular_topk ?check ?trace ?plan ctx aligned ~fact:aligned.store.Store.alltops ~scheme ~k
 
-let fast_top_k ?check ?trace ctx aligned ~scheme ~k =
+let fast_top_k ?check ?trace ?plan ctx aligned ~scheme ~k =
   (* SQL4: top-k over LeftTops first; SQL5 checks for pruned topologies
      whose score could enter the result. *)
   let base =
-    regular_topk ?check ?trace ctx aligned ~fact:aligned.store.Store.lefttops ~scheme ~k
+    regular_topk ?check ?trace ?plan ctx aligned ~fact:aligned.store.Store.lefttops ~scheme ~k
   in
   let kth_score =
     if List.length base >= k then List.fold_left (fun acc (_, s) -> Float.min acc s) infinity base
@@ -421,23 +428,26 @@ let strategy_name = function
   | Optimizer.Regular -> "regular"
   | Optimizer.Early_termination -> "early-termination"
 
-let choose_strategy ~check ?trace ctx spec =
-  let choose () = (Optimizer.choose ~check ctx.Context.catalog spec).Optimizer.strategy in
+let choose ~check ?trace ctx spec =
+  let price () = Optimizer.choose ~check ctx.Context.catalog spec in
   match trace with
-  | None -> choose ()
+  | None -> price ()
   | Some t ->
       let span = Topo_obs.Trace.start t "choose" in
-      let strategy = Fun.protect ~finally:(fun () -> Topo_obs.Trace.finish t span) choose in
-      Topo_obs.Trace.add_tag span "strategy" (strategy_name strategy);
-      strategy
+      let decision = Fun.protect ~finally:(fun () -> Topo_obs.Trace.finish t span) price in
+      Topo_obs.Trace.add_tag span "strategy" (strategy_name decision.Optimizer.strategy);
+      decision
 
 (* Full-Top-k-Opt over AllTops, or with [~fast] Fast-Top-k-Opt over
-   LeftTops. *)
+   LeftTops.  A regular decision runs the plan [choose] priced. *)
 let top_k_opt ~fast ~check ?trace ?budget ctx aligned ~scheme ~k =
   let fact = if fast then aligned.store.Store.lefttops else aligned.store.Store.alltops in
-  match choose_strategy ~check ?trace ctx (optimizer_spec aligned ~fact ~scheme ~k) with
+  let decision = choose ~check ?trace ctx (optimizer_spec aligned ~fact ~scheme ~k) in
+  match decision.Optimizer.strategy with
   | Optimizer.Regular ->
-      ((if fast then fast_top_k else full_top_k) ~check ?trace ctx aligned ~scheme ~k, Optimizer.Regular)
+      ( (if fast then fast_top_k else full_top_k)
+          ~check ?trace ~plan:decision.Optimizer.plan ctx aligned ~scheme ~k,
+        Optimizer.Regular )
   | Optimizer.Early_termination ->
       ( (if fast then fast_top_k_et else full_top_k_et) ~check ?trace ?budget ctx aligned ~scheme ~k (),
         Optimizer.Early_termination )

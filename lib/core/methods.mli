@@ -14,7 +14,7 @@
     - *-ET methods evaluate through DGJ-operator plans with early
       termination (Section 5.3).
     - *-Opt methods pick between the -k and -ET plans with the Section 5.4
-      cost model. *)
+      cost model, and a regular choice runs the plan that was priced. *)
 
 (** The method enum, in the order of Table 2's rows.  This module owns the
     type; {!Engine} re-exports it (constructors included) so callers keep
@@ -64,7 +64,8 @@ val align : Context.t -> Query.t -> aligned option
 (** [optimizer_spec aligned ~fact ~scheme ~k] is the top-k spec every
     plan-based method hands the optimizer: TopInfo grouped on TID and
     ordered on [scheme]'s score column, [fact] (AllTops or LeftTops) as
-    the fact table, and the two aligned endpoints as dimensions. *)
+    the fact table, the two aligned endpoints as dimensions, and the
+    store's Card_i for [fact] and [scheme]. *)
 val optimizer_spec :
   aligned -> fact:string -> scheme:Ranking.scheme -> k:int -> Topo_sql.Optimizer.spec
 

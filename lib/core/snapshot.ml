@@ -656,7 +656,18 @@ let load path =
             { Compute.a; b; tids; class_keys })
       in
       let store =
-        { Store.t1; t2; alltops; lefttops; excptops; topinfo; pruned; frequencies; rows }
+        {
+          Store.t1;
+          t2;
+          alltops;
+          lefttops;
+          excptops;
+          topinfo;
+          pruned;
+          frequencies;
+          rows;
+          cards = Store.derive_cards catalog ~t1 ~t2;
+        }
       in
       Hashtbl.replace ctx.Context.stores (t1, t2) store
     done;

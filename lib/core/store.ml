@@ -10,6 +10,7 @@ type t = {
   pruned : Topology.t list;
   frequencies : (int, int) Hashtbl.t;
   rows : Compute.pair_row list;
+  cards : (string * Ranking.scheme * int array) list;
 }
 
 let table_names ~t1 ~t2 =
@@ -43,6 +44,53 @@ let topinfo_schema =
 let fresh_table catalog name schema ~primary_key =
   Catalog.remove catalog name;
   Catalog.create_table catalog ~name ~schema ?primary_key ()
+
+(* Card_i of each (fact table, scheme) the top-k methods price.  The
+   score order comes from private sorted indexes over TopInfo and the
+   counts from one pass over each fact table: the build must declare no
+   index that its snapshot would then carry. *)
+let derive_cards catalog ~t1 ~t2 =
+  let alltops, lefttops, _, topinfo = table_names ~t1 ~t2 in
+  let group = Catalog.find catalog topinfo in
+  (* A private copy: [Table.rows] would fill the table's shared row cache. *)
+  let group_rows = Array.init (Table.row_count group) (Table.get group) in
+  let by_score scheme =
+    let col = Schema.index_of (Table.schema group) (Ranking.score_column scheme) in
+    (scheme, Index.ordered_rows ~desc:true (Index.build ~kind:Index.Sorted ~cols:[| col |] group_rows))
+  in
+  let orders = List.map by_score Ranking.all in
+  List.concat_map
+    (fun fact ->
+      let table = Catalog.find catalog fact in
+      let tid = Schema.index_of (Table.schema table) "TID" in
+      let counts = Hashtbl.create 256 in
+      Table.iter
+        (fun _ tuple ->
+          let key = tuple.(tid) in
+          Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key)))
+        table;
+      let count key = Option.value ~default:0 (Hashtbl.find_opt counts key) in
+      List.map
+        (fun (scheme, order) ->
+          let spec =
+            {
+              Optimizer.group_table = topinfo;
+              group_key = "TID";
+              score_col = Ranking.score_column scheme;
+              group_pred = None;
+              fact_table = fact;
+              fact_group_col = "TID";
+              dims = [];
+              k = 0;
+              group_cards = None;
+            }
+          in
+          (fact, scheme, Optimizer.group_cards_of catalog spec ~order ~count))
+        orders)
+    [ alltops; lefttops ]
+
+let cards store ~fact scheme =
+  List.find_map (fun (f, s, cards) -> if f = fact && s = scheme then Some cards else None) store.cards
 
 let build catalog interner registry ~rows ~t1 ~t2 ~pruning_threshold =
   let alltops_n, lefttops_n, excptops_n, topinfo_n = table_names ~t1 ~t2 in
@@ -149,6 +197,7 @@ let build catalog interner registry ~rows ~t1 ~t2 ~pruning_threshold =
     pruned;
     frequencies;
     rows;
+    cards = derive_cards catalog ~t1 ~t2;
   }
 
 let frequency store tid = Option.value ~default:0 (Hashtbl.find_opt store.frequencies tid)

@@ -28,6 +28,10 @@ type t = {
   pruned : Topology.t list;  (** pruned topologies, by descending frequency *)
   frequencies : (int, int) Hashtbl.t;  (** tid -> freq for this pair *)
   rows : Compute.pair_row list;  (** the in-memory sweep output (kept for analysis) *)
+  cards : (string * Ranking.scheme * int array) list;
+      (** {!Topo_sql.Optimizer.group_cards_of} TopInfo over AllTops and
+          LeftTops under each scheme, derived where the store is built or
+          loaded and never saved *)
 }
 
 (** [build catalog interner registry ~rows ~t1 ~t2 ~pruning_threshold]
@@ -42,6 +46,15 @@ val build :
   t2:string ->
   pruning_threshold:int ->
   t
+
+(** [derive_cards catalog ~t1 ~t2] is the [cards] field of the T1-T2
+    store whose tables [catalog] holds, derived without declaring an
+    index on them. *)
+val derive_cards : Topo_sql.Catalog.t -> t1:string -> t2:string -> (string * Ranking.scheme * int array) list
+
+(** [cards store ~fact scheme] is the derived Card_i for one fact table
+    and scheme; [None] for a table the store does not hold. *)
+val cards : t -> fact:string -> Ranking.scheme -> int array option
 
 (** [frequency store tid] (0 when the topology never occurs for this
     pair). *)

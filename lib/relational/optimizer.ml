@@ -15,6 +15,7 @@ type spec = {
   fact_group_col : string;
   dims : dim list;
   k : int;
+  group_cards : int array option;
 }
 
 type strategy = Regular | Early_termination
@@ -47,15 +48,18 @@ type rel_info = {
   sel : float;
   out_rows : float;  (* after local predicate *)
   arity : int;
+  schema : Schema.t;
+  stats : Table_stats.t;
 }
 
 let rel_info catalog ~table ~alias ~pred =
   let t = Catalog.find catalog table in
   let stats = Catalog.stats catalog table in
+  let schema = Table.schema t in
   let sel =
     match pred with
     | None -> 1.0
-    | Some p -> Table_stats.predicate_selectivity stats (Table.schema t) p
+    | Some p -> Table_stats.predicate_selectivity stats schema p
   in
   let base_rows = Table.row_count t in
   {
@@ -65,15 +69,16 @@ let rel_info catalog ~table ~alias ~pred =
     base_rows;
     sel;
     out_rows = float_of_int base_rows *. sel;
-    arity = Schema.arity (Table.schema t);
+    arity = Schema.arity schema;
+    schema;
+    stats;
   }
 
 let col_pos catalog table col = Schema.index_of (Table.schema (Catalog.find catalog table)) col
 
-let join_sel catalog ~ltable ~lcol ~rtable ~rcol =
-  let ls = Catalog.stats catalog ltable and rs = Catalog.stats catalog rtable in
-  Table_stats.join_selectivity ~left:ls ~left_col:(col_pos catalog ltable lcol) ~right:rs
-    ~right_col:(col_pos catalog rtable rcol)
+let join_sel (l : rel_info) lcol (r : rel_info) rcol =
+  Table_stats.join_selectivity ~left:l.stats ~left_col:(Schema.index_of l.schema lcol) ~right:r.stats
+    ~right_col:(Schema.index_of r.schema rcol)
 
 (* ------------------------------------------------------------------ *)
 (* Regular plans: System-R dynamic program over left-deep join orders  *)
@@ -92,6 +97,11 @@ type dp_state = {
          Section 5.4.1) *)
 }
 
+(* A join edge seen from the relation already in the prefix: its own
+   column's position, the new relation's column (name and position), and
+   the edge's join selectivity. *)
+type edge = { left_col : int; right_col : string; right_pos : int; edge_sel : float }
+
 let regular_plan ?(check = false) catalog spec =
   let dims = Array.of_list spec.dims in
   let nrels = 2 + Array.length dims in
@@ -103,22 +113,31 @@ let regular_plan ?(check = false) catalog spec =
           let d = dims.(i - 2) in
           rel_info catalog ~table:d.dim_table ~alias:d.dim_alias ~pred:d.dim_pred)
   in
-  (* Join edge between rel a and rel b, as (col-in-a, col-in-b), if any. *)
-  let edge a b =
-    let named a b =
-      if a = 0 && b = 1 then Some (spec.group_key, spec.fact_group_col)
-      else if a = 1 && b >= 2 then Some (dims.(b - 2).fact_col, dims.(b - 2).dim_key)
-      else None
-    in
-    match named a b with
-    | Some e -> Some e
-    | None -> ( match named b a with Some (x, y) -> Some (y, x) | None -> None)
+  (* Join edge between rel a and rel b, as (col-in-a, col-in-b), if any;
+     positions and selectivities are derived once per call, before the
+     DP extends any prefix. *)
+  let named a b =
+    if a = 0 && b = 1 then Some (spec.group_key, spec.fact_group_col)
+    else if a = 1 && b >= 2 then Some (dims.(b - 2).fact_col, dims.(b - 2).dim_key)
+    else None
   in
-  let sel_between a b =
-    match edge a b with
-    | None -> 1.0
-    | Some (ca, cb) ->
-        join_sel catalog ~ltable:infos.(a).table ~lcol:ca ~rtable:infos.(b).table ~rcol:cb
+  let edges =
+    Array.init nrels (fun a ->
+        Array.init nrels (fun b ->
+            let cols =
+              match named a b with
+              | Some e -> Some e
+              | None -> Option.map (fun (x, y) -> (y, x)) (named b a)
+            in
+            Option.map
+              (fun (ca, cb) ->
+                {
+                  left_col = Schema.index_of infos.(a).schema ca;
+                  right_col = cb;
+                  right_pos = Schema.index_of infos.(b).schema cb;
+                  edge_sel = join_sel infos.(a) ca infos.(b) cb;
+                })
+              cols))
   in
   let scan i =
     let info = infos.(i) in
@@ -155,15 +174,14 @@ let regular_plan ?(check = false) catalog spec =
     go 0 order
   in
   let extend state r =
-    (* Find a join edge from r to some rel already in the prefix. *)
-    let connected = List.filter_map (fun p -> match edge p r with Some e -> Some (p, e) | None -> None) state.order in
-    match connected with
-    | [] -> []
-    | (p, (pcol, rcol)) :: _ ->
+    (* The first rel of the prefix with a join edge to r. *)
+    match List.find_map (fun p -> Option.map (fun e -> (p, e)) edges.(p).(r)) state.order with
+    | None -> []
+    | Some (p, e) ->
         let info = infos.(r) in
-        let left_pos = offset_of state.order p + col_pos catalog infos.(p).table pcol in
-        let rcol_pos = col_pos catalog info.table rcol in
-        let s = sel_between p r in
+        let left_pos = offset_of state.order p + e.left_col in
+        let rcol_pos = e.right_pos in
+        let s = e.edge_sel in
         let out = state.card *. info.out_rows *. s in
         let order = state.order @ [ r ] in
         (* Streaming-probe hash join and index-NL join both preserve the
@@ -203,7 +221,7 @@ let regular_plan ?(check = false) catalog spec =
                   left = state.plan;
                   table = info.table;
                   alias = Some info.alias;
-                  table_cols = [ rcol ];
+                  table_cols = [ e.right_col ];
                   left_cols = [| left_pos |];
                   pred = info.pred;
                   residual = None;
@@ -245,42 +263,43 @@ let regular_plan ?(check = false) catalog spec =
         in
         [ hash; inl; merge ]
   in
-  (* Subset DP keyed by (bitmask, interesting order); keep the cheapest
-     state per key — the System-R rule of retaining the least-cost plan for
-     each interesting order. *)
-  let best : (int * bool, dp_state) Hashtbl.t = Hashtbl.create 64 in
+  (* Subset DP keyed by (bitmask, interesting order), stored at
+     [mask * 2 + ordered]; keep the cheapest state per key — the System-R
+     rule of retaining the least-cost plan for each interesting order. *)
+  let slot mask ordered = (mask * 2) + if ordered then 1 else 0 in
+  let full = (1 lsl nrels) - 1 in
+  let best = Array.make (slot full true + 1) None in
   let consider mask state =
     (* With [check] on, every candidate the DP prices must verify — a bad
        join-key offset computed by [extend] is a bug here, not downstream. *)
     if check then Plan_check.check catalog state.plan;
-    let key = (mask, state.score_ordered) in
-    match Hashtbl.find_opt best key with
+    let i = slot mask state.score_ordered in
+    match best.(i) with
     | Some s when s.cost <= state.cost -> ()
-    | Some _ | None -> Hashtbl.replace best key state
+    | Some _ | None -> best.(i) <- Some state
   in
   for i = 0 to nrels - 1 do
     consider (1 lsl i) (scan i)
   done;
   consider 1 ordered_scan_g;
-  let full = (1 lsl nrels) - 1 in
-  for mask = 1 to full do
-    List.iter
-      (fun ordered ->
-        match Hashtbl.find_opt best (mask, ordered) with
-        | None -> ()
-        | Some state ->
-            for r = 0 to nrels - 1 do
-              if mask land (1 lsl r) = 0 then
-                List.iter (fun st -> consider (mask lor (1 lsl r)) st) (extend state r)
-            done)
-      [ false; true ]
+  for i = slot 1 false to slot full true do
+    match best.(i) with
+    | None -> ()
+    | Some state ->
+        let mask = i / 2 in
+        for r = 0 to nrels - 1 do
+          if mask land (1 lsl r) = 0 then
+            List.iter (fun st -> consider (mask lor (1 lsl r)) st) (extend state r)
+        done
   done;
-  (* Finish either final state: project (group key, score), distinct, then
+  (* Finish each final state: project (group key, score), distinct, then
      a sort only when the interesting order was not preserved. *)
+  let key_col = Schema.index_of infos.(0).schema spec.group_key
+  and score_col = Schema.index_of infos.(0).schema spec.score_col in
   let finish (final : dp_state) =
     let g_off = offset_of final.order 0 in
-    let key_pos = g_off + col_pos catalog spec.group_table spec.group_key in
-    let score_pos = g_off + col_pos catalog spec.group_table spec.score_col in
+    let key_pos = g_off + key_col in
+    let score_pos = g_off + score_col in
     let projected =
       Physical.Distinct (Physical.Project { input = final.plan; cols = [ key_pos; score_pos ] })
     in
@@ -293,58 +312,57 @@ let regular_plan ?(check = false) catalog spec =
       ( Physical.Limit (spec.k, Physical.Sort { input = projected; by = [ (1, true) ] }),
         final.cost +. n +. (c_sort *. n *. Float.log2 (n +. 2.0)) )
   in
-  let candidates =
-    List.filter_map (fun ordered -> Hashtbl.find_opt best (full, ordered)) [ false; true ]
-  in
-  match candidates with
+  (* The unordered final state first; the ordered one replaces it only
+     when strictly cheaper. *)
+  let finals = List.filter_map (fun ordered -> Option.map finish best.(slot full ordered)) [ false; true ] in
+  match finals with
   | [] -> invalid_arg "Optimizer.regular_plan: join graph is disconnected"
   | first :: rest ->
-      let best_final =
+      let plan, cost =
         List.fold_left
-          (fun acc state ->
-            let _, cost = finish state in
-            let _, acc_cost = finish acc in
-            if cost < acc_cost then state else acc)
+          (fun ((_, acc_cost) as acc) ((_, cost) as c) -> if cost < acc_cost then c else acc)
           first rest
       in
-      let plan, cost = finish best_final in
       if check then Plan_check.check catalog plan;
       (plan, cost)
 
 (* ------------------------------------------------------------------ *)
 (* Early-termination plans: grouped scan + DGJ stack                   *)
 
-let group_cards catalog spec =
-  (* Card_i per group, in descending score order, after the group
-     predicate. *)
+let group_cards_of catalog spec ~order ~count =
   let gt = Catalog.find catalog spec.group_table in
-  let ft = Catalog.find catalog spec.fact_table in
-  let sorted = Table.ensure_index gt ~kind:Index.Sorted ~cols:[ spec.score_col ] in
-  let fact_idx = Table.ensure_index ft ~kind:Index.Hash ~cols:[ spec.fact_group_col ] in
   let key_pos = col_pos catalog spec.group_table spec.group_key in
-  let rows = Index.ordered_rows ~desc:true sorted in
   let keep = Option.map (Row_filter.compile gt) spec.group_pred in
   let cards = Topo_util.Dyn.create () in
   Array.iter
     (fun rowno ->
       let tuple = Table.get gt rowno in
       let keep = match keep with None -> true | Some f -> f rowno tuple in
-      if keep then Topo_util.Dyn.push cards (Index.probe_count fact_idx [| tuple.(key_pos) |]))
-    rows;
+      if keep then Topo_util.Dyn.push cards (count tuple.(key_pos)))
+    order;
   Topo_util.Dyn.to_array cards
+
+(* Card_i per group, in descending score order, after the group
+   predicate, read through the tables' cached indexes. *)
+let group_cards catalog spec =
+  let gt = Catalog.find catalog spec.group_table in
+  let ft = Catalog.find catalog spec.fact_table in
+  let sorted = Table.ensure_index gt ~kind:Index.Sorted ~cols:[ spec.score_col ] in
+  let fact_idx = Table.ensure_index ft ~kind:Index.Hash ~cols:[ spec.fact_group_col ] in
+  group_cards_of catalog spec
+    ~order:(Index.ordered_rows ~desc:true sorted)
+    ~count:(fun key -> Index.probe_count fact_idx [| key |])
 
 let et_pricer catalog spec ~cards =
   (* Dimension statistics are independent of the order/implementation
      being costed; compute them once and close over them. *)
   let dims = Array.of_list spec.dims in
+  let fact = rel_info catalog ~table:spec.fact_table ~alias:"F" ~pred:None in
   let dim_stats =
     Array.map
       (fun d ->
         let info = rel_info catalog ~table:d.dim_table ~alias:d.dim_alias ~pred:d.dim_pred in
-        let s =
-          join_sel catalog ~ltable:spec.fact_table ~lcol:d.fact_col ~rtable:d.dim_table ~rcol:d.dim_key
-        in
-        (info, s))
+        (info, join_sel fact d.fact_col info d.dim_key))
       dims
   in
   let avg_card =
@@ -352,7 +370,7 @@ let et_pricer catalog spec ~cards =
     if n = 0 then 1.0
     else Float.max 1.0 (float_of_int (Array.fold_left ( + ) 0 cards) /. float_of_int n)
   in
-  let fact_rows = Table.row_count (Catalog.find catalog spec.fact_table) in
+  let fact_rows = fact.base_rows in
   (* The hit probabilities and the per-group powers of the model depend on
      the dimension order only, so they are prepared once per order and
      shared by its implementation choices. *)
@@ -445,7 +463,12 @@ let et_plan catalog spec ~impls ~dim_order =
 let iter_et_candidates catalog spec f =
   let n = List.length spec.dims in
   let choices = impl_choices (n + 1) in
-  let pricer = et_pricer catalog spec ~cards:(group_cards catalog spec) in
+  let cards =
+    match (spec.group_pred, spec.group_cards) with
+    | None, Some cards -> cards
+    | Some _, _ | None, None -> group_cards catalog spec
+  in
+  let pricer = et_pricer catalog spec ~cards in
   List.iter
     (fun dim_order ->
       let prepared, input_of = pricer ~dim_order in

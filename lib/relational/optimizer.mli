@@ -18,7 +18,14 @@
       priced with the {!Dgj_cost} model.
 
     [choose] returns the cheaper plan along with both estimates so callers
-    (and Table 2) can report the optimizer's decision. *)
+    (and Table 2) can report the optimizer's decision; the -Opt methods
+    then execute that plan, so a query is priced once.
+
+    Statistics are read once per call: [regular_plan] derives each join
+    edge's column positions and selectivity before its dynamic program,
+    and the early-termination pricing reads Card_i from
+    [spec.group_cards] when the caller derived them (a store does, where
+    it is built or loaded). *)
 
 type dim = {
   dim_table : string;
@@ -37,6 +44,11 @@ type spec = {
   fact_group_col : string;  (** fact column joining to [group_key] *)
   dims : dim list;
   k : int;
+  group_cards : int array option;
+      (** {!group_cards_of} this spec, derived once by the caller (a
+          store derives them where it is built or loaded); [None] derives
+          them per call.  Read only when [group_pred] is [None]: a group
+          predicate always derives its own. *)
 }
 
 type strategy = Regular | Early_termination
@@ -83,6 +95,16 @@ val regular_plan : ?check:bool -> Catalog.t -> spec -> Physical.t * float
     empty.  [~check:true] verifies every enumerated candidate and the
     winner. *)
 val best_et_plan : ?check:bool -> Catalog.t -> spec -> (Physical.t * float) option
+
+(** [group_cards_of catalog spec ~order ~count] is Card_i of the DGJ
+    cost model: for each row of [spec.group_table] in [order] (its rows by
+    descending [spec.score_col]) that passes [spec.group_pred], the
+    number [count key] of [spec.fact_table] rows joining its
+    [spec.group_key] value [key].  Pricing derives [order] and [count]
+    from the tables' cached indexes when [spec.group_cards] is [None]; a
+    store derives them once, without declaring an index. *)
+val group_cards_of :
+  Catalog.t -> spec -> order:int array -> count:(Value.t -> int) -> int array
 
 (** [et_candidates catalog spec] is every early-termination candidate
     [best_et_plan] prices, in its enumeration order (dimension orders

@@ -68,6 +68,26 @@ let test_present_key_insert_kept () =
   | None -> Alcotest.fail "entry vanished");
   Alcotest.(check int) "one insertion recorded" 1 (result_stats cache).Cache.insertions
 
+(* Every resident entry is hit after its insert, so each eviction first
+   pops items whose tick has moved and pushes them back: the victim is
+   still the least recently used entry, in hit order. *)
+let test_lru_after_every_entry_hit () =
+  let cache = Cache.create ~capacity:4 () in
+  List.iteri (fun i k -> Cache.add_result cache ~key:k (payload i)) [ "a"; "b"; "c"; "d" ];
+  List.iter
+    (fun k -> Alcotest.(check bool) ("hit " ^ k) true (Cache.find_result cache ~key:k <> None))
+    [ "c"; "a"; "d"; "b" ];
+  List.iteri
+    (fun i (k, victim) ->
+      Cache.add_result cache ~key:k (payload (10 + i));
+      Alcotest.(check int) (k ^ ": one more eviction") (i + 1) (result_stats cache).Cache.evictions;
+      Alcotest.(check bool) (k ^ " evicts " ^ victim) true (Cache.find_result cache ~key:victim = None))
+    [ ("e", "c"); ("f", "a"); ("g", "d"); ("h", "b"); ("i", "e") ];
+  List.iter
+    (fun k -> Alcotest.(check bool) (k ^ " resident") true (Cache.find_result cache ~key:k <> None))
+    [ "f"; "g"; "h"; "i" ];
+  Alcotest.(check int) "at capacity" 4 (result_stats cache).Cache.entries
+
 (* --- reference LRU model --------------------------------------------------- *)
 
 type op = Add of int * int | Find of int
@@ -256,6 +276,44 @@ let test_concurrent_hits_across_domains () =
           Alcotest.(check int) "warm batch: no insertions" 0 c.Cache.results.Cache.insertions
       | None -> Alcotest.fail "warm batch reported no cache stats")
 
+(* Two domains interleave inserts of their own keys with hits on both
+   domains' keys, over four times the capacity: whichever entries survive
+   the racing evictions, the accounting stays exact and every resident
+   key answers with its own value. *)
+let test_two_domains_insert_and_hit () =
+  let capacity = 64 in
+  let keys = 4 * capacity in
+  let cache = Cache.create ~capacity () in
+  let key i = Printf.sprintf "k%d" i in
+  let worker parity () =
+    let prng = Topo_util.Prng.create (17 + parity) in
+    for i = 0 to (keys / 2) - 1 do
+      let own = (2 * i) + parity in
+      Cache.add_result cache ~key:(key own) (payload own);
+      for _ = 1 to 3 do
+        ignore (Cache.find_result cache ~key:(key (Topo_util.Prng.int prng (own + 1))))
+      done
+    done
+  in
+  let other = Domain.spawn (worker 1) in
+  worker 0 ();
+  Domain.join other;
+  let s = result_stats cache in
+  Alcotest.(check int) "entries = capacity" capacity s.Cache.entries;
+  Alcotest.(check int) "insertions - evictions = entries" s.Cache.entries (s.Cache.insertions - s.Cache.evictions);
+  Alcotest.(check int) "every key inserted once" keys s.Cache.insertions;
+  let resident =
+    List.filter
+      (fun i ->
+        match Cache.find_result cache ~key:(key i) with
+        | Some p ->
+            Alcotest.check ranked (key i ^ " answers its own value") [ (i, None) ] p.Cache.ranked;
+            true
+        | None -> false)
+      (List.init keys Fun.id)
+  in
+  Alcotest.(check int) "every resident key hits" capacity (List.length resident)
+
 let suites =
   [
     ( "cache.lru",
@@ -265,6 +323,7 @@ let suites =
         Alcotest.test_case "racing insert of a present key kept" `Quick
           test_present_key_insert_kept;
         QCheck_alcotest.to_alcotest prop_lru_matches_model;
+        Alcotest.test_case "LRU victim when every entry was hit" `Quick test_lru_after_every_entry_hit;
       ] );
     ( "cache.epoch",
       [
@@ -278,5 +337,6 @@ let suites =
       [
         Alcotest.test_case "four domains share one cache" `Quick
           test_concurrent_hits_across_domains;
+        Alcotest.test_case "two domains insert and hit past capacity" `Quick test_two_domains_insert_and_hit;
       ] );
   ]

@@ -168,6 +168,7 @@ let spec_for k =
         };
       ];
     k;
+    group_cards = None;
   }
 
 let naive_topk cat k =
@@ -375,6 +376,7 @@ let engine_spec (q : Topo_core.Query.t) ~fact ~scheme ~k =
     fact_group_col = "TID";
     dims = [ dim q.Query.e1 "A" "E1"; dim q.Query.e2 "B" "E2" ];
     k;
+    group_cards = Store.cards store ~fact:(if fact then store.Store.lefttops else store.Store.alltops) scheme;
   }
 
 let gen_engine_spec =
@@ -446,6 +448,67 @@ let test_huge_k_prices_in_constant_space () =
   Alcotest.(check bool) "same costs as k = |TopInfo|" true
     (let d = Optimizer.choose cat { spec with Optimizer.k = groups } in
      bits d.Optimizer.et_cost = bits decision.Optimizer.et_cost)
+
+(* Every plan and cost the optimizer produces for one fixed generated
+   instance, folded into one digest: each (pair, endpoint pair, fact
+   table, scheme, k) spec is priced by [regular_plan], [best_et_plan] and
+   [choose], with costs printed bit-exactly ([%h]).  A change to how the
+   optimizer derives its statistics must leave this digest as it is,
+   whether the spec carries its store's Card_i or pricing derives them. *)
+let optimizer_golden_digest = "38fb6953ce8bb6fee228bf87e6def48d"
+
+let optimizer_digest ~store_cards =
+  let open Topo_core in
+  let cat = fst (Lazy.force pricing_engine) in
+  let endpoints entity =
+    Query.endpoint cat entity
+    :: List.map (fun kw -> Query.keyword cat entity ~col:"desc" ~kw) [ "membrane"; "zinc"; "putative"; "nonexistentword" ]
+  in
+  let buf = Buffer.create (1 lsl 16) in
+  let cost c = Printf.bprintf buf "%h;" c in
+  let plan p = Printf.bprintf buf "%s;" (Physical.explain p) in
+  List.iter
+    (fun t2 ->
+      List.iter
+        (fun e1 ->
+          List.iter
+            (fun e2 ->
+              let q = Query.make e1 e2 in
+              List.iter
+                (fun fact ->
+                  List.iter
+                    (fun scheme ->
+                      List.iter
+                        (fun k ->
+                          let spec = engine_spec q ~fact ~scheme ~k in
+                          let spec = if store_cards then spec else { spec with Optimizer.group_cards = None } in
+                          Printf.bprintf buf "%s|%b|%s|%d:" (Query.to_string q) fact (Ranking.name scheme) k;
+                          let p, c = Optimizer.regular_plan cat spec in
+                          plan p;
+                          cost c;
+                          (match Optimizer.best_et_plan cat spec with
+                          | None -> Buffer.add_string buf "none;"
+                          | Some (p, c) ->
+                              plan p;
+                              cost c);
+                          let d = Optimizer.choose cat spec in
+                          Buffer.add_string buf
+                            (match d.Optimizer.strategy with Optimizer.Regular -> "R;" | Optimizer.Early_termination -> "ET;");
+                          plan d.Optimizer.plan;
+                          cost d.Optimizer.regular_cost;
+                          cost d.Optimizer.et_cost;
+                          Buffer.add_char buf '\n')
+                        [ 1; 5; 10; 20; 1000 ])
+                    Ranking.[ Freq; Rare; Domain ])
+                [ false; true ])
+            (endpoints t2))
+        (endpoints "Protein"))
+    [ "DNA"; "Interaction" ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_optimizer_golden () =
+  Alcotest.(check string) "store's cards" optimizer_golden_digest (optimizer_digest ~store_cards:true);
+  Alcotest.(check string) "cards derived per call" optimizer_golden_digest (optimizer_digest ~store_cards:false)
 
 (* --- histogram corner cases --------------------------------------------------- *)
 
@@ -525,4 +588,5 @@ let suites =
         Alcotest.test_case "min/max" `Quick test_histogram_min_max;
         QCheck_alcotest.to_alcotest prop_predicate_selectivity_bounded;
       ] );
+    ("cost.golden", [ Alcotest.test_case "optimizer plans and costs pinned" `Quick test_optimizer_golden ]);
   ]

@@ -186,6 +186,48 @@ let test_engine_trace () =
       Alcotest.(check bool) "has phase spans" true (Obs.Trace.children root <> [])
   | l -> Alcotest.fail (Printf.sprintf "expected 1 root span, got %d" (List.length l))
 
+(* A -Opt call that chooses the regular plan runs the plan [choose]
+   priced: its trace has one "choose" span and no "optimize" span, and
+   its answer and work are those of the matching Full-Top-k or
+   Fast-Top-k call. *)
+let test_opt_regular_runs_priced_plan () =
+  let open Topo_core in
+  let cat = Biozon.Generator.generate (Biozon.Generator.scale 0.05 Biozon.Generator.default) in
+  let engine = Engine.build cat ~pairs:[ ("Protein", "DNA") ] ~pruning_threshold:3 () in
+  let endpoints entity =
+    Query.endpoint cat entity
+    :: List.map (fun kw -> Query.keyword cat entity ~col:"desc" ~kw) [ "membrane"; "zinc"; "putative" ]
+  in
+  let rec count name span =
+    List.fold_left (fun n c -> n + count name c) (if Obs.Trace.name span = name then 1 else 0) (Obs.Trace.children span)
+  in
+  let spans name trace = List.fold_left (fun n root -> n + count name root) 0 (Obs.Trace.roots trace) in
+  let regular = ref 0 in
+  List.iter
+    (fun (opt, plain) ->
+      List.iter
+        (fun q ->
+          List.iter
+            (fun k ->
+              let req = Request.make ~k opt q in
+              let o = Engine.run_request engine ~traces:true req in
+              let r = Request.get_done o in
+              if r.Request.strategy = Some Optimizer.Regular then begin
+                incr regular;
+                let trace = Option.get o.Request.trace in
+                let what = Request.to_string req in
+                Alcotest.(check int) (what ^ ": one choose span") 1 (spans "choose" trace);
+                Alcotest.(check int) (what ^ ": no optimize span") 0 (spans "optimize" trace);
+                let p = Engine.run_request engine { req with Request.method_ = plain } in
+                Alcotest.(check (list (pair int (option (float 0.0)))))
+                  (what ^ ": ranked list") (Request.get_done p).Request.ranked r.Request.ranked;
+                Alcotest.(check bool) (what ^ ": counters") true (p.Request.counters = o.Request.counters)
+              end)
+            [ 1; 10; 1000 ])
+        (List.concat_map (fun e1 -> List.map (Query.make e1) (endpoints "DNA")) (endpoints "Protein")))
+    [ (Engine.Full_top_k_opt, Engine.Full_top_k); (Engine.Fast_top_k_opt, Engine.Fast_top_k) ];
+  Alcotest.(check bool) (Printf.sprintf "%d regular -Opt calls checked" !regular) true (!regular > 0)
+
 let suites =
   [
     ( "obs.op_stats",
@@ -199,6 +241,7 @@ let suites =
         Alcotest.test_case "json round trip" `Quick test_trace_json_roundtrip;
         Alcotest.test_case "span tree structure" `Quick test_trace_structure;
         Alcotest.test_case "engine run traced" `Quick test_engine_trace;
+        Alcotest.test_case "-Opt regular runs the plan it priced" `Quick test_opt_regular_runs_priced_plan;
       ] );
     ( "obs.json",
       [

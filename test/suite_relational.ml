@@ -821,6 +821,7 @@ let opt_spec k =
         };
       ];
     k;
+    group_cards = None;
   }
 
 let test_optimizer_regular_plan_correct () =
