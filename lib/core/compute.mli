@@ -42,7 +42,10 @@ type stats = {
   capped_pairs : int;  (** pairs where some cap truncated the product *)
 }
 
-(** Result row for one connected pair. *)
+(** Result row for one connected pair.  {!Store.build} consumes the
+    rows and nothing keeps them: AllTops holds each row's (a, b, TIDs),
+    and {!commit} registered its class keys as a decomposition of each of
+    its topologies. *)
 type pair_row = {
   a : int;
   b : int;

@@ -195,12 +195,17 @@ let sql_method ?trace (ctx : Context.t) aligned =
   let a_ids = Lazy.force aligned.a_ids in
   let t1 = store.Store.t1 and t2 = store.Store.t2 in
   (* Recompute over the schema paths the build kept: a path filter
-     (exclude_weak, min_reliability) drops classes no stored row holds. *)
+     (exclude_weak, min_reliability) drops classes no observed topology's
+     decomposition holds.  Each sweep row registered its class keys as a
+     decomposition of its topologies; keys other pairs registered name
+     paths between other types, which the t1-t2 listing below drops. *)
   let kept = Hashtbl.create 32 in
   List.iter
-    (fun (r : Compute.pair_row) ->
-      List.iter (fun key -> Hashtbl.replace kept key ()) r.Compute.class_keys)
-    store.Store.rows;
+    (fun tid ->
+      List.iter
+        (List.iter (fun key -> Hashtbl.replace kept key ()))
+        (Atomic.get (Topology.find ctx.Context.registry tid).Topology.decompositions))
+    !observed;
   let paths =
     List.filter
       (fun p -> Hashtbl.mem kept (Topo_graph.Schema_graph.path_key p))

@@ -6,15 +6,15 @@
               | fingerprint (length-prefixed hex digest)
               | payload checksum (length-prefixed hex MD5)
      payload  'I' intern pool        strings in id order
-              'G' class-key pool     the distinct path-class keys referenced
-                                     by decompositions and store rows
+              'G' class-key pool     the distinct path-class keys of the
+                                     registry's decompositions
               'C' catalog            every table: name, schema, primary key,
                                      then column-major cell data
               'X' index specs        (kind, column names) per table
               'S' statistics        histograms + samples per table
               'T' topology registry  graphs + decompositions in TID order
               'B' build config       l, caps, per-pair sweep stats
-              'P' stores             pruned TIDs, frequencies, pair rows
+              'P' stores             t1, t2 and the pruned TIDs of each pair
               'C' class pairs        only when flag bit 0 is set
               'E' end marker
 
@@ -24,6 +24,13 @@
    store length-prefixed bytes per non-null cell, and the 8-byte value of
    an int or float cell.  The loader decodes each cell by its tag into
    the rows of an ordinary table.
+
+   A store's frequencies are TopInfo's freq column and its Card_i are
+   derived from its tables, so neither is saved; the pruned TIDs are,
+   because their tie order comes from the build's hash-table fold.  The
+   sweep's pair rows are not saved: the tables hold what the online phase
+   reads of them (version 3; version 2 also saved them with each pair's
+   frequency map).
 
    Every byte goes through [Wire]'s primitives and its bounds-checked
    reader, so a decode failure is an [Error] naming the offset and what
@@ -39,7 +46,7 @@ let fail = Wire.fail
 
 let magic = "TOPOSNAP"
 
-let version = 2
+let version = 3
 
 let cell_tag = function Value.Null -> 0 | Value.Int _ -> 1 | Value.Float _ -> 2 | Value.Str _ -> 3
 
@@ -87,8 +94,8 @@ let save (engine : Engine.t) ~path =
         | None -> fail "save: no store for built pair %s-%s" t1 t2)
       engine.Engine.build_stats
   in
-  (* Class-key pool: decomposition keys and row class keys repeat heavily;
-     intern them into one string pool, first-seen order. *)
+  (* Class-key pool: decomposition keys repeat heavily; intern them into
+     one string pool, first-seen order. *)
   let pool_ids = Hashtbl.create 256 in
   let pool = Topo_util.Dyn.create () in
   let pool_id s =
@@ -106,13 +113,6 @@ let save (engine : Engine.t) ~path =
         (fun d -> List.iter (fun key -> ignore (pool_id key)) d)
         (Atomic.get t.Topology.decompositions))
     topologies;
-  List.iter
-    (fun (s : Store.t) ->
-      List.iter
-        (fun (r : Compute.pair_row) ->
-          List.iter (fun key -> ignore (pool_id key)) r.Compute.class_keys)
-        s.Store.rows)
-    stores;
   let body = Buffer.create (1 lsl 20) in
   (* 'I' intern pool. *)
   Buffer.add_char body 'I';
@@ -279,27 +279,7 @@ let save (engine : Engine.t) ~path =
       Wire.w_str body s.Store.t1;
       Wire.w_str body s.Store.t2;
       Wire.w_u32 body (List.length s.Store.pruned);
-      List.iter (fun (p : Topology.t) -> Wire.w_i64 body p.Topology.tid) s.Store.pruned;
-      let freqs =
-        Hashtbl.fold (fun tid freq acc -> (tid, freq) :: acc) s.Store.frequencies []
-        |> List.sort compare
-      in
-      Wire.w_u32 body (List.length freqs);
-      List.iter
-        (fun (tid, freq) ->
-          Wire.w_i64 body tid;
-          Wire.w_i64 body freq)
-        freqs;
-      Wire.w_i64 body (List.length s.Store.rows);
-      List.iter
-        (fun (r : Compute.pair_row) ->
-          Wire.w_i64 body r.Compute.a;
-          Wire.w_i64 body r.Compute.b;
-          Wire.w_u32 body (List.length r.Compute.tids);
-          List.iter (fun tid -> Wire.w_i64 body tid) r.Compute.tids;
-          Wire.w_u32 body (List.length r.Compute.class_keys);
-          List.iter (fun key -> Wire.w_u32 body (pool_id key)) r.Compute.class_keys)
-        s.Store.rows)
+      List.iter (fun (p : Topology.t) -> Wire.w_i64 body p.Topology.tid) s.Store.pruned)
     stores;
   (* 'C' class pairs (flag bit 0), see [class_pairs]. *)
   let class_pairs = class_pairs engine pool_arr in
@@ -624,50 +604,10 @@ let load path =
             fail "corrupt snapshot: store %s-%s references missing table %s" t1 t2 name)
         [ alltops; lefttops; excptops; topinfo ];
       let n_pruned = Wire.r_count r "pruned count" in
-      let pruned =
-        Wire.r_list r n_pruned "pruned topology" (fun () ->
-            let tid = Wire.r_i64 r "pruned TID" in
-            match Topology.find registry tid with
-            | t -> t
-            | exception Not_found ->
-                fail "corrupt snapshot: pruned TID %d of store %s-%s not in registry" tid t1 t2)
-      in
-      let n_freqs = Wire.r_count r "frequency count" in
-      let frequencies = Hashtbl.create (max 16 n_freqs) in
-      for _ = 1 to n_freqs do
-        let tid = Wire.r_i64 r "frequency TID" in
-        let freq = Wire.r_i64 r "frequency" in
-        Hashtbl.replace frequencies tid freq
-      done;
-      let n_rows = Wire.r_i64 r "store row count" in
-      if n_rows < 0 || n_rows > limit then
-        fail "corrupt snapshot: implausible store row count %d for %s-%s" n_rows t1 t2;
-      let rows =
-        Wire.r_list r n_rows "store row" (fun () ->
-            let a = Wire.r_i64 r "row a" in
-            let b = Wire.r_i64 r "row b" in
-            let n_tids = Wire.r_count r "row TID count" in
-            let tids = Wire.r_list r n_tids "row TID" (fun () -> Wire.r_i64 r "TID") in
-            let n_keys = Wire.r_count r "row class-key count" in
-            let class_keys =
-              Wire.r_list r n_keys "row class key" (fun () ->
-                  pool_str (Wire.r_u32 r "class-key pool index"))
-            in
-            { Compute.a; b; tids; class_keys })
-      in
+      let pruned = Wire.r_list r n_pruned "pruned topology" (fun () -> Wire.r_i64 r "pruned TID") in
       let store =
-        {
-          Store.t1;
-          t2;
-          alltops;
-          lefttops;
-          excptops;
-          topinfo;
-          pruned;
-          frequencies;
-          rows;
-          cards = Store.derive_cards catalog ~t1 ~t2;
-        }
+        try Store.restore catalog registry ~t1 ~t2 ~pruned
+        with Invalid_argument msg -> fail "corrupt snapshot: %s" msg
       in
       Hashtbl.replace ctx.Context.stores (t1, t2) store
     done;

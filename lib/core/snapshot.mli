@@ -6,8 +6,8 @@
     {!Engine.build} produced — the intern pool, every catalog table
     (schemas, tuples, primary keys), index specs (indexes themselves are
     cheap to rebuild), catalog statistics, the topology registry with all
-    decompositions, per-pair {!Store.t} metadata, and the build
-    configuration — as one self-contained binary file.  [load]
+    decompositions, each pair's pruned TIDs, and the build configuration —
+    as one self-contained binary file.  [load]
     reconstructs a working {!Engine.t} from it in milliseconds, without
     touching the generator.
 

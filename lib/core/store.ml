@@ -9,7 +9,6 @@ type t = {
   topinfo : string;
   pruned : Topology.t list;
   frequencies : (int, int) Hashtbl.t;
-  rows : Compute.pair_row list;
   cards : (string * Ranking.scheme * int array) list;
 }
 
@@ -91,6 +90,10 @@ let derive_cards catalog ~t1 ~t2 =
 
 let cards store ~fact scheme =
   List.find_map (fun (f, s, cards) -> if f = fact && s = scheme then Some cards else None) store.cards
+
+let make catalog ~t1 ~t2 ~pruned ~frequencies =
+  let alltops, lefttops, excptops, topinfo = table_names ~t1 ~t2 in
+  { t1; t2; alltops; lefttops; excptops; topinfo; pruned; frequencies; cards = derive_cards catalog ~t1 ~t2 }
 
 let build catalog interner registry ~rows ~t1 ~t2 ~pruning_threshold =
   let alltops_n, lefttops_n, excptops_n, topinfo_n = table_names ~t1 ~t2 in
@@ -187,18 +190,29 @@ let build catalog interner registry ~rows ~t1 ~t2 ~pruning_threshold =
           Value.Str (Topology.describe interner info);
         ])
     tids;
-  {
-    t1;
-    t2;
-    alltops = alltops_n;
-    lefttops = lefttops_n;
-    excptops = excptops_n;
-    topinfo = topinfo_n;
-    pruned;
-    frequencies;
-    rows;
-    cards = derive_cards catalog ~t1 ~t2;
-  }
+  make catalog ~t1 ~t2 ~pruned ~frequencies
+
+(* Frequencies are TopInfo's freq column, which [build] wrote from the
+   same map and [Engine.fingerprint] digests. *)
+let restore catalog registry ~t1 ~t2 ~pruned =
+  let pruned =
+    List.map
+      (fun tid ->
+        match Topology.find registry tid with
+        | t -> t
+        | exception Not_found ->
+            invalid_arg (Printf.sprintf "pruned TID %d of store %s-%s is not in the registry" tid t1 t2))
+      pruned
+  in
+  let _, _, _, topinfo_n = table_names ~t1 ~t2 in
+  let topinfo = Catalog.find catalog topinfo_n in
+  let col = Schema.index_of (Table.schema topinfo) in
+  let tid = col "TID" and freq = col "freq" in
+  let frequencies = Hashtbl.create (max 16 (Table.row_count topinfo)) in
+  Table.iter
+    (fun _ tuple -> Hashtbl.replace frequencies (Value.as_int tuple.(tid)) (Value.as_int tuple.(freq)))
+    topinfo;
+  make catalog ~t1 ~t2 ~pruned ~frequencies
 
 let frequency store tid = Option.value ~default:0 (Hashtbl.find_opt store.frequencies tid)
 

@@ -26,8 +26,7 @@ type t = {
   excptops : string;
   topinfo : string;
   pruned : Topology.t list;  (** pruned topologies, by descending frequency *)
-  frequencies : (int, int) Hashtbl.t;  (** tid -> freq for this pair *)
-  rows : Compute.pair_row list;  (** the in-memory sweep output (kept for analysis) *)
+  frequencies : (int, int) Hashtbl.t;  (** tid -> freq for this pair: TopInfo's freq column *)
   cards : (string * Ranking.scheme * int array) list;
       (** {!Topo_sql.Optimizer.group_cards_of} TopInfo over AllTops and
           LeftTops under each scheme, derived where the store is built or
@@ -36,7 +35,9 @@ type t = {
 
 (** [build catalog interner registry ~rows ~t1 ~t2 ~pruning_threshold]
     materializes all four tables (replacing previous versions for the same
-    pair) and returns the store handle. *)
+    pair) and returns the store handle.  The handle keeps no reference to
+    [rows]: everything the online phase needs of the sweep is in the
+    tables, the registry and [pruned]. *)
 val build :
   Topo_sql.Catalog.t ->
   Topo_util.Interner.t ->
@@ -47,10 +48,16 @@ val build :
   pruning_threshold:int ->
   t
 
-(** [derive_cards catalog ~t1 ~t2] is the [cards] field of the T1-T2
-    store whose tables [catalog] holds, derived without declaring an
-    index on them. *)
-val derive_cards : Topo_sql.Catalog.t -> t1:string -> t2:string -> (string * Ranking.scheme * int array) list
+(** [restore catalog registry ~t1 ~t2 ~pruned] is the handle of the
+    T1-T2 store whose four tables [catalog] already holds, as a snapshot
+    load rebuilds it: [pruned] are the TIDs in {!build}'s order (its tie
+    order cannot be recomputed from the tables), [frequencies] are read
+    from TopInfo's freq column and [cards] derived as {!build} derives
+    them.
+    @raise Not_found when a table is missing.
+    @raise Invalid_argument naming the TID when a pruned TID is not in
+    [registry]. *)
+val restore : Topo_sql.Catalog.t -> Topology.registry -> t1:string -> t2:string -> pruned:int list -> t
 
 (** [cards store ~fact scheme] is the derived Card_i for one fact table
     and scheme; [None] for a table the store does not hold. *)

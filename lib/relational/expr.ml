@@ -113,16 +113,6 @@ let conj a b =
   | x, And ys -> And (x :: ys)
   | x, y -> And [ x; y ]
 
-let rec shift_cols offset = function
-  | Col i -> Col (i + offset)
-  | Const v -> Const v
-  | Cmp (op, a, b) -> Cmp (op, shift_cols offset a, shift_cols offset b)
-  | And es -> And (List.map (shift_cols offset) es)
-  | Or es -> Or (List.map (shift_cols offset) es)
-  | Not e -> Not (shift_cols offset e)
-  | Contains (e, k) -> Contains (shift_cols offset e, k)
-  | IsNull e -> IsNull (shift_cols offset e)
-
 let columns expr =
   let module IS = Set.Make (Int) in
   let rec go acc = function

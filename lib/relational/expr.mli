@@ -31,11 +31,6 @@ val truthy : t -> Tuple.t -> bool
     conjuncts. *)
 val conj : t -> t -> t
 
-(** [shift_cols offset expr] adds [offset] to every column reference; used
-    when an expression formulated against a join's right input must run
-    against the concatenated tuple. *)
-val shift_cols : int -> t -> t
-
 (** [columns expr] is the sorted list of distinct column positions
     referenced. *)
 val columns : t -> int list

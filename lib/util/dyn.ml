@@ -85,15 +85,3 @@ let map f t =
   let out = with_capacity t.len in
   iter (fun v -> push out (f v)) t;
   out
-
-let filter p t =
-  let out = create () in
-  iter (fun v -> if p v then push out v) t;
-  out
-
-let sort cmp t =
-  let a = to_array t in
-  Array.sort cmp a;
-  for i = 0 to t.len - 1 do
-    t.data.(i) <- Elem a.(i)
-  done

@@ -51,9 +51,3 @@ val of_list : 'a list -> 'a t
 
 (** [map f t] is a fresh dynamic array of images. *)
 val map : ('a -> 'b) -> 'a t -> 'b t
-
-(** [filter p t] keeps the satisfying elements, in order. *)
-val filter : ('a -> bool) -> 'a t -> 'a t
-
-(** [sort cmp t] sorts in place. *)
-val sort : ('a -> 'a -> int) -> 'a t -> unit

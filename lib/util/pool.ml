@@ -165,6 +165,3 @@ let parallel_map ?(chunk = 1) pool input ~f =
         | None -> failwith "Pool.parallel_map: task result missing after batch completion")
       results
   end
-
-let parallel_fold ?chunk pool input ~f ~init ~merge =
-  Array.fold_left merge init (parallel_map ?chunk pool input ~f)

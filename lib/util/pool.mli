@@ -44,9 +44,3 @@ val with_pool : ?jobs:int -> (t -> 'a) -> 'a
     batch is in flight, the call blocks until that batch drains, then
     runs. *)
 val parallel_map : ?chunk:int -> t -> 'a array -> f:('a -> 'b) -> 'b array
-
-(** [parallel_fold ?chunk pool input ~f ~init ~merge] maps in parallel and
-    folds [merge] over the results {e in input order} — the merge order is
-    deterministic regardless of execution interleaving. *)
-val parallel_fold :
-  ?chunk:int -> t -> 'a array -> f:('a -> 'b) -> init:'c -> merge:('c -> 'b -> 'c) -> 'c

@@ -62,9 +62,3 @@ let sample t arr k =
     done;
     Array.sub copy 0 k
   end
-
-let geometric t p =
-  let p = if p < 1e-9 then 1e-9 else if p > 1.0 then 1.0 else p in
-  let u = float t in
-  let u = if u <= 0.0 then 1e-18 else u in
-  int_of_float (Float.floor (log u /. log (1.0 -. p +. 1e-18)))

@@ -40,7 +40,3 @@ val shuffle : t -> 'a array -> unit
 (** [sample t arr k] is [k] elements drawn without replacement (all of [arr]
     if [k >= Array.length arr]); order is unspecified but deterministic. *)
 val sample : t -> 'a array -> int -> 'a array
-
-(** [geometric t p] is the number of failures before the first success of a
-    Bernoulli([p]) sequence; [p] is clamped away from 0. *)
-val geometric : t -> float -> int

@@ -28,6 +28,23 @@ let tid_of_description engine ~contains =
     store.Store.frequencies;
   !hit
 
+(* The sweep's (a, b, TIDs) rows regrouped from AllTops, which holds them
+   in sweep-row order, each row's TIDs contiguous and ascending. *)
+let alltops_rows (engine : Engine.t) (store : Store.t) =
+  let table = Topo_sql.Catalog.find engine.Engine.ctx.Context.catalog store.Store.alltops in
+  let col = Topo_sql.Schema.index_of (Topo_sql.Table.schema table) in
+  let e1 = col "E1" and e2 = col "E2" and tid = col "TID" in
+  let groups = ref [] in
+  Topo_sql.Table.iter
+    (fun _ tuple ->
+      let a = Value.as_int tuple.(e1) and b = Value.as_int tuple.(e2) in
+      let t = Value.as_int tuple.(tid) in
+      match !groups with
+      | (a', b', tids) :: rest when a' = a && b' = b -> groups := (a, b, t :: tids) :: rest
+      | acc -> groups := (a, b, [ t ]) :: acc)
+    table;
+  List.rev_map (fun (a, b, tids) -> (a, b, List.rev tids)) !groups
+
 (* --- Definitions 1-3 on the Figure 3 database --------------------------- *)
 
 (* 3-Top(a, b) recomputed over every Protein-DNA schema path of length
@@ -579,16 +596,16 @@ let test_instances_witness_roundtrip () =
   (* Every (pair, topology) row must admit a witness whose canonical key
      matches the topology. *)
   List.iter
-    (fun (r : Compute.pair_row) ->
+    (fun (a, b, tids) ->
       List.iter
         (fun tid ->
-          match Instances.witness ctx ~tid ~a:r.Compute.a ~b:r.Compute.b with
-          | None -> Alcotest.failf "no witness for (%d,%d) tid %d" r.Compute.a r.Compute.b tid
+          match Instances.witness ctx ~tid ~a ~b with
+          | None -> Alcotest.failf "no witness for (%d,%d) tid %d" a b tid
           | Some g ->
               Alcotest.(check string) "witness canonicalizes to the topology"
                 (Engine.topology engine tid).Topology.key (Topo_graph.Canon.key g))
-        r.Compute.tids)
-    store.Store.rows
+        tids)
+    (alltops_rows engine store)
 
 let test_instances_witness_absent () =
   let _, engine = paper_engine () in

@@ -114,8 +114,7 @@ let test_l_monotonicity () =
   let _, e3 = engine_for ~l:3 11 in
   let pairs e =
     let store = Engine.store e ~t1:"Protein" ~t2:"DNA" in
-    List.map (fun (r : Compute.pair_row) -> (r.Compute.a, r.Compute.b)) store.Store.rows
-    |> List.sort_uniq compare
+    List.map (fun (a, b, _) -> (a, b)) (Suite_core.alltops_rows e store) |> List.sort_uniq compare
   in
   let p2 = pairs e2 and p3 = pairs e3 in
   List.iter
@@ -124,15 +123,16 @@ let test_l_monotonicity () =
   Alcotest.(check bool) "l=3 finds more pairs" true (List.length p3 >= List.length p2)
 
 let test_exclude_weak_removes_weak_classes () =
+  (* Every sweep row's class keys are a decomposition of its topologies. *)
   let _, e = engine_for ~l:4 13 ~exclude_weak:true in
   let store = Engine.store e ~t1:"Protein" ~t2:"DNA" in
-  List.iter
-    (fun (r : Compute.pair_row) ->
+  Hashtbl.iter
+    (fun tid _ ->
       List.iter
-        (fun key ->
-          Alcotest.(check bool) "no weak class key" false (Weak.is_weak_class_key key))
-        r.Compute.class_keys)
-    store.Store.rows
+        (List.iter (fun key ->
+             Alcotest.(check bool) "no weak class key" false (Weak.is_weak_class_key key)))
+        (Atomic.get (Engine.topology e tid).Topology.decompositions))
+    store.Store.frequencies
 
 let test_rebuild_same_catalog_is_idempotent () =
   let cat = Biozon.Generator.generate (small_params 17) in
@@ -155,16 +155,12 @@ let test_alltops_rows_match_pair_recomputation () =
   let _, engine = engine_for 19 in
   let ctx = engine.Engine.ctx in
   let store = Engine.store engine ~t1:"Protein" ~t2:"DNA" in
-  let rows = Array.of_list store.Store.rows in
+  let rows = Array.of_list (Suite_core.alltops_rows engine store) in
   let prng = Topo_util.Prng.create 555 in
   for _ = 1 to 25 do
-    let r = rows.(Topo_util.Prng.int prng (Array.length rows)) in
-    let recomputed =
-      Suite_core.recompute_row ~caps:ctx.Context.caps ctx ~a:r.Compute.a ~b:r.Compute.b
-    in
-    Alcotest.(check (list int))
-      (Printf.sprintf "(%d,%d)" r.Compute.a r.Compute.b)
-      r.Compute.tids recomputed.Compute.tids
+    let a, b, tids = rows.(Topo_util.Prng.int prng (Array.length rows)) in
+    let recomputed = Suite_core.recompute_row ~caps:ctx.Context.caps ctx ~a ~b in
+    Alcotest.(check (list int)) (Printf.sprintf "(%d,%d)" a b) tids recomputed.Compute.tids
   done
 
 let test_frequencies_sum_to_alltops_rows () =

@@ -25,12 +25,10 @@ let prop_sweep_matches_anchored_under_caps =
       let ctx = engine.Engine.ctx in
       let store = Engine.store engine ~t1:"Protein" ~t2:"DNA" in
       List.for_all
-        (fun (r : Compute.pair_row) ->
-          let again =
-            Suite_core.recompute_row ~caps:tight_caps ctx ~a:r.Compute.a ~b:r.Compute.b
-          in
-          again.Compute.tids = r.Compute.tids)
-        store.Store.rows)
+        (fun (a, b, tids) ->
+          let again = Suite_core.recompute_row ~caps:tight_caps ctx ~a ~b in
+          again.Compute.tids = tids)
+        (Suite_core.alltops_rows engine store))
 
 let prop_nquery_two_ary_matches_pairwise =
   QCheck.Test.make ~name:"2-ary nquery = pairwise engine across seeds" ~count:6

@@ -49,19 +49,6 @@ let test_nested_map_inline () =
         (Array.init 8 (fun i -> (i * 100) + 45))
         out)
 
-let test_fold_merge_order () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let input = Array.init 64 Fun.id in
-      let concat =
-        Pool.parallel_fold pool input
-          ~f:(fun i -> Printf.sprintf "%d;" i)
-          ~init:"" ~merge:( ^ )
-      in
-      let expected = Array.fold_left (fun acc i -> acc ^ Printf.sprintf "%d;" i) "" input in
-      Alcotest.(check string) "merge in input order" expected concat;
-      let sum = Pool.parallel_fold pool input ~f:Fun.id ~init:0 ~merge:( + ) in
-      Alcotest.(check int) "sum" 2016 sum)
-
 let test_chunked_matches_unchunked () =
   Pool.with_pool ~jobs:3 (fun pool ->
       let input = Array.init 97 (fun i -> i - 40) in
@@ -363,7 +350,6 @@ let suites =
         Alcotest.test_case "map preserves input order" `Quick test_map_order;
         Alcotest.test_case "exception of lowest index" `Quick test_map_exception_lowest_index;
         Alcotest.test_case "nested map runs inline" `Quick test_nested_map_inline;
-        Alcotest.test_case "fold merges in input order" `Quick test_fold_merge_order;
         Alcotest.test_case "chunked = unchunked" `Quick test_chunked_matches_unchunked;
         Alcotest.test_case "jobs=1 inline" `Quick test_one_job_inline;
       ] );

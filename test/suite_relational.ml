@@ -162,15 +162,12 @@ let prop_keyword_matches_oracle =
     QCheck.(make ~print:Print.(pair string string) Gen.(pair (gen_matcher_string 4) (gen_matcher_string 12)))
     (fun (keyword, text) -> Expr.keyword_matches ~keyword ~text = reference_keyword_matches ~keyword ~text)
 
-let test_expr_shift_columns () =
-  let e = Expr.And [ Expr.Cmp (Expr.Eq, Expr.Col 0, Expr.Col 2); Expr.Contains (Expr.Col 1, "x") ] in
-  Alcotest.(check (list int)) "columns" [ 0; 1; 2 ] (Expr.columns e);
-  Alcotest.(check (list int)) "shifted" [ 3; 4; 5 ] (Expr.columns (Expr.shift_cols 3 e))
-
 let test_expr_conj_flattens () =
   let a = Expr.Cmp (Expr.Eq, Expr.Col 0, Expr.Const (v_int 1)) in
   let c = Expr.conj (Expr.And []) a in
-  Alcotest.(check bool) "trivial left dropped" true (c = a)
+  Alcotest.(check bool) "trivial left dropped" true (c = a);
+  let e = Expr.conj (Expr.Cmp (Expr.Eq, Expr.Col 0, Expr.Col 2)) (Expr.Contains (Expr.Col 1, "x")) in
+  Alcotest.(check (list int)) "columns" [ 0; 1; 2 ] (Expr.columns e)
 
 (* --- tables & indexes -------------------------------------------------- *)
 
@@ -884,7 +881,6 @@ let suites =
         Alcotest.test_case "comparisons" `Quick test_expr_eval_cmp;
         Alcotest.test_case "boolean logic" `Quick test_expr_bool_logic;
         Alcotest.test_case "keyword containment" `Quick test_expr_contains_word_boundaries;
-        Alcotest.test_case "shift columns" `Quick test_expr_shift_columns;
         Alcotest.test_case "conj flattens" `Quick test_expr_conj_flattens;
         Alcotest.test_case "keyword containment allocates nothing" `Quick test_expr_contains_allocates_nothing;
         QCheck_alcotest.to_alcotest prop_keyword_matches_oracle;

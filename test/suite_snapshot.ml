@@ -379,9 +379,23 @@ let test_missing_file () =
 (* --- store build vs the naive quadratic reference ------------------------- *)
 
 (* The pre-hash-set Store.build, re-derived from the store's own inputs
-   (rows, pruned, decompositions) with List.mem scans.  The optimized
-   build's LeftTops and ExcpTops tables must match this row for row. *)
-let naive_lefttops (store : Store.t) =
+   with List.mem scans: the sweep rows regrouped from AllTops, each
+   pair's class keys recomputed over the build's schema paths, the pruned
+   topologies and their decompositions.  The optimized build's LeftTops
+   and ExcpTops tables must match this row for row. *)
+let sweep_rows (engine : Engine.t) (store : Store.t) =
+  let ctx = engine.Engine.ctx in
+  let t1 = store.Store.t1 and t2 = store.Store.t2 in
+  let paths = Compute.schema_paths_between ctx.Context.schema ~t1 ~t2 ~l:ctx.Context.l in
+  List.map
+    (fun (a, b, tids) ->
+      let _, class_keys =
+        Compute.pair_topologies ctx.Context.dg ~paths ~same_type:(t1 = t2) ~a ~b ~caps:ctx.Context.caps
+      in
+      { Compute.a; b; tids; class_keys })
+    (Suite_core.alltops_rows engine store)
+
+let naive_lefttops (store : Store.t) rows =
   let pruned_tids = List.map (fun (p : Topology.t) -> p.Topology.tid) store.Store.pruned in
   List.concat_map
     (fun (r : Compute.pair_row) ->
@@ -389,9 +403,9 @@ let naive_lefttops (store : Store.t) =
         (fun tid ->
           if List.mem tid pruned_tids then None else Some (r.Compute.a, r.Compute.b, tid))
         r.Compute.tids)
-    store.Store.rows
+    rows
 
-let naive_excptops (store : Store.t) =
+let naive_excptops (store : Store.t) rows =
   List.concat_map
     (fun (p : Topology.t) ->
       let decompositions = Atomic.get p.Topology.decompositions in
@@ -405,7 +419,7 @@ let naive_excptops (store : Store.t) =
           if satisfies && not (List.mem p.Topology.tid r.Compute.tids) then
             Some (r.Compute.a, r.Compute.b, p.Topology.tid)
           else None)
-        store.Store.rows)
+        rows)
     store.Store.pruned
 
 let table_triples catalog name =
@@ -423,6 +437,7 @@ let test_store_matches_naive () =
   List.iter
     (fun (t1, t2, (_ : Compute.stats)) ->
       let store = Engine.store engine ~t1 ~t2 in
+      let rows = sweep_rows engine store in
       let pair = Printf.sprintf "%s-%s" t1 t2 in
       Alcotest.(check bool)
         (pair ^ " has pruned topologies (the test exercises both loops)")
@@ -430,13 +445,72 @@ let test_store_matches_naive () =
         (store.Store.pruned <> []);
       Alcotest.(check (list (triple int int int)))
         (pair ^ " LeftTops identical to the naive List.mem build")
-        (naive_lefttops store)
+        (naive_lefttops store rows)
         (table_triples catalog store.Store.lefttops);
       Alcotest.(check (list (triple int int int)))
         (pair ^ " ExcpTops identical to the naive List.mem build")
-        (naive_excptops store)
+        (naive_excptops store rows)
         (table_triples catalog store.Store.excptops))
     engine.Engine.build_stats
+
+(* A loaded store reads its frequencies back from TopInfo and its pruned
+   TIDs from the snapshot: both must equal what the build made. *)
+let test_loaded_store_matches_built () =
+  let engine = generated_engine ~scale:0.1 () in
+  with_temp_snapshot engine (fun path ->
+      let loaded = Snapshot.load path in
+      List.iter
+        (fun (t1, t2, (_ : Compute.stats)) ->
+          let built = Engine.store engine ~t1 ~t2 and restored = Engine.store loaded ~t1 ~t2 in
+          let pair = Printf.sprintf "%s-%s" t1 t2 in
+          let bindings (s : Store.t) =
+            List.sort compare (Hashtbl.fold (fun tid f acc -> (tid, f) :: acc) s.Store.frequencies [])
+          in
+          let tids (s : Store.t) = List.map (fun (p : Topology.t) -> p.Topology.tid) s.Store.pruned in
+          Alcotest.(check (list (pair int int))) (pair ^ " frequencies") (bindings built) (bindings restored);
+          Alcotest.(check (list int)) (pair ^ " pruned, in build order") (tids built) (tids restored))
+        engine.Engine.build_stats)
+
+(* The SQL method recomputes pair topologies over the schema paths the
+   build kept, which it reads from the decompositions of the store's
+   topologies; a path filter must not let it walk a dropped path, on the
+   built engine or on its snapshot. *)
+let test_sql_matches_full_top () =
+  let builds =
+    [
+      ("l=3", fun cat -> Engine.build cat ~pairs:[ ("Protein", "DNA") ] ~pruning_threshold:10 ());
+      ( "l=4 exclude_weak",
+        fun cat ->
+          Engine.build cat ~pairs:[ ("Protein", "DNA") ] ~l:4 ~exclude_weak:true ~pruning_threshold:10 () );
+      ( "l=4 min_reliability 0.5",
+        fun cat ->
+          Engine.build cat ~pairs:[ ("Protein", "DNA") ] ~l:4 ~min_reliability:0.5 ~pruning_threshold:10 () );
+    ]
+  in
+  List.iter
+    (fun (label, build) ->
+      let cat = Biozon.Generator.generate (Biozon.Generator.scale 0.05 Biozon.Generator.default) in
+      let engine = build cat in
+      let proteins =
+        [ Query.endpoint cat "Protein"; Query.keyword cat "Protein" ~col:"desc" ~kw:"enzyme" ]
+      and dnas =
+        Query.endpoint cat "DNA"
+        :: List.map (fun ty -> Query.equals cat "DNA" ~col:"type" ~value:(Value.Str ty)) [ "mRNA"; "EST" ]
+      in
+      let check which (e : Engine.t) =
+        List.iteri
+          (fun i q ->
+            let tids m =
+              List.map fst (Request.get_done (Engine.run_request e (Request.make m q))).Request.ranked
+            in
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s %s q%d sql=full" label which i)
+              (tids Engine.Full_top) (tids Engine.Sql))
+          (List.concat_map (fun p -> List.map (Query.make p) dnas) proteins)
+      in
+      check "built" engine;
+      with_temp_snapshot engine (fun path -> check "loaded" (Snapshot.load path)))
+    builds
 
 let suites =
   [
@@ -462,5 +536,9 @@ let suites =
       [
         Alcotest.test_case "hash-set store build = naive quadratic build" `Quick
           test_store_matches_naive;
+        Alcotest.test_case "loaded frequencies and pruned = built" `Quick
+          test_loaded_store_matches_built;
+        Alcotest.test_case "SQL = Full-Top, built and loaded, filtered builds" `Quick
+          test_sql_matches_full_top;
       ] );
   ]

@@ -101,14 +101,7 @@ let test_dyn_conversions () =
   Alcotest.(check (list int)) "to_list" [ 5; 6; 7 ] (Dyn.to_list d);
   Alcotest.(check (array int)) "to_array" [| 5; 6; 7 |] (Dyn.to_array d);
   let doubled = Dyn.map (fun x -> x * 2) d in
-  Alcotest.(check (list int)) "map" [ 10; 12; 14 ] (Dyn.to_list doubled);
-  let odd = Dyn.filter (fun x -> x mod 2 = 1) d in
-  Alcotest.(check (list int)) "filter" [ 5; 7 ] (Dyn.to_list odd)
-
-let test_dyn_sort () =
-  let d = Dyn.of_list [ 3; 1; 2 ] in
-  Dyn.sort compare d;
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3 ] (Dyn.to_list d)
+  Alcotest.(check (list int)) "map" [ 10; 12; 14 ] (Dyn.to_list doubled)
 
 let test_interner_roundtrip () =
   let i = Interner.create () in
@@ -213,7 +206,6 @@ let suites =
         Alcotest.test_case "pop/clear" `Quick test_dyn_pop_clear;
         Alcotest.test_case "bounds raise" `Quick test_dyn_bounds_raise;
         Alcotest.test_case "conversions" `Quick test_dyn_conversions;
-        Alcotest.test_case "sort" `Quick test_dyn_sort;
         QCheck_alcotest.to_alcotest prop_dyn_matches_list;
       ] );
     ( "util.misc",
