@@ -10,8 +10,6 @@
                                      registry's decompositions
               'C' catalog            every table: name, schema, primary key,
                                      then column-major cell data
-              'X' index specs        (kind, column names) per table
-              'S' statistics        histograms + samples per table
               'T' topology registry  graphs + decompositions in TID order
               'B' build config       l, caps, per-pair sweep stats
               'P' stores             t1, t2 and the pruned TIDs of each pair
@@ -25,12 +23,15 @@
    an int or float cell.  The loader decodes each cell by its tag into
    the rows of an ordinary table.
 
+   The file holds what the build produced and nothing derivable from it,
+   so saving after serving writes the bytes saving after the build does.
    A store's frequencies are TopInfo's freq column and its Card_i are
    derived from its tables, so neither is saved; the pruned TIDs are,
    because their tie order comes from the build's hash-table fold.  The
    sweep's pair rows are not saved: the tables hold what the online phase
-   reads of them (version 3; version 2 also saved them with each pair's
-   frequency map).
+   reads of them (version 2 also saved them with each pair's frequency
+   map).  Table statistics and indexes are not saved either: a loaded
+   catalog derives each on first use, as a built one does.
 
    Every byte goes through [Wire]'s primitives and its bounds-checked
    reader, so a decode failure is an [Error] naming the offset and what
@@ -46,13 +47,11 @@ let fail = Wire.fail
 
 let magic = "TOPOSNAP"
 
-let version = 3
+let version = 4
 
 let cell_tag = function Value.Null -> 0 | Value.Int _ -> 1 | Value.Float _ -> 2 | Value.Str _ -> 3
 
 let ty_tag = function Schema.TInt -> 0 | Schema.TFloat -> 1 | Schema.TStr -> 2
-
-let kind_tag = function Index.Hash -> 0 | Index.Sorted -> 1
 
 (* Pairs whose schema paths [load] must register beyond the built pairs'
    own.  A shard slice keeps the full registry, and the registry dedupes
@@ -172,57 +171,6 @@ let save (engine : Engine.t) ~path =
                   | Value.Str s -> Wire.w_str body s)
                 rows)
         cols)
-    tables;
-  (* 'X' index specs, same table order. *)
-  Buffer.add_char body 'X';
-  List.iter
-    (fun tb ->
-      let specs = Table.index_specs tb in
-      Wire.w_u32 body (List.length specs);
-      List.iter
-        (fun (kind, cols) ->
-          Wire.w_u8 body (kind_tag kind);
-          Wire.w_u32 body (List.length cols);
-          List.iter (fun c -> Wire.w_str body c) cols)
-        specs)
-    tables;
-  (* 'S' statistics, same table order (computed now if not yet cached). *)
-  Buffer.add_char body 'S';
-  Wire.w_u32 body (List.length tables);
-  List.iter
-    (fun tb ->
-      let name = Table.name tb in
-      let st = Catalog.stats catalog name in
-      Wire.w_str body name;
-      Wire.w_i64 body (Table_stats.row_count st);
-      Wire.w_f64 body (Table_stats.avg_row_width st);
-      let ncols = Table_stats.columns st in
-      Wire.w_u32 body ncols;
-      for ci = 0 to ncols - 1 do
-        let h = Table_stats.histogram st ci in
-        Wire.w_i64 body (Histogram.total h);
-        Wire.w_i64 body (Histogram.null_count h);
-        Wire.w_i64 body (Histogram.distinct h);
-        let buckets = Histogram.buckets h in
-        Wire.w_u32 body (Array.length buckets);
-        Array.iter
-          (fun (lo, hi, count, d) ->
-            Wire.w_value body lo;
-            Wire.w_value body hi;
-            Wire.w_i64 body count;
-            Wire.w_i64 body d)
-          buckets;
-        let mcv = Histogram.mcv h in
-        Wire.w_u32 body (Array.length mcv);
-        Array.iter
-          (fun (v, c) ->
-            Wire.w_value body v;
-            Wire.w_i64 body c)
-          mcv;
-        let sample = Table_stats.sample st ci in
-        Wire.w_u32 body (Array.length sample);
-        Array.iter (fun v -> Wire.w_value body v) sample
-      done)
     tables;
   (* 'T' topology registry, TID order. *)
   Buffer.add_char body 'T';
@@ -376,143 +324,79 @@ let load path =
     expect 'C' "catalog";
     let catalog = Catalog.create () in
     let n_tables = Wire.r_count r "table count" in
-    let tables =
-      Wire.r_list r n_tables "table" (fun () ->
-          let name = Wire.r_str r "table name" in
-          let arity = Wire.r_count r "table arity" in
-          let cols =
-            Wire.r_list r arity "column" (fun () ->
-                let cname = Wire.r_str r "column name" in
-                let ty =
-                  match Wire.r_u8 r "column type" with
-                  | 0 -> Schema.TInt
-                  | 1 -> Schema.TFloat
-                  | 2 -> Schema.TStr
-                  | k -> fail "corrupt snapshot: unknown column type tag %d in table %s" k name
-                in
-                { Schema.name = cname; ty })
-          in
-          let primary_key =
-            match Wire.r_u8 r "primary key flag" with
-            | 0 -> None
-            | 1 -> Some (Wire.r_str r "primary key column")
-            | k -> fail "corrupt snapshot: bad primary-key flag %d in table %s" k name
-          in
-          let schema = Schema.make cols in
-          let n = Wire.r_i64 r "row count" in
-          if n < 0 || n > limit then
-            fail "corrupt snapshot: implausible row count %d for table %s" n name;
-          let str_col = Array.of_list (List.map (fun (c : Schema.column) -> c.Schema.ty = Schema.TStr) cols) in
-          let arity = Array.length str_col in
-          (* Columns are stored one after another but rows are inserted one
-             at a time.  First find where each column's tags and payload
-             start, checking every tag and length; then decode row by row,
-             [at.(ci)] being the next payload byte of column [ci]: a numeric
-             column has an 8-byte slot per row, a string column 8 bytes per
-             int or float cell and a length-prefixed string per string
-             cell. *)
-          let tags = Array.make arity 0 and at = Array.make arity 0 in
-          let tag ci i = Char.code data.[tags.(ci) + i] in
-          for ci = 0 to arity - 1 do
-            tags.(ci) <- Wire.r_skip r n "cell tags";
-            at.(ci) <- Wire.offset r;
-            for i = 0 to n - 1 do
-              match tag ci i with
-              | 0 when str_col.(ci) -> ()
-              | 0 | 1 | 2 -> ignore (Wire.r_skip r 8 "numeric cell")
-              | 3 when str_col.(ci) ->
-                  ignore (Wire.r_skip r (Wire.r_count r "string cell") "string cell")
-              | t ->
-                  fail "corrupt snapshot: unexpected cell tag %d in %s.%s" t name
-                    (List.nth cols ci).Schema.name
-            done
-          done;
-          let tb = Table.create ~name ~schema ?primary_key () in
-          for i = 0 to n - 1 do
-            let row = Array.make arity Value.Null in
-            for ci = 0 to arity - 1 do
-              let p = at.(ci) in
-              match tag ci i with
-              | 0 -> if not str_col.(ci) then at.(ci) <- p + 8
-              | 3 ->
-                  let len = Int32.to_int (String.get_int32_le data p) in
-                  row.(ci) <- Value.Str (String.sub data (p + 4) len);
-                  at.(ci) <- p + 4 + len
-              | t ->
-                  let bits = String.get_int64_le data p in
-                  row.(ci) <-
-                    (if t = 1 then Value.Int (Int64.to_int bits) else Value.Float (Int64.float_of_bits bits));
-                  at.(ci) <- p + 8
-            done;
-            (* [insert] rejects a repeated primary key; [decode]'s handler
-               turns that into [Error]. *)
-            Table.insert tb row
-          done;
-          Catalog.add catalog tb;
-          tb)
-    in
-    (* 'X' index specs: declared, not built — the spec list is visible
-       immediately (and survives into the next snapshot), while each
-       payload fills on its first probe, so load builds no index a
-       server never touches. *)
-    expect 'X' "index specs";
-    List.iter
-      (fun tb ->
-        let n_specs = Wire.r_count r "index spec count" in
-        for _ = 1 to n_specs do
-          let kind =
-            match Wire.r_u8 r "index kind" with
-            | 0 -> Index.Hash
-            | 1 -> Index.Sorted
-            | k -> fail "corrupt snapshot: unknown index kind %d on table %s" k (Table.name tb)
-          in
-          let n_cols = Wire.r_count r "index column count" in
-          let cols = Wire.r_list r n_cols "index column" (fun () -> Wire.r_str r "index column name") in
-          Table.declare_index tb ~kind ~cols
-        done)
-      tables;
-    (* 'S' statistics. *)
-    expect 'S' "statistics";
-    let n_stats = Wire.r_count r "statistics count" in
-    let stats_entries =
-      Wire.r_list r n_stats "statistics entry" (fun () ->
-          let name = Wire.r_str r "statistics table name" in
-          let row_count = Wire.r_i64 r "statistics row count" in
-          let avg_width = Wire.r_f64 r "statistics avg width" in
-          let ncols = Wire.r_count r "statistics column count" in
-          let histograms = Array.make ncols (Histogram.build [||]) in
-          let samples = Array.make ncols [||] in
-          for ci = 0 to ncols - 1 do
-            let total = Wire.r_i64 r "histogram total" in
-            let nulls = Wire.r_i64 r "histogram null count" in
-            let distinct = Wire.r_i64 r "histogram distinct" in
-            let n_buckets = Wire.r_count r "histogram bucket count" in
-            let buckets = Array.make n_buckets (Value.Null, Value.Null, 0, 0) in
-            for i = 0 to n_buckets - 1 do
-              let lo = Wire.r_value r "bucket lo" in
-              let hi = Wire.r_value r "bucket hi" in
-              let count = Wire.r_i64 r "bucket count" in
-              let d = Wire.r_i64 r "bucket distinct" in
-              buckets.(i) <- (lo, hi, count, d)
-            done;
-            let n_mcv = Wire.r_count r "mcv count" in
-            let mcv = Array.make n_mcv (Value.Null, 0) in
-            for i = 0 to n_mcv - 1 do
-              let v = Wire.r_value r "mcv value" in
-              let c = Wire.r_i64 r "mcv frequency" in
-              mcv.(i) <- (v, c)
-            done;
-            histograms.(ci) <- Histogram.restore ~total ~nulls ~distinct ~buckets ~mcv;
-            let n_sample = Wire.r_count r "sample size" in
-            let sample = Array.make n_sample Value.Null in
-            for i = 0 to n_sample - 1 do
-              sample.(i) <- Wire.r_value r "sample value"
-            done;
-            samples.(ci) <- sample
-          done;
-          (name, Table_stats.restore ~row_count ~histograms ~samples ~avg_width))
-    in
-    Catalog.restore_stats catalog stats_entries;
+    for _ = 1 to n_tables do
+      let name = Wire.r_str r "table name" in
+      let arity = Wire.r_count r "table arity" in
+      let cols =
+        Wire.r_list r arity "column" (fun () ->
+            let cname = Wire.r_str r "column name" in
+            let ty =
+              match Wire.r_u8 r "column type" with
+              | 0 -> Schema.TInt
+              | 1 -> Schema.TFloat
+              | 2 -> Schema.TStr
+              | k -> fail "corrupt snapshot: unknown column type tag %d in table %s" k name
+            in
+            { Schema.name = cname; ty })
+      in
+      let primary_key =
+        match Wire.r_u8 r "primary key flag" with
+        | 0 -> None
+        | 1 -> Some (Wire.r_str r "primary key column")
+        | k -> fail "corrupt snapshot: bad primary-key flag %d in table %s" k name
+      in
+      let schema = Schema.make cols in
+      let n = Wire.r_i64 r "row count" in
+      if n < 0 || n > limit then
+        fail "corrupt snapshot: implausible row count %d for table %s" n name;
+      let str_col = Array.of_list (List.map (fun (c : Schema.column) -> c.Schema.ty = Schema.TStr) cols) in
+      let arity = Array.length str_col in
+      (* Columns are stored one after another but rows are inserted one
+         at a time.  First find where each column's tags and payload
+         start, checking every tag and length; then decode row by row,
+         [at.(ci)] being the next payload byte of column [ci]: a numeric
+         column has an 8-byte slot per row, a string column 8 bytes per
+         int or float cell and a length-prefixed string per string
+         cell. *)
+      let tags = Array.make arity 0 and at = Array.make arity 0 in
+      let tag ci i = Char.code data.[tags.(ci) + i] in
+      for ci = 0 to arity - 1 do
+        tags.(ci) <- Wire.r_skip r n "cell tags";
+        at.(ci) <- Wire.offset r;
+        for i = 0 to n - 1 do
+          match tag ci i with
+          | 0 when str_col.(ci) -> ()
+          | 0 | 1 | 2 -> ignore (Wire.r_skip r 8 "numeric cell")
+          | 3 when str_col.(ci) ->
+              ignore (Wire.r_skip r (Wire.r_count r "string cell") "string cell")
+          | t ->
+              fail "corrupt snapshot: unexpected cell tag %d in %s.%s" t name
+                (List.nth cols ci).Schema.name
+        done
+      done;
+      let tb = Table.create ~name ~schema ?primary_key () in
+      for i = 0 to n - 1 do
+        let row = Array.make arity Value.Null in
+        for ci = 0 to arity - 1 do
+          let p = at.(ci) in
+          match tag ci i with
+          | 0 -> if not str_col.(ci) then at.(ci) <- p + 8
+          | 3 ->
+              let len = Int32.to_int (String.get_int32_le data p) in
+              row.(ci) <- Value.Str (String.sub data (p + 4) len);
+              at.(ci) <- p + 4 + len
+          | t ->
+              let bits = String.get_int64_le data p in
+              row.(ci) <-
+                (if t = 1 then Value.Int (Int64.to_int bits) else Value.Float (Int64.float_of_bits bits));
+              at.(ci) <- p + 8
+        done;
+        (* [insert] rejects a repeated primary key; [decode]'s handler
+           turns that into [Error]. *)
+        Table.insert tb row
+      done;
+      Catalog.add catalog tb
+    done;
     (* 'T' topology registry: re-register in TID order, verify keys. *)
     expect 'T' "topology registry";
     let registry = Topology.create_registry () in
@@ -692,9 +576,7 @@ let manifest_shard m ~t1 ~t2 =
 
 (* A shard's engine: the shared base plus only its own pairs.  The
    filtered catalog preserves registration order (table identity is
-   shared with the parent — slicing copies nothing but the lists), and
-   statistics already computed on the parent are carried over so the
-   slice does not recompute them at save time. *)
+   shared with the parent — slicing copies nothing but the lists). *)
 let slice_engine (engine : Engine.t) ~shards ~shard =
   let ctx = engine.Engine.ctx in
   let keep_pair t1 t2 = shard_of_pair ~shards ~t1 ~t2 = shard in
@@ -710,16 +592,9 @@ let slice_engine (engine : Engine.t) ~shards ~shard =
       end)
     engine.Engine.build_stats;
   let catalog = Catalog.create () in
-  let kept_stats = ref [] in
   List.iter
-    (fun tb ->
-      let name = Table.name tb in
-      if not (Hashtbl.mem dropped name) then begin
-        Catalog.add catalog tb;
-        kept_stats := (name, Catalog.stats ctx.Context.catalog name) :: !kept_stats
-      end)
+    (fun tb -> if not (Hashtbl.mem dropped (Table.name tb)) then Catalog.add catalog tb)
     (Catalog.tables ctx.Context.catalog);
-  Catalog.restore_stats catalog (List.rev !kept_stats);
   let stores = Hashtbl.create (max 8 (List.length build_stats)) in
   List.iter
     (fun (t1, t2, _) ->

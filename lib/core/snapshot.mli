@@ -4,12 +4,13 @@
     scale; a serving fleet cannot re-run the generator and the offline
     sweep on every process start.  [save] persists everything
     {!Engine.build} produced — the intern pool, every catalog table
-    (schemas, tuples, primary keys), index specs (indexes themselves are
-    cheap to rebuild), catalog statistics, the topology registry with all
+    (schemas, tuples, primary keys), the topology registry with all
     decompositions, each pair's pruned TIDs, and the build configuration —
-    as one self-contained binary file.  [load]
-    reconstructs a working {!Engine.t} from it in milliseconds, without
-    touching the generator.
+    as one self-contained binary file, and nothing derivable from it:
+    indexes, statistics and keyword postings are derived on first use by
+    a loaded engine exactly as by a built one.  [load] reconstructs a
+    working {!Engine.t} from it in milliseconds, without touching the
+    generator.
 
     Format (little-endian throughout): a fixed header — magic
     ["TOPOSNAP"], a format version, a flags word, the payload length, the
@@ -42,13 +43,15 @@ val version : int
     decompositions recorded during other pairs' sweeps; [save] then also
     records those pairs (flag bit 0), sorted, so {!load} registers their
     schema paths as decomposition classes.  A full engine records none
-    and writes flags 0.  Saving a loaded slice reproduces its file.
+    and writes flags 0.  The file depends on the build alone: saving an
+    engine again after it served queries, or saving a loaded snapshot or
+    slice, reproduces the same bytes.
     @raise Error on unencodable state (e.g. a string value in a numeric
     column) or I/O failure. *)
 val save : Engine.t -> path:string -> int
 
 (** [load path] reconstructs the engine: restores the intern pool, the
-    catalog (tables, indexes, statistics), the topology registry (every
+    catalog's tables, the topology registry (every
     topology re-registered in TID order, canonical keys verified), the
     per-pair stores, and the derived graphs (data graph and schema graph
     are rebuilt from the restored catalog — they are cheap relative to

@@ -60,15 +60,3 @@ let stats t name =
           let st = Table_stats.compute table in
           Hashtbl.replace t.stats_cache name (current, st);
           st)
-
-let restore_stats t entries =
-  Mutex.lock t.stats_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.stats_lock)
-    (fun () ->
-      List.iter
-        (fun (name, st) ->
-          match Hashtbl.find_opt t.tables name with
-          | Some table -> Hashtbl.replace t.stats_cache name (Table.row_count table, st)
-          | None -> ())
-        entries)

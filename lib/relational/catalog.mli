@@ -34,12 +34,7 @@ val remove : t -> string -> unit
 val tables : t -> Table.t list
 
 (** [stats t table_name] is the cached statistics for a table, computed on
-    first request and invalidated when row counts change. *)
+    first request and invalidated when row counts change.  Snapshots do
+    not save statistics, so a built catalog and a loaded one both get
+    them only this way. *)
 val stats : t -> string -> Table_stats.t
-
-(** [restore_stats t entries] seeds the statistics cache with precomputed
-    [(table_name, stats)] pairs — the snapshot load path's replacement for
-    recomputing every histogram.  Entries are stamped with the table's
-    current row count (so later inserts still invalidate them); entries
-    naming absent tables are ignored. *)
-val restore_stats : t -> (string * Table_stats.t) list -> unit

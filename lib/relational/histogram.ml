@@ -56,19 +56,6 @@ let build ?(buckets = 32) values =
     { total = n; nulls; distinct; buckets = Topo_util.Dyn.to_array bucket_list; mcv }
   end
 
-let buckets t = Array.map (fun b -> (b.lo, b.hi, b.count, b.distinct)) t.buckets
-
-let mcv t = Array.copy t.mcv
-
-let restore ~total ~nulls ~distinct ~buckets ~mcv =
-  {
-    total;
-    nulls;
-    distinct;
-    buckets = Array.map (fun (lo, hi, count, d) -> { lo; hi; count; distinct = d }) buckets;
-    mcv;
-  }
-
 let total t = t.total
 
 let null_count t = t.nulls

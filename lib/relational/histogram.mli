@@ -11,26 +11,6 @@ type t
     counted separately and excluded from buckets. *)
 val build : ?buckets:int -> Value.t array -> t
 
-(** [buckets t] is the equi-depth buckets as [(lo, hi, count, distinct)]
-    quadruples, in value order — the histogram's full serializable state
-    (together with {!mcv} and the scalar counts). *)
-val buckets : t -> (Value.t * Value.t * int * int) array
-
-(** [mcv t] is the exact (value, frequency) pairs tracked for the most
-    common values. *)
-val mcv : t -> (Value.t * int) array
-
-(** [restore ~total ~nulls ~distinct ~buckets ~mcv] rebuilds a histogram
-    from previously extracted state ({!buckets}/{!mcv} plus the counts) —
-    the snapshot codec's inverse of {!build}. *)
-val restore :
-  total:int ->
-  nulls:int ->
-  distinct:int ->
-  buckets:(Value.t * Value.t * int * int) array ->
-  mcv:(Value.t * int) array ->
-  t
-
 (** [total t] is the number of non-null values summarized. *)
 val total : t -> int
 

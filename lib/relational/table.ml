@@ -6,9 +6,6 @@ module Dyn = Topo_util.Dyn
 type index_cache = {
   upto : int;  (* row count when [entries] were built *)
   entries : ((Index.kind * string list) * Index.t) list;
-  specs : (Index.kind * string list) list;
-      (* every index ever declared or built, oldest first; survives
-         staleness resets so snapshots round-trip the spec list *)
 }
 
 (* What the int kernels read of one column, derived lazily from the rows:
@@ -48,11 +45,11 @@ type t = {
          state itself is published through [Atomic.set] so the unlocked
          fast paths get release/acquire ordering: a domain that sees the
          new value sees everything built before it.  Mutation proper
-         (insert/truncate) stays a coordinator-only affair: tables are
-         frozen while concurrent queries run. *)
+         (insert) stays a coordinator-only affair: tables are frozen
+         while concurrent queries run. *)
 }
 
-let empty_indexes = { upto = 0; entries = []; specs = [] }
+let empty_indexes = { upto = 0; entries = [] }
 
 let empty_cols = { c_upto = 0; cols = [] }
 
@@ -172,30 +169,15 @@ and ensure_index_slow t ~kind ~cols ~key =
       let len = row_count t in
       let cache = Atomic.get t.index_cache in
       (* Rows appended since the last build make every cached index stale:
-         restart from an empty entry list rather than mixing generations.
-         The declared-spec list is about intent, not payloads — it survives. *)
-      let cache = if cache.upto = len then cache else { cache with upto = len; entries = [] } in
-      match List.assoc_opt key cache.entries with
+         restart from an empty entry list rather than mixing generations. *)
+      let entries = if cache.upto = len then cache.entries else [] in
+      match List.assoc_opt key entries with
       | Some idx -> idx
       | None ->
           let positions = Array.of_list (List.map (Schema.index_of t.schema) cols) in
           let idx = Index.build ~kind ~cols:positions data in
-          let specs = if List.mem key cache.specs then cache.specs else cache.specs @ [ key ] in
-          Atomic.set t.index_cache { upto = len; entries = (key, idx) :: cache.entries; specs };
+          Atomic.set t.index_cache { upto = len; entries = (key, idx) :: entries };
           idx)
-
-let declare_index t ~kind ~cols =
-  List.iter
-    (fun c ->
-      if not (Schema.mem t.schema c) then
-        invalid_arg (Printf.sprintf "Table.declare_index(%s): unknown column %s" t.name c))
-    cols;
-  let key = (kind, cols) in
-  let cache = Atomic.get t.index_cache in
-  if not (List.mem key cache.specs) then
-    Atomic.set t.index_cache { cache with specs = cache.specs @ [ key ] }
-
-let index_specs t = (Atomic.get t.index_cache).specs
 
 (* --- int lanes ------------------------------------------------------------ *)
 
@@ -306,13 +288,3 @@ let keyword_rows t ci keyword =
   search 0 (Array.length tokens)
 
 let byte_size t = t.byte_size
-
-let truncate t =
-  t.data <- [||];
-  t.count <- 0;
-  Hashtbl.reset t.pk_index;
-  Atomic.set t.index_cache empty_indexes;
-  Atomic.set t.col_cache empty_cols;
-  Atomic.set t.postings empty_postings;
-  t.byte_size <- 0;
-  Atomic.set t.snapshot None

@@ -39,8 +39,8 @@ val row_count : t -> int
 val get : t -> int -> Tuple.t
 
 (** [rows t] is a snapshot array of all rows (shared tuples).  The array is
-    cached and returned again by later calls until the next insert or
-    truncate, so repeated index builds and scans over a frozen table — the
+    cached and returned again by later calls until the next insert, so
+    repeated index builds and scans over a frozen table — the
     bulk-load-then-query lifecycle — copy nothing.  Treat it as read-only:
     mutating it corrupts every other holder of the snapshot. *)
 val rows : t -> Tuple.t array
@@ -60,21 +60,10 @@ val primary_key : t -> string option
     building (or rebuilding after inserts) as needed.  Indexes are cached
     per (kind, column list); cold-cache fills are serialized under the
     table's cache lock, so concurrent readers (the serving tier) may call
-    this freely on a frozen table. *)
+    this freely on a frozen table.  Nothing about indexes is persisted: a
+    snapshot-loaded table builds each one on its first probe, like a
+    freshly built table does. *)
 val ensure_index : t -> kind:Index.kind -> cols:string list -> Index.t
-
-(** [declare_index t ~kind ~cols] records an index spec without building
-    its payload — the snapshot load path's lazy replacement for an eager
-    {!ensure_index}.  The spec appears in {!index_specs} immediately; the
-    payload fills on the first {!ensure_index} probe.
-    @raise Invalid_argument on an unknown column name. *)
-val declare_index : t -> kind:Index.kind -> cols:string list -> unit
-
-(** [index_specs t] is the [(kind, column names)] of every index declared
-    or built, oldest first — enough to rebuild the indexes cheaply via
-    {!ensure_index}.  Snapshots persist these specs instead of index
-    payloads. *)
-val index_specs : t -> (Index.kind * string list) list
 
 (** [int_lane t ci] is column [ci]'s cells as a flat int array when every
     cell is [Value.Int] — the precondition for the int-specialized kernels —
@@ -103,6 +92,3 @@ val keyword_rows : t -> int -> string -> int array
 (** [byte_size t] is the estimated storage size: sum of row widths.  This is
     the quantity reported in Table 1. *)
 val byte_size : t -> int
-
-(** [truncate t] removes all rows and indexes. *)
-val truncate : t -> unit

@@ -1,12 +1,10 @@
 type t = {
-  row_count : int;
   histograms : Histogram.t array;
   samples : Value.t array array;  (* bounded per-column sample for Contains *)
   tokens : (string * int) array array;
-      (* Per column, derived from [samples] and never persisted: every
-         lowercased maximal word token with the number of [Str] samples
-         containing it, sorted by token; [[||]] when no sample is a [Str]. *)
-  avg_width : float;
+      (* Per column, derived from [samples]: every lowercased maximal word
+         token with the number of [Str] samples containing it, sorted by
+         token; [[||]] when no sample is a [Str]. *)
 }
 
 let sample_size = 512
@@ -32,17 +30,12 @@ let token_counts sample =
   Array.sort (fun (a, _) (b, _) -> String.compare a b) table;
   table
 
-let make ~row_count ~histograms ~samples ~avg_width =
-  { row_count; histograms; samples; tokens = Array.map token_counts samples; avg_width }
-
 let compute table =
   let rows = Table.rows table in
-  let n = Array.length rows in
   let arity = Schema.arity (Table.schema table) in
   (* Column-major view over the row snapshot: every derived array is
      local to this call, so stats building needs no shared mutation. *)
   let columns = Array.init arity (fun c -> Array.map (fun tuple -> tuple.(c)) rows) in
-  let width_sum = Array.fold_left (fun acc tuple -> acc + Tuple.width tuple) 0 rows in
   let histograms = Array.map Histogram.build columns in
   let samples =
     Array.map
@@ -54,26 +47,17 @@ let compute table =
           Array.init sample_size (fun i -> all.(i * step)))
       columns
   in
-  make ~row_count:n ~histograms ~samples
-    ~avg_width:(if n = 0 then 0.0 else float_of_int width_sum /. float_of_int n)
-
-let columns t = Array.length t.histograms
+  { histograms; samples; tokens = Array.map token_counts samples }
 
 let sample t col =
   if col < 0 || col >= Array.length t.samples then
     invalid_arg (Printf.sprintf "Table_stats.sample: column %d" col);
   Array.copy t.samples.(col)
 
-let restore = make
-
-let row_count t = t.row_count
-
-let histogram t col =
+let distinct t col =
   if col < 0 || col >= Array.length t.histograms then
-    invalid_arg (Printf.sprintf "Table_stats.histogram: column %d" col);
-  t.histograms.(col)
-
-let distinct t col = Histogram.distinct (histogram t col)
+    invalid_arg (Printf.sprintf "Table_stats.distinct: column %d" col);
+  Histogram.distinct t.histograms.(col)
 
 (* Samples containing [token], by binary search of a sorted token table. *)
 let token_count table token =
@@ -153,5 +137,3 @@ let predicate_selectivity t _schema expr = clamp01 (selectivity t expr)
 let join_selectivity ~left ~left_col ~right ~right_col =
   let dl = max 1 (distinct left left_col) and dr = max 1 (distinct right right_col) in
   1.0 /. float_of_int (max dl dr)
-
-let avg_row_width t = t.avg_width

@@ -6,40 +6,22 @@
     selectivity has no closed form, so it is estimated on a bounded sample of
     the column, like commercial systems estimate LIKE patterns.  A
     single-word keyword is looked up in a token-count table that {!compute}
-    and {!restore} derive from the sample; the table is never persisted. *)
+    derives from the sample.  Statistics are a pure function of the table's
+    rows (the sample is systematic), so nothing here is ever persisted: a
+    snapshot-loaded catalog derives them on first use like a built one. *)
 
 type t
 
-(** [compute table] scans the table once and builds histograms for every
-    column. *)
+(** [compute table] scans the table once and builds histograms, samples
+    and token-count tables for every column. *)
 val compute : Table.t -> t
-
-(** [columns t] is the number of columns summarized (the table's arity at
-    compute time). *)
-val columns : t -> int
 
 (** [sample t col] is the bounded per-column sample used for [Contains]
     estimation.  @raise Invalid_argument when out of range. *)
 val sample : t -> int -> Value.t array
 
-(** [restore ~row_count ~histograms ~samples ~avg_width] rebuilds a stats
-    record from previously extracted state — the snapshot codec's inverse
-    of {!compute}.  It re-derives the token-count tables from [samples]. *)
-val restore :
-  row_count:int ->
-  histograms:Histogram.t array ->
-  samples:Value.t array array ->
-  avg_width:float ->
-  t
-
-(** [row_count t]. *)
-val row_count : t -> int
-
-(** [histogram t col] for the column position.
+(** [distinct t col] distinct non-null values in a column.
     @raise Invalid_argument when out of range. *)
-val histogram : t -> int -> Histogram.t
-
-(** [distinct t col] distinct non-null values in a column. *)
 val distinct : t -> int -> int
 
 (** [predicate_selectivity t schema expr] estimates the fraction of rows
@@ -54,6 +36,3 @@ val predicate_selectivity : t -> Schema.t -> Expr.t -> float
     selectivity of an equi-join as [1 / max(d_left, d_right)], the classic
     System-R formula. *)
 val join_selectivity : left:t -> left_col:int -> right:t -> right_col:int -> float
-
-(** [avg_row_width t] in bytes. *)
-val avg_row_width : t -> float

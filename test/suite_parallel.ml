@@ -103,9 +103,7 @@ let test_rows_snapshot_cache () =
   Table.insert_values tb [ Value.Int 3 ];
   let b = Table.rows tb in
   Alcotest.(check bool) "insert invalidates" false (a == b);
-  Alcotest.(check int) "new snapshot complete" 3 (Array.length b);
-  Table.truncate tb;
-  Alcotest.(check int) "truncate invalidates" 0 (Array.length (Table.rows tb))
+  Alcotest.(check int) "new snapshot complete" 3 (Array.length b)
 
 (* --- Engine.build determinism across jobs -------------------------------- *)
 

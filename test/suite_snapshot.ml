@@ -1,9 +1,10 @@
 (* Persistent snapshots: save/load round trips must reproduce the
    in-process engine bit for bit (engine fingerprint and a full nine-method
-   serve batch), every planted corruption must be rejected with a
-   descriptive Snapshot.Error, and the store build that snapshots persist
-   must itself match a naive quadratic reference (the hash-set rewrite of
-   Store.build may only change speed, never rows). *)
+   serve batch), a file must depend on the build alone (saving after
+   serving writes the same bytes), every planted corruption must be
+   rejected with a descriptive Snapshot.Error, and the store build that
+   snapshots persist must itself match a naive quadratic reference (the
+   hash-set rewrite of Store.build may only change speed, never rows). *)
 
 open Topo_core
 module Pool = Topo_util.Pool
@@ -97,10 +98,18 @@ let test_generated_roundtrip_details () =
             (Table.name tb ^ " rows identical, floats bit-exact")
             true
             (Table.rows tb = Table.rows tb');
+          (* Indexes are not saved: the loaded table builds one on its
+             first probe, and it must answer every key like the built
+             table's. *)
+          let col = [ (Topo_sql.Schema.column (Table.schema tb) 0).Topo_sql.Schema.name ] in
+          let idx = Table.ensure_index tb ~kind:Topo_sql.Index.Hash ~cols:col
+          and idx' = Table.ensure_index tb' ~kind:Topo_sql.Index.Hash ~cols:col in
           Alcotest.(check bool)
-            (Table.name tb ^ " index specs survive")
+            (Table.name tb ^ " index built on first probe answers like the built one")
             true
-            (Table.index_specs tb = Table.index_specs tb'))
+            (Array.for_all
+               (fun row -> Topo_sql.Index.probe idx [| row.(0) |] = Topo_sql.Index.probe idx' [| row.(0) |])
+               (Table.rows tb)))
         (Catalog.tables catalog);
       Alcotest.(check int) "interner round trips every id"
         (Topo_util.Interner.count engine.Engine.ctx.Context.interner)
@@ -111,39 +120,93 @@ let test_generated_roundtrip_details () =
       Alcotest.(check bool) "build stats survive" true
         (engine.Engine.build_stats = loaded.Engine.build_stats))
 
-(* Token-count tables are derived, not persisted: [restore] must rebuild
-   them so a loaded catalog estimates every keyword like the built one. *)
-let test_contains_estimates_survive () =
+(* Statistics are derived, not persisted: every estimate the optimizer
+   reads must come out bit-equal on a loaded catalog — equality, range,
+   IS NULL and Contains selectivities and distinct counts for every
+   column of every table [loaded] holds, and join selectivities along
+   the schema's join edges (relationship to entity, derived table to
+   its endpoints and to TopInfo). *)
+let check_statistics_equal ~what (built : Engine.t) (loaded : Engine.t) =
+  let module Schema = Topo_sql.Schema in
+  let module Expr = Topo_sql.Expr in
+  let module Table_stats = Topo_sql.Table_stats in
+  let catalog = built.Engine.ctx.Context.catalog in
+  let catalog' = loaded.Engine.ctx.Context.catalog in
+  let keywords =
+    List.map fst (Biozon.Vocab.protein_keywords @ Biozon.Vocab.interaction_keywords @ Biozon.Vocab.dna_types)
+    @ Array.to_list Biozon.Vocab.fillers
+  in
+  let same label b l =
+    if not (Float.equal b l) then Alcotest.failf "%s: %s: built %h, loaded %h" what label b l
+  in
+  let contains_checked = ref 0 in
+  List.iter
+    (fun tb' ->
+      let name = Table.name tb' in
+      let schema = Table.schema tb' in
+      let st = Catalog.stats catalog name and st' = Catalog.stats catalog' name in
+      let rows = Table.rows tb' in
+      let n = Array.length rows in
+      Array.iteri
+        (fun col (c : Schema.column) ->
+          let label s = Printf.sprintf "%s.%s %s" name c.Schema.name s in
+          let sel s pred =
+            same (label s)
+              (Table_stats.predicate_selectivity st schema pred)
+              (Table_stats.predicate_selectivity st' schema pred)
+          in
+          Alcotest.(check int) (label "distinct") (Table_stats.distinct st col) (Table_stats.distinct st' col);
+          sel "IS NULL" (Expr.IsNull (Expr.Col col));
+          List.iter
+            (fun i ->
+              let v = Expr.Const rows.(i).(col) in
+              let s op = Printf.sprintf "%s row %d's value" op i in
+              sel (s "=") (Expr.Cmp (Expr.Eq, Expr.Col col, v));
+              sel (s "<=") (Expr.Cmp (Expr.Le, Expr.Col col, v));
+              sel (s ">") (Expr.Cmp (Expr.Gt, Expr.Col col, v)))
+            (if n = 0 then [] else [ 0; n / 2; n - 1 ]);
+          if c.Schema.ty = Schema.TStr then
+            List.iter
+              (fun kw ->
+                incr contains_checked;
+                sel (Printf.sprintf "ct(%S)" kw) (Expr.Contains (Expr.Col col, kw)))
+              keywords)
+        (Schema.columns schema))
+    (Catalog.tables catalog');
+  let edges =
+    List.concat_map
+      (fun (r : Biozon.Bschema.relationship) ->
+        Biozon.Bschema.[ (r.r_table, r.from_col, r.from_type, "ID"); (r.r_table, r.to_col, r.to_type, "ID") ])
+      Biozon.Bschema.relationships
+    @ List.concat_map
+        (fun (t1, t2, _) ->
+          let alltops, lefttops, excptops, topinfo = Store.table_names ~t1 ~t2 in
+          [ (alltops, "E1", t1, "ID"); (alltops, "E2", t2, "ID") ]
+          @ List.map (fun tb -> (tb, "TID", topinfo, "TID")) [ alltops; lefttops; excptops ])
+        loaded.Engine.build_stats
+  in
+  List.iter
+    (fun (lt, lc, rt, rc) ->
+      let js cat =
+        let col t c = Schema.index_of (Table.schema (Catalog.find cat t)) c in
+        Table_stats.join_selectivity ~left:(Catalog.stats cat lt) ~left_col:(col lt lc)
+          ~right:(Catalog.stats cat rt) ~right_col:(col rt rc)
+      in
+      same (Printf.sprintf "join %s.%s = %s.%s" lt lc rt rc) (js catalog) (js catalog'))
+    edges;
+  Alcotest.(check bool) (what ^ ": some string column was checked") true (!contains_checked > 0)
+
+(* For a full engine and for both slices of a 2-shard cut. *)
+let test_statistics_survive () =
   let engine = generated_engine () in
   with_temp_snapshot engine (fun path ->
-      let loaded = Snapshot.load path in
-      let catalog = engine.Engine.ctx.Context.catalog in
-      let catalog' = loaded.Engine.ctx.Context.catalog in
-      let keywords =
-        List.map fst (Biozon.Vocab.protein_keywords @ Biozon.Vocab.interaction_keywords @ Biozon.Vocab.dna_types)
-        @ Array.to_list Biozon.Vocab.fillers
-      in
-      let checked = ref 0 in
-      List.iter
-        (fun tb ->
-          let name = Table.name tb in
-          let schema = Table.schema tb in
-          Array.iteri
-            (fun col (c : Topo_sql.Schema.column) ->
-              if c.Topo_sql.Schema.ty = Topo_sql.Schema.TStr then
-                List.iter
-                  (fun kw ->
-                    let pred = Topo_sql.Expr.Contains (Topo_sql.Expr.Col col, kw) in
-                    let sel cat = Topo_sql.Table_stats.predicate_selectivity (Catalog.stats cat name) schema pred in
-                    incr checked;
-                    let built = sel catalog and restored = sel catalog' in
-                    if not (Float.equal built restored) then
-                      Alcotest.failf "%s.%s ct(%S): built %h, loaded %h" name c.Topo_sql.Schema.name kw built
-                        restored)
-                  keywords)
-            (Topo_sql.Schema.columns schema))
-        (Catalog.tables catalog);
-      Alcotest.(check bool) "some string column was checked" true (!checked > 0))
+      check_statistics_equal ~what:"full engine" engine (Snapshot.load path));
+  Suite_wire.with_temp_dir (fun dir ->
+      let (_ : Snapshot.manifest * int) = Snapshot.save_sharded engine ~dir ~shards:2 in
+      for k = 0 to 1 do
+        check_statistics_equal ~what:(Printf.sprintf "slice %d" k) engine
+          (Snapshot.load (Snapshot.shard_path ~dir k))
+      done)
 
 (* Keyword postings are derived, not persisted: a loaded (columnar)
    table must answer every keyword with the same rows as the built one. *)
@@ -235,6 +298,34 @@ let prop_generated_roundtrip =
           let loaded = Snapshot.load path in
           Engine.fingerprint engine = Engine.fingerprint loaded
           && serve_fp engine = serve_fp loaded))
+
+(* A snapshot is a function of the build alone: serving queries fills
+   statistics, indexes and postings, none of which the file holds, so
+   saving again after a served batch writes the same bytes — for a whole
+   engine and for every slice of a 2-shard cut and its manifest. *)
+let test_save_after_serving () =
+  let engine = generated_engine () in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let save () = with_temp_snapshot engine read in
+  let cut dir =
+    let (_ : Snapshot.manifest * int) = Snapshot.save_sharded engine ~dir ~shards:2 in
+    List.map
+      (fun f -> (f, read (Filename.concat dir f)))
+      [ "shard-0.snap"; "shard-1.snap"; "manifest" ]
+  in
+  Suite_wire.with_temp_dir (fun before_dir ->
+      Suite_wire.with_temp_dir (fun after_dir ->
+          let before = save () in
+          let slices_before = cut before_dir in
+          ignore (serve_fp engine : string);
+          let after = save () in
+          let slices_after = cut after_dir in
+          Alcotest.(check bool) "snapshot saved after serving = saved after the build" true
+            (String.equal before after);
+          List.iter2
+            (fun (f, b) (_, a) ->
+              Alcotest.(check bool) (f ^ " cut after serving = cut after the build") true (String.equal b a))
+            slices_before slices_after))
 
 (* --- corrupted snapshots -------------------------------------------------- *)
 
@@ -519,11 +610,12 @@ let suites =
         Alcotest.test_case "paper db round trip" `Quick test_paper_roundtrip;
         Alcotest.test_case "generated instance: tables, indexes, registry" `Quick
           test_generated_roundtrip_details;
-        Alcotest.test_case "Contains estimates: loaded = built" `Quick test_contains_estimates_survive;
+        Alcotest.test_case "derived statistics: loaded = built" `Quick test_statistics_survive;
         Alcotest.test_case "keyword postings: loaded = built" `Quick test_keyword_postings_survive;
         Alcotest.test_case "irregular cells: loaded = built" `Quick test_irregular_cells_roundtrip;
         QCheck_alcotest.to_alcotest prop_generated_roundtrip;
         Alcotest.test_case "jobs=2 build saves the jobs=1 bytes" `Quick test_jobs_invariant_bytes;
+        Alcotest.test_case "save after serving = save after the build" `Quick test_save_after_serving;
       ] );
     ( "snapshot.corruption",
       [
