@@ -170,12 +170,9 @@ let of_workload_line catalog ~t1 ~t2 line =
                   `Request (make ~scheme ~k method_ (Query.make (ep t1 (get 2)) (ep t2 (get 3)))))))
 
 (* ------------------------------------------------------------------ *)
-(* Wire codec.
-
-   The payload layouts live here, next to [key], so the canonical key,
-   the cache key and the wire form evolve at one site; [Wire] supplies
-   only the frame envelope and the primitives.  Two deliberate
-   asymmetries with the in-memory types:
+(* Wire codec: one [Wire.codec] value per layout, next to [key], so the
+   canonical key, the cache key and the wire form evolve at one site.
+   Two deliberate asymmetries with the in-memory types:
 
    - the deadline IS encoded (a shard must enforce it) even though [key]
      excludes it — the key names the answer, the wire carries the work;
@@ -186,282 +183,136 @@ let of_workload_line catalog ~t1 ~t2 line =
 
 module E = Topo_sql.Expr
 
-let method_tag m =
-  let rec idx i = function
-    | [] -> Wire.fail "encode: method %s is not in Methods.all_methods" (Methods.method_name m)
-    | m' :: tl -> if m' = m then i else idx (i + 1) tl
-  in
-  idx 0 Methods.all_methods
+let method_tag what = Wire.enum what Methods.all_methods
 
-let method_of_tag tag =
-  match List.nth_opt Methods.all_methods tag with
-  | Some m -> m
-  | None -> Wire.fail "corrupt request: unknown method tag %d" tag
+let expr =
+  let cmp = Wire.enum "comparison tag" E.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+  Wire.fix (fun expr ->
+      Wire.(
+        sum "expression tag"
+          [
+            case (u32 "column position") (fun i -> E.Col i) (function E.Col i -> Some i | _ -> None);
+            case (value "constant") (fun v -> E.Const v) (function E.Const v -> Some v | _ -> None);
+            case (triple cmp expr expr)
+              (fun (c, a, b) -> E.Cmp (c, a, b))
+              (function E.Cmp (c, a, b) -> Some (c, a, b) | _ -> None);
+            case (list "conjunct count" expr) (fun es -> E.And es) (function E.And es -> Some es | _ -> None);
+            case (list "disjunct count" expr) (fun es -> E.Or es) (function E.Or es -> Some es | _ -> None);
+            case expr (fun e -> E.Not e) (function E.Not e -> Some e | _ -> None);
+            case (pair expr (str "containment keyword"))
+              (fun (e, kw) -> E.Contains (e, kw))
+              (function E.Contains (e, kw) -> Some (e, kw) | _ -> None);
+            case expr (fun e -> E.IsNull e) (function E.IsNull e -> Some e | _ -> None);
+          ]))
 
-let scheme_tag = function Ranking.Freq -> 0 | Ranking.Rare -> 1 | Ranking.Domain -> 2
+let endpoint =
+  Wire.(
+    record (fun entity label pred -> { Query.entity; label; pred })
+    |+ (str "endpoint entity", fun e -> e.Query.entity)
+    |+ (str "endpoint label", fun e -> e.Query.label)
+    |+ (option "endpoint predicate presence" expr, fun e -> e.Query.pred)
+    |> seal)
 
-let scheme_of_tag = function
-  | 0 -> Ranking.Freq
-  | 1 -> Ranking.Rare
-  | 2 -> Ranking.Domain
-  | t -> Wire.fail "corrupt request: unknown ranking scheme tag %d" t
+let deadline =
+  Wire.(
+    sum "deadline tag"
+      [
+        case unit (fun () -> None) (function None -> Some () | Some _ -> None);
+        case (f64 "wall deadline")
+          (fun t -> Some (Budget.Wall t))
+          (function Some (Budget.Wall t) -> Some t | _ -> None);
+        case (i64 "tick deadline")
+          (fun n -> Some (Budget.Ticks n))
+          (function Some (Budget.Ticks n) -> Some n | _ -> None);
+      ])
 
-let cmp_tag = function E.Eq -> 0 | E.Ne -> 1 | E.Lt -> 2 | E.Le -> 3 | E.Gt -> 4 | E.Ge -> 5
+let request =
+  Wire.(
+    record (fun method_ scheme k deadline e1 e2 -> { method_; query = { Query.e1; e2 }; scheme; k; deadline })
+    |+ (method_tag "method tag", fun (r : t) -> r.method_)
+    |+ (enum "ranking scheme tag" Ranking.[ Freq; Rare; Domain ], fun r -> r.scheme)
+    |+ (u32 "k", fun r -> r.k)
+    |+ (deadline, fun r -> r.deadline)
+    |+ (endpoint, fun r -> r.query.Query.e1)
+    |+ (endpoint, fun r -> r.query.Query.e2)
+    |> seal)
 
-let cmp_of_tag = function
-  | 0 -> E.Eq
-  | 1 -> E.Ne
-  | 2 -> E.Lt
-  | 3 -> E.Le
-  | 4 -> E.Gt
-  | 5 -> E.Ge
-  | t -> Wire.fail "corrupt predicate: unknown comparison tag %d" t
+let result =
+  let module O = Topo_sql.Optimizer in
+  Wire.(
+    record (fun ranked elapsed_s method_ strategy -> { ranked; elapsed_s; method_; strategy })
+    |+ ( list "ranked length" (pair (i64 "ranked tid") (option "score presence" (f64 "score"))),
+         fun (r : result) -> r.ranked )
+    |+ (f64 "elapsed seconds", fun r -> r.elapsed_s)
+    |+ (method_tag "result method tag", fun r -> r.method_)
+    |+ (enum "strategy tag" [ None; Some O.Regular; Some O.Early_termination ], fun r -> r.strategy)
+    |> seal)
 
-let rec w_expr buf = function
-  | E.Col i ->
-      Wire.w_u8 buf 0;
-      Wire.w_u32 buf i
-  | E.Const v ->
-      Wire.w_u8 buf 1;
-      Wire.w_value buf v
-  | E.Cmp (c, a, b) ->
-      Wire.w_u8 buf 2;
-      Wire.w_u8 buf (cmp_tag c);
-      w_expr buf a;
-      w_expr buf b
-  | E.And es ->
-      Wire.w_u8 buf 3;
-      Wire.w_u32 buf (List.length es);
-      List.iter (w_expr buf) es
-  | E.Or es ->
-      Wire.w_u8 buf 4;
-      Wire.w_u32 buf (List.length es);
-      List.iter (w_expr buf) es
-  | E.Not e ->
-      Wire.w_u8 buf 5;
-      w_expr buf e
-  | E.Contains (e, kw) ->
-      Wire.w_u8 buf 6;
-      w_expr buf e;
-      Wire.w_str buf kw
-  | E.IsNull e ->
-      Wire.w_u8 buf 7;
-      w_expr buf e
+let failure =
+  Wire.(
+    sum "failure tag"
+      [
+        case
+          (triple (str "unknown pair t1") (str "unknown pair t2")
+             (list "held pair count" (pair (str "held pair t1") (str "held pair t2"))))
+          (fun (t1, t2, held) -> Unknown_pair { t1; t2; held })
+          (function Unknown_pair { t1; t2; held } -> Some (t1, t2, held) | _ -> None);
+        case
+          (pair (u32 "unreachable shard") (str "unreachable reason"))
+          (fun (shard, reason) -> Shard_unreachable { shard; reason })
+          (function Shard_unreachable { shard; reason } -> Some (shard, reason) | _ -> None);
+        case (str "failure message") (fun msg -> Internal msg) (function Internal msg -> Some msg | _ -> None);
+      ])
 
-let rec r_expr r =
-  match Wire.r_u8 r "predicate tag" with
-  | 0 -> E.Col (Wire.r_u32 r "column position")
-  | 1 -> E.Const (Wire.r_value r "constant")
-  | 2 ->
-      let c = cmp_of_tag (Wire.r_u8 r "comparison tag") in
-      let a = r_expr r in
-      let b = r_expr r in
-      E.Cmp (c, a, b)
-  | 3 ->
-      let n = Wire.r_count r "conjunct count" in
-      E.And (Wire.r_list r n "conjunct" (fun () -> r_expr r))
-  | 4 ->
-      let n = Wire.r_count r "disjunct count" in
-      E.Or (Wire.r_list r n "disjunct" (fun () -> r_expr r))
-  | 5 -> E.Not (r_expr r)
-  | 6 ->
-      let e = r_expr r in
-      E.Contains (e, Wire.r_str r "containment keyword")
-  | 7 -> E.IsNull (r_expr r)
-  | t -> Wire.fail "corrupt predicate: unknown expression tag %d" t
+let outcome_result =
+  Wire.(
+    sum "outcome tag"
+      [
+        case result (fun r -> Done r) (function Done r -> Some r | _ -> None);
+        case result (fun r -> Partial r) (function Partial r -> Some r | _ -> None);
+        case unit (fun () -> Rejected Overloaded) (function Rejected Overloaded -> Some () | _ -> None);
+        case unit (fun () -> Rejected Expired) (function Rejected Expired -> Some () | _ -> None);
+        case failure (fun f -> Failed f) (function Failed f -> Some f | _ -> None);
+      ])
 
-let w_opt buf w = function
-  | None -> Wire.w_bool buf false
-  | Some v ->
-      Wire.w_bool buf true;
-      w buf v
+let outcome =
+  let module C = Topo_sql.Iterator.Counters in
+  Wire.(
+    record (fun request result tuples index_probes rows_scanned served_by cache ->
+        { request; result; counters = { C.tuples; index_probes; rows_scanned }; served_by; trace = None; cache })
+    |+ (request, fun o -> o.request)
+    |+ (outcome_result, fun o -> o.result)
+    |+ (i64 "tuples counter", fun o -> o.counters.C.tuples)
+    |+ (i64 "index probes counter", fun o -> o.counters.C.index_probes)
+    |+ (i64 "rows scanned counter", fun o -> o.counters.C.rows_scanned)
+    |+ (i64 "serving domain id", fun o -> o.served_by)
+    |+ (enum "cache status tag" [ Hit; Miss; Uncached ], fun o -> o.cache)
+    |> seal)
 
-let r_opt r what f = if Wire.r_bool r what then Some (f r) else None
+let write_payload = request.Wire.write
 
-let w_endpoint buf (e : Query.endpoint) =
-  Wire.w_str buf e.Query.entity;
-  Wire.w_str buf e.Query.label;
-  w_opt buf w_expr e.Query.pred
+let read_payload = request.Wire.read
 
-let r_endpoint r =
-  let entity = Wire.r_str r "endpoint entity" in
-  let label = Wire.r_str r "endpoint label" in
-  let pred = r_opt r "endpoint predicate presence" r_expr in
-  { Query.entity; pred; label }
+let write_outcome_payload = outcome.Wire.write
 
-let w_deadline buf = function
-  | None -> Wire.w_u8 buf 0
-  | Some (Budget.Wall t) ->
-      Wire.w_u8 buf 1;
-      Wire.w_f64 buf t
-  | Some (Budget.Ticks n) ->
-      Wire.w_u8 buf 2;
-      Wire.w_i64 buf n
-
-let r_deadline r =
-  match Wire.r_u8 r "deadline tag" with
-  | 0 -> None
-  | 1 -> Some (Budget.Wall (Wire.r_f64 r "wall deadline"))
-  | 2 -> Some (Budget.Ticks (Wire.r_i64 r "tick deadline"))
-  | t -> Wire.fail "corrupt request: unknown deadline tag %d" t
-
-let write_payload buf (req : t) =
-  Wire.w_u8 buf (method_tag req.method_);
-  Wire.w_u8 buf (scheme_tag req.scheme);
-  Wire.w_u32 buf req.k;
-  w_deadline buf req.deadline;
-  w_endpoint buf req.query.Query.e1;
-  w_endpoint buf req.query.Query.e2
-
-let read_payload r =
-  let method_ = method_of_tag (Wire.r_u8 r "method tag") in
-  let scheme = scheme_of_tag (Wire.r_u8 r "ranking scheme tag") in
-  let k = Wire.r_u32 r "k" in
-  let deadline = r_deadline r in
-  let e1 = r_endpoint r in
-  let e2 = r_endpoint r in
-  { method_; query = { Query.e1; e2 }; scheme; k; deadline }
-
-let w_result buf (res : result) =
-  Wire.w_u32 buf (List.length res.ranked);
-  List.iter
-    (fun (tid, score) ->
-      Wire.w_i64 buf tid;
-      w_opt buf Wire.w_f64 score)
-    res.ranked;
-  Wire.w_f64 buf res.elapsed_s;
-  Wire.w_u8 buf (method_tag res.method_);
-  Wire.w_u8 buf
-    (match res.strategy with
-    | None -> 0
-    | Some Topo_sql.Optimizer.Regular -> 1
-    | Some Topo_sql.Optimizer.Early_termination -> 2)
-
-let r_result r =
-  let n = Wire.r_count r "ranked length" in
-  let ranked =
-    Wire.r_list r n "ranked entry" (fun () ->
-        let tid = Wire.r_i64 r "ranked tid" in
-        let score = r_opt r "score presence" (fun r -> Wire.r_f64 r "score") in
-        (tid, score))
-  in
-  let elapsed_s = Wire.r_f64 r "elapsed seconds" in
-  let method_ = method_of_tag (Wire.r_u8 r "result method tag") in
-  let strategy =
-    match Wire.r_u8 r "strategy tag" with
-    | 0 -> None
-    | 1 -> Some Topo_sql.Optimizer.Regular
-    | 2 -> Some Topo_sql.Optimizer.Early_termination
-    | t -> Wire.fail "corrupt outcome: unknown strategy tag %d" t
-  in
-  { ranked; elapsed_s; method_; strategy }
-
-let write_outcome_payload buf (o : outcome) =
-  write_payload buf o.request;
-  (match o.result with
-  | Done res ->
-      Wire.w_u8 buf 0;
-      w_result buf res
-  | Partial res ->
-      Wire.w_u8 buf 1;
-      w_result buf res
-  | Rejected Overloaded -> Wire.w_u8 buf 2
-  | Rejected Expired -> Wire.w_u8 buf 3
-  | Failed f -> (
-      Wire.w_u8 buf 4;
-      match f with
-      | Unknown_pair { t1; t2; held } ->
-          Wire.w_u8 buf 0;
-          Wire.w_str buf t1;
-          Wire.w_str buf t2;
-          Wire.w_u32 buf (List.length held);
-          List.iter
-            (fun (a, b) ->
-              Wire.w_str buf a;
-              Wire.w_str buf b)
-            held
-      | Shard_unreachable { shard; reason } ->
-          Wire.w_u8 buf 1;
-          Wire.w_u32 buf shard;
-          Wire.w_str buf reason
-      | Internal msg ->
-          Wire.w_u8 buf 2;
-          Wire.w_str buf msg));
-  Wire.w_i64 buf o.counters.Topo_sql.Iterator.Counters.tuples;
-  Wire.w_i64 buf o.counters.Topo_sql.Iterator.Counters.index_probes;
-  Wire.w_i64 buf o.counters.Topo_sql.Iterator.Counters.rows_scanned;
-  Wire.w_i64 buf o.served_by;
-  Wire.w_u8 buf (match o.cache with Hit -> 0 | Miss -> 1 | Uncached -> 2)
-
-let r_failure r =
-  match Wire.r_u8 r "failure tag" with
-  | 0 ->
-      let t1 = Wire.r_str r "unknown pair t1" in
-      let t2 = Wire.r_str r "unknown pair t2" in
-      let n = Wire.r_count r "held pair count" in
-      let held =
-        Wire.r_list r n "held pair" (fun () ->
-            let a = Wire.r_str r "held pair t1" in
-            (a, Wire.r_str r "held pair t2"))
-      in
-      Unknown_pair { t1; t2; held }
-  | 1 ->
-      let shard = Wire.r_u32 r "unreachable shard" in
-      Shard_unreachable { shard; reason = Wire.r_str r "unreachable reason" }
-  | 2 -> Internal (Wire.r_str r "failure message")
-  | t -> Wire.fail "corrupt outcome: unknown failure tag %d" t
-
-let read_outcome_payload r =
-  let request = read_payload r in
-  let result =
-    match Wire.r_u8 r "outcome tag" with
-    | 0 -> Done (r_result r)
-    | 1 -> Partial (r_result r)
-    | 2 -> Rejected Overloaded
-    | 3 -> Rejected Expired
-    | 4 -> Failed (r_failure r)
-    | t -> Wire.fail "corrupt outcome: unknown outcome tag %d" t
-  in
-  let tuples = Wire.r_i64 r "tuples counter" in
-  let index_probes = Wire.r_i64 r "index probes counter" in
-  let rows_scanned = Wire.r_i64 r "rows scanned counter" in
-  let counters = { Topo_sql.Iterator.Counters.tuples; index_probes; rows_scanned } in
-  let served_by = Wire.r_i64 r "serving domain id" in
-  let cache =
-    match Wire.r_u8 r "cache status tag" with
-    | 0 -> Hit
-    | 1 -> Miss
-    | 2 -> Uncached
-    | t -> Wire.fail "corrupt outcome: unknown cache status tag %d" t
-  in
-  { request; result; counters; served_by; trace = None; cache }
+let read_outcome_payload = outcome.Wire.read
 
 (* A batch payload is a u32 count and that many item payloads. *)
-let write_batch write items =
-  let buf = Buffer.create 4096 in
-  Wire.w_u32 buf (List.length items);
-  List.iter (write buf) items;
-  Buffer.contents buf
-
-let read_batch_frame ~kind ~noun ?expect read (k, payload) =
+let read_batch_frame ~kind ~noun items (k, payload) =
   if k <> kind then
     Wire.fail "expected a %s frame, got a %s frame" (Wire.kind_name kind) (Wire.kind_name k);
-  let r = Wire.reader ~what:(noun ^ " payload") payload in
-  let n = Wire.r_count r "batch size" in
-  (match expect with
-  | Some e when n <> e -> Wire.fail "%s carries %d item(s) for a %d-request batch" noun n e
-  | _ -> ());
-  let items = Wire.r_list r n noun (fun () -> read r) in
-  Wire.r_end r;
-  items
+  Wire.decode ~what:(noun ^ " payload") (Wire.list "batch size" items) payload
 
-let batch_payload reqs = write_batch write_payload reqs
+let batch_payload = Wire.encode (Wire.list "batch size" request)
 
-let read_batch frame =
-  read_batch_frame ~kind:Wire.kind_batch_request ~noun:"batch request" read_payload frame
+let read_batch frame = read_batch_frame ~kind:Wire.kind_batch_request ~noun:"batch request" request frame
 
-let outcome_batch_payload outcomes = write_batch write_outcome_payload outcomes
+let outcome_batch_payload = Wire.encode (Wire.list "batch size" outcome)
 
 let read_outcome_batch ?expect frame =
-  read_batch_frame ~kind:Wire.kind_batch_outcome ~noun:"batch outcome" ?expect read_outcome_payload
-    frame
+  let outcomes = read_batch_frame ~kind:Wire.kind_batch_outcome ~noun:"batch outcome" outcome frame in
+  (match expect with
+  | Some e when List.length outcomes <> e ->
+      Wire.fail "batch outcome carries %d item(s) for a %d-request batch" (List.length outcomes) e
+  | _ -> ());
+  outcomes

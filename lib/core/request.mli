@@ -136,7 +136,8 @@ val of_workload_line :
 (** {1 Wire codec}
 
     Requests and outcomes cross process boundaries (router ↔ shard
-    server) as {!Wire} frames.  The payload codecs live here, beside
+    server) as {!Wire} frames.  The payload codecs live here, each one
+    {!Wire.codec} value holding its writer and its reader, beside
     {!key}, so the canonical key, the cache key and the wire form are
     documented and maintained at one site.  Note the asymmetry with
     {!key}: the deadline is {e excluded} from the key (it bounds
@@ -147,7 +148,8 @@ val of_workload_line :
     documented exception: the trace is not wire-encoded (a decoded
     outcome has [trace = None]; fingerprints ignore traces). *)
 
-(** Payload-level codecs of one request and one outcome. *)
+(** The writer and reader of the request codec and of the outcome
+    codec. *)
 
 val write_payload : Buffer.t -> t -> unit
 

@@ -75,10 +75,7 @@ let dial t k =
         fail "shard %d at %s sent a %s frame where a hello was expected" k
           (Wire.addr_to_string addr) (Wire.kind_name kind)
       end;
-      let r = Wire.reader ~what:"hello payload" payload in
-      let index = Wire.r_u32 r "shard index" in
-      let fp = Wire.r_str r "engine fingerprint" in
-      Wire.r_end r;
+      let index, fp = Wire.decode ~what:"hello payload" Shard.hello payload in
       if index <> k then begin
         Unix.close fd;
         fail "shard address %d (%s) answered as shard %d — sockets passed in the wrong order?"

@@ -64,11 +64,7 @@ let rec reserve inflight ~limit n =
   else if Atomic.compare_and_set inflight cur (cur + n) then true
   else reserve inflight ~limit n
 
-let hello_payload ~shard ~fingerprint =
-  let buf = Buffer.create 64 in
-  Wire.w_u32 buf shard;
-  Wire.w_str buf fingerprint;
-  Buffer.contents buf
+let hello = Wire.(pair (u32 "shard index") (str "engine fingerprint"))
 
 (* Evaluate one admitted batch through the shared serving tier.  The
    config is forced closed-loop onto the server's pool: open-loop pacing
@@ -84,7 +80,7 @@ let evaluate ~serve ~pool ~inflight engine reqs =
       (Serve.exec cfg engine reqs).Serve.outcomes)
 
 let serve_conn ~serve ~pool ~inflight ~max_inflight ~shard ~fingerprint engine fd =
-  Wire.send fd ~kind:Wire.kind_hello (hello_payload ~shard ~fingerprint);
+  Wire.send fd ~kind:Wire.kind_hello (Wire.encode hello (shard, fingerprint));
   let rec loop () =
     match Wire.recv fd with
     | None -> ()

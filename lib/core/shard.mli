@@ -19,6 +19,10 @@
 
 type t
 
+val hello : (int * string) Wire.codec
+(** The hello payload: the shard index (u32), then the engine
+    fingerprint.  The router reads it with this same codec. *)
+
 (** [start ?serve ?max_inflight ?read_timeout_s ?write_timeout_s ~shard
     addr engine] binds [addr], spawns the accept-loop domain, and
     returns immediately.

@@ -12,12 +12,10 @@
     working {!Engine.t} from it in milliseconds, without touching the
     generator.
 
-    Format (little-endian throughout): a fixed header — magic
-    ["TOPOSNAP"], a format version, a flags word, the payload length, the
-    engine's {!Engine.fingerprint} and a whole-payload checksum — followed
-    by marker-introduced sections.  Table tuples are stored column-major:
-    a tag byte per cell plus, for numeric columns, a fixed-width 8-byte
-    payload array; [load] decodes them cell by cell into ordinary rows.
+    The bytes are described by {!Snapshot_format}, one codec per
+    section: a header (magic, version, flags, payload length, the
+    engine's {!Engine.fingerprint} and a whole-payload checksum), then
+    marker-introduced sections.
 
     Failure modes are loud: a bad magic, an unsupported version, a
     truncated file, a flipped payload byte (the checksum covers every
@@ -30,8 +28,7 @@
 (** Raised by {!save} (unencodable state, I/O errors) and {!load}
     (unreadable, corrupt, version-mismatched, or fingerprint-mismatched
     snapshots).  The message says what was being read and where.  It is
-    {!Wire.Error}: snapshots read and write through {!Wire}'s primitives
-    and bounds-checked reader. *)
+    {!Wire.Error}: snapshots read and write through {!Wire} codecs. *)
 exception Error of string
 
 (** The format version this build writes and reads.  Bumped on any layout

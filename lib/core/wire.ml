@@ -1,23 +1,24 @@
-(* The binary wire protocol's framing layer.
+(* The binary wire protocol's framing layer, and the byte codecs every
+   format of the repository is described with.
 
    One frame is one message between a router and a shard server:
 
      magic "TOPOWIRE" | version u16 | kind u8 | payload length u32
      | payload checksum (MD5, 16 raw bytes) | payload bytes
 
-   All integers are little-endian; the
-   header is a fixed 31 bytes so a reader can pull it in one blocking
-   read and know exactly how much payload follows.  The checksum covers
-   every payload byte, so a flipped bit in transit is a loud [Error],
-   never a silently wrong answer.
+   All integers are little-endian; the header is a fixed 31 bytes so a
+   reader can pull it in one blocking read and know exactly how much
+   payload follows.  The checksum covers every payload byte, so a
+   flipped bit in transit is a loud [Error], never a silently wrong
+   answer.
 
-   This module is deliberately *below* [Request] in the module graph: it
-   knows framing, little-endian primitives and socket IO, but nothing
-   about what the payloads mean.  [Request] owns the payload codecs,
-   batch format included, and delegate the frame envelope here, so the
-   canonical key, the cache key and the wire form live at one site.
-   The primitives and the reader are the repository's only byte codec:
-   [Snapshot] writes and reads its files through them too.
+   A format is described once, as an ['a codec]: one value holding both
+   its writer and its reader, built from labelled primitives and a few
+   combinators.  The label names the field in decode errors, with the
+   offset reached.  This module knows nothing of what payloads mean, so
+   it sits below [Request], which owns the request and outcome codecs
+   and delegates the frame envelope here; [Shard]'s hello and every
+   snapshot section are codec values too.
 
    Socket IO: [send]/[recv] speak frames over a connected socket with
    optional read/write timeouts (SO_RCVTIMEO/SO_SNDTIMEO, see
@@ -56,7 +57,8 @@ let kind_name = function
   | k -> Printf.sprintf "unknown-%d" k
 
 (* ------------------------------------------------------------------ *)
-(* Writer primitives (Buffer-streamed, little-endian)                  *)
+(* Primitives: little-endian writers into a [Buffer.t], and a
+   bounds-checked reader over one payload                              *)
 
 let w_u8 buf n = Buffer.add_char buf (Char.chr (n land 0xff))
 
@@ -70,78 +72,31 @@ let w_u32 buf n =
   if n < 0 || n > max_u32 then fail "encode: u32 out of range (%d)" n;
   Buffer.add_int32_le buf (Int32.of_int n)
 
-let w_i64 buf n = Buffer.add_int64_le buf (Int64.of_int n)
-
-let w_f64 buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
-
-let w_str buf s =
-  w_u32 buf (String.length s);
-  Buffer.add_string buf s
-
-let w_bool buf b = w_u8 buf (if b then 1 else 0)
-
-let w_value buf = function
-  | Topo_sql.Value.Null -> w_u8 buf 0
-  | Topo_sql.Value.Int n ->
-      w_u8 buf 1;
-      w_i64 buf n
-  | Topo_sql.Value.Float f ->
-      w_u8 buf 2;
-      w_f64 buf f
-  | Topo_sql.Value.Str s ->
-      w_u8 buf 3;
-      w_str buf s
-
-(* ------------------------------------------------------------------ *)
-(* Reader: a bounds-checked cursor over one payload                    *)
-
 type reader = { data : string; mutable pos : int; ctx : string }
 
 let reader ?(what = "payload") data = { data; pos = 0; ctx = what }
 
+let source r = r.data
+
 let offset r = r.pos
 
-let need r n what =
+let r_skip r n what =
   if n < 0 || r.pos + n > String.length r.data then
     fail "truncated %s: need %d byte(s) for %s at offset %d of %d" r.ctx n what r.pos
-      (String.length r.data)
-
-let r_u8 r what =
-  need r 1 what;
-  let c = Char.code r.data.[r.pos] in
-  r.pos <- r.pos + 1;
-  c
-
-let r_u16 r what =
-  need r 2 what;
-  let v = String.get_uint16_le r.data r.pos in
-  r.pos <- r.pos + 2;
-  v
-
-let r_u32 r what =
-  need r 4 what;
-  let v = Int32.to_int (String.get_int32_le r.data r.pos) in
-  r.pos <- r.pos + 4;
-  if v < 0 then fail "corrupt %s: negative %s (%d) at offset %d" r.ctx what v (r.pos - 4);
-  v
-
-let r_i64 r what =
-  need r 8 what;
-  let v = String.get_int64_le r.data r.pos in
-  r.pos <- r.pos + 8;
-  Int64.to_int v
-
-let r_f64 r what =
-  need r 8 what;
-  let v = Int64.float_of_bits (String.get_int64_le r.data r.pos) in
-  r.pos <- r.pos + 8;
-  v
-
-let r_skip r n what =
-  need r n what;
+      (String.length r.data);
   let at = r.pos in
   r.pos <- at + n;
   at
+
+let r_u8 r what = Char.code r.data.[r_skip r 1 what]
+
+let r_u16 r what = String.get_uint16_le r.data (r_skip r 2 what)
+
+let r_u32 r what =
+  let at = r_skip r 4 what in
+  let v = Int32.to_int (String.get_int32_le r.data at) in
+  if v < 0 then fail "corrupt %s: negative %s (%d) at offset %d" r.ctx what v at;
+  v
 
 let r_count r what =
   let n = r_u32 r what in
@@ -152,29 +107,9 @@ let r_count r what =
       (String.length r.data - r.pos);
   n
 
-let r_str r what =
-  let n = r_count r what in
-  need r n what;
-  let s = String.sub r.data r.pos n in
-  r.pos <- r.pos + n;
-  s
-
-let r_bool r what =
-  match r_u8 r what with
-  | 0 -> false
-  | 1 -> true
-  | b -> fail "corrupt %s: bad boolean %d reading %s" r.ctx b what
-
-let r_value r what =
-  match r_u8 r what with
-  | 0 -> Topo_sql.Value.Null
-  | 1 -> Topo_sql.Value.Int (r_i64 r what)
-  | 2 -> Topo_sql.Value.Float (r_f64 r what)
-  | 3 -> Topo_sql.Value.Str (r_str r what)
-  | t -> fail "corrupt %s: unknown value tag %d reading %s at offset %d" r.ctx t what (r.pos - 1)
-
-(* Explicit recursion: List.init's evaluation order is unspecified and
-   the element reader advances the cursor. *)
+(* Explicit recursion here and in [list]: List.init's evaluation order
+   is unspecified and the element reader advances the cursor.  The two
+   ignored arguments keep the signature the repository benchmark calls. *)
 let r_list (_ : reader) n (_ : string) f =
   let rec go i acc = if i = n then List.rev acc else go (i + 1) (f () :: acc) in
   go 0 []
@@ -182,6 +117,160 @@ let r_list (_ : reader) n (_ : string) f =
 let r_end r =
   if r.pos <> String.length r.data then
     fail "corrupt %s: %d trailing byte(s) after the last field" r.ctx (String.length r.data - r.pos)
+
+(* ------------------------------------------------------------------ *)
+(* Codecs: one value per format, its writer beside its reader          *)
+
+type 'a codec = { write : Buffer.t -> 'a -> unit; read : reader -> 'a }
+
+let encode c v =
+  let buf = Buffer.create 1024 in
+  c.write buf v;
+  Buffer.contents buf
+
+let decode ?what c data =
+  let r = reader ?what data in
+  let v = c.read r in
+  r_end r;
+  v
+
+let u8 what = { write = w_u8; read = (fun r -> r_u8 r what) }
+
+let u32 what = { write = w_u32; read = (fun r -> r_u32 r what) }
+
+let i64 what =
+  {
+    write = (fun buf n -> Buffer.add_int64_le buf (Int64.of_int n));
+    read = (fun r -> Int64.to_int (String.get_int64_le r.data (r_skip r 8 what)));
+  }
+
+let f64 what =
+  {
+    write = (fun buf f -> Buffer.add_int64_le buf (Int64.bits_of_float f));
+    read = (fun r -> Int64.float_of_bits (String.get_int64_le r.data (r_skip r 8 what)));
+  }
+
+let str what =
+  {
+    write =
+      (fun buf s ->
+        w_u32 buf (String.length s);
+        Buffer.add_string buf s);
+    read =
+      (fun r ->
+        let n = r_count r what in
+        String.sub r.data (r_skip r n what) n);
+  }
+
+let unit = { write = (fun _ () -> ()); read = (fun _ -> ()) }
+
+let literal what s =
+  {
+    write = (fun buf () -> Buffer.add_string buf s);
+    read =
+      (fun r ->
+        let at = r_skip r (String.length s) what in
+        let got = String.sub r.data at (String.length s) in
+        if got <> s then fail "bad %s %S in %s at offset %d (expected %S)" what got r.ctx at s);
+  }
+
+let map decode encode c = { write = (fun buf v -> c.write buf (encode v)); read = (fun r -> decode (c.read r)) }
+
+let list what c =
+  {
+    write =
+      (fun buf l ->
+        w_u32 buf (List.length l);
+        List.iter (c.write buf) l);
+    read =
+      (fun r ->
+        let n = r_count r what in
+        let rec go i acc = if i = n then List.rev acc else go (i + 1) (c.read r :: acc) in
+        go 0 []);
+  }
+
+(* A record is built field by field: [put] writes the fields so far and
+   [take] reads them into the partially applied constructor. *)
+type ('r, 'k) fields = { put : Buffer.t -> 'r -> unit; take : reader -> 'k }
+
+let record k = { put = (fun _ _ -> ()); take = (fun _ -> k) }
+
+let ( |+ ) f (c, get) =
+  {
+    put =
+      (fun buf v ->
+        f.put buf v;
+        c.write buf (get v));
+    take =
+      (fun r ->
+        let k = f.take r in
+        k (c.read r));
+  }
+
+let seal f = { write = f.put; read = f.take }
+
+let pair a b = seal (record (fun x y -> (x, y)) |+ (a, fst) |+ (b, snd))
+
+let triple a b c =
+  seal
+    (record (fun x y z -> (x, y, z))
+    |+ (a, fun (x, _, _) -> x)
+    |+ (b, fun (_, y, _) -> y)
+    |+ (c, fun (_, _, z) -> z))
+
+type 'a case = Case : 'b codec * ('b -> 'a) * ('a -> 'b option) -> 'a case
+
+let case c inject project = Case (c, inject, project)
+
+let sum what cases =
+  let cases = Array.of_list cases in
+  {
+    write =
+      (fun buf v ->
+        let rec go i =
+          if i = Array.length cases then fail "encode: %s has no case for this value" what
+          else
+            let (Case (c, _, project)) = cases.(i) in
+            match project v with
+            | Some x ->
+                w_u8 buf i;
+                c.write buf x
+            | None -> go (i + 1)
+        in
+        go 0);
+    read =
+      (fun r ->
+        let t = r_u8 r what in
+        if t >= Array.length cases then fail "corrupt %s: unknown %s %d at offset %d" r.ctx what t (r.pos - 1)
+        else
+          let (Case (c, inject, _)) = cases.(t) in
+          inject (c.read r));
+  }
+
+let enum what values =
+  sum what (List.map (fun v -> case unit (fun () -> v) (fun x -> if x = v then Some () else None)) values)
+
+let option what c =
+  sum what [ case unit (fun () -> None) (function None -> Some () | Some _ -> None); case c Option.some Fun.id ]
+
+(* The knot is tied once, when [fix] returns; recursive uses then force
+   an already-forced lazy value, which is safe from any domain. *)
+let fix f =
+  let rec knot = lazy (f self)
+  and self =
+    { write = (fun buf v -> (Lazy.force knot).write buf v); read = (fun r -> (Lazy.force knot).read r) }
+  in
+  Lazy.force knot
+
+let value what =
+  let module V = Topo_sql.Value in
+  sum (what ^ " value tag")
+    [
+      case unit (fun () -> V.Null) (function V.Null -> Some () | _ -> None);
+      case (i64 what) (fun n -> V.Int n) (function V.Int n -> Some n | _ -> None);
+      case (f64 what) (fun f -> V.Float f) (function V.Float f -> Some f | _ -> None);
+      case (str what) (fun s -> V.Str s) (function V.Str s -> Some s | _ -> None);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Frames                                                              *)
@@ -291,15 +380,10 @@ let recv fd =
   | None -> None
   | Some header ->
       let kind, len, checksum = decode_header header in
+      (* With [~at_start:false], any shortfall raises: never [None]. *)
       let payload =
-        if len = 0 then ""
-        else
-          match read_exactly fd len ~what:(kind_name kind ^ " frame payload") ~at_start:false with
-          | Some p -> p
-          | None ->
-              (* Unreachable: read_exactly with ~at_start:false raises on
-                 any shortfall rather than returning None. *)
-              fail "connection closed before any of the %s frame payload" (kind_name kind)
+        Option.value ~default:""
+          (read_exactly fd len ~what:(kind_name kind ^ " frame payload") ~at_start:false)
       in
       verify_checksum ~kind ~checksum payload;
       Some (kind, payload)

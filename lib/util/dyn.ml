@@ -66,11 +66,6 @@ let iter f t =
     f (unslot "iter" t.data.(i))
   done
 
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i (unslot "iteri" t.data.(i))
-  done
-
 let to_array t = Array.init t.len (fun i -> unslot "to_array" t.data.(i))
 
 let to_list t =

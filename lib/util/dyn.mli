@@ -37,9 +37,6 @@ val clear : 'a t -> unit
 (** [iter f t] applies [f] in index order. *)
 val iter : ('a -> unit) -> 'a t -> unit
 
-(** [iteri f t] applies [f i v] in index order. *)
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
-
 (** [to_array t] is a fresh array of the contents. *)
 val to_array : 'a t -> 'a array
 

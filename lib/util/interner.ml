@@ -29,4 +29,3 @@ let name t id =
 
 let count t = Dyn.length t.names
 
-let iter f t = Dyn.iteri f t.names

@@ -20,6 +20,3 @@ val name : t -> int -> string
 
 (** [count t] is the number of distinct interned strings. *)
 val count : t -> int
-
-(** [iter f t] applies [f id name] for every interned string in id order. *)
-val iter : (int -> string -> unit) -> t -> unit

@@ -240,9 +240,9 @@ let test_frame_rejections () =
 
 let test_reader_bounds () =
   let r = Wire.reader "\x05" in
-  expect_error "string past the payload end" (fun () -> Wire.r_str r "field");
+  expect_error "string past the payload end" (fun () -> (Wire.str "field").Wire.read r);
   let r2 = Wire.reader "\x01\x02" in
-  ignore (Wire.r_u8 r2 "first");
+  ignore ((Wire.u8 "first").Wire.read r2);
   expect_error "trailing bytes rejected" (fun () -> Wire.r_end r2)
 
 (* A k past the u32 range is refused at both ends: the encoder raises
@@ -387,8 +387,9 @@ let test_resaved_slice () =
 (* --- seeded mutation fuzzing of the one reader ---------------------------- *)
 
 (* One of four mutations of [s]: a bit flip, a truncation, a u32
-   overwritten with a length-like value, or a chunk of [s] spliced in
-   elsewhere. *)
+   overwritten with a length-like value (a splice instead when [s] is
+   shorter than a u32), or a chunk of [s] spliced in elsewhere.  [s]
+   must not be empty. *)
 let mutate rng s =
   let n = String.length s in
   let int bound = Random.State.int rng (max 1 bound) in
@@ -399,7 +400,7 @@ let mutate rng s =
       Bytes.set b i (Char.chr (Char.code s.[i] lxor (1 lsl int 8)));
       Bytes.to_string b
   | 1 -> String.sub s 0 (int n)
-  | 2 ->
+  | 2 when n >= 4 ->
       let b = Bytes.of_string s in
       let at = int (n - 3) in
       let len =
@@ -431,23 +432,20 @@ let test_snapshot_mutants () =
     (fun () ->
       let (_ : int) = Snapshot.save engine ~path in
       let file = In_channel.with_open_bin path In_channel.input_all in
-      (* Header: magic, version and flags (16 bytes), payload length,
-         fingerprint, checksum. *)
       let r = Wire.reader file in
-      let (_ : int) = Wire.r_skip r 16 "magic, version, flags" in
-      let payload_len = Wire.r_i64 r "payload length" in
-      let fingerprint = Wire.r_str r "fingerprint" in
-      let (_ : string) = Wire.r_str r "checksum" in
-      let payload = String.sub file (Wire.offset r) payload_len in
+      let header = Snapshot_format.header.Wire.read r in
+      let payload = String.sub file (Wire.offset r) header.Snapshot_format.payload_length in
       let rng = Random.State.make [| 20070415 |] in
       let rejected = ref 0 in
       for i = 1 to 1000 do
         let p = mutate rng payload in
         let b = Buffer.create (String.length file + 64) in
-        Buffer.add_string b (String.sub file 0 16);
-        Wire.w_i64 b (String.length p);
-        Wire.w_str b fingerprint;
-        Wire.w_str b (Digest.to_hex (Digest.string p));
+        Snapshot_format.header.Wire.write b
+          {
+            header with
+            Snapshot_format.payload_length = String.length p;
+            checksum = Digest.to_hex (Digest.string p);
+          };
         Buffer.add_string b p;
         Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc b);
         match Snapshot.load path with
@@ -459,30 +457,40 @@ let test_snapshot_mutants () =
       done;
       Alcotest.(check bool) "mutants are rejected" true (!rejected > 0))
 
-(* Mutated request and outcome payloads, re-framed with a valid checksum:
-   each decodes or raises [Wire.Error]. *)
+(* The property every codec keeps: decoding an encoding gives the value
+   back, re-encoding that gives the same bytes, and each of [mutants]
+   seeded mutations of the bytes decodes to a value or raises
+   [Wire.Error], never another exception. *)
+let check_codec ?(equal = ( = )) ?(mutants = 25) ~rng name (encode, decode) values =
+  let rejected = ref 0 in
+  List.iteri
+    (fun i v ->
+      let bytes = encode v in
+      let back = decode bytes in
+      if not (equal back v) then Alcotest.failf "%s: value %d does not round-trip" name i;
+      if encode back <> bytes then Alcotest.failf "%s: value %d re-encodes to other bytes" name i;
+      for _ = 1 to mutants do
+        let mutant = mutate rng bytes in
+        match decode mutant with
+        | _ -> ()
+        | exception Wire.Error _ -> incr rejected
+        | exception e ->
+            Alcotest.failf "%s: a mutant of value %d raised %s, not Wire.Error" name i (Printexc.to_string e)
+      done)
+    values;
+  Alcotest.(check bool) (name ^ ": mutants are rejected") true (!rejected > 0)
+
+(* Batch-of-one request and outcome payloads, decoded as frames of their
+   kind. *)
 let test_payload_mutants () =
   let rng = Random.State.make [| 1901 |] in
-  let rejected = ref 0 in
-  let fuzz kind decode payloads =
-    List.iteri
-      (fun i p ->
-        for _ = 1 to 25 do
-          match decode (Wire.frame ~kind (mutate rng p)) with
-          | _ -> ()
-          | exception Wire.Error _ -> incr rejected
-          | exception e ->
-              Alcotest.failf "%s mutant of payload %d raised %s, not Wire.Error" (Wire.kind_name kind)
-                i (Printexc.to_string e)
-        done)
-      payloads
-  in
-  fuzz Wire.kind_batch_request request_of_frame
-    (List.map (fun req -> Request.batch_payload [ req ]) (QCheck.Gen.generate ~rand:rng ~n:40 gen_request));
-  fuzz Wire.kind_batch_outcome outcomes_of_frame
-    (List.map (fun o -> Request.outcome_batch_payload [ o ])
-       (QCheck.Gen.generate ~rand:rng ~n:40 gen_outcome));
-  Alcotest.(check bool) "mutants are rejected" true (!rejected > 0)
+  let one gen = List.map (fun x -> [ x ]) (QCheck.Gen.generate ~rand:rng ~n:40 gen) in
+  check_codec ~rng "batch request"
+    (Request.batch_payload, fun p -> Request.read_batch (Wire.kind_batch_request, p))
+    (one gen_request);
+  check_codec ~rng "batch outcome"
+    (Request.outcome_batch_payload, fun p -> Request.read_outcome_batch (Wire.kind_batch_outcome, p))
+    (one gen_outcome)
 
 (* --- the shard fleet behind a router -------------------------------------- *)
 
