@@ -63,7 +63,7 @@ let run () =
       | [] -> ()
       | (a, b) :: _ -> (
           Printf.printf "example instance pair: Protein %d, DNA %d\n" a b;
-          match Topo_core.Instances.witness ctx ~tid ~a ~b with
+          match Topo_core.Instances.witness ctx store ~tid ~a ~b with
           | Some g ->
               Printf.printf "witness subgraph: %s\n"
                 (Lgraph.to_string ~node_name:(Interner.name interner) ~edge_name:(Interner.name interner) g)

@@ -29,7 +29,7 @@ let run () =
               let page = List.filteri (fun i _ -> i < 50) pairs in
               let ws =
                 List.filter_map
-                  (fun (a, b) -> Topo_core.Instances.witness ctx ~tid ~a ~b)
+                  (fun (a, b) -> Topo_core.Instances.witness ctx store ~tid ~a ~b)
                   page
               in
               (pairs, ws))

@@ -224,7 +224,7 @@ let tests () =
            match Topo_core.Analysis.top_frequent store ~n:1 with
            | (tid, _) :: _ -> (
                match Topo_core.Instances.pairs_of_topology ctx store ~tid with
-               | (a, b) :: _ -> Topo_core.Instances.witness ctx ~tid ~a ~b
+               | (a, b) :: _ -> Topo_core.Instances.witness ctx store ~tid ~a ~b
                | [] -> None)
            | [] -> None));
   ]

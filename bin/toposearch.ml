@@ -1089,7 +1089,9 @@ let nquery_run sweep entities kws max_tuples =
         (if r.Topo_core.Nquery.truncated then ", truncated" else "")
         (List.length r.Topo_core.Nquery.topologies);
       List.iter
-        (fun tid -> Printf.printf "  TID %-4d %s\n" tid (Engine.describe engine tid))
+        (fun (t : Topo_core.Topology.t) ->
+          Printf.printf "  TID %-4d %s\n" t.Topo_core.Topology.tid
+            (Topo_core.Topology.describe engine.Engine.ctx.Topo_core.Context.interner t))
         r.Topo_core.Nquery.topologies;
       print_endline "\nsample tuples:";
       List.iteri

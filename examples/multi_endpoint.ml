@@ -26,11 +26,16 @@ let () =
   let r = Nquery.run ctx ~endpoints () in
   Printf.printf "%d qualifying (protein, unigene, dna) tuples, %d topologies\n\n"
     (List.length r.Nquery.rows) (List.length r.Nquery.topologies);
+  (* New 3-endpoint topologies live only in the result, not the engine. *)
+  let describe tid =
+    Topology.describe ctx.Context.interner
+      (List.find (fun (t : Topology.t) -> t.Topology.tid = tid) r.Nquery.topologies)
+  in
   List.iter
     (fun (row : Nquery.row) ->
       Printf.printf "  tuple (%s):\n"
         (String.concat ", " (Array.to_list (Array.map string_of_int row.Nquery.entities)));
-      List.iter (fun tid -> Printf.printf "    %s\n" (Engine.describe engine tid)) row.Nquery.tids)
+      List.iter (fun tid -> Printf.printf "    %s\n" (describe tid)) row.Nquery.tids)
     r.Nquery.rows;
 
   (* --- comparing two queries' topology sets --------------------------- *)

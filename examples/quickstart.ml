@@ -49,7 +49,7 @@ let () =
       List.iter
         (fun (a, b) ->
           Printf.printf "    instance: Protein %d - DNA %d" a b;
-          match Instances.witness ctx ~tid ~a ~b with
+          match Instances.witness ctx store ~tid ~a ~b with
           | Some g -> Printf.printf "  (witness: %d nodes, %d edges)\n"
                         (Topo_graph.Lgraph.node_count g) (Topo_graph.Lgraph.edge_count g)
           | None -> print_newline ())
@@ -62,12 +62,10 @@ let () =
   let engine0 = Engine.build (Biozon.Paper_db.catalog ()) ~pairs:[ ("Protein", "DNA") ] ~pruning_threshold:0 () in
   let store0 = Engine.store engine0 ~t1:"Protein" ~t2:"DNA" in
   let pud =
-    List.find
-      (fun (t : Topology.t) -> t.Topology.n_edges = 2)
-      store0.Store.pruned
+    List.find (fun tid -> (Engine.topology engine0 tid).Topology.n_edges = 2) store0.Store.pruned
   in
-  Printf.printf "\nafter pruning T2 (%s):\n" (Engine.describe engine0 pud.Topology.tid);
+  Printf.printf "\nafter pruning T2 (%s):\n" (Engine.describe engine0 pud);
   Printf.printf "  (78, 215) in ExcpTops: %b   (related by T3/T4 instead)\n"
-    (Store.is_excepted store0 engine0.Engine.ctx.Context.catalog ~a:78 ~b:215 ~tid:pud.Topology.tid);
+    (Store.is_excepted store0 engine0.Engine.ctx.Context.catalog ~a:78 ~b:215 ~tid:pud);
   Printf.printf "  (44, 742) in ExcpTops: %b   (genuinely related by T2)\n"
-    (Store.is_excepted store0 engine0.Engine.ctx.Context.catalog ~a:44 ~b:742 ~tid:pud.Topology.tid)
+    (Store.is_excepted store0 engine0.Engine.ctx.Context.catalog ~a:44 ~b:742 ~tid:pud)

@@ -7,8 +7,7 @@
    tier's outcome fingerprint bit-identical between cold and warm passes
    — a hit is indistinguishable from a re-evaluation.
 
-   It follows the topology registry's snapshot-under-[Atomic.t] pattern:
-   the entry map lives in ONE immutable snapshot behind an [Atomic.t];
+   The entry map lives in ONE immutable snapshot behind an [Atomic.t];
    readers do a single [Atomic.get] and touch only immutable data,
    writers serialize on a mutex, build a new snapshot and publish it
    with [Atomic.set].  LRU recency is kept per entry in an [Atomic.t]
@@ -29,7 +28,8 @@
 
    Nothing invalidates an entry: an answer depends only on the engine's
    derived tables and topology registry, and both are frozen once the
-   engine is built or loaded (serving never registers a topology). *)
+   engine is built or loaded (a served engine holds no registry
+   builder). *)
 
 module Counters = Topo_sql.Iterator.Counters
 module Dyn = Topo_util.Dyn

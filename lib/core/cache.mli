@@ -5,9 +5,9 @@
     strategy choice, and the isolated work counters, replayed on a hit so
     outcome fingerprints stay bit-identical between cold and warm passes.
 
-    It uses the topology registry's snapshot-under-[Atomic.t] pattern:
-    lookups are lock-free (one [Atomic.get] plus an atomic recency
-    stamp), writers serialize on a mutex and publish immutable snapshots.
+    Lookups are lock-free (one [Atomic.get] of an immutable snapshot
+    plus an atomic recency stamp); writers serialize on a mutex and
+    publish new snapshots.
     Eviction is exact LRU by entry count against a fixed capacity: the
     writer pops the least-recently-used entry from a min-heap of
     (tick, key), pushing back any item whose entry was hit since, in
@@ -15,7 +15,7 @@
 
     Nothing invalidates an entry: the derived tables and the topology
     registry an answer depends on are frozen once the engine is built or
-    loaded, and serving never registers a topology. *)
+    loaded: a served engine holds no registry builder. *)
 
 type stats = {
   hits : int;

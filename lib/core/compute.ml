@@ -323,20 +323,15 @@ let unions_of_pairs pool dg caps pendings =
       Array.map (unions_of_pair dg caps memo) chunk)
   |> Array.to_list |> Array.concat
 
-let commit registry protos =
+let commit builder protos =
   Array.to_list protos
   |> List.map (fun pr ->
          let tids =
            List.map
              (fun (key, graph) ->
                (* A registered class keeps its first representative, so only
-                  a class new to the registry needs this pair's union graph. *)
-               let graph =
-                 match Topology.find_by_key registry key with
-                 | Some t -> t.Topology.graph
-                 | None -> Lazy.force graph
-               in
-               (Topology.register ~key registry graph ~decomposition:pr.pr_class_keys).Topology.tid)
+                  a class new to the builder forces this pair's union graph. *)
+               (Topology.register ~key builder graph ~decomposition:pr.pr_class_keys).Topology.tid)
              pr.pr_topos
          in
          { a = pr.pr_a; b = pr.pr_b; tids = List.sort compare tids; class_keys = pr.pr_class_keys })

@@ -150,13 +150,12 @@ val proto_capped : proto -> bool
     the sweep had no need to). *)
 val proto_topos : proto -> (string * Topo_graph.Lgraph.t) list
 
-(** [commit registry protos] registers every topology under the key the
+(** [commit builder protos] registers every topology under the key the
     union phase computed, assigning TIDs in array order (sort protos by
     (a, b) first — {!merge_shards} already does), and returns the final
-    rows.  A class already in [registry] keeps its representative, so a
-    union graph is built only for a class new to it.  Must run on the single domain that
-    owns [registry]. *)
-val commit : Topology.registry -> proto array -> pair_row list
+    rows.  A class already in [builder] keeps its representative, so a
+    union graph is built only for a class new to it. *)
+val commit : Topology.builder -> proto array -> pair_row list
 
 (** [sweep_stats ~schema_paths ~shards ~protos ~rows] assembles the sweep
     statistics from the stage outputs. *)

@@ -1,7 +1,8 @@
 (** Shared query-engine context: the catalog plus the derived structures
-    every method needs (instance graph, schema graph, topology registry,
-    per-pair stores, and the class-key -> schema-path dictionary used by
-    pruned-topology checks). *)
+    every method needs (instance graph, schema graph, the frozen topology
+    registry, per-pair stores, and the class-key -> schema-path dictionary
+    used by pruned-topology checks).  It holds no registry builder, so
+    nothing registers a topology into a served engine. *)
 
 (** A path class compiled for walking: {!Topo_graph.Data_graph.iter_ends}
     over each element reaches every instance path of the class from a

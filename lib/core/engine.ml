@@ -35,14 +35,16 @@ let build catalog ~pairs ?(l = 3) ?(caps = Compute.default_caps) ?(pruning_thres
   let interner = Topo_util.Interner.create () in
   let dg = Biozon.Bschema.data_graph catalog interner in
   let schema = Biozon.Bschema.schema_graph () in
-  let registry = Topology.create_registry () in
+  let builder = Topology.builder () in
+  (* The registry is frozen once every pair has committed; until then it
+     is the empty one. *)
   let ctx =
     {
       Context.catalog;
       interner;
       dg;
       schema;
-      registry;
+      registry = Topology.freeze builder;
       l;
       caps;
       class_paths = Hashtbl.create 256;
@@ -105,12 +107,15 @@ let build catalog ~pairs ?(l = 3) ?(caps = Compute.default_caps) ?(pruning_thres
             | None -> failwith "Engine.build: proto cursor misaligned with pending pairs"))
           out
       in
-      (* Phase C: commit + store build, coordinator only, declared order. *)
+      (* Phase C: commit + store build, coordinator only, declared order.
+         Each store reads the registry as its own commit left it. *)
       let build_stats =
         List.mapi
           (fun i (t1, t2, paths) ->
-            let rows = Compute.commit registry protos_by_pair.(i) in
-            let store = Store.build catalog interner registry ~rows ~t1 ~t2 ~pruning_threshold in
+            let rows = Compute.commit builder protos_by_pair.(i) in
+            let store =
+              Store.build catalog interner (Topology.freeze builder) ~rows ~t1 ~t2 ~pruning_threshold
+            in
             Hashtbl.replace ctx.Context.stores (t1, t2) store;
             ( t1,
               t2,
@@ -118,7 +123,7 @@ let build catalog ~pairs ?(l = 3) ?(caps = Compute.default_caps) ?(pruning_thres
                 ~protos:protos_by_pair.(i) ~rows ))
           pair_paths
       in
-      { ctx; build_stats })
+      { ctx = { ctx with Context.registry = Topology.freeze builder }; build_stats })
 
 (* One cache per engine; the engine is frozen, so the cache needs nothing
    from it. *)
@@ -241,7 +246,7 @@ let fingerprint t =
       Buffer.add_string buf (Printf.sprintf "T%d %s" tp.Topology.tid tp.Topology.key);
       List.iter
         (fun d -> Buffer.add_string buf ("|" ^ String.concat "," d))
-        (Atomic.get tp.Topology.decompositions);
+        tp.Topology.decompositions;
       Buffer.add_char buf '\n')
     (Topology.all t.ctx.Context.registry);
   let tables =

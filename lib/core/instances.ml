@@ -39,7 +39,7 @@ let class_reps (ctx : Context.t) key ~a ~b =
   if p.Sg.types.(0) = p.Sg.types.(Array.length p.Sg.types - 1) && rev <> p then collect rev;
   List.rev !reps
 
-let witness_combo_for (ctx : Context.t) (target : Topology.t) decomposition ~a ~b =
+let witness_combo_for (ctx : Context.t) target decomposition ~a ~b =
   let per_class = List.map (fun key -> (key, class_reps ctx key ~a ~b)) decomposition in
   if List.exists (fun (_, reps) -> reps = []) per_class then None
   else begin
@@ -57,7 +57,7 @@ let witness_combo_for (ctx : Context.t) (target : Topology.t) decomposition ~a ~
       decr budget;
       let chosen = List.init n (fun c -> reps.(c).(indices.(c))) in
       let g = Compute.union_of_representatives ctx.Context.dg chosen in
-      if Canon.key g = target.Topology.key then
+      if Canon.key g = target then
         result := Some (List.map2 (fun (key, _) rep -> (key, rep)) (Array.to_list classes) chosen)
       else begin
         let rec bump c =
@@ -76,14 +76,12 @@ let witness_combo_for (ctx : Context.t) (target : Topology.t) decomposition ~a ~
     !result
   end
 
-let witness_combo (ctx : Context.t) ~tid ~a ~b =
-  let target = Topology.find ctx.Context.registry tid in
-  List.find_map
-    (fun d -> witness_combo_for ctx target d ~a ~b)
-    (Atomic.get target.Topology.decompositions)
+let witness_combo (ctx : Context.t) store ~tid ~a ~b =
+  let target = (Topology.find ctx.Context.registry tid).Topology.key in
+  List.find_map (fun d -> witness_combo_for ctx target d ~a ~b) (Store.decompositions store tid)
 
-let witness ctx ~tid ~a ~b =
-  match witness_combo ctx ~tid ~a ~b with
+let witness ctx store ~tid ~a ~b =
+  match witness_combo ctx store ~tid ~a ~b with
   | None -> None
   | Some combo ->
       Some (Compute.union_of_representatives ctx.Context.dg (List.map snd combo))

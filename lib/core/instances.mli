@@ -12,8 +12,9 @@ val pairs_of_topology : Context.t -> Store.t -> tid:int -> (int * int) list
 val qualifying_pairs :
   Context.t -> Store.t -> e1:Query.endpoint -> e2:Query.endpoint -> tid:int -> (int * int) list
 
-(** [witness ctx ~tid ~a ~b] re-derives one instance subgraph realizing
-    the topology for the pair: a union of one instance path per class of
-    the topology's decomposition that canonicalizes to [tid].  Returns
-    [None] when (a, b) is not actually related by the topology. *)
-val witness : Context.t -> tid:int -> a:int -> b:int -> Topo_graph.Lgraph.t option
+(** [witness ctx store ~tid ~a ~b] re-derives one instance subgraph
+    realizing the topology for the pair: a union of one instance path per
+    class of one of the store's derivations of [tid]
+    ({!Store.decompositions}) that canonicalizes to [tid].  Returns [None]
+    when (a, b) is not actually related by the topology. *)
+val witness : Context.t -> Store.t -> tid:int -> a:int -> b:int -> Topo_graph.Lgraph.t option

@@ -129,7 +129,7 @@ let pruned_walk_side (ctx : Context.t) aligned =
    topology's path condition (under this derivation) without being
    excepted?  The first class is walked from [side]; the later classes and
    the ExcpTops test keep the (E1, E2) orientation. *)
-let pruned_find_one (ctx : Context.t) aligned ~side (p : Topology.t) decomposition =
+let pruned_find_one (ctx : Context.t) aligned ~side tid decomposition =
   match decomposition with
   | [] -> false
   | first :: others -> (
@@ -151,16 +151,16 @@ let pruned_find_one (ctx : Context.t) aligned ~side (p : Topology.t) decompositi
                     Context.mem_id far partner
                     && List.for_all (fun w -> Context.connects ctx w ~a ~b) others
                     && not
-                         (Store.is_excepted aligned.store ctx.Context.catalog ~a ~b ~tid:p.Topology.tid)
+                         (Store.is_excepted aligned.store ctx.Context.catalog ~a ~b ~tid)
                   then raise Found
                 end))
           (Lazy.force starts);
         false
       with Found -> true)
 
-let pruned_check ctx aligned (p : Topology.t) =
+let pruned_check ctx aligned tid =
   let side = pruned_walk_side ctx aligned in
-  List.exists (pruned_find_one ctx aligned ~side p) (Atomic.get p.Topology.decompositions)
+  List.exists (pruned_find_one ctx aligned ~side tid) (Store.decompositions aligned.store tid)
 
 (* ------------------------------------------------------------------ *)
 (* Non-top-k methods                                                   *)
@@ -176,10 +176,7 @@ let fast_top ?check ?trace ctx aligned =
   let extra =
     sp ?trace "pruned_checks"
       ~tags:[ ("pruned", string_of_int (List.length aligned.store.Store.pruned)) ]
-      (fun () ->
-        List.filter_map
-          (fun (p : Topology.t) -> if pruned_check ctx aligned p then Some p.Topology.tid else None)
-          aligned.store.Store.pruned)
+      (fun () -> List.filter (pruned_check ctx aligned) aligned.store.Store.pruned)
   in
   List.sort_uniq compare (base @ extra)
 
@@ -196,15 +193,11 @@ let sql_method ?trace (ctx : Context.t) aligned =
   let t1 = store.Store.t1 and t2 = store.Store.t2 in
   (* Recompute over the schema paths the build kept: a path filter
      (exclude_weak, min_reliability) drops classes no observed topology's
-     decomposition holds.  Each sweep row registered its class keys as a
-     decomposition of its topologies; keys other pairs registered name
-     paths between other types, which the t1-t2 listing below drops. *)
+     derivation on this pair holds. *)
   let kept = Hashtbl.create 32 in
   List.iter
     (fun tid ->
-      List.iter
-        (List.iter (fun key -> Hashtbl.replace kept key ()))
-        (Atomic.get (Topology.find ctx.Context.registry tid).Topology.decompositions))
+      List.iter (List.iter (fun key -> Hashtbl.replace kept key ())) (Store.decompositions store tid))
     !observed;
   let paths =
     List.filter
@@ -212,12 +205,10 @@ let sql_method ?trace (ctx : Context.t) aligned =
       (Compute.schema_paths_between ctx.Context.schema ~t1 ~t2 ~l:ctx.Context.l)
   in
   let check tid =
-    let p = Topology.find ctx.Context.registry tid in
+    let key = (Topology.find ctx.Context.registry tid).Topology.key in
     let first_classes =
       List.sort_uniq compare
-        (List.filter_map
-           (function c :: _ -> Some c | [] -> None)
-           (Atomic.get p.Topology.decompositions))
+        (List.filter_map (function c :: _ -> Some c | [] -> None) (Store.decompositions store tid))
     in
     let checked = Hashtbl.create 64 in
     try
@@ -234,7 +225,7 @@ let sql_method ?trace (ctx : Context.t) aligned =
                         Compute.pair_topologies ctx.Context.dg ~paths ~same_type:(t1 = t2) ~a ~b
                           ~caps:ctx.Context.caps
                       in
-                      if List.mem p.Topology.key keys then raise Found
+                      if List.mem key keys then raise Found
                     end
                   end))
             a_ids)
@@ -297,8 +288,7 @@ let budget_stop = function Some b -> Budget.tick b | None -> false
 let merge_with_pruned ?trace ?budget ctx aligned ~scheme ~k ~next_witness =
   let pruned =
     List.map
-      (fun (p : Topology.t) ->
-        (p, Store.score_of aligned.store ctx.Context.catalog scheme p.Topology.tid))
+      (fun p -> (p, Store.score_of aligned.store ctx.Context.catalog scheme p))
       aligned.store.Store.pruned
     |> List.sort (fun (_, sa) (_, sb) -> Float.compare sb sa)
   in
@@ -316,14 +306,14 @@ let merge_with_pruned ?trace ?budget ctx aligned ~scheme ~k ~next_witness =
       let pending = match pending with Some _ -> pending | None -> next_witness () in
       match (pending, pruned_left) with
       | None, [] -> ()
-      | Some (tid, score), ((p : Topology.t), pscore) :: rest when pscore > score ->
-          if check p then add p.Topology.tid pscore;
+      | Some (tid, score), (p, pscore) :: rest when pscore > score ->
+          if check p then add p pscore;
           loop (Some (tid, score)) rest
       | Some (tid, score), _ ->
           add tid score;
           loop None pruned_left
       | None, (p, pscore) :: rest ->
-          if check p then add p.Topology.tid pscore;
+          if check p then add p pscore;
           loop None rest
     end
   in
@@ -413,8 +403,8 @@ let fast_top_k ?check ?trace ?plan ctx aligned ~scheme ~k =
   in
   let candidates =
     List.filter_map
-      (fun (p : Topology.t) ->
-        let s = Store.score_of aligned.store ctx.Context.catalog scheme p.Topology.tid in
+      (fun p ->
+        let s = Store.score_of aligned.store ctx.Context.catalog scheme p in
         if s > kth_score then Some (p, s) else None)
       aligned.store.Store.pruned
   in
@@ -423,7 +413,7 @@ let fast_top_k ?check ?trace ?plan ctx aligned ~scheme ~k =
       ~tags:[ ("candidates", string_of_int (List.length candidates)) ]
       (fun () ->
         List.filter_map
-          (fun (p, s) -> if pruned_check ctx aligned p then Some (p.Topology.tid, s) else None)
+          (fun (p, s) -> if pruned_check ctx aligned p then Some (p, s) else None)
           candidates)
   in
   let merged = sort_desc (base @ extra) in

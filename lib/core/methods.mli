@@ -110,8 +110,9 @@ val dispatch :
     paths, whether it finds a pair or not.  Exposed for tests. *)
 val pruned_walk_side : Context.t -> aligned -> [ `E1 | `E2 ]
 
-(** [pruned_check ctx aligned topology] decides whether some qualifying
-    pair satisfies the pruned topology's path condition and survives the
+(** [pruned_check ctx aligned tid] decides whether some qualifying pair
+    satisfies the pruned topology's path condition under one of the
+    store's derivations ({!Store.decompositions}) and survives the
     ExcpTops anti-check — the bottom sub-query of SQL1/SQL5.  Exposed for
     tests. *)
-val pruned_check : Context.t -> aligned -> Topology.t -> bool
+val pruned_check : Context.t -> aligned -> int -> bool

@@ -4,7 +4,7 @@ module Lgraph = Topo_graph.Lgraph
 
 type row = { entities : int array; tids : int list }
 
-type result = { rows : row list; topologies : int list; tuples_examined : int; truncated : bool }
+type result = { rows : row list; topologies : Topology.t list; tuples_examined : int; truncated : bool }
 
 (* Representatives of every path class between two concrete entities,
    over every schema path of length <= l, capped and ordered exactly as
@@ -28,7 +28,9 @@ let connected_spanning g entities =
   (if Array.length entities > 0 then dfs entities.(0));
   Array.for_all (fun id -> Hashtbl.mem seen id) entities
 
-let tuple_topologies (ctx : Context.t) ~types ~entities =
+(* The TIDs of one tuple's spanning topologies, registered into
+   [builder]: the private table layered over the engine's registry. *)
+let spanning_tids (ctx : Context.t) builder ~types ~entities =
   let n = Array.length entities in
   if Array.length types <> n then invalid_arg "Nquery.tuple_topologies: arity mismatch";
   (* All pairwise class representatives, remembering each class's key so
@@ -57,7 +59,7 @@ let tuple_topologies (ctx : Context.t) ~types ~entities =
       let chosen = Array.to_list (Array.mapi (fun c idx -> classes.(c).(idx)) indices) in
       let g = Compute.union_of_representatives ctx.Context.dg chosen in
       if connected_spanning g entities then begin
-        let t = Topology.register ctx.Context.registry g ~decomposition:class_keys in
+        let t = Topology.register builder (Lazy.from_val g) ~decomposition:class_keys in
         if not (List.mem t.Topology.tid !tids) then tids := t.Topology.tid :: !tids
       end;
       let rec bump c =
@@ -74,6 +76,11 @@ let tuple_topologies (ctx : Context.t) ~types ~entities =
     done;
     List.sort compare !tids
   end
+
+let tuple_topologies (ctx : Context.t) ~types ~entities =
+  let builder = Topology.builder ~over:ctx.Context.registry () in
+  let tids = spanning_tids ctx builder ~types ~entities in
+  List.map (Topology.find (Topology.freeze builder)) tids
 
 let run (ctx : Context.t) ~endpoints ?(max_tuples = 10_000) () =
   let n = List.length endpoints in
@@ -97,6 +104,7 @@ let run (ctx : Context.t) ~endpoints ?(max_tuples = 10_000) () =
   let truncated = ref false in
   let rows = ref [] in
   let ids = Array.map (Context.satisfying_ids ctx) eps in
+  let builder = Topology.builder ~over:ctx.Context.registry () in
   (try
      Array.iter
        (fun a0 ->
@@ -112,7 +120,7 @@ let run (ctx : Context.t) ~endpoints ?(max_tuples = 10_000) () =
                raise Exit
              end;
              let entities = Array.of_list (List.rev chosen) in
-             let tids = tuple_topologies ctx ~types ~entities in
+             let tids = spanning_tids ctx builder ~types ~entities in
              if tids <> [] then rows := { entities; tids } :: !rows
            end
            else begin
@@ -128,7 +136,8 @@ let run (ctx : Context.t) ~endpoints ?(max_tuples = 10_000) () =
        ids.(0)
    with Exit -> ());
   let rows = List.rev !rows in
+  let registry = Topology.freeze builder in
   let topologies =
-    List.sort_uniq compare (List.concat_map (fun r -> r.tids) rows)
+    List.map (Topology.find registry) (List.sort_uniq compare (List.concat_map (fun r -> r.tids) rows))
   in
   { rows; topologies; tuples_examined = !tuples_examined; truncated = !truncated }

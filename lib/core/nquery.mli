@@ -13,7 +13,11 @@
     Enumeration starts from the first endpoint's satisfying entities and
     grows tuples through schema-path reachability, so unrelated entity
     combinations are never materialized.  Caps bound the usual
-    weak-relationship blowups. *)
+    weak-relationship blowups.
+
+    An n-query writes nothing into the engine: new topologies go into a
+    private table over its frozen registry, TIDs past [Topology.count]
+    in first-seen order, and results carry the topologies. *)
 
 type row = {
   entities : int array;  (** the n-tuple, in endpoint order *)
@@ -22,7 +26,7 @@ type row = {
 
 type result = {
   rows : row list;
-  topologies : int list;  (** distinct TIDs over all rows, ascending *)
+  topologies : Topology.t list;  (** the distinct topologies over all rows, by ascending TID *)
   tuples_examined : int;
   truncated : bool;  (** true when [max_tuples] stopped enumeration *)
 }
@@ -35,6 +39,6 @@ type result = {
 val run : Context.t -> endpoints:Query.endpoint list -> ?max_tuples:int -> unit -> result
 
 (** [tuple_topologies ctx ~types ~entities] computes the topology set of
-    one explicit tuple (exposed for tests): [types] are the entity-set
-    names, [entities] the ids. *)
-val tuple_topologies : Context.t -> types:string array -> entities:int array -> int list
+    one explicit tuple, by ascending TID (exposed for tests): [types] are
+    the entity-set names, [entities] the ids. *)
+val tuple_topologies : Context.t -> types:string array -> entities:int array -> Topology.t list

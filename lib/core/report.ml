@@ -35,7 +35,7 @@ let render (engine : Engine.t) (q : Query.t) (result : Request.result) ?(options
           Buffer.add_string buf
             (Printf.sprintf "   - %s  <->  %s\n" (entity_line catalog a) (entity_line catalog b));
           if options.show_witness then
-            match Instances.witness ctx ~tid ~a ~b with
+            match Instances.witness ctx store ~tid ~a ~b with
             | Some g ->
                 let name l = Topo_util.Interner.name ctx.Context.interner l in
                 Buffer.add_string buf

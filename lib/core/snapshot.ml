@@ -4,7 +4,8 @@
    module lays the sections out in file order ([payload]), turns an
    engine into their values and back, and runs the checks that span
    sections, after the decode: interned ids are dense, every topology
-   re-registers under its TID and key, every store's tables exist, and
+   re-registers under its TID and key, every store's tables exist, every
+   TID a store's TopInfo lists has a derivation of that store's own, and
    the reconstructed engine reproduces the [Engine.fingerprint] recorded
    at save time.
 
@@ -22,29 +23,7 @@ exception Error = Wire.Error
 
 let fail = Wire.fail
 
-let version = 4
-
-(* Pairs whose schema paths [load] must register beyond the built pairs'
-   own.  A shard slice keeps the full registry, and the registry dedupes
-   canonical topologies across pairs, so a topology observed on this
-   slice's pair can hold decompositions recorded during another pair's
-   sweep.  Each pooled class key the built pairs do not register names
-   its pair by its path's end types.  Empty for a full engine. *)
-let class_pairs (engine : Engine.t) pool =
-  let ctx = engine.Engine.ctx in
-  let own = Hashtbl.create 256 in
-  List.iter
-    (fun (t1, t2, _) ->
-      List.iter
-        (fun p -> Hashtbl.replace own (Topo_graph.Schema_graph.path_key p) ())
-        (Topo_graph.Schema_graph.paths ctx.Context.schema ~from_:t1 ~to_:t2 ~max_len:ctx.Context.l))
-    engine.Engine.build_stats;
-  List.filter (fun key -> not (Hashtbl.mem own key)) pool
-  |> List.map (fun key ->
-         match Context.class_path ctx key with
-         | { Topo_graph.Schema_graph.types; _ } -> (types.(0), types.(Array.length types - 1))
-         | exception Not_found -> fail "save: class key %s has no registered schema path" key)
-  |> List.sort_uniq compare
+let version = 5
 
 (* The payload: every section, in file order. *)
 type payload = {
@@ -54,20 +33,18 @@ type payload = {
   topologies : F.topology list;
   build : int * Compute.caps * (string * string * Compute.stats) list;
   stores : (string * string * int list) list;
-  class_pairs : (string * string) list;
 }
 
-let payload ~flagged =
+let payload =
   Wire.(
-    record (fun interned class_keys catalog topologies build stores class_pairs () ->
-        { interned; class_keys; catalog; topologies; build; stores; class_pairs })
+    record (fun interned class_keys catalog topologies build stores () ->
+        { interned; class_keys; catalog; topologies; build; stores })
     |+ (F.interned, fun p -> p.interned)
     |+ (F.class_keys, fun p -> p.class_keys)
     |+ (F.catalog, fun p -> p.catalog)
     |+ (F.topologies, fun p -> p.topologies)
     |+ (F.build, fun p -> p.build)
     |+ (F.stores, fun p -> p.stores)
-    |+ ((if flagged then F.class_pairs else map (fun () -> []) ignore unit), fun p -> p.class_pairs)
     |+ (F.end_marker, fun _ -> ())
     |> seal)
 
@@ -99,7 +76,7 @@ let save (engine : Engine.t) ~path =
           F.key = t.Topology.key;
           nodes = List.map (fun id -> (id, Topo_graph.Lgraph.node_label g id)) (Topo_graph.Lgraph.nodes g);
           edges = Topo_graph.Lgraph.edges g;
-          decompositions = List.map (List.map pool_id) (Atomic.get t.Topology.decompositions);
+          decompositions = List.map (List.map pool_id) t.Topology.decompositions;
         })
       topologies
   in
@@ -108,14 +85,12 @@ let save (engine : Engine.t) ~path =
     List.map
       (fun (t1, t2, _) ->
         match Hashtbl.find_opt ctx.Context.stores (t1, t2) with
-        | Some s -> (t1, t2, List.map (fun (p : Topology.t) -> p.Topology.tid) s.Store.pruned)
+        | Some s -> (t1, t2, s.Store.pruned)
         | None -> fail "save: no store for built pair %s-%s" t1 t2)
       engine.Engine.build_stats
   in
-  let class_pairs = class_pairs engine class_keys in
-  let flagged = class_pairs <> [] in
   let body =
-    Wire.encode (payload ~flagged)
+    Wire.encode payload
       {
         interned = List.init (Topo_util.Interner.count interner) (Topo_util.Interner.name interner);
         class_keys;
@@ -123,7 +98,6 @@ let save (engine : Engine.t) ~path =
         topologies;
         build = (ctx.Context.l, ctx.Context.caps, engine.Engine.build_stats);
         stores;
-        class_pairs;
       }
   in
   (* The engine fingerprint only digests the registry and the derived
@@ -133,7 +107,6 @@ let save (engine : Engine.t) ~path =
     Wire.encode F.header
       {
         F.version;
-        flags = (if flagged then 1 else 0);
         payload_length = String.length body;
         fingerprint = Engine.fingerprint engine;
         checksum = Digest.to_hex (Digest.string body);
@@ -164,7 +137,7 @@ let engine_of p =
       fail "corrupt snapshot: class-key pool index %d out of range (pool has %d)" i (Array.length pool);
     pool.(i)
   in
-  let registry = Topology.create_registry () in
+  let builder = Topology.builder () in
   List.iteri
     (fun i (t : F.topology) ->
       let tid = i + 1 in
@@ -174,16 +147,13 @@ let engine_of p =
       match List.map (List.map pool_str) t.F.decompositions with
       | [] -> fail "corrupt snapshot: topology %d has no decomposition" tid
       | d :: ds ->
-          let r =
-            List.fold_left
-              (fun _ d -> Topology.register registry g ~decomposition:d)
-              (Topology.register registry g ~decomposition:d)
-              ds
-          in
+          let register d = Topology.register builder (Lazy.from_val g) ~decomposition:d in
+          let r = List.fold_left (fun _ d -> register d) (register d) ds in
           if r.Topology.tid <> tid || r.Topology.key <> t.F.key then
             fail "corrupt snapshot: topology %d reconstructed as TID %d with key %s (file records key %s)"
               tid r.Topology.tid r.Topology.key t.F.key)
     p.topologies;
+  let registry = Topology.freeze builder in
   let l, caps, build_stats = p.build in
   let catalog = p.catalog in
   (* The derived graphs are rebuilt, not stored: the data graph and
@@ -212,15 +182,16 @@ let engine_of p =
           if not (Catalog.mem catalog name) then
             fail "corrupt snapshot: store %s-%s references missing table %s" t1 t2 name)
         [ alltops; lefttops; excptops; topinfo ];
+      let class_keys =
+        List.map Topo_graph.Schema_graph.path_key
+          (Compute.schema_paths_between ctx.Context.schema ~t1 ~t2 ~l)
+      in
       let store =
-        try Store.restore catalog registry ~t1 ~t2 ~pruned
+        try Store.restore catalog registry ~class_keys ~t1 ~t2 ~pruned
         with Invalid_argument msg -> fail "corrupt snapshot: %s" msg
       in
       Hashtbl.replace ctx.Context.stores (t1, t2) store)
     p.stores;
-  (* Class pairs (flag bit 0): register schema paths for pairs whose
-     sweeps contributed decompositions to this slice's shared registry. *)
-  List.iter (fun (t1, t2) -> Context.register_class_paths ctx ~t1 ~t2) p.class_pairs;
   { Engine.ctx; build_stats }
 
 let load path =
@@ -235,8 +206,6 @@ let load path =
   let h = F.header.Wire.read r in
   if h.F.version <> version then
     fail "unsupported snapshot version %d in %s (this build reads version %d)" h.F.version path version;
-  if h.F.flags land lnot 1 <> 0 then
-    fail "unsupported snapshot flags %#x in %s (this build understands only bit 0)" h.F.flags path;
   let at = Wire.offset r in
   if String.length data - at <> h.F.payload_length then
     fail "truncated snapshot %s: header promises %d payload byte(s), file has %d" path h.F.payload_length
@@ -247,7 +216,7 @@ let load path =
       h.F.checksum actual_checksum;
   let engine =
     try
-      let p = (payload ~flagged:(h.F.flags land 1 <> 0)).Wire.read r in
+      let p = payload.Wire.read r in
       Wire.r_end r;
       engine_of p
     with
@@ -272,7 +241,8 @@ let load path =
    to a shard and give every shard a slice holding only that shard's
    derived tables and stores.  Each slice keeps the full intern pool,
    the full topology registry (global TIDs stay stable, so fingerprints
-   compose) and every base table (endpoint predicate evaluation and the
+   compose; each store reads only its own pair's derivations from it)
+   and every base table (endpoint predicate evaluation and the
    rebuilt data graph need them; at paper scale the derived AllTops
    tables dominate the footprint anyway).  The slices are ordinary
    snapshots — [load] works unchanged — plus a JSON [manifest] the

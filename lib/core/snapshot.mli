@@ -13,15 +13,18 @@
     generator.
 
     The bytes are described by {!Snapshot_format}, one codec per
-    section: a header (magic, version, flags, payload length, the
-    engine's {!Engine.fingerprint} and a whole-payload checksum), then
-    marker-introduced sections.
+    section: a header (magic, version, payload length, the engine's
+    {!Engine.fingerprint} and a whole-payload checksum), then
+    marker-introduced sections.  A store's derivations are not saved:
+    the registry's decompositions are all of them, and each belongs to
+    the one pair whose schema paths its class keys name.
 
     Failure modes are loud: a bad magic, an unsupported version, a
     truncated file, a flipped payload byte (the checksum covers every
     byte, including base-table data the engine fingerprint does not
-    digest), any malformed section, a repeated primary key in a table,
-    and a fingerprint that the reconstructed engine fails to reproduce all
+    digest), any malformed section, a repeated primary key in a table, a
+    store topology with no derivation of that store's own pair, and a
+    fingerprint that the reconstructed engine fails to reproduce all
     raise {!Error} with a descriptive message.  A snapshot never loads
     silently wrong. *)
 
@@ -36,21 +39,18 @@ exception Error of string
 val version : int
 
 (** [save engine ~path] writes the snapshot and returns the byte count.
-    A shard slice keeps the full topology registry, which can carry
-    decompositions recorded during other pairs' sweeps; [save] then also
-    records those pairs (flag bit 0), sorted, so {!load} registers their
-    schema paths as decomposition classes.  A full engine records none
-    and writes flags 0.  The file depends on the build alone: saving an
-    engine again after it served queries, or saving a loaded snapshot or
-    slice, reproduces the same bytes.
+    The file depends on the build alone: saving an engine again after it
+    served queries, or saving a loaded snapshot or slice, reproduces the
+    same bytes.
     @raise Error on unencodable state (e.g. a string value in a numeric
     column) or I/O failure. *)
 val save : Engine.t -> path:string -> int
 
 (** [load path] reconstructs the engine: restores the intern pool, the
     catalog's tables, the topology registry (every
-    topology re-registered in TID order, canonical keys verified), the
-    per-pair stores, and the derived graphs (data graph and schema graph
+    topology re-registered in TID order, canonical keys verified, then
+    frozen), the per-pair stores with their own derivations, and the
+    derived graphs (data graph and schema graph
     are rebuilt from the restored catalog — they are cheap relative to
     the sweep), then verifies that {!Engine.fingerprint} of the result
     matches the digest recorded at save time.

@@ -6,21 +6,14 @@
 
 open Topo_sql
 
-type header = {
-  version : int;
-  flags : int;
-  payload_length : int;
-  fingerprint : string;
-  checksum : string;
-}
+type header = { version : int; payload_length : int; fingerprint : string; checksum : string }
 
 let header =
   Wire.(
-    record (fun () version flags payload_length fingerprint checksum ->
-        { version; flags; payload_length; fingerprint; checksum })
+    record (fun () version payload_length fingerprint checksum ->
+        { version; payload_length; fingerprint; checksum })
     |+ (literal "magic" "TOPOSNAP", fun _ -> ())
     |+ (u32 "version", fun h -> h.version)
-    |+ (u32 "flags", fun h -> h.flags)
     |+ (i64 "payload length", fun h -> h.payload_length)
     |+ (str "fingerprint", fun h -> h.fingerprint)
     |+ (str "payload checksum", fun h -> h.checksum)
@@ -152,7 +145,7 @@ let catalog =
        (Wire.list "table count" table))
 
 (* ------------------------------------------------------------------ *)
-(* 'T', 'B', 'P' and the flagged class pairs                           *)
+(* 'T', 'B' and 'P'                                                   *)
 
 type topology = {
   key : string;
@@ -207,6 +200,3 @@ let build =
 let stores =
   section "P" "stores"
     Wire.(list "store count" (triple (str "store t1") (str "store t2") (list "pruned count" (i64 "pruned TID"))))
-
-let class_pairs =
-  section "C" "class pairs" Wire.(list "class pair count" (pair (str "class pair t1") (str "class pair t2")))

@@ -3,21 +3,20 @@
     A file is a {!header} followed by marker-introduced sections, in this
     order: {!interned} ['I'], {!class_keys} ['G'], {!catalog} ['C'],
     {!topologies} ['T'], {!build} ['B'], {!stores} ['P'], then
-    {!class_pairs} ['C'] when flag bit 0 is set, then {!end_marker}
-    ['E'].  Each section codec writes and reads its marker too.
+    {!end_marker} ['E'].  Each section codec writes and reads its marker
+    too.
     {!Snapshot} lays the sections out, converts their values to and
     from an engine and runs the checks that span sections. *)
 
 type header = {
   version : int;
-  flags : int;  (** bit 0: the class-pairs section is present *)
   payload_length : int;
   fingerprint : string;  (** {!Engine.fingerprint} at save time *)
   checksum : string;  (** hex MD5 of every payload byte *)
 }
 
 val header : header Wire.codec
-(** Magic ["TOPOSNAP"], version, flags, payload length, fingerprint,
+(** Magic ["TOPOSNAP"], version, payload length, fingerprint,
     checksum. *)
 
 val interned : string list Wire.codec
@@ -45,10 +44,8 @@ val build : (int * Compute.caps * (string * string * Compute.stats) list) Wire.c
 (** [l], the caps, and each built pair's sweep statistics. *)
 
 val stores : (string * string * int list) list Wire.codec
-(** Each store's pair and its pruned TIDs, in build order. *)
-
-val class_pairs : (string * string) list Wire.codec
-(** The pairs whose schema paths a shard slice must register beyond its
-    own (see {!Snapshot.save}). *)
+(** Each store's pair and its pruned TIDs, in build order.  A store's
+    derivations are not written: they are the registry's decompositions
+    whose class keys name schema paths between the store's pair. *)
 
 val end_marker : unit Wire.codec

@@ -7,7 +7,8 @@ type t = {
   lefttops : string;
   excptops : string;
   topinfo : string;
-  pruned : Topology.t list;
+  pruned : int list;
+  derivations : (int, string list list) Hashtbl.t;
   frequencies : (int, int) Hashtbl.t;
   cards : (string * Ranking.scheme * int array) list;
 }
@@ -91,19 +92,26 @@ let derive_cards catalog ~t1 ~t2 =
 let cards store ~fact scheme =
   List.find_map (fun (f, s, cards) -> if f = fact && s = scheme then Some cards else None) store.cards
 
-let make catalog ~t1 ~t2 ~pruned ~frequencies =
+let make catalog ~t1 ~t2 ~pruned ~derivations ~frequencies =
   let alltops, lefttops, excptops, topinfo = table_names ~t1 ~t2 in
-  { t1; t2; alltops; lefttops; excptops; topinfo; pruned; frequencies; cards = derive_cards catalog ~t1 ~t2 }
+  let cards = derive_cards catalog ~t1 ~t2 in
+  { t1; t2; alltops; lefttops; excptops; topinfo; pruned; derivations; frequencies; cards }
+
+let decompositions store tid = Option.value ~default:[] (Hashtbl.find_opt store.derivations tid)
 
 let build catalog interner registry ~rows ~t1 ~t2 ~pruning_threshold =
   let alltops_n, lefttops_n, excptops_n, topinfo_n = table_names ~t1 ~t2 in
-  (* Frequencies: number of pairs related by each topology. *)
-  let frequencies = Hashtbl.create 256 in
+  (* Frequencies: number of pairs related by each topology.  Derivations:
+     each row's (sorted) class keys, once per topology, in row order. *)
+  let frequencies = Hashtbl.create 256 and derivations = Hashtbl.create 256 in
   List.iter
     (fun (r : Compute.pair_row) ->
       List.iter
         (fun tid ->
-          Hashtbl.replace frequencies tid (1 + Option.value ~default:0 (Hashtbl.find_opt frequencies tid)))
+          Hashtbl.replace frequencies tid (1 + Option.value ~default:0 (Hashtbl.find_opt frequencies tid));
+          let ds = Option.value ~default:[] (Hashtbl.find_opt derivations tid) in
+          if not (List.mem r.Compute.class_keys ds) then
+            Hashtbl.replace derivations tid (ds @ [ r.Compute.class_keys ]))
         r.Compute.tids)
     rows;
   let pruned =
@@ -120,14 +128,14 @@ let build catalog interner registry ~rows ~t1 ~t2 ~pruning_threshold =
         else acc)
       frequencies []
     |> List.sort (fun (_, fa) (_, fb) -> Int.compare fb fa)
-    |> List.map (fun (tid, _) -> Topology.find registry tid)
+    |> List.map fst
   in
   (* Hash sets replace the List.mem scans of the hot loops below (TID
      lists and class-key lists are short, but rows x tids x pruned
      multiplies); insertion order — and so the resulting tables — is
      bit-identical to the naive scans. *)
   let pruned_tid_set = Hashtbl.create 16 in
-  List.iter (fun (t : Topology.t) -> Hashtbl.replace pruned_tid_set t.Topology.tid ()) pruned;
+  List.iter (fun tid -> Hashtbl.replace pruned_tid_set tid ()) pruned;
   (* AllTops / LeftTops. *)
   let alltops = fresh_table catalog alltops_n (Lazy.force pair_schema) ~primary_key:None in
   let lefttops = fresh_table catalog lefttops_n (Lazy.force pair_schema) ~primary_key:None in
@@ -155,8 +163,8 @@ let build catalog interner registry ~rows ~t1 ~t2 ~pruning_threshold =
       rows
   in
   List.iter
-    (fun (p : Topology.t) ->
-      let decompositions = Atomic.get p.Topology.decompositions in
+    (fun p ->
+      let decompositions = Hashtbl.find derivations p in
       List.iter
         (fun ((r : Compute.pair_row), keys, tids) ->
           let satisfies_condition =
@@ -164,9 +172,8 @@ let build catalog interner registry ~rows ~t1 ~t2 ~pruning_threshold =
               (fun decomposition -> List.for_all (fun key -> Hashtbl.mem keys key) decomposition)
               decompositions
           in
-          if satisfies_condition && not (Hashtbl.mem tids p.Topology.tid) then
-            Table.insert_values excptops
-              [ Value.Int r.Compute.a; Value.Int r.Compute.b; Value.Int p.Topology.tid ])
+          if satisfies_condition && not (Hashtbl.mem tids p) then
+            Table.insert_values excptops [ Value.Int r.Compute.a; Value.Int r.Compute.b; Value.Int p ])
         row_sets)
     pruned;
   (* TopInfo with all three ranking scores. *)
@@ -190,29 +197,37 @@ let build catalog interner registry ~rows ~t1 ~t2 ~pruning_threshold =
           Value.Str (Topology.describe interner info);
         ])
     tids;
-  make catalog ~t1 ~t2 ~pruned ~frequencies
+  make catalog ~t1 ~t2 ~pruned ~derivations ~frequencies
 
 (* Frequencies are TopInfo's freq column, which [build] wrote from the
-   same map and [Engine.fingerprint] digests. *)
-let restore catalog registry ~t1 ~t2 ~pruned =
-  let pruned =
-    List.map
-      (fun tid ->
-        match Topology.find registry tid with
-        | t -> t
-        | exception Not_found ->
-            invalid_arg (Printf.sprintf "pruned TID %d of store %s-%s is not in the registry" tid t1 t2))
-      pruned
-  in
+   same map and [Engine.fingerprint] digests.  A derivation's keys name
+   schema paths of the one pair that produced it, so the registry's
+   derivations over [class_keys] are the ones [build] recorded. *)
+let restore catalog registry ~class_keys ~t1 ~t2 ~pruned =
+  let own = Hashtbl.create 32 in
+  List.iter (fun key -> Hashtbl.replace own key ()) class_keys;
   let _, _, _, topinfo_n = table_names ~t1 ~t2 in
   let topinfo = Catalog.find catalog topinfo_n in
   let col = Schema.index_of (Table.schema topinfo) in
-  let tid = col "TID" and freq = col "freq" in
+  let tid_col = col "TID" and freq = col "freq" in
   let frequencies = Hashtbl.create (max 16 (Table.row_count topinfo)) in
+  let derivations = Hashtbl.create (max 16 (Table.row_count topinfo)) in
   Table.iter
-    (fun _ tuple -> Hashtbl.replace frequencies (Value.as_int tuple.(tid)) (Value.as_int tuple.(freq)))
+    (fun _ tuple ->
+      let tid = Value.as_int tuple.(tid_col) in
+      Hashtbl.replace frequencies tid (Value.as_int tuple.(freq));
+      let ds =
+        match Topology.find registry tid with
+        | t -> List.filter (List.for_all (Hashtbl.mem own)) t.Topology.decompositions
+        | exception Not_found -> []
+      in
+      if ds = [] then
+        invalid_arg (Printf.sprintf "store %s-%s: TID %d has no derivation of its own" t1 t2 tid);
+      Hashtbl.replace derivations tid ds)
     topinfo;
-  make catalog ~t1 ~t2 ~pruned ~frequencies
+  match List.find_opt (fun tid -> not (Hashtbl.mem derivations tid)) pruned with
+  | Some tid -> invalid_arg (Printf.sprintf "store %s-%s: pruned TID %d is not in its TopInfo" t1 t2 tid)
+  | None -> make catalog ~t1 ~t2 ~pruned ~derivations ~frequencies
 
 let frequency store tid = Option.value ~default:0 (Hashtbl.find_opt store.frequencies tid)
 

@@ -16,7 +16,11 @@
       by a more complex topology (the paper's (78, 215) vs T2 example).
 
     Pruning follows Section 4.2.2: every topology with frequency strictly
-    greater than [pruning_threshold] is pruned. *)
+    greater than [pruning_threshold] is pruned.
+
+    The store owns its pair's {e derivations}, the decompositions its own
+    rows produced; pruned checks, the SQL method and witnesses read no
+    other pair's. *)
 
 type t = {
   t1 : string;
@@ -25,7 +29,8 @@ type t = {
   lefttops : string;
   excptops : string;
   topinfo : string;
-  pruned : Topology.t list;  (** pruned topologies, by descending frequency *)
+  pruned : int list;  (** pruned TIDs, by descending frequency *)
+  derivations : (int, string list list) Hashtbl.t;  (** see {!decompositions} *)
   frequencies : (int, int) Hashtbl.t;  (** tid -> freq for this pair: TopInfo's freq column *)
   cards : (string * Ranking.scheme * int array) list;
       (** {!Topo_sql.Optimizer.group_cards_of} TopInfo over AllTops and
@@ -36,8 +41,8 @@ type t = {
 (** [build catalog interner registry ~rows ~t1 ~t2 ~pruning_threshold]
     materializes all four tables (replacing previous versions for the same
     pair) and returns the store handle.  The handle keeps no reference to
-    [rows]: everything the online phase needs of the sweep is in the
-    tables, the registry and [pruned]. *)
+    [rows] or [registry]: everything the online phase needs of the sweep
+    is in the tables, [pruned] and the derivations. *)
 val build :
   Topo_sql.Catalog.t ->
   Topo_util.Interner.t ->
@@ -48,16 +53,24 @@ val build :
   pruning_threshold:int ->
   t
 
-(** [restore catalog registry ~t1 ~t2 ~pruned] is the handle of the
-    T1-T2 store whose four tables [catalog] already holds, as a snapshot
-    load rebuilds it: [pruned] are the TIDs in {!build}'s order (its tie
-    order cannot be recomputed from the tables), [frequencies] are read
-    from TopInfo's freq column and [cards] derived as {!build} derives
-    them.
+(** [restore catalog registry ~class_keys ~t1 ~t2 ~pruned] is the
+    handle of the T1-T2 store whose four tables [catalog] already holds,
+    as a snapshot load rebuilds it: [pruned] are the TIDs in {!build}'s
+    order (its tie order cannot be recomputed from the tables),
+    [frequencies] are read from TopInfo's freq column and [cards] derived
+    as {!build} derives them.  A TopInfo TID's derivations are its
+    [registry] decompositions whose keys all belong to [class_keys], the
+    keys of the schema paths between T1 and T2.
     @raise Not_found when a table is missing.
-    @raise Invalid_argument naming the TID when a pruned TID is not in
-    [registry]. *)
-val restore : Topo_sql.Catalog.t -> Topology.registry -> t1:string -> t2:string -> pruned:int list -> t
+    @raise Invalid_argument naming the store and the TID when a TopInfo
+    TID has no such derivation or a pruned TID is not in TopInfo. *)
+val restore :
+  Topo_sql.Catalog.t -> Topology.registry -> class_keys:string list -> t1:string -> t2:string -> pruned:int list -> t
+
+(** [decompositions store tid] is the topology's derivations on this
+    store's pair, in the order its rows first produced them ([[]] when
+    the pair never relates by it). *)
+val decompositions : t -> int -> string list list
 
 (** [cards store ~fact scheme] is the derived Card_i for one fact table
     and scheme; [None] for a table the store does not hold. *)

@@ -9,60 +9,66 @@ type t = {
   n_nodes : int;
   n_edges : int;
   decomposition : string list;
-  decompositions : string list list Atomic.t;
+  decompositions : string list list;
 }
 
-(* The whole registry state lives in ONE immutable snapshot behind an
-   [Atomic.t].  The registry is written once: the offline build's commit,
-   [Snapshot.load] and the single-domain n-query CLI register, always on
-   the domain that owns the registry and before it serves.  Readers —
-   [find]/[find_by_key]/[count]/[all] — do a single [Atomic.get] and then
-   touch only immutable data; the release/acquire pair of [Atomic.set] and
-   [Atomic.get] means no reader can see a TID without its fully-initialized
-   topology, or a map/array mid-rehash. *)
-type snapshot = {
-  by_key : t Smap.t;
-  by_tid : t array;  (* index = tid - 1; never mutated once published *)
-}
+(* One writer owns a builder; an entry is replaced, never mutated, when
+   a registration adds a derivation. *)
+type builder = { tids : (string, int) Hashtbl.t; topos : t Topo_util.Dyn.t }
 
-type registry = snapshot Atomic.t
+type registry = { by_key : t Smap.t; by_tid : t array (* index = tid - 1 *) }
 
-let create_registry () = Atomic.make { by_key = Smap.empty; by_tid = [||] }
+let builder ?over () =
+  let b = { tids = Hashtbl.create 256; topos = Topo_util.Dyn.create () } in
+  let add t =
+    Hashtbl.replace b.tids t.key t.tid;
+    Topo_util.Dyn.push b.topos t
+  in
+  Option.iter (fun r -> Array.iter add r.by_tid) over;
+  b
 
-let register ?key reg graph ~decomposition =
-  let key = match key with Some key -> key | None -> Canon.key graph in
+let register ?key b graph ~decomposition =
+  let key = match key with Some key -> key | None -> Canon.key (Lazy.force graph) in
   let decomposition = List.sort_uniq compare decomposition in
-  let snap = Atomic.get reg in
-  match Smap.find_opt key snap.by_key with
-  | Some t ->
-      let ds = Atomic.get t.decompositions in
-      if not (List.mem decomposition ds) then Atomic.set t.decompositions (ds @ [ decomposition ]);
-      t
+  match Hashtbl.find_opt b.tids key with
+  | Some tid ->
+      let t = Topo_util.Dyn.get b.topos (tid - 1) in
+      if List.mem decomposition t.decompositions then t
+      else begin
+        let t = { t with decompositions = t.decompositions @ [ decomposition ] } in
+        Topo_util.Dyn.set b.topos (tid - 1) t;
+        t
+      end
   | None ->
+      let graph = Lazy.force graph in
       let t =
         {
-          tid = Array.length snap.by_tid + 1;
+          tid = Topo_util.Dyn.length b.topos + 1;
           key;
           graph = Lgraph.copy graph;
           n_nodes = Lgraph.node_count graph;
           n_edges = Lgraph.edge_count graph;
           decomposition;
-          decompositions = Atomic.make [ decomposition ];
+          decompositions = [ decomposition ];
         }
       in
-      Atomic.set reg { by_key = Smap.add key t snap.by_key; by_tid = Array.append snap.by_tid [| t |] };
+      Hashtbl.replace b.tids key t.tid;
+      Topo_util.Dyn.push b.topos t;
       t
 
+let freeze b =
+  let by_tid = Topo_util.Dyn.to_array b.topos in
+  { by_tid; by_key = Array.fold_left (fun m t -> Smap.add t.key t m) Smap.empty by_tid }
+
 let find reg tid =
-  let { by_tid; _ } = Atomic.get reg in
-  if tid < 1 || tid > Array.length by_tid then raise Not_found;
-  by_tid.(tid - 1)
+  if tid < 1 || tid > Array.length reg.by_tid then raise Not_found;
+  reg.by_tid.(tid - 1)
 
-let find_by_key reg key = Smap.find_opt key (Atomic.get reg).by_key
+let find_by_key reg key = Smap.find_opt key reg.by_key
 
-let count reg = Array.length (Atomic.get reg).by_tid
+let count reg = Array.length reg.by_tid
 
-let all reg = Array.to_list (Atomic.get reg).by_tid
+let all reg = Array.to_list reg.by_tid
 
 let is_single_path t =
   let g = t.graph in

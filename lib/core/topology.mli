@@ -4,9 +4,9 @@
     represent the class by its canonical key and intern keys into dense
     {e TIDs}.  Each registered topology keeps one representative graph, its
     size, and its {e decomposition}: the set of path-equivalence-class keys
-    (Definition 1) whose union first produced it.  The decomposition is what
-    Fast-Top's pruned-topology checks evaluate at query time ("the simple
-    path (or graph) condition" of Section 4.2.2). *)
+    (Definition 1) whose union first produced it.  The registry is built
+    through one {!builder}, then {!freeze} gives the immutable {!registry}
+    a served engine reads. *)
 
 type t = {
   tid : int;
@@ -15,36 +15,40 @@ type t = {
   n_nodes : int;
   n_edges : int;
   decomposition : string list;  (** sorted path-class keys of the first derivation *)
-  decompositions : string list list Atomic.t;
-      (** every distinct derivation observed (first one included): the same
-          canonical graph can arise from pairs whose path-class sets differ
-          (symmetric shapes place the query endpoints differently), and the
-          pruned-topology condition must accept any of them.  Only the
-          registry's writers extend it (see {!registry}); it is atomic so a
-          serving domain's [Atomic.get] always yields a fully-published
-          list *)
+  decompositions : string list list;
+      (** every distinct derivation, first-seen order: one canonical graph
+          can arise from class sets that differ (symmetric shapes place
+          the endpoints differently; other entity-set pairs use their own
+          classes).  Each {!Store.t} keeps its own pair's, which
+          Fast-Top's pruned checks evaluate (Section 4.2.2). *)
 }
 
+type builder
+(** The registry while one domain writes it: the offline build's commit,
+    {!Snapshot.load}, or an n-query's private table. *)
+
 type registry
-(** Written once, read by any domain.  Only the offline build's commit,
-    {!Snapshot.load} and the single-domain n-query CLI ({!Nquery}) call
-    {!register}, on the domain that owns the registry and before it
-    serves; serving never registers (the SQL method recomputes keys, not
-    TIDs).  The state is an immutable snapshot behind an [Atomic.t], so
-    [find], [count], [all] and [find_by_key] are lock-free and never
-    observe partially-built entries. *)
+(** Frozen: immutable, read by any domain.  A {!Context.t} holds only
+    this, so nothing registers into a served engine. *)
 
-(** [create_registry ()] is empty; TIDs are assigned densely from 1. *)
-val create_registry : unit -> registry
+(** [builder ?over ()] is empty, TIDs assigned densely from 1; with
+    [over] it starts as a copy of that registry, so new TIDs continue
+    past [count over]. *)
+val builder : ?over:registry -> unit -> builder
 
-(** [register ?key registry graph ~decomposition] interns the graph's class
-    and returns its topology, allocating a fresh TID on first sight; later
-    registrations with a new decomposition extend [decompositions].  [key],
-    when given, must be [Canon.key graph]: the offline sweep passes the key
-    it has already computed.  Without it the key is computed here, which is
-    how a snapshot load checks the keys its file records.  Single writer:
-    never call it while another domain may register. *)
-val register : ?key:string -> registry -> Topo_graph.Lgraph.t -> decomposition:string list -> t
+(** [register ?key builder graph ~decomposition] interns the graph's
+    class and returns its topology as registered so far (keep the TID:
+    a new decomposition later extends [decompositions]), allocating a
+    fresh TID on first sight.  [graph] is forced only for a new class or
+    when [key] is absent.  [key], when given, must be [Canon.key graph]:
+    the offline sweep passes the key it has already computed.  Without
+    it the key is computed here, which is how a snapshot load checks the
+    keys its file records. *)
+val register : ?key:string -> builder -> Topo_graph.Lgraph.t Lazy.t -> decomposition:string list -> t
+
+(** [freeze builder] is the registry as written so far; [builder] may go
+    on growing without affecting it. *)
+val freeze : builder -> registry
 
 (** [find registry tid].  @raise Not_found for unknown TIDs. *)
 val find : registry -> int -> t

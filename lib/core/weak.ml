@@ -96,14 +96,4 @@ let class_key_reliability key =
   done;
   !base *. Float.pow 0.5 (float_of_int (count_weak_segments types))
 
-let topology_reliability (t : Topology.t) =
-  List.fold_left
-    (fun best decomposition ->
-      let weakest =
-        List.fold_left (fun acc key -> Float.min acc (class_key_reliability key)) 1.0 decomposition
-      in
-      Float.max best weakest)
-    0.0
-    (Atomic.get t.Topology.decompositions)
-
 let reliability_filter ~threshold p = path_reliability p >= threshold

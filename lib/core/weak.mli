@@ -36,9 +36,7 @@ val table4 : (string * string) list
     this model assigns each relationship set a reliability in (0, 1]
     (direct biochemical links high, homology/pathway context low), scores
     a path by the product over its edges with an extra decay per weak
-    segment, and scores a topology by its best derivation's weakest
-    class — a chain is only as trustworthy as its weakest link.  The
-    third future-work item of Section 8. *)
+    segment.  The third future-work item of Section 8. *)
 
 (** [path_reliability p] = product of edge reliabilities x 0.5 per weak
     segment occurrence. *)
@@ -47,10 +45,6 @@ val path_reliability : Topo_graph.Schema_graph.path -> float
 (** [class_key_reliability key] evaluates a path-class key (the stored
     form in decompositions). *)
 val class_key_reliability : string -> float
-
-(** [topology_reliability t] = max over [t.decompositions] of the minimum
-    class reliability in the derivation. *)
-val topology_reliability : Topology.t -> float
 
 (** [reliability_filter ~threshold] keeps paths with reliability >=
     [threshold]: the path filter {!Engine.build} applies for its

@@ -25,8 +25,7 @@ let with_temp_dir = Suite_wire.with_temp_dir
 (* --- golden bytes ---------------------------------------------------------- *)
 
 (* Figure 3's database over its three entity pairs: a 2-slice cut puts
-   topologies from one slice's sweep into the other's registry, so a
-   slice carries the flagged class-pairs section. *)
+   topologies derived on one slice's pairs into the other's registry. *)
 let golden_engine =
   lazy
     (Engine.build (Biozon.Paper_db.catalog ())
@@ -109,10 +108,10 @@ let golden_outcomes requests =
    ([Snapshot.version] or [Wire.version]), not a new digest. *)
 let golden =
   [
-    ("snapshot", "0aea5d4c72c1c1a54b5de81bf00ac4d8");
-    ("slice 0", "d6efab08f63231738aece0bbf35b3835");
-    ("slice 1", "a9ecfd99c864e07970da1e8977b487e4");
-    ("manifest", "ee92c7f58c5b0c4e4754b1529277d226");
+    ("snapshot", "af5b11cfc85cacf535e6b8813cce2ead");
+    ("slice 0", "233f4dcb5a531b2e90dec1a7c0784e89");
+    ("slice 1", "7429198cb58c2c2fec49a25b22cd18c5");
+    ("manifest", "5ddc046fd08163b9be0cd2d4800f9c45");
     ("batch request", "0bd99bad0adba69515b44baf0a834153");
     ("batch outcome", "ad609b543fa79c7ff8a73b38ce5b3b05");
   ]
@@ -176,8 +175,8 @@ let test_frame_codec () =
       (Wire.kind_hello, Wire.encode Shard.hello (1, "0123456789abcdef"));
     ]
 
-(* Each section of a slice that carries every section, class pairs
-   included, read in file order with the section codecs themselves. *)
+(* Each section of a slice, read in file order with the section codecs
+   themselves. *)
 let test_snapshot_section_codecs () =
   with_temp_dir (fun dir ->
       let (_ : Snapshot.manifest * int) =
@@ -191,11 +190,9 @@ let test_snapshot_section_codecs () =
       let topologies = F.topologies.Wire.read r in
       let build = F.build.Wire.read r in
       let stores = F.stores.Wire.read r in
-      let class_pairs = F.class_pairs.Wire.read r in
       F.end_marker.Wire.read r;
       Wire.r_end r;
-      Alcotest.(check int) "the slice is flagged" 1 header.F.flags;
-      Alcotest.(check bool) "the slice names class pairs" true (class_pairs <> []);
+      Alcotest.(check int) "the slice's version" Snapshot.version header.F.version;
       Alcotest.(check bool) "the slice prunes" true
         (List.exists (fun (_, _, pruned) -> pruned <> []) stores);
       let rng = Random.State.make [| 20070415 |] in
@@ -206,7 +203,6 @@ let test_snapshot_section_codecs () =
       check "topology registry" F.topologies topologies;
       check "build config" F.build build;
       check "stores" F.stores stores;
-      check "class pairs" F.class_pairs class_pairs;
       let tables c =
         List.map
           (fun tb ->

@@ -153,8 +153,8 @@ let test_pruning_threshold_zero_prunes_everything () =
   let store = store_of engine in
   Alcotest.(check int) "both simple topologies pruned" 2 (List.length store.Store.pruned);
   List.iter
-    (fun (t : Topology.t) ->
-      Alcotest.(check bool) "pruned are simple" true (Topology.is_single_path t))
+    (fun tid ->
+      Alcotest.(check bool) "pruned are simple" true (Topology.is_single_path (Engine.topology engine tid)))
     store.Store.pruned;
   let cat = engine.Engine.ctx.Context.catalog in
   (* LeftTops keeps only the complex topologies' rows: T3, T4 of (78,215)
@@ -260,8 +260,9 @@ let brute_force_ids catalog (e : Query.endpoint) =
 
 (* The check's definition, evaluated pair by pair: some (a, b) of the two
    endpoint sets has every class of some decomposition and is not
-   excepted. *)
-let brute_force_pruned ctx (aligned : Methods.aligned) (p : Topology.t) =
+   excepted.  It reads every derivation the registry holds, other pairs'
+   included, where the check reads only the store's own. *)
+let brute_force_pruned ctx (aligned : Methods.aligned) tid =
   let b_ids = brute_force_ids ctx.Context.catalog aligned.Methods.eb in
   Array.exists
     (fun a ->
@@ -269,8 +270,8 @@ let brute_force_pruned ctx (aligned : Methods.aligned) (p : Topology.t) =
         (fun b ->
           List.exists
             (List.for_all (fun key -> Context.class_exists_between ctx key ~a ~b))
-            (Atomic.get p.Topology.decompositions)
-          && not (Store.is_excepted aligned.Methods.store ctx.Context.catalog ~a ~b ~tid:p.Topology.tid))
+            (Topology.find ctx.Context.registry tid).Topology.decompositions
+          && not (Store.is_excepted aligned.Methods.store ctx.Context.catalog ~a ~b ~tid))
         b_ids)
     (brute_force_ids ctx.Context.catalog aligned.Methods.ea)
 
@@ -283,10 +284,9 @@ let prop_pruned_check_matches_oracle ~on_side =
       let aligned = Option.get (Methods.align ctx q) in
       if aligned.Methods.store.Store.pruned <> [] then on_side (Methods.pruned_walk_side ctx aligned);
       List.for_all
-        (fun (p : Topology.t) ->
-          let got = Methods.pruned_check ctx aligned p and want = brute_force_pruned ctx aligned p in
-          got = want
-          || QCheck.Test.fail_reportf "T%d: pruned_check %b, oracle %b" p.Topology.tid got want)
+        (fun tid ->
+          let got = Methods.pruned_check ctx aligned tid and want = brute_force_pruned ctx aligned tid in
+          got = want || QCheck.Test.fail_reportf "T%d: pruned_check %b, oracle %b" tid got want)
         aligned.Methods.store.Store.pruned)
 
 (* The oracle property, plus: the generated queries start checks from
@@ -557,15 +557,15 @@ let test_domain_prefers_fig16_shape () =
     [ (1, "Protein"); (2, "Protein"); (3, "DNA"); (4, "Interaction") ];
   List.iter (fun (u, v, rel) -> Topo_graph.Lgraph.add_edge motif ~u ~v ~label:(e rel))
     [ (1, 3, "encodes"); (2, 3, "encodes"); (1, 4, "interacts_p"); (2, 4, "interacts_p") ];
-  let registry = Topology.create_registry () in
-  let t_motif = Topology.register registry motif ~decomposition:[ "c1"; "c2" ] in
+  let builder = Topology.builder () in
+  let t_motif = Topology.register builder (Lazy.from_val motif) ~decomposition:[ "c1"; "c2" ] in
   let weak = Topo_graph.Lgraph.empty () in
   List.iter (fun (id, ty) -> Topo_graph.Lgraph.add_node weak ~id ~label:(n ty))
     [ (1, "Protein"); (2, "DNA"); (3, "Protein"); (4, "Unigene"); (5, "DNA") ];
   List.iter (fun (u, v, rel) -> Topo_graph.Lgraph.add_edge weak ~u ~v ~label:(e rel))
     [ (1, 2, "encodes"); (2, 3, "encodes"); (3, 4, "uni_encodes"); (4, 5, "uni_contains") ];
   let weak_key = "Protein~encodes~DNA~encodes~Protein~uni_encodes~Unigene~uni_contains~DNA" in
-  let t_weak = Topology.register registry weak ~decomposition:[ weak_key ] in
+  let t_weak = Topology.register builder (Lazy.from_val weak) ~decomposition:[ weak_key ] in
   let sm = Ranking.domain_score interner t_motif and sw = Ranking.domain_score interner t_weak in
   Alcotest.(check bool) (Printf.sprintf "motif %.1f > weak %.1f" sm sw) true (sm > sw)
 
@@ -599,7 +599,7 @@ let test_instances_witness_roundtrip () =
     (fun (a, b, tids) ->
       List.iter
         (fun tid ->
-          match Instances.witness ctx ~tid ~a ~b with
+          match Instances.witness ctx store ~tid ~a ~b with
           | None -> Alcotest.failf "no witness for (%d,%d) tid %d" a b tid
           | Some g ->
               Alcotest.(check string) "witness canonicalizes to the topology"
@@ -616,7 +616,7 @@ let test_instances_witness_absent () =
   | None -> Alcotest.fail "no topologies"
   | Some tid ->
       Alcotest.(check bool) "unrelated pair has no witness" true
-        (Instances.witness ctx ~tid ~a:32 ~b:742 = None)
+        (Instances.witness ctx store ~tid ~a:32 ~b:742 = None)
 
 (* --- weak relationships -------------------------------------------------------- *)
 
@@ -674,19 +674,6 @@ let test_reliability_ordering () =
   (* Key form agrees with the path form. *)
   Alcotest.(check (float 1e-9)) "key consistency" rw
     (Weak.class_key_reliability (Topo_graph.Schema_graph.path_key weak))
-
-let test_reliability_topology_weakest_link () =
-  let registry = Topology.create_registry () in
-  let g = Topo_graph.Lgraph.empty () in
-  Topo_graph.Lgraph.add_node g ~id:1 ~label:1;
-  Topo_graph.Lgraph.add_node g ~id:2 ~label:2;
-  Topo_graph.Lgraph.add_edge g ~u:1 ~v:2 ~label:9;
-  let strong = "Protein~encodes~DNA" in
-  let weakish = "Protein~belongs~Family~belongs~Protein~encodes~DNA" in
-  let t = Topology.register registry g ~decomposition:[ strong; weakish ] in
-  Alcotest.(check (float 1e-9)) "weakest link"
-    (Weak.class_key_reliability weakish)
-    (Weak.topology_reliability t)
 
 let test_reliability_filter_build () =
   (* A high threshold keeps only direct-ish paths; topology count drops
@@ -791,7 +778,6 @@ let suites =
         Alcotest.test_case "no weak segment" `Quick test_weak_pud_not_weak;
         Alcotest.test_case "table 4" `Quick test_weak_table4_inventory;
         Alcotest.test_case "reliability ordering" `Quick test_reliability_ordering;
-        Alcotest.test_case "weakest link" `Quick test_reliability_topology_weakest_link;
         Alcotest.test_case "reliability filter build" `Quick test_reliability_filter_build;
       ] );
     ( "core.ids",

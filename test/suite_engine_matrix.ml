@@ -131,7 +131,7 @@ let test_exclude_weak_removes_weak_classes () =
       List.iter
         (List.iter (fun key ->
              Alcotest.(check bool) "no weak class key" false (Weak.is_weak_class_key key)))
-        (Atomic.get (Engine.topology e tid).Topology.decompositions))
+        (Store.decompositions store tid))
     store.Store.frequencies
 
 let test_rebuild_same_catalog_is_idempotent () =
@@ -176,8 +176,7 @@ let test_lefttops_plus_pruned_covers_alltops () =
   let cat = engine.Engine.ctx.Context.catalog in
   let count name = Topo_sql.Table.row_count (Topo_sql.Catalog.find cat name) in
   let pruned_rows =
-    List.fold_left (fun acc (p : Topology.t) -> acc + Store.frequency store p.Topology.tid) 0
-      store.Store.pruned
+    List.fold_left (fun acc tid -> acc + Store.frequency store tid) 0 store.Store.pruned
   in
   Alcotest.(check int) "partition" (count store.Store.alltops)
     (count store.Store.lefttops + pruned_rows)

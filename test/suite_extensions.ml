@@ -26,38 +26,36 @@ let test_nquery_two_endpoints_matches_pairwise () =
   let pairwise = Request.get_done (Engine.run_request engine (Request.make Engine.Full_top q)) in
   Alcotest.(check (list int)) "same topology set"
     (List.map fst pairwise.Request.ranked |> List.sort compare)
-    r.Nquery.topologies
+    (List.map (fun (t : Topology.t) -> t.Topology.tid) r.Nquery.topologies)
 
 let test_nquery_triple_on_paper_db () =
   (* The triple (78, 103, 215): protein 78, unigene 103, DNA 215 are fully
      interconnected (Figure 6); the 3-query topology must connect all
      three. *)
-  let cat, engine = paper_engine () in
+  let _, engine = paper_engine () in
   let ctx = engine.Engine.ctx in
-  ignore cat;
-  let tids =
+  let topologies =
     Nquery.tuple_topologies ctx ~types:[| "Protein"; "Unigene"; "DNA" |] ~entities:[| 78; 103; 215 |]
   in
-  Alcotest.(check bool) "some topology" true (tids <> []);
+  Alcotest.(check bool) "some topology" true (topologies <> []);
   List.iter
-    (fun tid ->
-      let t = Engine.topology engine tid in
+    (fun (t : Topology.t) ->
       let ids = Topo_graph.Lgraph.nodes t.Topology.graph in
       (* A representative graph from this tuple contains all three
          endpoints (node ids are entity ids in the registered graph only
          for the first registration, so check size instead). *)
       Alcotest.(check bool) "at least 3 nodes" true (List.length ids >= 3))
-    tids
+    topologies
 
 let test_nquery_disconnected_tuple_empty () =
   let _, engine = paper_engine () in
   let ctx = engine.Engine.ctx in
   (* Protein 32 and DNA 742 are unrelated; adding Unigene 188 (related to
      742 only) cannot connect 32. *)
-  let tids =
+  let topologies =
     Nquery.tuple_topologies ctx ~types:[| "Protein"; "Unigene"; "DNA" |] ~entities:[| 32; 188; 742 |]
   in
-  Alcotest.(check (list int)) "no spanning topology" [] tids
+  Alcotest.(check int) "no spanning topology" 0 (List.length topologies)
 
 let test_nquery_run_finds_triples () =
   let cat, engine = paper_engine () in
@@ -82,6 +80,38 @@ let test_nquery_truncation () =
   let endpoints = [ Query.endpoint cat "Protein"; Query.endpoint cat "Unigene"; Query.endpoint cat "DNA" ] in
   let r = Nquery.run ctx ~endpoints ~max_tuples:1 () in
   Alcotest.(check bool) "truncated" true r.Nquery.truncated
+
+(* An n-query registers its new topologies in a private table: the
+   engine's registry, fingerprint and snapshot bytes are what they were
+   before it ran, and the snapshot still loads. *)
+let test_nquery_leaves_engine_unchanged () =
+  let cat, engine = paper_engine () in
+  let ctx = engine.Engine.ctx in
+  let snapshot () =
+    let path = Filename.temp_file "toposearch_nquery" ".snap" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let (_ : int) = Snapshot.save engine ~path in
+        let bytes = In_channel.with_open_bin path In_channel.input_all in
+        let (_ : Engine.t) = Snapshot.load path in
+        bytes)
+  in
+  let count = Topology.count ctx.Context.registry in
+  let fingerprint = Engine.fingerprint engine and bytes = snapshot () in
+  let endpoints =
+    [
+      Query.keyword cat "Protein" ~col:"desc" ~kw:"enzyme";
+      Query.endpoint cat "Unigene";
+      Query.equals cat "DNA" ~col:"type" ~value:(Value.Str "mRNA");
+    ]
+  in
+  let r = Nquery.run ctx ~endpoints () in
+  Alcotest.(check bool) "the query found topologies the engine does not hold" true
+    (List.exists (fun (t : Topology.t) -> t.Topology.tid > count) r.Nquery.topologies);
+  Alcotest.(check int) "topology count" count (Topology.count ctx.Context.registry);
+  Alcotest.(check string) "engine fingerprint" fingerprint (Engine.fingerprint engine);
+  Alcotest.(check bool) "snapshot bytes" true (String.equal bytes (snapshot ()))
 
 (* --- comparison primitives ------------------------------------------------ *)
 
@@ -233,6 +263,7 @@ let suites =
         Alcotest.test_case "disconnected tuple" `Quick test_nquery_disconnected_tuple_empty;
         Alcotest.test_case "run finds triples" `Quick test_nquery_run_finds_triples;
         Alcotest.test_case "truncation" `Quick test_nquery_truncation;
+        Alcotest.test_case "nquery leaves the engine unchanged" `Quick test_nquery_leaves_engine_unchanged;
       ] );
     ( "ext.compare",
       [

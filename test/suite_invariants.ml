@@ -49,7 +49,10 @@ let prop_nquery_two_ary_matches_pairwise =
           (Request.get_done (Engine.run_request engine (Request.make Engine.Full_top q))).Request.ranked
       in
       let nary =
-        (Nquery.run engine.Engine.ctx ~endpoints:[ q.Query.e1; q.Query.e2 ] ~max_tuples:20000 ()).Nquery.topologies
+        List.map
+          (fun (t : Topology.t) -> t.Topology.tid)
+          (Nquery.run engine.Engine.ctx ~endpoints:[ q.Query.e1; q.Query.e2 ] ~max_tuples:20000 ())
+            .Nquery.topologies
       in
       nary = pairwise)
 

@@ -117,7 +117,7 @@ let fingerprint (engine : Engine.t) =
       Buffer.add_string buf (Printf.sprintf "T%d %s" t.Topology.tid t.Topology.key);
       List.iter
         (fun d -> Buffer.add_string buf ("|" ^ String.concat "," d))
-        (Atomic.get t.Topology.decompositions);
+        t.Topology.decompositions;
       Buffer.add_char buf '\n')
     (Topology.all engine.Engine.ctx.Context.registry);
   let prefixes = [ "AllTops_"; "LeftTops_"; "ExcpTops_"; "TopInfo_" ] in
@@ -228,12 +228,12 @@ let graph_shape g =
 
 (* The union phase over [pendings] on a [jobs]-domain pool, checked pair by
    pair against [reference_unions]; the topologies are committed to
-   [registry].  Returns whether everything matched, and how many pairs the
+   [builder].  Returns whether everything matched, and how many pairs the
    caps truncated. *)
-let unions_match_oracle ~jobs dg caps registry pendings =
+let unions_match_oracle ~jobs dg caps builder pendings =
   let expected = Array.map (reference_unions dg caps) pendings in
   let protos = Pool.with_pool ~jobs (fun pool -> Compute.unions_of_pairs pool dg caps pendings) in
-  ignore (Compute.commit registry protos);
+  ignore (Compute.commit builder protos);
   let capped =
     Array.fold_left (fun n (_, _, was_capped) -> if was_capped then n + 1 else n) 0 expected
   in
@@ -248,10 +248,10 @@ let unions_match_oracle ~jobs dg caps registry pendings =
          protos expected,
     capped )
 
-let registry_keys_canonical registry =
+let registry_keys_canonical builder =
   List.for_all
     (fun (t : Topology.t) -> t.Topology.key = Topo_graph.Canon.key t.Topology.graph)
-    (Topology.all registry)
+    (Topology.all (Topology.freeze builder))
 
 let pendings_of dg ~t1 ~t2 caps =
   let paths = Compute.schema_paths_between (Biozon.Bschema.schema_graph ()) ~t1 ~t2 ~l:3 in
@@ -275,18 +275,18 @@ let memo_oracle_case ~seed ~junk ~jobs =
   let caps =
     { Compute.max_reps_per_class = 2; max_combos_per_pair = 2; max_paths_per_class = max_int }
   in
-  let registry = Topology.create_registry () in
+  let builder = Topology.builder () in
   let ok, capped =
     List.fold_left
       (fun (ok, capped) (t1, t2) ->
         let ok', capped' =
-          unions_match_oracle ~jobs dg caps registry (pendings_of dg ~t1 ~t2 caps)
+          unions_match_oracle ~jobs dg caps builder (pendings_of dg ~t1 ~t2 caps)
         in
         (ok && ok', capped + capped'))
       (true, 0)
       [ ("Protein", "DNA"); ("Protein", "Protein"); ("Protein", "Interaction") ]
   in
-  (ok && registry_keys_canonical registry, capped)
+  (ok && registry_keys_canonical builder, capped)
 
 let prop_memo_matches_oracle =
   QCheck.Test.make ~name:"generated instance: memoized unions = per-union Canon.key oracle"
@@ -336,10 +336,10 @@ let test_memo_keeps_orientation () =
       pendings
   in
   Alcotest.(check bool) "the unions are not isomorphic" true (keys.(0) <> keys.(1));
-  let registry = Topology.create_registry () in
-  let ok, _ = unions_match_oracle ~jobs:1 dg caps registry pendings in
+  let builder = Topology.builder () in
+  let ok, _ = unions_match_oracle ~jobs:1 dg caps builder pendings in
   Alcotest.(check bool) "memoized unions = oracle" true ok;
-  Alcotest.(check bool) "registered keys canonical" true (registry_keys_canonical registry)
+  Alcotest.(check bool) "registered keys canonical" true (registry_keys_canonical builder)
 
 let suites =
   [

@@ -393,7 +393,7 @@ let pk_slots data =
   let i64 () = let v = Int64.to_int (Bytes.get_int64_le data !pos) in pos := !pos + 8; v in
   let str () = let n = u32 () in let s = Bytes.sub_string data !pos n in pos := !pos + n; s in
   let strs () = for _ = 1 to u32 () do ignore (str ()) done in
-  pos := 8 + 4 + 4 + 8;
+  pos := 8 + 4 + 8;
   ignore (str ());
   ignore (str ());
   let marker c = if u8 () <> Char.code c then Alcotest.failf "expected section %c" c in
@@ -430,7 +430,7 @@ let pk_slots data =
 (* The header's payload checksum, recomputed: a corruption that keeps the
    file self-consistent, so only the decoder's own checks can catch it. *)
 let rewrite_checksum data =
-  let pos = ref (8 + 4 + 4) in
+  let pos = ref (8 + 4) in
   let payload_len = Int64.to_int (Bytes.get_int64_le data !pos) in
   pos := !pos + 8;
   let skip () = pos := !pos + 4 + Int32.to_int (Bytes.get_int32_le data !pos) in
@@ -460,6 +460,48 @@ let test_duplicate_primary_key () =
         ~finally:(fun () -> try Sys.remove path' with Sys_error _ -> ())
         (fun () -> check_rejected "duplicated primary key" "duplicate primary key" path'))
 
+(* A version 4 file, as the previous format wrote it: the same payload
+   under a header that still had a flags word after the version. *)
+let test_version_4_refused () =
+  let engine = Lazy.force paper_engine in
+  with_temp_snapshot engine (fun path ->
+      let path' =
+        corrupt path (fun d ->
+            let v4 = Bytes.create (Bytes.length d + 4) in
+            Bytes.blit d 0 v4 0 8;
+            Bytes.set_int32_le v4 8 4l;
+            Bytes.set_int32_le v4 12 0l;
+            Bytes.blit d 12 v4 16 (Bytes.length d - 12);
+            v4)
+      in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path' with Sys_error _ -> ())
+        (fun () -> check_rejected "version 4 file" "unsupported snapshot version 4" path'))
+
+(* A store whose TopInfo lists a topology only another pair derived: its
+   pruned checks and witnesses would have no derivation to evaluate, so
+   the load refuses the file, naming the store and the TID. *)
+let test_foreign_topinfo_tid_refused () =
+  let catalog = Biozon.Paper_db.catalog () in
+  let engine =
+    Engine.build catalog ~pairs:[ ("Protein", "DNA"); ("Protein", "Unigene") ] ~pruning_threshold:50 ()
+  in
+  let pd = Engine.store engine ~t1:"Protein" ~t2:"DNA"
+  and pu = Engine.store engine ~t1:"Protein" ~t2:"Unigene" in
+  let foreign =
+    Hashtbl.fold
+      (fun tid _ acc -> if Hashtbl.mem pd.Store.frequencies tid then acc else min tid acc)
+      pu.Store.frequencies max_int
+  in
+  let topinfo name = Catalog.find catalog name in
+  (match Table.find_by_pk (topinfo pu.Store.topinfo) (Value.Int foreign) with
+  | Some row -> Table.insert (topinfo pd.Store.topinfo) (Array.copy row)
+  | None -> Alcotest.fail "no Protein-Unigene topology outside Protein-DNA");
+  with_temp_snapshot engine (fun path ->
+      check_rejected "foreign TopInfo TID"
+        (Printf.sprintf "store protein-dna: tid %d has no derivation of its own" foreign)
+        path)
+
 let test_missing_file () =
   match Snapshot.load "/nonexistent/toposearch.snap" with
   | (_ : Engine.t) -> Alcotest.fail "loading a missing file succeeded"
@@ -472,8 +514,9 @@ let test_missing_file () =
 (* The pre-hash-set Store.build, re-derived from the store's own inputs
    with List.mem scans: the sweep rows regrouped from AllTops, each
    pair's class keys recomputed over the build's schema paths, the pruned
-   topologies and their decompositions.  The optimized build's LeftTops
-   and ExcpTops tables must match this row for row. *)
+   topologies and every decomposition the registry holds of them (other
+   pairs' included).  The optimized build's LeftTops and ExcpTops tables
+   must match this row for row. *)
 let sweep_rows (engine : Engine.t) (store : Store.t) =
   let ctx = engine.Engine.ctx in
   let t1 = store.Store.t1 and t2 = store.Store.t2 in
@@ -487,7 +530,7 @@ let sweep_rows (engine : Engine.t) (store : Store.t) =
     (Suite_core.alltops_rows engine store)
 
 let naive_lefttops (store : Store.t) rows =
-  let pruned_tids = List.map (fun (p : Topology.t) -> p.Topology.tid) store.Store.pruned in
+  let pruned_tids = store.Store.pruned in
   List.concat_map
     (fun (r : Compute.pair_row) ->
       List.filter_map
@@ -496,10 +539,10 @@ let naive_lefttops (store : Store.t) rows =
         r.Compute.tids)
     rows
 
-let naive_excptops (store : Store.t) rows =
+let naive_excptops (engine : Engine.t) (store : Store.t) rows =
   List.concat_map
-    (fun (p : Topology.t) ->
-      let decompositions = Atomic.get p.Topology.decompositions in
+    (fun tid ->
+      let decompositions = (Engine.topology engine tid).Topology.decompositions in
       List.filter_map
         (fun (r : Compute.pair_row) ->
           let satisfies =
@@ -507,8 +550,7 @@ let naive_excptops (store : Store.t) rows =
               (fun d -> List.for_all (fun key -> List.mem key r.Compute.class_keys) d)
               decompositions
           in
-          if satisfies && not (List.mem p.Topology.tid r.Compute.tids) then
-            Some (r.Compute.a, r.Compute.b, p.Topology.tid)
+          if satisfies && not (List.mem tid r.Compute.tids) then Some (r.Compute.a, r.Compute.b, tid)
           else None)
         rows)
     store.Store.pruned
@@ -540,7 +582,7 @@ let test_store_matches_naive () =
         (table_triples catalog store.Store.lefttops);
       Alcotest.(check (list (triple int int int)))
         (pair ^ " ExcpTops identical to the naive List.mem build")
-        (naive_excptops store rows)
+        (naive_excptops engine store rows)
         (table_triples catalog store.Store.excptops))
     engine.Engine.build_stats
 
@@ -557,10 +599,66 @@ let test_loaded_store_matches_built () =
           let bindings (s : Store.t) =
             List.sort compare (Hashtbl.fold (fun tid f acc -> (tid, f) :: acc) s.Store.frequencies [])
           in
-          let tids (s : Store.t) = List.map (fun (p : Topology.t) -> p.Topology.tid) s.Store.pruned in
           Alcotest.(check (list (pair int int))) (pair ^ " frequencies") (bindings built) (bindings restored);
-          Alcotest.(check (list int)) (pair ^ " pruned, in build order") (tids built) (tids restored))
+          Alcotest.(check (list int)) (pair ^ " pruned, in build order") built.Store.pruned
+            restored.Store.pruned)
         engine.Engine.build_stats)
+
+(* Each store owns its pair's derivations, on three builds: Figure 3's
+   database over three pairs, a generated instance, and one pair built in
+   both orientations (path keys are orientation-normalized, so both of
+   its stores own the same derivations).  A loaded store derives its
+   lists from the registry; they must equal the built store's, and the
+   stores' lists, concatenated in build order with repeats dropped, must
+   be every decomposition the registry holds. *)
+let test_loaded_derivations_match_built () =
+  let builds =
+    [
+      ( "paper db",
+        Engine.build (Biozon.Paper_db.catalog ())
+          ~pairs:[ ("Protein", "DNA"); ("Protein", "Unigene"); ("Unigene", "DNA") ]
+          ~pruning_threshold:0 () );
+      ("generated", generated_engine ~scale:0.1 ());
+      ( "both orientations",
+        Engine.build
+          (Biozon.Generator.generate (Biozon.Generator.scale 0.05 Biozon.Generator.default))
+          ~pairs:[ ("Protein", "DNA"); ("DNA", "Protein") ]
+          () );
+    ]
+  in
+  List.iter
+    (fun (name, (engine : Engine.t)) ->
+      let stores (e : Engine.t) =
+        List.map (fun (t1, t2, _) -> Engine.store e ~t1 ~t2) engine.Engine.build_stats
+      in
+      let lists (s : Store.t) =
+        List.sort compare
+          (Hashtbl.fold (fun tid _ acc -> (tid, Store.decompositions s tid) :: acc) s.Store.frequencies [])
+      in
+      with_temp_snapshot engine (fun path ->
+          let loaded = Snapshot.load path in
+          List.iter2
+            (fun (b : Store.t) l ->
+              Alcotest.(check (list (pair int (list (list string)))))
+                (Printf.sprintf "%s: %s-%s derivations after load" name b.Store.t1 b.Store.t2)
+                (lists b) (lists l))
+            (stores engine) (stores loaded));
+      List.iter
+        (fun (t : Topology.t) ->
+          let owned =
+            List.fold_left
+              (fun acc s ->
+                List.fold_left
+                  (fun acc d -> if List.mem d acc then acc else acc @ [ d ])
+                  acc
+                  (Store.decompositions s t.Topology.tid))
+              [] (stores engine)
+          in
+          Alcotest.(check (list (list string)))
+            (Printf.sprintf "%s: T%d's derivations, store by store" name t.Topology.tid)
+            t.Topology.decompositions owned)
+        (Topology.all engine.Engine.ctx.Context.registry))
+    builds
 
 (* The SQL method recomputes pair topologies over the schema paths the
    build kept, which it reads from the decompositions of the store's
@@ -623,6 +721,9 @@ let suites =
         Alcotest.test_case "missing file is a Snapshot.Error" `Quick test_missing_file;
         Alcotest.test_case "duplicate base-table primary key rejected" `Quick
           test_duplicate_primary_key;
+        Alcotest.test_case "a version 4 file is refused" `Quick test_version_4_refused;
+        Alcotest.test_case "a TopInfo TID with no derivation of its own is refused" `Quick
+          test_foreign_topinfo_tid_refused;
       ] );
     ( "snapshot.store",
       [
@@ -632,5 +733,7 @@ let suites =
           test_loaded_store_matches_built;
         Alcotest.test_case "SQL = Full-Top, built and loaded, filtered builds" `Quick
           test_sql_matches_full_top;
+        Alcotest.test_case "loaded derivations = built, and they partition the registry" `Quick
+          test_loaded_derivations_match_built;
       ] );
   ]
